@@ -16,9 +16,10 @@ of solve and verify (`stacked_norm`, `combined_operator_norm`) measure a
 solution truncated at the degree, which bounds the full norm from below,
 so their gate is the plain `1 + tol`: a value above it refutes the
 solution, and a value at or below it means "not refuted", not certified.
-No bound read from the solution file (its `tail_bound` included) enters
-a threshold.  Certified verdicts need tails the verifier computes itself,
-which wait on the exact tail certificates planned in ROADMAP.md.
+No value read from the solution file enters a threshold, and a
+`tail_bound` key that older solution files carry is ignored.  Certified
+verdicts need tails the verifier computes itself, which wait on the exact
+tail certificates planned in ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -147,71 +148,60 @@ def _load_parameter(args, in_dim: int, out_dim: int) -> schur.SchurParameter:
     return v
 
 
+def _solution_rows(obj, sol, deg: int, tol: float) -> tuple[list[dict], bool]:
+    """Residual rows of a solution against its instance, and the verdict."""
+    if isinstance(obj, nehari.NehariProblem):
+        rep = nehari.assemble_l(obj, sol)
+        return [_row("combined_operator_norm", rep.sigma_max, 1.0 + tol)], rep.accepted(tol)
+    rep = hardy.verify_interpolant(obj, sol, deg, tol=tol)
+    return [
+        _row("projection_onto_target", rep.projection_residual, tol),
+        _row("dilation_intertwining", rep.intertwining_residual, tol),
+        _row("stacked_norm", rep.sigma_max, 1.0 + tol),
+    ], rep.passed
+
+
 def cmd_solve(args) -> int:
     tol = args.tol if args.tol is not None else _default_tol()
     obj = _load_instance(args.input)
     deg = args.degree
-    if isinstance(obj, nehari.NehariProblem):
-        nc = nehari.coefficients(obj)
-        v = _load_parameter(args, obj.u_dim, obj.y_dim + obj.u_dim)
-        h = nehari.solve_h(nc, v, deg)
-        rep = nehari.assemble_l(obj, h)
-        ok = rep.accepted(tol)
-        report = {
-            "command": "solve",
-            "instance": _instance_digest(obj),
-            "residuals": [
-                _row("combined_operator_norm", rep.sigma_max, 1.0 + tol),
-                _row("state_spectral_radius", nc.r_spec_t_state, 1.0,
-                     nc.r_spec_t_state < 1.0),
-            ],
-            "degree": deg,
-            "passed": ok,
-        }
-        _emit(args, serialize.nehari_solution_to_json(h, rep.sigma_max, report))
-        return EXIT_PASS if ok else EXIT_FAIL
-    dd = lifting.derive(obj)
-    dd.require_strict()
-    rc = redheffer.build_coefficients(dd)
-    v = _load_parameter(args, rc.kq_dim, rc.w_dim)
-    sol = redheffer.solution_taylor(rc, v, deg)
-    rep = hardy.verify_interpolant(obj, sol, deg, tol=tol)
+    is_nehari = isinstance(obj, nehari.NehariProblem)
+    if is_nehari:
+        rc = nehari.coefficients(obj)
+        sol = nehari.solve_h(rc, _load_parameter(args, rc.kq_dim, rc.w_dim), deg)
+    else:
+        dd = lifting.derive(obj)
+        dd.require_strict()
+        rc = redheffer.build_coefficients(dd)
+        sol = redheffer.solution_taylor(rc, _load_parameter(args, rc.kq_dim, rc.w_dim), deg)
+    rows, ok = _solution_rows(obj, sol, deg, tol)
+    if is_nehari:
+        rows.append(_row("state_spectral_radius", rc.r_spec_x1, 1.0, rc.r_spec_x1 < 1.0))
     report = {
         "command": "solve",
         "instance": _instance_digest(obj),
-        "residuals": [
-            _row("projection_onto_target", rep.projection_residual, tol),
-            _row("dilation_intertwining", rep.intertwining_residual, tol),
-            _row("stacked_norm", rep.sigma_max, 1.0 + tol),
-        ],
+        "residuals": rows,
         "degree": deg,
-        "passed": rep.passed,
+        "passed": ok,
     }
-    _emit(args, serialize.lifting_solution_to_json(sol, report))
-    return EXIT_PASS if rep.passed else EXIT_FAIL
+    if is_nehari:
+        _emit(args, serialize.nehari_solution_to_json(sol, rows[0]["value"], report))
+    else:
+        _emit(args, serialize.lifting_solution_to_json(sol, report))
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 def cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else _default_tol()
     obj = _load_instance(args.input)
     sol_doc = serialize.load_json(args.solution)
+    deg = args.degree
     if isinstance(obj, nehari.NehariProblem):
-        h = serialize.nehari_solution_from_json(sol_doc, obj.u_dim, obj.y_dim)
-        rep = nehari.assemble_l(obj, h)
-        ok = rep.accepted(tol)
-        rows = [
-            _row("combined_operator_norm", rep.sigma_max, 1.0 + tol),
-        ]
+        sol = serialize.nehari_solution_from_json(sol_doc, obj.u_dim, obj.y_dim)
     else:
         sol = serialize.lifting_solution_from_json(sol_doc)
-        deg = min(args.degree, sol.degree)
-        rep = hardy.verify_interpolant(obj, sol, deg, tol=tol)
-        ok = rep.passed
-        rows = [
-            _row("projection_onto_target", rep.projection_residual, tol),
-            _row("dilation_intertwining", rep.intertwining_residual, tol),
-            _row("stacked_norm", rep.sigma_max, 1.0 + tol),
-        ]
+        deg = min(deg, sol.degree)
+    rows, ok = _solution_rows(obj, sol, deg, tol)
     _emit(args, {
         "command": "verify",
         "instance": _instance_digest(obj),
@@ -236,8 +226,7 @@ def cmd_nehari(args) -> int:
         _row("hankel_norm", operator_norm(a), 1.0),
         _row("gram_matches_hankel", gram_vs_hankel, 1e-10),
         _row("gram_inverse", inv_res, 1e-9),
-        _row("state_spectral_radius", nc.r_spec_t_state, 1.0,
-             nc.r_spec_t_state < 1.0),
+        _row("state_spectral_radius", nc.r_spec_x1, 1.0, nc.r_spec_x1 < 1.0),
         _row("stacked_isometry_residual", rep.residual,
              (rep.slack or 0.0) + 1e-10),
     ]

@@ -76,14 +76,9 @@ class SystemRealization:
 
 @dataclass(frozen=True)
 class TaylorSeries:
-    """Taylor coefficients at zero of an operator-valued disc function.
-
-    `tail_bound`, when present, bounds the squared coefficient tail
-    sum_{k > degree} ||coeff_k||^2 discarded by the truncation.
-    """
+    """Taylor coefficients at zero of an operator-valued disc function."""
 
     coeffs: tuple[np.ndarray, ...]
-    tail_bound: float | None = None
 
     def __post_init__(self):
         coeffs = tuple(cmatrix(c) for c in self.coeffs)
@@ -92,8 +87,6 @@ class TaylorSeries:
         shape = coeffs[0].shape
         if any(c.shape != shape for c in coeffs):
             raise DimensionMismatch("coefficient dimensions are not uniform")
-        if self.tail_bound is not None and self.tail_bound < 0:
-            raise ValueError("tail_bound must be nonnegative")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -107,14 +100,6 @@ class TaylorSeries:
     @property
     def in_dim(self) -> int:
         return self.coeffs[0].shape[1]
-
-    def coeff(self, k: int) -> np.ndarray:
-        """Coefficient k, zero beyond the stored degree."""
-        if k < 0:
-            raise IndexError("negative Taylor index")
-        if k <= self.degree:
-            return self.coeffs[k]
-        return zeros(self.out_dim, self.in_dim)
 
     def __call__(self, lam: complex) -> np.ndarray:
         """Evaluate the truncated polynomial at a point."""
@@ -130,14 +115,11 @@ class SolutionTaylor:
 
     a_part is the block acting into the base space; gamma_coeffs are the
     Taylor coefficients of the Hardy-space block, expressed in orthonormal
-    defect coordinates.  tail_bound bounds the squared coefficient tail per
-    unit input vector; it is what the producer claims, so
-    `verify_interpolant` never reads it.
+    defect coordinates.
     """
 
     a_part: np.ndarray
     gamma_coeffs: tuple[np.ndarray, ...]
-    tail_bound: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "a_part", cmatrix(self.a_part))
@@ -164,18 +146,6 @@ def transfer_taylor(sys: SystemRealization, deg: int) -> TaylorSeries:
     for _ in range(deg):
         coeffs.append(cz @ sys.b_s)
         cz = cz @ sys.a_s
-    return TaylorSeries(tuple(coeffs))
-
-
-def observability_taylor(a_s: np.ndarray, c_s: np.ndarray, deg: int) -> TaylorSeries:
-    """Taylor coefficients [C, CZ, CZ^2, ...] of C(I - lambda*Z)^-1."""
-    a_s = cmatrix(a_s)
-    c_s = cmatrix(c_s)
-    coeffs = [c_s]
-    cz = c_s
-    for _ in range(deg):
-        cz = cz @ a_s
-        coeffs.append(cz)
     return TaylorSeries(tuple(coeffs))
 
 
@@ -262,11 +232,6 @@ def tail_sq_bound(
     return exact + remainder
 
 
-def tail_bound(x1: np.ndarray, prefix: np.ndarray, deg: int) -> float | None:
-    """Geometric bound on the squared coefficient tail of prefix @ x1^k."""
-    return tail_sq_bound(x1, prefix, deg)
-
-
 # --- formal power-series arithmetic -------------------------------------------
 
 
@@ -333,8 +298,7 @@ def verify_interpolant(
     solution truncated at `deg`.  The solution passes when (i), (ii) <= tol
     and (iii) <= 1 + tol.  The truncated stack keeps a subset of the rows
     of the full solution, so (iii) bounds its norm from below: passing
-    means "not refuted", and the tail bound the solution claims never
-    widens the threshold.  Certifying the full norm needs a tail the
+    means "not refuted".  Certifying the full norm needs a tail the
     verifier computes itself, which waits on the exact tail certificates
     planned in ROADMAP.md.
     """

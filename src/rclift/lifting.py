@@ -86,10 +86,7 @@ class LiftingDataSet:
 class StrictnessReport:
     norm_a: float
     sigma_min_r: float
-    sigma_min_q: float
     strict_ok: bool
-    min_eig_qdq: float
-    min_eig_rdr: float
 
 
 @dataclass(frozen=True)
@@ -121,20 +118,9 @@ def validate(ds: LiftingDataSet, tol: float = CONSTRAINT_TOL) -> ValidationRepor
     gap = adj(ds.q) @ ds.q - adj(ds.r) @ ds.r
     gap_min = min_eig_hermitian(gap)
 
-    d_a_sq = eye(ds.dim_h) - adj(ds.a) @ ds.a
-    qdq = adj(ds.q) @ d_a_sq @ ds.q
-    rdr = adj(ds.r) @ d_a_sq @ ds.r
     sigma_r = min_singular_value(ds.r)
-    sigma_q = min_singular_value(ds.q)
     strict_ok = norm_a <= 1.0 - STRICT_DELTA and sigma_r >= STRICT_DELTA
-    strictness = StrictnessReport(
-        norm_a=norm_a,
-        sigma_min_r=sigma_r,
-        sigma_min_q=sigma_q,
-        strict_ok=strict_ok,
-        min_eig_qdq=min_eig_hermitian(qdq),
-        min_eig_rdr=min_eig_hermitian(rdr),
-    )
+    strictness = StrictnessReport(norm_a=norm_a, sigma_min_r=sigma_r, strict_ok=strict_ok)
     rows = (
         ConstraintRow("contraction_a", norm_a, 1.0 + tol, norm_a <= 1.0 + tol),
         ConstraintRow("contraction_t_prime", norm_t, 1.0 + tol, norm_t <= 1.0 + tol),
@@ -255,16 +241,6 @@ def gram_identity_residual(dd: DerivedData) -> float:
 def omega_isometry_defect(dd: DerivedData) -> float:
     """|| omega* omega - I || on the F coordinates."""
     return operator_norm(adj(dd.omega) @ dd.omega - eye(dd.f_embedding.dim))
-
-
-def left_inverse_daq(dd: DerivedData) -> np.ndarray:
-    """The left inverse (Q* D_A^2 Q)^-1 Q* D_A of D_A Q (strict only)."""
-    dd.require_strict()
-    ds = dd.ds
-    daq = dd.d_a @ ds.q
-    from .linalg import solve_hpd
-
-    return solve_hpd(adj(daq) @ daq, adj(daq))
 
 
 def left_inverse_dar(dd: DerivedData) -> np.ndarray:

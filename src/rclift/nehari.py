@@ -11,6 +11,13 @@ solution tail.
 Row indexing convention: the combined operator has integer row indices
 with H_0 boxed at index 0 and tap rows at negative indices; matrices are
 serialized bottom-up, so coordinate n corresponds to index -n.
+
+The problem is the specialisation of relaxed commutant lifting to the data
+set `to_lifting_data` builds, so its closed-form coefficient functions are
+the lifting ones: `coefficients` returns a `redheffer.Realization` whose
+input embedding E is e_n (the first window slot) and whose base block is
+the first window column Gamma_- of the Hankel matrix.  Evaluation,
+solutions and the stacked-operator check all run through `redheffer`.
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schur
-from .errors import CornerNotPD, DimensionMismatch, HankelNotStrict, ResolventSingular
-from .hardy import TaylorSeries, mult_matrix, observability_matrix, tail_sq_bound
+from .errors import CornerNotPD, DimensionMismatch, HankelNotStrict
+from .hardy import TaylorSeries, series_mul, series_neumann
 from .lifting import LiftingDataSet
+from .redheffer import Realization, assemble_m, m_gram_slack, solution_taylor
 from .linalg import (
     adj,
     cmatrix,
@@ -32,7 +40,6 @@ from .linalg import (
     operator_norm,
     psd_sqrt,
     solve_hpd,
-    spectral_radius,
     zeros,
 )
 
@@ -150,31 +157,22 @@ def solve_g(p: NehariProblem) -> list[np.ndarray]:
 
 
 @dataclass(frozen=True)
-class NehariCoefficients:
-    """Operators of the closed-form solution description."""
+class NehariCoefficients(Realization):
+    """The closed-form realization with the operators it is built from.
+
+    X1 = T, X2 = -[G*(I+FG*)^(-1/2), C2], X3 = Lambda11^(-1/2) e_n*,
+    X4 = F T, X5 = [(I+FG*)^(-1/2), 0], E = e_n and base Gamma_-: the
+    X-operators of the lifting data set `to_lifting_data`, with T e_n = -C1.
+    """
 
     problem: NehariProblem
     lam: np.ndarray
     lam_cross: np.ndarray
     g_row: tuple[np.ndarray, ...]
-    t_state: np.ndarray
-    e_n: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
     f_row: np.ndarray
     g_big: np.ndarray
-    i_plus_fg_half: np.ndarray
-    i_plus_fg_neg_half: np.ndarray
-    lam11_neg_half: np.ndarray
-    r_spec_t_state: float
-
-    @property
-    def state_dim(self) -> int:
-        return self.t_state.shape[0]
-
-    def b_hat(self) -> np.ndarray:
-        """The compound input block [G*(I+FG*)^(-1/2), C2] on Y + U."""
-        return np.hstack([adj(self.g_big) @ self.i_plus_fg_neg_half, self.c2])
 
 
 def coefficients(p: NehariProblem) -> NehariCoefficients:
@@ -202,116 +200,34 @@ def coefficients(p: NehariProblem) -> NehariCoefficients:
     )
     f_row = np.hstack([p.tap(n) for n in range(1, n_w + 1)])
     g_big = np.hstack(g_row + [zeros(y, u)] * (n_w - len(g_row)))
-
-    i_fg = eye(y) + f_row @ adj(g_big)
-    i_fg_half = psd_sqrt(i_fg)
-    i_fg_neg_half = psd_sqrt(inv_hpd(i_fg))
+    i_fg_neg_half = psd_sqrt(inv_hpd(eye(y) + f_row @ adj(g_big)))
 
     return NehariCoefficients(
+        x1=t_state,
+        x2=-np.hstack([adj(g_big) @ i_fg_neg_half, c2]),
+        x3=psd_sqrt(lam11_inv) @ adj(e_n),
+        x4=f_row @ t_state,
+        x5=np.hstack([i_fg_neg_half, zeros(y, u)]),
+        e=e_n,
+        base=np.vstack([p.tap(n) for n in range(1, max(p.k_taps, 1) + 1)]),  # Gamma_-
         problem=p,
         lam=lam,
         lam_cross=lam_x,
         g_row=tuple(g_row),
-        t_state=t_state,
-        e_n=e_n,
         c1=c1,
         c2=c2,
         f_row=f_row,
         g_big=g_big,
-        i_plus_fg_half=i_fg_half,
-        i_plus_fg_neg_half=i_fg_neg_half,
-        lam11_neg_half=psd_sqrt(lam11_inv),
-        r_spec_t_state=spectral_radius(t_state),
-    )
-
-
-def phi_hat_eval(
-    nc: NehariCoefficients, lam: complex
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate the four closed-form coefficient functions at a disc point."""
-    if abs(lam) >= 1.0:
-        raise ValueError("coefficient functions live on the open unit disc")
-    n = nc.state_dim
-    try:
-        res = np.linalg.inv(eye(n) - lam * nc.t_state)
-    except np.linalg.LinAlgError as exc:
-        raise ResolventSingular(f"I - lam*T singular at lam={lam!r}") from exc
-    b_hat = nc.b_hat()
-    en_res = adj(nc.e_n) @ res
-    p11 = -lam * nc.lam11_neg_half @ en_res @ b_hat
-    p12 = nc.lam11_neg_half - lam * nc.lam11_neg_half @ en_res @ nc.c1
-    p21 = (
-        np.hstack([nc.i_plus_fg_half, nc.f_row @ nc.c2])
-        - nc.f_row @ res @ b_hat
-    )
-    p22 = -nc.f_row @ res @ nc.c1
-    return p11, p12, p21, p22
-
-
-def phi_hat_taylor(
-    nc: NehariCoefficients, deg: int
-) -> tuple[TaylorSeries, TaylorSeries, TaylorSeries, TaylorSeries]:
-    """Taylor coefficients of the closed-form coefficient functions."""
-    u, y = nc.problem.u_dim, nc.problem.y_dim
-    b_hat = nc.b_hat()
-    c11 = [zeros(u, y + u)]
-    c12 = [nc.lam11_neg_half.copy()]
-    c21 = [np.hstack([nc.i_plus_fg_half, nc.f_row @ nc.c2]) - nc.f_row @ b_hat]
-    c22 = [-nc.f_row @ nc.c1]
-    en_t = adj(nc.e_n)
-    f_t = nc.f_row
-    for _ in range(deg):
-        c11.append(-nc.lam11_neg_half @ en_t @ b_hat)
-        c12.append(-nc.lam11_neg_half @ en_t @ nc.c1)
-        f_t = f_t @ nc.t_state
-        c21.append(-f_t @ b_hat)
-        c22.append(-f_t @ nc.c1)
-        en_t = en_t @ nc.t_state
-    return (
-        TaylorSeries(tuple(c11)),
-        TaylorSeries(tuple(c12)),
-        TaylorSeries(tuple(c21)),
-        TaylorSeries(tuple(c22)),
     )
 
 
 def solve_h(nc: NehariCoefficients, v: schur.SchurParameter, deg: int) -> TaylorSeries:
     """Taylor coefficients of the solution attached to a Schur parameter.
 
-    Runs the feedback loop of the coefficient state space with the
-    parameter realization; V = 0 gives the central solution.
+    The Hardy-space block of `redheffer.solution_taylor` on the Nehari
+    realization; V = 0 gives the central solution.
     """
-    p = nc.problem
-    if v.in_dim != p.u_dim or v.out_dim != p.y_dim + p.u_dim:
-        raise DimensionMismatch(
-            f"parameter dims {v.out_dim}x{v.in_dim}, "
-            f"expected {p.y_dim + p.u_dim}x{p.u_dim}"
-        )
-    if v.kind == "transfer":
-        sys = v.system
-        av, bv, cv, dv = sys.a_s, sys.b_s, sys.c_s, sys.d_s
-    else:
-        dv = v.matrix if v.kind == "constant" else zeros(v.out_dim, v.in_dim)
-        av, bv, cv = zeros(0, 0), zeros(0, v.in_dim), zeros(v.out_dim, 0)
-
-    # X-operator form of the coefficient realization
-    x1 = nc.t_state
-    x2 = -nc.b_hat()
-    x3 = nc.lam11_neg_half @ adj(nc.e_n)
-    x4 = nc.f_row @ nc.t_state
-    x5 = np.hstack([nc.i_plus_fg_neg_half, zeros(p.y_dim, p.u_dim)])
-
-    a_cl = np.block([[x1 + x2 @ dv @ x3, x2 @ cv], [bv @ x3, av]])
-    c_cl = np.hstack([x4 + x5 @ dv @ x3, x5 @ cv])
-    e_cl = np.vstack([nc.e_n, zeros(av.shape[0], p.u_dim)])
-
-    coeffs = []
-    cur = e_cl
-    for _ in range(deg + 1):
-        coeffs.append(c_cl @ cur)
-        cur = a_cl @ cur
-    tail = tail_sq_bound(a_cl, c_cl, deg, post=e_cl)
-    return TaylorSeries(tuple(coeffs), tail_bound=tail)
+    return TaylorSeries(solution_taylor(nc, v, deg).gamma_coeffs)
 
 
 @dataclass(frozen=True)
@@ -321,8 +237,8 @@ class LContractionReport:
     The truncation keeps a subset of the rows of the full operator, so
     `sigma_max` is a lower bound on the full norm.  `accepted` therefore
     means "not refuted": a truncated norm above 1 + tol proves that the
-    coefficients are no solution, and nothing read from the solution (its
-    claimed tail bound included) can widen that threshold.  Certifying the
+    coefficients are no solution, and nothing read from the solution can
+    widen that threshold.  Certifying the
     full norm needs a tail the verifier computes itself, which waits on the
     exact tail certificates planned in ROADMAP.md.
     """
@@ -368,44 +284,17 @@ class HatMReport:
 def hat_m_check(nc: NehariCoefficients, deg: int, extra: int | None = None) -> HatMReport:
     """Isometry residual of the truncated stacked solution operator.
 
-    Stacks the tap column, the multiplication matrices of the two Schur
-    coefficient functions, and the observability matrices of the other
-    two, then returns ||M*M - I|| together with the tail slack the
-    truncation is entitled to.
+    `redheffer.assemble_m` on the Nehari realization stacks the tap column,
+    the multiplication matrices of the two Schur coefficient functions, and
+    the observability matrices of the other two; returns ||M*M - I||
+    together with the tail slack (`redheffer.m_gram_slack`) the truncation
+    is entitled to.
     """
-    p = nc.problem
     if extra is None:
-        extra = max(p.n_window, 16)
-    deg_out = deg + extra
-    p11, p12, p21, p22 = phi_hat_taylor(nc, deg_out)
-    m11 = mult_matrix(p11, deg, deg_out=deg_out)
-    m21 = mult_matrix(p21, deg, deg_out=deg_out)
-    g12 = observability_matrix(p12)
-    g22 = observability_matrix(p22)
-    rows = max(p.k_taps, 1)
-    gamma_minus = hankel(p, rows)[:, : p.u_dim]
-    top = np.hstack([zeros(rows * p.y_dim, (deg + 1) * (p.y_dim + p.u_dim)), gamma_minus])
-    m_hat = np.block([[top], [m11, g12], [m21, g22]])
-    n_cols = m_hat.shape[1]
-    residual = operator_norm(adj(m_hat) @ m_hat - eye(n_cols))
-
-    # slack: squared mass of the dropped coefficient rows
-    x1 = nc.t_state
-    b_hat = nc.b_hat()
-    prefix = np.vstack([nc.lam11_neg_half @ adj(nc.e_n), nc.f_row @ nc.t_state])
-    window = deg_out + 4 * 64
-    total = 0.0
-    cur = prefix
-    for m in range(1, window + 1):
-        cnt = min(max(m - extra, 0), deg + 1)
-        if cnt:
-            total += cnt * operator_norm(cur @ b_hat) ** 2
-        cur = cur @ x1
-    rem = tail_sq_bound(x1, prefix, window - 1, post=b_hat)
-    obs = tail_sq_bound(x1, prefix, deg_out - 1, post=nc.c1)
-    if rem is None or obs is None:
-        return HatMReport(residual=residual, slack=None)
-    return HatMReport(residual=residual, slack=total + (deg + 1) * rem + obs)
+        extra = max(nc.problem.n_window, 16)
+    m_hat = assemble_m(nc, deg, extra)
+    residual = operator_norm(adj(m_hat) @ m_hat - eye(m_hat.shape[1]))
+    return HatMReport(residual=residual, slack=m_gram_slack(nc, deg, extra))
 
 
 def special_n1(p: NehariProblem, v: schur.SchurParameter, deg: int) -> TaylorSeries:
@@ -424,21 +313,9 @@ def special_n1(p: NehariProblem, v: schur.SchurParameter, deg: int) -> TaylorSer
     d_a = psd_sqrt(g)
     vt = schur.taylor(v, deg)
     vy = [c[: p.y_dim, :] for c in vt.coeffs]
-    vu = [c[p.y_dim :, :] for c in vt.coeffs]
-    # (I - lam * Vu)^-1 coefficient recursion: shift Vu by one degree
-    inv = [eye(p.u_dim)]
-    for k in range(1, deg + 1):
-        acc = zeros(p.u_dim, p.u_dim)
-        for j in range(1, k + 1):
-            acc = acc + vu[j - 1] @ inv[k - j]
-        inv.append(acc)
-    coeffs = []
-    for k in range(deg + 1):
-        acc = zeros(p.y_dim, p.u_dim)
-        for i in range(k + 1):
-            acc = acc + vy[i] @ inv[k - i]
-        coeffs.append(acc @ d_a)
-    return TaylorSeries(tuple(coeffs))
+    lam_vu = [zeros(p.u_dim, p.u_dim)] + [c[p.y_dim :, :] for c in vt.coeffs[:deg]]
+    coeffs = series_mul(vy, series_neumann(lam_vu, deg), deg)
+    return TaylorSeries(tuple(c @ d_a for c in coeffs))
 
 
 def special_f0(
@@ -456,20 +333,8 @@ def special_f0(
         raise DimensionMismatch("parameter dims disagree with the problem ports")
     vt = schur.taylor(v, deg)
     vy = [c[:y_dim, :] for c in vt.coeffs]
-    vu = [c[y_dim:, :] for c in vt.coeffs]
-    inv = [eye(u_dim)]
-    for k in range(1, deg + 1):
-        acc = zeros(u_dim, u_dim)
-        for j in range(n_window, k + 1):
-            acc = acc - vu[j - n_window] @ inv[k - j]
-        inv.append(acc)
-    coeffs = []
-    for k in range(deg + 1):
-        acc = zeros(y_dim, u_dim)
-        for i in range(k + 1):
-            acc = acc + vy[i] @ inv[k - i]
-        coeffs.append(acc)
-    return TaylorSeries(tuple(coeffs))
+    lam_n_vu = [zeros(u_dim, u_dim)] * n_window + [-c[y_dim:, :] for c in vt.coeffs]
+    return TaylorSeries(tuple(series_mul(vy, series_neumann(lam_n_vu, deg), deg)))
 
 
 def to_lifting_data(p: NehariProblem, rows: int | None = None) -> LiftingDataSet:
@@ -489,29 +354,3 @@ def to_lifting_data(p: NehariProblem, rows: int | None = None) -> LiftingDataSet
     r = np.vstack([eye((n_w - 1) * u), zeros(u, (n_w - 1) * u)])
     q = np.vstack([zeros(u, (n_w - 1) * u), eye((n_w - 1) * u)])
     return LiftingDataSet(a=a, t_prime=t_prime, r=r, q=q)
-
-
-def flip_operator(n_window: int, u_dim: int) -> np.ndarray:
-    """Unitary reversal of the window slots of U^N."""
-    e = zeros(n_window * u_dim, n_window * u_dim)
-    for i in range(n_window):
-        e[i * u_dim : (i + 1) * u_dim, (n_window - 1 - i) * u_dim : (n_window - i) * u_dim] = eye(u_dim)
-    return e
-
-
-def second_companion(coeffs: list[np.ndarray]) -> np.ndarray:
-    """Second companion matrix of a monic-normalized operator polynomial.
-
-    coeffs = [K_0, ..., K_m] with K_m invertible; the companion carries
-    identity blocks on the subdiagonal and -K_j K_m^-1 down the last block
-    column.
-    """
-    m = len(coeffs) - 1
-    u = coeffs[0].shape[0]
-    lead_inv = np.linalg.inv(coeffs[m])
-    out = zeros(m * u, m * u)
-    for i in range(1, m):
-        out[i * u : (i + 1) * u, (i - 1) * u : i * u] = eye(u)
-    for j in range(m):
-        out[j * u : (j + 1) * u, (m - 1) * u : m * u] = -coeffs[j] @ lead_inv
-    return out

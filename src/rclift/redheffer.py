@@ -2,19 +2,27 @@
 
 For a strict instance the four coefficient functions
 
-    P11(lam) = lam * X3 (I - lam X1)^-1 X2,   P12(lam) = X3 (I - lam X1)^-1,
-    P21(lam) = X5 + lam * X4 (I - lam X1)^-1 X2,   P22(lam) = X4 (I - lam X1)^-1,
+    P11(lam) = lam * X3 (I - lam X1)^-1 X2,   P12(lam) = X3 (I - lam X1)^-1 E,
+    P21(lam) = X5 + lam * X4 (I - lam X1)^-1 X2,   P22(lam) = X4 (I - lam X1)^-1 E,
 
-are built from five operators X1..X5 and three positive definite weights.
-Every solution of the lifting problem is P22 + P21 V (I - P11 V)^-1 P12
-over a free Schur parameter V; V = 0 gives the central solution.  The
-input space of X2/X5 is the orthogonal sum of the gap-defect coordinates,
-the dilation-defect coordinates, and Ker R*, in that order.
+are built from five operators X1..X5, an input embedding E, and three
+positive definite weights.  Every solution of the lifting problem is
+P22 + P21 V (I - P11 V)^-1 P12 over a free Schur parameter V; V = 0 gives
+the central solution.  The input space of X2/X5 is the orthogonal sum of
+the gap-defect coordinates, the dilation-defect coordinates, and Ker R*,
+in that order.
+
+`Realization` holds X1..X5, E and the base block of the stacked solution
+operator; the evaluation, Taylor expansion, feedback loop and stacked
+operator below take any realization.  For the lifting problem E is the
+identity and the base block is A; the relaxed Nehari problem is the
+specialisation of the lifting theorem whose realization `nehari` builds
+in closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,38 +50,49 @@ from .linalg import (
 
 
 @dataclass(frozen=True)
-class RedhefferCoefficients:
-    """The realization data (X1..X5, weights) of the coefficient functions."""
+class Realization:
+    """Coefficient-function realization (X1..X5, E) plus the base block.
 
-    dd: DerivedData
+    `base` is the block the stacked solution operator maps into the base
+    space; a solution's first block is `base` and its Hardy-space block
+    the transfer function of the solved feedback loop, fed through E.
+    """
+
     x1: np.ndarray
     x2: np.ndarray
     x3: np.ndarray
     x4: np.ndarray
     x5: np.ndarray
-    delta_q: np.ndarray
-    delta_r: np.ndarray
-    delta_omega: np.ndarray
-    r_spec_x1: float
-    input_split: tuple[int, int, int]
+    e: np.ndarray
+    base: np.ndarray
+    r_spec_x1: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "r_spec_x1", spectral_radius(self.x1))
 
     @property
     def w_dim(self) -> int:
         """Dimension of the parameter output space (X2/X5 input)."""
-        return sum(self.input_split)
+        return self.x2.shape[1]
 
     @property
     def kq_dim(self) -> int:
+        """Dimension of the parameter input space (X3 output)."""
         return self.x3.shape[0]
 
     @property
     def dt_dim(self) -> int:
         return self.x4.shape[0]
 
-    def split_cols(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Address the gap / dilation-defect / Ker R* blocks of a W-matrix."""
-        d0, dt, _ = self.input_split
-        return m[:, :d0], m[:, d0:d0 + dt], m[:, d0 + dt:]
+
+@dataclass(frozen=True)
+class RedhefferCoefficients(Realization):
+    """The lifting realization with its derived data and weights."""
+
+    dd: DerivedData
+    delta_q: np.ndarray
+    delta_r: np.ndarray
+    delta_omega: np.ndarray
 
 
 def build_coefficients(dd: DerivedData) -> RedhefferCoefficients:
@@ -111,17 +130,17 @@ def build_coefficients(dd: DerivedData) -> RedhefferCoefficients:
     x5 = np.hstack([dom_nh[d0:, :], zeros(dt, kr)])
 
     return RedhefferCoefficients(
-        dd=dd,
         x1=x1,
         x2=x2,
         x3=x3,
         x4=x4,
         x5=x5,
+        e=eye(ds.dim_h),
+        base=ds.a,
+        dd=dd,
         delta_q=delta_q,
         delta_r=delta_r,
         delta_omega=delta_omega,
-        r_spec_x1=spectral_radius(x1),
-        input_split=(d0, dt, kr),
     )
 
 
@@ -159,7 +178,7 @@ def x_tilde_matrix(rc: RedhefferCoefficients) -> np.ndarray:
     )
 
 
-def _resolvent(rc: RedhefferCoefficients, lam: complex) -> np.ndarray:
+def _resolvent(rc: Realization, lam: complex) -> np.ndarray:
     if abs(lam) >= 1.0:
         raise ValueError("coefficient functions live on the open unit disc")
     n = rc.x1.shape[0]
@@ -170,25 +189,26 @@ def _resolvent(rc: RedhefferCoefficients, lam: complex) -> np.ndarray:
 
 
 def phi_eval(
-    rc: RedhefferCoefficients, lam: complex
+    rc: Realization, lam: complex
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate (P11, P12, P21, P22) at a disc point."""
     res = _resolvent(rc, lam)
+    res_e = res @ rc.e
     p11 = lam * rc.x3 @ res @ rc.x2
-    p12 = rc.x3 @ res
+    p12 = rc.x3 @ res_e
     p21 = rc.x5 + lam * rc.x4 @ res @ rc.x2
-    p22 = rc.x4 @ res
+    p22 = rc.x4 @ res_e
     return p11, p12, p21, p22
 
 
 def phi_taylor(
-    rc: RedhefferCoefficients, deg: int
+    rc: Realization, deg: int
 ) -> tuple[TaylorSeries, TaylorSeries, TaylorSeries, TaylorSeries]:
     """Taylor coefficients of the four coefficient functions to degree deg."""
     c11 = [zeros(rc.kq_dim, rc.w_dim)]
-    c12 = [rc.x3.copy()]
+    c12 = [rc.x3 @ rc.e]
     c21 = [rc.x5.copy()]
-    c22 = [rc.x4.copy()]
+    c22 = [rc.x4 @ rc.e]
     x3p = rc.x3
     x4p = rc.x4
     for _ in range(deg):
@@ -196,8 +216,8 @@ def phi_taylor(
         c21.append(x4p @ rc.x2)
         x3p = x3p @ rc.x1
         x4p = x4p @ rc.x1
-        c12.append(x3p)
-        c22.append(x4p)
+        c12.append(x3p @ rc.e)
+        c22.append(x4p @ rc.e)
     return (
         TaylorSeries(tuple(c11)),
         TaylorSeries(tuple(c12)),
@@ -239,13 +259,14 @@ def _v_realization(v: schur.SchurParameter) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def closed_loop_realization(
-    rc: RedhefferCoefficients, v: schur.SchurParameter
+    rc: Realization, v: schur.SchurParameter
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Realization (A_cl, C_cl, E_cl) of the solved feedback loop.
 
     The solution function equals C_cl (I - lam A_cl)^-1 E_cl: the loop
-    state stacks the coefficient state on top of the parameter state, so
-    Taylor coefficients come out as C_cl @ A_cl^k @ E_cl.
+    state stacks the coefficient state on top of the parameter state, and
+    the input enters the coefficient state through E, so Taylor
+    coefficients come out as C_cl @ A_cl^k @ E_cl.
     """
     if v.in_dim != rc.kq_dim or v.out_dim != rc.w_dim:
         raise DimensionMismatch(
@@ -253,7 +274,6 @@ def closed_loop_realization(
             f"expected {rc.w_dim}x{rc.kq_dim}"
         )
     av, bv, cv, dv = _v_realization(v)
-    h = rc.x1.shape[0]
     sv = av.shape[0]
     a_cl = np.block(
         [
@@ -262,19 +282,17 @@ def closed_loop_realization(
         ]
     )
     c_cl = np.hstack([rc.x4 + rc.x5 @ dv @ rc.x3, rc.x5 @ cv])
-    e_cl = np.vstack([eye(h), zeros(sv, h)])
+    e_cl = np.vstack([rc.e, zeros(sv, rc.e.shape[1])])
     return a_cl, c_cl, e_cl
 
 
 def solution_taylor(
-    rc: RedhefferCoefficients, v: schur.SchurParameter, deg: int
+    rc: Realization, v: schur.SchurParameter, deg: int
 ) -> SolutionTaylor:
     """Taylor coefficients of the solution attached to a Schur parameter.
 
-    Coefficient tails are bounded geometrically through the closed-loop
-    state matrix when its power norms certify decay; otherwise the tail
-    bound is absent (this happens when the coefficient state matrix has
-    spectral radius at or above one).
+    The base block is the realization's `base`; the Hardy-space block
+    holds the closed-loop coefficients to degree deg.
     """
     a_cl, c_cl, e_cl = closed_loop_realization(rc, v)
     gammas = []
@@ -282,31 +300,28 @@ def solution_taylor(
     for _ in range(deg + 1):
         gammas.append(c_cl @ cur)
         cur = a_cl @ cur
-    tail = tail_sq_bound(a_cl, c_cl, deg, post=e_cl)
-    return SolutionTaylor(a_part=rc.dd.ds.a, gamma_coeffs=tuple(gammas), tail_bound=tail)
+    return SolutionTaylor(a_part=rc.base, gamma_coeffs=tuple(gammas))
 
 
 # --- the stacked multiplication operator ---------------------------------------
 
 
-def assemble_m(rc: RedhefferCoefficients, deg: int, extra: int = 16) -> np.ndarray:
+def assemble_m(rc: Realization, deg: int, extra: int = 16) -> np.ndarray:
     """Truncation of the stacked solution operator.
 
     Rows: the base space, then coefficient rows (0..deg+extra) of the two
     Hardy-space outputs; columns: coefficient columns (0..deg) of the
-    parameter-output space, then the base domain.  Always a contraction;
-    an isometry up to tail slack when the defect gap vanishes and the
-    coefficient state is stable.
+    parameter-output space, then the input space of E.  Always a
+    contraction; an isometry up to tail slack when the defect gap vanishes
+    and the coefficient state is stable.
     """
-    ds = rc.dd.ds
     deg_out = deg + extra
     p11, p12, p21, p22 = phi_taylor(rc, deg_out)
     m11 = mult_matrix(p11, deg, deg_out=deg_out)
     m21 = mult_matrix(p21, deg, deg_out=deg_out)
     g12 = observability_matrix(p12)
     g22 = observability_matrix(p22)
-    h_prime = ds.dim_h_prime
-    top = np.hstack([zeros(h_prime, (deg + 1) * rc.w_dim), ds.a])
+    top = np.hstack([zeros(rc.base.shape[0], (deg + 1) * rc.w_dim), rc.base])
     return np.block(
         [
             [top],
@@ -316,7 +331,7 @@ def assemble_m(rc: RedhefferCoefficients, deg: int, extra: int = 16) -> np.ndarr
     )
 
 
-def m_gram_slack(rc: RedhefferCoefficients, deg: int, extra: int = 16) -> float | None:
+def m_gram_slack(rc: Realization, deg: int, extra: int = 16) -> float | None:
     """Bound on ||M_trunc* M_trunc - I|| caused by dropped coefficient rows.
 
     Sums the squared norms of every discarded block: multiplication rows
@@ -339,7 +354,7 @@ def m_gram_slack(rc: RedhefferCoefficients, deg: int, extra: int = 16) -> float 
     if rem is None:
         return None
     total += (deg + 1) * rem
-    obs = tail_sq_bound(rc.x1, prefix, deg_out)
+    obs = tail_sq_bound(rc.x1, prefix, deg_out, post=rc.e)
     if obs is None:
         return None
     return total + obs

@@ -2,8 +2,8 @@
 
 A parameter is zero, a constant contraction, or the transfer function of a
 system with contractive system matrix; the last is Schur class by the
-contractive-system calculus, so certification is by construction and the
-disc grid sweep in the tests is only a secondary audit.
+contractive-system calculus, so certification is by construction; the
+tests sweep a disc grid only as an independent check of that calculus.
 """
 
 from __future__ import annotations
@@ -127,11 +127,3 @@ def left_multiply(s, v: SchurParameter) -> SchurParameter:
     )
     return from_system(new)
 
-
-def grid_certify(v: SchurParameter, points: int = 256, radius: float = 0.999) -> float:
-    """Max value norm over a disc grid; the secondary audit of Schur class."""
-    worst = 0.0
-    for k in range(points):
-        lam = radius * np.exp(2j * np.pi * k / points)
-        worst = max(worst, operator_norm(eval(v, lam)))
-    return worst

@@ -3,7 +3,9 @@
 Complex entries are [re, im] pairs.  General matrices are objects
 {"rows": r, "cols": c, "data": [[re, im], ...]} with row-major data;
 Nehari taps and solution coefficients are bare row-major pair lists whose
-shape is implied by the problem's port dimensions.
+shape is implied by the problem's port dimensions.  Solution readers
+ignore keys they do not use, such as the `tail_bound` that older solution
+files carry.
 
 Report JSON is canonical: keys sorted, floats printed at 17 significant
 digits, so a report is byte-stable for a fixed seed and version.
@@ -168,7 +170,6 @@ def nehari_solution_to_json(h: TaylorSeries, sigma_max: float, report: dict) -> 
     return {
         "kind": "nehari_solution",
         "H": [_pairs_from_matrix(c) for c in h.coeffs],
-        "tail_bound": h.tail_bound,
         "sigma_max": sigma_max,
         "report": report,
     }
@@ -180,10 +181,9 @@ def nehari_solution_from_json(obj, u_dim: int, y_dim: int) -> TaylorSeries:
             _pairs_to_matrix(c, y_dim, u_dim, f"H[{i}]")
             for i, c in enumerate(obj["H"])
         ]
-        tail = obj.get("tail_bound")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed nehari solution: {exc}") from exc
-    return TaylorSeries(tuple(coeffs), tail_bound=None if tail is None else float(tail))
+    return TaylorSeries(tuple(coeffs))
 
 
 def lifting_solution_to_json(sol, report: dict) -> dict:
@@ -191,7 +191,6 @@ def lifting_solution_to_json(sol, report: dict) -> dict:
         "kind": "lifting_solution",
         "a_part": matrix_to_json(sol.a_part),
         "gamma": [matrix_to_json(g) for g in sol.gamma_coeffs],
-        "tail_bound": sol.tail_bound,
         "report": report,
     }
 
@@ -202,14 +201,9 @@ def lifting_solution_from_json(obj):
     try:
         a_part = matrix_from_json(obj["a_part"], "a_part")
         gammas = [matrix_from_json(g, f"gamma[{i}]") for i, g in enumerate(obj["gamma"])]
-        tail = obj.get("tail_bound")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed lifting solution: {exc}") from exc
-    return SolutionTaylor(
-        a_part=a_part,
-        gamma_coeffs=tuple(gammas),
-        tail_bound=None if tail is None else float(tail),
-    )
+    return SolutionTaylor(a_part=a_part, gamma_coeffs=tuple(gammas))
 
 
 # --- canonical JSON ----------------------------------------------------------------

@@ -398,8 +398,8 @@ def ac09_nehari_forward_soundness(cfg: SuiteConfig) -> CriterionResult:
     for i in range(n):
         p, v = _nehari_pool_entry(i, cfg.seed0)
         nc = nehari.coefficients(p)
-        rspec_max = max(rspec_max, nc.r_spec_t_state)
-        if nc.r_spec_t_state >= 1.0:
+        rspec_max = max(rspec_max, nc.r_spec_x1)
+        if nc.r_spec_x1 >= 1.0:
             all_ok = False
         h = nehari.solve_h(nc, v, cfg.degree)
         rep = nehari.assemble_l(p, h)
@@ -457,12 +457,12 @@ def ac11_scalar_worked_example(cfg: SuiteConfig) -> CriterionResult:
         "gram": operator_norm(nc.lam - np.diag([0.75, 1.0])),
         "gram_inverse": operator_norm(nc.lam_cross - np.diag([4.0 / 3.0, 1.0])),
         "g_solve": abs(complex(nc.g_row[0][0, 0]) - 2.0 / 3.0),
-        "t_state": operator_norm(nc.t_state - np.array([[0, 1], [0, 0]])),
+        "t_state": operator_norm(nc.x1 - np.array([[0, 1], [0, 0]])),
     }
     rng = np.random.default_rng(cfg.seed0)
     for k in range(6):
         lam = 0.9 * float(rng.uniform(0.2, 1.0)) * np.exp(2j * np.pi * rng.uniform())
-        p11, p12, p21, p22 = nehari.phi_hat_eval(nc, lam)
+        p11, p12, p21, p22 = redheffer.phi_eval(nc, lam)
         checks[f"phi_grid_{k}"] = max(
             operator_norm(p11 - np.array([[-lam / 2, -s3 / 2 * lam**2]])),
             operator_norm(p12 - np.array([[s3 / 2]])),

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from test_schur import grid_certify
 
-from rclift import hardy, lifting, linalg, nehari, redheffer, schur
+from rclift import cli, hardy, lifting, linalg, nehari, redheffer, schur, serialize
 from rclift.hardy import SystemRealization, TaylorSeries
 
 
@@ -57,7 +60,7 @@ def test_mult_matrix_norm_below_grid_sup(seed):
     v = schur.random_schur(2, 2, 3, seed)
     ts = schur.taylor(v, 48)
     m = hardy.mult_matrix(ts, 24)
-    sup = schur.grid_certify(v, points=256, radius=0.999)
+    sup = grid_certify(v, points=256, radius=0.999)
     assert linalg.operator_norm(m) <= sup + 1e-6
 
 
@@ -79,22 +82,23 @@ def test_contractive_system_stacked_operator(seed):
     sys = _rand_system(seed, 3, 2, 2)
     deg = 24
     f = hardy.transfer_taylor(sys, deg)
-    g = hardy.observability_taylor(sys.a_s, sys.c_s, deg)
+    # observability coefficients [C, CZ, CZ^2, ...] of C (I - lambda Z)^-1
+    g = TaylorSeries(tuple(sys.c_s @ np.linalg.matrix_power(sys.a_s, k) for k in range(deg + 1)))
     stacked = np.hstack([hardy.mult_matrix(f, deg), hardy.observability_matrix(g)])
     assert linalg.operator_norm(stacked) <= 1.0 + 1e-8
 
 
 def test_tail_bound_nilpotent():
     x1 = np.array([[0, 1], [0, 0]], dtype=complex)
-    assert hardy.tail_bound(x1, np.eye(2), 2) == 0.0
-    assert hardy.tail_bound(x1, np.eye(2), 5) == 0.0
+    assert hardy.tail_sq_bound(x1, np.eye(2), 2) == 0.0
+    assert hardy.tail_sq_bound(x1, np.eye(2), 5) == 0.0
 
 
 def test_tail_bound_scalar_geometric():
     x1 = np.array([[0.5]])
     prefix = np.array([[1.0]])
     true_tail = sum(0.25**k for k in range(11, 400))
-    bound = hardy.tail_bound(x1, prefix, 10)
+    bound = hardy.tail_sq_bound(x1, prefix, 10)
     assert true_tail * (1 - 1e-12) <= bound <= 0.25**11 / 0.75 * (1 + 1e-6)
 
 
@@ -104,7 +108,7 @@ def test_tail_bound_sound_and_monotone(seed):
     g = linalg.ginibre(rng, 4, 4)
     x1 = g * (0.8 / linalg.spectral_radius(g))
     prefix = linalg.ginibre(rng, 2, 4)
-    bounds = [hardy.tail_bound(x1, prefix, d) for d in (4, 8, 16, 32)]
+    bounds = [hardy.tail_sq_bound(x1, prefix, d) for d in (4, 8, 16, 32)]
     assert all(b is not None for b in bounds)
     assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
     # soundness against the directly summed tail
@@ -120,7 +124,7 @@ def test_tail_bound_sound_and_monotone(seed):
 def test_tail_bound_unavailable_for_unitary():
     rng = np.random.default_rng(5)
     u = linalg.haar_unitary(rng, 3)
-    assert hardy.tail_bound(u, np.eye(3), 8) is None
+    assert hardy.tail_sq_bound(u, np.eye(3), 8) is None
 
 
 def test_series_helpers():
@@ -133,9 +137,10 @@ def test_series_helpers():
     np.testing.assert_allclose([c[0, 0] for c in inv], [1.0, 0.5, 0.25, 0.125, 0.0625])
 
 
-def test_verify_ignores_claimed_tail_bound():
+def test_verify_ignores_claimed_tail_bound(tmp_path, capsys):
     # the V = 1.5*I loop on the gap-free scalar instance gives a stacked
-    # norm of about 2.18; a huge claimed tail must not buy it a pass
+    # norm of about 2.18; a solution file claiming a huge tail bound must
+    # still make `rclift verify` fail
     p = nehari.NehariProblem(2, 1, 1, (np.array([[0.5]]),))
     ds = nehari.to_lifting_data(p)
     rc = redheffer.build_coefficients(lifting.derive(ds))
@@ -144,9 +149,17 @@ def test_verify_ignores_claimed_tail_bound():
     c_cl = rc.x4 + rc.x5 @ bad @ rc.x3
     deg = 24
     gammas = [c_cl @ np.linalg.matrix_power(a_cl, k) for k in range(deg + 1)]
-    sol = hardy.SolutionTaylor(a_part=ds.a, gamma_coeffs=tuple(gammas), tail_bound=1000.0)
-    rep = hardy.verify_interpolant(ds, sol, deg)
-    assert rep.checks["projection"] and rep.checks["intertwining"]
-    assert rep.sigma_max > 2.0
-    assert not rep.checks["contraction"]
-    assert not rep.passed
+    sol = hardy.SolutionTaylor(a_part=ds.a, gamma_coeffs=tuple(gammas))
+    inst = tmp_path / "inst.json"
+    path = tmp_path / "sol.json"
+    serialize.dump_json(str(inst), serialize.instance_to_json(ds))
+    doc = serialize.lifting_solution_to_json(sol, {})
+    doc["tail_bound"] = 1000
+    serialize.dump_json(str(path), doc)
+    code = cli.main(["verify", str(inst), str(path), "--degree", str(deg)])
+    rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["residuals"]}
+    assert code == 1
+    assert rows["projection_onto_target"]["passed"]
+    assert rows["dilation_intertwining"]["passed"]
+    assert rows["stacked_norm"]["value"] > 2.0
+    assert not rows["stacked_norm"]["passed"]

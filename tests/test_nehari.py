@@ -3,9 +3,58 @@ import pytest
 
 from rclift import generators, hardy, lifting, nehari, redheffer, schur
 from rclift.errors import HankelNotStrict
-from rclift.linalg import adj, eye, operator_norm
+from rclift.linalg import adj, eye, inv_hpd, operator_norm, psd_sqrt, zeros
 
 SCALAR = nehari.NehariProblem(2, 1, 1, (np.array([[0.5]]),))
+
+
+def phi_hat_closed_forms(nc, lam):
+    """The coefficient functions as the paper prints them, from T, C1, C2, F, G.
+
+    With R = (I - lam T)^-1 and B = [G*(I+FG*)^(-1/2), C2]:
+    P11 = -lam L e_n* R B,  P12 = L - lam L e_n* R C1,
+    P21 = [(I+FG*)^(1/2), F C2] - F R B,  P22 = -F R C1,
+    where L = (Lambda^x_11)^(-1/2).
+    """
+    u, y = nc.problem.u_dim, nc.problem.y_dim
+    n = nc.x1.shape[0]
+    res = np.linalg.inv(eye(n) - lam * nc.x1)
+    e_n = np.vstack([eye(u), zeros(n - u, u)])
+    i_fg = eye(y) + nc.f_row @ adj(nc.g_big)
+    lam11_nh = psd_sqrt(inv_hpd(nc.lam_cross[:u, :u]))
+    b_hat = np.hstack([adj(nc.g_big) @ psd_sqrt(inv_hpd(i_fg)), nc.c2])
+    en_res = adj(e_n) @ res
+    p11 = -lam * lam11_nh @ en_res @ b_hat
+    p12 = lam11_nh - lam * lam11_nh @ en_res @ nc.c1
+    p21 = np.hstack([psd_sqrt(i_fg), nc.f_row @ nc.c2]) - nc.f_row @ res @ b_hat
+    p22 = -nc.f_row @ res @ nc.c1
+    return p11, p12, p21, p22
+
+
+def flip_operator(n_window, u_dim):
+    """Unitary reversal of the window slots of U^N."""
+    e = np.zeros((n_window * u_dim, n_window * u_dim), dtype=complex)
+    for i in range(n_window):
+        e[i * u_dim : (i + 1) * u_dim, (n_window - 1 - i) * u_dim : (n_window - i) * u_dim] = eye(u_dim)
+    return e
+
+
+def second_companion(coeffs):
+    """Second companion matrix of a monic-normalized operator polynomial.
+
+    coeffs = [K_0, ..., K_m] with K_m invertible; the companion carries
+    identity blocks on the subdiagonal and -K_j K_m^-1 down the last block
+    column.
+    """
+    m = len(coeffs) - 1
+    u = coeffs[0].shape[0]
+    lead_inv = np.linalg.inv(coeffs[m])
+    out = np.zeros((m * u, m * u), dtype=complex)
+    for i in range(1, m):
+        out[i * u : (i + 1) * u, (i - 1) * u : i * u] = eye(u)
+    for j in range(m):
+        out[j * u : (j + 1) * u, (m - 1) * u : m * u] = -coeffs[j] @ lead_inv
+    return out
 
 
 def test_hankel_zero_taps():
@@ -108,26 +157,26 @@ def test_coefficients_zero_taps():
     shift = np.zeros((6, 6))
     shift[:2, 2:4] = np.eye(2)
     shift[2:4, 4:] = np.eye(2)
-    np.testing.assert_allclose(nc.t_state, shift)
+    np.testing.assert_allclose(nc.x1, shift)
     assert operator_norm(nc.c1) == 0.0
     np.testing.assert_allclose(nc.c2, np.vstack([np.zeros((4, 2)), np.eye(2)]))
 
 
 def test_coefficients_scalar_example():
     nc = nehari.coefficients(SCALAR)
-    np.testing.assert_allclose(nc.t_state, np.array([[0, 1], [0, 0]]), atol=1e-14)
+    np.testing.assert_allclose(nc.x1, np.array([[0, 1], [0, 0]]), atol=1e-14)
     assert operator_norm(nc.c1) < 1e-14
     np.testing.assert_allclose(nc.c2, np.array([[0.0], [1.0]]), atol=1e-14)
     np.testing.assert_allclose(nc.f_row, np.array([[0.5, 0.0]]))
     np.testing.assert_allclose(nc.g_big, np.array([[2.0 / 3.0, 0.0]]), atol=1e-14)
-    i_fg = nc.i_plus_fg_half @ nc.i_plus_fg_half
-    np.testing.assert_allclose(i_fg, np.array([[4.0 / 3.0]]), atol=1e-12)
+    # X5 = [(I+FG*)^(-1/2), 0] with I + FG* = 4/3
+    np.testing.assert_allclose(nc.x5, np.array([[np.sqrt(3.0) / 2, 0.0]]), atol=1e-12)
 
 
 def test_coefficients_window_one():
     p = nehari.NehariProblem(1, 2, 1, (np.array([[0.3, 0.1]]),))
     nc = nehari.coefficients(p)
-    assert operator_norm(nc.t_state) == 0.0
+    assert operator_norm(nc.x1) == 0.0
     assert operator_norm(nc.c1) == 0.0
     lam11 = nc.lam_cross
     np.testing.assert_allclose(
@@ -143,17 +192,37 @@ def test_coefficients_cross_check_against_lifting(seed):
         int(rng.integers(2, 4)), int(rng.integers(1, 4)), 0.8
     )
     nc = nehari.coefficients(p)
-    rc = redheffer.build_coefficients(lifting.derive(nehari.to_lifting_data(p)))
-    assert operator_norm(rc.x1 - nc.t_state) < 1e-8
-    assert operator_norm(rc.x2 + nc.b_hat()) < 1e-8
-    assert nc.r_spec_t_state < 1.0
+    ds = nehari.to_lifting_data(p)
+    rc = redheffer.build_coefficients(lifting.derive(ds))
+    for name in ("x1", "x2", "x3", "x4", "x5"):
+        assert operator_norm(getattr(rc, name) - getattr(nc, name)) < 1e-8, name
+    # T e_n = -C1, and the base block is the first window column of A
+    assert operator_norm(nc.x1 @ nc.e + nc.c1) < 1e-14
+    assert operator_norm(nc.base - ds.a @ nc.e) == 0.0
+    assert nc.r_spec_x1 < 1.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_phi_eval_matches_printed_closed_forms(seed):
+    rng = np.random.default_rng(seed + 40)
+    p = generators.random_nehari_problem(
+        rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+        int(rng.integers(1, 5)), int(rng.integers(1, 6)), 0.9 * rng.uniform(0.4, 1.0)
+    )
+    nc = nehari.coefficients(p)
+    for _ in range(8):
+        lam = 0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        core = redheffer.phi_eval(nc, lam)
+        printed = phi_hat_closed_forms(nc, lam)
+        for a, b in zip(core, printed):
+            assert operator_norm(a - b) < 1e-12
 
 
 def test_phi_hat_zero_taps_closed_forms():
     p = nehari.NehariProblem(3, 2, 1, ())
     nc = nehari.coefficients(p)
     for lam in (0.3, -0.4j):
-        p11, p12, p21, p22 = nehari.phi_hat_eval(nc, lam)
+        p11, p12, p21, p22 = redheffer.phi_eval(nc, lam)
         np.testing.assert_allclose(
             p11, np.hstack([np.zeros((2, 1)), -(lam**3) * np.eye(2)]), atol=1e-12
         )
@@ -166,7 +235,7 @@ def test_phi_hat_scalar_example():
     nc = nehari.coefficients(SCALAR)
     s3 = np.sqrt(3.0)
     for lam in (0.0, 0.5, 0.2 - 0.6j):
-        p11, p12, p21, p22 = nehari.phi_hat_eval(nc, lam)
+        p11, p12, p21, p22 = redheffer.phi_eval(nc, lam)
         np.testing.assert_allclose(p11, [[-lam / 2, -s3 / 2 * lam**2]], atol=1e-12)
         np.testing.assert_allclose(p12, [[s3 / 2]], atol=1e-12)
         np.testing.assert_allclose(p21, [[s3 / 2, -lam / 2]], atol=1e-12)
@@ -177,9 +246,9 @@ def test_phi_hat_taylor_matches_eval():
     rng = np.random.default_rng(3)
     p = generators.random_nehari_problem(rng, 2, 2, 3, 3, 0.8)
     nc = nehari.coefficients(p)
-    series = nehari.phi_hat_taylor(nc, 40)
+    series = redheffer.phi_taylor(nc, 40)
     lam = 0.45 * np.exp(0.9j)
-    values = nehari.phi_hat_eval(nc, lam)
+    values = redheffer.phi_eval(nc, lam)
     for ts, val in zip(series, values):
         assert operator_norm(ts(lam) - val) < 1e-9
 
@@ -201,7 +270,7 @@ def test_solve_h_pure_input_direction_zero_taps():
 
 
 def test_assemble_l_rejects_oversized_coefficient():
-    h = hardy.TaylorSeries((np.array([[2.0, ]]), ), tail_bound=0.0)
+    h = hardy.TaylorSeries((np.array([[2.0, ]]), ))
     rep = nehari.assemble_l(nehari.NehariProblem(1, 1, 1, ()), h)
     assert rep.sigma_max >= 2.0
     assert not rep.accepted()
@@ -215,7 +284,7 @@ def test_forward_soundness_sweep(seed):
         int(rng.integers(1, 5)), int(rng.integers(1, 6)), 0.9 * rng.uniform(0.4, 1.0)
     )
     nc = nehari.coefficients(p)
-    assert nc.r_spec_t_state < 1.0
+    assert nc.r_spec_x1 < 1.0
     v = schur.random_schur(p.u_dim, p.y_dim + p.u_dim, int(rng.integers(0, 4)), seed)
     h = nehari.solve_h(nc, v, 48)
     rep = nehari.assemble_l(p, h)
@@ -255,8 +324,7 @@ def test_special_n1_constant_parameter_feasible():
     v = schur.constant(np.array([[0.6], [0.0]]))
     h = nehari.special_n1(p, v, 24)
     assert all(operator_norm(h.coeffs[k]) < 1e-14 for k in range(1, 25))
-    full = hardy.TaylorSeries(h.coeffs, tail_bound=0.0)
-    rep = nehari.assemble_l(p, full)
+    rep = nehari.assemble_l(p, h)
     assert rep.sigma_max <= 1.0 + 1e-9
 
 
@@ -295,8 +363,7 @@ def test_special_f0_identity_parameter():
     np.testing.assert_allclose(complex(f.coeffs[0][0, 0]), 1.0)
     assert all(operator_norm(c) < 1e-14 for c in f.coeffs[1:])
     p = nehari.NehariProblem(3, 1, 1, ())
-    full = hardy.TaylorSeries(f.coeffs, tail_bound=0.0)
-    rep = nehari.assemble_l(p, full)
+    rep = nehari.assemble_l(p, f)
     assert abs(rep.sigma_max - 1.0) < 1e-12
 
 
@@ -305,12 +372,12 @@ def test_companion_conjugation():
     p = generators.random_nehari_problem(rng, 2, 2, 4, 3, 0.85)
     nc = nehari.coefficients(p)
     n_w, u = p.n_window, p.u_dim
-    e = nehari.flip_operator(n_w, u)
+    e = flip_operator(n_w, u)
     coeffs = [np.zeros((u, u), dtype=complex)]
     for j in range(1, n_w + 1):
         coeffs.append(nc.lam_cross[(n_w - j) * u : (n_w - j + 1) * u, :u])
-    comp = nehari.second_companion(coeffs)
-    assert operator_norm(e @ nc.t_state @ e - comp) < 1e-12
+    comp = second_companion(coeffs)
+    assert operator_norm(e @ nc.x1 @ e - comp) < 1e-12
 
 
 def test_parrott_style_direct_oracle():
@@ -332,7 +399,7 @@ def test_parrott_style_direct_oracle():
     for t in np.linspace(0.0, 1.2, 13):
         coeffs = list(central.coeffs)
         coeffs[0] = coeffs[0] + t
-        pert = hardy.TaylorSeries(tuple(coeffs), tail_bound=central.tail_bound)
+        pert = hardy.TaylorSeries(tuple(coeffs))
         sigmas.append(nehari.assemble_l(p, pert).sigma_max)
     assert all(b >= a - 1e-12 for a, b in zip(sigmas, sigmas[1:]))
     assert sigmas[0] <= 1.0 and sigmas[-1] > 1.0

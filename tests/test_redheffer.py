@@ -91,7 +91,7 @@ def test_scalar_nehari_restricted_phi():
         np.testing.assert_allclose(
             p11, np.array([[-lam / 2, -np.sqrt(3) / 2 * lam**2]]), atol=1e-12
         )
-        np.testing.assert_allclose(p12 @ nc.e_n, np.array([[np.sqrt(3) / 2]]), atol=1e-12)
+        np.testing.assert_allclose(p12 @ nc.e, np.array([[np.sqrt(3) / 2]]), atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(3))

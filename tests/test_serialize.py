@@ -55,15 +55,12 @@ def test_random_parameter_variant():
 
 
 def test_solution_roundtrips():
-    h = TaylorSeries((np.array([[0.1 + 0.2j]]), np.array([[0.0]])), tail_bound=1e-9)
+    h = TaylorSeries((np.array([[0.1 + 0.2j]]), np.array([[0.0]])))
     doc = serialize.nehari_solution_to_json(h, 0.5, {"passed": True})
     back = serialize.nehari_solution_from_json(doc, 1, 1)
     np.testing.assert_allclose(back.coeffs[0], h.coeffs[0])
-    assert back.tail_bound == 1e-9
 
-    sol = SolutionTaylor(
-        a_part=np.array([[0.2]]), gamma_coeffs=(np.array([[0.1]]),), tail_bound=0.0
-    )
+    sol = SolutionTaylor(a_part=np.array([[0.2]]), gamma_coeffs=(np.array([[0.1]]),))
     doc2 = serialize.lifting_solution_to_json(sol, {"passed": True})
     back2 = serialize.lifting_solution_from_json(doc2)
     np.testing.assert_allclose(back2.a_part, sol.a_part)
