@@ -13,13 +13,14 @@ degree 64; RCLIFT_TOL overrides the tolerance default.
 
 Every residual row carries the threshold its gate used.  The norm rows
 of solve and verify (`stacked_norm`, `combined_operator_norm`) measure a
-solution truncated at the degree, which bounds the full norm from below,
-so their gate is the plain `1 + tol`: a value above it refutes the
-solution, and a value at or below it means "not refuted", not certified.
-No value read from the solution file enters a threshold, and a
-`tail_bound` key that older solution files carry is ignored.  Certified
-verdicts need tails the verifier computes itself, which wait on the exact
-tail certificates planned in ROADMAP.md.
+solution truncated at the degree (for verify, the smaller of `--degree`
+and the stored degree, for either problem kind), which bounds the full
+norm from below, so their gate is the plain `1 + tol`: a value above it
+refutes the solution, and a value at or below it means "not refuted",
+not certified.  No value read from the solution file enters a
+threshold, and a `tail_bound` key that older solution files carry is
+ignored.  Certified verdicts need tails the verifier computes itself,
+which wait on the exact tail certificates planned in ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -195,12 +196,12 @@ def cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else _default_tol()
     obj = _load_instance(args.input)
     sol_doc = serialize.load_json(args.solution)
-    deg = args.degree
     if isinstance(obj, nehari.NehariProblem):
         sol = serialize.nehari_solution_from_json(sol_doc, obj.u_dim, obj.y_dim)
+        sol = hardy.TaylorSeries(sol.coeffs[: args.degree + 1])
     else:
         sol = serialize.lifting_solution_from_json(sol_doc)
-        deg = min(deg, sol.degree)
+    deg = min(args.degree, sol.degree)
     rows, ok = _solution_rows(obj, sol, deg, tol)
     _emit(args, {
         "command": "verify",
@@ -338,6 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "degree", 0) < 0:
+            raise ParseError("--degree must be nonnegative")
         return args.func(args)
     except (ParseError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,9 +4,7 @@ Analytic operator-valued functions on the unit disc are handled through
 their Taylor coefficients at zero.  A function with a state-space
 realization {Z, B, C, D} has transfer coefficients [D, CB, CZB, ...] and
 observability coefficients [C, CZ, CZ^2, ...]; multiplication operators
-become block lower-triangular Toeplitz matrices on coefficient space and
-the discarded coefficient tail is controlled by geometric bounds driven
-by decay of the powers of Z.
+become block lower-triangular Toeplitz matrices on coefficient space.
 """
 
 from __future__ import annotations
@@ -17,13 +15,7 @@ import numpy as np
 
 from . import lifting
 from .errors import DimensionMismatch
-from .linalg import adj, cmatrix, eye, operator_norm, zeros
-
-# Power-norm search horizon for tail bounds: the first power of the state
-# matrix with norm <= TAIL_DECAY within this horizon certifies a geometric
-# tail; otherwise no bound is reported.
-TAIL_MAX_POWER = 64
-TAIL_DECAY = 0.9
+from .linalg import cmatrix, eye, operator_norm, zeros
 
 
 @dataclass(frozen=True)
@@ -171,65 +163,6 @@ def mult_matrix(h: TaylorSeries, deg: int, deg_out: int | None = None) -> np.nda
 def observability_matrix(g: TaylorSeries) -> np.ndarray:
     """Stack the coefficients of g into a single column operator."""
     return np.vstack(g.coeffs)
-
-
-# --- coefficient tails --------------------------------------------------------
-
-
-def _power_norms(x1: np.ndarray, max_power: int) -> tuple[list[float], int | None]:
-    """Norms of x1^0..x1^r until the first power with norm <= TAIL_DECAY."""
-    norms = [1.0]
-    p = eye(x1.shape[0])
-    for r in range(1, max_power + 1):
-        p = p @ x1
-        norms.append(operator_norm(p))
-        if norms[-1] <= TAIL_DECAY:
-            return norms, r
-    return norms, None
-
-
-def tail_sq_bound(
-    x1: np.ndarray,
-    prefix: np.ndarray,
-    deg: int,
-    post: np.ndarray | None = None,
-    max_power: int = TAIL_MAX_POWER,
-) -> float | None:
-    """Upper bound on sum_{k > deg} ||prefix @ x1^k (@ post)||^2, or None.
-
-    A bound is only produced when some power m <= max_power satisfies
-    ||x1^m|| <= 0.9.  The window [deg+1, deg+W] is summed exactly; the
-    remainder uses submultiplicativity of the certified power.
-    """
-    x1 = cmatrix(x1)
-    prefix = cmatrix(prefix)
-    if x1.shape[0] == 0 or prefix.shape[0] == 0:
-        return 0.0
-    norms, m_star = _power_norms(x1, max_power)
-    if m_star is None:
-        return None
-    s = norms[m_star]
-    if s == 0.0:
-        # Nilpotent state matrix: only finitely many terms survive.
-        total = 0.0
-        term = prefix @ np.linalg.matrix_power(x1, deg + 1) if deg + 1 < m_star else None
-        for k in range(deg + 1, m_star):
-            t = term if post is None else term @ post
-            total += operator_norm(t) ** 2
-            term = term @ x1
-        return total
-    post_norm = 1.0 if post is None else operator_norm(post)
-    window = max(4 * m_star, 64)
-    term = prefix @ np.linalg.matrix_power(x1, deg + 1)
-    exact = 0.0
-    for _ in range(deg + 1, deg + window + 1):
-        t = term if post is None else term @ post
-        exact += operator_norm(t) ** 2
-        term = term @ x1
-    c = operator_norm(prefix) * max(norms[:m_star]) * post_norm
-    sigma = s ** (2.0 / m_star)
-    remainder = (c / s) ** 2 * sigma ** (deg + window + 1) / (1.0 - sigma)
-    return exact + remainder
 
 
 # --- formal power-series arithmetic -------------------------------------------

@@ -281,17 +281,17 @@ class HatMReport:
     slack: float | None
 
 
-def hat_m_check(nc: NehariCoefficients, deg: int, extra: int | None = None) -> HatMReport:
+def hat_m_check(nc: NehariCoefficients, deg: int) -> HatMReport:
     """Isometry residual of the truncated stacked solution operator.
 
     `redheffer.assemble_m` on the Nehari realization stacks the tap column,
     the multiplication matrices of the two Schur coefficient functions, and
-    the observability matrices of the other two; returns ||M*M - I||
-    together with the tail slack (`redheffer.m_gram_slack`) the truncation
-    is entitled to.
+    the observability matrices of the other two, keeping max(N, 16) extra
+    output rows; returns ||M*M - I|| together with the exact mass of the
+    dropped rows (`redheffer.m_gram_slack`, one Stein solve), which equals
+    the residual when the full operator is an isometry.
     """
-    if extra is None:
-        extra = max(nc.problem.n_window, 16)
+    extra = max(nc.problem.n_window, 16)
     m_hat = assemble_m(nc, deg, extra)
     residual = operator_norm(adj(m_hat) @ m_hat - eye(m_hat.shape[1]))
     return HatMReport(residual=residual, slack=m_gram_slack(nc, deg, extra))

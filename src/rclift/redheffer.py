@@ -25,16 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import schur
 from .errors import DimensionMismatch, NotClassicalShape, ResolventSingular
-from .hardy import (
-    SolutionTaylor,
-    TaylorSeries,
-    mult_matrix,
-    observability_matrix,
-    tail_sq_bound,
-)
+from .hardy import SolutionTaylor, TaylorSeries, mult_matrix, observability_matrix
 from .lifting import DerivedData, left_inverse_dar
 from .linalg import (
     adj,
@@ -312,8 +307,10 @@ def assemble_m(rc: Realization, deg: int, extra: int = 16) -> np.ndarray:
     Rows: the base space, then coefficient rows (0..deg+extra) of the two
     Hardy-space outputs; columns: coefficient columns (0..deg) of the
     parameter-output space, then the input space of E.  Always a
-    contraction; an isometry up to tail slack when the defect gap vanishes
-    and the coefficient state is stable.
+    contraction.  When the defect gap vanishes and the coefficient state
+    is stable the full operator is an isometry, and M*M - I of this
+    truncation is minus the Gram of the dropped rows, whose norm
+    `m_gram_slack` computes exactly.
     """
     deg_out = deg + extra
     p11, p12, p21, p22 = phi_taylor(rc, deg_out)
@@ -332,32 +329,28 @@ def assemble_m(rc: Realization, deg: int, extra: int = 16) -> np.ndarray:
 
 
 def m_gram_slack(rc: Realization, deg: int, extra: int = 16) -> float | None:
-    """Bound on ||M_trunc* M_trunc - I|| caused by dropped coefficient rows.
+    """Exact norm ||D* D|| of the coefficient rows `assemble_m` drops.
 
-    Sums the squared norms of every discarded block: multiplication rows
-    beyond the output truncation plus the observability tail.  Returns
-    None when no geometric certificate for the coefficient tail exists.
+    With C = [X3; X4] the dropped rows factor as D = O K, where O stacks
+    C X1^t (t >= 0) and the column blocks of K are X1^s X2 for s = extra..
+    deg+extra and X1^(deg+extra+1) E.  So ||D* D|| = ||P^(1/2) K K* P^(1/2)||
+    with P = X1* P X1 + C* C: one Stein solve, every factor n x n.  On an
+    isometry this is exactly ||M_trunc* M_trunc - I||.  Returns 0.0 when C
+    is empty and None when X1 is not stable (no Gramian exists).
     """
-    deg_out = deg + extra
-    prefix = np.vstack([rc.x3, rc.x4])
-    window = deg_out + 4 * 64
-    # multiplication-part coefficients m -> X_{3,4} X1^(m-1) X2, counted
-    # min(m - extra, deg + 1) times among the dropped rows
-    total = 0.0
-    cur = prefix
-    for m in range(1, window + 1):
-        cnt = min(max(m - extra, 0), deg + 1)
-        if cnt:
-            total += cnt * operator_norm(cur @ rc.x2) ** 2
-        cur = cur @ rc.x1
-    rem = tail_sq_bound(rc.x1, prefix, window - 1, post=rc.x2)
-    if rem is None:
+    c = np.vstack([rc.x3, rc.x4])
+    if c.size == 0:
+        return 0.0
+    if rc.r_spec_x1 >= 1.0:
         return None
-    total += (deg + 1) * rem
-    obs = tail_sq_bound(rc.x1, prefix, deg_out, post=rc.e)
-    if obs is None:
-        return None
-    return total + obs
+    p = scipy.linalg.solve_discrete_lyapunov(adj(rc.x1), adj(c) @ c)
+    blocks = [np.linalg.matrix_power(rc.x1, extra) @ rc.x2]
+    for _ in range(deg):
+        blocks.append(rc.x1 @ blocks[-1])
+    blocks.append(np.linalg.matrix_power(rc.x1, deg + extra + 1) @ rc.e)
+    k = np.hstack(blocks)
+    root = psd_sqrt(0.5 * (p + adj(p)))
+    return operator_norm(root @ k @ adj(k) @ root)
 
 
 # --- proof-layer consistency checks ---------------------------------------------

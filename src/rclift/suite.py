@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import generators, hardy, lifting, nehari, redheffer, schur
-from .linalg import adj, eye, inv_hpd, operator_norm, psd_sqrt
+from .linalg import adj, eye, operator_norm
 
 FP_GRAM_TOL = 1e-10  # roundoff allowance for truncated Gram identities
 
@@ -272,15 +272,15 @@ def ac06_contractive_interpolants(cfg: SuiteConfig) -> CriterionResult:
 
 def ac07_stacked_operator_contraction(cfg: SuiteConfig) -> CriterionResult:
     """The stacked solution operator is a contraction on every strict
-    instance and an isometry (up to tail slack) when the defect gap
-    vanishes and the coefficient state is stable.
+    instance and an isometry when the defect gap vanishes and the
+    coefficient state is stable.
 
     The truncated operator keeps a subset of the rows of the full one, so
     its norm is a lower bound and is held to 1 + 1e-6 with no tail slack:
     a larger norm refutes contractivity, a smaller one does not certify
-    it.  The isometry residual is held to the slack the truncation owes:
-    on an isometry, the dropped rows move M*M away from I by at most the
-    squared mass that `m_gram_slack` computes from the coefficients.
+    it.  On an isometry, M*M - I of the truncation is minus the Gram of
+    the dropped rows, so the isometry residual is held to that exact mass,
+    `m_gram_slack` (one Stein solve), plus roundoff.
     """
     t0 = time.time()
     worst_sigma = 0.0
@@ -293,15 +293,14 @@ def ac07_stacked_operator_contraction(cfg: SuiteConfig) -> CriterionResult:
         rc = redheffer.build_coefficients(dd)
         m = redheffer.assemble_m(rc, deg)
         sigma = operator_norm(m)
-        slack = redheffer.m_gram_slack(rc, deg)
         worst_sigma = max(worst_sigma, sigma)
         if sigma > 1.0 + 1e-6:
             all_ok = False
         gap = operator_norm(adj(ds.q) @ ds.q - adj(ds.r) @ ds.r)
-        if gap < 1e-9 and rc.r_spec_x1 < 1.0 - 1e-9 and slack is not None:
+        if gap < 1e-9 and rc.r_spec_x1 < 1.0 - 1e-9:
             iso_checked += 1
             res = operator_norm(adj(m) @ m - eye(m.shape[1]))
-            if res > slack + FP_GRAM_TOL:
+            if res > redheffer.m_gram_slack(rc, deg) + FP_GRAM_TOL:
                 all_ok = False
     ok = all_ok and iso_checked > 0
     return CriterionResult(
@@ -419,7 +418,8 @@ def ac09_nehari_forward_soundness(cfg: SuiteConfig) -> CriterionResult:
 
 def ac10_hat_m_isometry(cfg: SuiteConfig) -> CriterionResult:
     """Isometry residual of the truncated stacked operator stays within
-    the computed tail slack; exact (1e-10) for zero taps at degree N."""
+    the exact dropped-row mass (`m_gram_slack`) plus roundoff; exact
+    (1e-10) for zero taps at degree N."""
     t0 = time.time()
     general_ok = True
     worst_rel = 0.0

@@ -10,11 +10,8 @@ suite module docstring; the supplementary determination on the
 nondegenerate isometric shape is asserted separately below.
 """
 
-import numpy as np
 import pytest
 
-from rclift import generators, lifting, nehari, redheffer
-from rclift.linalg import adj, operator_norm
 from rclift.suite import CRITERIA, KNOWN_DEGENERATE, SuiteConfig
 
 FULL = SuiteConfig(base=50, degree=64)

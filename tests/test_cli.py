@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from rclift import serialize
+from rclift import nehari, serialize
 from rclift.cli import main
+from rclift.hardy import TaylorSeries
 
 SCALAR_PROBLEM = {
     "kind": "nehari",
@@ -93,6 +94,33 @@ def test_verify_rejects_forged_solution(scalar_problem, tmp_path, capsys):
     code, out, _ = run(capsys, "verify", scalar_problem, str(sol))
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+@pytest.mark.parametrize("degree, expect_code", [(0, 0), (1, 1), (5, 1)])
+def test_verify_nehari_truncates_to_degree(scalar_problem, tmp_path, capsys, degree, expect_code):
+    # H_1 = 2 refutes the solution, but only when the check reaches degree 1;
+    # a --degree above the stored degree 1 checks every stored coefficient
+    coeffs = [np.array([[0.0]]), np.array([[2.0]])]
+    sol = tmp_path / "sol.json"
+    doc = serialize.nehari_solution_to_json(TaylorSeries(tuple(coeffs)), 0.0, {})
+    serialize.dump_json(str(sol), doc)
+    code, out, _ = run(capsys, "verify", scalar_problem, str(sol), "--degree", str(degree))
+    assert code == expect_code
+    problem = serialize.instance_from_json(SCALAR_PROBLEM)
+    kept = TaylorSeries(tuple(coeffs[: min(degree, 1) + 1]))
+    (row,) = json.loads(out)["residuals"]
+    assert row["name"] == "combined_operator_norm"
+    assert abs(row["value"] - nehari.assemble_l(problem, kept).sigma_max) < 1e-12
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "nehari"])
+def test_negative_degree_exits_2(scalar_problem, tmp_path, capsys, command):
+    sol = tmp_path / "sol.json"
+    run(capsys, "solve", scalar_problem, "--central", "--degree", "4", "--out", str(sol))
+    extra = {"solve": ["--central"], "verify": [str(sol)], "nehari": []}[command]
+    code, _, err = run(capsys, command, scalar_problem, *extra, "--degree", "-3")
+    assert code == 2
+    assert "nonnegative" in err
 
 
 def test_solve_non_strict_exits_3(tmp_path, capsys):

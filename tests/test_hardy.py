@@ -88,45 +88,6 @@ def test_contractive_system_stacked_operator(seed):
     assert linalg.operator_norm(stacked) <= 1.0 + 1e-8
 
 
-def test_tail_bound_nilpotent():
-    x1 = np.array([[0, 1], [0, 0]], dtype=complex)
-    assert hardy.tail_sq_bound(x1, np.eye(2), 2) == 0.0
-    assert hardy.tail_sq_bound(x1, np.eye(2), 5) == 0.0
-
-
-def test_tail_bound_scalar_geometric():
-    x1 = np.array([[0.5]])
-    prefix = np.array([[1.0]])
-    true_tail = sum(0.25**k for k in range(11, 400))
-    bound = hardy.tail_sq_bound(x1, prefix, 10)
-    assert true_tail * (1 - 1e-12) <= bound <= 0.25**11 / 0.75 * (1 + 1e-6)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_tail_bound_sound_and_monotone(seed):
-    rng = np.random.default_rng(seed)
-    g = linalg.ginibre(rng, 4, 4)
-    x1 = g * (0.8 / linalg.spectral_radius(g))
-    prefix = linalg.ginibre(rng, 2, 4)
-    bounds = [hardy.tail_sq_bound(x1, prefix, d) for d in (4, 8, 16, 32)]
-    assert all(b is not None for b in bounds)
-    assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
-    # soundness against the directly summed tail
-    for deg, bound in zip((4, 8, 16, 32), bounds):
-        tail = 0.0
-        cur = prefix @ np.linalg.matrix_power(x1, deg + 1)
-        for _ in range(600):
-            tail += linalg.operator_norm(cur) ** 2
-            cur = cur @ x1
-        assert bound >= tail * (1 - 1e-10)
-
-
-def test_tail_bound_unavailable_for_unitary():
-    rng = np.random.default_rng(5)
-    u = linalg.haar_unitary(rng, 3)
-    assert hardy.tail_sq_bound(u, np.eye(3), 8) is None
-
-
 def test_series_helpers():
     a = [np.array([[1.0]]), np.array([[2.0]])]
     b = [np.array([[1.0]]), np.array([[3.0]])]

@@ -1,9 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclift import generators, hardy, lifting, nehari, redheffer, schur
 from rclift.errors import NotClassicalShape, NotStrict
-from rclift.linalg import adj, eye, operator_norm, zeros
+from rclift.linalg import (
+    adj,
+    eye,
+    ginibre,
+    haar_unitary,
+    operator_norm,
+    spectral_radius,
+    zeros,
+)
 
 
 def scalar_nehari_rc():
@@ -40,8 +52,6 @@ def test_classical_x1_is_weighted_left_inverse():
 def test_zero_a_isometric_constraints_x1():
     # with A = 0 and matching isometries the state matrix collapses to R Q*
     rng = np.random.default_rng(4)
-    from rclift.linalg import haar_unitary
-
     u = haar_unitary(rng, 4)
     r, q = u[:, :3], np.roll(u, 1, axis=1)[:, :3]
     ds = lifting.LiftingDataSet(a=zeros(2, 4), t_prime=zeros(2, 2), r=r, q=q)
@@ -233,7 +243,74 @@ def test_assemble_m_isometry_gap_free():
     slack = redheffer.m_gram_slack(rc, 48)
     res = operator_norm(adj(m) @ m - eye(m.shape[1]))
     assert slack is not None
-    assert res <= slack + 1e-10
+    # on an isometry the slack is the exact residual, not just a bound
+    assert abs(res - slack) <= 1e-10
+
+
+def _random_realization(seed, n, rho, rows3, rows4, w, k):
+    rng = np.random.default_rng(seed)
+    g = ginibre(rng, n, n)
+    if rho == 0.0:
+        x1 = np.triu(g, 1)  # nilpotent, and its powers vanish exactly
+    else:
+        x1 = g * (rho / spectral_radius(g))
+    return redheffer.Realization(
+        x1=x1,
+        x2=ginibre(rng, n, w),
+        x3=ginibre(rng, rows3, n),
+        x4=ginibre(rng, rows4, n),
+        x5=ginibre(rng, rows4, w),
+        e=ginibre(rng, n, k),
+        base=ginibre(rng, 2, k),
+    )
+
+
+def _dense_dropped_mass(rc, deg, extra, depth=2000):
+    """||D* D|| of the rows `assemble_m` drops, read off a deeper truncation."""
+    kept = deg + extra + 1
+    total = kept + depth
+    big = redheffer.assemble_m(rc, deg, extra + depth)
+    b, kq = rc.base.shape[0], rc.kq_dim
+    p11_rows = big[b : b + total * kq]
+    p21_rows = big[b + total * kq :]
+    d = np.vstack([p11_rows[kept * kq :], p21_rows[kept * rc.dt_dim :]])
+    return operator_norm(adj(d) @ d)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    rho=st.sampled_from([0.0, 0.3, 0.8, 0.95]),
+    rows3=st.integers(0, 2),
+    rows4=st.integers(0, 2),
+    w=st.integers(1, 3),
+    k=st.integers(1, 3),
+    deg=st.integers(0, 11),
+    extra=st.integers(0, 5),
+)
+def test_m_gram_slack_is_exact_dropped_mass(seed, n, rho, rows3, rows4, w, k, deg, extra):
+    rc = _random_realization(seed, n, rho, rows3, rows4, w, k)
+    slack = redheffer.m_gram_slack(rc, deg, extra)
+    dense = _dense_dropped_mass(rc, deg, extra)
+    assert abs(slack - dense) <= 1e-10 * dense
+
+
+def test_m_gram_slack_unstable_state_is_none():
+    rng = np.random.default_rng(6)
+    rc = _random_realization(6, 3, 0.5, 1, 2, 2, 2)
+    rc = dataclasses.replace(rc, x1=haar_unitary(rng, 3))
+    assert rc.r_spec_x1 >= 1.0
+    assert redheffer.m_gram_slack(rc, 8) is None
+
+
+def test_m_gram_slack_empty_output_is_zero():
+    # no rows in [X3; X4] means no dropped rows, whatever the state matrix
+    rng = np.random.default_rng(7)
+    rc = _random_realization(7, 3, 0.5, 0, 0, 2, 2)
+    assert redheffer.m_gram_slack(rc, 8) == 0.0
+    rc = dataclasses.replace(rc, x1=haar_unitary(rng, 3))
+    assert redheffer.m_gram_slack(rc, 8) == 0.0
 
 
 def test_y_gram_and_projections():
@@ -252,8 +329,6 @@ def test_y_gram_degenerate_isometric_case():
     # A = 0 with matching isometries: omega is isometric and the defect
     # square of its adjoint is I - omega omega*
     rng = np.random.default_rng(8)
-    from rclift.linalg import haar_unitary
-
     u = haar_unitary(rng, 4)
     r, q = u[:, :3], np.roll(u, 1, axis=1)[:, :3]
     ds = lifting.LiftingDataSet(a=zeros(3, 4), t_prime=zeros(3, 3), r=r, q=q)

@@ -6,7 +6,6 @@ import pytest
 from rclift import generators, nehari, schur, serialize
 from rclift.errors import ParseError
 from rclift.hardy import SolutionTaylor, TaylorSeries
-from rclift.linalg import operator_norm
 
 
 def test_matrix_roundtrip():
