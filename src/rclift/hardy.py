@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lifting
 from .errors import DimensionMismatch
-from .linalg import cmatrix, eye, operator_norm, zeros
+from .linalg import adj, cmatrix, eye, operator_norm, psd_sqrt_and_range, zeros
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ class InterpolantReport:
 
 
 def verify_interpolant(
-    ds: "lifting.LiftingDataSet",
+    ds: lifting.LiftingDataSet,
     sol: SolutionTaylor,
     deg: int,
     tol: float = 1e-6,
@@ -225,16 +225,21 @@ def verify_interpolant(
     """Check the two interpolation identities and contractivity of a solution.
 
     The three reported numbers are (i) the distance of the base block from
-    the target operator, (ii) the intertwining residual against the
-    truncated isometric dilation, with the overflow row inherently dropped
-    by the truncation, and (iii) the largest singular value of the stacked
-    solution truncated at `deg`.  The solution passes when (i), (ii) <= tol
-    and (iii) <= 1 + tol.  The truncated stack keeps a subset of the rows
-    of the full solution, so (iii) bounds its norm from below: passing
-    means "not refuted".  Certifying the full norm needs a tail the
-    verifier computes itself, which waits on the exact tail certificates
-    planned in ROADMAP.md.
+    the target operator, (ii) the intertwining residual ||(U' b) R - b Q||
+    against the truncated Sz.-Nagy-Schaffer dilation U' of T', and (iii)
+    the largest singular value of the stacked solution b truncated at
+    `deg`.  U' acts on H' plus deg+1 Taylor slots of defect vectors, so it
+    is applied as the shift it is, never formed: U' b stacks T' b_H',
+    (E_T* D_T') b_H' and the slots 0..deg-1 of b moved up one slot, the top
+    slot overflowing out of the truncation.  The solution passes when (i),
+    (ii) <= tol and (iii) <= 1 + tol.  The truncated stack keeps a subset
+    of the rows of the full solution, so (iii) bounds its norm from below:
+    passing means "not refuted".  Certifying the full norm needs a tail
+    the verifier computes itself, which waits on the exact tail
+    certificates planned in ROADMAP.md.
     """
+    if deg < 0:
+        raise ValueError("deg must be nonnegative")
     if sol.degree < deg:
         raise DimensionMismatch(
             f"solution holds coefficients to degree {sol.degree}, need {deg}"
@@ -242,20 +247,24 @@ def verify_interpolant(
     if sol.a_part.shape != ds.a.shape:
         raise DimensionMismatch("a_part shape disagrees with the data set")
     b = np.vstack((sol.a_part,) + sol.gamma_coeffs[: deg + 1])
-    dt_dim = sol.gamma_coeffs[0].shape[0]
-    u_prime = lifting.sznagy_schaffer_truncated(ds.t_prime, deg)
-    if u_prime.shape[0] != b.shape[0]:
+    h = ds.dim_h_prime
+    d_t, e_t = psd_sqrt_and_range(eye(h) - adj(ds.t_prime) @ ds.t_prime)
+    dt = e_t.dim
+    n = h + dt * (deg + 1)
+    if n != b.shape[0]:
         raise DimensionMismatch(
             "defect dimension of the solution disagrees with the data set"
         )
+    top = b[:h]
+    u_prime_b = np.vstack([ds.t_prime @ top, e_t.coords(d_t) @ top, b[h:n - dt]])
     res_a = operator_norm(sol.a_part - ds.a)
-    res_int = operator_norm(u_prime @ b @ ds.r - b @ ds.q)
+    res_int = operator_norm(u_prime_b @ ds.r - b @ ds.q)
     sigma = operator_norm(b)
     checks = {
         "projection": res_a <= tol,
         "intertwining": res_int <= tol,
         "contraction": sigma <= 1.0 + tol,
-        "dt_dim": dt_dim,
+        "dt_dim": dt,
     }
     passed = checks["projection"] and checks["intertwining"] and checks["contraction"]
     return InterpolantReport(

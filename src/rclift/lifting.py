@@ -4,8 +4,9 @@ A data set is a quadruple {A, T', R, Q} with A: H -> H' and T' on H' both
 contractions, R, Q: H0 -> H, subject to the intertwining constraint
 T' A R = A Q and the defect ordering R*R <= Q*Q.  The minimal isometric
 dilation of T' is always the canonical one acting on H' plus a Hardy space
-of defect vectors; here the Hardy part is truncated at a finite degree
-with the overflow row discarded.
+of defect vectors; `hardy.verify_interpolant` applies it as a shift on
+the Hardy part truncated at a finite degree, with the overflow row
+discarded.
 
 Derived material: defect operators D_A, D_T', the gap root
 D0 = (Q*Q - R*R)^(1/2), the stacked operator J = [D0; D_T' A R], the
@@ -34,7 +35,6 @@ from .linalg import (
     operator_norm,
     psd_sqrt_and_range,
     range_embedding,
-    zeros,
 )
 
 # Strictness margin: the strict pipeline requires ||A|| <= 1 - STRICT_DELTA
@@ -252,27 +252,3 @@ def left_inverse_dar(dd: DerivedData) -> np.ndarray:
 
     return solve_hpd(adj(dar) @ dar, adj(dar))
 
-
-def sznagy_schaffer_truncated(t_prime: np.ndarray, deg: int) -> np.ndarray:
-    """Truncated canonical isometric dilation of a contraction.
-
-    Acts on H' plus deg+1 Taylor slots of defect vectors: the first column
-    block feeds D_T' into slot 0 and the slot shift pushes k -> k+1 with
-    the top slot discarded.  The result is isometric on every column that
-    does not feed the discarded slot.
-    """
-    t_prime = cmatrix(t_prime)
-    if t_prime.shape[0] != t_prime.shape[1]:
-        raise DimensionMismatch("t_prime must be square")
-    if deg < 0:
-        raise ValueError("deg must be nonnegative")
-    h = t_prime.shape[0]
-    d_t, e_t = psd_sqrt_and_range(eye(h) - adj(t_prime) @ t_prime)
-    dt = e_t.dim
-    n = h + dt * (deg + 1)
-    u = zeros(n, n)
-    u[:h, :h] = t_prime
-    u[h:h + dt, :h] = e_t.coords(d_t)
-    for k in range(deg):
-        u[h + (k + 1) * dt:h + (k + 2) * dt, h + k * dt:h + (k + 1) * dt] = eye(dt)
-    return u

@@ -295,12 +295,3 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
-
-def random_contraction(rng: np.random.Generator, rows: int, cols: int, norm: float) -> np.ndarray:
-    """Random matrix rescaled to have operator norm exactly `norm`."""
-    if norm < 0:
-        raise ValueError("norm must be nonnegative")
-    if rows == 0 or cols == 0 or norm == 0.0:
-        return zeros(rows, cols)
-    g = ginibre(rng, rows, cols)
-    return g * (norm / operator_norm(g))

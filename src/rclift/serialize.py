@@ -7,8 +7,10 @@ shape is implied by the problem's port dimensions.  Solution readers
 ignore keys they do not use, such as the `tail_bound` that older solution
 files carry.
 
-Report JSON is canonical: keys sorted, floats printed at 17 significant
-digits, so a report is byte-stable for a fixed seed and version.
+Every written document is canonical JSON: keys sorted, no whitespace,
+floats in Python's shortest round-trip repr (0.1 is written `0.1`), and
+non-finite floats written as null, so a report is byte-stable for a fixed
+seed and version.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ from .linalg import cmatrix
 
 def matrix_to_json(m: np.ndarray) -> dict:
     m = cmatrix(m)
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": _pairs_from_matrix(m)}
 
 
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise ParseError(f"{what}: expected rows/cols/data object") from exc
     return _pairs_to_matrix(data, rows, cols, what)
 
@@ -45,19 +46,20 @@ def _pairs_to_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
         raise ParseError(f"{what}: negative dimensions")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"{what}: need {rows * cols} [re, im] pairs")
-    out = np.zeros(rows * cols, dtype=complex)
-    for i, pair in enumerate(data):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"{what}: entry {i} is not an [re, im] pair")
-        out[i] = complex(float(pair[0]), float(pair[1]))
-    m = out.reshape(rows, cols)
-    if m.size and not np.all(np.isfinite(m.view(float))):
+    try:
+        flat = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what}: entries are not [re, im] pairs") from exc
+    if data and flat.shape != (rows * cols, 2):
+        raise ParseError(f"{what}: entries are not [re, im] pairs")
+    if not np.all(np.isfinite(flat)):
         raise ParseError(f"{what}: non-finite entries")
-    return m
+    return flat.reshape(rows * cols, 2).view(complex).reshape(rows, cols)
 
 
 def _pairs_from_matrix(m: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(m, complex).reshape(-1)]
+    """Row-major [re, im] pairs of the entries of m, as Python floats."""
+    return np.ascontiguousarray(m, complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
 # --- instances -----------------------------------------------------------------
@@ -210,26 +212,43 @@ def lifting_solution_from_json(obj):
 
 
 def _canonize(obj: Any) -> Any:
-    """Round-trippable structure with floats fixed to 17 significant digits."""
+    """Copy of a JSON document with every non-finite float replaced by None."""
     if isinstance(obj, dict):
-        return {str(k): _canonize(v) for k, v in obj.items()}
+        return {k: _canonize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_canonize(v) for v in obj]
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isnan(f) or math.isinf(f):
-            return None
-        return float(f"{f:.17g}")
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _numpy_scalar(obj: Any) -> Any:
+    if isinstance(obj, np.floating):
+        return float(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     raise TypeError(f"cannot canonize {type(obj).__name__}")
 
 
+def _dumps(obj: Any) -> str:
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_numpy_scalar
+    )
+
+
 def canonical_json(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, fixed float formatting."""
-    return json.dumps(_canonize(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic JSON text: sorted keys, no whitespace, shortest float repr.
+
+    Documents hold dicts with `str` keys (every document rclift writes
+    does), lists, tuples, str, int, bool, None, floats, and NumPy floating
+    or integer scalars.  Floats are written in Python's shortest round-trip repr and
+    non-finite floats as null; any other value raises TypeError.
+    """
+    try:
+        text = _dumps(obj)
+    except ValueError:  # a non-finite float: only such documents are copied
+        text = _dumps(_canonize(obj))
+    return text + "\n"
 
 
 def load_json(path: str) -> Any:

@@ -207,3 +207,54 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RCLIFT_TOL", "1e-3")
     code, _, _ = run(capsys, "validate", str(path))
     assert code == 0
+
+
+def _tamper_lifting_instance(tmp_path, capsys, bad):
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "--kind", "generic", "--dims", "4,3,2", "--seed", "2",
+        "--norm", "0.75", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["a"]["data"][0] = bad
+    path.write_text(json.dumps(doc))
+    return ["validate", str(path)], "a: "
+
+
+def _tamper_nehari_tap(tmp_path, capsys, bad):
+    path = tmp_path / "inst.json"
+    serialize.dump_json(str(path), dict(SCALAR_PROBLEM, taps=[[bad]]))
+    return ["validate", str(path)], "tap 0: "
+
+
+def _tamper_lifting_gamma(tmp_path, capsys, bad):
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    run(capsys, "gen", "--kind", "generic", "--dims", "4,3,2", "--seed", "2",
+        "--norm", "0.75", "--out", str(inst))
+    run(capsys, "solve", str(inst), "--central", "--degree", "3", "--out", str(sol))
+    doc = json.loads(sol.read_text())
+    doc["gamma"][1]["data"][0] = bad
+    sol.write_text(json.dumps(doc))
+    return ["verify", str(inst), str(sol), "--degree", "3"], "gamma[1]: "
+
+
+def _tamper_nehari_h(tmp_path, capsys, bad):
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    serialize.dump_json(str(inst), SCALAR_PROBLEM)
+    run(capsys, "solve", str(inst), "--central", "--degree", "3", "--out", str(sol))
+    doc = json.loads(sol.read_text())
+    doc["H"][1][0] = bad
+    sol.write_text(json.dumps(doc))
+    return ["verify", str(inst), str(sol), "--degree", "3"], "H[1]: "
+
+
+@pytest.mark.parametrize("bad", [["x", 0], [None, 0], [[1.0], 0], [1.0], [1.0, 0.0, 0.0]],
+                         ids=["string", "null", "nested", "short", "long"])
+@pytest.mark.parametrize("tamper", [_tamper_lifting_instance, _tamper_nehari_tap,
+                                    _tamper_lifting_gamma, _tamper_nehari_h],
+                         ids=["lifting_a", "nehari_tap", "lifting_gamma", "nehari_h"])
+def test_malformed_matrix_entry_exits_2(tmp_path, capsys, tamper, bad):
+    argv, where = tamper(tmp_path, capsys, bad)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and where in err

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_lifting import sznagy_schaffer_truncated
 from test_schur import grid_certify
 
-from rclift import cli, hardy, lifting, linalg, nehari, redheffer, schur, serialize
+from rclift import cli, generators, hardy, lifting, linalg, nehari, redheffer, schur, serialize
+from rclift.errors import DimensionMismatch
 from rclift.hardy import SystemRealization, TaylorSeries
 
 
@@ -124,3 +127,77 @@ def test_verify_ignores_claimed_tail_bound(tmp_path, capsys):
     assert rows["dilation_intertwining"]["passed"]
     assert rows["stacked_norm"]["value"] > 2.0
     assert not rows["stacked_norm"]["passed"]
+
+
+def _verify_case(case):
+    """(data set, solution, degree) for one verify_interpolant case."""
+    rng = np.random.default_rng(17)
+    if case == "unitary":
+        # defect-free T': the dilation is T' itself, with no Hardy slots
+        h_prime, h, h0, deg = 4, 3, 2, 5
+        ds = lifting.LiftingDataSet(
+            a=0.5 * linalg.ginibre(rng, h_prime, h),
+            t_prime=linalg.haar_unitary(rng, h_prime),
+            r=linalg.ginibre(rng, h, h0),
+            q=linalg.ginibre(rng, h, h0),
+        )
+        empty = np.zeros((0, h))
+        return ds, hardy.SolutionTaylor(ds.a, (empty,) * (deg + 1)), deg
+    deg = 0 if case == "deg0" else 9
+    ds = generators.generate_random("generic", (5, 4, 3), 0.8, 6)
+    rc = redheffer.build_coefficients(lifting.derive(ds))
+    sol = redheffer.solution_taylor(rc, schur.random_schur(rc.kq_dim, rc.w_dim, 2, 6), deg)
+    return ds, sol, deg
+
+
+@pytest.mark.parametrize("case", ["deg0", "unitary", "generic"])
+@pytest.mark.parametrize("perturb", [0.0, 0.3])
+def test_verify_interpolant_matches_dense_dilation(case, perturb):
+    # the shift applied by verify_interpolant against the dense U' oracle;
+    # a perturbed solution makes the residual O(1) instead of rounding noise
+    ds, sol, deg = _verify_case(case)
+    rng = np.random.default_rng(3)
+    gammas = tuple(g + perturb * linalg.ginibre(rng, *g.shape) for g in sol.gamma_coeffs)
+    sol = hardy.SolutionTaylor(ds.a + perturb * linalg.ginibre(rng, *ds.a.shape), gammas)
+    b = np.vstack((sol.a_part,) + sol.gamma_coeffs[: deg + 1])
+    u_prime = sznagy_schaffer_truncated(ds.t_prime, deg)
+    dense = linalg.operator_norm(u_prime @ b @ ds.r - b @ ds.q)
+    rep = hardy.verify_interpolant(ds, sol, deg)
+    assert abs(rep.intertwining_residual - dense) <= 1e-14 * max(1.0, dense)
+    if perturb == 0.0 and case != "unitary":
+        assert rep.passed
+    if perturb:
+        assert dense > 0.1
+
+
+def test_verify_interpolant_rejects_wrong_defect_dimension():
+    ds, sol, deg = _verify_case("generic")
+    short = tuple(g[:-1] for g in sol.gamma_coeffs)
+    with pytest.raises(DimensionMismatch, match="defect dimension"):
+        hardy.verify_interpolant(ds, hardy.SolutionTaylor(sol.a_part, short), deg)
+
+
+def test_verify_interpolant_memory_is_linear():
+    # T' = 0.5 U has a full defect space, so the dense U' would be n x n
+    # complex with n = h' (deg + 2); the shift needs only O(n h) memory
+    rng = np.random.default_rng(5)
+    h_prime, h, h0, deg = 20, 4, 3, 127
+    ds = lifting.LiftingDataSet(
+        a=0.5 * linalg.ginibre(rng, h_prime, h),
+        t_prime=0.5 * linalg.haar_unitary(rng, h_prime),
+        r=linalg.ginibre(rng, h, h0),
+        q=linalg.ginibre(rng, h, h0),
+    )
+    gammas = tuple(linalg.ginibre(rng, h_prime, h) for _ in range(deg + 1))
+    sol = hardy.SolutionTaylor(ds.a, gammas)
+    n = h_prime * (deg + 2)
+    dense_bytes = 16 * n * n
+    assert dense_bytes >= 100e6
+    tracemalloc.start()
+    try:
+        rep = hardy.verify_interpolant(ds, sol, deg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.checks["dt_dim"] == h_prime
+    assert peak < dense_bytes / 10

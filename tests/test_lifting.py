@@ -2,8 +2,44 @@ import numpy as np
 import pytest
 
 from rclift import generators, lifting, nehari
-from rclift.errors import EmptySolutionSpace
-from rclift.linalg import adj, eye, ginibre, haar_unitary, operator_norm, solve_hpd
+from rclift.errors import DimensionMismatch, EmptySolutionSpace
+from rclift.linalg import (
+    adj,
+    cmatrix,
+    eye,
+    ginibre,
+    haar_unitary,
+    operator_norm,
+    psd_sqrt_and_range,
+    solve_hpd,
+    zeros,
+)
+
+
+def sznagy_schaffer_truncated(t_prime: np.ndarray, deg: int) -> np.ndarray:
+    """Dense truncated canonical isometric dilation of a contraction.
+
+    Acts on H' plus deg+1 Taylor slots of defect vectors: the first column
+    block feeds D_T' into slot 0 and the slot shift pushes k -> k+1 with
+    the top slot discarded.  The result is isometric on every column that
+    does not feed the discarded slot.  It is the oracle for the shift that
+    `hardy.verify_interpolant` applies without forming this matrix.
+    """
+    t_prime = cmatrix(t_prime)
+    if t_prime.shape[0] != t_prime.shape[1]:
+        raise DimensionMismatch("t_prime must be square")
+    if deg < 0:
+        raise ValueError("deg must be nonnegative")
+    h = t_prime.shape[0]
+    d_t, e_t = psd_sqrt_and_range(eye(h) - adj(t_prime) @ t_prime)
+    dt = e_t.dim
+    n = h + dt * (deg + 1)
+    u = zeros(n, n)
+    u[:h, :h] = t_prime
+    u[h:h + dt, :h] = e_t.coords(d_t)
+    for k in range(deg):
+        u[h + (k + 1) * dt:h + (k + 2) * dt, h + k * dt:h + (k + 1) * dt] = eye(dt)
+    return u
 
 
 def scalar_nehari_data():
@@ -93,14 +129,14 @@ def test_omega_dichotomy_on_gap():
 
 
 def test_sznagy_scalar_zero():
-    u = lifting.sznagy_schaffer_truncated(np.zeros((1, 1)), 3)
+    u = sznagy_schaffer_truncated(np.zeros((1, 1)), 3)
     np.testing.assert_allclose(u[:, 0], np.array([0, 1, 0, 0, 0], dtype=complex))
 
 
 def test_sznagy_unitary_contraction():
     rng = np.random.default_rng(2)
     t = haar_unitary(rng, 3)
-    u = lifting.sznagy_schaffer_truncated(t, 4)
+    u = sznagy_schaffer_truncated(t, 4)
     np.testing.assert_allclose(u, t)  # defect-free: no Hardy slots at all
 
 
@@ -109,7 +145,7 @@ def test_sznagy_gram_structure():
     g = ginibre(rng, 3, 3)
     t = g * (0.8 / operator_norm(g))
     deg = 4
-    u = lifting.sznagy_schaffer_truncated(t, deg)
+    u = sznagy_schaffer_truncated(t, deg)
     gram = adj(u) @ u
     n = u.shape[0]
     dt = (n - 3) // (deg + 1)

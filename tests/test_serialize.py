@@ -1,7 +1,11 @@
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclift import generators, nehari, schur, serialize
 from rclift.errors import ParseError
@@ -70,6 +74,10 @@ def test_solution_roundtrips():
     {"kind": "unknown"},
     {"kind": "lifting", "a": {"rows": 1, "cols": 1, "data": [[0.0]]}},
     {"kind": "nehari", "N": 1, "u_dim": 1, "y_dim": 1, "taps": [[[1.0, 0.0], [2.0, 0.0]]]},
+    {"kind": "lifting", "a": {"rows": 1, "cols": 1, "data": [[[1.0, 0.0]]]}},
+    {"kind": "lifting", "a": {"rows": "x", "cols": 1, "data": [[1.0, 0.0]]}},
+    {"kind": "lifting", "a": {"rows": 1, "cols": 1, "data": [[10**400, 0.0]]}},
+    {"kind": "nehari", "N": 1, "u_dim": 1, "y_dim": 1, "taps": [[[float("nan"), 0.0]]]},
 ])
 def test_malformed_instances_raise(bad):
     with pytest.raises(ParseError):
@@ -86,3 +94,90 @@ def test_canonical_json_deterministic_and_sorted():
 
 def test_canonical_json_drops_nonfinite():
     assert json.loads(serialize.canonical_json({"v": float("inf")}))["v"] is None
+
+
+def _former_canonize(obj):
+    """The former canonizer, kept as the oracle: a full copy of the document
+    with every float re-read from its 17-significant-digit form."""
+    if isinstance(obj, dict):
+        return {str(k): _former_canonize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_former_canonize(v) for v in obj]
+    if isinstance(obj, (bool, int, str)) or obj is None:
+        return obj
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        if math.isnan(f) or math.isinf(f):
+            return None
+        return float(f"{f:.17g}")
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"cannot canonize {type(obj).__name__}")
+
+
+def _former_canonical_json(obj):
+    return json.dumps(_former_canonize(obj), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _single(bits):
+    return np.frombuffer(struct.pack("<I", bits), dtype=np.float32)[0]
+
+
+_DOUBLES = st.integers(0, 2**64 - 1).map(_double)
+_SPECIAL = st.sampled_from(
+    [0.0, -0.0, 0.1, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     math.inf, -math.inf, math.nan]
+)
+_LEAVES = st.one_of(
+    _DOUBLES,
+    _SPECIAL,
+    _DOUBLES.map(np.float64),
+    _SPECIAL.map(np.float64),
+    st.integers(0, 2**32 - 1).map(_single),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(doc=_DOCUMENTS)
+def test_canonical_json_matches_former_canonizer(doc):
+    assert serialize.canonical_json(doc) == _former_canonical_json(doc)
+
+
+@pytest.mark.parametrize("bad", [1j, np.zeros(2), np.bool_(True), {"v": [math.nan, object()]}])
+def test_canonical_json_rejects_unsupported_values(bad):
+    with pytest.raises(TypeError):
+        _former_canonical_json(bad)
+    with pytest.raises(TypeError):
+        serialize.canonical_json(bad)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 3)])
+def test_matrix_codec_round_trip_is_bit_exact(shape):
+    rng = np.random.default_rng(11)
+    parts = rng.integers(0, 2**64, size=shape + (2,), dtype=np.uint64).view(float)
+    parts[~np.isfinite(parts)] = -0.0
+    if parts.size:
+        parts.flat[:4] = [-0.0, 5e-324, -2.5e-310, 0.0][: parts.size]
+    m = parts.view(complex)[..., 0]
+    text = serialize.canonical_json(serialize.matrix_to_json(m))
+    back = serialize.matrix_from_json(json.loads(text))
+    assert back.shape == shape and back.dtype == complex
+    assert back.tobytes() == np.ascontiguousarray(m).tobytes()

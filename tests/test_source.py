@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "rclift").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "rclift").glob("*.py"))
+# every file whose references keep a package definition alive
+REFERRERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -40,3 +43,49 @@ def test_no_unused_imports(path):
 def test_unused_import_is_detected():
     tree = ast.parse("from __future__ import annotations\nimport os\nimport sys\nprint(sys.argv)\n")
     assert _unused_imports(tree) == ["os"]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module reads or imports, leaving out each module-level
+    definition's references to its own name (recursion is no use)."""
+    found = set()
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.split(".")[-1]
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    return [s.name for s in tree.body if isinstance(s, (ast.FunctionDef, ast.ClassDef))]
+
+
+def test_no_dead_definitions():
+    referenced = set()
+    for path in REFERRERS:
+        referenced |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    dead = [
+        f"{path.name}:{name}"
+        for path in SOURCES
+        for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in referenced
+    ]
+    assert dead == []
+
+
+def test_dead_definition_is_detected():
+    tree = ast.parse(
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "print(used())\n"
+    )
+    assert [n for n in _definitions(tree) if n not in _references(tree)] == ["recursive"]
