@@ -30,9 +30,9 @@ from .linalg import (
     eye,
     ginibre,
     haar_unitary,
-    matrix_rank,
     operator_norm,
     psd_sqrt,
+    rank_from_singular_values,
     zeros,
 )
 
@@ -71,8 +71,7 @@ def _intertwining_nullspace(
     if k.shape[0] == 0:
         return eye(k.shape[1])
     _, s, vh = np.linalg.svd(k)
-    rank = matrix_rank(k, rtol=rtol)
-    return adj(vh)[:, rank:]
+    return adj(vh)[:, rank_from_singular_values(s, rtol):]
 
 
 def _sample_nullspace(

@@ -130,15 +130,24 @@ def inv_hpd(m) -> np.ndarray:
     return solve_hpd(m, eye(m.shape[0]))
 
 
+def rank_from_singular_values(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
+    """Rank from descending singular values with a relative cutoff.
+
+    The one rank rule of the package: callers that already hold the
+    singular values of a matrix take its rank here instead of running a
+    second SVD through `matrix_rank`.
+    """
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > rtol * s[0]))
+
+
 def matrix_rank(m, rtol: float = RANK_RTOL) -> int:
     """Rank with a relative singular-value cutoff."""
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    return rank_from_singular_values(np.linalg.svd(m, compute_uv=False), rtol)
 
 
 @dataclass(frozen=True)
@@ -236,14 +245,23 @@ def psd_sqrt_and_range(m, rtol: float = RANK_RTOL) -> tuple[np.ndarray, Subspace
     return root, SubspaceEmbedding(n, basis)
 
 
+def _left_singular_basis(m: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
+    """Leading left singular vectors spanning the column space, and the rank,
+    from one SVD."""
+    if m.size == 0:
+        return zeros(m.shape[0], 0), 0
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    r = rank_from_singular_values(s, rtol)
+    return u[:, :r], r
+
+
 def range_embedding(m, rtol: float = RANK_RTOL) -> SubspaceEmbedding:
     """Canonical orthonormal basis of the column space of m."""
     m = cmatrix(m)
     n = m.shape[0]
-    r = matrix_rank(m, rtol=rtol)
+    u, r = _left_singular_basis(m, rtol)
     if r == 0:
         return SubspaceEmbedding(n, zeros(n, 0))
-    u = np.linalg.svd(m, full_matrices=False)[0][:, :r]
     return SubspaceEmbedding(n, _canonical_basis_from_projector(u @ adj(u), r))
 
 
@@ -251,13 +269,12 @@ def kernel_embedding(m, rtol: float = RANK_RTOL) -> SubspaceEmbedding:
     """Canonical orthonormal basis of Ker(m*), the left null space of m."""
     m = cmatrix(m)
     n = m.shape[0]
-    r = matrix_rank(m, rtol=rtol)
+    u, r = _left_singular_basis(m, rtol)
     k = n - r
     if k == 0:
         return SubspaceEmbedding(n, zeros(n, 0))
     if r == 0:
         return SubspaceEmbedding(n, _canonical_basis_from_projector(np.eye(n, dtype=complex), n))
-    u = np.linalg.svd(m, full_matrices=False)[0][:, :r]
     p = np.eye(n, dtype=complex) - u @ adj(u)
     return SubspaceEmbedding(n, _canonical_basis_from_projector(p, k))
 
