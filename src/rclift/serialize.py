@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -33,10 +34,18 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": _pairs_from_matrix(m)}
 
 
+def _json_int(obj, key: str, what: str) -> int:
+    """The JSON integer obj[key]; a bool, float or string is refused."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ParseError(f"{what}: {key} must be an integer, not {type(value).__name__}")
+    return value
+
+
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (TypeError, KeyError, ValueError) as exc:
+        rows, cols, data = _json_int(obj, "rows", what), _json_int(obj, "cols", what), obj["data"]
+    except (TypeError, KeyError) as exc:
         raise ParseError(f"{what}: expected rows/cols/data object") from exc
     return _pairs_to_matrix(data, rows, cols, what)
 
@@ -46,7 +55,11 @@ def _pairs_to_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
         raise ParseError(f"{what}: negative dimensions")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"{what}: need {rows * cols} [re, im] pairs")
+    # np.array would turn "0.5" and true into floats, so every scalar of the
+    # pairs must already be a JSON number (one C-level pass over the types)
     try:
+        if not set(map(type, chain.from_iterable(data))) <= {int, float}:
+            raise TypeError
         flat = np.array(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what}: entries are not [re, im] pairs") from exc
@@ -101,7 +114,7 @@ def instance_from_json(obj):
             raise ParseError(f"lifting instance missing field {exc}") from exc
     if kind == "nehari":
         try:
-            n, u, y = int(obj["N"]), int(obj["u_dim"]), int(obj["y_dim"])
+            n, u, y = (_json_int(obj, k, "nehari instance") for k in ("N", "u_dim", "y_dim"))
             taps = [
                 _pairs_to_matrix(t, y, u, f"tap {i}")
                 for i, t in enumerate(obj.get("taps", []))
@@ -137,9 +150,10 @@ def parameter_from_json(obj) -> schur.SchurParameter:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise ParseError("parameter file needs a 'variant' tag")
     variant = obj["variant"]
+    what = f"{variant} parameter"
     try:
         if variant == "zero":
-            return schur.zero(int(obj["in_dim"]), int(obj["out_dim"]))
+            return schur.zero(_json_int(obj, "in_dim", what), _json_int(obj, "out_dim", what))
         if variant == "constant":
             return schur.constant(matrix_from_json(obj["matrix"], "matrix"))
         if variant == "transfer":
@@ -153,10 +167,7 @@ def parameter_from_json(obj) -> schur.SchurParameter:
             return schur.from_system(sys)
         if variant == "random":
             return schur.random_schur(
-                int(obj["in_dim"]),
-                int(obj["out_dim"]),
-                int(obj["state_dim"]),
-                int(obj["seed"]),
+                *(_json_int(obj, k, what) for k in ("in_dim", "out_dim", "state_dim", "seed"))
             )
     except ParseError:
         raise

@@ -78,10 +78,38 @@ def test_solution_roundtrips():
     {"kind": "lifting", "a": {"rows": "x", "cols": 1, "data": [[1.0, 0.0]]}},
     {"kind": "lifting", "a": {"rows": 1, "cols": 1, "data": [[10**400, 0.0]]}},
     {"kind": "nehari", "N": 1, "u_dim": 1, "y_dim": 1, "taps": [[[float("nan"), 0.0]]]},
+    {"kind": "nehari", "N": 2.0, "u_dim": 1, "y_dim": 1, "taps": []},
+    {"kind": "nehari", "N": 1, "u_dim": True, "y_dim": 1, "taps": [[[0.5, 0.0]]]},
 ])
 def test_malformed_instances_raise(bad):
     with pytest.raises(ParseError):
         serialize.instance_from_json(bad)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rows", 1.9), ("rows", 1.0), ("rows", True), ("rows", "1"), ("cols", True), ("cols", 1.0),
+])
+def test_matrix_dims_must_be_json_integers(field, value):
+    # int() would truncate 1.9 and read true as 1
+    obj = {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]}
+    obj[field] = value
+    with pytest.raises(ParseError, match=f"{field} must be an integer"):
+        serialize.matrix_from_json(obj, "m")
+
+
+@pytest.mark.parametrize("entry", [["0.5", True], ["0.5", 0.0], [0.5, True], [False, 0.0]])
+def test_matrix_entries_must_be_json_numbers(entry):
+    # a float conversion would read ["0.5", true] as 0.5+1j
+    with pytest.raises(ParseError, match="entries are not"):
+        serialize.matrix_from_json({"rows": 1, "cols": 1, "data": [entry]}, "m")
+
+
+@pytest.mark.parametrize("key", ["in_dim", "seed"])
+def test_random_parameter_fields_must_be_json_integers(key):
+    doc = {"variant": "random", "in_dim": 1, "out_dim": 2, "state_dim": 2, "seed": 3}
+    doc[key] = 1.0
+    with pytest.raises(ParseError, match=f"{key} must be an integer"):
+        serialize.parameter_from_json(doc)
 
 
 def test_canonical_json_deterministic_and_sorted():
