@@ -248,8 +248,10 @@ def _tamper_nehari_h(tmp_path, capsys, bad):
     return ["verify", str(inst), str(sol), "--degree", "3"], "H[1]: "
 
 
-@pytest.mark.parametrize("bad", [["x", 0], [None, 0], [[1.0], 0], [1.0], [1.0, 0.0, 0.0]],
-                         ids=["string", "null", "nested", "short", "long"])
+@pytest.mark.parametrize("bad", [["x", 0], [None, 0], [[1.0], 0], [1.0], [1.0, 0.0, 0.0],
+                                 ["0.5", 0.0], [0.5, True]],
+                         ids=["string", "null", "nested", "short", "long", "numeric_string",
+                              "bool"])
 @pytest.mark.parametrize("tamper", [_tamper_lifting_instance, _tamper_nehari_tap,
                                     _tamper_lifting_gamma, _tamper_nehari_h],
                          ids=["lifting_a", "nehari_tap", "lifting_gamma", "nehari_h"])
@@ -258,3 +260,33 @@ def test_malformed_matrix_entry_exits_2(tmp_path, capsys, tamper, bad):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and where in err
+
+
+@pytest.mark.parametrize("value", [3.0, "3", 3.5], ids=["float", "string", "fraction"])
+def test_malformed_matrix_dims_exit_2(tmp_path, capsys, value):
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "--kind", "generic", "--dims", "4,3,2", "--seed", "2",
+        "--norm", "0.75", "--out", str(path))
+    doc = json.loads(path.read_text())
+    assert doc["a"]["rows"] == 3
+    doc["a"]["rows"] = value
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err.startswith("error: a: rows must be an integer")
+
+
+def test_nehari_report_independent_of_degree(tmp_path, capsys):
+    # the report certifies the full operator, so no row depends on the
+    # degree (the state matrix here is not nilpotent, so a truncation would)
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "--kind", "nehari", "--dims", "2,2,3,3", "--seed", "1", "--out", str(path))
+    docs = []
+    for deg in ("4", "256"):
+        code, out, _ = run(capsys, "nehari", str(path), "--degree", deg)
+        assert code == 0
+        docs.append(json.loads(out))
+    assert docs[0]["residuals"] == docs[1]["residuals"]
+    row = next(r for r in docs[0]["residuals"] if r["name"] == "stacked_isometry_residual")
+    assert row["threshold"] == 1e-10
+    assert row["passed"] and row["value"] <= 1e-10

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from rclift.linalg import (
     ginibre,
     haar_unitary,
     operator_norm,
+    psd_sqrt,
     spectral_radius,
     zeros,
 )
@@ -234,17 +236,47 @@ def test_assemble_m_contraction_and_degree_zero():
     )
 
 
+def m_gram_slack(rc, deg, extra=16):
+    """Exact norm ||D* D|| of the coefficient rows `assemble_m` drops.
+
+    The oracle that ties the truncation to the exact certificates.  With
+    C = [X3; X4] the dropped rows factor as D = O K, where O stacks C X1^t
+    (t >= 0) and the column blocks of K are X1^s X2 for s = extra..
+    deg+extra and X1^(deg+extra+1) E.  So ||D* D|| = ||P^(1/2) K K* P^(1/2)||
+    with P = X1* P X1 + C* C.  On an isometry this is exactly
+    ||M_trunc* M_trunc - I||.  Returns 0.0 when C is empty and None when
+    X1 is not stable (no Gramian exists).
+    """
+    c = np.vstack([rc.x3, rc.x4])
+    if c.size == 0:
+        return 0.0
+    if rc.r_spec_x1 >= 1.0:
+        return None
+    p = scipy.linalg.solve_discrete_lyapunov(adj(rc.x1), adj(c) @ c)
+    blocks = [np.linalg.matrix_power(rc.x1, extra) @ rc.x2]
+    for _ in range(deg):
+        blocks.append(rc.x1 @ blocks[-1])
+    blocks.append(np.linalg.matrix_power(rc.x1, deg + extra + 1) @ rc.e)
+    k = np.hstack(blocks)
+    root = psd_sqrt(0.5 * (p + adj(p)))
+    return operator_norm(root @ k @ adj(k) @ root)
+
+
+def _dense_isometry_residual(rc, deg, extra=16):
+    m = redheffer.assemble_m(rc, deg, extra)
+    return operator_norm(adj(m) @ m - eye(m.shape[1]))
+
+
 def test_assemble_m_isometry_gap_free():
     ds = generators.generate_random("nehari-like", (2, 2, 3, 3), 0.85, 5)
     dd = lifting.derive(ds)
     rc = redheffer.build_coefficients(dd)
     assert rc.r_spec_x1 < 1.0
-    m = redheffer.assemble_m(rc, 48)
-    slack = redheffer.m_gram_slack(rc, 48)
-    res = operator_norm(adj(m) @ m - eye(m.shape[1]))
+    slack = m_gram_slack(rc, 48)
     assert slack is not None
     # on an isometry the slack is the exact residual, not just a bound
-    assert abs(res - slack) <= 1e-10
+    assert abs(_dense_isometry_residual(rc, 48) - slack) <= 1e-10
+    assert redheffer.isometry_certificate(rc).status == "certified"
 
 
 def _random_realization(seed, n, rho, rows3, rows4, w, k):
@@ -291,7 +323,7 @@ def _dense_dropped_mass(rc, deg, extra, depth=2000):
 )
 def test_m_gram_slack_is_exact_dropped_mass(seed, n, rho, rows3, rows4, w, k, deg, extra):
     rc = _random_realization(seed, n, rho, rows3, rows4, w, k)
-    slack = redheffer.m_gram_slack(rc, deg, extra)
+    slack = m_gram_slack(rc, deg, extra)
     dense = _dense_dropped_mass(rc, deg, extra)
     assert abs(slack - dense) <= 1e-10 * dense
 
@@ -301,16 +333,89 @@ def test_m_gram_slack_unstable_state_is_none():
     rc = _random_realization(6, 3, 0.5, 1, 2, 2, 2)
     rc = dataclasses.replace(rc, x1=haar_unitary(rng, 3))
     assert rc.r_spec_x1 >= 1.0
-    assert redheffer.m_gram_slack(rc, 8) is None
+    assert m_gram_slack(rc, 8) is None
 
 
 def test_m_gram_slack_empty_output_is_zero():
     # no rows in [X3; X4] means no dropped rows, whatever the state matrix
     rng = np.random.default_rng(7)
     rc = _random_realization(7, 3, 0.5, 0, 0, 2, 2)
-    assert redheffer.m_gram_slack(rc, 8) == 0.0
+    assert m_gram_slack(rc, 8) == 0.0
     rc = dataclasses.replace(rc, x1=haar_unitary(rng, 3))
-    assert redheffer.m_gram_slack(rc, 8) == 0.0
+    assert m_gram_slack(rc, 8) == 0.0
+
+
+# --- the exact certificates ------------------------------------------------------
+
+
+def _isometric_realizations():
+    """Stable realizations whose stacked operator is an isometry: a gap-free
+    lifting (nehari-like) and two Nehari closed forms."""
+    ds = generators.generate_random("nehari-like", (2, 2, 3, 3), 0.85, 5)
+    yield redheffer.build_coefficients(lifting.derive(ds))
+    for seed in (1, 2):
+        p = generators.random_nehari_problem(np.random.default_rng(seed), 2, 3, 3, 4, 0.8)
+        yield nehari.coefficients(p)
+
+
+def test_certified_isometry_matches_dense_slack():
+    # the dense oracle: on a certified isometry M*M - I of the truncation is
+    # minus the Gram of the dropped rows, at every degree
+    for rc in _isometric_realizations():
+        cert = redheffer.isometry_certificate(rc)
+        assert cert.status == "certified"
+        assert cert.residual <= 1e-12
+        for deg in (0, 8, 24):
+            dense = _dense_isometry_residual(rc, deg)
+            assert abs(dense - m_gram_slack(rc, deg)) <= 1e-10
+
+
+@pytest.mark.parametrize("forge", ["unitary_x1", "x5_scaled", "c_scaled"])
+def test_forged_realization_never_certified(forge):
+    rng = np.random.default_rng(11)
+    for rc in _isometric_realizations():
+        if forge == "unitary_x1":
+            bad = dataclasses.replace(rc, x1=haar_unitary(rng, rc.x1.shape[0]))
+        elif forge == "x5_scaled":
+            bad = dataclasses.replace(rc, x5=rc.x5 * (1.0 + 1e-6))
+        else:
+            bad = dataclasses.replace(rc, x3=rc.x3 * 1.01, x4=rc.x4 * 1.01)
+        cert = redheffer.isometry_certificate(bad)
+        # no Gramian exists for a unitary state matrix; the scaled ones are
+        # contractions that miss the isometry identities
+        assert cert.status == ("uncertified" if forge == "unitary_x1" else "refuted")
+
+
+def test_unstable_state_is_uncertified():
+    _, rc = generic_rc(0)
+    bad = dataclasses.replace(rc, x1=1.5 * rc.x1 / rc.r_spec_x1)
+    assert bad.r_spec_x1 >= 1.0
+    cert = redheffer.isometry_certificate(bad)
+    assert cert.status == "uncertified" and cert.residual == np.inf
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(generators.KINDS),
+    seed=st.integers(0, 10**6),
+    norm=st.sampled_from([0.3, 0.8, 0.99]),
+    scale=st.sampled_from([0.5, 1.0, 1.05]),
+)
+def test_kyp_norm_bounds_dense_truncation(kind, seed, norm, scale):
+    # scale multiplies the parameter-output columns (X2, X5) of the
+    # colligation, pushing it past a contraction at 1.05
+    dims = {"nehari-like": (2, 2, 3, 3), "classical-like": (3, 4), "generic": (5, 3, 3)}[kind]
+    ds = generators.generate_random(kind, dims, norm, seed)
+    rc = redheffer.build_coefficients(lifting.derive(ds))
+    rc = dataclasses.replace(rc, x2=scale * rc.x2, x5=scale * rc.x5)
+    kyp = redheffer.kyp_norm(rc)
+    deg, extra = 16, 16
+    dense = operator_norm(redheffer.assemble_m(rc, deg, extra))
+    assert dense <= max(1.0, kyp) ** (deg + extra + 2) + 1e-12
+    if kyp <= 1.0 + 1e-10:
+        assert dense <= 1.0 + 1e-6
+    if scale <= 1.0:
+        assert kyp <= 1.0 + 1e-10
 
 
 def test_y_gram_and_projections():
