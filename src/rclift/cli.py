@@ -25,8 +25,8 @@ which wait on the exact tail certificates planned in ROADMAP.md.
 The `nehari` report truncates nothing, so it does not depend on
 `--degree`, which it accepts and ignores.  Its `stacked_isometry_residual`
 row is the certified residual of the identities that make the full
-stacked operator an isometry (`redheffer.isometry_certificate`, from the
-exact Stein Gramian), gated at FP_GRAM_TOL; it passes only when the
+stacked operator an isometry (`nehari.hat_m_check`, from the exact Stein
+Gramian), gated at FP_GRAM_TOL; it passes only when the
 certificate is "certified", and reads null when the state matrix is not
 stable.
 """
@@ -231,7 +231,7 @@ def cmd_nehari(args) -> int:
         nc.lam - (eye(a.shape[1]) - adj(a) @ a)
     )
     inv_res = operator_norm(nc.lam @ nc.lam_cross - eye(nc.lam.shape[0]))
-    cert = redheffer.isometry_certificate(nc)
+    cert = nehari.hat_m_check(nc, args.degree)
     rows = [
         _row("hankel_norm", operator_norm(a), 1.0),
         _row("gram_matches_hankel", gram_vs_hankel, 1e-10),

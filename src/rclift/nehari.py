@@ -279,10 +279,9 @@ def hat_m_check(nc: NehariCoefficients, deg: int) -> IsometryCertificate:
     """Isometry certificate of the full stacked operator M-hat.
 
     `redheffer.isometry_certificate` on the Nehari realization: three n x n
-    identities from one Stein solve decide the whole operator, so the
-    result does not depend on `deg`.  The degree argument stays only
-    because the benchmark's degree sweep calls this function with it;
-    `rclift nehari` and the suite call the certificate directly.
+    identities and the exact Gramian decide the whole operator, so `deg`
+    changes nothing.  It stays in the signature for the callers that pass
+    a degree: `rclift nehari --degree` and the benchmark's degree sweep.
     """
     return isometry_certificate(nc)
 

@@ -311,8 +311,8 @@ def test_hat_m_scalar_example():
 
 
 def test_hat_m_check_independent_of_degree():
-    # the certificate decides the full operator, so the degree the
-    # benchmark passes changes nothing
+    # the certificate decides the full operator, so the degree a caller
+    # passes changes nothing
     rng = np.random.default_rng(4)
     p = generators.random_nehari_problem(rng, 1, 1, 2, 2, 0.8)
     nc = nehari.coefficients(p)
