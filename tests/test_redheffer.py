@@ -262,21 +262,29 @@ def m_gram_slack(rc, deg, extra=16):
     return operator_norm(root @ k @ adj(k) @ root)
 
 
-def _dense_isometry_residual(rc, deg, extra=16):
-    m = redheffer.assemble_m(rc, deg, extra)
-    return operator_norm(adj(m) @ m - eye(m.shape[1]))
+def _isometric_realizations():
+    """Stable realizations whose stacked operator is an isometry: a gap-free
+    lifting (nehari-like) and two Nehari closed forms."""
+    ds = generators.generate_random("nehari-like", (2, 2, 3, 3), 0.85, 5)
+    yield redheffer.build_coefficients(lifting.derive(ds))
+    for seed in (1, 2):
+        p = generators.random_nehari_problem(np.random.default_rng(seed), 2, 3, 3, 4, 0.8)
+        yield nehari.coefficients(p)
 
 
 def test_assemble_m_isometry_gap_free():
-    ds = generators.generate_random("nehari-like", (2, 2, 3, 3), 0.85, 5)
-    dd = lifting.derive(ds)
-    rc = redheffer.build_coefficients(dd)
-    assert rc.r_spec_x1 < 1.0
-    slack = m_gram_slack(rc, 48)
-    assert slack is not None
-    # on an isometry the slack is the exact residual, not just a bound
-    assert abs(_dense_isometry_residual(rc, 48) - slack) <= 1e-10
-    assert redheffer.isometry_certificate(rc).status == "certified"
+    # the dense oracle of the certificate: on a certified isometry M*M - I
+    # of the truncation is minus the Gram of the dropped rows, so the slack
+    # is the exact residual at every degree, not just a bound
+    for rc in _isometric_realizations():
+        assert rc.r_spec_x1 < 1.0
+        cert = redheffer.isometry_certificate(rc)
+        assert cert.status == "certified" and cert.residual <= 1e-12
+        for deg in (0, 8, 48):
+            m = redheffer.assemble_m(rc, deg)
+            slack = m_gram_slack(rc, deg)
+            assert slack is not None
+            assert abs(operator_norm(adj(m) @ m - eye(m.shape[1])) - slack) <= 1e-10
 
 
 def _random_realization(seed, n, rho, rows3, rows4, w, k):
@@ -346,28 +354,6 @@ def test_m_gram_slack_empty_output_is_zero():
 
 
 # --- the exact certificates ------------------------------------------------------
-
-
-def _isometric_realizations():
-    """Stable realizations whose stacked operator is an isometry: a gap-free
-    lifting (nehari-like) and two Nehari closed forms."""
-    ds = generators.generate_random("nehari-like", (2, 2, 3, 3), 0.85, 5)
-    yield redheffer.build_coefficients(lifting.derive(ds))
-    for seed in (1, 2):
-        p = generators.random_nehari_problem(np.random.default_rng(seed), 2, 3, 3, 4, 0.8)
-        yield nehari.coefficients(p)
-
-
-def test_certified_isometry_matches_dense_slack():
-    # the dense oracle: on a certified isometry M*M - I of the truncation is
-    # minus the Gram of the dropped rows, at every degree
-    for rc in _isometric_realizations():
-        cert = redheffer.isometry_certificate(rc)
-        assert cert.status == "certified"
-        assert cert.residual <= 1e-12
-        for deg in (0, 8, 24):
-            dense = _dense_isometry_residual(rc, deg)
-            assert abs(dense - m_gram_slack(rc, deg)) <= 1e-10
 
 
 @pytest.mark.parametrize("forge", ["unitary_x1", "x5_scaled", "c_scaled"])
