@@ -15,10 +15,10 @@ in that order.
 `Realization` holds X1..X5, E and the base block of the stacked solution
 operator; the evaluation, Taylor expansion, feedback loop, stacked
 operator and its isometry certificate below take any realization, while
-the contraction certificate `kyp_norm` needs the lifting weight D_A.  For the lifting problem E is the
-identity and the base block is A; the relaxed Nehari problem is the
-specialisation of the lifting theorem whose realization `nehari` builds
-in closed form.
+the contraction certificate `kyp_norm` needs the lifting weight D_A.
+For the lifting problem E is the identity and the base block is A; the
+relaxed Nehari problem is the specialisation of the lifting theorem whose
+realization `nehari` builds in closed form.
 """
 
 from __future__ import annotations
