@@ -23,7 +23,8 @@ ignored.  Certified verdicts need tails the verifier computes itself,
 which wait on the exact tail certificates planned in ROADMAP.md.
 
 The `nehari` report truncates nothing, so it does not depend on
-`--degree`, which it accepts and ignores.  Its `stacked_isometry_residual`
+`--degree`, which it accepts and ignores, and it takes no `--tol`;
+`validate` takes no `--degree`.  Its `stacked_isometry_residual`
 row is the certified residual of the identities that make the full
 stacked operator an isometry (`nehari.hat_m_check`, from the exact Stein
 Gramian), gated at FP_GRAM_TOL; it passes only when the
@@ -290,17 +291,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_default_doc="1e-6"):
+    def tol_option(p, default_doc="1e-6"):
         p.add_argument("--tol", type=float, default=None,
-                       help=f"tolerance (default {tol_default_doc}; "
+                       help=f"tolerance (default {default_doc}; "
                             "RCLIFT_TOL overrides)")
-        p.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
-                       help="truncation degree (default 64)")
+
+    def degree_option(p, doc="truncation degree (default 64)"):
+        p.add_argument("--degree", type=int, default=DEFAULT_DEGREE, help=doc)
+
+    def out_option(p):
         p.add_argument("--out", help="write the JSON document here instead of stdout")
 
     p = sub.add_parser("validate", help="check the defining constraints of an instance")
     p.add_argument("input")
-    common(p, "1e-8")
+    tol_option(p, "1e-8")
+    out_option(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("solve", help="produce a solution for a Schur parameter")
@@ -308,18 +313,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", help="JSON Schur parameter file")
     p.add_argument("--central", action="store_true",
                    help="use the zero parameter (central solution)")
-    common(p)
+    tol_option(p)
+    degree_option(p)
+    out_option(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="verify a stored solution against an instance")
     p.add_argument("input")
     p.add_argument("solution")
-    common(p)
+    tol_option(p)
+    degree_option(p)
+    out_option(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("nehari", help="derived-operator report for a Nehari problem")
     p.add_argument("input")
-    common(p)
+    degree_option(p, "accepted for compatibility and ignored: the report truncates "
+                     "nothing")
+    out_option(p)
     p.set_defaults(func=cmd_nehari)
 
     p = sub.add_parser("gen", help="generate a random valid instance")

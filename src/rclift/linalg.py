@@ -69,6 +69,27 @@ def spectral_radius(m) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
+def _require_hermitian(m: np.ndarray, tol: float, message: str) -> None:
+    """Raise NotHermitian when ||m - m*||_2 > tol * max(||m||_2, 1).
+
+    The Frobenius test ||m - m*||_F <= tol/2 * max(||m||_F / sqrt(n), 1)
+    settles most inputs without an SVD: ||.||_2 <= ||.||_F and
+    ||m||_2 >= ||m||_F / sqrt(n) make it sufficient, and the factor 1/2
+    leaves room for the rounding of both norms.  Only the inputs it does
+    not settle pay the two SVDs of the exact rule, so the verdict is the
+    exact rule's on every input.
+    """
+    n = m.shape[0]
+    if n == 0:
+        return
+    anti = m - adj(m)
+    bound = 0.5 * tol * max(float(np.linalg.norm(m)) / np.sqrt(n), 1.0)
+    if float(np.linalg.norm(anti)) <= bound:
+        return
+    if operator_norm(anti) > tol * max(operator_norm(m), 1.0):
+        raise NotHermitian(message)
+
+
 def hermitian_eig(m: np.ndarray, tol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, with a Hermiticity check.
 
@@ -78,9 +99,7 @@ def hermitian_eig(m: np.ndarray, tol: float = RANK_RTOL) -> tuple[np.ndarray, np
     m = cmatrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
-    scale = operator_norm(m)
-    if operator_norm(m - adj(m)) > tol * max(scale, 1.0):
-        raise NotHermitian(f"anti-Hermitian part exceeds {tol:g} * ||m||")
+    _require_hermitian(m, tol, f"anti-Hermitian part exceeds {tol:g} * ||m||")
     w, v = np.linalg.eigh(0.5 * (m + adj(m)))
     return w, v.astype(complex)
 
@@ -110,9 +129,7 @@ def solve_hpd(m, b) -> np.ndarray:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
     if m.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"rhs rows {b.shape[0]} != matrix size {m.shape[0]}")
-    scale = operator_norm(m)
-    if operator_norm(m - adj(m)) > RANK_RTOL * max(scale, 1.0):
-        raise NotHermitian("solve_hpd requires a Hermitian matrix")
+    _require_hermitian(m, RANK_RTOL, "solve_hpd requires a Hermitian matrix")
     if m.shape[0] == 0:
         return b.copy()
     try:

@@ -37,7 +37,6 @@ from .linalg import (
     eye,
     inv_hpd,
     min_eig_hermitian,
-    operator_norm,
     psd_sqrt,
     solve_hpd,
     zeros,
@@ -105,33 +104,40 @@ def hankel(p: NehariProblem, rows: int | None = None) -> np.ndarray:
 def gram(p: NehariProblem) -> np.ndarray:
     """The defect Gram of the Hankel matrix, from the displayed sums.
 
-    Block (i, j) is I - sum_{n>=i} F_-n* F_-n on the diagonal and
-    -sum_{n>=i} F_-n* F_{-n+i-j} off it (all sums finite).  Equals
-    I - A*A of the Hankel matrix.
+    Block (i, j) is I - S(i, j) with S(i, j) = sum_{n>=i} F_-n* F_{-n+i-j}
+    (all sums finite), which equals I - A*A of the Hankel matrix.  The
+    sums run down the block diagonals: S(i, j) = F_-i* F_-j + S(i+1, j+1)
+    with S(K+1, .) = 0, one batched product over the stacked taps per i
+    from K down to 1, with j over 1..N+K so every later step finds its
+    shifted row.
     """
-    n_w, u, k = p.n_window, p.u_dim, p.k_taps
-    out = zeros(n_w * u, n_w * u)
-    for i in range(1, n_w + 1):
-        for j in range(1, n_w + 1):
-            block = zeros(u, u)
-            for n in range(i, k + 1):
-                m = n - i + j
-                if 1 <= m <= k:
-                    block -= adj(p.tap(n)) @ p.tap(m)
-            if i == j:
-                block += eye(u)
-            out[(i - 1) * u : i * u, (j - 1) * u : j * u] = block
+    n_w, u, y, k = p.n_window, p.u_dim, p.y_dim, p.k_taps
+    f = np.zeros((n_w + k, y, u), dtype=complex)  # F_-1, ..., F_-(N+K)
+    if k:
+        f[:k] = p.taps
+    s = np.zeros((n_w + k + 1, u, u), dtype=complex)  # S(i, 1..N+K), then a zero
+    rows = np.zeros((n_w, n_w, u, u), dtype=complex)
+    for i in range(k, 0, -1):
+        s[:-1] = np.matmul(adj(f[i - 1]), f) + s[1:]
+        if i <= n_w:
+            rows[i - 1] = s[:n_w]
+    out = eye(n_w * u) - rows.transpose(0, 2, 1, 3).reshape(n_w * u, n_w * u)
     return 0.5 * (out + adj(out))
 
 
-def lambda_cross(p: NehariProblem) -> np.ndarray:
-    """Inverse of the defect Gram; requires a strictly contractive Hankel."""
-    g = gram(p)
-    if min_eig_hermitian(g) < GRAM_MIN_EIG:
+def lambda_cross(p: NehariProblem, lam: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of the defect Gram; requires a strictly contractive Hankel.
+
+    `lam` is the Gram when the caller already holds it.
+    """
+    if lam is None:
+        lam = gram(p)
+    min_eig = min_eig_hermitian(lam)
+    if min_eig < GRAM_MIN_EIG:
         raise HankelNotStrict(
-            f"defect Gram min eigenvalue {min_eig_hermitian(g):.3e} < {GRAM_MIN_EIG:g}"
+            f"defect Gram min eigenvalue {min_eig:.3e} < {GRAM_MIN_EIG:g}"
         )
-    return inv_hpd(g)
+    return inv_hpd(lam)
 
 
 def _block(m: np.ndarray, i: int, j: int, u: int) -> np.ndarray:
@@ -139,16 +145,19 @@ def _block(m: np.ndarray, i: int, j: int, u: int) -> np.ndarray:
     return m[(i - 1) * u : i * u, (j - 1) * u : j * u]
 
 
-def solve_g(p: NehariProblem) -> list[np.ndarray]:
+def solve_g(p: NehariProblem, lam: np.ndarray | None = None) -> list[np.ndarray]:
     """Solve the corner system for [G_1 ... G_{N-1}].
 
     The (N-1)-corner of the Gram applied to the stacked adjoints must give
-    the stacked tap adjoints; empty for N = 1.
+    the stacked tap adjoints; empty for N = 1.  `lam` is the Gram when the
+    caller already holds it.
     """
     n_w, u, y = p.n_window, p.u_dim, p.y_dim
     if n_w == 1:
         return []
-    corner = gram(p)[: (n_w - 1) * u, : (n_w - 1) * u]
+    if lam is None:
+        lam = gram(p)
+    corner = lam[: (n_w - 1) * u, : (n_w - 1) * u]
     if min_eig_hermitian(corner) <= 0.0:
         raise CornerNotPD("leading Gram corner is not positive definite")
     rhs = np.vstack([adj(p.tap(i)) for i in range(1, n_w)])
@@ -179,8 +188,8 @@ def coefficients(p: NehariProblem) -> NehariCoefficients:
     """Derive every operator of the closed-form description."""
     n_w, u, y = p.n_window, p.u_dim, p.y_dim
     lam = gram(p)
-    lam_x = lambda_cross(p)
-    g_row = solve_g(p)
+    lam_x = lambda_cross(p, lam)
+    g_row = solve_g(p, lam)
 
     lam11 = _block(lam_x, 1, 1, u)
     lam11_inv = inv_hpd(lam11)
@@ -255,24 +264,29 @@ def assemble_l(p: NehariProblem, h: TaylorSeries) -> LContractionReport:
     Rows -K..deg are materialized (every other tap row is exactly zero);
     the rows beyond the solution degree are dropped, so the reported norm
     bounds the norm of any extension of these coefficients from below.
+    Block (i, j) is the term of index i - j + 1 of the sequence
+    F_-K, ..., F_-1, H_0, ..., H_deg (zero before F_-K), gathered in one
+    indexing pass; the norm is the root of the top eigenvalue of the
+    N*u x N*u Gram of the block-Toeplitz matrix.
     """
     if h.coeffs[0].shape != (p.y_dim, p.u_dim):
         raise DimensionMismatch("solution coefficients have wrong port dims")
     n_w, u, y, k = p.n_window, p.u_dim, p.y_dim, p.k_taps
     deg = h.degree
     rows = k + deg + 1
-    out = zeros(rows * y, n_w * u)
-    for idx, i in enumerate(range(-k, deg + 1)):
-        for j in range(1, n_w + 1):
-            m = i - j + 1
-            if m >= 0:
-                block = h.coeffs[m]
-            elif -m <= k:
-                block = p.tap(-m)
-            else:
-                block = zeros(y, u)
-            out[idx * y : (idx + 1) * y, (j - 1) * u : j * u] = block
-    return LContractionReport(sigma_max=operator_norm(out))
+    seq = np.zeros((rows + n_w - 1, y, u), dtype=complex)
+    if k:
+        seq[:k] = p.taps[::-1]
+    seq[k:rows] = h.coeffs
+    # row r (index i = r - K) and column c (slot j = c + 1) take the term of
+    # index i - j + 1, stored at r - c; the negative positions pick the
+    # n_w - 1 zero blocks at the end
+    idx = np.arange(rows)[:, None] - np.arange(n_w)[None, :]
+    out = seq[idx].transpose(0, 2, 1, 3).reshape(rows * y, n_w * u)
+    if out.size == 0:
+        return LContractionReport(sigma_max=0.0)
+    top = np.linalg.eigvalsh(adj(out) @ out)[-1]
+    return LContractionReport(sigma_max=float(np.sqrt(max(top, 0.0))))
 
 
 def hat_m_check(nc: NehariCoefficients, deg: int) -> IsometryCertificate:

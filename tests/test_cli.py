@@ -123,6 +123,16 @@ def test_negative_degree_exits_2(scalar_problem, tmp_path, capsys, command):
     assert "nonnegative" in err
 
 
+@pytest.mark.parametrize("argv", [["validate", "--degree", "3"], ["nehari", "--tol", "1e-3"]])
+def test_option_the_command_ignores_exits_2(scalar_problem, capsys, argv):
+    # validate truncates nothing and the nehari report has no tolerance,
+    # so neither accepts the option
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], scalar_problem, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_solve_non_strict_exits_3(tmp_path, capsys):
     inst = dict(SCALAR_PROBLEM, taps=[[[1.0, 0.0]]])
     path = tmp_path / "tight.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclift import linalg
 from rclift.errors import NegativeEigenvalue, NotHermitian, NotPositiveDefinite
@@ -149,3 +151,58 @@ def test_canonical_embedding_is_literal_for_diagonal_projectors():
     np.testing.assert_allclose(emb.basis, np.eye(4)[:, :2], atol=1e-14)
     emb2 = linalg.kernel_embedding(np.vstack([np.zeros((1, 2)), np.eye(2)]))
     np.testing.assert_allclose(emb2.basis, np.eye(3)[:, :1], atol=1e-14)
+
+
+def _two_svd_rule_rejects(m, tol):
+    """The Hermiticity rule by its definition: two spectral norms."""
+    return linalg.operator_norm(m - m.conj().T) > tol * max(linalg.operator_norm(m), 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 8),
+    c=st.sampled_from([0.001, 0.5, 0.99, 1.01, 2.0]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_hermitian_gate_keeps_the_two_svd_verdict(seed, n, c, scale):
+    # an HPD matrix h plus an anti-Hermitian part k with ||m - m*|| = ||2k||
+    # = c * tol * max(||h||, 1): around c = 1 only the SVDs can decide
+    tol = linalg.RANK_RTOL
+    rng = np.random.default_rng(seed)
+    b = linalg.ginibre(rng, n, n)
+    h = scale * (b @ b.conj().T + np.eye(n))
+    a = linalg.ginibre(rng, n, n)
+    k = a - a.conj().T
+    if n:
+        k *= c * tol * max(linalg.operator_norm(h), 1.0) / (2 * linalg.operator_norm(k))
+    m = h + k
+    rejects = _two_svd_rule_rejects(m, tol)
+    for call in (lambda: linalg.hermitian_eig(m), lambda: linalg.solve_hpd(m, np.eye(n))):
+        if rejects:
+            with pytest.raises(NotHermitian):
+                call()
+        else:
+            call()
+
+
+def test_hermitian_gate_runs_no_svd_on_hermitian_input(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(4)
+    b = linalg.ginibre(rng, 6, 6)
+    m = b @ b.conj().T + np.eye(6)
+    m = 0.5 * (m + m.conj().T)
+    linalg.hermitian_eig(m)
+    linalg.solve_hpd(m, np.eye(6))
+    assert calls == []
+    # a matrix the cheap test cannot settle still goes to the SVD rule
+    with pytest.raises(NotHermitian):
+        linalg.hermitian_eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert calls

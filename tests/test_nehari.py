@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rclift import generators, hardy, lifting, nehari, redheffer, schur
 from rclift.errors import HankelNotStrict
-from rclift.linalg import adj, eye, inv_hpd, operator_norm, psd_sqrt, zeros
+from rclift.linalg import adj, eye, ginibre, inv_hpd, operator_norm, psd_sqrt, zeros
 
 SCALAR = nehari.NehariProblem(2, 1, 1, (np.array([[0.5]]),))
 
@@ -98,6 +98,37 @@ def test_gram_matches_hankel_defect(seed):
     np.testing.assert_allclose(
         nehari.gram(p), eye(a.shape[1]) - adj(a) @ a, atol=1e-10
     )
+
+
+def random_taps_problem(seed, u, y, n_w, k):
+    """Problem with k Ginibre taps scaled by 0.3; any port may be zero."""
+    rng = np.random.default_rng(seed)
+    return nehari.NehariProblem(n_w, u, y, tuple(0.3 * ginibre(rng, y, u) for _ in range(k)))
+
+
+# (u, y, N, K): K > N, K = 0, N = 1, u = 0, y = 0
+EDGE_SHAPES = [(2, 3, 2, 5), (1, 1, 1, 4), (2, 2, 3, 0), (3, 2, 1, 3), (0, 2, 3, 3), (2, 0, 3, 3)]
+
+
+@pytest.mark.parametrize("u,y,n_w,k", EDGE_SHAPES)
+def test_gram_matches_hankel_defect_edge_shapes(u, y, n_w, k):
+    p = random_taps_problem(u + 10 * y + 100 * n_w + 1000 * k, u, y, n_w, k)
+    a = nehari.hankel(p)
+    assert operator_norm(nehari.gram(p) - (eye(a.shape[1]) - adj(a) @ a)) <= 1e-13
+
+
+def test_coefficients_builds_the_gram_once(monkeypatch):
+    calls = []
+    real = nehari.gram
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(nehari, "gram", counted)
+    rng = np.random.default_rng(5)
+    nehari.coefficients(generators.random_nehari_problem(rng, 2, 2, 3, 4, 0.8))
+    assert len(calls) == 1
 
 
 def test_lambda_cross_cases():
@@ -271,10 +302,40 @@ def test_solve_h_pure_input_direction_zero_taps():
     assert all(operator_norm(c) < 1e-14 for c in h.coeffs)
 
 
+def dense_l_norm(p, h):
+    """Norm of the truncated combined operator, assembled block by block."""
+    n_w, u, y, k = p.n_window, p.u_dim, p.y_dim, p.k_taps
+    deg = h.degree
+    rows = k + deg + 1
+    out = zeros(rows * y, n_w * u)
+    for idx, i in enumerate(range(-k, deg + 1)):
+        for j in range(1, n_w + 1):
+            m = i - j + 1
+            if m >= 0:
+                block = h.coeffs[m]
+            elif -m <= k:
+                block = p.tap(-m)
+            else:
+                block = zeros(y, u)
+            out[idx * y : (idx + 1) * y, (j - 1) * u : j * u] = block
+    return operator_norm(out)
+
+
+@pytest.mark.parametrize("deg", [0, 1, 40])
+@pytest.mark.parametrize("u,y,n_w,k", EDGE_SHAPES)
+def test_assemble_l_matches_dense_oracle(u, y, n_w, k, deg):
+    p = random_taps_problem(deg + 7 * k, u, y, n_w, k)
+    rng = np.random.default_rng(deg + 3)
+    h = hardy.TaylorSeries(tuple(0.2 * ginibre(rng, y, u) for _ in range(deg + 1)))
+    assert nehari.assemble_l(p, h).sigma_max == pytest.approx(dense_l_norm(p, h), rel=1e-12, abs=0)
+
+
 def test_assemble_l_rejects_oversized_coefficient():
     h = hardy.TaylorSeries((np.array([[2.0, ]]), ))
-    rep = nehari.assemble_l(nehari.NehariProblem(1, 1, 1, ()), h)
+    p = nehari.NehariProblem(1, 1, 1, ())
+    rep = nehari.assemble_l(p, h)
     assert rep.sigma_max >= 2.0
+    assert rep.sigma_max == pytest.approx(dense_l_norm(p, h), rel=1e-12)
     assert not rep.accepted()
 
 
