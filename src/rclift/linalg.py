@@ -152,19 +152,11 @@ def rank_from_singular_values(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
 
     The one rank rule of the package: callers that already hold the
     singular values of a matrix take its rank here instead of running a
-    second SVD through `matrix_rank`.
+    second SVD.
     """
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rtol * s[0]))
-
-
-def matrix_rank(m, rtol: float = RANK_RTOL) -> int:
-    """Rank with a relative singular-value cutoff."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0
-    return rank_from_singular_values(np.linalg.svd(m, compute_uv=False), rtol)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schur
-from .errors import CornerNotPD, DimensionMismatch, HankelNotStrict
+from .errors import CornerNotPD, DimensionMismatch, HankelNotStrict, NotPositiveDefinite
 from .hardy import TaylorSeries, series_mul, series_neumann
 from .lifting import LiftingDataSet
 from .redheffer import IsometryCertificate, Realization, isometry_certificate, solution_taylor
@@ -125,13 +125,8 @@ def gram(p: NehariProblem) -> np.ndarray:
     return 0.5 * (out + adj(out))
 
 
-def lambda_cross(p: NehariProblem, lam: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of the defect Gram; requires a strictly contractive Hankel.
-
-    `lam` is the Gram when the caller already holds it.
-    """
-    if lam is None:
-        lam = gram(p)
+def lambda_cross(lam: np.ndarray) -> np.ndarray:
+    """Inverse of the defect Gram `lam`; requires a strictly contractive Hankel."""
     min_eig = min_eig_hermitian(lam)
     if min_eig < GRAM_MIN_EIG:
         raise HankelNotStrict(
@@ -145,23 +140,25 @@ def _block(m: np.ndarray, i: int, j: int, u: int) -> np.ndarray:
     return m[(i - 1) * u : i * u, (j - 1) * u : j * u]
 
 
-def solve_g(p: NehariProblem, lam: np.ndarray | None = None) -> list[np.ndarray]:
+def solve_g(p: NehariProblem, lam: np.ndarray) -> list[np.ndarray]:
     """Solve the corner system for [G_1 ... G_{N-1}].
 
-    The (N-1)-corner of the Gram applied to the stacked adjoints must give
-    the stacked tap adjoints; empty for N = 1.  `lam` is the Gram when the
-    caller already holds it.
+    The (N-1)-corner of the defect Gram `lam` applied to the stacked
+    adjoints must give the stacked tap adjoints; empty for N = 1.  The
+    Cholesky factorisation of the corner is its positive-definiteness
+    gate.  After `lambda_cross` has accepted the Gram it cannot fire:
+    by eigenvalue interlacing the corner's smallest eigenvalue is at
+    least the Gram's, which is at least GRAM_MIN_EIG.
     """
-    n_w, u, y = p.n_window, p.u_dim, p.y_dim
+    n_w, u = p.n_window, p.u_dim
     if n_w == 1:
         return []
-    if lam is None:
-        lam = gram(p)
     corner = lam[: (n_w - 1) * u, : (n_w - 1) * u]
-    if min_eig_hermitian(corner) <= 0.0:
-        raise CornerNotPD("leading Gram corner is not positive definite")
     rhs = np.vstack([adj(p.tap(i)) for i in range(1, n_w)])
-    sol = solve_hpd(corner, rhs)
+    try:
+        sol = solve_hpd(corner, rhs)
+    except NotPositiveDefinite as exc:
+        raise CornerNotPD("leading Gram corner is not positive definite") from exc
     return [adj(sol[(i - 1) * u : i * u, :]) for i in range(1, n_w)]
 
 
@@ -188,7 +185,7 @@ def coefficients(p: NehariProblem) -> NehariCoefficients:
     """Derive every operator of the closed-form description."""
     n_w, u, y = p.n_window, p.u_dim, p.y_dim
     lam = gram(p)
-    lam_x = lambda_cross(p, lam)
+    lam_x = lambda_cross(lam)
     g_row = solve_g(p, lam)
 
     lam11 = _block(lam_x, 1, 1, u)
@@ -289,13 +286,14 @@ def assemble_l(p: NehariProblem, h: TaylorSeries) -> LContractionReport:
     return LContractionReport(sigma_max=float(np.sqrt(max(top, 0.0))))
 
 
-def hat_m_check(nc: NehariCoefficients, deg: int) -> IsometryCertificate:
+def hat_m_check(nc: NehariCoefficients, _deg: int) -> IsometryCertificate:
     """Isometry certificate of the full stacked operator M-hat.
 
     `redheffer.isometry_certificate` on the Nehari realization: three n x n
-    identities and the exact Gramian decide the whole operator, so `deg`
-    changes nothing.  It stays in the signature for the callers that pass
-    a degree: `rclift nehari --degree` and the benchmark's degree sweep.
+    identities and the exact Gramian decide the whole operator, so the
+    degree `_deg` changes nothing.  It stays in the signature for the
+    callers that pass a degree: `rclift nehari --degree` and the
+    benchmark's degree sweep.
     """
     return isometry_certificate(nc)
 

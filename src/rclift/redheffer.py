@@ -86,7 +86,6 @@ class RedhefferCoefficients(Realization):
 
     dd: DerivedData
     delta_q: np.ndarray
-    delta_r: np.ndarray
     delta_omega: np.ndarray
 
 
@@ -134,7 +133,6 @@ def build_coefficients(dd: DerivedData) -> RedhefferCoefficients:
         base=ds.a,
         dd=dd,
         delta_q=delta_q,
-        delta_r=delta_r,
         delta_omega=delta_omega,
     )
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rclift import generators, hardy, lifting, nehari, redheffer, schur
-from rclift.errors import HankelNotStrict
+from rclift.errors import CornerNotPD, HankelNotStrict
 from rclift.linalg import adj, eye, ginibre, inv_hpd, operator_norm, psd_sqrt, zeros
 
 SCALAR = nehari.NehariProblem(2, 1, 1, (np.array([[0.5]]),))
@@ -133,11 +133,11 @@ def test_coefficients_builds_the_gram_once(monkeypatch):
 
 def test_lambda_cross_cases():
     p0 = nehari.NehariProblem(2, 1, 2, ())
-    np.testing.assert_allclose(nehari.lambda_cross(p0), eye(2))
+    np.testing.assert_allclose(nehari.lambda_cross(nehari.gram(p0)), eye(2))
     np.testing.assert_allclose(
-        nehari.lambda_cross(SCALAR), np.diag([4.0 / 3.0, 1.0]), atol=1e-14
+        nehari.lambda_cross(nehari.gram(SCALAR)), np.diag([4.0 / 3.0, 1.0]), atol=1e-14
     )
-    lam_x = nehari.lambda_cross(SCALAR)
+    lam_x = nehari.lambda_cross(nehari.gram(SCALAR))
     u = SCALAR.u_dim
     for n in (1, 2):
         block = lam_x[(n - 1) * u : n * u, (n - 1) * u : n * u]
@@ -147,7 +147,7 @@ def test_lambda_cross_cases():
 def test_lambda_cross_rejects_unit_norm():
     p = nehari.NehariProblem(1, 1, 1, (np.array([[1.0]]),))
     with pytest.raises(HankelNotStrict):
-        nehari.lambda_cross(p)
+        nehari.lambda_cross(nehari.gram(p))
 
 
 def test_schur_complement_corner_identity():
@@ -155,7 +155,7 @@ def test_schur_complement_corner_identity():
     p = generators.random_nehari_problem(rng, 2, 2, 3, 4, 0.8)
     n_w, u = p.n_window, p.u_dim
     lam = nehari.gram(p)
-    lam_x = nehari.lambda_cross(p)
+    lam_x = nehari.lambda_cross(lam)
     corner_inv = np.linalg.inv(lam[: (n_w - 1) * u, : (n_w - 1) * u])
     upper = lam_x[: (n_w - 1) * u, : (n_w - 1) * u]
     col = lam_x[: (n_w - 1) * u, (n_w - 1) * u :]
@@ -166,19 +166,32 @@ def test_schur_complement_corner_identity():
 
 def test_solve_g_cases():
     p0 = nehari.NehariProblem(3, 1, 1, ())
-    assert all(operator_norm(g) == 0 for g in nehari.solve_g(p0))
-    np.testing.assert_allclose(nehari.solve_g(SCALAR)[0], np.array([[2.0 / 3.0]]))
+    assert all(operator_norm(g) == 0 for g in nehari.solve_g(p0, nehari.gram(p0)))
+    np.testing.assert_allclose(
+        nehari.solve_g(SCALAR, nehari.gram(SCALAR))[0], np.array([[2.0 / 3.0]])
+    )
     p1 = nehari.NehariProblem(1, 1, 1, (np.array([[0.4]]),))
-    assert nehari.solve_g(p1) == []
+    assert nehari.solve_g(p1, nehari.gram(p1)) == []
+
+
+@pytest.mark.parametrize(
+    "n_w, taps", [(2, (2.0,)), (3, (0.9, 0.9))], ids=["unit_tap_2", "taps_0.9_0.9"]
+)
+def test_solve_g_rejects_indefinite_corner(n_w, taps):
+    # the leading corner entry 1 - sum |F_-n|^2 is negative on both problems
+    p = nehari.NehariProblem(n_w, 1, 1, tuple(np.array([[t]]) for t in taps))
+    with pytest.raises(CornerNotPD):
+        nehari.solve_g(p, nehari.gram(p))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_solve_g_residual(seed):
     rng = np.random.default_rng(seed)
     p = generators.random_nehari_problem(rng, 2, 1, 4, 3, 0.8)
-    g_row = nehari.solve_g(p)
+    lam = nehari.gram(p)
+    g_row = nehari.solve_g(p, lam)
     n_w, u = p.n_window, p.u_dim
-    corner = nehari.gram(p)[: (n_w - 1) * u, : (n_w - 1) * u]
+    corner = lam[: (n_w - 1) * u, : (n_w - 1) * u]
     lhs = corner @ np.vstack([adj(g) for g in g_row])
     rhs = np.vstack([adj(p.tap(i)) for i in range(1, n_w)])
     assert operator_norm(lhs - rhs) < 1e-9

@@ -45,6 +45,44 @@ def test_unused_import_is_detected():
     assert _unused_imports(tree) == ["os"]
 
 
+def _unused_parameters(tree: ast.Module) -> list[str]:
+    """`function:parameter` for each parameter its function never reads;
+    names starting with an underscore are exempt (a signature may have to
+    keep a parameter that its body ignores)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{name}:{a}" for a in params if not a.startswith("_") and a not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert _unused_parameters(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_unused_parameter_is_detected():
+    tree = ast.parse(
+        "def f(a, b, _c, *args, d=1, **kw):\n"
+        "    def g(x):\n        return a + x\n"
+        "    return g(1) + len(kw)\n\n"
+        "h = lambda y, z: y\n"
+    )
+    assert sorted(_unused_parameters(tree)) == ["<lambda>:z", "f:args", "f:b", "f:d"]
+
+
 def _references(tree: ast.Module) -> set[str]:
     """Names a module reads or imports, leaving out each module-level
     definition's references to its own name (recursion is no use)."""
