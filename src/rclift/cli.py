@@ -11,16 +11,30 @@ schema error, 3 hypothesis violation (strictness), 4 generator failure.
 The default verification tolerance is 1e-6 and the default truncation
 degree 64; RCLIFT_TOL overrides the tolerance default.
 
-Every residual row carries the threshold its gate used.  The norm rows
-of solve and verify (`stacked_norm`, `combined_operator_norm`) measure a
-solution truncated at the degree (for verify, the smaller of `--degree`
-and the stored degree, for either problem kind), which bounds the full
-norm from below, so their gate is the plain `1 + tol`: a value above it
-refutes the solution, and a value at or below it means "not refuted",
-not certified.  No value read from the solution file enters a
-threshold, and a `tail_bound` key that older solution files carry is
-ignored.  Certified verdicts need tails the verifier computes itself,
-which wait on the exact tail certificates planned in ROADMAP.md.
+Every residual row carries the threshold its gate used, and the solve
+and verify reports carry a `certificate`: "certified", "refuted" or
+"uncertified".  Exit code 1 means refuted; certified and uncertified
+both exit 0.  Uncertified gets no exit code of its own while Nehari
+solutions are coefficient files, which can never be certified.
+
+A lifting solution written by `solve` is a state-space realization, and
+`hardy.certify_interpolant` checks it exactly: every row is an upper
+bound on the full, untruncated residual (`stacked_norm` on the norm of
+the whole solution), computed from one Stein Gramian and widened by its
+roundoff bound.  The certificate is "certified" when every row is within
+its threshold, and "refuted" when a row's lower end, widened the other
+way, is past it; a row whose two ends straddle its threshold reads
+`passed: false` under an "uncertified" certificate.  When the
+realization's state matrix is not stable, it is expanded to `--degree`
+coefficients and checked as a coefficient file.  A coefficient file (a
+lifting solution without `tail`, or any Nehari solution) is checked
+truncated at the smaller of `--degree` and the stored degree.
+Truncation bounds the full norm and residuals from below, so a row above
+its threshold (`1 + tol` for the norm rows `stacked_norm` and
+`combined_operator_norm`) refutes the solution, and rows within it give
+"uncertified", never "certified".  No value read from the solution file
+enters a threshold, and a `tail_bound` key that older solution files
+carry is ignored.
 
 The `nehari` report truncates nothing, so it does not depend on
 `--degree`, which it accepts and ignores, and it takes no `--tol`;
@@ -159,17 +173,22 @@ def _load_parameter(args, in_dim: int, out_dim: int) -> schur.SchurParameter:
     return v
 
 
-def _solution_rows(obj, sol, deg: int, tol: float) -> tuple[list[dict], bool]:
-    """Residual rows of a solution against its instance, and the verdict."""
+def _solution_rows(obj, sol, deg: int, tol: float) -> tuple[list[dict], str]:
+    """Residual rows of a solution against its instance, and the
+    certificate status: "certified", "refuted" or "uncertified"."""
     if isinstance(obj, nehari.NehariProblem):
         rep = nehari.assemble_l(obj, sol)
-        return [_row("combined_operator_norm", rep.sigma_max, 1.0 + tol)], rep.accepted(tol)
-    rep = hardy.verify_interpolant(obj, sol, deg, tol=tol)
+        status = "uncertified" if rep.accepted(tol) else "refuted"
+        return [_row("combined_operator_norm", rep.sigma_max, 1.0 + tol)], status
+    if isinstance(sol, hardy.SolutionRealization):
+        rep = hardy.certify_interpolant(obj, sol, deg, tol=tol)
+    else:
+        rep = hardy.verify_interpolant(obj, sol, min(deg, sol.degree), tol=tol)
     return [
         _row("projection_onto_target", rep.projection_residual, tol),
         _row("dilation_intertwining", rep.intertwining_residual, tol),
         _row("stacked_norm", rep.sigma_max, 1.0 + tol),
-    ], rep.passed
+    ], rep.status
 
 
 def cmd_solve(args) -> int:
@@ -184,8 +203,9 @@ def cmd_solve(args) -> int:
         dd = lifting.derive(obj)
         dd.require_strict()
         rc = redheffer.build_coefficients(dd)
-        sol = redheffer.solution_taylor(rc, _load_parameter(args, rc.kq_dim, rc.w_dim), deg)
-    rows, ok = _solution_rows(obj, sol, deg, tol)
+        sol = redheffer.solution_realization(rc, _load_parameter(args, rc.kq_dim, rc.w_dim))
+    rows, status = _solution_rows(obj, sol, deg, tol)
+    ok = status != "refuted"
     if is_nehari:
         rows.append(_row("state_spectral_radius", rc.r_spec_x1, 1.0, rc.r_spec_x1 < 1.0))
     report = {
@@ -193,6 +213,7 @@ def cmd_solve(args) -> int:
         "instance": _instance_digest(obj),
         "residuals": rows,
         "degree": deg,
+        "certificate": status,
         "passed": ok,
     }
     if is_nehari:
@@ -211,12 +232,13 @@ def cmd_verify(args) -> int:
         sol = hardy.TaylorSeries(sol.coeffs[: args.degree + 1])
     else:
         sol = serialize.lifting_solution_from_json(sol_doc)
-    deg = min(args.degree, sol.degree)
-    rows, ok = _solution_rows(obj, sol, deg, tol)
+    rows, status = _solution_rows(obj, sol, args.degree, tol)
+    ok = status != "refuted"
     _emit(args, {
         "command": "verify",
         "instance": _instance_digest(obj),
         "residuals": rows,
+        "certificate": status,
         "passed": ok,
     })
     return EXIT_PASS if ok else EXIT_FAIL

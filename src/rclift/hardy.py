@@ -5,17 +5,32 @@ their Taylor coefficients at zero.  A function with a state-space
 realization {Z, B, C, D} has transfer coefficients [D, CB, CZB, ...] and
 observability coefficients [C, CZ, CZ^2, ...]; multiplication operators
 become block lower-triangular Toeplitz matrices on coefficient space.
+
+A lifting solution comes either as leading Taylor coefficients
+(`SolutionTaylor`), which `verify_interpolant` checks truncated, or with
+a state-space tail (`SolutionRealization`), which `certify_interpolant`
+checks whole through one Stein Gramian.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lifting
 from .errors import DimensionMismatch
-from .linalg import adj, cmatrix, eye, operator_norm, psd_sqrt_and_range, zeros
+from .linalg import (
+    adj,
+    cmatrix,
+    eye,
+    observability_gramian,
+    operator_norm,
+    psd_sqrt_and_range,
+    spectral_radius,
+    zeros,
+)
 
 
 @dataclass(frozen=True)
@@ -131,6 +146,42 @@ class SolutionTaylor:
         return np.vstack((self.a_part,) + self.gamma_coeffs)
 
 
+@dataclass(frozen=True)
+class SolutionRealization:
+    """Contractive interpolant whose Hardy-space block is a state-space formula.
+
+    The Hardy-space block is
+    Gamma(lam) = sum_{k<m} Gamma_k lam^k + lam^m C (I - lam A)^-1 B with
+    gamma_coeffs = (Gamma_0, ..., Gamma_{m-1}), so its Taylor coefficients
+    past the listed ones are Gamma_k = C A^(k-m) B.  The matrices are
+    taken as they are (complex 2-d arrays, as the JSON reader and the
+    closed loop make them); only their shapes are checked.
+    """
+
+    a_part: np.ndarray
+    gamma_coeffs: tuple[np.ndarray, ...]
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    def __post_init__(self):
+        n = self.a.shape[0]
+        if (self.a.shape != (n, n) or self.b.shape != (n, self.a_part.shape[1])
+                or self.c.shape[1] != n):
+            raise DimensionMismatch("tail matrices disagree with each other or with a_part")
+        if any(g.shape != (self.c.shape[0], self.a_part.shape[1]) for g in self.gamma_coeffs):
+            raise DimensionMismatch("gamma coefficient dimensions disagree with the tail")
+
+    def taylor(self, deg: int) -> SolutionTaylor:
+        """The solution truncated to the coefficients Gamma_0..Gamma_deg."""
+        gammas = list(self.gamma_coeffs[: deg + 1])
+        cur = self.b
+        while len(gammas) <= deg:
+            gammas.append(self.c @ cur)
+            cur = self.a @ cur
+        return SolutionTaylor(a_part=self.a_part, gamma_coeffs=tuple(gammas))
+
+
 def transfer_taylor(sys: SystemRealization, deg: int) -> TaylorSeries:
     """Taylor coefficients [D, CB, CZB, CZ^2 B, ...] of the transfer function."""
     coeffs = [sys.d_s]
@@ -206,14 +257,31 @@ def series_neumann(s: list[np.ndarray], deg: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class InterpolantReport:
-    """Residuals of the contractive-interpolant conditions for one solution."""
+    """Residuals of the contractive-interpolant conditions for one solution.
+
+    `status` is "refuted" when a residual proves that the solution is
+    none, "certified" when all three are proven within their thresholds,
+    and "uncertified" otherwise; a truncated check can refute but never
+    certify.
+    """
 
     projection_residual: float
     intertwining_residual: float
     sigma_max: float
     tol: float
-    passed: bool
+    status: str
     checks: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        """Whether the solution is not refuted."""
+        return self.status != "refuted"
+
+
+def _defect_coords(ds: lifting.LiftingDataSet) -> np.ndarray:
+    """E_T* D_T': H' into the defect coordinates of the dilation of T'."""
+    d_t, e_t = psd_sqrt_and_range(eye(ds.dim_h_prime) - adj(ds.t_prime) @ ds.t_prime)
+    return e_t.coords(d_t)
 
 
 def verify_interpolant(
@@ -222,7 +290,8 @@ def verify_interpolant(
     deg: int,
     tol: float = 1e-6,
 ) -> InterpolantReport:
-    """Check the two interpolation identities and contractivity of a solution.
+    """Check the two interpolation identities and contractivity of a
+    solution truncated at `deg`.
 
     The three reported numbers are (i) the distance of the base block from
     the target operator, (ii) the intertwining residual ||(U' b) R - b Q||
@@ -231,12 +300,12 @@ def verify_interpolant(
     `deg`.  U' acts on H' plus deg+1 Taylor slots of defect vectors, so it
     is applied as the shift it is, never formed: U' b stacks T' b_H',
     (E_T* D_T') b_H' and the slots 0..deg-1 of b moved up one slot, the top
-    slot overflowing out of the truncation.  The solution passes when (i),
-    (ii) <= tol and (iii) <= 1 + tol.  The truncated stack keeps a subset
-    of the rows of the full solution, so (iii) bounds its norm from below:
-    passing means "not refuted".  Certifying the full norm needs a tail
-    the verifier computes itself, which waits on the exact tail
-    certificates planned in ROADMAP.md.
+    slot overflowing out of the truncation.  The truncation keeps a subset
+    of the rows of the full solution and of the full residual, so (ii) and
+    (iii) bound their full values from below: the solution is "refuted"
+    when (i) or (ii) exceeds tol or (iii) exceeds 1 + tol, and
+    "uncertified" otherwise.  `certify_interpolant` decides a solution in
+    state-space form exactly.
     """
     if deg < 0:
         raise ValueError("deg must be nonnegative")
@@ -248,15 +317,15 @@ def verify_interpolant(
         raise DimensionMismatch("a_part shape disagrees with the data set")
     b = np.vstack((sol.a_part,) + sol.gamma_coeffs[: deg + 1])
     h = ds.dim_h_prime
-    d_t, e_t = psd_sqrt_and_range(eye(h) - adj(ds.t_prime) @ ds.t_prime)
-    dt = e_t.dim
+    defect = _defect_coords(ds)
+    dt = defect.shape[0]
     n = h + dt * (deg + 1)
     if n != b.shape[0]:
         raise DimensionMismatch(
             "defect dimension of the solution disagrees with the data set"
         )
     top = b[:h]
-    u_prime_b = np.vstack([ds.t_prime @ top, e_t.coords(d_t) @ top, b[h:n - dt]])
+    u_prime_b = np.vstack([ds.t_prime @ top, defect @ top, b[h:n - dt]])
     res_a = operator_norm(sol.a_part - ds.a)
     res_int = operator_norm(u_prime_b @ ds.r - b @ ds.q)
     sigma = operator_norm(b)
@@ -272,6 +341,85 @@ def verify_interpolant(
         intertwining_residual=res_int,
         sigma_max=sigma,
         tol=tol,
-        passed=passed,
+        status="uncertified" if passed else "refuted",
         checks=checks,
+    )
+
+
+def _root_of_max_eig(m: np.ndarray, err: float) -> tuple[float, float]:
+    """Upper and lower ends of sqrt(lambda_max) of a PSD matrix whose
+    computed form is within err of it in norm."""
+    lam = float(np.linalg.eigvalsh(0.5 * (m + adj(m)))[-1]) if m.size else 0.0
+    return math.sqrt(max(lam + err, 0.0)), math.sqrt(max(lam - err, 0.0))
+
+
+def certify_interpolant(
+    ds: lifting.LiftingDataSet,
+    sol: SolutionRealization,
+    deg: int,
+    tol: float = 1e-6,
+) -> InterpolantReport:
+    """Decide the three conditions of `verify_interpolant` on the full,
+    untruncated solution.
+
+    Past the m listed coefficients Gamma_k = C A^(k-m) B, so with the
+    observability Gramian P = A* P A + C* C every infinite sum is finite:
+
+    * ||b||^2 = lambda_max(a_part* a_part + sum_{k<m} Gamma_k* Gamma_k
+      + B* P B);
+    * the residual (U' b) R - b Q has the explicit rows T' a_part R -
+      a_part Q on H', E_T* D_T' a_part R - Gamma_0 Q in slot 0 and
+      Gamma_(k-1) R - Gamma_k Q in slots k = 1..m (Gamma_m = C B); slot
+      m+1+j is C A^j Y with Y = B R - A B Q, whose rows sum to the Gram
+      Y* P Y.  Its squared norm is lambda_max of the explicit rows' Gram
+      plus Y* P Y.
+
+    Both squared values are widened both ways by the Stein roundoff bound
+    of P (`linalg.SteinGramian`); the reported values are the upper ends.
+    The status is "certified" when every upper end is within its threshold
+    (tol, tol, 1 + tol), "refuted" when a lower end, or the exact
+    projection residual, is past one, and "uncertified" otherwise.  When
+    A is not stable, or its Stein doubling does not settle, there is no
+    Gramian: the solution is expanded to `deg` and checked by
+    `verify_interpolant`, which can refute but not certify.
+    """
+    if sol.a_part.shape != ds.a.shape:
+        raise DimensionMismatch("a_part shape disagrees with the data set")
+    defect = _defect_coords(ds)
+    if sol.c.shape[0] != defect.shape[0]:
+        raise DimensionMismatch(
+            "defect dimension of the solution disagrees with the data set"
+        )
+    gram = observability_gramian(sol.a, sol.c) if spectral_radius(sol.a) < 1.0 else None
+    if gram is None:
+        return verify_interpolant(ds, sol.taylor(deg), deg, tol=tol)
+    r, q = ds.r, ds.q
+    gammas = sol.gamma_coeffs + (sol.c @ sol.b,)
+    shifted = (defect @ sol.a_part,) + gammas[:-1]
+    rows = np.vstack(
+        [ds.t_prime @ sol.a_part @ r - sol.a_part @ q]
+        + [s @ r - g @ q for s, g in zip(shifted, gammas)]
+    )
+    y = sol.b @ r - sol.a @ (sol.b @ q)
+    head = np.vstack((sol.a_part,) + sol.gamma_coeffs)
+    res_int, floor_int = _root_of_max_eig(
+        adj(rows) @ rows + adj(y) @ gram.p @ y, gram.stein_residual * gram.weight(y)
+    )
+    sigma, floor_sigma = _root_of_max_eig(
+        adj(head) @ head + adj(sol.b) @ gram.p @ sol.b,
+        gram.stein_residual * gram.weight(sol.b),
+    )
+    res_a = operator_norm(sol.a_part - ds.a)
+    if res_a > tol or floor_int > tol or floor_sigma > 1.0 + tol:
+        status = "refuted"
+    elif res_int <= tol and sigma <= 1.0 + tol:
+        status = "certified"
+    else:
+        status = "uncertified"
+    return InterpolantReport(
+        projection_residual=res_a,
+        intertwining_residual=res_int,
+        sigma_max=sigma,
+        tol=tol,
+        status=status,
     )

@@ -6,7 +6,8 @@ T' A R = A Q and the defect ordering R*R <= Q*Q.  The minimal isometric
 dilation of T' is always the canonical one acting on H' plus a Hardy space
 of defect vectors; `hardy.verify_interpolant` applies it as a shift on
 the Hardy part truncated at a finite degree, with the overflow row
-discarded.
+discarded, and `hardy.certify_interpolant` sums the shifted rows of a
+solution in state-space form exactly.
 
 Derived material: defect operators D_A, D_T', the gap root
 D0 = (Q*Q - R*R)^(1/2), the stacked operator J = [D0; D_T' A R], the
@@ -35,6 +36,7 @@ from .linalg import (
     operator_norm,
     psd_sqrt_and_range,
     range_embedding,
+    solve_hpd,
 )
 
 # Strictness margin: the strict pipeline requires ||A|| <= 1 - STRICT_DELTA
@@ -248,7 +250,5 @@ def left_inverse_dar(dd: DerivedData) -> np.ndarray:
     dd.require_strict()
     ds = dd.ds
     dar = dd.d_a @ ds.r
-    from .linalg import solve_hpd
-
     return solve_hpd(adj(dar) @ dar, adj(dar))
 

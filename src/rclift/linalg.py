@@ -90,17 +90,22 @@ def _require_hermitian(m: np.ndarray, tol: float, message: str) -> None:
         raise NotHermitian(message)
 
 
+def _hermitian_part(m, tol: float) -> np.ndarray:
+    """(m + m*) / 2 of a square matrix that passes the Hermiticity gate."""
+    m = cmatrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected square matrix, got {m.shape}")
+    _require_hermitian(m, tol, f"anti-Hermitian part exceeds {tol:g} * ||m||")
+    return 0.5 * (m + adj(m))
+
+
 def hermitian_eig(m: np.ndarray, tol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, with a Hermiticity check.
 
     Returns (w, v) with m = v @ diag(w) @ v*.  Raises NotHermitian when the
     anti-Hermitian part exceeds tol * ||m||.
     """
-    m = cmatrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got {m.shape}")
-    _require_hermitian(m, tol, f"anti-Hermitian part exceeds {tol:g} * ||m||")
-    w, v = np.linalg.eigh(0.5 * (m + adj(m)))
+    w, v = np.linalg.eigh(_hermitian_part(m, tol))
     return w, v.astype(complex)
 
 
@@ -134,9 +139,7 @@ def solve_hpd(m, b) -> np.ndarray:
         return b.copy()
     try:
         factor = scipy.linalg.cho_factor(0.5 * (m + adj(m)), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - alias in scipy
+    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is the same class
         raise NotPositiveDefinite(str(exc)) from exc
     return scipy.linalg.cho_solve(factor, b)
 
@@ -299,11 +302,76 @@ def min_singular_value(m) -> float:
 
 
 def min_eig_hermitian(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix; +inf when 0-dimensional."""
-    w, _ = hermitian_eig(m)
-    if w.size == 0:
+    """Smallest eigenvalue of a Hermitian matrix; +inf when 0-dimensional.
+
+    The same Hermiticity gate as `hermitian_eig`, but no eigenvectors.
+    """
+    h = _hermitian_part(m, RANK_RTOL)
+    if h.shape[0] == 0:
         return float("inf")
-    return float(w[0])
+    return float(np.linalg.eigvalsh(h)[0])
+
+
+# --- Stein equations ----------------------------------------------------------
+
+STEIN_MAX_DOUBLINGS = 64  # a^(2^64) is past any stable transient
+
+
+def _stein(a: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve X = a* X a + q for a stack of Hermitian q by Smith doubling.
+
+    X is the sum of a*^t q a^t; after k doublings it holds the terms up to
+    t = 2^k - 1, and each doubling squares a.  The sum stops once the
+    squared norm of a is below machine epsilon or after
+    STEIN_MAX_DOUBLINGS; what it leaves out shows in the Stein residual
+    ||a* X a + q - X||, returned with X, which every bound built on X
+    carries.
+    """
+    x, power = qs, a
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is caught below
+        for _ in range(STEIN_MAX_DOUBLINGS):
+            x = x + adj(power) @ x @ power
+            power = power @ power
+            if not np.linalg.norm(power) ** 2 > np.finfo(float).eps:
+                break
+    if not np.all(np.isfinite(x)):
+        return x, np.full(len(qs), np.inf)
+    x = 0.5 * (x + np.swapaxes(x, -1, -2).conj())
+    return x, np.array([operator_norm(adj(a) @ xk @ a + q - xk) for xk, q in zip(x, qs)])
+
+
+@dataclass(frozen=True)
+class SteinGramian:
+    """Observability Gramian P = a* P a + c* c, with its roundoff bound.
+
+    The exact Gramian is the computed `p` plus sum_t a*^t Delta a^t, Delta
+    the Stein residual of `p` (norm `stein_residual`), so its error seen
+    through b1* (.) b2 is at most
+    ||Delta|| sqrt(weight(b1) weight(b2)), where `weight(b)` bounds
+    ||b* W b|| for the exact W = a* W a + I, a second Stein equation solved
+    alongside P (`w`, with Stein residual `w_residual` < 1).
+    """
+
+    p: np.ndarray
+    stein_residual: float
+    w: np.ndarray
+    w_residual: float
+
+    def weight(self, b: np.ndarray) -> float:
+        """||b* W b|| for the exact W, which is at most b* w b / (1 - ||Delta_W||)."""
+        return operator_norm(adj(b) @ self.w @ b) / (1.0 - self.w_residual)
+
+
+def observability_gramian(a: np.ndarray, c: np.ndarray) -> SteinGramian | None:
+    """The Gramian of (a, c) by Smith doubling, or None when the doubling
+    does not settle (its residuals are not finite, or the one of W is not
+    below 1).  Callers check that a is stable first: the doubling of an
+    unstable a may stop on a finite but meaningless sum.
+    """
+    (p, w), (stein_p, stein_w) = _stein(a, np.stack([adj(c) @ c, eye(a.shape[0])]))
+    if not (stein_w < 1.0 and np.isfinite(stein_p)):
+        return None
+    return SteinGramian(p, float(stein_p), w, float(stein_w))
 
 
 # --- seeded random material -------------------------------------------------

@@ -244,9 +244,9 @@ class LContractionReport:
     `sigma_max` is a lower bound on the full norm.  `accepted` therefore
     means "not refuted": a truncated norm above 1 + tol proves that the
     coefficients are no solution, and nothing read from the solution can
-    widen that threshold.  Certifying the
-    full norm needs a tail the verifier computes itself, which waits on the
-    exact tail certificates planned in ROADMAP.md.
+    widen that threshold.  Certifying the full norm waits on Nehari
+    solutions written as realizations, as lifting solutions are
+    (`hardy.certify_interpolant`).
     """
 
     sigma_max: float

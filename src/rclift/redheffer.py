@@ -29,13 +29,20 @@ import numpy as np
 
 from . import schur
 from .errors import DimensionMismatch, NotClassicalShape, ResolventSingular
-from .hardy import SolutionTaylor, TaylorSeries, mult_matrix, observability_matrix
+from .hardy import (
+    SolutionRealization,
+    SolutionTaylor,
+    TaylorSeries,
+    mult_matrix,
+    observability_matrix,
+)
 from .lifting import DerivedData, left_inverse_dar
 from .linalg import (
     adj,
     eye,
     inv_hpd,
     kernel_embedding,
+    observability_gramian,
     operator_norm,
     psd_sqrt,
     solve_hpd,
@@ -279,6 +286,20 @@ def closed_loop_realization(
     return a_cl, c_cl, e_cl
 
 
+def solution_realization(rc: Realization, v: schur.SchurParameter) -> SolutionRealization:
+    """The solution attached to a Schur parameter, in state-space form.
+
+    The base block is the realization's `base`; the Hardy-space block
+    C_cl (I - lam A_cl)^-1 E_cl is written Gamma_0 + lam C (I - lam A)^-1 B
+    with Gamma_0 = C_cl E_cl, A = A_cl, B = A_cl E_cl and C = C_cl: the
+    quadruple {A, B, C, D = Gamma_0} of a transfer function.
+    """
+    a_cl, c_cl, e_cl = closed_loop_realization(rc, v)
+    return SolutionRealization(
+        a_part=rc.base, gamma_coeffs=(c_cl @ e_cl,), a=a_cl, b=a_cl @ e_cl, c=c_cl
+    )
+
+
 def solution_taylor(
     rc: Realization, v: schur.SchurParameter, deg: int
 ) -> SolutionTaylor:
@@ -287,13 +308,7 @@ def solution_taylor(
     The base block is the realization's `base`; the Hardy-space block
     holds the closed-loop coefficients to degree deg.
     """
-    a_cl, c_cl, e_cl = closed_loop_realization(rc, v)
-    gammas = []
-    cur = e_cl
-    for _ in range(deg + 1):
-        gammas.append(c_cl @ cur)
-        cur = a_cl @ cur
-    return SolutionTaylor(a_part=rc.base, gamma_coeffs=tuple(gammas))
+    return solution_realization(rc, v).taylor(deg)
 
 
 # --- the stacked solution operator ----------------------------------------------
@@ -326,31 +341,6 @@ def assemble_m(rc: Realization, deg: int, extra: int = 16) -> np.ndarray:
             [m21, g22],
         ]
     )
-
-
-STEIN_MAX_DOUBLINGS = 64  # X1^(2^64) is past any stable transient
-
-
-def _stein(a: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve X = a* X a + q for a stack of Hermitian q by Smith doubling.
-
-    X is the sum of a*^t q a^t; after k doublings it holds the terms up to
-    t = 2^k - 1, and each doubling squares a.  The sum stops once the
-    squared norm of a is below machine epsilon or after
-    STEIN_MAX_DOUBLINGS; what it leaves out shows in the Stein residual
-    ||a* X a + q - X||, returned with X, which every bound built on X
-    carries.
-    """
-    x, power = qs, a
-    for _ in range(STEIN_MAX_DOUBLINGS):
-        x = x + adj(power) @ x @ power
-        power = power @ power
-        if not np.linalg.norm(power) ** 2 > np.finfo(float).eps:
-            break
-    if not np.all(np.isfinite(x)):
-        return x, np.full(len(qs), np.inf)
-    x = 0.5 * (x + np.swapaxes(x, -1, -2).conj())
-    return x, np.array([operator_norm(adj(a) @ xk @ a + q - xk) for xk, q in zip(x, qs)])
 
 
 @dataclass(frozen=True)
@@ -387,39 +377,32 @@ def isometry_certificate(rc: Realization) -> IsometryCertificate:
 
         D*D + X2* P X2 = I,   C*D + X1* P X2 = 0,   base*base + E* P E = I,
 
-    three identities of size at most n x n.  Roundoff: the exact Gramian
-    is the computed P plus sum_t X1*^t Delta X1^t, Delta the Stein
-    residual of P, so its error seen through B1* (.) B2 is at most
-    ||Delta|| sqrt(||B1* W B1|| ||B2* W B2||) with W = X1* W X1 + I, a
-    second Stein equation solved alongside P (and corrected for its own
-    residual).  That bound, for (X2, X2), (X1, X2) and (E, E), widens each
-    computed residual both ways; it is never added to the threshold.
+    three identities of size at most n x n.  Roundoff: the error of the
+    computed P seen through B1* (.) B2 is at most
+    ||Delta|| sqrt(||B1* W B1|| ||B2* W B2||) (`linalg.SteinGramian`).
+    That bound, for (X2, X2), (X1, X2) and (E, E), widens each computed
+    residual both ways; it is never added to the threshold.
     """
-    n = rc.x1.shape[0]
     if rc.r_spec_x1 >= 1.0:
         return IsometryCertificate(np.inf, 0.0, np.inf)
     c = np.vstack([rc.x3, rc.x4])
     d = np.vstack([zeros(rc.kq_dim, rc.w_dim), rc.x5])
-    (p, w), (stein, stein_w) = _stein(rc.x1, np.stack([adj(c) @ c, eye(n)]))
-    if not (stein_w < 1.0 and np.isfinite(stein)):
+    g = observability_gramian(rc.x1, c)
+    if g is None:
         return IsometryCertificate(np.inf, 0.0, np.inf)
-
-    def weight(b: np.ndarray) -> float:
-        # ||b* W b|| for the exact W, which is at most b* W b / (1 - ||Delta_W||)
-        return operator_norm(adj(b) @ w @ b) / (1.0 - stein_w)
-
-    w_x2 = weight(rc.x2)
+    p = g.p
+    w_x2 = g.weight(rc.x2)
     identities = (
         (adj(d) @ d + adj(rc.x2) @ p @ rc.x2 - eye(rc.w_dim), w_x2),
-        (adj(c) @ d + adj(rc.x1) @ p @ rc.x2, np.sqrt(weight(rc.x1) * w_x2)),
+        (adj(c) @ d + adj(rc.x1) @ p @ rc.x2, np.sqrt(g.weight(rc.x1) * w_x2)),
         (adj(rc.base) @ rc.base + adj(rc.e) @ p @ rc.e - eye(rc.e.shape[1]),
-         weight(rc.e)),
+         g.weight(rc.e)),
     )
-    computed = [(operator_norm(m), stein * gain) for m, gain in identities]
+    computed = [(operator_norm(m), g.stein_residual * gain) for m, gain in identities]
     return IsometryCertificate(
         residual=float(max(r + err for r, err in computed)),
         residual_floor=float(max(r - err for r, err in computed)),
-        stein_residual=float(stein),
+        stein_residual=g.stein_residual,
     )
 
 

@@ -7,6 +7,14 @@ shape is implied by the problem's port dimensions.  Solution readers
 ignore keys they do not use, such as the `tail_bound` that older solution
 files carry.
 
+A lifting solution holds `a_part` and a list `gamma` of matrix objects
+Gamma_0..Gamma_{m-1}, and may hold a `tail` object of matrices {a, b, c}:
+its Hardy-space block is then
+Gamma(lam) = sum_{k<m} Gamma_k lam^k + lam^m C (I - lam A)^-1 B.
+`rclift solve` writes m = 1, the quadruple {A, B, C, D = Gamma_0} of the
+closed loop.  A file without `tail` lists the leading Taylor coefficients
+of a truncated solution.
+
 Every written document is canonical JSON: keys sorted, no whitespace,
 floats in Python's shortest round-trip repr (0.1 is written `0.1`), and
 non-finite floats written as null, so a report is byte-stable for a fixed
@@ -24,7 +32,7 @@ import numpy as np
 
 from . import nehari, schur
 from .errors import ParseError
-from .hardy import SystemRealization, TaylorSeries
+from .hardy import SolutionRealization, SolutionTaylor, SystemRealization, TaylorSeries
 from .lifting import LiftingDataSet
 from .linalg import cmatrix
 
@@ -199,24 +207,34 @@ def nehari_solution_from_json(obj, u_dim: int, y_dim: int) -> TaylorSeries:
     return TaylorSeries(tuple(coeffs))
 
 
-def lifting_solution_to_json(sol, report: dict) -> dict:
-    return {
+TAIL_KEYS = ("a", "b", "c")
+
+
+def lifting_solution_to_json(sol: SolutionTaylor | SolutionRealization, report: dict) -> dict:
+    doc = {
         "kind": "lifting_solution",
         "a_part": matrix_to_json(sol.a_part),
         "gamma": [matrix_to_json(g) for g in sol.gamma_coeffs],
         "report": report,
     }
+    if isinstance(sol, SolutionRealization):
+        doc["tail"] = {k: matrix_to_json(getattr(sol, k)) for k in TAIL_KEYS}
+    return doc
 
 
-def lifting_solution_from_json(obj):
-    from .hardy import SolutionTaylor
-
+def lifting_solution_from_json(obj) -> SolutionTaylor | SolutionRealization:
     try:
         a_part = matrix_from_json(obj["a_part"], "a_part")
-        gammas = [matrix_from_json(g, f"gamma[{i}]") for i, g in enumerate(obj["gamma"])]
+        gammas = tuple(matrix_from_json(g, f"gamma[{i}]") for i, g in enumerate(obj["gamma"]))
+        tail = obj.get("tail")
+        if tail is not None:
+            tail = [matrix_from_json(tail[k], f"tail.{k}") for k in TAIL_KEYS]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed lifting solution: {exc}") from exc
-    return SolutionTaylor(a_part=a_part, gamma_coeffs=tuple(gammas))
+    if tail is None:
+        return SolutionTaylor(a_part=a_part, gamma_coeffs=gammas)
+    a, b, c = tail
+    return SolutionRealization(a_part=a_part, gamma_coeffs=gammas, a=a, b=b, c=c)
 
 
 # --- canonical JSON ----------------------------------------------------------------

@@ -235,16 +235,29 @@ def _tamper_nehari_tap(tmp_path, capsys, bad):
     return ["validate", str(path)], "tap 0: "
 
 
-def _tamper_lifting_gamma(tmp_path, capsys, bad):
+def _tamper_lifting_solution(tmp_path, capsys, where, bad):
+    """Replace one entry of the matrix at doc path `where` of a solved file."""
     inst = tmp_path / "inst.json"
     sol = tmp_path / "sol.json"
     run(capsys, "gen", "--kind", "generic", "--dims", "4,3,2", "--seed", "2",
         "--norm", "0.75", "--out", str(inst))
     run(capsys, "solve", str(inst), "--central", "--degree", "3", "--out", str(sol))
     doc = json.loads(sol.read_text())
-    doc["gamma"][1]["data"][0] = bad
+    matrix = doc
+    for key in where:
+        matrix = matrix[key]
+    matrix["data"][0] = bad
     sol.write_text(json.dumps(doc))
-    return ["verify", str(inst), str(sol), "--degree", "3"], "gamma[1]: "
+    return ["verify", str(inst), str(sol), "--degree", "3"]
+
+
+def _tamper_lifting_gamma(tmp_path, capsys, bad):
+    # a solved file lists Gamma_0 only; its tail holds the rest
+    return _tamper_lifting_solution(tmp_path, capsys, ("gamma", 0), bad), "gamma[0]: "
+
+
+def _tamper_lifting_tail(tmp_path, capsys, bad):
+    return _tamper_lifting_solution(tmp_path, capsys, ("tail", "b"), bad), "tail.b: "
 
 
 def _tamper_nehari_h(tmp_path, capsys, bad):
@@ -263,8 +276,10 @@ def _tamper_nehari_h(tmp_path, capsys, bad):
                          ids=["string", "null", "nested", "short", "long", "numeric_string",
                               "bool"])
 @pytest.mark.parametrize("tamper", [_tamper_lifting_instance, _tamper_nehari_tap,
-                                    _tamper_lifting_gamma, _tamper_nehari_h],
-                         ids=["lifting_a", "nehari_tap", "lifting_gamma", "nehari_h"])
+                                    _tamper_lifting_gamma, _tamper_lifting_tail,
+                                    _tamper_nehari_h],
+                         ids=["lifting_a", "nehari_tap", "lifting_gamma", "lifting_tail",
+                              "nehari_h"])
 def test_malformed_matrix_entry_exits_2(tmp_path, capsys, tamper, bad):
     argv, where = tamper(tmp_path, capsys, bad)
     code, _, err = run(capsys, *argv)
@@ -300,3 +315,68 @@ def test_nehari_report_independent_of_degree(tmp_path, capsys):
     row = next(r for r in docs[0]["residuals"] if r["name"] == "stacked_isometry_residual")
     assert row["threshold"] == 1e-10
     assert row["passed"] and row["value"] <= 1e-10
+
+
+def _solved_lifting(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    run(capsys, "gen", "--kind", "generic", "--dims", "4,3,2", "--seed", "2",
+        "--norm", "0.75", "--out", str(inst))
+    code, _, _ = run(capsys, "solve", str(inst), "--central", "--degree", "3", "--out", str(sol))
+    assert code == 0
+    return inst, sol, json.loads(sol.read_text())
+
+
+def _scale_matrix(obj, factor):
+    obj["data"] = [[factor * re, factor * im] for re, im in obj["data"]]
+
+
+def test_solve_writes_a_certified_realization(tmp_path, capsys):
+    inst, sol, doc = _solved_lifting(tmp_path, capsys)
+    assert len(doc["gamma"]) == 1 and set(doc["tail"]) == {"a", "b", "c"}
+    assert doc["report"]["certificate"] == "certified"
+    code, out, _ = run(capsys, "verify", str(inst), str(sol))
+    report = json.loads(out)
+    assert code == 0 and report["certificate"] == "certified"
+    assert report["residuals"] == doc["report"]["residuals"]
+
+
+def _forge_gamma0(doc):
+    _scale_matrix(doc["gamma"][0], 1.5)
+
+
+def _forge_c(doc):
+    _scale_matrix(doc["tail"]["c"], 10.0)
+
+
+def _forge_unstable_a(doc):
+    _scale_matrix(doc["tail"]["a"], 50.0)
+
+
+def _forge_no_tail(doc):
+    del doc["tail"]
+
+
+@pytest.mark.parametrize("forge, expect", [
+    (_forge_gamma0, "refuted"),
+    (_forge_c, "refuted"),
+    (_forge_unstable_a, "not certified"),
+    (_forge_no_tail, "uncertified"),
+], ids=["gamma0_scaled", "c_scaled", "unstable_a", "no_tail"])
+def test_verify_forged_realization(tmp_path, capsys, forge, expect):
+    inst, sol, doc = _solved_lifting(tmp_path, capsys)
+    forge(doc)
+    sol.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(inst), str(sol), "--degree", "16")
+    report = json.loads(out)
+    status = report["certificate"]
+    assert code == (1 if status == "refuted" else 0)
+    assert report["passed"] is (code == 0)
+    if expect == "not certified":
+        assert status != "certified"
+    else:
+        assert status == expect
+    if forge is _forge_c:
+        # pushed past a contraction, not only off the intertwining
+        row = next(r for r in report["residuals"] if r["name"] == "stacked_norm")
+        assert row["value"] > row["threshold"] and not row["passed"]

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_lifting import sznagy_schaffer_truncated
 from test_schur import grid_certify
 
@@ -201,3 +204,121 @@ def test_verify_interpolant_memory_is_linear():
         tracemalloc.stop()
     assert rep.checks["dt_dim"] == h_prime
     assert peak < dense_bytes / 10
+
+
+# --- the exact certificate of a solution in state-space form -----------------------
+
+
+def _realized(seed):
+    ds = generators.generate_random("generic", (5, 4, 3), 0.8, seed)
+    rc = redheffer.build_coefficients(lifting.derive(ds))
+    v = schur.random_schur(rc.kq_dim, rc.w_dim, 2, seed + 1)
+    return ds, redheffer.solution_realization(rc, v)
+
+
+def _forge_gamma0(sol, factor):
+    return dataclasses.replace(sol, gamma_coeffs=(factor * sol.gamma_coeffs[0],))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("factor", [1.0, 1.5])
+def test_exact_values_bound_every_truncation(seed, factor):
+    # a truncation keeps a subset of the rows of the solution and of its
+    # residual, so the exact values bound every truncated one from above
+    # and meet them as the degree grows; factor 1.5 forges Gamma_0
+    ds, sol = _realized(seed)
+    sol = _forge_gamma0(sol, factor)
+    exact = hardy.certify_interpolant(ds, sol, 0)
+    for deg in (0, 1, 2, 4, 8, 16, 32, 64, 128):
+        trunc = hardy.verify_interpolant(ds, sol.taylor(deg), deg)
+        assert trunc.sigma_max <= exact.sigma_max + 1e-15
+        assert trunc.intertwining_residual <= exact.intertwining_residual + 1e-15
+        assert trunc.projection_residual == exact.projection_residual
+    assert abs(trunc.sigma_max - exact.sigma_max) <= 1e-12
+    assert abs(trunc.intertwining_residual - exact.intertwining_residual) <= 1e-12
+    assert exact.status == ("certified" if factor == 1.0 else "refuted")
+    if factor != 1.0:
+        assert exact.intertwining_residual > 0.01
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.5])
+def test_longer_head_gives_the_same_certificate(factor):
+    # the same function with m = 3 listed coefficients (tail B' = A^2 B),
+    # and a polynomial solution written with a zero-dimensional state
+    ds, sol = _realized(5)
+    sol = _forge_gamma0(sol, factor)
+    head = sol.taylor(2).gamma_coeffs
+    longer = dataclasses.replace(sol, gamma_coeffs=head, b=sol.a @ (sol.a @ sol.b))
+    one, three = (hardy.certify_interpolant(ds, s, 0) for s in (sol, longer))
+    assert one.status == three.status
+    assert abs(one.sigma_max - three.sigma_max) <= 1e-14
+    assert abs(one.intertwining_residual - three.intertwining_residual) <= 1e-14
+    n_in, n_out = sol.b.shape[1], sol.c.shape[0]
+    poly = dataclasses.replace(sol, gamma_coeffs=head, a=np.zeros((0, 0), complex),
+                               b=np.zeros((0, n_in), complex), c=np.zeros((n_out, 0), complex))
+    exact = hardy.certify_interpolant(ds, poly, 0)
+    trunc = hardy.verify_interpolant(ds, poly.taylor(3), 3)
+    assert exact.status == ("refuted" if trunc.status == "refuted" else "certified")
+    assert abs(exact.sigma_max - trunc.sigma_max) <= 1e-14
+    assert abs(exact.intertwining_residual - trunc.intertwining_residual) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10**6),
+    norm=st.sampled_from([0.99, 0.999, 0.9999]),
+    r_margin=st.sampled_from([1.0 + 1e-9, 1.001, 2.0, 1e3, None]),
+    forge=st.sampled_from([1.0, 1.0 + 1e-7, 1.0 + 1e-5, 1.5]),
+    forged_part=st.sampled_from(["gamma0", "c"]),
+)
+def test_near_strictness_boundary_never_wrongly_certified(seed, norm, r_margin, forge,
+                                                          forged_part):
+    # ||A|| -> 1 and sigma_min(R) -> STRICT_DELTA (R and Q scaled together,
+    # which keeps the constraints; None leaves them as drawn), honest and
+    # forged: a certified solution must pass every truncation, which
+    # bounds its residuals and norm from below.  With R and Q scaled down
+    # to 1e-6 even Gamma_0 * 1.5 leaves residuals within tol, so only the
+    # unscaled instances must refute it.
+    ds = generators.generate_random("generic", (4, 3, 2), norm, seed)
+    if r_margin is not None:
+        s = r_margin * lifting.STRICT_DELTA / linalg.min_singular_value(ds.r)
+        ds = lifting.LiftingDataSet(a=ds.a, t_prime=ds.t_prime, r=s * ds.r, q=s * ds.q)
+    rc = redheffer.build_coefficients(lifting.derive(ds))
+    sol = redheffer.solution_realization(rc, schur.random_schur(rc.kq_dim, rc.w_dim, 2, seed))
+    if forged_part == "gamma0":
+        sol = _forge_gamma0(sol, forge)
+    else:
+        sol = dataclasses.replace(sol, c=forge * sol.c)
+    rep = hardy.certify_interpolant(ds, sol, 64)
+    if rep.status == "certified":
+        deg = 256
+        assert hardy.verify_interpolant(ds, sol.taylor(deg), deg).passed
+    if forge == 1.5 and r_margin is None:
+        assert rep.status == "refuted"
+
+
+def test_unstable_tail_falls_back_to_truncation():
+    # no Gramian for rho(A) >= 1: the realization is expanded to the degree
+    # and checked truncated, which can refute but not certify
+    ds, sol = _realized(0)
+    rho = linalg.spectral_radius(sol.a)
+    for scale in (1.0 / rho, 1.2 / rho):
+        bad = dataclasses.replace(sol, a=scale * sol.a)
+        rep = hardy.certify_interpolant(ds, bad, 16)
+        assert rep.status != "certified"
+        assert rep.sigma_max == hardy.verify_interpolant(ds, bad.taylor(16), 16).sigma_max
+
+
+def test_certificate_rejects_wrong_defect_dimension():
+    ds, sol = _realized(1)
+    short = dataclasses.replace(sol, gamma_coeffs=(sol.gamma_coeffs[0][:-1],), c=sol.c[:-1])
+    with pytest.raises(DimensionMismatch, match="defect dimension"):
+        hardy.certify_interpolant(ds, short, 4)
+
+
+def test_realization_dimensions_are_checked():
+    _, sol = _realized(2)
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(sol, b=sol.b[:, :-1])
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(sol, gamma_coeffs=(sol.gamma_coeffs[0][:-1],))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -211,3 +212,39 @@ def test_hermitian_gate_runs_no_svd_on_hermitian_input(monkeypatch):
     with pytest.raises(NotHermitian):
         linalg.hermitian_eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_min_eig_hermitian_takes_no_eigenvectors(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    b = linalg.ginibre(rng, 7, 7)
+    m = b @ b.conj().T - 2.0 * np.eye(7)
+    expected = float(linalg.hermitian_eig(m)[0][0])
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert abs(linalg.min_eig_hermitian(m) - expected) <= 1e-12 * max(1.0, abs(expected))
+    assert linalg.min_eig_hermitian(np.zeros((0, 0))) == float("inf")
+    with pytest.raises(NotHermitian):
+        linalg.min_eig_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_observability_gramian_matches_lyapunov_solver(seed):
+    rng = np.random.default_rng(seed)
+    a = linalg.ginibre(rng, 6, 6)
+    a *= 0.9 / linalg.spectral_radius(a)
+    c = linalg.ginibre(rng, 2, 6)
+    g = linalg.observability_gramian(a, c)
+    oracle = scipy.linalg.solve_discrete_lyapunov(a.conj().T, c.conj().T @ c)
+    assert linalg.operator_norm(g.p - oracle) <= 1e-10 * linalg.operator_norm(oracle)
+    assert g.stein_residual <= 1e-12 * linalg.operator_norm(oracle)
+    # W = sum a*^t a^t, so b* W b is at least b* b
+    b = linalg.ginibre(rng, 6, 3)
+    assert g.weight(b) >= linalg.operator_norm(b.conj().T @ b)
+
+
+def test_observability_gramian_of_an_expanding_matrix_is_none():
+    assert linalg.observability_gramian(2.0 * np.eye(3), np.ones((1, 3))) is None

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from rclift import generators, nehari, schur, serialize
 from rclift.errors import ParseError
-from rclift.hardy import SolutionTaylor, TaylorSeries
+from rclift.hardy import SolutionRealization, SolutionTaylor, TaylorSeries
+from rclift.linalg import ginibre
 
 
 def test_matrix_roundtrip():
@@ -65,8 +66,34 @@ def test_solution_roundtrips():
 
     sol = SolutionTaylor(a_part=np.array([[0.2]]), gamma_coeffs=(np.array([[0.1]]),))
     doc2 = serialize.lifting_solution_to_json(sol, {"passed": True})
+    assert "tail" not in doc2
     back2 = serialize.lifting_solution_from_json(doc2)
     np.testing.assert_allclose(back2.a_part, sol.a_part)
+
+
+def test_realization_solution_roundtrips():
+    rng = np.random.default_rng(2)
+    real = SolutionRealization(
+        a_part=ginibre(rng, 2, 3), gamma_coeffs=(ginibre(rng, 4, 3),),
+        a=ginibre(rng, 5, 5), b=ginibre(rng, 5, 3), c=ginibre(rng, 4, 5),
+    )
+    doc = json.loads(serialize.canonical_json(serialize.lifting_solution_to_json(real, {})))
+    assert set(doc["tail"]) == {"a", "b", "c"}
+    back = serialize.lifting_solution_from_json(doc)
+    assert isinstance(back, SolutionRealization)
+    for name in ("a_part", "a", "b", "c"):
+        assert np.array_equal(getattr(back, name), getattr(real, name))
+    assert np.array_equal(back.gamma_coeffs[0], real.gamma_coeffs[0])
+
+
+@pytest.mark.parametrize("tail", [[], "abc", {"a": {}, "b": {}}], ids=["list", "string", "short"])
+def test_malformed_tail_raises(tail):
+    doc = serialize.lifting_solution_to_json(
+        SolutionTaylor(a_part=np.array([[0.2]]), gamma_coeffs=(np.array([[0.1]]),)), {}
+    )
+    doc["tail"] = tail
+    with pytest.raises(ParseError):
+        serialize.lifting_solution_from_json(doc)
 
 
 @pytest.mark.parametrize("bad", [

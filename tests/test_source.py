@@ -45,6 +45,34 @@ def test_unused_import_is_detected():
     assert _unused_imports(tree) == ["os"]
 
 
+def _function_local_imports(tree: ast.Module) -> list[str]:
+    """`function:module` for each import statement inside a function body."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Import):
+                found += [f"{node.name}:{a.name}" for a in inner.names]
+            elif isinstance(inner, ast.ImportFrom):
+                found.append(f"{node.name}:{'.' * inner.level}{inner.module or ''}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    assert _function_local_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_function_local_import_is_detected():
+    tree = ast.parse(
+        "import os\n\n"
+        "def f():\n    from .linalg import solve_hpd\n    return solve_hpd\n\n"
+        "class C:\n    def g(self):\n        import json\n        return json\n"
+    )
+    assert sorted(_function_local_imports(tree)) == ["f:.linalg", "g:json"]
+
+
 def _unused_parameters(tree: ast.Module) -> list[str]:
     """`function:parameter` for each parameter its function never reads;
     names starting with an underscore are exempt (a signature may have to
