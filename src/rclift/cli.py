@@ -23,12 +23,17 @@ bound on the full, untruncated residual (`stacked_norm` on the norm of
 the whole solution), computed from one Stein Gramian and widened by its
 roundoff bound.  The certificate is "certified" when every row is within
 its threshold, and "refuted" when a row's lower end, widened the other
-way, is past it; a row whose two ends straddle its threshold reads
-`passed: false` under an "uncertified" certificate.  When the
-realization's state matrix is not stable, it is expanded to `--degree`
-coefficients and checked as a coefficient file.  A coefficient file (a
-lifting solution without `tail`, or any Nehari solution) is checked
-truncated at the smaller of `--degree` and the stored degree.
+way but never below the part of the row that needs no Gramian, is past
+it; a row whose two ends straddle its threshold reads `passed: false`
+under an "uncertified" certificate.  An uncertified realization, and one
+whose state matrix is not stable, is also expanded to `--degree`
+coefficients and checked as a coefficient file, whose rows are reported
+when it refutes or when there is no exact check; coefficients that
+overflow floating point end `verify` with an error, exit code 1.
+
+A coefficient file (a lifting solution without `tail`, or any Nehari
+solution) is checked truncated at the smaller of `--degree` and the
+stored degree.
 Truncation bounds the full norm and residuals from below, so a row above
 its threshold (`1 + tol` for the norm rows `stacked_norm` and
 `combined_operator_norm`) refutes the solution, and rows within it give

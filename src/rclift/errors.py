@@ -49,5 +49,9 @@ class EmptySolutionSpace(RcliftError):
     solution; retry with another seed."""
 
 
+class NotFinite(RcliftError):
+    """A value overflowed floating point, so a check cannot be decided."""
+
+
 class ParseError(RcliftError):
     """A JSON instance, parameter, or solution file is malformed."""

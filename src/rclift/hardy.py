@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lifting
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotFinite
 from .linalg import (
     adj,
     cmatrix,
@@ -31,6 +31,10 @@ from .linalg import (
     spectral_radius,
     zeros,
 )
+
+
+def _all_finite(*ms: np.ndarray) -> bool:
+    return all(np.all(np.isfinite(m)) for m in ms)
 
 
 @dataclass(frozen=True)
@@ -176,9 +180,12 @@ class SolutionRealization:
         """The solution truncated to the coefficients Gamma_0..Gamma_deg."""
         gammas = list(self.gamma_coeffs[: deg + 1])
         cur = self.b
-        while len(gammas) <= deg:
-            gammas.append(self.c @ cur)
-            cur = self.a @ cur
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+            while len(gammas) <= deg:
+                gammas.append(self.c @ cur)
+                cur = self.a @ cur
+        if not _all_finite(*gammas):
+            raise NotFinite(f"the Taylor coefficients to degree {deg} overflow floating point")
         return SolutionTaylor(a_part=self.a_part, gamma_coeffs=tuple(gammas))
 
 
@@ -304,7 +311,8 @@ def verify_interpolant(
     of the rows of the full solution and of the full residual, so (ii) and
     (iii) bound their full values from below: the solution is "refuted"
     when (i) or (ii) exceeds tol or (iii) exceeds 1 + tol, and
-    "uncertified" otherwise.  `certify_interpolant` decides a solution in
+    "uncertified" otherwise.  A truncation that overflows floating point
+    raises NotFinite.  `certify_interpolant` decides a solution in
     state-space form exactly.
     """
     if deg < 0:
@@ -325,9 +333,13 @@ def verify_interpolant(
             "defect dimension of the solution disagrees with the data set"
         )
     top = b[:h]
-    u_prime_b = np.vstack([ds.t_prime @ top, defect @ top, b[h:n - dt]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_prime_b = np.vstack([ds.t_prime @ top, defect @ top, b[h:n - dt]])
+        residual = u_prime_b @ ds.r - b @ ds.q
+    if not _all_finite(residual):
+        raise NotFinite(f"the solution truncated at degree {deg} overflows floating point")
     res_a = operator_norm(sol.a_part - ds.a)
-    res_int = operator_norm(u_prime_b @ ds.r - b @ ds.q)
+    res_int = operator_norm(residual)
     sigma = operator_norm(b)
     checks = {
         "projection": res_a <= tol,
@@ -376,12 +388,17 @@ def certify_interpolant(
 
     Both squared values are widened both ways by the Stein roundoff bound
     of P (`linalg.SteinGramian`); the reported values are the upper ends.
-    The status is "certified" when every upper end is within its threshold
-    (tol, tol, 1 + tol), "refuted" when a lower end, or the exact
-    projection residual, is past one, and "uncertified" otherwise.  When
-    A is not stable, or its Stein doubling does not settle, there is no
-    Gramian: the solution is expanded to `deg` and checked by
-    `verify_interpolant`, which can refute but not certify.
+    The lower ends are at least the norms of the explicit rows and of
+    [a_part; Gamma_0..Gamma_(m-1)], which need no Gramian, so a
+    realization that widens the bound (large B on states C does not see)
+    cannot lower them.  The status is "certified" when every upper end is
+    within its threshold (tol, tol, 1 + tol), and "refuted" when a lower
+    end, or the exact projection residual, is past one.  Otherwise, and
+    when there is no exact verdict (A is not stable, its Stein doubling
+    does not settle, or a Gram overflows), the solution is also expanded
+    to `deg` and checked by `verify_interpolant`, so the verdict is never
+    weaker than that truncated check: its report is returned when it
+    refutes or when there is no exact one.
     """
     if sol.a_part.shape != ds.a.shape:
         raise DimensionMismatch("a_part shape disagrees with the data set")
@@ -390,25 +407,44 @@ def certify_interpolant(
         raise DimensionMismatch(
             "defect dimension of the solution disagrees with the data set"
         )
+    exact = _exact_report(ds, sol, defect, tol)
+    if exact is not None and exact.status != "uncertified":
+        return exact
+    truncated = verify_interpolant(ds, sol.taylor(deg), deg, tol=tol)
+    return exact if exact is not None and truncated.passed else truncated
+
+
+def _exact_report(
+    ds: lifting.LiftingDataSet,
+    sol: SolutionRealization,
+    defect: np.ndarray,
+    tol: float,
+) -> InterpolantReport | None:
+    """The exact verdict of `certify_interpolant`, or None without one."""
     gram = observability_gramian(sol.a, sol.c) if spectral_radius(sol.a) < 1.0 else None
     if gram is None:
-        return verify_interpolant(ds, sol.taylor(deg), deg, tol=tol)
+        return None
     r, q = ds.r, ds.q
-    gammas = sol.gamma_coeffs + (sol.c @ sol.b,)
-    shifted = (defect @ sol.a_part,) + gammas[:-1]
-    rows = np.vstack(
-        [ds.t_prime @ sol.a_part @ r - sol.a_part @ q]
-        + [s @ r - g @ q for s, g in zip(shifted, gammas)]
-    )
-    y = sol.b @ r - sol.a @ (sol.b @ q)
-    head = np.vstack((sol.a_part,) + sol.gamma_coeffs)
-    res_int, floor_int = _root_of_max_eig(
-        adj(rows) @ rows + adj(y) @ gram.p @ y, gram.stein_residual * gram.weight(y)
-    )
-    sigma, floor_sigma = _root_of_max_eig(
-        adj(head) @ head + adj(sol.b) @ gram.p @ sol.b,
-        gram.stein_residual * gram.weight(sol.b),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        gammas = sol.gamma_coeffs + (sol.c @ sol.b,)
+        shifted = (defect @ sol.a_part,) + gammas[:-1]
+        rows = np.vstack(
+            [ds.t_prime @ sol.a_part @ r - sol.a_part @ q]
+            + [s @ r - g @ q for s, g in zip(shifted, gammas)]
+        )
+        y = sol.b @ r - sol.a @ (sol.b @ q)
+        head = np.vstack((sol.a_part,) + sol.gamma_coeffs)
+        int_gram = adj(rows) @ rows + adj(y) @ gram.p @ y
+        sigma_gram = adj(head) @ head + adj(sol.b) @ gram.p @ sol.b
+    int_err = gram.stein_residual * gram.weight(y)
+    sigma_err = gram.stein_residual * gram.weight(sol.b)
+    if not (_all_finite(rows, head, int_gram, sigma_gram)
+            and math.isfinite(int_err) and math.isfinite(sigma_err)):
+        return None
+    res_int, floor_int = _root_of_max_eig(int_gram, int_err)
+    sigma, floor_sigma = _root_of_max_eig(sigma_gram, sigma_err)
+    floor_int = max(floor_int, operator_norm(rows))
+    floor_sigma = max(floor_sigma, operator_norm(head))
     res_a = operator_norm(sol.a_part - ds.a)
     if res_a > tol or floor_int > tol or floor_sigma > 1.0 + tol:
         status = "refuted"

@@ -358,8 +358,13 @@ class SteinGramian:
     w_residual: float
 
     def weight(self, b: np.ndarray) -> float:
-        """||b* W b|| for the exact W, which is at most b* w b / (1 - ||Delta_W||)."""
-        return operator_norm(adj(b) @ self.w @ b) / (1.0 - self.w_residual)
+        """||b* W b|| for the exact W, which is at most b* w b / (1 - ||Delta_W||);
+        inf when b* w b overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = adj(b) @ self.w @ b
+        if not np.all(np.isfinite(m)):
+            return float("inf")
+        return operator_norm(m) / (1.0 - self.w_residual)
 
 
 def observability_gramian(a: np.ndarray, c: np.ndarray) -> SteinGramian | None:

@@ -357,12 +357,38 @@ def _forge_no_tail(doc):
     del doc["tail"]
 
 
+def _pad_unobservable(doc):
+    # two stable states that C does not see, with rows of B near 1e20: the
+    # function is unchanged, but the roundoff bound of the Gramian grows
+    # with B past every threshold
+    tail = {k: serialize.matrix_from_json(v) for k, v in doc["tail"].items()}
+    n, extra = tail["a"].shape[0], 2
+    a = np.zeros((n + extra, n + extra), complex)
+    a[:n, :n], a[n:, n:] = tail["a"], 0.5 * np.eye(extra)
+    b = np.vstack([tail["b"], np.full((extra, tail["b"].shape[1]), 1e20)])
+    c = np.hstack([tail["c"], np.zeros((tail["c"].shape[0], extra))])
+    doc["tail"] = {k: serialize.matrix_to_json(m) for k, m in zip("abc", (a, b, c))}
+
+
+def _forge_padded_gamma0(doc):
+    _pad_unobservable(doc)
+    _forge_gamma0(doc)
+
+
+def _forge_huge_gamma0(doc):
+    _scale_matrix(doc["gamma"][0], 1e200)
+
+
 @pytest.mark.parametrize("forge, expect", [
     (_forge_gamma0, "refuted"),
     (_forge_c, "refuted"),
     (_forge_unstable_a, "not certified"),
     (_forge_no_tail, "uncertified"),
-], ids=["gamma0_scaled", "c_scaled", "unstable_a", "no_tail"])
+    (_pad_unobservable, "uncertified"),
+    (_forge_padded_gamma0, "refuted"),
+    (_forge_huge_gamma0, "refuted"),
+], ids=["gamma0_scaled", "c_scaled", "unstable_a", "no_tail", "padded", "padded_gamma0_scaled",
+        "gamma0_overflows_gram"])
 def test_verify_forged_realization(tmp_path, capsys, forge, expect):
     inst, sol, doc = _solved_lifting(tmp_path, capsys)
     forge(doc)
@@ -380,3 +406,14 @@ def test_verify_forged_realization(tmp_path, capsys, forge, expect):
         # pushed past a contraction, not only off the intertwining
         row = next(r for r in report["residuals"] if r["name"] == "stacked_norm")
         assert row["value"] > row["threshold"] and not row["passed"]
+
+
+def test_verify_overflowing_tail_exits_1(tmp_path, capsys):
+    # an unstable tail whose expansion to --degree overflows floating point
+    # cannot be checked: a clean error, not a traceback or a pass
+    inst, sol, doc = _solved_lifting(tmp_path, capsys)
+    _scale_matrix(doc["tail"]["a"], 1e3)
+    sol.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(inst), str(sol), "--degree", "200")
+    assert code == 1 and out == ""
+    assert "overflow" in err

@@ -10,7 +10,7 @@ from test_lifting import sznagy_schaffer_truncated
 from test_schur import grid_certify
 
 from rclift import cli, generators, hardy, lifting, linalg, nehari, redheffer, schur, serialize
-from rclift.errors import DimensionMismatch
+from rclift.errors import DimensionMismatch, NotFinite
 from rclift.hardy import SystemRealization, TaylorSeries
 
 
@@ -295,6 +295,33 @@ def test_near_strictness_boundary_never_wrongly_certified(seed, norm, r_margin, 
         assert hardy.verify_interpolant(ds, sol.taylor(deg), deg).passed
     if forge == 1.5 and r_margin is None:
         assert rep.status == "refuted"
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.5])
+def test_unobservable_padding_never_weakens_the_verdict(factor):
+    # states C does not see leave the function as it is, but rows of B
+    # near 1e20 widen the Gramian's roundoff bound past every threshold:
+    # the exact lower ends still hold the explicit rows, and an uncertified
+    # verdict is checked truncated as well
+    ds, sol = _realized(3)
+    sol = _forge_gamma0(sol, factor)
+    n, extra = sol.a.shape[0], 2
+    a = np.zeros((n + extra, n + extra), complex)
+    a[:n, :n], a[n:, n:] = sol.a, 0.5 * np.eye(extra)
+    padded = dataclasses.replace(
+        sol, a=a, b=np.vstack([sol.b, np.full((extra, sol.b.shape[1]), 1e20)]),
+        c=np.hstack([sol.c, np.zeros((sol.c.shape[0], extra))]),
+    )
+    plain, rep = (hardy.certify_interpolant(ds, s, 16) for s in (sol, padded))
+    assert plain.status == ("certified" if factor == 1.0 else "refuted")
+    assert rep.status == ("uncertified" if factor == 1.0 else "refuted")
+
+
+def test_overflowing_expansion_raises_not_finite():
+    ds, sol = _realized(4)
+    bad = dataclasses.replace(sol, a=1e3 * sol.a)
+    with pytest.raises(NotFinite, match="overflow"):
+        hardy.certify_interpolant(ds, bad, 200)
 
 
 def test_unstable_tail_falls_back_to_truncation():
