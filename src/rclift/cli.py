@@ -182,7 +182,7 @@ def _solution_rows(obj, sol, deg: int, tol: float) -> tuple[list[dict], str]:
     """Residual rows of a solution against its instance, and the
     certificate status: "certified", "refuted" or "uncertified"."""
     if isinstance(obj, nehari.NehariProblem):
-        rep = nehari.assemble_l(obj, sol)
+        rep = nehari.assemble_l(obj, hardy.TaylorSeries(sol.coeffs[: deg + 1]))
         status = "uncertified" if rep.accepted(tol) else "refuted"
         return [_row("combined_operator_norm", rep.sigma_max, 1.0 + tol)], status
     if isinstance(sol, hardy.SolutionRealization):
@@ -234,7 +234,6 @@ def cmd_verify(args) -> int:
     sol_doc = serialize.load_json(args.solution)
     if isinstance(obj, nehari.NehariProblem):
         sol = serialize.nehari_solution_from_json(sol_doc, obj.u_dim, obj.y_dim)
-        sol = hardy.TaylorSeries(sol.coeffs[: args.degree + 1])
     else:
         sol = serialize.lifting_solution_from_json(sol_doc)
     rows, status = _solution_rows(obj, sol, args.degree, tol)

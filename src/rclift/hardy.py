@@ -1,10 +1,17 @@
 """Truncated Hardy-space calculus.
 
 Analytic operator-valued functions on the unit disc are handled through
-their Taylor coefficients at zero.  A function with a state-space
-realization {Z, B, C, D} has transfer coefficients [D, CB, CZB, ...] and
-observability coefficients [C, CZ, CZ^2, ...]; multiplication operators
-become block lower-triangular Toeplitz matrices on coefficient space.
+their Taylor coefficients at zero.  Every transfer function is a
+`StateSpace` {A, B, C, D}, the function D + lam C (I - lam A)^-1 B; a
+constant is the system with state dimension 0.  Its Taylor coefficients
+[D, CB, CAB, CA^2 B, ...] come from `markov`, the one expansion loop of
+the package, which every series below and in `redheffer` reads.
+Multiplication operators become block lower-triangular Toeplitz matrices
+on coefficient space.
+
+The containers here take their arrays as they are (complex 2-d arrays,
+as the package and the JSON readers make them) and check shapes only;
+coercion and the NaN/Inf rejection happen where data enters.
 
 A lifting solution comes either as leading Taylor coefficients
 (`SolutionTaylor`), which `verify_interpolant` checks truncated, or with
@@ -23,7 +30,6 @@ from . import lifting
 from .errors import DimensionMismatch, NotFinite
 from .linalg import (
     adj,
-    cmatrix,
     eye,
     observability_gramian,
     operator_norm,
@@ -37,52 +43,52 @@ def _all_finite(*ms: np.ndarray) -> bool:
     return all(np.all(np.isfinite(m)) for m in ms)
 
 
-@dataclass(frozen=True)
-class SystemRealization:
-    """State-space quadruple {Z, B, C, D} for D + lambda*C(I-lambda*Z)^-1 B.
+def markov(a: np.ndarray, b: np.ndarray, c: np.ndarray, count: int) -> np.ndarray:
+    """The Markov parameters C A^k B for k = 0..count-1, stacked on axis 0.
 
-    `contractive_certified` records that the system matrix [[Z, B], [C, D]]
-    is a contraction, which certifies the transfer function as Schur class.
+    Each is formed as C (A^k B), one product with A per step; the stacked
+    result is tested finite once and raises NotFinite when it overflows.
     """
+    out = np.empty((count, c.shape[0], b.shape[1]), dtype=complex)
+    cur = b
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        for k in range(count):
+            if k:
+                cur = a @ cur
+            out[k] = c @ cur
+    if not np.all(np.isfinite(out)):
+        raise NotFinite(f"the Markov parameters to power {count - 1} overflow floating point")
+    return out
 
-    a_s: np.ndarray
-    b_s: np.ndarray
-    c_s: np.ndarray
-    d_s: np.ndarray
-    contractive_certified: bool = False
+
+@dataclass(frozen=True)
+class StateSpace:
+    """The transfer function D + lam C (I - lam A)^-1 B of {A, B, C, D}."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
 
     def __post_init__(self):
-        a = cmatrix(self.a_s)
-        b = cmatrix(self.b_s)
-        c = cmatrix(self.c_s)
-        d = cmatrix(self.d_s)
-        if a.shape[0] != a.shape[1]:
-            raise DimensionMismatch("state matrix must be square")
-        n = a.shape[0]
-        if b.shape[0] != n or c.shape[1] != n:
-            raise DimensionMismatch("B/C state dimensions disagree with Z")
-        if d.shape != (c.shape[0], b.shape[1]):
-            raise DimensionMismatch("D block inconsistent with B and C")
-        for name, m in (("a_s", a), ("b_s", b), ("c_s", c), ("d_s", d)):
-            object.__setattr__(self, name, m)
-        if self.contractive_certified:
-            if operator_norm(self.system_matrix()) > 1.0 + 1e-9:
-                raise ValueError("certified system matrix is not a contraction")
+        n, (p, m) = self.a.shape[0], self.d.shape
+        if self.a.shape != (n, n) or self.b.shape != (n, m) or self.c.shape != (p, n):
+            raise DimensionMismatch("the shapes of A, B, C and D disagree")
 
     @property
     def state_dim(self) -> int:
-        return self.a_s.shape[0]
+        return self.a.shape[0]
 
     @property
     def in_dim(self) -> int:
-        return self.b_s.shape[1]
+        return self.d.shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.c_s.shape[0]
+        return self.d.shape[0]
 
     def system_matrix(self) -> np.ndarray:
-        return np.block([[self.a_s, self.b_s], [self.c_s, self.d_s]])
+        return np.block([[self.a, self.b], [self.c, self.d]])
 
 
 @dataclass(frozen=True)
@@ -92,13 +98,11 @@ class TaylorSeries:
     coeffs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        coeffs = tuple(cmatrix(c) for c in self.coeffs)
-        if not coeffs:
+        if not self.coeffs:
             raise DimensionMismatch("a Taylor series needs at least one coefficient")
-        shape = coeffs[0].shape
-        if any(c.shape != shape for c in coeffs):
+        shape = self.coeffs[0].shape
+        if len(shape) != 2 or any(c.shape != shape for c in self.coeffs):
             raise DimensionMismatch("coefficient dimensions are not uniform")
-        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -133,21 +137,15 @@ class SolutionTaylor:
     gamma_coeffs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a_part", cmatrix(self.a_part))
-        gammas = tuple(cmatrix(g) for g in self.gamma_coeffs)
+        gammas = self.gamma_coeffs
         if any(g.shape != gammas[0].shape for g in gammas):
             raise DimensionMismatch("gamma coefficient dimensions are not uniform")
         if gammas and gammas[0].shape[1] != self.a_part.shape[1]:
             raise DimensionMismatch("gamma and a_part input dimensions disagree")
-        object.__setattr__(self, "gamma_coeffs", gammas)
 
     @property
     def degree(self) -> int:
         return len(self.gamma_coeffs) - 1
-
-    def stacked(self) -> np.ndarray:
-        """The truncated column operator [a_part; gamma_0; gamma_1; ...]."""
-        return np.vstack((self.a_part,) + self.gamma_coeffs)
 
 
 @dataclass(frozen=True)
@@ -157,9 +155,7 @@ class SolutionRealization:
     The Hardy-space block is
     Gamma(lam) = sum_{k<m} Gamma_k lam^k + lam^m C (I - lam A)^-1 B with
     gamma_coeffs = (Gamma_0, ..., Gamma_{m-1}), so its Taylor coefficients
-    past the listed ones are Gamma_k = C A^(k-m) B.  The matrices are
-    taken as they are (complex 2-d arrays, as the JSON reader and the
-    closed loop make them); only their shapes are checked.
+    past the listed ones are the Markov parameters Gamma_k = C A^(k-m) B.
     """
 
     a_part: np.ndarray
@@ -178,25 +174,14 @@ class SolutionRealization:
 
     def taylor(self, deg: int) -> SolutionTaylor:
         """The solution truncated to the coefficients Gamma_0..Gamma_deg."""
-        gammas = list(self.gamma_coeffs[: deg + 1])
-        cur = self.b
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-            while len(gammas) <= deg:
-                gammas.append(self.c @ cur)
-                cur = self.a @ cur
-        if not _all_finite(*gammas):
-            raise NotFinite(f"the Taylor coefficients to degree {deg} overflow floating point")
-        return SolutionTaylor(a_part=self.a_part, gamma_coeffs=tuple(gammas))
+        listed = self.gamma_coeffs[: deg + 1]
+        tail = markov(self.a, self.b, self.c, deg + 1 - len(listed))
+        return SolutionTaylor(a_part=self.a_part, gamma_coeffs=listed + tuple(tail))
 
 
-def transfer_taylor(sys: SystemRealization, deg: int) -> TaylorSeries:
-    """Taylor coefficients [D, CB, CZB, CZ^2 B, ...] of the transfer function."""
-    coeffs = [sys.d_s]
-    cz = sys.c_s
-    for _ in range(deg):
-        coeffs.append(cz @ sys.b_s)
-        cz = cz @ sys.a_s
-    return TaylorSeries(tuple(coeffs))
+def transfer_taylor(sys: StateSpace, deg: int) -> TaylorSeries:
+    """Taylor coefficients [D, CB, CAB, CA^2 B, ...] of the transfer function."""
+    return TaylorSeries((sys.d,) + tuple(markov(sys.a, sys.b, sys.c, deg)))
 
 
 def mult_matrix(h: TaylorSeries, deg: int, deg_out: int | None = None) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import schur
 from .errors import CornerNotPD, DimensionMismatch, HankelNotStrict, NotPositiveDefinite
-from .hardy import TaylorSeries, series_mul, series_neumann
+from .hardy import TaylorSeries, series_mul, series_neumann, transfer_taylor
 from .lifting import LiftingDataSet
 from .redheffer import IsometryCertificate, Realization, isometry_certificate, solution_taylor
 from .linalg import (
@@ -312,7 +312,7 @@ def special_n1(p: NehariProblem, v: schur.SchurParameter, deg: int) -> TaylorSer
     if min_eig_hermitian(g) < GRAM_MIN_EIG:
         raise HankelNotStrict("the tap column must be a strict contraction")
     d_a = psd_sqrt(g)
-    vt = schur.taylor(v, deg)
+    vt = transfer_taylor(v, deg)
     vy = [c[: p.y_dim, :] for c in vt.coeffs]
     lam_vu = [zeros(p.u_dim, p.u_dim)] + [c[p.y_dim :, :] for c in vt.coeffs[:deg]]
     coeffs = series_mul(vy, series_neumann(lam_vu, deg), deg)
@@ -332,7 +332,7 @@ def special_f0(
     """
     if v.in_dim != u_dim or v.out_dim != y_dim + u_dim:
         raise DimensionMismatch("parameter dims disagree with the problem ports")
-    vt = schur.taylor(v, deg)
+    vt = transfer_taylor(v, deg)
     vy = [c[:y_dim, :] for c in vt.coeffs]
     lam_n_vu = [zeros(u_dim, u_dim)] * n_window + [-c[y_dim:, :] for c in vt.coeffs]
     return TaylorSeries(tuple(series_mul(vy, series_neumann(lam_n_vu, deg), deg)))

@@ -33,6 +33,7 @@ from .hardy import (
     SolutionRealization,
     SolutionTaylor,
     TaylorSeries,
+    markov,
     mult_matrix,
     observability_matrix,
 )
@@ -204,25 +205,22 @@ def phi_eval(
 def phi_taylor(
     rc: Realization, deg: int
 ) -> tuple[TaylorSeries, TaylorSeries, TaylorSeries, TaylorSeries]:
-    """Taylor coefficients of the four coefficient functions to degree deg."""
-    c11 = [zeros(rc.kq_dim, rc.w_dim)]
-    c12 = [rc.x3 @ rc.e]
-    c21 = [rc.x5.copy()]
-    c22 = [rc.x4 @ rc.e]
-    x3p = rc.x3
-    x4p = rc.x4
-    for _ in range(deg):
-        c11.append(x3p @ rc.x2)
-        c21.append(x4p @ rc.x2)
-        x3p = x3p @ rc.x1
-        x4p = x4p @ rc.x1
-        c12.append(x3p @ rc.e)
-        c22.append(x4p @ rc.e)
+    """Taylor coefficients of the four coefficient functions to degree deg.
+
+    Past their constant terms 0 and X5, P11 and P21 have the coefficients
+    X3 X1^k X2 and X4 X1^k X2; P12 and P22 have X3 X1^k E and X4 X1^k E.
+    All four are blocks of the Markov parameters of X1 with B = [X2, E]
+    and C = [X3; X4].
+    """
+    kq, w = rc.kq_dim, rc.w_dim
+    mk = markov(rc.x1, np.hstack([rc.x2, rc.e]), np.vstack([rc.x3, rc.x4]), deg + 1)
+    p11 = (zeros(kq, w),) + tuple(mk[:deg, :kq, :w])
+    p21 = (rc.x5,) + tuple(mk[:deg, kq:, :w])
     return (
-        TaylorSeries(tuple(c11)),
-        TaylorSeries(tuple(c12)),
-        TaylorSeries(tuple(c21)),
-        TaylorSeries(tuple(c22)),
+        TaylorSeries(p11),
+        TaylorSeries(tuple(mk[:, :kq, w:])),
+        TaylorSeries(p21),
+        TaylorSeries(tuple(mk[:, kq:, w:])),
     )
 
 
@@ -249,15 +247,6 @@ def z_from_v(
     return base + gain @ schur.eval(v, lam) @ (rc.x3 @ dai)
 
 
-def _v_realization(v: schur.SchurParameter) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """State-space quadruple of a parameter (trivial state when static)."""
-    if v.kind == "transfer":
-        sys = v.system
-        return sys.a_s, sys.b_s, sys.c_s, sys.d_s
-    d = v.matrix if v.kind == "constant" else zeros(v.out_dim, v.in_dim)
-    return zeros(0, 0), zeros(0, v.in_dim), zeros(v.out_dim, 0), d
-
-
 def closed_loop_realization(
     rc: Realization, v: schur.SchurParameter
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,16 +262,14 @@ def closed_loop_realization(
             f"parameter dims {v.out_dim}x{v.in_dim}, "
             f"expected {rc.w_dim}x{rc.kq_dim}"
         )
-    av, bv, cv, dv = _v_realization(v)
-    sv = av.shape[0]
     a_cl = np.block(
         [
-            [rc.x1 + rc.x2 @ dv @ rc.x3, rc.x2 @ cv],
-            [bv @ rc.x3, av],
+            [rc.x1 + rc.x2 @ v.d @ rc.x3, rc.x2 @ v.c],
+            [v.b @ rc.x3, v.a],
         ]
     )
-    c_cl = np.hstack([rc.x4 + rc.x5 @ dv @ rc.x3, rc.x5 @ cv])
-    e_cl = np.vstack([rc.e, zeros(sv, rc.e.shape[1])])
+    c_cl = np.hstack([rc.x4 + rc.x5 @ v.d @ rc.x3, rc.x5 @ v.c])
+    e_cl = np.vstack([rc.e, zeros(v.state_dim, rc.e.shape[1])])
     return a_cl, c_cl, e_cl
 
 

@@ -1,9 +1,11 @@
 """Certified Schur-class free parameters.
 
-A parameter is zero, a constant contraction, or the transfer function of a
-system with contractive system matrix; the last is Schur class by the
-contractive-system calculus, so certification is by construction; the
-tests sweep a disc grid only as an independent check of that calculus.
+A parameter is a `hardy.StateSpace` {A, B, C, D} whose system matrix
+[[A, B], [C, D]] is a contraction; its transfer function
+D + lam C (I - lam A)^-1 B is then Schur class by the contractive-system
+calculus, so that one gate certifies every parameter.  A zero or constant
+parameter is the system with state dimension 0.  The tests sweep a disc
+grid only as an independent check of that calculus.
 """
 
 from __future__ import annotations
@@ -13,52 +15,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ResolventSingular
-from .hardy import SystemRealization, TaylorSeries, transfer_taylor
+from .hardy import StateSpace
 from .linalg import cmatrix, eye, ginibre, operator_norm, zeros
 
 
 @dataclass(frozen=True)
-class SchurParameter:
+class SchurParameter(StateSpace):
     """A Schur-class function from C^in_dim to C^out_dim on the unit disc."""
 
-    kind: str  # "zero" | "constant" | "transfer"
-    in_dim: int
-    out_dim: int
-    matrix: np.ndarray | None = None
-    system: SystemRealization | None = None
-
     def __post_init__(self):
-        if self.kind == "zero":
-            if self.matrix is not None or self.system is not None:
-                raise ValueError("zero parameter carries no data")
-        elif self.kind == "constant":
-            m = cmatrix(self.matrix)
-            if m.shape != (self.out_dim, self.in_dim):
-                raise DimensionMismatch("constant block has wrong shape")
-            if operator_norm(m) > 1.0 + 1e-10:
-                raise ValueError("constant parameter must be a contraction")
-            object.__setattr__(self, "matrix", m)
-        elif self.kind == "transfer":
-            sys = self.system
-            if sys is None or not sys.contractive_certified:
-                raise ValueError("transfer parameter needs a certified realization")
-            if (sys.out_dim, sys.in_dim) != (self.out_dim, self.in_dim):
-                raise DimensionMismatch("realization dims disagree with parameter dims")
-        else:
-            raise ValueError(f"unknown parameter kind {self.kind!r}")
+        super().__post_init__()
+        if operator_norm(self.system_matrix()) > 1.0 + 1e-10:
+            raise ValueError("the system matrix of a Schur parameter must be a contraction")
+
+
+def _static(d: np.ndarray) -> SchurParameter:
+    """The constant function d: the system with state dimension 0."""
+    return SchurParameter(zeros(0, 0), zeros(0, d.shape[1]), zeros(d.shape[0], 0), d)
 
 
 def zero(in_dim: int, out_dim: int) -> SchurParameter:
-    return SchurParameter("zero", in_dim, out_dim)
+    return _static(zeros(out_dim, in_dim))
 
 
 def constant(matrix) -> SchurParameter:
-    m = cmatrix(matrix)
-    return SchurParameter("constant", m.shape[1], m.shape[0], matrix=m)
-
-
-def from_system(sys: SystemRealization) -> SchurParameter:
-    return SchurParameter("transfer", sys.in_dim, sys.out_dim, system=sys)
+    return _static(cmatrix(matrix))
 
 
 def random_schur(in_dim: int, out_dim: int, state_dim: int, seed) -> SchurParameter:
@@ -69,41 +50,19 @@ def random_schur(in_dim: int, out_dim: int, state_dim: int, seed) -> SchurParame
     scale = operator_norm(k)
     if scale > 1.0:
         k = k / scale
-    sys = SystemRealization(
-        a_s=k[:state_dim, :state_dim],
-        b_s=k[:state_dim, state_dim:],
-        c_s=k[state_dim:, :state_dim],
-        d_s=k[state_dim:, state_dim:],
-        contractive_certified=True,
-    )
-    return from_system(sys)
+    n = state_dim
+    return SchurParameter(a=k[:n, :n], b=k[:n, n:], c=k[n:, :n], d=k[n:, n:])
 
 
-def eval(v: SchurParameter, lam: complex) -> np.ndarray:  # noqa: A001 - domain term
+def eval(v: StateSpace, lam: complex) -> np.ndarray:  # noqa: A001 - domain term
     """Value at a disc point; contractive for |lam| < 1."""
     if abs(lam) >= 1.0:
         raise ValueError("Schur parameters are only evaluated inside the open disc")
-    if v.kind == "zero":
-        return zeros(v.out_dim, v.in_dim)
-    if v.kind == "constant":
-        return v.matrix.copy()
-    sys = v.system
     try:
-        resolvent = np.linalg.solve(eye(sys.state_dim) - lam * sys.a_s, sys.b_s)
+        resolvent = np.linalg.solve(eye(v.state_dim) - lam * v.a, v.b)
     except np.linalg.LinAlgError as exc:  # cannot occur for certified systems
         raise ResolventSingular(str(exc)) from exc
-    return sys.d_s + lam * (sys.c_s @ resolvent)
-
-
-def taylor(v: SchurParameter, deg: int) -> TaylorSeries:
-    """Taylor coefficients at zero, up to degree deg."""
-    if v.kind == "zero":
-        return TaylorSeries(tuple(zeros(v.out_dim, v.in_dim) for _ in range(deg + 1)))
-    if v.kind == "constant":
-        return TaylorSeries(
-            (v.matrix.copy(),) + tuple(zeros(v.out_dim, v.in_dim) for _ in range(deg))
-        )
-    return transfer_taylor(v.system, deg)
+    return v.d + lam * (v.c @ resolvent)
 
 
 def left_multiply(s, v: SchurParameter) -> SchurParameter:
@@ -113,17 +72,4 @@ def left_multiply(s, v: SchurParameter) -> SchurParameter:
         raise DimensionMismatch("output composition has wrong shape")
     if operator_norm(s) > 1.0 + 1e-10:
         raise ValueError("output factor must be a contraction")
-    if v.kind == "zero":
-        return zero(v.in_dim, s.shape[0])
-    if v.kind == "constant":
-        return constant(s @ v.matrix)
-    sys = v.system
-    new = SystemRealization(
-        a_s=sys.a_s,
-        b_s=sys.b_s,
-        c_s=s @ sys.c_s,
-        d_s=s @ sys.d_s,
-        contractive_certified=True,
-    )
-    return from_system(new)
-
+    return SchurParameter(a=v.a, b=v.b, c=s @ v.c, d=s @ v.d)

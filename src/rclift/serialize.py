@@ -7,6 +7,16 @@ shape is implied by the problem's port dimensions.  Solution readers
 ignore keys they do not use, such as the `tail_bound` that older solution
 files carry.
 
+A Schur parameter is written in one form, `{"variant": "transfer", "a",
+"b", "c", "d"}`: the matrices of its `hardy.StateSpace`, with a state
+dimension of 0 for a zero or constant parameter.  The reader also takes
+the variants `zero` {in_dim, out_dim}, `constant` {matrix} and `random`
+{in_dim, out_dim, state_dim, seed}; every variant passes the contraction
+gate of `schur.SchurParameter`.
+
+Readers are where data enters the package: they coerce to complex and
+refuse NaN/Inf entries, and the containers they fill only check shapes.
+
 A lifting solution holds `a_part` and a list `gamma` of matrix objects
 Gamma_0..Gamma_{m-1}, and may hold a `tail` object of matrices {a, b, c}:
 its Hardy-space block is then
@@ -32,7 +42,7 @@ import numpy as np
 
 from . import nehari, schur
 from .errors import ParseError
-from .hardy import SolutionRealization, SolutionTaylor, SystemRealization, TaylorSeries
+from .hardy import SolutionRealization, SolutionTaylor, TaylorSeries
 from .lifting import LiftingDataSet
 from .linalg import cmatrix
 
@@ -139,19 +149,11 @@ def instance_from_json(obj):
 # --- Schur parameters ------------------------------------------------------------
 
 
+PARAMETER_KEYS = ("a", "b", "c", "d")
+
+
 def parameter_to_json(v: schur.SchurParameter) -> dict:
-    if v.kind == "zero":
-        return {"variant": "zero", "in_dim": v.in_dim, "out_dim": v.out_dim}
-    if v.kind == "constant":
-        return {"variant": "constant", "matrix": matrix_to_json(v.matrix)}
-    sys = v.system
-    return {
-        "variant": "transfer",
-        "a": matrix_to_json(sys.a_s),
-        "b": matrix_to_json(sys.b_s),
-        "c": matrix_to_json(sys.c_s),
-        "d": matrix_to_json(sys.d_s),
-    }
+    return {"variant": "transfer", **{k: matrix_to_json(getattr(v, k)) for k in PARAMETER_KEYS}}
 
 
 def parameter_from_json(obj) -> schur.SchurParameter:
@@ -165,14 +167,7 @@ def parameter_from_json(obj) -> schur.SchurParameter:
         if variant == "constant":
             return schur.constant(matrix_from_json(obj["matrix"], "matrix"))
         if variant == "transfer":
-            sys = SystemRealization(
-                a_s=matrix_from_json(obj["a"], "a"),
-                b_s=matrix_from_json(obj["b"], "b"),
-                c_s=matrix_from_json(obj["c"], "c"),
-                d_s=matrix_from_json(obj["d"], "d"),
-                contractive_certified=True,
-            )
-            return schur.from_system(sys)
+            return schur.SchurParameter(*(matrix_from_json(obj[k], k) for k in PARAMETER_KEYS))
         if variant == "random":
             return schur.random_schur(
                 *(_json_int(obj, k, what) for k in ("in_dim", "out_dim", "state_dim", "seed"))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rclift import nehari, serialize
+from rclift import lifting, nehari, redheffer, schur, serialize
 from rclift.cli import main
 from rclift.hardy import TaylorSeries
 
@@ -417,3 +417,55 @@ def test_verify_overflowing_tail_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(inst), str(sol), "--degree", "200")
     assert code == 1 and out == ""
     assert "overflow" in err
+
+
+def _parameter_dims(inst):
+    ds = serialize.instance_from_json(serialize.load_json(str(inst)))
+    rc = redheffer.build_coefficients(lifting.derive(ds))
+    return rc.kq_dim, rc.w_dim
+
+
+@pytest.mark.parametrize("form", ["zero", "constant", "written_zero", "written_constant"])
+def test_zero_state_parameters_solve_certified(tmp_path, capsys, form):
+    # zero and constant parameters are systems with state dimension 0, in
+    # the old wire forms and in the one form the writer emits; they run
+    # through the same closed loop and exact check as any other parameter
+    inst, _, _ = _solved_lifting(tmp_path, capsys)
+    kq, w = _parameter_dims(inst)
+    const = 0.5 * np.eye(w, kq)
+    doc = {
+        "zero": {"variant": "zero", "in_dim": kq, "out_dim": w},
+        "constant": {"variant": "constant", "matrix": serialize.matrix_to_json(const)},
+        "written_zero": serialize.parameter_to_json(schur.zero(kq, w)),
+        "written_constant": serialize.parameter_to_json(schur.constant(const)),
+    }[form]
+    param, sol = tmp_path / "v.json", tmp_path / "sol_v.json"
+    serialize.dump_json(str(param), doc)
+    code, _, _ = run(capsys, "solve", str(inst), "--param", str(param), "--out", str(sol))
+    assert code == 0
+    assert json.loads(sol.read_text())["report"]["certificate"] == "certified"
+    code, out, _ = run(capsys, "verify", str(inst), str(sol))
+    assert code == 0 and json.loads(out)["certificate"] == "certified"
+
+
+@pytest.mark.parametrize("variant", ["constant", "transfer"])
+@pytest.mark.parametrize("excess, expect_code", [(5e-11, 0), (5e-10, 2)])
+def test_parameter_contraction_gate(tmp_path, capsys, variant, excess, expect_code):
+    # one gate, ||[[A, B], [C, D]]|| <= 1 + 1e-10, for every parameter: a
+    # constant or a transfer system of norm 1 + 5e-10 exits 2
+    inst, _, _ = _solved_lifting(tmp_path, capsys)
+    kq, w = _parameter_dims(inst)
+    if variant == "constant":
+        doc = {"variant": "constant",
+               "matrix": serialize.matrix_to_json((1.0 + excess) * np.eye(w, kq))}
+    else:
+        v = schur.random_schur(kq, w, 2, 8)
+        scale = (1.0 + excess) / np.linalg.norm(v.system_matrix(), 2)
+        doc = {"variant": "transfer",
+               **{k: serialize.matrix_to_json(scale * getattr(v, k)) for k in "abcd"}}
+    param = tmp_path / "v.json"
+    serialize.dump_json(str(param), doc)
+    code, _, err = run(capsys, "solve", str(inst), "--param", str(param))
+    assert code == expect_code
+    if expect_code == 2:
+        assert "contraction" in err

@@ -11,17 +11,15 @@ from test_schur import grid_certify
 
 from rclift import cli, generators, hardy, lifting, linalg, nehari, redheffer, schur, serialize
 from rclift.errors import DimensionMismatch, NotFinite
-from rclift.hardy import SystemRealization, TaylorSeries
+from rclift.hardy import StateSpace, TaylorSeries
 
 
 def _rand_system(seed, state, ins, outs):
-    return schur.random_schur(ins, outs, state, seed).system
+    return schur.random_schur(ins, outs, state, seed)
 
 
 def test_transfer_taylor_static():
-    sys = SystemRealization(
-        a_s=np.zeros((2, 2)), b_s=np.eye(2), c_s=np.eye(2), d_s=0.3 * np.eye(2)
-    )
+    sys = StateSpace(a=np.zeros((2, 2)), b=np.eye(2), c=np.eye(2), d=0.3 * np.eye(2))
     ts = hardy.transfer_taylor(sys, 4)
     np.testing.assert_allclose(ts.coeffs[0], 0.3 * np.eye(2))
     np.testing.assert_allclose(ts.coeffs[1], np.eye(2))
@@ -30,9 +28,8 @@ def test_transfer_taylor_static():
 
 
 def test_transfer_taylor_scalar_geometric():
-    sys = SystemRealization(
-        a_s=np.array([[0.5]]), b_s=np.array([[1.0]]),
-        c_s=np.array([[1.0]]), d_s=np.array([[0.0]]),
+    sys = StateSpace(
+        a=np.array([[0.5]]), b=np.array([[1.0]]), c=np.array([[1.0]]), d=np.array([[0.0]])
     )
     ts = hardy.transfer_taylor(sys, 5)
     expected = [0.0, 1.0, 0.5, 0.25, 0.125, 0.0625]
@@ -46,7 +43,7 @@ def test_transfer_taylor_matches_resolvent(seed):
     deg = 60
     ts = hardy.transfer_taylor(sys, deg)
     lam = 0.4 * np.exp(0.7j)
-    direct = schur.eval(schur.from_system(sys), lam)
+    direct = schur.eval(sys, lam)
     series = ts(lam)
     assert linalg.operator_norm(direct - series) < 1e-12
 
@@ -64,14 +61,14 @@ def test_mult_matrix_identity_and_shift():
 @pytest.mark.parametrize("seed", range(3))
 def test_mult_matrix_norm_below_grid_sup(seed):
     v = schur.random_schur(2, 2, 3, seed)
-    ts = schur.taylor(v, 48)
+    ts = hardy.transfer_taylor(v, 48)
     m = hardy.mult_matrix(ts, 24)
     sup = grid_certify(v, points=256, radius=0.999)
     assert linalg.operator_norm(m) <= sup + 1e-6
 
 
 def test_mult_matrix_toeplitz_nesting():
-    ts = schur.taylor(schur.random_schur(2, 3, 2, 9), 20)
+    ts = hardy.transfer_taylor(schur.random_schur(2, 3, 2, 9), 20)
     small = hardy.mult_matrix(ts, 5)
     big = hardy.mult_matrix(ts, 12)
     np.testing.assert_allclose(big[: small.shape[0], : small.shape[1]], small)
@@ -89,7 +86,7 @@ def test_contractive_system_stacked_operator(seed):
     deg = 24
     f = hardy.transfer_taylor(sys, deg)
     # observability coefficients [C, CZ, CZ^2, ...] of C (I - lambda Z)^-1
-    g = TaylorSeries(tuple(sys.c_s @ np.linalg.matrix_power(sys.a_s, k) for k in range(deg + 1)))
+    g = TaylorSeries(tuple(sys.c @ np.linalg.matrix_power(sys.a, k) for k in range(deg + 1)))
     stacked = np.hstack([hardy.mult_matrix(f, deg), hardy.observability_matrix(g)])
     assert linalg.operator_norm(stacked) <= 1.0 + 1e-8
 
@@ -295,6 +292,57 @@ def test_near_strictness_boundary_never_wrongly_certified(seed, norm, r_margin, 
         assert hardy.verify_interpolant(ds, sol.taylor(deg), deg).passed
     if forge == 1.5 and r_margin is None:
         assert rep.status == "refuted"
+
+
+def _parameter_at_radius(rc, r, seed, observable):
+    """A parameter with state matrix r U (U unitary) that enters the loop
+    block-triangularly, so rho(A_cl) = max(rho(X1), r): with B = 0 the
+    loop never drives its state (C shows it), with C = 0 it never shows
+    (B drives it).  ||[r U; s W]|| = 1 for s = sqrt(1 - r^2), ||W|| = 1."""
+    rng = np.random.default_rng(seed)
+    n = 2
+    s = np.sqrt(max(1.0 - r * r, 0.0))
+    b = np.zeros((n, rc.kq_dim), complex)
+    c = np.zeros((rc.w_dim, n), complex)
+    if observable:
+        w = linalg.ginibre(rng, rc.w_dim, n)
+        c = s * w / linalg.operator_norm(w)
+    else:
+        w = linalg.ginibre(rng, n, rc.kq_dim)
+        b = s * w / linalg.operator_norm(w)
+    a = r * linalg.haar_unitary(rng, n)
+    return schur.SchurParameter(a, b, c, np.zeros((rc.w_dim, rc.kq_dim), complex))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    inst_seed=st.sampled_from([2, 3, 5]),
+    r=st.one_of(st.just(1.0), st.floats(0.99, 1.0)),
+    param_seed=st.integers(0, 10**6),
+    observable=st.booleans(),
+    factor=st.sampled_from([1.0, 1.5]),
+)
+def test_closed_loop_radius_near_one(inst_seed, r, param_seed, observable, factor):
+    # rho(A_cl) in [0.99, 1]: an honest solution is never refuted, Gamma_0
+    # * 1.5 always is, and nothing is certified that the degree-256
+    # truncation refutes; at rho(A_cl) = 1 there is no Gramian, so the
+    # verdict is the truncated one
+    ds = generators.generate_random("generic", (4, 3, 2), 0.8, inst_seed)
+    rc = redheffer.build_coefficients(lifting.derive(ds))
+    assert rc.r_spec_x1 < 0.99
+    v = _parameter_at_radius(rc, r, param_seed, observable)
+    sol = _forge_gamma0(redheffer.solution_realization(rc, v), factor)
+    assert abs(linalg.spectral_radius(sol.a) - r) <= 1e-12
+    rep = hardy.certify_interpolant(ds, sol, 64)
+    if factor == 1.5:
+        assert rep.status == "refuted"
+    else:
+        assert rep.passed
+    if rep.status == "certified":
+        assert hardy.verify_interpolant(ds, sol.taylor(256), 256).passed
+    if r == 1.0:
+        assert rep == hardy.verify_interpolant(ds, sol.taylor(64), 64)
+        assert rep.status == ("uncertified" if factor == 1.0 else "refuted")
 
 
 @pytest.mark.parametrize("factor", [1.0, 1.5])

@@ -154,7 +154,7 @@ def test_solution_taylor_matches_series_composition():
     v = schur.random_schur(rc.kq_dim, rc.w_dim, 2, 5)
     sol = redheffer.solution_taylor(rc, v, deg)
     p11, p12, p21, p22 = redheffer.phi_taylor(rc, deg)
-    vts = schur.taylor(v, deg)
+    vts = hardy.transfer_taylor(v, deg)
     s = hardy.series_mul(list(p11.coeffs), list(vts.coeffs), deg)
     inv = hardy.series_neumann(s, deg)
     chain = hardy.series_mul(list(vts.coeffs), hardy.series_mul(inv, list(p12.coeffs), deg), deg)

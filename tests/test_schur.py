@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rclift import linalg, schur
+from rclift import hardy, linalg, schur
 from rclift.errors import DimensionMismatch
 
 
@@ -36,12 +36,12 @@ def test_transfer_grid_certification(seed):
 def test_random_schur_deterministic():
     a = schur.random_schur(2, 2, 3, 123)
     b = schur.random_schur(2, 2, 3, 123)
-    np.testing.assert_allclose(a.system.system_matrix(), b.system.system_matrix())
+    np.testing.assert_allclose(a.system_matrix(), b.system_matrix())
 
 
 def test_random_schur_static_state():
     v = schur.random_schur(3, 2, 0, 7)
-    assert v.system.state_dim == 0
+    assert v.state_dim == 0
     assert linalg.operator_norm(schur.eval(v, 0.5)) <= 1.0
 
 
@@ -55,16 +55,16 @@ def test_taylor_partial_sums_converge(kind_seed):
     exact = schur.eval(v, lam)
     floor = 64 * np.finfo(float).eps
     for deg in (10, 80):  # truncation dominates at 10, roundoff at 80
-        partial = schur.taylor(v, deg)(lam)
+        partial = hardy.transfer_taylor(v, deg)(lam)
         tail = abs(lam) ** (deg + 1) / (1.0 - abs(lam))
         assert linalg.operator_norm(partial - exact) <= tail + floor
 
 
 def test_taylor_static_kinds():
     vz = schur.zero(1, 2)
-    assert all(linalg.operator_norm(c) == 0 for c in schur.taylor(vz, 4).coeffs)
+    assert all(linalg.operator_norm(c) == 0 for c in hardy.transfer_taylor(vz, 4).coeffs)
     c = np.array([[0.4], [0.2]])
-    ts = schur.taylor(schur.constant(c), 4)
+    ts = hardy.transfer_taylor(schur.constant(c), 4)
     np.testing.assert_allclose(ts.coeffs[0], c)
     assert all(linalg.operator_norm(x) == 0 for x in ts.coeffs[1:])
 

@@ -50,12 +50,50 @@ def test_parameter_roundtrip(maker):
         np.testing.assert_allclose(schur.eval(back, lam), schur.eval(v, lam))
 
 
+WIRE_POINTS = (0.0, 0.4j, -0.6 + 0.2j)
+_M = serialize.matrix_to_json
+# (document, its values at WIRE_POINTS as the per-variant readers gave them)
+WIRE_CASES = {
+    "zero": ({"variant": "zero", "in_dim": 1, "out_dim": 2}, [[[0.0], [0.0]]] * 3),
+    "constant": ({"variant": "constant", "matrix": _M(np.array([[0.3], [-0.4j]]))},
+                 [[[0.3], [-0.4j]]] * 3),
+    # d + lam c b / (1 - 0.5 lam) with c b = [0.3; 0.15j] and d = [0.2; 0]
+    "transfer": ({"variant": "transfer", "a": _M(np.array([[0.5]])),
+                  "b": _M(np.array([[0.5]])), "c": _M(np.array([[0.6], [0.3j]])),
+                  "d": _M(np.array([[0.2], [0.0]]))},
+                 [[[0.2 + 0.3 * z / (1 - 0.5 * z)], [0.15j * z / (1 - 0.5 * z)]]
+                  for z in WIRE_POINTS]),
+    "random": ({"variant": "random", "in_dim": 1, "out_dim": 2, "state_dim": 2, "seed": 3},
+               [[[-0.17575998638271068 + 0.004928104930963984j],
+                 [-0.07163366494464328 - 0.10263251692171141j]],
+                [[-0.21765512719294075 + 0.002776461902140513j],
+                 [-0.029255350864156142 - 0.04827419357159838j]],
+                [[-0.19714997030017456 - 0.050402353370282614j],
+                 [-0.11759561715682786 - 0.016025041646565943j]]]),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(WIRE_CASES))
+def test_parameter_wire_compatibility(variant):
+    # every variant an older writer emitted still reads, with the same
+    # values; the writer emits the one transfer form, which reads back to
+    # the same function
+    doc, values = WIRE_CASES[variant]
+    v = serialize.parameter_from_json(doc)
+    written = serialize.parameter_to_json(v)
+    assert written["variant"] == "transfer" and set(written) == {"variant", "a", "b", "c", "d"}
+    back = serialize.parameter_from_json(json.loads(serialize.canonical_json(written)))
+    for lam, expected in zip(WIRE_POINTS, values):
+        np.testing.assert_allclose(schur.eval(v, lam), expected, rtol=1e-15, atol=1e-17)
+        assert np.array_equal(schur.eval(back, lam), schur.eval(v, lam))
+
+
 def test_random_parameter_variant():
     v = serialize.parameter_from_json(
         {"variant": "random", "in_dim": 2, "out_dim": 3, "state_dim": 2, "seed": 4}
     )
     w = schur.random_schur(2, 3, 2, 4)
-    np.testing.assert_allclose(v.system.system_matrix(), w.system.system_matrix())
+    np.testing.assert_allclose(v.system_matrix(), w.system_matrix())
 
 
 def test_solution_roundtrips():

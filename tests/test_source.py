@@ -111,39 +111,79 @@ def test_unused_parameter_is_detected():
     assert sorted(_unused_parameters(tree)) == ["<lambda>:z", "f:args", "f:b", "f:d"]
 
 
-def _references(tree: ast.Module) -> set[str]:
-    """Names a module reads or imports, leaving out each module-level
+def _scopes(tree: ast.Module):
+    """(node, own names) for each module-level statement; a module-level
+    class is split into its methods, each owning the class name and its
+    own, and the rest of the class, owning the class name."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            rest = stmt.bases + stmt.keywords + stmt.decorator_list
+            for item in stmt.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item, {stmt.name, item.name}
+                else:
+                    rest.append(item)
+            for node in rest:
+                yield node, {stmt.name}
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield stmt, {stmt.name}
+        else:
+            yield stmt, set()
+
+
+def _references(tree: ast.Module, attributes_only: bool = False) -> set[str]:
+    """Names a module reads or imports (only the attribute names with
+    `attributes_only`, the one way a method is reached), leaving out each
     definition's references to its own name (recursion is no use)."""
     found = set()
-    for stmt in tree.body:
-        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
+    for scope, own in _scopes(tree):
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute):
                 name = node.attr
+            elif attributes_only:
+                continue
+            elif isinstance(node, ast.Name):
+                name = node.id
             elif isinstance(node, ast.alias):
                 name = node.name.split(".")[-1]
             else:
                 continue
-            if name != own:
+            if name not in own:
                 found.add(name)
     return found
 
 
 def _definitions(tree: ast.Module) -> list[str]:
-    return [s.name for s in tree.body if isinstance(s, (ast.FunctionDef, ast.ClassDef))]
+    """Module-level functions and classes, and `Class.method` for each
+    method or property of a module-level class; dunders are exempt."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(stmt.name)
+        if isinstance(stmt, ast.ClassDef):
+            found += [
+                f"{stmt.name}.{item.name}"
+                for item in stmt.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            ]
+    return found
+
+
+def _dead(trees: list[ast.Module], definitions: list[str]) -> list[str]:
+    """The definitions that no tree references: a method counts as
+    referenced only through an attribute of its name."""
+    names = set().union(*(_references(t) for t in trees))
+    attributes = set().union(*(_references(t, attributes_only=True) for t in trees))
+    return [d for d in definitions if d.rpartition(".")[2] not in (attributes if "." in d else names)]
 
 
 def test_no_dead_definitions():
-    referenced = set()
-    for path in REFERRERS:
-        referenced |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in REFERRERS]
     dead = [
         f"{path.name}:{name}"
         for path in SOURCES
-        for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
-        if name not in referenced
+        for name in _dead(trees, _definitions(ast.parse(path.read_text(encoding="utf-8"))))
     ]
     assert dead == []
 
@@ -155,3 +195,17 @@ def test_dead_definition_is_detected():
         "print(used())\n"
     )
     assert [n for n in _definitions(tree) if n not in _references(tree)] == ["recursive"]
+
+
+def test_dead_method_is_detected():
+    # a local variable that shares a method's name does not keep it alive
+    tree = ast.parse(
+        "class K:\n"
+        "    size = 1\n\n"
+        "    def __init__(self):\n        self.x = K.size\n\n"
+        "    @property\n    def live(self):\n        return self.x\n\n"
+        "    def dead(self, n):\n        return self.dead(n - 1)\n\n"
+        "    def _hidden(self):\n        return 0\n\n"
+        "_hidden = K().live\n"
+    )
+    assert _dead([tree], _definitions(tree)) == ["K.dead", "K._hidden"]
