@@ -1,13 +1,14 @@
-"""Truncated Hardy-space calculus.
+"""Hardy-space functions in state-space form, and interpolant checks.
 
 Analytic operator-valued functions on the unit disc are handled through
 their Taylor coefficients at zero.  Every transfer function is a
 `StateSpace` {A, B, C, D}, the function D + lam C (I - lam A)^-1 B; a
 constant is the system with state dimension 0.  Its Taylor coefficients
 [D, CB, CAB, CA^2 B, ...] come from `markov`, the one expansion loop of
-the package, which every series below and in `redheffer` reads.
-Multiplication operators become block lower-triangular Toeplitz matrices
-on coefficient space.
+the package; no power-series arithmetic is done on them, since products
+and inverses of transfer functions are formed as state-space feedback
+(`redheffer.closed_loop_realization`).  Multiplication operators become
+block lower-triangular Toeplitz matrices on coefficient space.
 
 The containers here take their arrays as they are (complex 2-d arrays,
 as the package and the JSON readers make them) and check shapes only;
@@ -16,7 +17,8 @@ coercion and the NaN/Inf rejection happen where data enters.
 A lifting solution comes either as leading Taylor coefficients
 (`SolutionTaylor`), which `verify_interpolant` checks truncated, or with
 a state-space tail (`SolutionRealization`), which `certify_interpolant`
-checks whole through one Stein Gramian.
+checks whole through one Stein Gramian and `coefficient_gap` compares
+with another exactly.
 """
 
 from __future__ import annotations
@@ -179,9 +181,21 @@ class SolutionRealization:
         return SolutionTaylor(a_part=self.a_part, gamma_coeffs=listed + tuple(tail))
 
 
-def transfer_taylor(sys: StateSpace, deg: int) -> TaylorSeries:
-    """Taylor coefficients [D, CB, CAB, CA^2 B, ...] of the transfer function."""
-    return TaylorSeries((sys.d,) + tuple(markov(sys.a, sys.b, sys.c, deg)))
+def coefficient_gap(f: SolutionRealization, g: SolutionRealization) -> float:
+    """Largest norm of a difference of the Hardy-space coefficients of f
+    and g over Gamma_0..Gamma_d, with d = max(m_f, m_g) + n_f + n_g - 1
+    for m listed coefficients and n states: 0 exactly when the two
+    Hardy-space blocks are the same function.
+
+    Past both lists the coefficient differences are C A^j B of the
+    block-diagonal difference system with n_f + n_g states, so by
+    Cayley-Hamilton they all vanish once the first n_f + n_g of them do.
+    """
+    if f.c.shape[0] != g.c.shape[0] or f.b.shape[1] != g.b.shape[1]:
+        raise DimensionMismatch("the two solutions act between different spaces")
+    deg = max(len(f.gamma_coeffs), len(g.gamma_coeffs)) + f.a.shape[0] + g.a.shape[0] - 1
+    pairs = zip(f.taylor(deg).gamma_coeffs, g.taylor(deg).gamma_coeffs)
+    return max((operator_norm(a - b) for a, b in pairs), default=0.0)
 
 
 def mult_matrix(h: TaylorSeries, deg: int, deg_out: int | None = None) -> np.ndarray:
@@ -206,42 +220,6 @@ def mult_matrix(h: TaylorSeries, deg: int, deg_out: int | None = None) -> np.nda
 def observability_matrix(g: TaylorSeries) -> np.ndarray:
     """Stack the coefficients of g into a single column operator."""
     return np.vstack(g.coeffs)
-
-
-# --- formal power-series arithmetic -------------------------------------------
-
-
-def series_mul(a: list[np.ndarray], b: list[np.ndarray], deg: int) -> list[np.ndarray]:
-    """Cauchy product of coefficient lists, truncated at degree deg."""
-    out = []
-    for k in range(deg + 1):
-        acc = None
-        for i in range(min(k, len(a) - 1) + 1):
-            j = k - i
-            if j >= len(b):
-                continue
-            term = a[i] @ b[j]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = zeros(a[0].shape[0], b[0].shape[1])
-        out.append(acc)
-    return out
-
-
-def series_neumann(s: list[np.ndarray], deg: int) -> list[np.ndarray]:
-    """Coefficients of (I - S)^-1 for a series S with zero constant term."""
-    n = s[0].shape[0]
-    if s[0].shape[1] != n:
-        raise DimensionMismatch("Neumann inverse needs a square series")
-    if operator_norm(s[0]) != 0.0:
-        raise ValueError("series must have zero constant term")
-    out = [eye(n)]
-    for k in range(1, deg + 1):
-        acc = zeros(n, n)
-        for j in range(1, min(k, len(s) - 1) + 1):
-            acc = acc + s[j] @ out[k - j]
-        out.append(acc)
-    return out
 
 
 # --- interpolation verification ------------------------------------------------

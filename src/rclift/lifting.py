@@ -105,12 +105,6 @@ class ValidationReport:
     strictness: StrictnessReport
     passed: bool
 
-    def row(self, name: str) -> ConstraintRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
 
 def validate(ds: LiftingDataSet, tol: float = CONSTRAINT_TOL) -> ValidationReport:
     """Residuals of the defining constraints, plus a strictness report."""

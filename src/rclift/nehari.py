@@ -18,6 +18,9 @@ the lifting ones: `coefficients` returns a `redheffer.Realization` whose
 input embedding E is e_n (the first window slot) and whose base block is
 the first window column Gamma_- of the Hankel matrix.  Evaluation,
 solutions and the stacked-operator check all run through `redheffer`.
+The closed forms of the two special cases, window size one (`special_n1`)
+and zero taps (`special_f0`), are `redheffer.Realization`s as well, with
+constant X-operators, so their solutions come from the same feedback loop.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import schur
 from .errors import CornerNotPD, DimensionMismatch, HankelNotStrict, NotPositiveDefinite
-from .hardy import TaylorSeries, series_mul, series_neumann, transfer_taylor
+from .hardy import TaylorSeries
 from .lifting import LiftingDataSet
 from .redheffer import IsometryCertificate, Realization, isometry_certificate, solution_taylor
 from .linalg import (
@@ -298,44 +301,57 @@ def hat_m_check(nc: NehariCoefficients, _deg: int) -> IsometryCertificate:
     return isometry_certificate(nc)
 
 
-def special_n1(p: NehariProblem, v: schur.SchurParameter, deg: int) -> TaylorSeries:
+def special_n1(p: NehariProblem) -> Realization:
     """Closed form for window size 1: H = P_Y V (I - lam P_U V)^-1 D_A.
 
-    Requires a strictly contractive column of taps so the defect root is
-    invertible on U.
+    The realization X1 = 0, X2 = P_U, X3 = I, X4 = 0, X5 = P_Y, E = D_A
+    (the defect root of the tap column) with base Gamma_-, whose
+    coefficient functions are P11 = lam P_U, P12 = D_A, P21 = P_Y and
+    P22 = 0.  Requires a strictly contractive column of taps so the defect
+    root is invertible on U.
     """
     if p.n_window != 1:
         raise DimensionMismatch("this closed form needs window size 1")
-    if v.in_dim != p.u_dim or v.out_dim != p.y_dim + p.u_dim:
-        raise DimensionMismatch("parameter dims disagree with the problem ports")
+    u, y = p.u_dim, p.y_dim
     g = gram(p)
     if min_eig_hermitian(g) < GRAM_MIN_EIG:
         raise HankelNotStrict("the tap column must be a strict contraction")
-    d_a = psd_sqrt(g)
-    vt = transfer_taylor(v, deg)
-    vy = [c[: p.y_dim, :] for c in vt.coeffs]
-    lam_vu = [zeros(p.u_dim, p.u_dim)] + [c[p.y_dim :, :] for c in vt.coeffs[:deg]]
-    coeffs = series_mul(vy, series_neumann(lam_vu, deg), deg)
-    return TaylorSeries(tuple(c @ d_a for c in coeffs))
+    return Realization(
+        x1=zeros(u, u),
+        x2=np.hstack([zeros(u, y), eye(u)]),
+        x3=eye(u),
+        x4=zeros(y, u),
+        x5=np.hstack([eye(y), zeros(y, u)]),
+        e=psd_sqrt(g),
+        base=hankel(p),  # Gamma_-, the one window column
+    )
 
 
-def special_f0(
-    n_window: int, u_dim: int, y_dim: int, v: schur.SchurParameter, deg: int
-) -> TaylorSeries:
+def special_f0(n_window: int, u_dim: int, y_dim: int) -> Realization:
     """Closed form for zero taps: H = P_Y V (I + lam^N P_U V)^-1.
 
-    The sign in the resolvent is the one the coefficient functions
-    actually produce on a zero-tap problem, so this agrees with the
-    general solver coefficientwise.  The variant with a minus holds for
-    the sign-bridged parameter [P_Y V; -P_U V], which runs over the same
-    parameter set.
+    The realization on N blocks of U: X1 shifts every block down by one,
+    X2 puts -P_U into the first block, X3 reads the last block, E feeds
+    it, X4 = 0, X5 = P_Y and the base is 0, so the coefficient functions
+    are P11 = -lam^N P_U, P12 = I, P21 = P_Y and P22 = 0.  The sign in the
+    resolvent is the one the coefficient functions actually produce on a
+    zero-tap problem, so this agrees with the general solver.  The variant
+    with a minus holds for the sign-bridged parameter [P_Y V; -P_U V],
+    which runs over the same parameter set.
     """
-    if v.in_dim != u_dim or v.out_dim != y_dim + u_dim:
-        raise DimensionMismatch("parameter dims disagree with the problem ports")
-    vt = transfer_taylor(v, deg)
-    vy = [c[:y_dim, :] for c in vt.coeffs]
-    lam_n_vu = [zeros(u_dim, u_dim)] * n_window + [-c[y_dim:, :] for c in vt.coeffs]
-    return TaylorSeries(tuple(series_mul(vy, series_neumann(lam_n_vu, deg), deg)))
+    n, u, y = n_window * u_dim, u_dim, y_dim
+    last = np.vstack([zeros(n - u, u), eye(u)])
+    x2 = zeros(n, y + u)
+    x2[:u, y:] = -eye(u)
+    return Realization(
+        x1=np.eye(n, k=-u, dtype=complex),
+        x2=x2,
+        x3=adj(last),
+        x4=zeros(y, n),
+        x5=np.hstack([eye(y), zeros(y, u)]),
+        e=last,
+        base=zeros(y, u),
+    )
 
 
 def to_lifting_data(p: NehariProblem, rows: int | None = None) -> LiftingDataSet:

@@ -59,6 +59,9 @@ class Realization:
     `base` is the block the stacked solution operator maps into the base
     space; a solution's first block is `base` and its Hardy-space block
     the transfer function of the solved feedback loop, fed through E.
+    Besides the lifting and Nehari realizations, the closed forms of the
+    Nehari special cases are realizations with constant X-operators:
+    `nehari.special_n1` (window one) and `nehari.special_f0` (zero taps).
     """
 
     x1: np.ndarray

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from power_series import series_mul, series_neumann, transfer_taylor
 from test_lifting import sznagy_schaffer_truncated
 from test_schur import grid_certify
 
@@ -20,7 +21,7 @@ def _rand_system(seed, state, ins, outs):
 
 def test_transfer_taylor_static():
     sys = StateSpace(a=np.zeros((2, 2)), b=np.eye(2), c=np.eye(2), d=0.3 * np.eye(2))
-    ts = hardy.transfer_taylor(sys, 4)
+    ts = transfer_taylor(sys, 4)
     np.testing.assert_allclose(ts.coeffs[0], 0.3 * np.eye(2))
     np.testing.assert_allclose(ts.coeffs[1], np.eye(2))
     for k in range(2, 5):
@@ -31,7 +32,7 @@ def test_transfer_taylor_scalar_geometric():
     sys = StateSpace(
         a=np.array([[0.5]]), b=np.array([[1.0]]), c=np.array([[1.0]]), d=np.array([[0.0]])
     )
-    ts = hardy.transfer_taylor(sys, 5)
+    ts = transfer_taylor(sys, 5)
     expected = [0.0, 1.0, 0.5, 0.25, 0.125, 0.0625]
     got = [complex(c[0, 0]) for c in ts.coeffs]
     np.testing.assert_allclose(got, expected)
@@ -41,7 +42,7 @@ def test_transfer_taylor_scalar_geometric():
 def test_transfer_taylor_matches_resolvent(seed):
     sys = _rand_system(seed, 4, 2, 3)
     deg = 60
-    ts = hardy.transfer_taylor(sys, deg)
+    ts = transfer_taylor(sys, deg)
     lam = 0.4 * np.exp(0.7j)
     direct = schur.eval(sys, lam)
     series = ts(lam)
@@ -61,14 +62,14 @@ def test_mult_matrix_identity_and_shift():
 @pytest.mark.parametrize("seed", range(3))
 def test_mult_matrix_norm_below_grid_sup(seed):
     v = schur.random_schur(2, 2, 3, seed)
-    ts = hardy.transfer_taylor(v, 48)
+    ts = transfer_taylor(v, 48)
     m = hardy.mult_matrix(ts, 24)
     sup = grid_certify(v, points=256, radius=0.999)
     assert linalg.operator_norm(m) <= sup + 1e-6
 
 
 def test_mult_matrix_toeplitz_nesting():
-    ts = hardy.transfer_taylor(schur.random_schur(2, 3, 2, 9), 20)
+    ts = transfer_taylor(schur.random_schur(2, 3, 2, 9), 20)
     small = hardy.mult_matrix(ts, 5)
     big = hardy.mult_matrix(ts, 12)
     np.testing.assert_allclose(big[: small.shape[0], : small.shape[1]], small)
@@ -84,7 +85,7 @@ def test_observability_matrix_shapes():
 def test_contractive_system_stacked_operator(seed):
     sys = _rand_system(seed, 3, 2, 2)
     deg = 24
-    f = hardy.transfer_taylor(sys, deg)
+    f = transfer_taylor(sys, deg)
     # observability coefficients [C, CZ, CZ^2, ...] of C (I - lambda Z)^-1
     g = TaylorSeries(tuple(sys.c @ np.linalg.matrix_power(sys.a, k) for k in range(deg + 1)))
     stacked = np.hstack([hardy.mult_matrix(f, deg), hardy.observability_matrix(g)])
@@ -94,10 +95,10 @@ def test_contractive_system_stacked_operator(seed):
 def test_series_helpers():
     a = [np.array([[1.0]]), np.array([[2.0]])]
     b = [np.array([[1.0]]), np.array([[3.0]])]
-    prod = hardy.series_mul(a, b, 3)
+    prod = series_mul(a, b, 3)
     np.testing.assert_allclose([c[0, 0] for c in prod], [1.0, 5.0, 6.0, 0.0])
     s = [np.zeros((1, 1)), np.array([[0.5]])]
-    inv = hardy.series_neumann(s, 4)
+    inv = series_neumann(s, 4)
     np.testing.assert_allclose([c[0, 0] for c in inv], [1.0, 0.5, 0.25, 0.125, 0.0625])
 
 
@@ -397,3 +398,51 @@ def test_realization_dimensions_are_checked():
         dataclasses.replace(sol, b=sol.b[:, :-1])
     with pytest.raises(DimensionMismatch):
         dataclasses.replace(sol, gamma_coeffs=(sol.gamma_coeffs[0][:-1],))
+
+
+def _lam_power(n):
+    """lam^n on C^1 as a solution tail: Gamma_0 = 0 and the n-state
+    nilpotent shift, so Gamma_k = C A^(k-1) B is 1 at k = n and 0 elsewhere."""
+    b, c = np.zeros((n, 1), complex), np.zeros((1, n), complex)
+    if n:
+        b[0, 0], c[0, -1] = 1.0, 1.0
+    zero = np.zeros((1, 1), complex)
+    return hardy.SolutionRealization(a_part=zero, gamma_coeffs=(zero,),
+                                     a=np.eye(n, k=-1, dtype=complex), b=b, c=c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_coefficient_gap_reads_to_the_last_deciding_coefficient(n):
+    # lam^n differs from the zero function (no states) only at coefficient
+    # n = m + n_f + n_g - 1, the last one the rule reads
+    chain, zero = _lam_power(n), _lam_power(0)
+    assert all(not np.any(g) for g in chain.taylor(n - 1).gamma_coeffs)
+    assert hardy.coefficient_gap(chain, zero) == 1.0
+    assert hardy.coefficient_gap(zero, chain) == 1.0
+    assert hardy.coefficient_gap(chain, chain) == 0.0
+    assert hardy.coefficient_gap(chain, _lam_power(n + 1)) == 1.0
+
+
+def test_coefficient_gap_ignores_unobservable_and_unreachable_states():
+    _, sol = _realized(3)
+    n, extra = sol.a.shape[0], 3
+    a = np.zeros((n + extra, n + extra), complex)
+    a[:n, :n], a[n:, n:] = sol.a, 0.5 * np.eye(extra)
+    unobservable = dataclasses.replace(
+        sol, a=a, b=np.vstack([sol.b, np.full((extra, sol.b.shape[1]), 1e20)]),
+        c=np.hstack([sol.c, np.zeros((sol.c.shape[0], extra))]),
+    )
+    unreachable = dataclasses.replace(
+        sol, a=a, b=np.vstack([sol.b, np.zeros((extra, sol.b.shape[1]))]),
+        c=np.hstack([sol.c, np.ones((sol.c.shape[0], extra))]),
+    )
+    for padded in (unobservable, unreachable):
+        assert hardy.coefficient_gap(sol, padded) <= 1e-15
+    assert hardy.coefficient_gap(sol, _forge_gamma0(sol, 1.5)) > 0.1
+
+
+def test_coefficient_gap_rejects_different_spaces():
+    _, sol = _realized(1)
+    short = dataclasses.replace(sol, gamma_coeffs=(sol.gamma_coeffs[0][:-1],), c=sol.c[:-1])
+    with pytest.raises(DimensionMismatch):
+        hardy.coefficient_gap(sol, short)

@@ -79,7 +79,8 @@ def test_validate_flags_expansive_a():
         a=1.2 * np.ones((1, 1)), t_prime=np.ones((1, 1)), r=np.ones((1, 1)), q=np.ones((1, 1))
     )
     rep = lifting.validate(ds)
-    assert not rep.row("contraction_a").passed
+    rows = {r.name: r for r in rep.rows}
+    assert not rows["contraction_a"].passed
 
 
 def test_derive_scalar_nehari():

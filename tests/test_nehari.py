@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from power_series import series_mul, series_neumann, transfer_taylor
 
 from rclift import generators, hardy, lifting, nehari, redheffer, schur
-from rclift.errors import CornerNotPD, HankelNotStrict
+from rclift.errors import CornerNotPD, DimensionMismatch, HankelNotStrict
 from rclift.linalg import adj, eye, ginibre, inv_hpd, operator_norm, psd_sqrt, zeros
 
 SCALAR = nehari.NehariProblem(2, 1, 1, (np.array([[0.5]]),))
@@ -422,19 +423,36 @@ def test_hat_m_zero_dimensional_state():
     assert cert.status == "certified"
 
 
+def _special_h(special: redheffer.Realization, v, deg):
+    """Hardy-space coefficients to degree deg of a special-case solution."""
+    sol = redheffer.solution_realization(special, v)
+    return hardy.TaylorSeries(sol.taylor(deg).gamma_coeffs)
+
+
+def _bridge(u, y):
+    return np.block([[eye(y), np.zeros((y, u))], [np.zeros((u, y)), -eye(u)]])
+
+
 def test_special_n1_zero_parameter():
     p = nehari.NehariProblem(1, 2, 1, (np.array([[0.3, 0.1]]),))
-    h = nehari.special_n1(p, schur.zero(2, 3), 8)
+    h = _special_h(nehari.special_n1(p), schur.zero(2, 3), 8)
     assert all(operator_norm(c) == 0 for c in h.coeffs)
 
 
 def test_special_n1_constant_parameter_feasible():
     p = nehari.NehariProblem(1, 1, 1, (np.array([[0.5]]),))
     v = schur.constant(np.array([[0.6], [0.0]]))
-    h = nehari.special_n1(p, v, 24)
+    h = _special_h(nehari.special_n1(p), v, 24)
     assert all(operator_norm(h.coeffs[k]) < 1e-14 for k in range(1, 25))
     rep = nehari.assemble_l(p, h)
     assert rep.sigma_max <= 1.0 + 1e-9
+
+
+def test_special_n1_needs_window_one_and_strict_taps():
+    with pytest.raises(DimensionMismatch):
+        nehari.special_n1(nehari.NehariProblem(2, 1, 1, (np.array([[0.5]]),)))
+    with pytest.raises(HankelNotStrict):
+        nehari.special_n1(nehari.NehariProblem(1, 1, 1, (np.array([[1.0]]),)))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -444,13 +462,12 @@ def test_special_n1_bridge_agreement(seed):
     p = generators.random_nehari_problem(rng, u, y, 1, int(rng.integers(1, 5)),
                                          float(rng.uniform(0.2, 0.85)))
     v = schur.random_schur(u, y + u, int(rng.integers(0, 4)), seed + 100)
-    h = nehari.solve_h(nehari.coefficients(p), v, 20)
-    bridge = np.block([
-        [eye(y), np.zeros((y, u))],
-        [np.zeros((u, y)), -eye(u)],
-    ])
-    s = nehari.special_n1(p, schur.left_multiply(bridge, v), 20)
-    assert max(operator_norm(a - b) for a, b in zip(h.coeffs, s.coeffs)) < 1e-8
+    general = redheffer.solution_realization(nehari.coefficients(p), v)
+    special = redheffer.solution_realization(
+        nehari.special_n1(p), schur.left_multiply(_bridge(u, y), v)
+    )
+    np.testing.assert_array_equal(special.a_part, general.a_part)
+    assert hardy.coefficient_gap(general, special) < 1e-8
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -459,16 +476,39 @@ def test_special_f0_direct_agreement(seed):
     u, y, n_w = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(1, 5))
     v = schur.random_schur(u, y + u, int(rng.integers(0, 4)), seed + 200)
     p = nehari.NehariProblem(n_w, u, y, ())
-    h = nehari.solve_h(nehari.coefficients(p), v, 20)
-    f = nehari.special_f0(n_w, u, y, v, 20)
-    assert max(operator_norm(a - b) for a, b in zip(h.coeffs, f.coeffs)) < 1e-10
+    general = redheffer.solution_realization(nehari.coefficients(p), v)
+    special = redheffer.solution_realization(nehari.special_f0(n_w, u, y), v)
+    np.testing.assert_array_equal(special.a_part, general.a_part)
+    assert hardy.coefficient_gap(general, special) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_special_cases_match_series_closed_forms(seed):
+    # the printed closed forms, composed as power series:
+    # P_Y V (I - lam P_U V)^-1 D_A (window one), P_Y V (I + lam^N P_U V)^-1 (zero taps)
+    rng = np.random.default_rng(seed)
+    u, y, n_w = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(1, 5))
+    v = schur.random_schur(u, y + u, int(rng.integers(0, 4)), seed + 300)
+    deg = 24
+    vt = transfer_taylor(v, deg).coeffs
+    vy, vu = [c[:y] for c in vt], [c[y:] for c in vt]
+    p = generators.random_nehari_problem(rng, u, y, 1, 2, 0.7)
+    lam_vu = [zeros(u, u)] + vu[:deg]
+    d_a = psd_sqrt(nehari.gram(p))
+    n1 = [c @ d_a for c in series_mul(vy, series_neumann(lam_vu, deg), deg)]
+    lam_n_vu = [zeros(u, u)] * n_w + [-c for c in vu]
+    f0 = series_mul(vy, series_neumann(lam_n_vu, deg), deg)
+    for special, oracle in ((nehari.special_n1(p), n1),
+                            (nehari.special_f0(n_w, u, y), f0)):
+        h = _special_h(special, v, deg)
+        assert max(operator_norm(a - b) for a, b in zip(h.coeffs, oracle)) < 1e-13
 
 
 def test_special_f0_identity_parameter():
     # V = [1; 0]: the solution is constantly the identity, and the
     # lower-triangular coefficient operator is an isometry
     v = schur.constant(np.array([[1.0], [0.0]]))
-    f = nehari.special_f0(3, 1, 1, v, 12)
+    f = _special_h(nehari.special_f0(3, 1, 1), v, 12)
     np.testing.assert_allclose(complex(f.coeffs[0][0, 0]), 1.0)
     assert all(operator_norm(c) < 1e-14 for c in f.coeffs[1:])
     p = nehari.NehariProblem(3, 1, 1, ())

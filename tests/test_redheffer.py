@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from power_series import linear_fractional, transfer_taylor
 
-from rclift import generators, hardy, lifting, nehari, redheffer, schur
+from rclift import generators, lifting, nehari, redheffer, schur
 from rclift.errors import NotClassicalShape, NotStrict
 from rclift.linalg import (
     adj,
@@ -153,15 +154,9 @@ def test_solution_taylor_matches_series_composition():
     deg = 14
     v = schur.random_schur(rc.kq_dim, rc.w_dim, 2, 5)
     sol = redheffer.solution_taylor(rc, v, deg)
-    p11, p12, p21, p22 = redheffer.phi_taylor(rc, deg)
-    vts = hardy.transfer_taylor(v, deg)
-    s = hardy.series_mul(list(p11.coeffs), list(vts.coeffs), deg)
-    inv = hardy.series_neumann(s, deg)
-    chain = hardy.series_mul(list(vts.coeffs), hardy.series_mul(inv, list(p12.coeffs), deg), deg)
-    gamma = [
-        a + b
-        for a, b in zip(p22.coeffs, hardy.series_mul(list(p21.coeffs), chain, deg))
-    ]
+    gamma = linear_fractional(
+        redheffer.phi_taylor(rc, deg), list(transfer_taylor(v, deg).coeffs), deg
+    )
     for k in range(deg + 1):
         assert operator_norm(sol.gamma_coeffs[k] - gamma[k]) < 1e-11
 
@@ -194,12 +189,8 @@ def test_non_schur_parameter_breaks_contractivity():
     assert operator_norm(adj(xt) @ xt - eye(xt.shape[1])) < 1e-12
     deg = 24
     bad = 1.5 * np.eye(rc.w_dim, rc.kq_dim)
-    p11, p12, p21, p22 = redheffer.phi_taylor(rc, deg)
     vts = [bad] + [zeros(rc.w_dim, rc.kq_dim)] * deg
-    s = hardy.series_mul(list(p11.coeffs), vts, deg)
-    inv = hardy.series_neumann(s, deg)
-    chain = hardy.series_mul(vts, hardy.series_mul(inv, list(p12.coeffs), deg), deg)
-    gamma = [a + b for a, b in zip(p22.coeffs, hardy.series_mul(list(p21.coeffs), chain, deg))]
+    gamma = linear_fractional(redheffer.phi_taylor(rc, deg), vts, deg)
     b = np.vstack([dd.ds.a] + gamma)
     assert operator_norm(b) > 1.0 + 1e-6
 

@@ -7,8 +7,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "rclift").glob("*.py"))
-# every file whose references keep a package definition alive
-REFERRERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+
+
+def _referrers(root: Path) -> list[Path]:
+    """The files whose references keep a package definition alive: the
+    package's own and the benchmark's.  A definition that only tests read
+    is test code, and belongs in tests/."""
+    return sorted(p for d in ("src", "bench") for p in (root / d).rglob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -179,7 +184,7 @@ def _dead(trees: list[ast.Module], definitions: list[str]) -> list[str]:
 
 
 def test_no_dead_definitions():
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in REFERRERS]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in _referrers(ROOT)]
     dead = [
         f"{path.name}:{name}"
         for path in SOURCES
@@ -209,3 +214,17 @@ def test_dead_method_is_detected():
         "_hidden = K().live\n"
     )
     assert _dead([tree], _definitions(tree)) == ["K.dead", "K._hidden"]
+
+
+def test_test_only_definition_is_detected(tmp_path):
+    files = {
+        "src/pkg.py": "def used():\n    return 1\n\ndef oracle():\n    return 2\n",
+        "bench/run.py": "print(used())\n",
+        "tests/test_pkg.py": "print(oracle())\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    trees = [ast.parse(p.read_text()) for p in _referrers(tmp_path)]
+    package = ast.parse(files["src/pkg.py"])
+    assert _dead(trees, _definitions(package)) == ["oracle"]

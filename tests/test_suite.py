@@ -1,10 +1,12 @@
-"""The criterion runner of the acceptance suite, on stub checks."""
+"""The criterion runner of the acceptance suite, on stub checks, and the
+criteria that must be able to fail."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
 
-from rclift import suite
+from rclift import redheffer, suite
 
 CFG = suite.SuiteConfig(base=1)
 
@@ -59,3 +61,18 @@ def test_criteria_keep_their_function_names():
         "ac11_scalar_worked_example",
         "ac12_special_case_agreement",
     ]
+
+
+def test_ac06_fails_on_forged_solutions(monkeypatch):
+    # Gamma_0 * 1.5 breaks the interpolation conditions of every solution;
+    # the criterion must refuse to certify them
+    honest = redheffer.solution_realization
+
+    def forged(rc, v):
+        sol = honest(rc, v)
+        return dataclasses.replace(sol, gamma_coeffs=(1.5 * sol.gamma_coeffs[0],))
+
+    monkeypatch.setattr(redheffer, "solution_realization", forged)
+    result = suite.ac06_contractive_interpolants(CFG)
+    assert not result.passed
+    assert result.details["certified"] == 0
