@@ -26,7 +26,7 @@ its threshold, and "refuted" when a row's lower end, widened the other
 way but never below the part of the row that needs no Gramian, is past
 it; a row whose two ends straddle its threshold reads `passed: false`
 under an "uncertified" certificate.  An uncertified realization, and one
-whose state matrix is not stable, is also expanded to `--degree`
+whose state matrix is not certified stable, is also expanded to `--degree`
 coefficients and checked as a coefficient file, whose rows are reported
 when it refutes or when there is no exact check; coefficients that
 overflow floating point end `verify` with an error, exit code 1.
@@ -47,8 +47,10 @@ The `nehari` report truncates nothing, so it does not depend on
 row is the certified residual of the identities that make the full
 stacked operator an isometry (`nehari.hat_m_check`, from the exact Stein
 Gramian), gated at FP_GRAM_TOL; it passes only when the
-certificate is "certified", and reads null when the state matrix is not
-stable.
+certificate is "certified".  Its `state_spectral_radius` row, and that of
+a Nehari `solve`, is no eigenvalue but the spectral-radius bound that the
+Stein solve of the isometry certificate (in `solve`, of
+`linalg.lyapunov_radius`) certifies; null when that solve proves none.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .errors import (
     ParseError,
     RcliftError,
 )
-from .linalg import adj, eye, min_eig_hermitian, operator_norm
+from .linalg import adj, eye, lyapunov_radius, min_eig_hermitian, operator_norm
 from .redheffer import FP_GRAM_TOL
 from .suite import SuiteConfig, run_suite
 
@@ -212,7 +214,7 @@ def cmd_solve(args) -> int:
     rows, status = _solution_rows(obj, sol, deg, tol)
     ok = status != "refuted"
     if is_nehari:
-        rows.append(_row("state_spectral_radius", rc.r_spec_x1, 1.0, rc.r_spec_x1 < 1.0))
+        rows.append(_row("state_spectral_radius", lyapunov_radius(rc.x1), 1.0))
     report = {
         "command": "solve",
         "instance": _instance_digest(obj),
@@ -263,7 +265,7 @@ def cmd_nehari(args) -> int:
         _row("hankel_norm", operator_norm(a), 1.0),
         _row("gram_matches_hankel", gram_vs_hankel, 1e-10),
         _row("gram_inverse", inv_res, 1e-9),
-        _row("state_spectral_radius", nc.r_spec_x1, 1.0, nc.r_spec_x1 < 1.0),
+        _row("state_spectral_radius", cert.radius_bound, 1.0),
         _row("stacked_isometry_residual", cert.residual, FP_GRAM_TOL,
              cert.status == "certified"),
     ]

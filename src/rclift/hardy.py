@@ -36,7 +36,6 @@ from .linalg import (
     observability_gramian,
     operator_norm,
     psd_sqrt_and_range,
-    spectral_radius,
     zeros,
 )
 
@@ -357,8 +356,8 @@ def certify_interpolant(
     cannot lower them.  The status is "certified" when every upper end is
     within its threshold (tol, tol, 1 + tol), and "refuted" when a lower
     end, or the exact projection residual, is past one.  Otherwise, and
-    when there is no exact verdict (A is not stable, its Stein doubling
-    does not settle, or a Gram overflows), the solution is also expanded
+    when there is no exact verdict (the Stein solve does not prove A
+    stable, or a Gram overflows), the solution is also expanded
     to `deg` and checked by `verify_interpolant`, so the verdict is never
     weaker than that truncated check: its report is returned when it
     refutes or when there is no exact one.
@@ -384,7 +383,7 @@ def _exact_report(
     tol: float,
 ) -> InterpolantReport | None:
     """The exact verdict of `certify_interpolant`, or None without one."""
-    gram = observability_gramian(sol.a, sol.c) if spectral_radius(sol.a) < 1.0 else None
+    gram = observability_gramian(sol.a, sol.c)
     if gram is None:
         return None
     r, q = ds.r, ds.q
@@ -397,12 +396,11 @@ def _exact_report(
         )
         y = sol.b @ r - sol.a @ (sol.b @ q)
         head = np.vstack((sol.a_part,) + sol.gamma_coeffs)
-        int_gram = adj(rows) @ rows + adj(y) @ gram.p @ y
-        sigma_gram = adj(head) @ head + adj(sol.b) @ gram.p @ sol.b
-    int_err = gram.stein_residual * gram.weight(y)
-    sigma_err = gram.stein_residual * gram.weight(sol.b)
-    if not (_all_finite(rows, head, int_gram, sigma_gram)
-            and math.isfinite(int_err) and math.isfinite(sigma_err)):
+        ypy, int_err = gram.form(y, y)
+        bpb, sigma_err = gram.form(sol.b, sol.b)
+        int_gram = adj(rows) @ rows + ypy
+        sigma_gram = adj(head) @ head + bpb
+    if not (_all_finite(int_gram, sigma_gram) and math.isfinite(int_err + sigma_err)):
         return None
     res_int, floor_int = _root_of_max_eig(int_gram, int_err)
     sigma, floor_sigma = _root_of_max_eig(sigma_gram, sigma_err)

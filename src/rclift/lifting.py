@@ -106,17 +106,20 @@ class ValidationReport:
     passed: bool
 
 
+def strictness(ds: LiftingDataSet) -> StrictnessReport:
+    """||A||, sigma_min(R), and whether both keep the STRICT_DELTA margin."""
+    norm_a, sigma_r = operator_norm(ds.a), min_singular_value(ds.r)
+    return StrictnessReport(norm_a, sigma_r, norm_a <= 1.0 - STRICT_DELTA and sigma_r >= STRICT_DELTA)
+
+
 def validate(ds: LiftingDataSet, tol: float = CONSTRAINT_TOL) -> ValidationReport:
     """Residuals of the defining constraints, plus a strictness report."""
-    norm_a = operator_norm(ds.a)
+    strict = strictness(ds)
+    norm_a = strict.norm_a
     norm_t = operator_norm(ds.t_prime)
     intertwine = operator_norm(ds.t_prime @ ds.a @ ds.r - ds.a @ ds.q)
     gap = adj(ds.q) @ ds.q - adj(ds.r) @ ds.r
     gap_min = min_eig_hermitian(gap)
-
-    sigma_r = min_singular_value(ds.r)
-    strict_ok = norm_a <= 1.0 - STRICT_DELTA and sigma_r >= STRICT_DELTA
-    strictness = StrictnessReport(norm_a=norm_a, sigma_min_r=sigma_r, strict_ok=strict_ok)
     rows = (
         ConstraintRow("contraction_a", norm_a, 1.0 + tol, norm_a <= 1.0 + tol),
         ConstraintRow("contraction_t_prime", norm_t, 1.0 + tol, norm_t <= 1.0 + tol),
@@ -128,7 +131,7 @@ def validate(ds: LiftingDataSet, tol: float = CONSTRAINT_TOL) -> ValidationRepor
         ),
         ConstraintRow("defect_ordering", gap_min, -tol, gap_min >= -tol),
     )
-    return ValidationReport(rows=rows, strictness=strictness, passed=all(r.passed for r in rows))
+    return ValidationReport(rows=rows, strictness=strict, passed=all(r.passed for r in rows))
 
 
 @dataclass(frozen=True)
@@ -196,8 +199,8 @@ def derive(ds: LiftingDataSet) -> DerivedData:
     pinv_daq = np.linalg.pinv(daq, rcond=1e-10)
     omega = np.vstack([dtar, d_a @ ds.r]) @ (pinv_daq @ f_emb.basis)
 
-    strictness = validate(ds).strictness
-    if strictness.strict_ok:
+    strict = strictness(ds).strict_ok
+    if strict:
         w_safe = np.where(w > 0, w, 1.0)
         d_a_inv = (v / np.sqrt(w_safe)) @ adj(v)
         d_a_inv = 0.5 * (d_a_inv + adj(d_a_inv))
@@ -219,7 +222,7 @@ def derive(ds: LiftingDataSet) -> DerivedData:
         ker_r_star=ker_r,
         j=j,
         omega=omega,
-        strict=strictness.strict_ok,
+        strict=strict,
         d_a_inv=d_a_inv,
         d_a_sq_inv=d_a_sq_inv,
     )

@@ -2,7 +2,7 @@
 
 Everything in the package runs through this module: products and adjoints
 are plain numpy, while the structured operations here (PSD square roots,
-spectral radii, canonical subspace bases, HPD solves) carry the tolerance
+canonical subspace bases, HPD solves, Stein Gramians) carry the tolerance
 policy.  All matrices are complex128 throughout; real data is treated as a
 special case of complex.  Zero-dimensional matrices (0 x n, n x 0) are
 legal and behave as empty linear maps.
@@ -10,6 +10,7 @@ legal and behave as empty linear maps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,20 +54,9 @@ def zeros(rows: int, cols: int) -> np.ndarray:
 
 def operator_norm(m) -> float:
     """Largest singular value; 0 for zero-dimensional matrices."""
-    m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def spectral_radius(m) -> float:
-    """max |eigenvalue| of a square matrix."""
-    m = cmatrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"spectral radius needs a square matrix, got {m.shape}")
-    if m.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def _require_hermitian(m: np.ndarray, tol: float, message: str) -> None:
@@ -90,9 +80,8 @@ def _require_hermitian(m: np.ndarray, tol: float, message: str) -> None:
         raise NotHermitian(message)
 
 
-def _hermitian_part(m, tol: float) -> np.ndarray:
+def _hermitian_part(m: np.ndarray, tol: float) -> np.ndarray:
     """(m + m*) / 2 of a square matrix that passes the Hermiticity gate."""
-    m = cmatrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
     _require_hermitian(m, tol, f"anti-Hermitian part exceeds {tol:g} * ||m||")
@@ -105,8 +94,7 @@ def hermitian_eig(m: np.ndarray, tol: float = RANK_RTOL) -> tuple[np.ndarray, np
     Returns (w, v) with m = v @ diag(w) @ v*.  Raises NotHermitian when the
     anti-Hermitian part exceeds tol * ||m||.
     """
-    w, v = np.linalg.eigh(_hermitian_part(m, tol))
-    return w, v.astype(complex)
+    return np.linalg.eigh(_hermitian_part(m, tol))
 
 
 def psd_sqrt(m, tol: float = RANK_RTOL) -> np.ndarray:
@@ -126,10 +114,8 @@ def psd_sqrt(m, tol: float = RANK_RTOL) -> np.ndarray:
     return 0.5 * (root + adj(root))
 
 
-def solve_hpd(m, b) -> np.ndarray:
+def solve_hpd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve m @ x = b for Hermitian positive definite m via Cholesky."""
-    m = cmatrix(m)
-    b = np.asarray(b, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
     if m.shape[0] != b.shape[0]:
@@ -144,9 +130,8 @@ def solve_hpd(m, b) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, b)
 
 
-def inv_hpd(m) -> np.ndarray:
+def inv_hpd(m: np.ndarray) -> np.ndarray:
     """Inverse of a Hermitian positive definite matrix."""
-    m = cmatrix(m)
     return solve_hpd(m, eye(m.shape[0]))
 
 
@@ -175,7 +160,7 @@ class SubspaceEmbedding:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = cmatrix(self.basis)
+        b = self.basis
         if b.shape[0] != self.ambient_dim:
             raise DimensionMismatch(
                 f"basis has {b.shape[0]} rows, ambient dimension is {self.ambient_dim}"
@@ -185,7 +170,6 @@ class SubspaceEmbedding:
         gram = adj(b) @ b
         if operator_norm(gram - eye(b.shape[1])) > 1e-10:
             raise ValueError("basis columns are not orthonormal within 1e-10")
-        object.__setattr__(self, "basis", b)
 
     @property
     def dim(self) -> int:
@@ -267,9 +251,8 @@ def _left_singular_basis(m: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     return u[:, :r], r
 
 
-def range_embedding(m, rtol: float = RANK_RTOL) -> SubspaceEmbedding:
+def range_embedding(m: np.ndarray, rtol: float = RANK_RTOL) -> SubspaceEmbedding:
     """Canonical orthonormal basis of the column space of m."""
-    m = cmatrix(m)
     n = m.shape[0]
     u, r = _left_singular_basis(m, rtol)
     if r == 0:
@@ -277,9 +260,8 @@ def range_embedding(m, rtol: float = RANK_RTOL) -> SubspaceEmbedding:
     return SubspaceEmbedding(n, _canonical_basis_from_projector(u @ adj(u), r))
 
 
-def kernel_embedding(m, rtol: float = RANK_RTOL) -> SubspaceEmbedding:
+def kernel_embedding(m: np.ndarray, rtol: float = RANK_RTOL) -> SubspaceEmbedding:
     """Canonical orthonormal basis of Ker(m*), the left null space of m."""
-    m = cmatrix(m)
     n = m.shape[0]
     u, r = _left_singular_basis(m, rtol)
     k = n - r
@@ -293,7 +275,6 @@ def kernel_embedding(m, rtol: float = RANK_RTOL) -> SubspaceEmbedding:
 
 def min_singular_value(m) -> float:
     """Smallest singular value; +inf for matrices with no columns."""
-    m = np.asarray(m, dtype=complex)
     if m.shape[1] == 0:
         return float("inf")
     if m.shape[0] == 0:
@@ -340,22 +321,54 @@ def _stein(a: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, np.array([operator_norm(adj(a) @ xk @ a + q - xk) for xk, q in zip(x, qs)])
 
 
+def _lyapunov(a: np.ndarray, w: np.ndarray, residual: float) -> tuple[float, float]:
+    """A certified bound on ||Delta_W|| = ||a* w a + I - w|| for a computed
+    w, from the computed value `residual`, and the bound on rho(a) that w
+    proves (inf when none).  With k = (n + 2) eps, forming Delta_W and its
+    norm rounds by at most k (||a||_1 ||a||_inf ||w||_1 + 1 + ||w||_1 +
+    residual), and each computed eigenvalue of w is within e = k ||w|| of
+    its own (first-order bounds).  A least eigenvalue above e proves w > 0,
+    so w - a* w a >= (1 - ||Delta_W||) I gives, at a v = mu v, Lyapunov's
+    rho(a)^2 <= 1 - (1 - ||Delta_W||) / (lambda_max(w) + e), padded by 8 eps
+    for the rounding of these last steps.
+    """
+    n = a.shape[0]
+    if n == 0:
+        return residual, 0.0
+    eps = float(np.finfo(float).eps)
+    k = (n + 2) * eps
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
+        w_1 = float(np.linalg.norm(w, 1))
+        a_sq = float(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
+        delta = residual + k * (a_sq * w_1 + 1.0 + w_1 + residual)
+    if not delta < 1.0:
+        return delta, math.inf
+    lam = np.linalg.eigvalsh(w)
+    e = k * max(-lam[0], lam[-1])
+    if not lam[0] > e:
+        return delta, math.inf
+    bound = math.sqrt(max(1.0 - (1.0 - delta) / (lam[-1] + e), 0.0) + 8.0 * eps)
+    return delta, bound if bound < 1.0 else math.inf
+
+
 @dataclass(frozen=True)
 class SteinGramian:
     """Observability Gramian P = a* P a + c* c, with its roundoff bound.
 
     The exact Gramian is the computed `p` plus sum_t a*^t Delta a^t, Delta
     the Stein residual of `p` (norm `stein_residual`), so its error seen
-    through b1* (.) b2 is at most
-    ||Delta|| sqrt(weight(b1) weight(b2)), where `weight(b)` bounds
-    ||b* W b|| for the exact W = a* W a + I, a second Stein equation solved
-    alongside P (`w`, with Stein residual `w_residual` < 1).
+    through b1* (.) b2 is at most ||Delta|| sqrt(weight(b1) weight(b2))
+    (`form`), where `weight(b)` bounds ||b* W b|| for the exact
+    W = a* W a + I, solved alongside P (`w`, with the certified bound
+    `w_residual` on its Stein residual).  That w also proves a stable:
+    `radius_bound` < 1 bounds its spectral radius (`_lyapunov`).
     """
 
     p: np.ndarray
     stein_residual: float
     w: np.ndarray
     w_residual: float
+    radius_bound: float
 
     def weight(self, b: np.ndarray) -> float:
         """||b* W b|| for the exact W, which is at most b* w b / (1 - ||Delta_W||);
@@ -366,17 +379,32 @@ class SteinGramian:
             return float("inf")
         return operator_norm(m) / (1.0 - self.w_residual)
 
+    def form(self, b1: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, float]:
+        """b1* p b2, and the bound ||Delta|| sqrt(weight(b1) weight(b2)) on
+        its distance from b1* P b2; inf when either overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = adj(b1) @ self.p @ b2
+        err = self.stein_residual * math.sqrt(self.weight(b1) * self.weight(b2))
+        return m, err if np.all(np.isfinite(m)) and math.isfinite(err) else math.inf
+
 
 def observability_gramian(a: np.ndarray, c: np.ndarray) -> SteinGramian | None:
-    """The Gramian of (a, c) by Smith doubling, or None when the doubling
-    does not settle (its residuals are not finite, or the one of W is not
-    below 1).  Callers check that a is stable first: the doubling of an
-    unstable a may stop on a finite but meaningless sum.
+    """The Gramian of (a, c) by Smith doubling, or None unless its W proves
+    a stable and the Stein residual of P is finite: the one place that
+    decides whether a is stable.
     """
     (p, w), (stein_p, stein_w) = _stein(a, np.stack([adj(c) @ c, eye(a.shape[0])]))
-    if not (stein_w < 1.0 and np.isfinite(stein_p)):
+    w_residual, radius = _lyapunov(a, w, float(stein_w))
+    if not (radius < 1.0 and np.isfinite(stein_p)):
         return None
-    return SteinGramian(p, float(stein_p), w, float(stein_w))
+    return SteinGramian(p, float(stein_p), w, w_residual, radius)
+
+
+def lyapunov_radius(a: np.ndarray) -> float:
+    """The bound on the spectral radius of a that one Stein solve
+    W = a* W a + I certifies, as in `observability_gramian`; inf when none."""
+    (w,), (stein_w,) = _stein(a, eye(a.shape[0])[None])
+    return _lyapunov(a, w, float(stein_w))[1]
 
 
 # --- seeded random material -------------------------------------------------

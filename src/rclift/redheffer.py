@@ -23,7 +23,7 @@ realization `nehari` builds in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .linalg import (
     operator_norm,
     psd_sqrt,
     solve_hpd,
-    spectral_radius,
     zeros,
 )
 
@@ -71,10 +70,6 @@ class Realization:
     x5: np.ndarray
     e: np.ndarray
     base: np.ndarray
-    r_spec_x1: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "r_spec_x1", spectral_radius(self.x1))
 
     @property
     def w_dim(self) -> int:
@@ -340,14 +335,16 @@ class IsometryCertificate:
     `residual` bounds from above, and `residual_floor` from below, the
     largest residual of the three identities that make M an isometry, taken
     with the exact Gramian; `stein_residual` is the Stein residual of the
-    computed one.  `status` is "certified" when the upper bound is within
-    FP_GRAM_TOL, "refuted" when the lower bound exceeds it, and
-    "uncertified" otherwise, always so when X1 is not stable (no Gramian).
+    computed one, and `radius_bound` its bound on the spectral radius of X1.
+    `status` is "certified" when the upper bound is within FP_GRAM_TOL,
+    "refuted" when the lower bound exceeds it, and "uncertified" otherwise,
+    always so when X1 is not certified stable (no Gramian, floor 0, rest inf).
     """
 
     residual: float
     residual_floor: float
     stein_residual: float
+    radius_bound: float
 
     @property
     def status(self) -> str:
@@ -367,32 +364,27 @@ def isometry_certificate(rc: Realization) -> IsometryCertificate:
 
         D*D + X2* P X2 = I,   C*D + X1* P X2 = 0,   base*base + E* P E = I,
 
-    three identities of size at most n x n.  Roundoff: the error of the
-    computed P seen through B1* (.) B2 is at most
-    ||Delta|| sqrt(||B1* W B1|| ||B2* W B2||) (`linalg.SteinGramian`).
-    That bound, for (X2, X2), (X1, X2) and (E, E), widens each computed
-    residual both ways; it is never added to the threshold.
+    three identities of size at most n x n.  Roundoff: each B1* P B2 comes
+    with the bound on its error that `linalg.SteinGramian.form` gives, for
+    (X2, X2), (X1, X2) and (E, E); it widens the computed residual both
+    ways and is never added to the threshold.
     """
-    if rc.r_spec_x1 >= 1.0:
-        return IsometryCertificate(np.inf, 0.0, np.inf)
     c = np.vstack([rc.x3, rc.x4])
     d = np.vstack([zeros(rc.kq_dim, rc.w_dim), rc.x5])
     g = observability_gramian(rc.x1, c)
     if g is None:
-        return IsometryCertificate(np.inf, 0.0, np.inf)
-    p = g.p
-    w_x2 = g.weight(rc.x2)
-    identities = (
-        (adj(d) @ d + adj(rc.x2) @ p @ rc.x2 - eye(rc.w_dim), w_x2),
-        (adj(c) @ d + adj(rc.x1) @ p @ rc.x2, np.sqrt(g.weight(rc.x1) * w_x2)),
-        (adj(rc.base) @ rc.base + adj(rc.e) @ p @ rc.e - eye(rc.e.shape[1]),
-         g.weight(rc.e)),
+        return IsometryCertificate(np.inf, 0.0, np.inf, np.inf)
+    identities = (  # explicit part, (B1* P B2, its error bound), identity
+        (adj(d) @ d, g.form(rc.x2, rc.x2), eye(rc.w_dim)),
+        (adj(c) @ d, g.form(rc.x1, rc.x2), 0.0),
+        (adj(rc.base) @ rc.base, g.form(rc.e, rc.e), eye(rc.e.shape[1])),
     )
-    computed = [(operator_norm(m), g.stein_residual * gain) for m, gain in identities]
+    computed = [(operator_norm(m + bpb - i), err) for m, (bpb, err), i in identities]
     return IsometryCertificate(
         residual=float(max(r + err for r, err in computed)),
         residual_floor=float(max(r - err for r, err in computed)),
         stein_residual=g.stein_residual,
+        radius_bound=g.radius_bound,
     )
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import generators, hardy, lifting, nehari, redheffer, schur
-from .linalg import adj, eye, operator_norm
+from .linalg import adj, eye, lyapunov_radius, operator_norm
 from .redheffer import FP_GRAM_TOL
 
 SEED0 = 20_000  # seed base of every instance family
@@ -261,7 +261,7 @@ def ac06_contractive_interpolants(cfg: SuiteConfig) -> tuple[bool, dict]:
 def ac07_stacked_operator_contraction(cfg: SuiteConfig) -> tuple[bool, dict]:
     """The full stacked solution operator is a contraction on every strict
     instance and an isometry when the defect gap vanishes and the
-    coefficient state is stable.
+    coefficient state is certified stable, with radius below 1 - 1e-9.
 
     Both are decided exactly, with no truncation: the contraction by the
     KYP certificate `redheffer.kyp_norm` <= 1 + FP_GRAM_TOL, the isometry by
@@ -281,12 +281,13 @@ def ac07_stacked_operator_contraction(cfg: SuiteConfig) -> tuple[bool, dict]:
         if kyp > 1.0 + FP_GRAM_TOL:
             all_ok = False
         gap = operator_norm(adj(ds.q) @ ds.q - adj(ds.r) @ ds.r)
-        if gap < 1e-9 and rc.r_spec_x1 < 1.0 - 1e-9:
-            iso_checked += 1
+        if gap < 1e-9:
             cert = redheffer.isometry_certificate(rc)
-            worst_iso = max(worst_iso, cert.residual)
-            if cert.status != "certified":
-                all_ok = False
+            if cert.radius_bound < 1.0 - 1e-9:
+                iso_checked += 1
+                worst_iso = max(worst_iso, cert.residual)
+                if cert.status != "certified":
+                    all_ok = False
     ok = all_ok and iso_checked > 0
     return ok, {"instances": cfg.n_mid, "max_kyp_norm": worst_kyp,
                 "isometry_instances": iso_checked, "max_isometry_residual": worst_iso}
@@ -364,23 +365,23 @@ def ac08_classical_specialization(cfg: SuiteConfig) -> tuple[bool, dict]:
 
 @_criterion("nehari_forward_soundness", budget_s=30.0)
 def ac09_nehari_forward_soundness(cfg: SuiteConfig) -> tuple[bool, dict]:
-    """Every certified parameter yields an accepted combined operator."""
+    """Every certified parameter yields an accepted combined operator, and
+    every Nehari state matrix is certified stable."""
     n = cfg.n_mid
     all_ok = True
     worst_sigma = 0.0
-    rspec_max = 0.0
+    radius_max = 0.0
     for i in range(n):
         p, v = _nehari_pool_entry(i)
         nc = nehari.coefficients(p)
-        rspec_max = max(rspec_max, nc.r_spec_x1)
-        if nc.r_spec_x1 >= 1.0:
-            all_ok = False
+        radius_max = max(radius_max, lyapunov_radius(nc.x1))
         h = nehari.solve_h(nc, v, cfg.degree)
         rep = nehari.assemble_l(p, h)
         worst_sigma = max(worst_sigma, rep.sigma_max)
         if not rep.accepted(1e-6):
             all_ok = False
-    return all_ok, {"pairs": n, "max_sigma": worst_sigma, "max_r_spec": rspec_max}
+    ok = all_ok and radius_max < 1.0
+    return ok, {"pairs": n, "max_sigma": worst_sigma, "max_radius_bound": radius_max}
 
 
 @_criterion("hat_m_isometry")

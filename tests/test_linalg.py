@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import spectral_radius
 
-from rclift import linalg
+from rclift import cli, linalg, serialize
 from rclift.errors import NegativeEigenvalue, NotHermitian, NotPositiveDefinite
 
 
@@ -63,16 +64,16 @@ def test_operator_norm_submultiplicative(seed):
 
 
 def test_spectral_radius_cases():
-    assert linalg.spectral_radius(np.array([[0, 1], [0, 0]])) == 0.0
-    assert abs(linalg.spectral_radius(np.diag([0.3, -0.9])) - 0.9) < 1e-14
-    assert linalg.spectral_radius(np.zeros((0, 0))) == 0.0
+    assert spectral_radius(np.array([[0, 1], [0, 0]])) == 0.0
+    assert abs(spectral_radius(np.diag([0.3, -0.9])) - 0.9) < 1e-14
+    assert spectral_radius(np.zeros((0, 0))) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_spectral_radius_below_norm(seed):
     rng = np.random.default_rng(seed)
     m = linalg.ginibre(rng, 5, 5)
-    assert linalg.spectral_radius(m) <= linalg.operator_norm(m) + 1e-10
+    assert spectral_radius(m) <= linalg.operator_norm(m) + 1e-10
 
 
 def test_kernel_embedding_structured():
@@ -235,7 +236,7 @@ def test_min_eig_hermitian_takes_no_eigenvectors(monkeypatch, seed):
 def test_observability_gramian_matches_lyapunov_solver(seed):
     rng = np.random.default_rng(seed)
     a = linalg.ginibre(rng, 6, 6)
-    a *= 0.9 / linalg.spectral_radius(a)
+    a *= 0.9 / spectral_radius(a)
     c = linalg.ginibre(rng, 2, 6)
     g = linalg.observability_gramian(a, c)
     oracle = scipy.linalg.solve_discrete_lyapunov(a.conj().T, c.conj().T @ c)
@@ -248,3 +249,65 @@ def test_observability_gramian_matches_lyapunov_solver(seed):
 
 def test_observability_gramian_of_an_expanding_matrix_is_none():
     assert linalg.observability_gramian(2.0 * np.eye(3), np.ones((1, 3))) is None
+
+
+def _scaled_unitary(r: float) -> np.ndarray:
+    return r * linalg.haar_unitary(np.random.default_rng(8), 4)
+
+
+def _jordan(n: int) -> np.ndarray:
+    # rho = 0.5 with an off-diagonal of 1e3: W is finite but ill-conditioned
+    return 0.5 * np.eye(n, dtype=complex) + 1e3 * np.eye(n, k=1, dtype=complex)
+
+
+# state matrix, and whether its Stein solve must certify it (None: may)
+STABILITY_EDGES = {
+    "unitary_0.9": (_scaled_unitary(0.9), True),
+    "unitary_0.999": (_scaled_unitary(0.999), True),
+    "unitary_1-1e-6": (_scaled_unitary(1.0 - 1e-6), True),
+    "unitary_1": (_scaled_unitary(1.0), False),
+    "unitary_1+1e-12": (_scaled_unitary(1.0 + 1e-12), False),
+    "jordan_2": (_jordan(2), None),
+    "jordan_3": (_jordan(3), None),
+    "empty": (np.zeros((0, 0), dtype=complex), True),
+}
+
+
+@pytest.mark.parametrize("name", STABILITY_EDGES)
+def test_stability_certificate_edges(name):
+    a, certify = STABILITY_EDGES[name]
+    n = a.shape[0]
+    g = linalg.observability_gramian(a, np.ones((1, n), dtype=complex))
+    bound = linalg.lyapunov_radius(a)
+    if g is None:
+        assert certify is not True
+        assert bound == np.inf
+        row = cli._row("state_spectral_radius", bound, 1.0)
+        assert serialize.canonical_json(row) == (
+            '{"name":"state_spectral_radius","passed":false,"threshold":1.0,"value":null}\n'
+        )
+    else:
+        assert certify is not False
+        assert g.radius_bound == bound
+        assert spectral_radius(a) <= bound < 1.0
+    if n == 0:
+        assert bound == 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 6),
+    rho=st.floats(0.0, 1.05),
+    normal=st.booleans(),
+)
+def test_stability_bound_never_below_the_eigenvalues(seed, n, rho, normal):
+    rng = np.random.default_rng(seed)
+    if normal:
+        u = linalg.haar_unitary(rng, n)
+        moduli = rho * np.append(1.0, rng.uniform(size=n - 1))
+        a = (u * moduli * np.exp(2j * np.pi * rng.uniform(size=n))) @ u.conj().T
+    else:
+        g = linalg.ginibre(rng, n, n)
+        a = g * (rho / spectral_radius(g))
+    assert linalg.lyapunov_radius(a) >= spectral_radius(a)

@@ -116,6 +116,38 @@ def test_unused_parameter_is_detected():
     assert sorted(_unused_parameters(tree)) == ["<lambda>:z", "f:args", "f:b", "f:d"]
 
 
+NONSYMMETRIC_EIGENSOLVERS = ("eig", "eigvals")
+
+
+def _nonsymmetric_eigen_calls(tree: ast.Module) -> list[str]:
+    """`name:line` for each call of a function named `eig` or `eigvals`
+    (NumPy's or SciPy's nonsymmetric eigensolvers): the package certifies
+    stability from a Stein Gramian, never from computed eigenvalues."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in NONSYMMETRIC_EIGENSOLVERS:
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_nonsymmetric_eigensolver(path):
+    assert _nonsymmetric_eigen_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_nonsymmetric_eigensolver_is_detected():
+    tree = ast.parse(
+        "import numpy as np\nfrom scipy.linalg import eig\n"
+        "a = np.eye(2)\n"
+        "r = max(abs(np.linalg.eigvals(a)))\n"
+        "w = np.linalg.eigvalsh(a)[-1]\n"
+        "v = eig(a)\n"
+    )
+    assert sorted(_nonsymmetric_eigen_calls(tree)) == ["eig:6", "eigvals:4"]
+
+
 def _scopes(tree: ast.Module):
     """(node, own names) for each module-level statement; a module-level
     class is split into its methods, each owning the class name and its
