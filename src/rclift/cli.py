@@ -8,8 +8,8 @@ stderr only.
 
 Exit codes: 0 pass, 1 constraint or verification failure, 2 I/O or
 schema error, 3 hypothesis violation (strictness), 4 generator failure.
-The default verification tolerance is 1e-6 and the default truncation
-degree 64; RCLIFT_TOL overrides the tolerance default.
+The default tolerance is 1e-6 (1e-8 for `validate`) and the default
+truncation degree 64.
 
 Every residual row carries the threshold its gate used, and the solve
 and verify reports carry a `certificate`: "certified", "refuted" or
@@ -47,16 +47,14 @@ The `nehari` report truncates nothing, so it does not depend on
 row is the certified residual of the identities that make the full
 stacked operator an isometry (`nehari.hat_m_check`, from the exact Stein
 Gramian), gated at FP_GRAM_TOL; it passes only when the
-certificate is "certified".  Its `state_spectral_radius` row, and that of
-a Nehari `solve`, is no eigenvalue but the spectral-radius bound that the
-Stein solve of the isometry certificate (in `solve`, of
-`linalg.lyapunov_radius`) certifies; null when that solve proves none.
+certificate is "certified".  Its `state_spectral_radius` row is no
+eigenvalue but the spectral-radius bound that the Stein solve of the
+isometry certificate certifies; null when that solve proves none.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -70,7 +68,7 @@ from .errors import (
     ParseError,
     RcliftError,
 )
-from .linalg import adj, eye, lyapunov_radius, min_eig_hermitian, operator_norm
+from .linalg import adj, eye, min_eig_hermitian, operator_norm
 from .redheffer import FP_GRAM_TOL
 from .suite import SuiteConfig, run_suite
 
@@ -82,16 +80,6 @@ EXIT_GENERATOR = 4
 
 DEFAULT_DEGREE = 64
 DEFAULT_TOL = 1e-6
-
-
-def _default_tol(fallback: float = DEFAULT_TOL) -> float:
-    env = os.environ.get("RCLIFT_TOL")
-    if env is None:
-        return fallback
-    try:
-        return float(env)
-    except ValueError as exc:
-        raise ParseError(f"RCLIFT_TOL={env!r} is not a number") from exc
 
 
 def _row(name: str, value: float, threshold: float, passed: bool | None = None) -> dict:
@@ -138,12 +126,11 @@ def _validation_rows(ds: lifting.LiftingDataSet, tol: float) -> tuple[list[dict]
 
 
 def cmd_validate(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol(1e-8)
     obj = _load_instance(args.input)
     rows = []
     if isinstance(obj, nehari.NehariProblem):
         a = nehari.hankel(obj)
-        rows.append(_row("hankel_contraction", operator_norm(a), 1.0 + tol))
+        rows.append(_row("hankel_contraction", operator_norm(a), 1.0 + args.tol))
         gram_min = min_eig_hermitian(nehari.gram(obj))
         rows.append(
             _row("strictness_gram_min_eig", gram_min, nehari.GRAM_MIN_EIG,
@@ -152,7 +139,7 @@ def cmd_validate(args) -> int:
         ds = nehari.to_lifting_data(obj)
     else:
         ds = obj
-    lifting_rows, passed = _validation_rows(ds, tol)
+    lifting_rows, passed = _validation_rows(ds, args.tol)
     rows.extend(lifting_rows)
     ok = passed and all(
         r["passed"] for r in rows if not r["name"].startswith("strictness")
@@ -199,7 +186,6 @@ def _solution_rows(obj, sol, deg: int, tol: float) -> tuple[list[dict], str]:
 
 
 def cmd_solve(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
     obj = _load_instance(args.input)
     deg = args.degree
     is_nehari = isinstance(obj, nehari.NehariProblem)
@@ -211,10 +197,8 @@ def cmd_solve(args) -> int:
         dd.require_strict()
         rc = redheffer.build_coefficients(dd)
         sol = redheffer.solution_realization(rc, _load_parameter(args, rc.kq_dim, rc.w_dim))
-    rows, status = _solution_rows(obj, sol, deg, tol)
+    rows, status = _solution_rows(obj, sol, deg, args.tol)
     ok = status != "refuted"
-    if is_nehari:
-        rows.append(_row("state_spectral_radius", lyapunov_radius(rc.x1), 1.0))
     report = {
         "command": "solve",
         "instance": _instance_digest(obj),
@@ -231,14 +215,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
     obj = _load_instance(args.input)
     sol_doc = serialize.load_json(args.solution)
     if isinstance(obj, nehari.NehariProblem):
         sol = serialize.nehari_solution_from_json(sol_doc, obj.u_dim, obj.y_dim)
     else:
         sol = serialize.lifting_solution_from_json(sol_doc)
-    rows, status = _solution_rows(obj, sol, args.degree, tol)
+    rows, status = _solution_rows(obj, sol, args.degree, args.tol)
     ok = status != "refuted"
     _emit(args, {
         "command": "verify",
@@ -319,10 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def tol_option(p, default_doc="1e-6"):
-        p.add_argument("--tol", type=float, default=None,
-                       help=f"tolerance (default {default_doc}; "
-                            "RCLIFT_TOL overrides)")
+    def tol_option(p, default=DEFAULT_TOL):
+        p.add_argument("--tol", type=float, default=default,
+                       help="tolerance (default %(default)g)")
 
     def degree_option(p, doc="truncation degree (default 64)"):
         p.add_argument("--degree", type=int, default=DEFAULT_DEGREE, help=doc)
@@ -332,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the defining constraints of an instance")
     p.add_argument("input")
-    tol_option(p, "1e-8")
+    tol_option(p, 1e-8)
     out_option(p)
     p.set_defaults(func=cmd_validate)
 

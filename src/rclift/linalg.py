@@ -6,6 +6,10 @@ canonical subspace bases, HPD solves, Stein Gramians) carry the tolerance
 policy.  All matrices are complex128 throughout; real data is treated as a
 special case of complex.  Zero-dimensional matrices (0 x n, n x 0) are
 legal and behave as empty linear maps.
+
+Every subspace basis comes from `_canonical_basis` on the orthonormal
+basis the caller already holds, so it depends on the subspace alone and
+coordinates written by one run are read the same way by another.
 """
 
 from __future__ import annotations
@@ -153,7 +157,8 @@ class SubspaceEmbedding:
 
     The basis matrix plays the role of the adjoint of the canonical
     projection onto the subspace: ``basis.conj().T @ x`` gives subspace
-    coordinates and ``basis @ c`` embeds them back.
+    coordinates and ``basis @ c`` embeds them back.  The package builds
+    it with `_canonical_basis`: the identity on the whole space.
     """
 
     ambient_dim: int
@@ -184,34 +189,24 @@ class SubspaceEmbedding:
         return adj(self.basis) @ m
 
 
-def _canonical_basis_from_projector(p: np.ndarray, rank: int) -> np.ndarray:
-    """Deterministic orthonormal basis of the range of a projector.
+def _canonical_basis(u: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal basis of the span of orthonormal columns u.
 
-    Pivoted Gram-Schmidt over the projector columns: at each step take the
-    remaining column with the largest residual norm (lowest index on ties),
-    orthogonalize twice, and fix the phase so the largest entry is real
-    positive.  Exactly diagonal 0/1 projectors therefore yield coordinate
+    The identity when u spans the whole space.  Otherwise the pivoted
+    Gram-Schmidt of the projector columns u u* e_j, taken from LAPACK's
+    column-pivoted QR of u* (whose columns are their coordinates): the
+    largest remaining residual first, the first index on ties, then each
+    phase fixed so the largest entry is real positive.  The result depends
+    on the span only, and exactly diagonal 0/1 projectors give coordinate
     vectors in index order, which keeps structured kernel bases literal.
     """
-    n = p.shape[0]
-    basis = np.zeros((n, rank), dtype=complex)
-    cols = p.astype(complex).copy()
-    remaining = list(range(n))
-    for k in range(rank):
-        norms = np.linalg.norm(cols[:, remaining], axis=0)
-        pick = remaining[int(np.argmax(norms))]
-        v = cols[:, pick].copy()
-        v /= np.linalg.norm(v)
-        if k:
-            v -= basis[:, :k] @ (adj(basis[:, :k]) @ v)
-            v /= np.linalg.norm(v)
-        i = int(np.argmax(np.abs(v)))
-        v *= np.conj(v[i]) / abs(v[i])
-        basis[:, k] = v
-        remaining.remove(pick)
-        for j in remaining:
-            cols[:, j] -= v * (v.conj() @ cols[:, j])
-    return basis
+    n, r = u.shape
+    if r in (0, n):
+        return eye(n)[:, :r]
+    q = scipy.linalg.qr(adj(u), pivoting=True, mode="economic")[0]
+    basis = u @ q
+    top = basis[np.argmax(np.abs(basis), axis=0), np.arange(r)]
+    return basis * (top.conj() / np.abs(top))
 
 
 def psd_sqrt_and_range(m, rtol: float = RANK_RTOL) -> tuple[np.ndarray, SubspaceEmbedding]:
@@ -221,7 +216,8 @@ def psd_sqrt_and_range(m, rtol: float = RANK_RTOL) -> tuple[np.ndarray, Subspace
     max(||m||, 1)), not on their square roots: a zero defect contaminated
     by 1e-15 rounding would otherwise grow 1e-8 singular values that pass
     any relative cutoff after the square root.  Sub-threshold eigenvalues
-    are zeroed in the root, so its range equals the embedded subspace.
+    are zeroed in the root, so its range equals the embedded subspace,
+    whose basis comes from the kept eigenvectors.
     """
     w, v = hermitian_eig(m, tol=rtol)
     n = w.size
@@ -233,44 +229,25 @@ def psd_sqrt_and_range(m, rtol: float = RANK_RTOL) -> tuple[np.ndarray, Subspace
     keep = w > rtol * scale
     root = (v * np.where(keep, np.sqrt(np.clip(w, 0.0, None)), 0.0)) @ adj(v)
     root = 0.5 * (root + adj(root))
-    r = int(np.count_nonzero(keep))
-    if r == 0:
-        return root, SubspaceEmbedding(n, zeros(n, 0))
-    vk = v[:, keep]
-    basis = _canonical_basis_from_projector(vk @ adj(vk), r)
-    return root, SubspaceEmbedding(n, basis)
+    return root, SubspaceEmbedding(n, _canonical_basis(v[:, keep]))
 
 
-def _left_singular_basis(m: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
-    """Leading left singular vectors spanning the column space, and the rank,
-    from one SVD."""
-    if m.size == 0:
-        return zeros(m.shape[0], 0), 0
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+def _left_singular_split(m: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the column space of m and of its complement
+    Ker(m*), from one full SVD."""
+    u, s, _ = np.linalg.svd(m)
     r = rank_from_singular_values(s, rtol)
-    return u[:, :r], r
+    return u[:, :r], u[:, r:]
 
 
 def range_embedding(m: np.ndarray, rtol: float = RANK_RTOL) -> SubspaceEmbedding:
     """Canonical orthonormal basis of the column space of m."""
-    n = m.shape[0]
-    u, r = _left_singular_basis(m, rtol)
-    if r == 0:
-        return SubspaceEmbedding(n, zeros(n, 0))
-    return SubspaceEmbedding(n, _canonical_basis_from_projector(u @ adj(u), r))
+    return SubspaceEmbedding(m.shape[0], _canonical_basis(_left_singular_split(m, rtol)[0]))
 
 
 def kernel_embedding(m: np.ndarray, rtol: float = RANK_RTOL) -> SubspaceEmbedding:
     """Canonical orthonormal basis of Ker(m*), the left null space of m."""
-    n = m.shape[0]
-    u, r = _left_singular_basis(m, rtol)
-    k = n - r
-    if k == 0:
-        return SubspaceEmbedding(n, zeros(n, 0))
-    if r == 0:
-        return SubspaceEmbedding(n, _canonical_basis_from_projector(np.eye(n, dtype=complex), n))
-    p = np.eye(n, dtype=complex) - u @ adj(u)
-    return SubspaceEmbedding(n, _canonical_basis_from_projector(p, k))
+    return SubspaceEmbedding(m.shape[0], _canonical_basis(_left_singular_split(m, rtol)[1]))
 
 
 def min_singular_value(m) -> float:
@@ -299,21 +276,29 @@ STEIN_MAX_DOUBLINGS = 64  # a^(2^64) is past any stable transient
 
 
 def _stein(a: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve X = a* X a + q for a stack of Hermitian q by Smith doubling.
+    """Solve X = a* X a + q for a stack of Hermitian PSD q by Smith doubling.
 
     X is the sum of a*^t q a^t; after k doublings it holds the terms up to
     t = 2^k - 1, and each doubling squares a.  The sum stops once the
     squared norm of a is below machine epsilon or after
     STEIN_MAX_DOUBLINGS; what it leaves out shows in the Stein residual
     ||a* X a + q - X||, returned with X, which every bound built on X
-    carries.
+    carries.  The last q is I, the W of `_lyapunov`, and the sum also stops
+    once k (||a||_1 ||a||_inf + 1) max_i W_ii, with k = (n + 2) eps,
+    reaches 1: that is at most the rounding allowance `_lyapunov` adds to
+    the residual of W, and the partial sums only grow, so the finished W
+    could certify nothing either.
     """
     x, power = qs, a
+    eps = float(np.finfo(float).eps)
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is caught below
+        allowance = (a.shape[0] + 2) * eps * (
+            float(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf)) + 1.0)
         for _ in range(STEIN_MAX_DOUBLINGS):
             x = x + adj(power) @ x @ power
             power = power @ power
-            if not np.linalg.norm(power) ** 2 > np.finfo(float).eps:
+            if (not np.linalg.norm(power) ** 2 > eps
+                    or allowance * max(np.diagonal(x[-1]).real) >= 1.0):
                 break
     if not np.all(np.isfinite(x)):
         return x, np.full(len(qs), np.inf)

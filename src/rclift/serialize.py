@@ -23,7 +23,10 @@ its Hardy-space block is then
 Gamma(lam) = sum_{k<m} Gamma_k lam^k + lam^m C (I - lam A)^-1 B.
 `rclift solve` writes m = 1, the quadruple {A, B, C, D = Gamma_0} of the
 closed loop.  A file without `tail` lists the leading Taylor coefficients
-of a truncated solution.
+of a truncated solution.  Gamma is written in the canonical coordinates
+of the defect space D_T' that `linalg.psd_sqrt_and_range` derives from
+the instance, so writer and reader agree on them; they are the identity
+when D_T' is invertible.
 
 Every written document is canonical JSON: keys sorted, no whitespace,
 floats in Python's shortest round-trip repr (0.1 is written `0.1`), and

@@ -1,6 +1,7 @@
-"""Eigenvalue oracle of the tests: the nonsymmetric eigenvalue solver that
-the package never calls, since a Stein Gramian certifies stability there
-(`rclift.linalg.observability_gramian`)."""
+"""Reference algorithms of the tests that the package does not run: the
+nonsymmetric eigenvalue solver, since a Stein Gramian certifies stability
+there (`rclift.linalg.observability_gramian`), and the pivoted
+Gram-Schmidt loop that `rclift.linalg._canonical_basis` replaced."""
 
 import numpy as np
 
@@ -11,3 +12,25 @@ def spectral_radius(m) -> float:
     if m.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(m))))
+
+
+def pivoted_gram_schmidt(p, rank: int) -> np.ndarray:
+    """Orthonormal basis of the range of a projector p: take the remaining
+    column with the largest residual norm (lowest index on ties),
+    orthogonalize it twice, and fix its phase so the largest entry is real
+    positive."""
+    n = p.shape[0]
+    basis = np.zeros((n, rank), dtype=complex)
+    cols = np.array(p, dtype=complex)
+    remaining = list(range(n))
+    for k in range(rank):
+        pick = remaining[int(np.argmax(np.linalg.norm(cols[:, remaining], axis=0)))]
+        v = cols[:, pick] / np.linalg.norm(cols[:, pick])
+        v -= basis[:, :k] @ (basis[:, :k].conj().T @ v)
+        v /= np.linalg.norm(v)
+        i = int(np.argmax(np.abs(v)))
+        basis[:, k] = v * np.conj(v[i]) / abs(v[i])
+        remaining.remove(pick)
+        for j in remaining:
+            cols[:, j] -= basis[:, k] * (basis[:, k].conj() @ cols[:, j])
+    return basis

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rclift
 from rclift import lifting, nehari, redheffer, schur, serialize
 from rclift.cli import main
 from rclift.hardy import TaylorSeries
@@ -208,14 +212,27 @@ def test_suite_fast_mode(capsys):
     assert failed == ["classical_specialization"]
 
 
-def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
+def test_suite_report_bytes_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(rclift.__file__))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from rclift.cli import main; sys.exit(main())",
+             "suite", "--seeds", "2"],
+            env=env, capture_output=True, check=True, timeout=300)
+        reports.append(done.stdout)
+    assert reports[0] == reports[1]
+
+
+def test_tolerance_option_override(tmp_path, capsys):
     bad = dict(SCALAR_PROBLEM, taps=[[[1.0000001, 0.0]]])
     path = tmp_path / "edge.json"
     serialize.dump_json(str(path), bad)
     code, _, _ = run(capsys, "validate", str(path))
     assert code == 1
-    monkeypatch.setenv("RCLIFT_TOL", "1e-3")
-    code, _, _ = run(capsys, "validate", str(path))
+    code, _, _ = run(capsys, "validate", str(path), "--tol", "1e-3")
     assert code == 0
 
 

@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import spectral_radius
+from oracles import pivoted_gram_schmidt, spectral_radius
 
-from rclift import cli, linalg, serialize
+from rclift import cli, generators, linalg, serialize
 from rclift.errors import NegativeEigenvalue, NotHermitian, NotPositiveDefinite
 
 
@@ -160,6 +160,31 @@ def test_canonical_embedding_is_literal_for_diagonal_projectors():
     np.testing.assert_allclose(emb2.basis, np.eye(3)[:, :1], atol=1e-14)
 
 
+@pytest.mark.parametrize("n, r", [(n, r) for n in (1, 3, 6) for r in sorted({0, 1, n - 1, n})])
+def test_canonical_basis_depends_on_the_span_only(n, r):
+    rng = np.random.default_rng(10 * n + r)
+    u = linalg.haar_unitary(rng, n)[:, :r]
+    basis = linalg._canonical_basis(u)
+    np.testing.assert_allclose(linalg._canonical_basis(u @ linalg.haar_unitary(rng, r)), basis,
+                               atol=1e-12)
+    if r == n:
+        assert np.array_equal(basis, np.eye(n))
+    else:  # a proper subspace: the pivoted Gram-Schmidt basis of its projector
+        np.testing.assert_allclose(basis, pivoted_gram_schmidt(u @ u.conj().T, r), atol=1e-12)
+
+
+def test_invertible_defect_basis_ignores_roundoff():
+    # D_T' is invertible here, so its basis is the identity, whatever
+    # roundoff the eigenvectors of I - T'*T' carry
+    ds = generators.generate_random("generic", (12, 8, 5), 0.8, 5)
+    m = np.eye(ds.dim_h_prime) - ds.t_prime.conj().T @ ds.t_prime
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        noise = linalg.ginibre(rng, *m.shape) * 1e-17
+        _, emb = linalg.psd_sqrt_and_range(m + noise + noise.conj().T)
+        assert np.array_equal(emb.basis, np.eye(ds.dim_h_prime))
+
+
 def _two_svd_rule_rejects(m, tol):
     """The Hermiticity rule by its definition: two spectral norms."""
     return linalg.operator_norm(m - m.conj().T) > tol * max(linalg.operator_norm(m), 1.0)
@@ -253,6 +278,17 @@ def test_observability_gramian_of_an_expanding_matrix_is_none():
 
 def _scaled_unitary(r: float) -> np.ndarray:
     return r * linalg.haar_unitary(np.random.default_rng(8), 4)
+
+
+def test_stein_stops_once_w_cannot_certify():
+    # a unitary a leaves W = 2^k I after k doublings; the sum stops at the
+    # first k whose rounding allowance reaches 1
+    a = _scaled_unitary(1.0)
+    (w,), _ = linalg._stein(a, np.eye(4, dtype=complex)[None])
+    a_sq = np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf)
+    allowance = (4 + 2) * np.finfo(float).eps * (a_sq + 1)
+    top = max(np.diagonal(w).real)
+    assert allowance * top >= 1.0 > allowance * top / 2
 
 
 def _jordan(n: int) -> np.ndarray:
