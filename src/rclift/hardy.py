@@ -250,7 +250,7 @@ class InterpolantReport:
 def _defect_coords(ds: lifting.LiftingDataSet) -> np.ndarray:
     """E_T* D_T': H' into the defect coordinates of the dilation of T'."""
     d_t, e_t = psd_sqrt_and_range(eye(ds.dim_h_prime) - adj(ds.t_prime) @ ds.t_prime)
-    return e_t.coords(d_t)
+    return adj(e_t) @ d_t
 
 
 def verify_interpolant(

@@ -12,9 +12,11 @@ solution in state-space form exactly.
 Derived material: defect operators D_A, D_T', the gap root
 D0 = (Q*Q - R*R)^(1/2), the stacked operator J = [D0; D_T' A R], the
 subspace F spanned by D_A Q, and the contraction omega defined on F by
-omega (D_A Q h) = [D_T' A R h; D_A R h].  All subspaces are carried in
-canonical orthonormal coordinates so that block formulas stay literal
-matrix identities.
+omega (D_A Q h) = [D_T' A R h; D_A R h].  Each subspace (D_T', D0, F,
+Ker Q*, Ker R*) is carried as its embedding E, the array of a canonical
+orthonormal basis (`linalg._canonical_basis`): E* gives coordinates and
+E E* the projector, so the block formulas for X1..X5 stay literal matrix
+identities.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotStrict
 from .linalg import (
-    SubspaceEmbedding,
     adj,
     cmatrix,
     eye,
@@ -136,21 +137,23 @@ def validate(ds: LiftingDataSet, tol: float = CONSTRAINT_TOL) -> ValidationRepor
 
 @dataclass(frozen=True)
 class DerivedData:
-    """Defect operators and subspace coordinates attached to a data set.
+    """Defect operators and subspace embeddings attached to a data set.
 
-    The inverse blocks are only populated for strict instances; elsewhere
-    they stay None and the strict pipeline refuses to run.
+    Each `*_embedding` field and `ker_q_star`, `ker_r_star` is an n x r
+    array with orthonormal columns spanning its subspace.  The inverse
+    blocks are only populated for strict instances; elsewhere they stay
+    None and the strict pipeline refuses to run.
     """
 
     ds: LiftingDataSet
     d_a: np.ndarray
     d_t_prime: np.ndarray
     d_circ: np.ndarray
-    d_circ_embedding: SubspaceEmbedding
-    dt_embedding: SubspaceEmbedding
-    f_embedding: SubspaceEmbedding
-    ker_q_star: SubspaceEmbedding
-    ker_r_star: SubspaceEmbedding
+    d_circ_embedding: np.ndarray
+    dt_embedding: np.ndarray
+    f_embedding: np.ndarray
+    ker_q_star: np.ndarray
+    ker_r_star: np.ndarray
     j: np.ndarray
     omega: np.ndarray
     strict: bool
@@ -159,11 +162,11 @@ class DerivedData:
 
     @property
     def dim_d_circ(self) -> int:
-        return self.d_circ_embedding.dim
+        return self.d_circ_embedding.shape[1]
 
     @property
     def dim_dt(self) -> int:
-        return self.dt_embedding.dim
+        return self.dt_embedding.shape[1]
 
     def require_strict(self) -> None:
         if not self.strict:
@@ -190,14 +193,14 @@ def derive(ds: LiftingDataSet) -> DerivedData:
     ker_q = kernel_embedding(ds.q)
     ker_r = kernel_embedding(ds.r)
 
-    dtar = e_t.coords(d_t @ ds.a @ ds.r)
-    j = np.vstack([e_circ.coords(d_circ), dtar])
+    dtar = adj(e_t) @ (d_t @ ds.a @ ds.r)
+    j = np.vstack([adj(e_circ) @ d_circ, dtar])
 
     # omega in coordinates: the stack [D_T' A R; D_A R] composed with the
     # pseudoinverse of D_A Q, restricted to the F basis.
     daq = d_a @ ds.q
     pinv_daq = np.linalg.pinv(daq, rcond=1e-10)
-    omega = np.vstack([dtar, d_a @ ds.r]) @ (pinv_daq @ f_emb.basis)
+    omega = np.vstack([dtar, d_a @ ds.r]) @ (pinv_daq @ f_emb)
 
     strict = strictness(ds).strict_ok
     if strict:
@@ -239,7 +242,7 @@ def gram_identity_residual(dd: DerivedData) -> float:
 
 def omega_isometry_defect(dd: DerivedData) -> float:
     """|| omega* omega - I || on the F coordinates."""
-    return operator_norm(adj(dd.omega) @ dd.omega - eye(dd.f_embedding.dim))
+    return operator_norm(adj(dd.omega) @ dd.omega - eye(dd.f_embedding.shape[1]))
 
 
 def left_inverse_dar(dd: DerivedData) -> np.ndarray:

@@ -7,8 +7,11 @@ policy.  All matrices are complex128 throughout; real data is treated as a
 special case of complex.  Zero-dimensional matrices (0 x n, n x 0) are
 legal and behave as empty linear maps.
 
-Every subspace basis comes from `_canonical_basis` on the orthonormal
-basis the caller already holds, so it depends on the subspace alone and
+A subspace of C^n is carried as a plain n x r array E with orthonormal
+columns, its embedding: E* x gives the coordinates of x, E c embeds them
+back, and E E* is the orthogonal projector.  Every such basis comes from
+`_canonical_basis` on the orthonormal basis the caller already holds, so
+it is orthonormal by construction, depends on the subspace alone, and
 coordinates written by one run are read the same way by another.
 """
 
@@ -151,44 +154,6 @@ def rank_from_singular_values(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
-@dataclass(frozen=True)
-class SubspaceEmbedding:
-    """Orthonormal column basis of a subspace of C^ambient_dim.
-
-    The basis matrix plays the role of the adjoint of the canonical
-    projection onto the subspace: ``basis.conj().T @ x`` gives subspace
-    coordinates and ``basis @ c`` embeds them back.  The package builds
-    it with `_canonical_basis`: the identity on the whole space.
-    """
-
-    ambient_dim: int
-    basis: np.ndarray
-
-    def __post_init__(self):
-        b = self.basis
-        if b.shape[0] != self.ambient_dim:
-            raise DimensionMismatch(
-                f"basis has {b.shape[0]} rows, ambient dimension is {self.ambient_dim}"
-            )
-        if b.shape[1] > self.ambient_dim:
-            raise DimensionMismatch("more basis columns than ambient dimensions")
-        gram = adj(b) @ b
-        if operator_norm(gram - eye(b.shape[1])) > 1e-10:
-            raise ValueError("basis columns are not orthonormal within 1e-10")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace, as an ambient operator."""
-        return self.basis @ adj(self.basis)
-
-    def coords(self, m: np.ndarray) -> np.ndarray:
-        """Compress ambient rows to subspace coordinates."""
-        return adj(self.basis) @ m
-
-
 def _canonical_basis(u: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the span of orthonormal columns u.
 
@@ -209,8 +174,8 @@ def _canonical_basis(u: np.ndarray) -> np.ndarray:
     return basis * (top.conj() / np.abs(top))
 
 
-def psd_sqrt_and_range(m, rtol: float = RANK_RTOL) -> tuple[np.ndarray, SubspaceEmbedding]:
-    """PSD square root with noise-rank control, plus its range embedding.
+def psd_sqrt_and_range(m, rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """PSD square root with noise-rank control, plus a basis of its range.
 
     Rank decisions happen on the eigenvalues of m itself (relative to
     max(||m||, 1)), not on their square roots: a zero defect contaminated
@@ -220,16 +185,15 @@ def psd_sqrt_and_range(m, rtol: float = RANK_RTOL) -> tuple[np.ndarray, Subspace
     whose basis comes from the kept eigenvectors.
     """
     w, v = hermitian_eig(m, tol=rtol)
-    n = w.size
-    if n == 0:
-        return np.asarray(m, dtype=complex).copy(), SubspaceEmbedding(0, zeros(0, 0))
+    if w.size == 0:
+        return np.asarray(m, dtype=complex).copy(), zeros(0, 0)
     scale = max(float(np.max(np.abs(w))), 1.0)
     if float(w[0]) < -rtol * scale:
         raise NegativeEigenvalue(f"min eigenvalue {w[0]:.3e} below clamp threshold")
     keep = w > rtol * scale
     root = (v * np.where(keep, np.sqrt(np.clip(w, 0.0, None)), 0.0)) @ adj(v)
     root = 0.5 * (root + adj(root))
-    return root, SubspaceEmbedding(n, _canonical_basis(v[:, keep]))
+    return root, _canonical_basis(v[:, keep])
 
 
 def _left_singular_split(m: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -240,14 +204,14 @@ def _left_singular_split(m: np.ndarray, rtol: float) -> tuple[np.ndarray, np.nda
     return u[:, :r], u[:, r:]
 
 
-def range_embedding(m: np.ndarray, rtol: float = RANK_RTOL) -> SubspaceEmbedding:
+def range_embedding(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Canonical orthonormal basis of the column space of m."""
-    return SubspaceEmbedding(m.shape[0], _canonical_basis(_left_singular_split(m, rtol)[0]))
+    return _canonical_basis(_left_singular_split(m, rtol)[0])
 
 
-def kernel_embedding(m: np.ndarray, rtol: float = RANK_RTOL) -> SubspaceEmbedding:
+def kernel_embedding(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Canonical orthonormal basis of Ker(m*), the left null space of m."""
-    return SubspaceEmbedding(m.shape[0], _canonical_basis(_left_singular_split(m, rtol)[1]))
+    return _canonical_basis(_left_singular_split(m, rtol)[1])
 
 
 def min_singular_value(m) -> float:

@@ -103,8 +103,8 @@ def build_coefficients(dd: DerivedData) -> RedhefferCoefficients:
     qdq = adj(ds.q) @ d_a_sq @ ds.q
     rdr = adj(ds.r) @ d_a_sq @ ds.r
 
-    e_q = dd.ker_q_star.basis
-    e_r = dd.ker_r_star.basis
+    e_q = dd.ker_q_star
+    e_r = dd.ker_r_star
     d0 = dd.dim_d_circ
     dt = dd.dim_dt
     kr = e_r.shape[1]
@@ -125,7 +125,7 @@ def build_coefficients(dd: DerivedData) -> RedhefferCoefficients:
         ]
     )
     x3 = dq_nh @ adj(e_q)
-    dtc_a = dd.dt_embedding.coords(dd.d_t_prime @ ds.a)
+    dtc_a = adj(dd.dt_embedding) @ (dd.d_t_prime @ ds.a)
     x4 = dtc_a @ x1
     x5 = np.hstack([dom_nh[d0:, :], zeros(dt, kr)])
 
@@ -432,13 +432,13 @@ def y_gram_check(dd: DerivedData) -> YGramReport:
     dom_nh = psd_sqrt(inv_hpd(delta_omega))
     l_dar = left_inverse_dar(dd)
     ker_rda = kernel_embedding(dd.d_a @ ds.r)
-    kr = ker_rda.dim
+    kr = ker_rda.shape[1]
     h = ds.dim_h
     embed_t = np.vstack([zeros(d0, dt), eye(dt)])
     y = np.block(
         [
             [dom_nh @ embed_t, -dom_nh @ dd.j @ l_dar],
-            [zeros(kr, dt), -adj(ker_rda.basis)],
+            [zeros(kr, dt), -adj(ker_rda)],
         ]
     )
     omega = dd.omega
@@ -459,11 +459,11 @@ def projection_identity_check(dd: DerivedData) -> tuple[float, float]:
     dd.require_strict()
     ds = dd.ds
     out = []
-    for n_mat, emb in ((ds.q, dd.ker_q_star), (ds.r, dd.ker_r_star)):
-        e = emb.basis
+    for n_mat, e in ((ds.q, dd.ker_q_star), (ds.r, dd.ker_r_star)):
         delta = adj(e) @ dd.d_a_sq_inv @ e
         formula = dd.d_a_inv @ e @ solve_hpd(delta, adj(e)) @ dd.d_a_inv
-        oracle = kernel_embedding(dd.d_a @ n_mat).projector()
+        k = kernel_embedding(dd.d_a @ n_mat)
+        oracle = k @ adj(k)
         out.append(operator_norm(formula - oracle))
     return out[0], out[1]
 
@@ -499,8 +499,8 @@ def classical_phi_eval(
     daq_sq = eye(ds.q.shape[1]) - adj(aq) @ aq
     t_a = solve_hpd(daq_sq, adj(ds.q) @ d_a_sq)
 
-    e_q = dd.ker_q_star.basis
-    j_cls = dd.dt_embedding.coords(dd.d_t_prime @ ds.a)
+    e_q = dd.ker_q_star
+    j_cls = adj(dd.dt_embedding) @ (dd.d_t_prime @ ds.a)
     delta_om = eye(dd.dim_dt) + j_cls @ dd.d_a_sq_inv @ adj(j_cls)
     if exponent_reading == "as-printed":
         delta_q = adj(e_q) @ dd.d_a_inv @ e_q

@@ -322,7 +322,7 @@ def ac08_classical_specialization(cfg: SuiteConfig) -> tuple[bool, dict]:
         aq = ds.a @ ds.q
         t_a = np.linalg.solve(eye(ds.dim_h) - adj(aq) @ aq, adj(ds.q) @ d_a_sq)
         t_a_worst = max(t_a_worst, operator_norm(rc.x1 - t_a))
-        if operator_norm(dd.dt_embedding.coords(dd.d_t_prime @ ds.a)) > 1e-12:
+        if operator_norm(adj(dd.dt_embedding) @ (dd.d_t_prime @ ds.a)) > 1e-12:
             degenerate = False
         for reading in diffs:
             for lam in grid:
@@ -340,7 +340,7 @@ def ac08_classical_specialization(cfg: SuiteConfig) -> tuple[bool, dict]:
     p = generators.random_nehari_problem(det_rng, 2, 2, 3, 3, 0.8)
     dd_n = lifting.derive(nehari.to_lifting_data(p))
     rc_n = redheffer.build_coefficients(dd_n)
-    e_q = dd_n.ker_q_star.basis
+    e_q = dd_n.ker_q_star
     printed = operator_norm(rc_n.delta_q - adj(e_q) @ dd_n.d_a_inv @ e_q)
     squared = operator_norm(rc_n.delta_q - adj(e_q) @ dd_n.d_a_sq_inv @ e_q)
     determination = "corrected" if squared < 1e-10 < printed else "undetermined"

@@ -32,11 +32,11 @@ def sznagy_schaffer_truncated(t_prime: np.ndarray, deg: int) -> np.ndarray:
         raise ValueError("deg must be nonnegative")
     h = t_prime.shape[0]
     d_t, e_t = psd_sqrt_and_range(eye(h) - adj(t_prime) @ t_prime)
-    dt = e_t.dim
+    dt = e_t.shape[1]
     n = h + dt * (deg + 1)
     u = zeros(n, n)
     u[:h, :h] = t_prime
-    u[h:h + dt, :h] = e_t.coords(d_t)
+    u[h:h + dt, :h] = adj(e_t) @ d_t
     for k in range(deg):
         u[h + (k + 1) * dt:h + (k + 2) * dt, h + k * dt:h + (k + 1) * dt] = eye(dt)
     return u

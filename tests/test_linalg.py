@@ -79,14 +79,14 @@ def test_spectral_radius_below_norm(seed):
 def test_kernel_embedding_structured():
     # the window-slot constraint map: kernel of the adjoint is the first slot
     q = np.array([[0.0], [1.0]])
-    emb = linalg.kernel_embedding(q)
-    np.testing.assert_allclose(emb.basis, np.array([[1.0], [0.0]]), atol=1e-14)
+    e = linalg.kernel_embedding(q)
+    np.testing.assert_allclose(e, np.array([[1.0], [0.0]]), atol=1e-14)
 
 
 def test_kernel_embedding_full_rank():
     rng = np.random.default_rng(1)
     m = linalg.ginibre(rng, 4, 4)
-    assert linalg.kernel_embedding(m).dim == 0
+    assert linalg.kernel_embedding(m).shape == (4, 0)
 
 
 def matrix_rank(m) -> int:
@@ -100,13 +100,13 @@ def test_kernel_embedding_nullspace_oracle(seed):
     left = linalg.ginibre(rng, 6, 3)
     right = linalg.ginibre(rng, 3, 4)
     m = left @ right  # rank 3
-    emb = linalg.kernel_embedding(m)
-    assert emb.dim == 3
-    assert linalg.operator_norm(m.conj().T @ emb.basis) < 1e-10 * linalg.operator_norm(m)
+    e = linalg.kernel_embedding(m)
+    assert e.shape == (6, 3)
+    assert linalg.operator_norm(m.conj().T @ e) < 1e-10 * linalg.operator_norm(m)
     # completeness: rank + kernel dimension = rows
-    assert matrix_rank(m) + emb.dim == m.shape[0]
+    assert matrix_rank(m) + e.shape[1] == m.shape[0]
     # orthonormality
-    gram = emb.basis.conj().T @ emb.basis
+    gram = e.conj().T @ e
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
 
 
@@ -133,8 +133,8 @@ def test_solve_hpd_rejects_indefinite():
 def test_zero_dimensional_matrices_flow():
     z = np.zeros((0, 0))
     assert linalg.operator_norm(z) == 0.0
-    assert linalg.kernel_embedding(np.zeros((3, 0))).dim == 3
-    assert linalg.range_embedding(np.zeros((3, 0))).dim == 0
+    assert linalg.kernel_embedding(np.zeros((3, 0))).shape == (3, 3)
+    assert linalg.range_embedding(np.zeros((3, 0))).shape == (3, 0)
     np.testing.assert_allclose(linalg.solve_hpd(z, np.zeros((0, 2))), np.zeros((0, 2)))
 
 
@@ -143,21 +143,21 @@ def test_psd_sqrt_and_range_noise_control():
     rng = np.random.default_rng(3)
     noise = linalg.ginibre(rng, 4, 4) * 1e-15
     m = noise + noise.conj().T
-    root, emb = linalg.psd_sqrt_and_range(m)
-    assert emb.dim == 0
+    root, e = linalg.psd_sqrt_and_range(m)
+    assert e.shape == (4, 0)
     assert linalg.operator_norm(root) < 1e-7
     # an honest mixture keeps exactly the significant directions
     m2 = np.diag([0.5, 1e-14, 0.0, 0.8])
-    root2, emb2 = linalg.psd_sqrt_and_range(m2)
-    assert emb2.dim == 2
+    root2, e2 = linalg.psd_sqrt_and_range(m2)
+    assert e2.shape == (4, 2)
     np.testing.assert_allclose(root2, np.diag([np.sqrt(0.5), 0, 0, np.sqrt(0.8)]), atol=1e-12)
 
 
 def test_canonical_embedding_is_literal_for_diagonal_projectors():
-    emb = linalg.range_embedding(np.diag([1.0, 1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(emb.basis, np.eye(4)[:, :2], atol=1e-14)
-    emb2 = linalg.kernel_embedding(np.vstack([np.zeros((1, 2)), np.eye(2)]))
-    np.testing.assert_allclose(emb2.basis, np.eye(3)[:, :1], atol=1e-14)
+    e = linalg.range_embedding(np.diag([1.0, 1.0, 0.0, 0.0]))
+    np.testing.assert_allclose(e, np.eye(4)[:, :2], atol=1e-14)
+    e2 = linalg.kernel_embedding(np.vstack([np.zeros((1, 2)), np.eye(2)]))
+    np.testing.assert_allclose(e2, np.eye(3)[:, :1], atol=1e-14)
 
 
 @pytest.mark.parametrize("n, r", [(n, r) for n in (1, 3, 6) for r in sorted({0, 1, n - 1, n})])
@@ -181,8 +181,8 @@ def test_invertible_defect_basis_ignores_roundoff():
     rng = np.random.default_rng(0)
     for _ in range(20):
         noise = linalg.ginibre(rng, *m.shape) * 1e-17
-        _, emb = linalg.psd_sqrt_and_range(m + noise + noise.conj().T)
-        assert np.array_equal(emb.basis, np.eye(ds.dim_h_prime))
+        _, e = linalg.psd_sqrt_and_range(m + noise + noise.conj().T)
+        assert np.array_equal(e, np.eye(ds.dim_h_prime))
 
 
 def _two_svd_rule_rejects(m, tol):

@@ -113,12 +113,12 @@ def test_z_from_v_pinned_to_omega(seed):
     v = schur.random_schur(rc.kq_dim, rc.w_dim, 2, seed + 50)
     for lam in (0.0, 0.5, -0.7j):
         z = redheffer.z_from_v(dd, rc, v, lam)
-        assert operator_norm(z @ dd.f_embedding.basis - dd.omega) < 1e-8
+        assert operator_norm(z @ dd.f_embedding - dd.omega) < 1e-8
         assert operator_norm(z) <= 1.0 + 1e-8
     # V = 0 pins the whole function, not just the restriction
     z0a = redheffer.z_from_v(dd, rc, schur.zero(rc.kq_dim, rc.w_dim), 0.3)
     z0b = redheffer.z_from_v(dd, rc, schur.zero(rc.kq_dim, rc.w_dim), -0.8j)
-    omega_ext = dd.omega @ adj(dd.f_embedding.basis)
+    omega_ext = dd.omega @ adj(dd.f_embedding)
     assert operator_norm(z0a - omega_ext) < 1e-10
     assert operator_norm(z0a - z0b) < 1e-14
 
@@ -427,7 +427,7 @@ def test_classical_reading_dichotomy_is_degenerate():
     dd = lifting.derive(ds)
     rc = redheffer.build_coefficients(dd)
     assert rc.kq_dim == 0
-    assert operator_norm(dd.dt_embedding.coords(dd.d_t_prime @ ds.a)) < 1e-12
+    assert operator_norm(adj(dd.dt_embedding) @ (dd.d_t_prime @ ds.a)) < 1e-12
     for lam in (0.3, -0.5j):
         gen = redheffer.phi_eval(rc, lam)
         for reading in ("corrected", "as-printed"):
@@ -448,7 +448,7 @@ def test_exponent_readings_differ_on_isometric_shape():
     p = generators.random_nehari_problem(rng, 2, 2, 3, 3, 0.8)
     dd = lifting.derive(nehari.to_lifting_data(p))
     rc = redheffer.build_coefficients(dd)
-    e_q = dd.ker_q_star.basis
+    e_q = dd.ker_q_star
     squared = operator_norm(rc.delta_q - adj(e_q) @ dd.d_a_sq_inv @ e_q)
     printed = operator_norm(rc.delta_q - adj(e_q) @ dd.d_a_inv @ e_q)
     assert squared < 1e-12
