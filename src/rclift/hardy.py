@@ -117,13 +117,6 @@ class TaylorSeries:
     def in_dim(self) -> int:
         return self.coeffs[0].shape[1]
 
-    def __call__(self, lam: complex) -> np.ndarray:
-        """Evaluate the truncated polynomial at a point."""
-        acc = zeros(self.out_dim, self.in_dim)
-        for c in reversed(self.coeffs):
-            acc = acc * lam + c
-        return acc
-
 
 @dataclass(frozen=True)
 class SolutionTaylor:

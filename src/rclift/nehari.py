@@ -83,17 +83,14 @@ class NehariProblem:
         return zeros(self.y_dim, self.u_dim)
 
 
-def hankel(p: NehariProblem, rows: int | None = None) -> np.ndarray:
+def hankel(p: NehariProblem) -> np.ndarray:
     """The N-truncated Hankel matrix, serialized bottom-up.
 
-    Block row n (coordinate n, index -n) is [F_-n, F_-n-1, ..., F_-n-N+1].
-    With rows >= K no nonzero row is dropped, so the norm is the exact
-    Hankel norm.
+    Block row n (coordinate n, index -n) is [F_-n, F_-n-1, ..., F_-n-N+1],
+    for n = 1..max(K, 1).  Every deeper row is zero, so the norm is the
+    exact Hankel norm.
     """
-    if rows is None:
-        rows = max(p.k_taps, 1)
-    if rows < p.k_taps:
-        raise ValueError(f"rows={rows} would drop nonzero tap rows (K={p.k_taps})")
+    rows = max(p.k_taps, 1)
     out = zeros(rows * p.y_dim, p.n_window * p.u_dim)
     for n in range(1, rows + 1):
         for j in range(p.n_window):
@@ -239,31 +236,17 @@ def solve_h(nc: NehariCoefficients, v: schur.SchurParameter, deg: int) -> Taylor
     return TaylorSeries(solution_taylor(nc, v, deg).gamma_coeffs)
 
 
-@dataclass(frozen=True)
-class LContractionReport:
-    """Largest singular value of the truncated combined operator.
-
-    The truncation keeps a subset of the rows of the full operator, so
-    `sigma_max` is a lower bound on the full norm.  `accepted` therefore
-    means "not refuted": a truncated norm above 1 + tol proves that the
-    coefficients are no solution, and nothing read from the solution can
-    widen that threshold.  Certifying the full norm waits on Nehari
-    solutions written as realizations, as lifting solutions are
-    (`hardy.certify_interpolant`).
-    """
-
-    sigma_max: float
-
-    def accepted(self, tol: float = 1e-6) -> bool:
-        return self.sigma_max <= 1.0 + tol
-
-
-def assemble_l(p: NehariProblem, h: TaylorSeries) -> LContractionReport:
-    """Assemble the truncated combined tap/solution operator and measure its norm.
+def assemble_l(p: NehariProblem, h: TaylorSeries) -> float:
+    """The largest singular value of the truncated combined tap/solution
+    operator.
 
     Rows -K..deg are materialized (every other tap row is exactly zero);
-    the rows beyond the solution degree are dropped, so the reported norm
-    bounds the norm of any extension of these coefficients from below.
+    the rows beyond the solution degree are dropped, so the value bounds
+    the norm of any extension of these coefficients from below.  A value
+    above 1 + tol therefore refutes the coefficients, and one within it
+    certifies nothing: certifying the full norm waits on Nehari solutions
+    written as realizations, as lifting solutions are
+    (`hardy.certify_interpolant`).
     Block (i, j) is the term of index i - j + 1 of the sequence
     F_-K, ..., F_-1, H_0, ..., H_deg (zero before F_-K), gathered in one
     indexing pass; the norm is the root of the top eigenvalue of the
@@ -284,9 +267,9 @@ def assemble_l(p: NehariProblem, h: TaylorSeries) -> LContractionReport:
     idx = np.arange(rows)[:, None] - np.arange(n_w)[None, :]
     out = seq[idx].transpose(0, 2, 1, 3).reshape(rows * y, n_w * u)
     if out.size == 0:
-        return LContractionReport(sigma_max=0.0)
+        return 0.0
     top = np.linalg.eigvalsh(adj(out) @ out)[-1]
-    return LContractionReport(sigma_max=float(np.sqrt(max(top, 0.0))))
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def hat_m_check(nc: NehariCoefficients, _deg: int) -> IsometryCertificate:
@@ -354,16 +337,15 @@ def special_f0(n_window: int, u_dim: int, y_dim: int) -> Realization:
     )
 
 
-def to_lifting_data(p: NehariProblem, rows: int | None = None) -> LiftingDataSet:
+def to_lifting_data(p: NehariProblem) -> LiftingDataSet:
     """The lifting data set whose interpolants are exactly the solutions.
 
     A is the truncated Hankel matrix, T' the truncated backward shift on
-    the tap rows, and R, Q drop the last / first window slot.  Exact for
-    rows >= K because all deeper tap rows vanish.
+    its max(K, 1) tap rows, and R, Q drop the last / first window slot.
+    Exact because all deeper tap rows vanish.
     """
-    if rows is None:
-        rows = max(p.k_taps, 1)
-    a = hankel(p, rows)
+    rows = max(p.k_taps, 1)
+    a = hankel(p)
     y, u, n_w = p.y_dim, p.u_dim, p.n_window
     t_prime = zeros(rows * y, rows * y)
     for n in range(rows - 1):

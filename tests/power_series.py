@@ -14,6 +14,14 @@ def transfer_taylor(sys: StateSpace, deg: int) -> TaylorSeries:
     return TaylorSeries((sys.d,) + tuple(markov(sys.a, sys.b, sys.c, deg)))
 
 
+def taylor_eval(ts: TaylorSeries, lam: complex) -> np.ndarray:
+    """Value of the truncated polynomial at a point, by Horner's rule."""
+    acc = zeros(ts.out_dim, ts.in_dim)
+    for c in reversed(ts.coeffs):
+        acc = acc * lam + c
+    return acc
+
+
 def series_mul(a: list[np.ndarray], b: list[np.ndarray], deg: int) -> list[np.ndarray]:
     """Cauchy product of coefficient lists, truncated at degree deg."""
     out = []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import spectral_radius
-from power_series import series_mul, series_neumann, transfer_taylor
+from power_series import series_mul, series_neumann, taylor_eval, transfer_taylor
 from test_lifting import sznagy_schaffer_truncated
 from test_schur import grid_certify
 
@@ -46,7 +46,7 @@ def test_transfer_taylor_matches_resolvent(seed):
     ts = transfer_taylor(sys, deg)
     lam = 0.4 * np.exp(0.7j)
     direct = schur.eval(sys, lam)
-    series = ts(lam)
+    series = taylor_eval(ts, lam)
     assert linalg.operator_norm(direct - series) < 1e-12
 
 

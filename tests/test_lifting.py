@@ -4,6 +4,7 @@ import pytest
 from rclift import generators, lifting, nehari
 from rclift.errors import DimensionMismatch, EmptySolutionSpace
 from rclift.linalg import (
+    RANK_RTOL,
     adj,
     cmatrix,
     eye,
@@ -11,6 +12,7 @@ from rclift.linalg import (
     haar_unitary,
     operator_norm,
     psd_sqrt_and_range,
+    rank_from_singular_values,
     solve_hpd,
     zeros,
 )
@@ -105,6 +107,51 @@ def test_derive_random_gram_identity(seed):
     dd = lifting.derive(ds)
     assert lifting.gram_identity_residual(dd) < 1e-9
     assert operator_norm(dd.omega) <= 1.0 + 1e-9
+
+
+def _psd_rank(m) -> int:
+    """Rank of a PSD matrix by the rule of `psd_sqrt_and_range`."""
+    w = np.linalg.eigvalsh(m)
+    return int(np.sum(w > RANK_RTOL * max(np.max(np.abs(w)), 1.0)))
+
+
+def _rank(m) -> int:
+    return rank_from_singular_values(np.linalg.svd(m, compute_uv=False))
+
+
+BASIS_FAMILIES = {"nehari-like": (2, 2, 3, 3), "classical-like": (4, 3), "generic": (6, 4, 3)}
+
+
+@pytest.mark.parametrize("norm_a", [0.0, 0.8])
+@pytest.mark.parametrize("kind", BASIS_FAMILIES)
+def test_derived_bases_are_orthonormal_with_the_rank_rule_dimension(kind, norm_a):
+    # every subspace basis of `derive` has orthonormal columns, as many as
+    # the rank rule gives, and a whole-space one is exactly the identity
+    for seed in range(3):
+        ds = generators.generate_random(kind, BASIS_FAMILIES[kind], norm_a, seed)
+        dd = lifting.derive(ds)
+        h, h_prime = ds.dim_h, ds.dim_h_prime
+        bases = {
+            "d_circ": (dd.d_circ_embedding, ds.dim_h0,
+                       _psd_rank(adj(ds.q) @ ds.q - adj(ds.r) @ ds.r)),
+            "dt": (dd.dt_embedding, h_prime,
+                   _psd_rank(eye(h_prime) - adj(ds.t_prime) @ ds.t_prime)),
+            "f": (dd.f_embedding, h, _rank(dd.d_a @ ds.q)),
+            "ker_q": (dd.ker_q_star, h, h - _rank(ds.q)),
+            "ker_r": (dd.ker_r_star, h, h - _rank(ds.r)),
+        }
+        for name, (e, n, r) in bases.items():
+            assert e.shape == (n, r), (name, seed)
+            assert operator_norm(adj(e) @ e - eye(r)) <= 1e-12, (name, seed)
+            if r == n:
+                assert np.array_equal(e, eye(n)), (name, seed)
+        empty = {"classical-like": ("d_circ", "ker_q", "ker_r"), "nehari-like": ("d_circ",),
+                 "generic": ()}[kind]
+        whole = {"classical-like": ("f",), "nehari-like": (), "generic": ("d_circ", "dt")}[kind]
+        for name in empty:
+            assert bases[name][0].shape[1] == 0, (name, seed)
+        for name in whole:
+            assert bases[name][0].shape[1] == bases[name][1], (name, seed)
 
 
 @pytest.mark.parametrize("seed", range(4))

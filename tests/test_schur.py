@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from power_series import transfer_taylor
+from power_series import taylor_eval, transfer_taylor
 
 from rclift import linalg, schur
 from rclift.errors import DimensionMismatch
@@ -56,7 +56,7 @@ def test_taylor_partial_sums_converge(kind_seed):
     exact = schur.eval(v, lam)
     floor = 64 * np.finfo(float).eps
     for deg in (10, 80):  # truncation dominates at 10, roundoff at 80
-        partial = transfer_taylor(v, deg)(lam)
+        partial = taylor_eval(transfer_taylor(v, deg), lam)
         tail = abs(lam) ** (deg + 1) / (1.0 - abs(lam))
         assert linalg.operator_norm(partial - exact) <= tail + floor
 
