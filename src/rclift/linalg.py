@@ -249,9 +249,9 @@ def _stein(a: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ||a* X a + q - X||, returned with X, which every bound built on X
     carries.  The last q is I, the W of `_lyapunov`, and the sum also stops
     once k (||a||_1 ||a||_inf + 1) max_i W_ii, with k = (n + 2) eps,
-    reaches 1: that is at most the rounding allowance `_lyapunov` adds to
-    the residual of W, and the partial sums only grow, so the finished W
-    could certify nothing either.
+    reaches 1: that is at most the rounding allowance `_residual_bound`
+    adds to the residual of W, and the partial sums only grow, so the
+    finished W could certify nothing either.
     """
     x, power = qs, a
     eps = float(np.finfo(float).eps)
@@ -270,28 +270,40 @@ def _stein(a: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, np.array([operator_norm(adj(a) @ xk @ a + q - xk) for xk, q in zip(x, qs)])
 
 
-def _lyapunov(a: np.ndarray, w: np.ndarray, residual: float) -> tuple[float, float]:
-    """A certified bound on ||Delta_W|| = ||a* w a + I - w|| for a computed
-    w, from the computed value `residual`, and the bound on rho(a) that w
-    proves (inf when none).  With k = (n + 2) eps, forming Delta_W and its
-    norm rounds by at most k (||a||_1 ||a||_inf ||w||_1 + 1 + ||w||_1 +
-    residual), and each computed eigenvalue of w is within e = k ||w|| of
-    its own (first-order bounds).  A least eigenvalue above e proves w > 0,
-    so w - a* w a >= (1 - ||Delta_W||) I gives, at a v = mu v, Lyapunov's
-    rho(a)^2 <= 1 - (1 - ||Delta_W||) / (lambda_max(w) + e), padded by 8 eps
-    for the rounding of these last steps.
+def _residual_bound(a: np.ndarray, x: np.ndarray, q: np.ndarray, residual: float) -> float:
+    """A certified bound on ||Delta|| = ||a* x a + q - x|| for a computed x,
+    from the computed value `residual`.  With k = (n + 2) eps, forming Delta
+    and its norm rounds by at most k (||a||_1 ||a||_inf ||x||_1 + ||q||_1 +
+    ||x||_1 + residual), a first-order bound; not finite on overflow.
     """
     n = a.shape[0]
     if n == 0:
-        return residual, 0.0
-    eps = float(np.finfo(float).eps)
-    k = (n + 2) * eps
+        return residual
+    k = (n + 2) * float(np.finfo(float).eps)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
-        w_1 = float(np.linalg.norm(w, 1))
+        x_1 = float(np.linalg.norm(x, 1))
         a_sq = float(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
-        delta = residual + k * (a_sq * w_1 + 1.0 + w_1 + residual)
+        return residual + k * (a_sq * x_1 + float(np.linalg.norm(q, 1)) + x_1 + residual)
+
+
+def _lyapunov(a: np.ndarray, w: np.ndarray, residual: float) -> tuple[float, float]:
+    """The certified bound `_residual_bound` on ||Delta_W|| = ||a* w a + I - w||
+    for a computed w, from the computed value `residual`, and the bound on
+    rho(a) that w proves (inf when none).  Each computed eigenvalue of w is
+    within e = k ||w||, k = (n + 2) eps, of its own (a first-order bound).
+    A least eigenvalue above e proves w > 0, so w - a* w a >= (1 -
+    ||Delta_W||) I gives, at a v = mu v, Lyapunov's rho(a)^2 <= 1 - (1 -
+    ||Delta_W||) / (lambda_max(w) + e), padded by 8 eps for the rounding of
+    these last steps.
+    """
+    n = a.shape[0]
+    delta = _residual_bound(a, w, eye(n), residual)
+    if n == 0:
+        return delta, 0.0
     if not delta < 1.0:
         return delta, math.inf
+    eps = float(np.finfo(float).eps)
+    k = (n + 2) * eps
     lam = np.linalg.eigvalsh(w)
     e = k * max(-lam[0], lam[-1])
     if not lam[0] > e:
@@ -305,16 +317,18 @@ class SteinGramian:
     """Observability Gramian P = a* P a + c* c, with its roundoff bound.
 
     The exact Gramian is the computed `p` plus sum_t a*^t Delta a^t, Delta
-    the Stein residual of `p` (norm `stein_residual`), so its error seen
-    through b1* (.) b2 is at most ||Delta|| sqrt(weight(b1) weight(b2))
-    (`form`), where `weight(b)` bounds ||b* W b|| for the exact
-    W = a* W a + I, solved alongside P (`w`, with the certified bound
-    `w_residual` on its Stein residual).  That w also proves a stable:
+    the Stein residual of `p`, so its error seen through b1* (.) b2 is at
+    most ||Delta|| sqrt(weight(b1) weight(b2)) (`form`), where `weight(b)`
+    bounds ||b* W b|| for the exact W = a* W a + I, solved alongside P
+    (`w`).  `stein_residual` is the computed ||Delta||, and `p_residual`
+    and `w_residual` are the certified bounds `_residual_bound` on the
+    Stein residuals of p and w.  That w also proves a stable:
     `radius_bound` < 1 bounds its spectral radius (`_lyapunov`).
     """
 
     p: np.ndarray
     stein_residual: float
+    p_residual: float
     w: np.ndarray
     w_residual: float
     radius_bound: float
@@ -333,20 +347,22 @@ class SteinGramian:
         its distance from b1* P b2; inf when either overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
             m = adj(b1) @ self.p @ b2
-        err = self.stein_residual * math.sqrt(self.weight(b1) * self.weight(b2))
+        err = self.p_residual * math.sqrt(self.weight(b1) * self.weight(b2))
         return m, err if np.all(np.isfinite(m)) and math.isfinite(err) else math.inf
 
 
 def observability_gramian(a: np.ndarray, c: np.ndarray) -> SteinGramian | None:
     """The Gramian of (a, c) by Smith doubling, or None unless its W proves
-    a stable and the Stein residual of P is finite: the one place that
-    decides whether a is stable.
+    a stable and the bound on the Stein residual of P is finite: the one
+    place that decides whether a is stable.
     """
-    (p, w), (stein_p, stein_w) = _stein(a, np.stack([adj(c) @ c, eye(a.shape[0])]))
+    q = adj(c) @ c
+    (p, w), (stein_p, stein_w) = _stein(a, np.stack([q, eye(a.shape[0])]))
     w_residual, radius = _lyapunov(a, w, float(stein_w))
-    if not (radius < 1.0 and np.isfinite(stein_p)):
+    p_residual = _residual_bound(a, p, q, float(stein_p))
+    if not (radius < 1.0 and math.isfinite(p_residual)):
         return None
-    return SteinGramian(p, float(stein_p), w, w_residual, radius)
+    return SteinGramian(p, float(stein_p), p_residual, w, w_residual, radius)
 
 
 def lyapunov_radius(a: np.ndarray) -> float:

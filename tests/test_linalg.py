@@ -272,6 +272,23 @@ def test_observability_gramian_matches_lyapunov_solver(seed):
     assert g.weight(b) >= linalg.operator_norm(b.conj().T @ b)
 
 
+def test_p_residual_carries_the_rounding_allowance():
+    # the nilpotent shift sums exactly, so the computed residual of P is 0;
+    # the bound that `form` uses still allows for rounding, with ||c*c||_1
+    # where W's has ||I||_1 = 1
+    n = 4
+    a = np.eye(n, k=1, dtype=complex)
+    c = np.arange(1.0, n + 1.0)[None, :].astype(complex)
+    g = linalg.observability_gramian(a, c)
+    assert g.stein_residual == 0.0
+    p_1 = np.linalg.norm(g.p, 1)
+    k = (n + 2) * np.finfo(float).eps
+    assert g.p_residual == pytest.approx(k * (2 * p_1 + np.linalg.norm(c.conj().T @ c, 1)))
+    b = np.eye(n, dtype=complex)
+    _, err = g.form(b, b)
+    assert err == pytest.approx(g.p_residual * g.weight(b))
+
+
 def test_observability_gramian_of_an_expanding_matrix_is_none():
     assert linalg.observability_gramian(2.0 * np.eye(3), np.ones((1, 3))) is None
 
