@@ -17,6 +17,7 @@ coordinates written by one run are read the same way by another.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -154,6 +155,24 @@ def rank_from_singular_values(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
+# The LAPACK routines of `scipy.linalg.qr(..., pivoting=True)`, called
+# directly: that wrapper's argument checks and two workspace queries cost
+# more than the factorization of the small matrices passed here.
+_QR_ROUTINES = scipy.linalg.get_lapack_funcs(("geqp3", "ungqr"), dtype=complex)
+
+
+@functools.cache
+def _qr_workspace(m: int, n: int) -> tuple[int, int]:
+    """Optimal workspace sizes of geqp3 on an m x n matrix, m < n, and of
+    ungqr on its leading m x m block, queried once per shape as
+    `scipy.linalg.qr` queries them on every call."""
+    geqp3, ungqr = _QR_ROUTINES
+    a = zeros(m, n)
+    lwork_qr = int(geqp3(a, lwork=-1)[3][0].real)
+    lwork_q = int(ungqr(a[:, :m], zeros(m, 1)[:, 0], lwork=-1)[1][0].real)
+    return lwork_qr, lwork_q
+
+
 def _canonical_basis(u: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the span of orthonormal columns u.
 
@@ -168,7 +187,10 @@ def _canonical_basis(u: np.ndarray) -> np.ndarray:
     n, r = u.shape
     if r in (0, n):
         return eye(n)[:, :r]
-    q = scipy.linalg.qr(adj(u), pivoting=True, mode="economic")[0]
+    geqp3, ungqr = _QR_ROUTINES
+    lwork_qr, lwork_q = _qr_workspace(r, n)
+    qr, _, tau, _, _ = geqp3(adj(u), lwork=lwork_qr)
+    q = ungqr(qr[:, :r], tau, lwork=lwork_q)[0]
     basis = u @ q
     top = basis[np.argmax(np.abs(basis), axis=0), np.arange(r)]
     return basis * (top.conj() / np.abs(top))
