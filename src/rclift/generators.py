@@ -5,17 +5,24 @@ Three families:
 * ``nehari-like``: random finitely supported taps, rescaled to the target
   Hankel norm, wrapped into the lifting shape (truncated backward shift,
   slot-dropping R and Q, Hankel A).
-* ``classical-like``: R = I and a random unitary Q whose eigenvalue phases
-  are partially shared with a random normal contraction T', so the
-  intertwining equation has nontrivial solutions; A is drawn from the
-  numeric null space of that equation and rescaled.
+* ``classical-like``: R = I, a random unitary Q = W diag(phases) W* and a
+  random normal contraction T' = U diag(t) U* whose first ``shared``
+  eigenvalues are phases of Q.  The solutions of T' A = A Q are then
+  exactly the span of the orthonormal rank-one matrices u_i w_i*,
+  i < shared, and A is sum_i g_i u_i w_i* with complex Gaussian g.
 * ``generic``: random left-invertible Q, R = (random isometry) |Q| rho so
-  the defect ordering holds by construction, T' a random contraction, and
-  A again from the intertwining null space.  The domain is chosen smaller
-  than the range so the null space is nontrivial by dimension count.
+  the defect ordering holds by construction, and T' a random contraction.
+  The domain is smaller than the range, so the null space of
+  K: A -> T' A R - A Q has dimension h'(h - h0), and A is a complex
+  Ginibre matrix projected orthogonally onto it, z - K*(K K*)^-1 K z,
+  with K applied as matrix products and K K* solved by Cholesky.
 
-A purely random pair (T', Q) generically forces A = 0, which is why the
-eigenvalue structure respectively the dimension gap is imposed.
+Either way A is an isotropic complex Gaussian on the solution space of
+the intertwining equation (in the Frobenius inner product), rescaled to
+||A|| = target; no basis of that space is ever formed, and an empty one
+(shared = 0, h' = 0) raises EmptySolutionSpace.  A purely random
+pair (T', Q) generically forces A = 0, which is why the eigenvalue
+structure respectively the dimension gap is imposed.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .linalg import (
     haar_unitary,
     operator_norm,
     psd_sqrt,
-    rank_from_singular_values,
+    solve_hpd,
     zeros,
 )
 
@@ -59,35 +66,13 @@ def random_nehari_problem(
     )
 
 
-def _intertwining_nullspace(
-    t_prime: np.ndarray, r: np.ndarray, q: np.ndarray, rtol: float = 1e-10
-) -> np.ndarray:
-    """Null space of A -> T' A R - A Q, columns as flattened matrices.
-
-    Row-major flattening: vec(T' A R) = (T' kron R^T) vec(A).
-    """
-    h_prime = t_prime.shape[0]
-    k = np.kron(t_prime, r.T) - np.kron(eye(h_prime), q.T)
-    if k.shape[0] == 0:
-        return eye(k.shape[1])
-    _, s, vh = np.linalg.svd(k)
-    return adj(vh)[:, rank_from_singular_values(s, rtol):]
-
-
-def _sample_nullspace(
-    rng: np.random.Generator,
-    null: np.ndarray,
-    shape: tuple[int, int],
-    target_norm: float,
-) -> np.ndarray:
-    if null.shape[1] == 0:
+def _rescaled(a: np.ndarray, target_norm: float) -> np.ndarray:
+    """a scaled to operator norm target_norm; EmptySolutionSpace when a is
+    numerically zero, which happens only on an empty solution space."""
+    norm = operator_norm(a)
+    if norm <= 1e-12:
         raise EmptySolutionSpace("the intertwining equation only has A = 0")
-    for _ in range(8):
-        a = (null @ ginibre(rng, null.shape[1], 1)).reshape(shape)
-        norm = operator_norm(a)
-        if norm > 1e-12:
-            return a * (target_norm / norm)
-    raise EmptySolutionSpace("null-space samples were numerically zero")
+    return a * (target_norm / norm)
 
 
 def _generate_classical(
@@ -111,9 +96,13 @@ def _generate_classical(
     r = eye(h)
     if target_norm_a == 0.0:
         return LiftingDataSet(a=zeros(h_prime, h), t_prime=t_prime, r=r, q=q)
-    null = _intertwining_nullspace(t_prime, r, q)
-    a = _sample_nullspace(rng, null, (h_prime, h), target_norm_a)
-    return LiftingDataSet(a=a, t_prime=t_prime, r=r, q=q)
+    # T' u_i = t_i u_i and Q* w_j = conj(phase_j) w_j, so T' A = A Q holds
+    # for A = u_i w_j* exactly when t_i = phase_j: for i = j < shared.  The
+    # bulk eigenvalues of T' have modulus at most 0.9 and the phases are
+    # distinct, so these orthonormal rank-one matrices span the solutions.
+    g = ginibre(rng, shared, 1)[:, 0]
+    a = (u_t[:, :shared] * g) @ adj(w[:, :shared])
+    return LiftingDataSet(a=_rescaled(a, target_norm_a), t_prime=t_prime, r=r, q=q)
 
 
 def _generate_generic(
@@ -131,12 +120,41 @@ def _generate_generic(
     r = v_iso @ abs_q * rho
 
     g = ginibre(rng, h_prime, h_prime)
-    t_prime = g * (rng.uniform(0.5, 0.95) / operator_norm(g))
+    norm_t = rng.uniform(0.5, 0.95)
+    t_prime = g * (norm_t / operator_norm(g)) if h_prime else g
     if target_norm_a == 0.0:
         return LiftingDataSet(a=zeros(h_prime, h), t_prime=t_prime, r=r, q=q)
-    null = _intertwining_nullspace(t_prime, r, q)
-    a = _sample_nullspace(rng, null, (h_prime, h), target_norm_a)
-    return LiftingDataSet(a=a, t_prime=t_prime, r=r, q=q)
+    a = _intertwining_projection(ginibre(rng, h_prime, h), t_prime, r, q)
+    return LiftingDataSet(a=_rescaled(a, target_norm_a), t_prime=t_prime, r=r, q=q)
+
+
+def _intertwining_projection(
+    z: np.ndarray, t_prime: np.ndarray, r: np.ndarray, q: np.ndarray
+) -> np.ndarray:
+    """Orthogonal projection of z onto the null space of K: A -> T' A R - A Q.
+
+    z - K*(K K*)^-1 K z, with K z = T' z R - z Q and K* w = T'* w R* - w Q*
+    applied as matrix products.  In row-major vec coordinates
+    K = T' (x) R^T - I (x) Q^T, so the (h' h0)^2 Gram K K* is the sum of
+    four Kronecker products of small matrices.
+
+    K K* is positive definite because K is onto.  Q = U_q S V_q* is
+    left-invertible with left inverse Q+ = V_q S^-1 U_q*, and
+    R = V |Q| rho gives Q+ R = rho V_q S^-1 U_q* V V_q S V_q*, similar to
+    rho U_q* V V_q, a contraction times rho <= 0.9.  With ||T'|| <= 0.95,
+    rho(T') rho(Q+ R) < 1, so the Stein map B -> T' B Q+ R - B is
+    invertible, and z = B Q+ maps onto every K z = T' B Q+ R - B.
+    """
+    tt = t_prime @ adj(t_prime)
+    gram = (
+        np.kron(tt, (adj(r) @ r).T)
+        - np.kron(t_prime, (adj(q) @ r).T)
+        - np.kron(adj(t_prime), (adj(r) @ q).T)
+        + np.kron(eye(t_prime.shape[0]), (adj(q) @ q).T)
+    )
+    kz = t_prime @ z @ r - z @ q
+    w = solve_hpd(gram, kz.reshape(-1)).reshape(kz.shape)
+    return z - (adj(t_prime) @ w @ adj(r) - w @ adj(q))
 
 
 def generate_random(kind: str, dims, target_norm_a: float, seed) -> LiftingDataSet:

@@ -1,7 +1,9 @@
 """Reference algorithms of the tests that the package does not run: the
 nonsymmetric eigenvalue solver, since a Stein Gramian certifies stability
-there (`rclift.linalg.observability_gramian`), and the pivoted
-Gram-Schmidt loop that `rclift.linalg._canonical_basis` replaced."""
+there (`rclift.linalg.observability_gramian`), the pivoted Gram-Schmidt
+loop that `rclift.linalg._canonical_basis` replaced, and the numerical
+null space of the intertwining equation that the closed forms of
+`rclift.generators` replaced."""
 
 import numpy as np
 
@@ -34,3 +36,16 @@ def pivoted_gram_schmidt(p, rank: int) -> np.ndarray:
         for j in remaining:
             cols[:, j] -= basis[:, k] * (basis[:, k].conj() @ cols[:, j])
     return basis
+
+
+def intertwining_nullspace(t_prime, r, q, rtol: float = 1e-10) -> np.ndarray:
+    """Orthonormal basis of the null space of A -> T' A R - A Q, columns as
+    row-major flattened h' x h matrices, from a full SVD of its Kronecker
+    matrix: vec(T' A R - A Q) = (T' kron R^T - I kron Q^T) vec(A)."""
+    h_prime, h = t_prime.shape[0], r.shape[0]
+    k = np.kron(t_prime, r.T) - np.kron(np.eye(h_prime), q.T)
+    if k.shape[0] == 0:
+        return np.eye(h_prime * h, dtype=complex)
+    _, s, vh = np.linalg.svd(k)
+    rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
+    return vh[rank:].conj().T

@@ -9,7 +9,7 @@ import pytest
 import rclift
 from rclift import lifting, nehari, redheffer, schur, serialize
 from rclift.cli import main
-from rclift.hardy import TaylorSeries
+from rclift.hardy import TaylorSeries, markov
 
 SCALAR_PROBLEM = {
     "kind": "nehari",
@@ -363,7 +363,15 @@ def _forge_gamma0(doc):
 
 
 def _forge_c(doc):
-    _scale_matrix(doc["tail"]["c"], 10.0)
+    # scale C tenfold until the first nonzero Markov coefficient C A^k B of
+    # the tail has norm >= 2; it is one block of the stacked solution, so
+    # the stacked norm is past a contraction whatever the instance
+    a, b, c = (serialize.matrix_from_json(doc["tail"][k]) for k in "abc")
+    first = next(m for m in markov(a, b, c, a.shape[0]) if np.linalg.norm(m) > 1e-12)
+    factor = 10.0
+    while factor * np.linalg.norm(first, 2) < 2.0:
+        factor *= 10.0
+    _scale_matrix(doc["tail"]["c"], factor)
 
 
 def _forge_unstable_a(doc):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from oracles import intertwining_nullspace
 
-from rclift import generators, lifting, nehari
+from rclift import cli, generators, lifting, nehari
 from rclift.errors import DimensionMismatch, EmptySolutionSpace
 from rclift.linalg import (
     RANK_RTOL,
@@ -234,9 +235,105 @@ def test_generate_random_deterministic():
     np.testing.assert_allclose(a.q, b.q)
 
 
-def test_empty_solution_space():
-    # without shared eigenvalue structure the intertwining null space is
-    # trivial: force it by handing the sampler an empty basis
-    rng = np.random.default_rng(0)
-    with pytest.raises(EmptySolutionSpace):
-        generators._sample_nullspace(rng, np.zeros((9, 0)), (3, 3), 0.5)
+# (kind, dims, dimension of the solution space of T' A R = A Q): h'(h - h0)
+# for generic, `shared` = min(h, h') // 2 + 1 for classical-like
+SOLUTION_SPACES = [
+    ("generic", (4, 3, 2), 6),
+    ("generic", (6, 4, 3), 12),
+    ("generic", (5, 2, 1), 8),
+    ("generic", (40, 30, 20), 600),
+    ("classical-like", (3, 3), 2),
+    ("classical-like", (5, 7), 3),
+    ("classical-like", (6, 2), 2),
+    ("classical-like", (12, 9), 5),
+]
+
+
+def _redirect_a_draw(monkeypatch, kind, dims, stream):
+    """Make the generator draw A's Gaussian matrix from `stream`.
+
+    That draw is every `generators.ginibre` call except the generic
+    family's square draw of T', so one seed with several streams gives
+    instances that differ in A alone.  Returns the list of redirected
+    draws."""
+    real, h_prime = generators.ginibre, dims[1]
+    drawn = []
+
+    def ginibre(rng, rows, cols):
+        if kind == "generic" and (rows, cols) == (h_prime, h_prime):
+            return real(rng, rows, cols)
+        drawn.append(real(stream, rows, cols))
+        return drawn[-1]
+
+    monkeypatch.setattr(generators, "ginibre", ginibre)
+    return drawn
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("kind,dims,dim_null", SOLUTION_SPACES)
+def test_generated_a_solves_the_intertwining_equation(kind, dims, dim_null, seed):
+    ds = generators.generate_random(kind, dims, 0.6, seed)
+    assert operator_norm(ds.t_prime @ ds.a @ ds.r - ds.a @ ds.q) <= 1e-12
+    assert abs(operator_norm(ds.a) - 0.6) <= 1e-12
+    assert lifting.validate(ds).passed
+    null = intertwining_nullspace(ds.t_prime, ds.r, ds.q)
+    assert null.shape[1] == dim_null
+    vec_a = ds.a.reshape(-1)
+    assert np.linalg.norm(vec_a - null @ (adj(null) @ vec_a)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind,dims,dim_null", [c for c in SOLUTION_SPACES if c[2] <= 20]
+)
+def test_closed_form_draws_span_the_solution_space(monkeypatch, kind, dims, dim_null):
+    # d + 1 draws of A on one (T', R, Q) span the oracle's d-dimensional
+    # null space, so the closed form reaches all of it; the 600-dimensional
+    # generic space is covered by the projection test below
+    instances = []
+    for j in range(dim_null + 1):
+        _redirect_a_draw(monkeypatch, kind, dims, np.random.default_rng([3, j]))
+        instances.append(generators.generate_random(kind, dims, 0.6, 3))
+    ds = instances[0]
+    assert all(np.array_equal(x.t_prime, ds.t_prime) and np.array_equal(x.q, ds.q)
+               for x in instances)
+    assert intertwining_nullspace(ds.t_prime, ds.r, ds.q).shape[1] == dim_null
+    assert _rank(np.stack([x.a.reshape(-1) for x in instances], axis=1)) == dim_null
+
+
+@pytest.mark.parametrize("dims", [c[1] for c in SOLUTION_SPACES if c[0] == "generic"])
+def test_generic_a_is_the_orthogonal_projection_of_its_draw(monkeypatch, dims):
+    # A is the drawn Ginibre matrix projected orthogonally onto the null
+    # space of the Kronecker oracle, then rescaled: the same isotropic
+    # Gaussian on that space as sampling in an orthonormal basis of it
+    drawn = _redirect_a_draw(monkeypatch, "generic", dims, np.random.default_rng(4))
+    ds = generators.generate_random("generic", dims, 0.6, 4)
+    null = intertwining_nullspace(ds.t_prime, ds.r, ds.q)
+    z = drawn[-1]
+    p = (null @ (adj(null) @ z.reshape(-1))).reshape(z.shape)
+    np.testing.assert_allclose(ds.a, p * (0.6 / operator_norm(p)), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind,dims,solvable", [
+    ("generic", (3, 2, 0), True),
+    ("generic", (3, 0, 2), False),
+    ("generic", (3, 0, 0), False),
+    ("classical-like", (0, 3), False),
+    ("classical-like", (3, 0), False),
+])
+def test_zero_dimensional_edges(tmp_path, capsys, kind, dims, solvable):
+    # an empty H0 leaves every A solvable; an empty H' (or no shared
+    # eigenvalue) leaves only A = 0, and `rclift gen` exits 4
+    path = tmp_path / "inst.json"
+    argv = ["gen", "--kind", kind, "--dims", ",".join(map(str, dims)),
+            "--norm", "0.5", "--seed", "1", "--out", str(path)]
+    if solvable:
+        ds = generators.generate_random(kind, dims, 0.5, 1)
+        assert lifting.validate(ds).passed
+        assert abs(operator_norm(ds.a) - 0.5) <= 1e-12
+        assert cli.main(argv) == 0
+        assert cli.main(["validate", str(path)]) == 0
+    else:
+        with pytest.raises(EmptySolutionSpace):
+            generators.generate_random(kind, dims, 0.5, 1)
+        assert cli.main(argv) == 4
+        assert "generator failure" in capsys.readouterr().err
