@@ -36,7 +36,7 @@ from .linalg import (
     min_singular_value,
     operator_norm,
     psd_sqrt_and_range,
-    range_embedding,
+    range_and_pinv,
     solve_hpd,
 )
 
@@ -189,7 +189,7 @@ def derive(ds: LiftingDataSet) -> DerivedData:
     d_t, e_t = psd_sqrt_and_range(eye(ds.dim_h_prime) - adj(ds.t_prime) @ ds.t_prime)
     d_circ, e_circ = psd_sqrt_and_range(adj(ds.q) @ ds.q - adj(ds.r) @ ds.r)
 
-    f_emb = range_embedding(d_a @ ds.q)
+    f_emb, pinv_daq = range_and_pinv(d_a @ ds.q)
     ker_q = kernel_embedding(ds.q)
     ker_r = kernel_embedding(ds.r)
 
@@ -198,8 +198,6 @@ def derive(ds: LiftingDataSet) -> DerivedData:
 
     # omega in coordinates: the stack [D_T' A R; D_A R] composed with the
     # pseudoinverse of D_A Q, restricted to the F basis.
-    daq = d_a @ ds.q
-    pinv_daq = np.linalg.pinv(daq, rcond=1e-10)
     omega = np.vstack([dtar, d_a @ ds.r]) @ (pinv_daq @ f_emb)
 
     strict = strictness(ds).strict_ok

@@ -226,9 +226,12 @@ def _left_singular_split(m: np.ndarray, rtol: float) -> tuple[np.ndarray, np.nda
     return u[:, :r], u[:, r:]
 
 
-def range_embedding(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Canonical orthonormal basis of the column space of m."""
-    return _canonical_basis(_left_singular_split(m, rtol)[0])
+def range_and_pinv(m: np.ndarray, rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical orthonormal basis of the column space of m and the
+    pseudoinverse of m, both from one thin SVD and one rank decision."""
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    r = rank_from_singular_values(s, rtol)
+    return _canonical_basis(u[:, :r]), (adj(vh[:r]) / s[:r]) @ adj(u[:, :r])
 
 
 def kernel_embedding(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:

@@ -134,7 +134,8 @@ def test_zero_dimensional_matrices_flow():
     z = np.zeros((0, 0))
     assert linalg.operator_norm(z) == 0.0
     assert linalg.kernel_embedding(np.zeros((3, 0))).shape == (3, 3)
-    assert linalg.range_embedding(np.zeros((3, 0))).shape == (3, 0)
+    basis, pinv = linalg.range_and_pinv(np.zeros((3, 0)))
+    assert basis.shape == (3, 0) and pinv.shape == (0, 3)
     np.testing.assert_allclose(linalg.solve_hpd(z, np.zeros((0, 2))), np.zeros((0, 2)))
 
 
@@ -153,8 +154,22 @@ def test_psd_sqrt_and_range_noise_control():
     np.testing.assert_allclose(root2, np.diag([np.sqrt(0.5), 0, 0, np.sqrt(0.8)]), atol=1e-12)
 
 
+@pytest.mark.parametrize("rows,cols,rank", [(5, 3, 3), (5, 3, 2), (3, 5, 1), (4, 4, 0)])
+def test_range_and_pinv_match_the_two_svd_forms(rows, cols, rank):
+    # one SVD gives the basis of the two-SVD form (the canonical basis of
+    # the column space) and numpy's pseudoinverse at the same cutoff
+    rng = np.random.default_rng(rows + 7 * rank)
+    m = linalg.ginibre(rng, rows, rank) @ linalg.ginibre(rng, rank, cols)
+    basis, pinv = linalg.range_and_pinv(m)
+    u, s, _ = np.linalg.svd(m)
+    r = linalg.rank_from_singular_values(s)
+    assert basis.shape == (rows, rank) and r == rank
+    np.testing.assert_allclose(basis, linalg._canonical_basis(u[:, :r]), atol=1e-12)
+    np.testing.assert_allclose(pinv, np.linalg.pinv(m, rcond=linalg.RANK_RTOL), atol=1e-12)
+
+
 def test_canonical_embedding_is_literal_for_diagonal_projectors():
-    e = linalg.range_embedding(np.diag([1.0, 1.0, 0.0, 0.0]))
+    e = linalg.range_and_pinv(np.diag([1.0, 1.0, 0.0, 0.0]))[0]
     np.testing.assert_allclose(e, np.eye(4)[:, :2], atol=1e-14)
     e2 = linalg.kernel_embedding(np.vstack([np.zeros((1, 2)), np.eye(2)]))
     np.testing.assert_allclose(e2, np.eye(3)[:, :1], atol=1e-14)
