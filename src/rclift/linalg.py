@@ -17,7 +17,6 @@ coordinates written by one run are read the same way by another.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -157,20 +156,11 @@ def rank_from_singular_values(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
 
 # The LAPACK routines of `scipy.linalg.qr(..., pivoting=True)`, called
 # directly: that wrapper's argument checks and two workspace queries cost
-# more than the factorization of the small matrices passed here.
+# more than the factorization of the small matrices passed here.  With the
+# wrappers' default workspace both routines run their unblocked code, which
+# LAPACK also runs at scipy's optimal workspace for bases of fewer than 128
+# vectors, so those come out bit-identical.
 _QR_ROUTINES = scipy.linalg.get_lapack_funcs(("geqp3", "ungqr"), dtype=complex)
-
-
-@functools.cache
-def _qr_workspace(m: int, n: int) -> tuple[int, int]:
-    """Optimal workspace sizes of geqp3 on an m x n matrix, m < n, and of
-    ungqr on its leading m x m block, queried once per shape as
-    `scipy.linalg.qr` queries them on every call."""
-    geqp3, ungqr = _QR_ROUTINES
-    a = zeros(m, n)
-    lwork_qr = int(geqp3(a, lwork=-1)[3][0].real)
-    lwork_q = int(ungqr(a[:, :m], zeros(m, 1)[:, 0], lwork=-1)[1][0].real)
-    return lwork_qr, lwork_q
 
 
 def _canonical_basis(u: np.ndarray) -> np.ndarray:
@@ -188,9 +178,8 @@ def _canonical_basis(u: np.ndarray) -> np.ndarray:
     if r in (0, n):
         return eye(n)[:, :r]
     geqp3, ungqr = _QR_ROUTINES
-    lwork_qr, lwork_q = _qr_workspace(r, n)
-    qr, _, tau, _, _ = geqp3(adj(u), lwork=lwork_qr)
-    q = ungqr(qr[:, :r], tau, lwork=lwork_q)[0]
+    qr, _, tau, _, _ = geqp3(adj(u))
+    q = ungqr(qr[:, :r], tau)[0]
     basis = u @ q
     top = basis[np.argmax(np.abs(basis), axis=0), np.arange(r)]
     return basis * (top.conj() / np.abs(top))
