@@ -99,7 +99,8 @@ def _generate_classical(
     # T' u_i = t_i u_i and Q* w_j = conj(phase_j) w_j, so T' A = A Q holds
     # for A = u_i w_j* exactly when t_i = phase_j: for i = j < shared.  The
     # bulk eigenvalues of T' have modulus at most 0.9 and the phases are
-    # distinct, so these orthonormal rank-one matrices span the solutions.
+    # almost surely distinct, so these orthonormal rank-one matrices span
+    # the solutions.
     g = ginibre(rng, shared, 1)[:, 0]
     a = (u_t[:, :shared] * g) @ adj(w[:, :shared])
     return LiftingDataSet(a=_rescaled(a, target_norm_a), t_prime=t_prime, r=r, q=q)

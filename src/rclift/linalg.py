@@ -215,11 +215,11 @@ def _left_singular_split(m: np.ndarray, rtol: float) -> tuple[np.ndarray, np.nda
     return u[:, :r], u[:, r:]
 
 
-def range_and_pinv(m: np.ndarray, rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def range_and_pinv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical orthonormal basis of the column space of m and the
     pseudoinverse of m, both from one thin SVD and one rank decision."""
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    r = rank_from_singular_values(s, rtol)
+    r = rank_from_singular_values(s)
     return _canonical_basis(u[:, :r]), (adj(vh[:r]) / s[:r]) @ adj(u[:, :r])
 
 
