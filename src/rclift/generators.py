@@ -137,7 +137,9 @@ def _intertwining_projection(
     z - K*(K K*)^-1 K z, with K z = T' z R - z Q and K* w = T'* w R* - w Q*
     applied as matrix products.  In row-major vec coordinates
     K = T' (x) R^T - I (x) Q^T, so the (h' h0)^2 Gram K K* is the sum of
-    four Kronecker products of small matrices.
+    four Kronecker products X_k (x) Y_k^T of small matrices, formed in one
+    einsum: T'T'* (x) (R*R)^T - T' (x) (Q*R)^T - T'* (x) (R*Q)^T
+    + I (x) (Q*Q)^T.
 
     K K* is positive definite because K is onto.  Q = U_q S V_q* is
     left-invertible with left inverse Q+ = V_q S^-1 U_q*, and
@@ -146,14 +148,10 @@ def _intertwining_projection(
     rho(T') rho(Q+ R) < 1, so the Stein map B -> T' B Q+ R - B is
     invertible, and z = B Q+ maps onto every K z = T' B Q+ R - B.
     """
-    tt = t_prime @ adj(t_prime)
-    gram = (
-        np.kron(tt, (adj(r) @ r).T)
-        - np.kron(t_prime, (adj(q) @ r).T)
-        - np.kron(adj(t_prime), (adj(r) @ q).T)
-        + np.kron(eye(t_prime.shape[0]), (adj(q) @ q).T)
-    )
+    x = np.stack([t_prime @ adj(t_prime), t_prime, adj(t_prime), eye(t_prime.shape[0])])
+    y = np.stack([adj(r) @ r, -adj(q) @ r, -adj(r) @ q, adj(q) @ q])
     kz = t_prime @ z @ r - z @ q
+    gram = np.einsum("kij,kba->iajb", x, y).reshape(kz.size, kz.size)
     w = solve_hpd(gram, kz.reshape(-1)).reshape(kz.shape)
     return z - (adj(t_prime) @ w @ adj(r) - w @ adj(q))
 
