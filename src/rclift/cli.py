@@ -6,8 +6,9 @@ reports are canonical JSON (sorted keys, fixed float formatting), so a
 report is byte-stable for a fixed seed and version.  Timings go to
 stderr only.
 
-Exit codes: 0 pass, 1 constraint or verification failure, 2 I/O or
-schema error, 3 hypothesis violation (strictness), 4 generator failure.
+Exit codes: 0 pass, 1 constraint or verification failure, 2 I/O,
+schema or usage error (such as `gen --dims` the family cannot take),
+3 hypothesis violation (strictness), 4 generator failure.
 The default tolerance is 1e-6 (1e-8 for `validate`) and the default
 truncation degree 64.
 
@@ -262,18 +263,29 @@ def cmd_nehari(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+# the --dims each generator family takes
+GEN_DIMS = {"nehari": "u,y,N,K", "nehari-like": "u,y,N,K",
+            "classical-like": "h,h'", "generic": "h,h',h0"}
+
+
 def cmd_gen(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
-    if args.kind == "nehari":
-        if len(dims) != 4:
-            raise ParseError("nehari generation needs --dims u,y,N,K")
-        u, y, n_w, k = dims
-        rng = np.random.default_rng(args.seed)
-        p = generators.random_nehari_problem(rng, u, y, n_w, k, args.norm)
-        _emit(args, serialize.instance_to_json(p))
-        return EXIT_PASS
-    ds = generators.generate_random(args.kind, dims, args.norm, args.seed)
-    _emit(args, serialize.instance_to_json(ds))
+    names = GEN_DIMS[args.kind]
+    try:
+        dims = tuple(int(d) for d in args.dims.split(","))
+    except ValueError:
+        raise ParseError(f"--dims {args.dims!r} is not a list of integers") from None
+    if len(dims) != len(names.split(",")) or min(dims) < 0:
+        raise ParseError(f"{args.kind} generation needs --dims {names}, "
+                         f"nonnegative integers")
+    try:
+        if args.kind == "nehari":
+            rng = np.random.default_rng(args.seed)
+            obj = generators.random_nehari_problem(rng, *dims, args.norm)
+        else:
+            obj = generators.generate_random(args.kind, dims, args.norm, args.seed)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    _emit(args, serialize.instance_to_json(obj))
     return EXIT_PASS
 
 
@@ -345,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random valid instance")
     p.add_argument("--kind", required=True,
-                   choices=("nehari",) + generators.KINDS)
+                   choices=tuple(GEN_DIMS))
     p.add_argument("--dims", required=True,
                    help="comma-separated dims: u,y,N,K (nehari/nehari-like), "
                         "h,h' (classical-like), h,h',h0 (generic)")

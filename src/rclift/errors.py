@@ -49,6 +49,10 @@ class EmptySolutionSpace(RcliftError):
     solution; retry with another seed."""
 
 
+class NotConverged(RcliftError):
+    """An iterative solver missed its tolerance within its iteration cap."""
+
+
 class NotFinite(RcliftError):
     """A value overflowed floating point, so a check cannot be decided."""
 

@@ -157,6 +157,34 @@ def test_gen_then_validate_all_kinds(tmp_path, capsys):
         assert code == 0, out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "generic", "--dims", "2,2,2"],
+    ["--kind", "generic", "--dims", "0,2,0"],
+    ["--kind", "generic", "--dims", "3,2"],
+    ["--kind", "generic", "--dims", "3,-1,1"],
+    ["--kind", "classical-like", "--dims", "3"],
+    ["--kind", "nehari", "--dims", "1,1,2"],
+    ["--kind", "generic", "--dims", "4,x,2"],
+    ["--kind", "generic", "--dims", "4,3,2", "--norm", "1.0"],
+], ids=["h0_not_below_h", "all_empty", "too_few", "negative", "classical_too_few",
+        "nehari_too_few", "not_integer", "norm_one"])
+def test_gen_usage_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_gen_nehari_with_an_empty_space(tmp_path, capsys):
+    # no input or no output space leaves only zero taps, of norm 0
+    path = tmp_path / "empty.json"
+    code, _, _ = run(capsys, "gen", "--kind", "nehari", "--dims", "0,1,2,1",
+                     "--out", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0, out
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -212,7 +240,12 @@ def test_suite_fast_mode(capsys):
     assert failed == ["classical_specialization"]
 
 
-def test_suite_report_bytes_do_not_depend_on_blas_threads():
+@pytest.mark.parametrize("argv", [
+    pytest.param(["suite", "--seeds", "2"], id="suite"),
+    # the projection's conjugate-gradient iteration count depends on rounding
+    pytest.param(["gen", "--kind", "generic", "--dims", "40,30,20", "--seed", "1"], id="gen"),
+])
+def test_suite_report_bytes_do_not_depend_on_blas_threads(argv):
     src = os.path.dirname(os.path.dirname(rclift.__file__))
     reports = []
     for threads in ("1", "2"):
@@ -220,7 +253,7 @@ def test_suite_report_bytes_do_not_depend_on_blas_threads():
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run(
             [sys.executable, "-c", "import sys; from rclift.cli import main; sys.exit(main())",
-             "suite", "--seeds", "2"],
+             *argv],
             env=env, capture_output=True, check=True, timeout=300)
         reports.append(done.stdout)
     assert reports[0] == reports[1]

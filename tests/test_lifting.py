@@ -3,7 +3,7 @@ import pytest
 from oracles import intertwining_nullspace
 
 from rclift import cli, generators, lifting, nehari
-from rclift.errors import DimensionMismatch, EmptySolutionSpace
+from rclift.errors import DimensionMismatch, EmptySolutionSpace, NotConverged
 from rclift.linalg import (
     RANK_RTOL,
     adj,
@@ -255,17 +255,18 @@ def _redirect_a_draw(monkeypatch, kind, dims, stream):
     That draw is every `generators.ginibre` call except the generic
     family's square draw of T', so one seed with several streams gives
     instances that differ in A alone.  Returns the list of redirected
-    draws."""
-    real, h_prime = generators.ginibre, dims[1]
+    draws.  Each call wraps the package's own `ginibre`, not an earlier
+    redirection."""
+    h_prime = dims[1]
     drawn = []
 
-    def ginibre(rng, rows, cols):
+    def redirected(rng, rows, cols):
         if kind == "generic" and (rows, cols) == (h_prime, h_prime):
-            return real(rng, rows, cols)
-        drawn.append(real(stream, rows, cols))
+            return ginibre(rng, rows, cols)
+        drawn.append(ginibre(stream, rows, cols))
         return drawn[-1]
 
-    monkeypatch.setattr(generators, "ginibre", ginibre)
+    monkeypatch.setattr(generators, "ginibre", redirected)
     return drawn
 
 
@@ -311,6 +312,40 @@ def test_generic_a_is_the_orthogonal_projection_of_its_draw(monkeypatch, dims):
     z = drawn[-1]
     p = (null @ (adj(null) @ z.reshape(-1))).reshape(z.shape)
     np.testing.assert_allclose(ds.a, p * (0.6 / operator_norm(p)), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("dims", [(80, 60, 40), (120, 90, 60)])
+def test_large_generic_projection_is_orthogonal(monkeypatch, dims):
+    # past the reach of the Kronecker oracle: two draws of A on one
+    # (T', R, Q), checked against the intertwining equation and each other
+    instances, draws = [], []
+    for j in range(2):
+        draws.append(_redirect_a_draw(monkeypatch, "generic", dims, np.random.default_rng([6, j])))
+        instances.append(generators.generate_random("generic", dims, 0.6, 6))
+    ds, other = instances
+    assert np.array_equal(ds.q, other.q)
+    assert lifting.validate(ds).passed
+    assert operator_norm(ds.t_prime @ ds.a @ ds.r - ds.a @ ds.q) <= 1e-12
+    # A = c P z with c > 0, and <P z, z> = ||P z||^2 is real, so P z is
+    # A <A, z> / ||A||^2; z - P z must be orthogonal to the null space
+    (z,) = draws[0]
+    a_z = np.vdot(ds.a, z)
+    assert abs(a_z.imag) <= 1e-12 * abs(a_z)
+    residual = z - ds.a * (a_z / np.vdot(ds.a, ds.a))
+    scale = np.linalg.norm(z) * np.linalg.norm(other.a)
+    assert abs(np.vdot(residual, other.a)) <= 1e-12 * scale
+
+
+def test_projection_iteration_cap_raises(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(generators, "CG_MAX_ITERATIONS", 1)
+    with pytest.raises(NotConverged):
+        generators.generate_random("generic", (40, 30, 20), 0.6, 0)
+    path = tmp_path / "inst.json"
+    assert cli.main(["gen", "--kind", "generic", "--dims", "40,30,20",
+                     "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("kind,dims,solvable", [
