@@ -60,7 +60,10 @@ def random_nehari_problem(
     k_taps: int,
     target_norm: float,
 ) -> nehari.NehariProblem:
-    """Random taps rescaled so the truncated Hankel norm hits the target."""
+    """Random taps rescaled so the truncated Hankel norm hits the target,
+    which must lie in [0, 1); it is checked before anything is drawn."""
+    if not 0.0 <= target_norm < 1.0:
+        raise ValueError("target_norm must lie in [0, 1)")
     if target_norm == 0.0 or k_taps * u_dim * y_dim == 0:
         taps = tuple(zeros(y_dim, u_dim) for _ in range(k_taps))
         return nehari.NehariProblem(n_window, u_dim, y_dim, taps)

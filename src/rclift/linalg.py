@@ -60,10 +60,29 @@ def zeros(rows: int, cols: int) -> np.ndarray:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value; 0 for zero-dimensional matrices."""
+    """Largest singular value of a matrix, or the largest over a (k, r, c)
+    stack of matrices; 0 when there are no entries."""
     if m.size == 0:
         return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(np.linalg.svd(m, compute_uv=False)[..., 0].max())
+
+
+def disc_stack(lam) -> np.ndarray:
+    """Disc points as a factor that broadcasts against matrices.
+
+    A scalar becomes a (1, 1) array and a 1-d array of k points a
+    (k, 1, 1) stack, so an expression in matrices and this factor gives
+    one matrix or a stack of k, evaluated point by point; the stacked
+    `np.linalg` routines and `matmul` run the same LAPACK and BLAS calls
+    on each slice.  ValueError unless every point lies in the open unit
+    disc.
+    """
+    lam = np.asarray(lam)
+    if lam.ndim > 1:
+        raise DimensionMismatch(f"expected a disc point or a 1-d array of them, got ndim={lam.ndim}")
+    if not np.all(np.abs(lam) < 1.0):  # NaN is outside too
+        raise ValueError("disc functions are only evaluated inside the open unit disc")
+    return lam[..., None, None]
 
 
 def _require_hermitian(m: np.ndarray, tol: float, message: str) -> None:
@@ -121,8 +140,22 @@ def psd_sqrt(m, tol: float = RANK_RTOL) -> np.ndarray:
     return 0.5 * (root + adj(root))
 
 
+# The LAPACK routines of `scipy.linalg.cho_factor`/`cho_solve`, called
+# directly: those wrappers' argument checks cost several times the Cholesky
+# factorization and solve of the small matrices passed here.  The calls are
+# the ones the wrappers make (lower factor, no cleaning), so the results are
+# bit-identical; `solve_hpd` keeps the wrappers' finiteness check, which
+# `potrs` alone would not make.
+_CHOLESKY_ROUTINES = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=complex)
+
+
 def solve_hpd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve m @ x = b for Hermitian positive definite m via Cholesky."""
+    """Solve m @ x = b for Hermitian positive definite m via Cholesky.
+
+    NotHermitian past the Hermiticity gate, NotPositiveDefinite when the
+    factorization meets a leading minor that is not positive definite, and
+    ValueError on a matrix or right-hand side with NaN or Inf entries.
+    """
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
     if m.shape[0] != b.shape[0]:
@@ -130,11 +163,14 @@ def solve_hpd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     _require_hermitian(m, RANK_RTOL, "solve_hpd requires a Hermitian matrix")
     if m.shape[0] == 0:
         return b.copy()
-    try:
-        factor = scipy.linalg.cho_factor(0.5 * (m + adj(m)), lower=True)
-    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is the same class
-        raise NotPositiveDefinite(str(exc)) from exc
-    return scipy.linalg.cho_solve(factor, b)
+    h = 0.5 * (m + adj(m))
+    if not (np.isfinite(h).all() and np.isfinite(b).all()):
+        raise ValueError("solve_hpd needs finite entries, got NaN or Inf")
+    potrf, potrs = _CHOLESKY_ROUTINES
+    factor, info = potrf(h, lower=True, overwrite_a=True, clean=False)
+    if info > 0:
+        raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
+    return potrs(factor, b, lower=True)[0]
 
 
 def inv_hpd(m: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ from .hardy import (
 from .lifting import DerivedData, left_inverse_dar
 from .linalg import (
     adj,
+    disc_stack,
     eye,
     inv_hpd,
     kernel_embedding,
@@ -177,20 +178,20 @@ def x_tilde_matrix(rc: RedhefferCoefficients) -> np.ndarray:
     )
 
 
-def _resolvent(rc: Realization, lam: complex) -> np.ndarray:
-    if abs(lam) >= 1.0:
-        raise ValueError("coefficient functions live on the open unit disc")
-    n = rc.x1.shape[0]
+def _resolvent(rc: Realization, lam: np.ndarray) -> np.ndarray:
+    """(I - lam X1)^-1 for a factor from `linalg.disc_stack`."""
     try:
-        return np.linalg.inv(eye(n) - lam * rc.x1)
+        return np.linalg.inv(eye(rc.x1.shape[0]) - lam * rc.x1)
     except np.linalg.LinAlgError as exc:
-        raise ResolventSingular(f"I - lam*X1 singular at lam={lam!r}") from exc
+        raise ResolventSingular(f"I - lam*X1 singular at lam={lam.ravel()!r}") from exc
 
 
 def phi_eval(
-    rc: Realization, lam: complex
+    rc: Realization, lam
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate (P11, P12, P21, P22) at a disc point."""
+    """Evaluate (P11, P12, P21, P22) at a disc point, or as (k, ., .)
+    stacks at a 1-d array of k disc points."""
+    lam = disc_stack(lam)
     res = _resolvent(rc, lam)
     res_e = res @ rc.e
     p11 = lam * rc.x3 @ res @ rc.x2
@@ -226,9 +227,10 @@ def z_from_v(
     dd: DerivedData,
     rc: RedhefferCoefficients,
     v: schur.SchurParameter,
-    lam: complex,
+    lam,
 ) -> np.ndarray:
-    """The underlying disc function pinned to omega on F, at one point.
+    """The underlying disc function pinned to omega on F, at one point, or
+    as a (k, ., .) stack at a 1-d array of k points.
 
     Maps the contraction defect space into the orthogonal sum of dilation
     defect and contraction defect coordinates; its restriction to the F
@@ -469,10 +471,12 @@ def projection_identity_check(dd: DerivedData) -> tuple[float, float]:
 
 
 def classical_phi_eval(
-    dd: DerivedData, lam: complex, exponent_reading: str = "corrected"
+    dd: DerivedData, lam, exponent_reading: str = "corrected"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form coefficient functions for the classical shape (R = I,
-    Q isometric), used only to cross-check the general pipeline.
+    Q isometric), used only to cross-check the general pipeline: at a disc
+    point, or as (k, ., .) stacks at a 1-d array of k points, with the
+    factors that do not depend on the point computed once.
 
     The printed closed forms carry ambiguous defect exponents: the Ker Q*
     weight appears with a first power where the general construction
@@ -491,8 +495,7 @@ def classical_phi_eval(
     if operator_norm(adj(ds.q) @ ds.q - eye(ds.q.shape[1])) > 1e-10:
         raise NotClassicalShape("classical shape needs an isometric Q")
     dd.require_strict()
-    if abs(lam) >= 1.0:
-        raise ValueError("coefficient functions live on the open unit disc")
+    lam = disc_stack(lam)
 
     d_a_sq = dd.d_a @ dd.d_a
     aq = ds.a @ ds.q
@@ -515,7 +518,7 @@ def classical_phi_eval(
     try:
         res = np.linalg.inv(eye(h) - lam * t_a)
     except np.linalg.LinAlgError as exc:
-        raise ResolventSingular(f"I - lam*T_A singular at lam={lam!r}") from exc
+        raise ResolventSingular(f"I - lam*T_A singular at lam={lam.ravel()!r}") from exc
     p11 = -lam * dq_nh @ adj(e_q) @ res @ dd.d_a_sq_inv @ adj(j_cls) @ dom_nh
     p12 = dq_nh @ adj(e_q) @ res
     p21 = dom_h - j_cls @ res @ middle @ adj(j_cls) @ dom_nh

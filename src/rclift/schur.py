@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ResolventSingular
 from .hardy import StateSpace
-from .linalg import cmatrix, eye, ginibre, operator_norm, zeros
+from .linalg import cmatrix, disc_stack, eye, ginibre, operator_norm, zeros
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,10 @@ def random_schur(in_dim: int, out_dim: int, state_dim: int, seed) -> SchurParame
     return SchurParameter(a=k[:n, :n], b=k[:n, n:], c=k[n:, :n], d=k[n:, n:])
 
 
-def eval(v: StateSpace, lam: complex) -> np.ndarray:  # noqa: A001 - domain term
-    """Value at a disc point; contractive for |lam| < 1."""
-    if abs(lam) >= 1.0:
-        raise ValueError("Schur parameters are only evaluated inside the open disc")
+def eval(v: StateSpace, lam) -> np.ndarray:  # noqa: A001 - domain term
+    """Value at a disc point, or the (k, out, in) stack of values at a 1-d
+    array of k disc points; contractive for |lam| < 1."""
+    lam = disc_stack(lam)
     try:
         resolvent = np.linalg.solve(eye(v.state_dim) - lam * v.a, v.b)
     except np.linalg.LinAlgError as exc:  # cannot occur for certified systems

@@ -216,16 +216,19 @@ def ac05_feedback_transform_identity(cfg: SuiteConfig) -> tuple[bool, dict]:
         rc = redheffer.build_coefficients(dd)
         v = schur.random_schur(rc.kq_dim, rc.w_dim, 2 + (i % 3), SEED0 + 404 + i)
         rng = np.random.default_rng(SEED0 + 505 + i)
-        h = ds.dim_h
+        lam = np.array([
+            float(rng.uniform(0.0, 0.95)) * np.exp(2j * np.pi * rng.uniform())
+            for _ in range(16)
+        ])
         dt = rc.dt_dim
-        for _ in range(16):
-            lam = float(rng.uniform(0.0, 0.95)) * np.exp(2j * np.pi * rng.uniform())
-            z = redheffer.z_from_v(dd, rc, v, lam)
-            lhs = z[:dt, :] @ np.linalg.inv(eye(h) - lam * z[dt:, :]) @ dd.d_a
-            p11, p12, p21, p22 = redheffer.phi_eval(rc, lam)
-            vl = schur.eval(v, lam)
-            rhs = p22 + p21 @ vl @ np.linalg.inv(eye(rc.kq_dim) - p11 @ vl) @ p12
-            worst = max(worst, operator_norm(lhs - rhs))
+        # every value below is a (16, ., .) stack, one slice per point
+        z = redheffer.z_from_v(dd, rc, v, lam)
+        lhs = (z[:, :dt, :] @ np.linalg.inv(eye(ds.dim_h) - lam[:, None, None] * z[:, dt:, :])
+               @ dd.d_a)
+        p11, p12, p21, p22 = redheffer.phi_eval(rc, lam)
+        vl = schur.eval(v, lam)
+        rhs = p22 + p21 @ vl @ np.linalg.inv(eye(rc.kq_dim) - p11 @ vl) @ p12
+        worst = max(worst, operator_norm(lhs - rhs))
     ok = worst < 1e-8
     return ok, {"pairs": cfg.n_pairs, "points_per_pair": 16, "max_residual": worst}
 
@@ -305,7 +308,7 @@ def ac08_classical_specialization(cfg: SuiteConfig) -> tuple[bool, dict]:
     supplementary determination on the nondegenerate isometric shape is
     recorded in the details.
     """
-    grid = [0.9 * np.exp(2j * np.pi * (k + 0.5) / 16) for k in range(16)]
+    grid = np.array([0.9 * np.exp(2j * np.pi * (k + 0.5) / 16) for k in range(16)])
     diffs = {"corrected": 0.0, "as-printed": 0.0}
     t_a_worst = 0.0
     degenerate = True
@@ -324,14 +327,13 @@ def ac08_classical_specialization(cfg: SuiteConfig) -> tuple[bool, dict]:
         t_a_worst = max(t_a_worst, operator_norm(rc.x1 - t_a))
         if operator_norm(adj(dd.dt_embedding) @ (dd.d_t_prime @ ds.a)) > 1e-12:
             degenerate = False
+        gen = redheffer.phi_eval(rc, grid)
         for reading in diffs:
-            for lam in grid:
-                gen = redheffer.phi_eval(rc, lam)
-                cls = redheffer.classical_phi_eval(dd, lam, reading)
-                diffs[reading] = max(
-                    diffs[reading],
-                    max(operator_norm(g - c) for g, c in zip(gen, cls)),
-                )
+            cls = redheffer.classical_phi_eval(dd, grid, reading)
+            diffs[reading] = max(
+                diffs[reading],
+                max(operator_norm(g - c) for g, c in zip(gen, cls)),
+            )
     matches = {k: v <= 1e-8 for k, v in diffs.items()}
     exactly_one = sum(matches.values()) == 1
     # supplementary determination on the isometric-constraint shape,

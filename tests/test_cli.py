@@ -166,8 +166,11 @@ def test_gen_then_validate_all_kinds(tmp_path, capsys):
     ["--kind", "nehari", "--dims", "1,1,2"],
     ["--kind", "generic", "--dims", "4,x,2"],
     ["--kind", "generic", "--dims", "4,3,2", "--norm", "1.0"],
+    ["--kind", "nehari", "--dims", "2,1,3,2", "--norm", "-1"],
+    ["--kind", "nehari", "--dims", "2,1,3,2", "--norm", "1.0"],
 ], ids=["h0_not_below_h", "all_empty", "too_few", "negative", "classical_too_few",
-        "nehari_too_few", "not_integer", "norm_one"])
+        "nehari_too_few", "not_integer", "norm_one", "nehari_norm_negative",
+        "nehari_norm_one"])
 def test_gen_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, "gen", *argv)
     assert code == 2

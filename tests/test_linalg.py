@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 from oracles import pivoted_gram_schmidt, spectral_radius
 
 from rclift import cli, generators, linalg, serialize
-from rclift.errors import NegativeEigenvalue, NotHermitian, NotPositiveDefinite
+from rclift.errors import (
+    DimensionMismatch,
+    NegativeEigenvalue,
+    NotHermitian,
+    NotPositiveDefinite,
+)
 
 
 def test_psd_sqrt_identity():
@@ -128,6 +133,75 @@ def test_solve_hpd_cases():
 def test_solve_hpd_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         linalg.solve_hpd(np.diag([1.0, -1.0]), np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_solve_hpd_rejects_non_finite_rhs(bad):
+    b = np.ones((3, 2), dtype=complex)
+    b[1, 1] = bad
+    with pytest.raises(ValueError):
+        linalg.solve_hpd(np.eye(3, dtype=complex), b)
+
+
+def test_solve_hpd_rejects_non_finite_matrix_past_the_gate():
+    # an Inf above the diagonal makes both Frobenius norms of the Hermiticity
+    # gate Inf, so the gate lets it through; the finiteness check does not
+    m = np.eye(3, dtype=complex)
+    m[0, 1] = np.inf
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        linalg.solve_hpd(m, np.ones((3, 1), dtype=complex))
+
+
+def test_solve_hpd_rejects_indefinite_complex():
+    rng = np.random.default_rng(4)
+    u = linalg.haar_unitary(rng, 4)
+    m = (u * np.array([2.0, 1.0, 0.5, -0.25])) @ u.conj().T
+    with pytest.raises(NotPositiveDefinite):
+        linalg.solve_hpd(m, linalg.ginibre(rng, 4, 1))
+    # an indefinite matrix is refused whatever the right-hand side
+    with pytest.raises(NotPositiveDefinite):
+        linalg.solve_hpd(m, np.zeros((4, 0), dtype=complex))
+
+
+def test_solve_hpd_empty_shapes():
+    m = np.diag([2.0, 3.0, 4.0]).astype(complex)
+    assert linalg.solve_hpd(m, np.zeros((3, 0), dtype=complex)).shape == (3, 0)
+    assert linalg.solve_hpd(np.zeros((0, 0), dtype=complex), np.zeros((0, 2))).shape == (0, 2)
+    assert linalg.inv_hpd(np.zeros((0, 0), dtype=complex)).shape == (0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_solve_hpd_bit_identical_to_scipy_wrappers(n, cols, seed):
+    rng = np.random.default_rng(seed)
+    g = linalg.ginibre(rng, n, n)
+    m = g.conj().T @ g + 1e-3 * np.eye(n)
+    b = linalg.ginibre(rng, n, cols)
+    h = 0.5 * (m + m.conj().T)
+    expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(h, lower=True), b)
+    assert np.array_equal(linalg.solve_hpd(m, b), expected)
+
+
+def test_operator_norm_of_a_stack():
+    rng = np.random.default_rng(6)
+    stack = np.stack([linalg.ginibre(rng, 3, 2) for _ in range(5)])
+    norms = [linalg.operator_norm(m) for m in stack]
+    assert linalg.operator_norm(stack) == max(norms)
+    assert linalg.operator_norm(stack[:1]) == norms[0]
+    assert linalg.operator_norm(np.zeros((4, 3, 0))) == 0.0
+    assert linalg.operator_norm(np.zeros((0, 3, 3))) == 0.0
+
+
+def test_disc_stack_shapes_and_gate():
+    assert linalg.disc_stack(0.5j).shape == (1, 1)
+    assert linalg.disc_stack(np.array([0.1, -0.2j, 0.0])).shape == (3, 1, 1)
+    assert linalg.disc_stack(np.array([], dtype=complex)).shape == (0, 1, 1)
+    with pytest.raises(ValueError):
+        linalg.disc_stack(np.array([0.1, 1.0]))
+    with pytest.raises(ValueError):
+        linalg.disc_stack(np.nan)
+    with pytest.raises(DimensionMismatch):
+        linalg.disc_stack(np.zeros((2, 2)))
 
 
 def test_zero_dimensional_matrices_flow():

@@ -464,3 +464,76 @@ def test_schur_membership_grid(seed):
         p11, _, p21, _ = redheffer.phi_eval(rc, lam)
         worst = max(worst, operator_norm(p11), operator_norm(p21))
     assert worst <= 1.0 + 1e-6
+
+
+# --- stacked disc evaluation ------------------------------------------------------
+
+DISC_POINTS = np.array([0.0, 0.5, -0.7j, 0.3 + 0.6j, 0.95 * np.exp(2.0j)])
+OFF_DISC = [1.0, -1.0j, 0.3 + 1.2j]
+
+
+def assert_stack_is_pointwise(stack, pointwise):
+    """Each slice of a stacked value equals the scalar call at its point,
+    to 1e-15 relative."""
+    assert stack.shape == (len(pointwise),) + pointwise[0].shape
+    for s, p in zip(stack, pointwise):
+        assert operator_norm(s - p) <= 1e-15 * operator_norm(p)
+
+
+def zero_state_realization(seed=0):
+    """A realization with state dimension 0: P11 = P12 = P22 = 0 and P21 = X5."""
+    rng = np.random.default_rng(seed)
+    return redheffer.Realization(
+        x1=zeros(0, 0), x2=zeros(0, 3), x3=zeros(2, 0), x4=zeros(1, 0),
+        x5=ginibre(rng, 1, 3), e=zeros(0, 2), base=ginibre(rng, 2, 2),
+    )
+
+
+@pytest.mark.parametrize("which", ["lifting", "nehari", "zero_state"])
+def test_phi_eval_stack_is_pointwise(which):
+    if which == "lifting":
+        rc = generic_rc(2)[1]
+    elif which == "nehari":
+        rc = nehari.coefficients(
+            generators.random_nehari_problem(np.random.default_rng(5), 2, 1, 3, 2, 0.8))
+    else:
+        rc = zero_state_realization()
+    stacks = redheffer.phi_eval(rc, DISC_POINTS)
+    points = [redheffer.phi_eval(rc, lam) for lam in DISC_POINTS]
+    for j, stack in enumerate(stacks):
+        assert_stack_is_pointwise(stack, [pt[j] for pt in points])
+    if which == "zero_state":
+        assert stacks[0].shape == (len(DISC_POINTS), 2, 3)
+        assert all(np.array_equal(p21, rc.x5) for p21 in stacks[2])
+
+
+@pytest.mark.parametrize("reading", ["corrected", "as-printed"])
+def test_classical_phi_eval_stack_is_pointwise(reading):
+    dd = lifting.derive(generators.generate_random("classical-like", (3, 4), 0.7, 2))
+    stacks = redheffer.classical_phi_eval(dd, DISC_POINTS, reading)
+    points = [redheffer.classical_phi_eval(dd, lam, reading) for lam in DISC_POINTS]
+    for j, stack in enumerate(stacks):
+        assert_stack_is_pointwise(stack, [pt[j] for pt in points])
+
+
+@pytest.mark.parametrize("state_dim", [0, 2])
+def test_z_from_v_stack_is_pointwise(state_dim):
+    dd, rc = generic_rc(1)
+    v = schur.random_schur(rc.kq_dim, rc.w_dim, state_dim, 31)
+    stack = redheffer.z_from_v(dd, rc, v, DISC_POINTS)
+    assert_stack_is_pointwise(stack, [redheffer.z_from_v(dd, rc, v, lam) for lam in DISC_POINTS])
+
+
+@pytest.mark.parametrize("bad", OFF_DISC)
+def test_stacked_disc_gate_rejects_any_outside_point(bad):
+    lam = np.append(DISC_POINTS, bad)
+    dd, rc = generic_rc(1)
+    v = schur.random_schur(rc.kq_dim, rc.w_dim, 1, 3)
+    dd_cls = lifting.derive(generators.generate_random("classical-like", (3, 4), 0.7, 2))
+    with pytest.raises(ValueError):
+        redheffer.phi_eval(rc, lam)
+    with pytest.raises(ValueError):
+        redheffer.z_from_v(dd, rc, v, lam)
+    for reading in ("corrected", "as-printed"):
+        with pytest.raises(ValueError):
+            redheffer.classical_phi_eval(dd_cls, lam, reading)

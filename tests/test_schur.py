@@ -82,3 +82,34 @@ def test_left_multiply_dimension_check():
     v = schur.random_schur(1, 2, 2, 3)
     with pytest.raises(DimensionMismatch):
         schur.left_multiply(np.eye(3), v)
+
+
+DISC_POINTS = np.array([0.0, 0.5, -0.7j, 0.3 + 0.6j, 0.95 * np.exp(2.0j)])
+
+
+@pytest.mark.parametrize("state_dim", [0, 1, 3])
+def test_eval_stack_is_pointwise(state_dim):
+    v = schur.random_schur(2, 3, state_dim, 12)
+    stack = schur.eval(v, DISC_POINTS)
+    assert stack.shape == (len(DISC_POINTS), 3, 2)
+    for s, lam in zip(stack, DISC_POINTS):
+        value = schur.eval(v, lam)
+        assert linalg.operator_norm(s - value) <= 1e-15 * linalg.operator_norm(value)
+    if state_dim == 0:
+        assert all(np.array_equal(s, v.d) for s in stack)
+
+
+def test_eval_stack_of_zero_parameter():
+    stack = schur.eval(schur.zero(2, 3), DISC_POINTS)
+    assert stack.shape == (len(DISC_POINTS), 3, 2) and not stack.any()
+
+
+@pytest.mark.parametrize("bad", [1.0, -1.0j, 0.3 + 1.2j])
+def test_eval_stack_rejects_any_outside_point(bad):
+    with pytest.raises(ValueError):
+        schur.eval(schur.random_schur(2, 3, 1, 12), np.append(DISC_POINTS, bad))
+
+
+def test_eval_rejects_a_grid_of_points():
+    with pytest.raises(DimensionMismatch):
+        schur.eval(schur.zero(1, 1), np.zeros((2, 2)))

@@ -148,6 +148,40 @@ def test_nonsymmetric_eigensolver_is_detected():
     assert sorted(_nonsymmetric_eigen_calls(tree)) == ["eig:6", "eigvals:4"]
 
 
+# Every HPD solve goes through `linalg.solve_hpd`, which keeps the
+# Hermiticity gate, the finiteness check and NotPositiveDefinite together.
+SCIPY_CHOLESKY = ("cho_factor", "cho_solve", "cholesky")
+
+
+def _cholesky_wrapper_calls(tree: ast.Module) -> list[str]:
+    """`name:line` for each call of a function named `cho_factor`,
+    `cho_solve` or `cholesky` (SciPy's or NumPy's Cholesky wrappers)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in SCIPY_CHOLESKY:
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_cholesky_wrapper(path):
+    assert _cholesky_wrapper_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_cholesky_wrapper_is_detected():
+    tree = ast.parse(
+        "import numpy as np\nimport scipy.linalg\nfrom scipy.linalg import cho_solve\n"
+        "m = np.eye(2)\n"
+        "f = scipy.linalg.cho_factor(m, lower=True)\n"
+        "x = cho_solve(f, m)\n"
+        "c = np.linalg.cholesky(m)\n"
+        "potrf, = scipy.linalg.get_lapack_funcs(('potrf',), (m,))\n"
+    )
+    assert sorted(_cholesky_wrapper_calls(tree)) == ["cho_factor:5", "cho_solve:6", "cholesky:7"]
+
+
 def _scopes(tree: ast.Module):
     """(node, own names) for each module-level statement; a module-level
     class is split into its methods, each owning the class name and its
