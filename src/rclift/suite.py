@@ -223,8 +223,7 @@ def ac05_feedback_transform_identity(cfg: SuiteConfig) -> tuple[bool, dict]:
         dt = rc.dt_dim
         # every value below is a (16, ., .) stack, one slice per point
         z = redheffer.z_from_v(dd, rc, v, lam)
-        lhs = (z[:, :dt, :] @ np.linalg.inv(eye(ds.dim_h) - lam[:, None, None] * z[:, dt:, :])
-               @ dd.d_a)
+        lhs = z[:, :dt] @ np.linalg.inv(eye(ds.dim_h) - lam[:, None, None] * z[:, dt:]) @ dd.d_a
         p11, p12, p21, p22 = redheffer.phi_eval(rc, lam)
         vl = schur.eval(v, lam)
         rhs = p22 + p21 @ vl @ np.linalg.inv(eye(rc.kq_dim) - p11 @ vl) @ p12

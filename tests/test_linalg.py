@@ -133,6 +133,13 @@ def test_solve_hpd_cases():
 def test_solve_hpd_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         linalg.solve_hpd(np.diag([1.0, -1.0]), np.ones((2, 1)))
+    rng = np.random.default_rng(4)
+    u = linalg.haar_unitary(rng, 4)
+    m = (u * np.array([2.0, 1.0, 0.5, -0.25])) @ u.conj().T
+    # refused whatever the right-hand side, an empty one included
+    for b in (linalg.ginibre(rng, 4, 1), np.zeros((4, 0), dtype=complex)):
+        with pytest.raises(NotPositiveDefinite):
+            linalg.solve_hpd(m, b)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -150,24 +157,6 @@ def test_solve_hpd_rejects_non_finite_matrix_past_the_gate():
     m[0, 1] = np.inf
     with pytest.raises(ValueError), np.errstate(invalid="ignore"):
         linalg.solve_hpd(m, np.ones((3, 1), dtype=complex))
-
-
-def test_solve_hpd_rejects_indefinite_complex():
-    rng = np.random.default_rng(4)
-    u = linalg.haar_unitary(rng, 4)
-    m = (u * np.array([2.0, 1.0, 0.5, -0.25])) @ u.conj().T
-    with pytest.raises(NotPositiveDefinite):
-        linalg.solve_hpd(m, linalg.ginibre(rng, 4, 1))
-    # an indefinite matrix is refused whatever the right-hand side
-    with pytest.raises(NotPositiveDefinite):
-        linalg.solve_hpd(m, np.zeros((4, 0), dtype=complex))
-
-
-def test_solve_hpd_empty_shapes():
-    m = np.diag([2.0, 3.0, 4.0]).astype(complex)
-    assert linalg.solve_hpd(m, np.zeros((3, 0), dtype=complex)).shape == (3, 0)
-    assert linalg.solve_hpd(np.zeros((0, 0), dtype=complex), np.zeros((0, 2))).shape == (0, 2)
-    assert linalg.inv_hpd(np.zeros((0, 0), dtype=complex)).shape == (0, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,6 +200,8 @@ def test_zero_dimensional_matrices_flow():
     basis, pinv = linalg.range_and_pinv(np.zeros((3, 0)))
     assert basis.shape == (3, 0) and pinv.shape == (0, 3)
     np.testing.assert_allclose(linalg.solve_hpd(z, np.zeros((0, 2))), np.zeros((0, 2)))
+    assert linalg.inv_hpd(z).shape == (0, 0)
+    assert linalg.solve_hpd(np.diag([2.0, 3.0]), np.zeros((2, 0))).shape == (2, 0)
 
 
 def test_psd_sqrt_and_range_noise_control():

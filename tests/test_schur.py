@@ -99,11 +99,6 @@ def test_eval_stack_is_pointwise(state_dim):
         assert all(np.array_equal(s, v.d) for s in stack)
 
 
-def test_eval_stack_of_zero_parameter():
-    stack = schur.eval(schur.zero(2, 3), DISC_POINTS)
-    assert stack.shape == (len(DISC_POINTS), 3, 2) and not stack.any()
-
-
 @pytest.mark.parametrize("bad", [1.0, -1.0j, 0.3 + 1.2j])
 def test_eval_stack_rejects_any_outside_point(bad):
     with pytest.raises(ValueError):
