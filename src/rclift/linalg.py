@@ -86,20 +86,25 @@ def disc_stack(lam) -> np.ndarray:
 
 
 def _require_hermitian(m: np.ndarray, tol: float, message: str) -> None:
-    """Raise NotHermitian when ||m - m*||_2 > tol * max(||m||_2, 1).
+    """Raise NotHermitian when ||m - m*||_2 > tol * max(||m||_2, 1), and
+    ValueError when m has a NaN or Inf entry.
 
     The Frobenius test ||m - m*||_F <= tol/2 * max(||m||_F / sqrt(n), 1)
     settles most inputs without an SVD: ||.||_2 <= ||.||_F and
     ||m||_2 >= ||m||_F / sqrt(n) make it sufficient, and the factor 1/2
     leaves room for the rounding of both norms.  Only the inputs it does
     not settle pay the two SVDs of the exact rule, so the verdict is the
-    exact rule's on every input.
+    exact rule's on every input.  The entries are checked only when
+    ||m||_F is not finite.
     """
     n = m.shape[0]
     if n == 0:
         return
+    norm_m = float(np.linalg.norm(m))
+    if not math.isfinite(norm_m) and not np.isfinite(m).all():
+        raise ValueError("expected finite entries, got NaN or Inf")
     anti = m - adj(m)
-    bound = 0.5 * tol * max(float(np.linalg.norm(m)) / np.sqrt(n), 1.0)
+    bound = 0.5 * tol * max(norm_m / np.sqrt(n), 1.0)
     if float(np.linalg.norm(anti)) <= bound:
         return
     if operator_norm(anti) > tol * max(operator_norm(m), 1.0):
@@ -413,13 +418,6 @@ def observability_gramian(a: np.ndarray, c: np.ndarray) -> SteinGramian | None:
     if not (radius < 1.0 and math.isfinite(p_residual)):
         return None
     return SteinGramian(p, float(stein_p), p_residual, w, w_residual, radius)
-
-
-def lyapunov_radius(a: np.ndarray) -> float:
-    """The bound on the spectral radius of a that one Stein solve
-    W = a* W a + I certifies, as in `observability_gramian`; inf when none."""
-    (w,), (stein_w,) = _stein(a, eye(a.shape[0])[None])
-    return _lyapunov(a, w, float(stein_w))[1]
 
 
 # --- seeded random material -------------------------------------------------

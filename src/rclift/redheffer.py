@@ -13,12 +13,13 @@ the gap-defect coordinates, the dilation-defect coordinates, and Ker R*,
 in that order.
 
 `Realization` holds X1..X5, E and the base block of the stacked solution
-operator; the evaluation, Taylor expansion, feedback loop, stacked
-operator and its isometry certificate below take any realization, while
-the contraction certificate `kyp_norm` needs the lifting weight D_A.
-For the lifting problem E is the identity and the base block is A; the
-relaxed Nehari problem is the specialisation of the lifting theorem whose
-realization `nehari` builds in closed form.
+operator; every function below takes any realization, the contraction
+certificate `kyp_norm` too.  The lifting realization is written in
+storage coordinates, the state D_A x, so that E = D_A, the base block is
+A and the colligation [[X1, X2], [X3, 0], [X4, X5]] is a contraction,
+which `kyp_norm` reads off the realization alone; the relaxed Nehari
+problem is the specialisation of the lifting theorem whose realization
+`nehari` builds in closed form, in the paper's coordinates.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ class Realization:
 
 @dataclass(frozen=True)
 class RedhefferCoefficients(Realization):
-    """The lifting realization with its derived data and weights."""
+    """The lifting realization, in storage coordinates (`build_coefficients`),
+    with its derived data and weights."""
 
     dd: DerivedData
     delta_q: np.ndarray
@@ -97,12 +99,24 @@ class RedhefferCoefficients(Realization):
 
 
 def build_coefficients(dd: DerivedData) -> RedhefferCoefficients:
-    """Assemble X1..X5 and the weights from derived data (strict only)."""
+    """Assemble X1..X5 and the weights from derived data (strict only).
+
+    The state is written in storage coordinates D_A x, whose storage
+    function is the squared norm.  With (D_A Q)^+ = (Q* D_A^2 Q)^-1 (D_A Q)*:
+
+        X1 = (D_A R) (D_A Q)^+,   X4 = (E_T* D_T' A R) (D_A Q)^+,
+        X2 = [-(D_A R) (R* D_A^2 R)^-1 J* Delta_Omega^-1/2, -D_A^-1 E_R Delta_R^-1/2],
+        X3 = Delta_Q^-1/2 E_Q* D_A^-1,   X5 = [the D_T' rows of Delta_Omega^-1/2, 0],
+
+    E = D_A and base A.  E_T* D_T' A R is the lower block of J, so [X4; X1]
+    is omega on the F coordinates extended by zero, omega E_F*.
+    """
     dd.require_strict()
     ds = dd.ds
     d_a_sq = dd.d_a @ dd.d_a
     qdq = adj(ds.q) @ d_a_sq @ ds.q
     rdr = adj(ds.r) @ d_a_sq @ ds.r
+    dar = dd.d_a @ ds.r
 
     e_q = dd.ker_q_star
     e_r = dd.ker_r_star
@@ -110,7 +124,8 @@ def build_coefficients(dd: DerivedData) -> RedhefferCoefficients:
     dt = dd.dim_dt
     kr = e_r.shape[1]
 
-    delta_omega = eye(d0 + dt) + dd.j @ solve_hpd(rdr, adj(dd.j))
+    rdr_j = solve_hpd(rdr, adj(dd.j))
+    delta_omega = eye(d0 + dt) + dd.j @ rdr_j
     delta_q = adj(e_q) @ dd.d_a_sq_inv @ e_q
     delta_r = adj(e_r) @ dd.d_a_sq_inv @ e_r
 
@@ -118,16 +133,11 @@ def build_coefficients(dd: DerivedData) -> RedhefferCoefficients:
     dq_nh = psd_sqrt(inv_hpd(delta_q))
     dr_nh = psd_sqrt(inv_hpd(delta_r))
 
-    x1 = ds.r @ solve_hpd(qdq, adj(ds.q) @ d_a_sq)
-    x2 = np.hstack(
-        [
-            -ds.r @ solve_hpd(rdr, adj(dd.j)) @ dom_nh,
-            -dd.d_a_sq_inv @ e_r @ dr_nh,
-        ]
-    )
-    x3 = dq_nh @ adj(e_q)
-    dtc_a = adj(dd.dt_embedding) @ (dd.d_t_prime @ ds.a)
-    x4 = dtc_a @ x1
+    daq_pinv = solve_hpd(qdq, adj(dd.d_a @ ds.q))
+    x1 = dar @ daq_pinv
+    x2 = np.hstack([-dar @ rdr_j @ dom_nh, -dd.d_a_inv @ e_r @ dr_nh])
+    x3 = dq_nh @ adj(e_q) @ dd.d_a_inv
+    x4 = dd.j[d0:] @ daq_pinv
     x5 = np.hstack([dom_nh[d0:, :], zeros(dt, kr)])
 
     return RedhefferCoefficients(
@@ -136,7 +146,7 @@ def build_coefficients(dd: DerivedData) -> RedhefferCoefficients:
         x3=x3,
         x4=x4,
         x5=x5,
-        e=eye(ds.dim_h),
+        e=dd.d_a,
         base=ds.a,
         dd=dd,
         delta_q=delta_q,
@@ -155,27 +165,6 @@ def delta_omega_inverse_residual(rc: RedhefferCoefficients) -> float:
     qdq = adj(ds.q) @ (dd.d_a @ dd.d_a) @ ds.q
     closed = eye(dd.j.shape[0]) - dd.j @ solve_hpd(qdq, adj(dd.j))
     return operator_norm(inv_hpd(rc.delta_omega) - closed)
-
-
-def x_tilde_matrix(rc: RedhefferCoefficients) -> np.ndarray:
-    """The similarity-conjugated block matrix [[X1~, X2~], [X3~, 0], [X4~, X5~]].
-
-    Conjugation by D_A turns the coefficient data into a contraction; the
-    block matrix is unitary exactly when the defect gap vanishes.
-    """
-    dd = rc.dd
-    da, dai = dd.d_a, dd.d_a_inv
-    x1t = da @ rc.x1 @ dai
-    x2t = da @ rc.x2
-    x3t = rc.x3 @ dai
-    x4t = rc.x4 @ dai
-    return np.block(
-        [
-            [x1t, x2t],
-            [x3t, zeros(rc.kq_dim, rc.w_dim)],
-            [x4t, rc.x5],
-        ]
-    )
 
 
 def _resolvent(rc: Realization, lam: np.ndarray) -> np.ndarray:
@@ -224,27 +213,24 @@ def phi_taylor(
 
 
 def z_from_v(
-    dd: DerivedData,
-    rc: RedhefferCoefficients,
-    v: schur.SchurParameter,
-    lam,
+    rc: RedhefferCoefficients, v: schur.SchurParameter, lam
 ) -> np.ndarray:
     """The underlying disc function pinned to omega on F, at one point, or
-    as a (k, ., .) stack at a 1-d array of k points.
+    as a (k, ., .) stack at a 1-d array of k points:
+    [X4; X1] + [X5; X2] V(lam) X3.
 
     Maps the contraction defect space into the orthogonal sum of dilation
     defect and contraction defect coordinates; its restriction to the F
-    basis equals omega for every parameter and every disc point.
+    basis equals omega for every parameter and every disc point, because
+    X3 vanishes on F and [X4; X1] is omega E_F*.
     """
     if v.in_dim != rc.kq_dim or v.out_dim != rc.w_dim:
         raise DimensionMismatch(
             f"parameter dims {v.out_dim}x{v.in_dim}, "
             f"expected {rc.w_dim}x{rc.kq_dim}"
         )
-    dai = dd.d_a_inv
-    base = np.vstack([rc.x4 @ dai, dd.d_a @ rc.x1 @ dai])
-    gain = np.vstack([rc.x5, dd.d_a @ rc.x2])
-    return base + gain @ schur.eval(v, lam) @ (rc.x3 @ dai)
+    gain = np.vstack([rc.x5, rc.x2])
+    return np.vstack([rc.x4, rc.x1]) + gain @ schur.eval(v, lam) @ rc.x3
 
 
 def closed_loop_realization(
@@ -390,22 +376,27 @@ def isometry_certificate(rc: Realization) -> IsometryCertificate:
     )
 
 
-def kyp_norm(rc: RedhefferCoefficients) -> float:
-    """max(||X~||, ||[A; D_A]||): at most 1 certifies ||M|| <= 1 on a lifting.
+def kyp_norm(rc: Realization) -> float:
+    """max(||[[X1, X2], [X3, 0], [X4, X5]]||, ||[base; E]||): at most 1
+    certifies ||M|| <= 1.
 
-    With the storage function ||D_A x||^2 the colligation X~ of
-    `x_tilde_matrix` maps (D_A x, w) to (D_A x+, y), so ||X~|| <= 1 is the
-    bounded real (KYP) inequality of the system behind M: summed over time
-    the outputs carry at most ||D_A u||^2 + ||w||^2, and ||[A; D_A]|| <= 1
-    closes the base row with the initial state u (E = I).  [P11; P21] is
-    the transfer function of X~, so the same bound certifies P11 and P21 as
-    Schur class on the whole disc.  A truncation of M keeping T output
-    steps (T = deg+extra+1 in `assemble_m`) has norm at most
-    max(1, kyp_norm)^(T+1), so a value within 1 + 1e-10 keeps every
-    truncation below 10^4 steps within 1 + 1e-6.
+    With the storage function ||x||^2 the colligation maps (x, w) to
+    (x+, y), so its norm at most 1 is the bounded real (KYP) inequality of
+    the system behind M: summed over time the outputs carry at most
+    ||E u||^2 + ||w||^2, and ||[base; E]|| <= 1 closes the base row with
+    the initial state E u.  [P11; P21] is the transfer function of the
+    colligation, so the same bound certifies P11 and P21 as Schur class on
+    the whole disc.  It is 1 on a lifting realization (storage
+    coordinates); in other coordinates it may exceed 1 on a contractive M.
+    A truncation of M keeping T output steps (T = deg+extra+1 in
+    `assemble_m`) has norm at most max(1, kyp_norm)^(T+1), so a value
+    within 1 + 1e-10 keeps every truncation below 10^4 steps within
+    1 + 1e-6.
     """
-    base = np.vstack([rc.base, rc.dd.d_a])
-    return max(operator_norm(x_tilde_matrix(rc)), operator_norm(base))
+    colligation = np.block(
+        [[rc.x1, rc.x2], [rc.x3, zeros(rc.kq_dim, rc.w_dim)], [rc.x4, rc.x5]]
+    )
+    return max(operator_norm(colligation), operator_norm(np.vstack([rc.base, rc.e])))
 
 
 # --- proof-layer consistency checks ---------------------------------------------
@@ -417,21 +408,19 @@ class YGramReport:
     sigma_min_y_star: float
 
 
-def y_gram_check(dd: DerivedData) -> YGramReport:
+def y_gram_check(rc: RedhefferCoefficients) -> YGramReport:
     """Gram identity for the column operator behind the parameterization.
 
-    Builds Y from the omega weight, J, the left inverse of D_A R, and the
-    kernel coordinates of R* D_A, and compares Y*Y with the defect square
-    of omega-adjoint.  Also reports the smallest singular value of Y*,
-    which must be positive (trivial kernel).
+    Builds Y from the omega weight of `rc`, J, the left inverse of D_A R,
+    and the kernel coordinates of R* D_A, and compares Y*Y with the defect
+    square of omega-adjoint.  Also reports the smallest singular value of
+    Y*, which must be positive (trivial kernel).
     """
-    dd.require_strict()
+    dd = rc.dd
     ds = dd.ds
     d0 = dd.dim_d_circ
     dt = dd.dim_dt
-    rdr = adj(ds.r) @ (dd.d_a @ dd.d_a) @ ds.r
-    delta_omega = eye(d0 + dt) + dd.j @ solve_hpd(rdr, adj(dd.j))
-    dom_nh = psd_sqrt(inv_hpd(delta_omega))
+    dom_nh = psd_sqrt(inv_hpd(rc.delta_omega))
     l_dar = left_inverse_dar(dd)
     ker_rda = kernel_embedding(dd.d_a @ ds.r)
     kr = ker_rda.shape[1]

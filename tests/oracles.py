@@ -3,7 +3,8 @@ nonsymmetric eigenvalue solver, since a Stein Gramian certifies stability
 there (`rclift.linalg.observability_gramian`), the pivoted Gram-Schmidt
 loop that `rclift.linalg._canonical_basis` replaced, and the numerical
 null space of the intertwining equation that the closed forms of
-`rclift.generators` replaced."""
+`rclift.generators` replaced, and the colligation of a realization that
+`rclift.redheffer.kyp_norm` bounds."""
 
 import numpy as np
 
@@ -49,3 +50,14 @@ def intertwining_nullspace(t_prime, r, q, rtol: float = 1e-10) -> np.ndarray:
     _, s, vh = np.linalg.svd(k)
     rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
     return vh[rank:].conj().T
+
+
+def colligation(rc) -> np.ndarray:
+    """The system matrix [[X1, X2], [X3, 0], [X4, X5]] of a realization,
+    mapping (state, parameter output) to (next state, parameter input,
+    dilation defect output)."""
+    return np.block([
+        [rc.x1, rc.x2],
+        [rc.x3, np.zeros((rc.x3.shape[0], rc.x2.shape[1]), dtype=complex)],
+        [rc.x4, rc.x5],
+    ])

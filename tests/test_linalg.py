@@ -152,11 +152,16 @@ def test_solve_hpd_rejects_non_finite_rhs(bad):
 
 def test_solve_hpd_rejects_non_finite_matrix_past_the_gate():
     # an Inf above the diagonal makes both Frobenius norms of the Hermiticity
-    # gate Inf, so the gate lets it through; the finiteness check does not
-    m = np.eye(3, dtype=complex)
-    m[0, 1] = np.inf
-    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-        linalg.solve_hpd(m, np.ones((3, 1), dtype=complex))
+    # gate's shortcut Inf, and inf <= inf would let it through; the gate
+    # checks the entries then, for every function behind it
+    for bad in (np.inf, np.nan):
+        m = np.eye(3, dtype=complex)
+        m[0, 1] = bad
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            linalg.solve_hpd(m, np.ones((3, 1), dtype=complex))
+        for f in (linalg.hermitian_eig, linalg.psd_sqrt, linalg.min_eig_hermitian):
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                f(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,20 +416,17 @@ def test_stability_certificate_edges(name):
     a, certify = STABILITY_EDGES[name]
     n = a.shape[0]
     g = linalg.observability_gramian(a, np.ones((1, n), dtype=complex))
-    bound = linalg.lyapunov_radius(a)
     if g is None:
         assert certify is not True
-        assert bound == np.inf
-        row = cli._row("state_spectral_radius", bound, 1.0)
+        row = cli._row("state_spectral_radius", np.inf, 1.0)
         assert serialize.canonical_json(row) == (
             '{"name":"state_spectral_radius","passed":false,"threshold":1.0,"value":null}\n'
         )
     else:
         assert certify is not False
-        assert g.radius_bound == bound
-        assert spectral_radius(a) <= bound < 1.0
+        assert spectral_radius(a) <= g.radius_bound < 1.0
     if n == 0:
-        assert bound == 0.0
+        assert g.radius_bound == 0.0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -443,4 +445,5 @@ def test_stability_bound_never_below_the_eigenvalues(seed, n, rho, normal):
     else:
         g = linalg.ginibre(rng, n, n)
         a = g * (rho / spectral_radius(g))
-    assert linalg.lyapunov_radius(a) >= spectral_radius(a)
+    g = linalg.observability_gramian(a, np.ones((1, n), dtype=complex))
+    assert (np.inf if g is None else g.radius_bound) >= spectral_radius(a)

@@ -236,9 +236,20 @@ def test_coefficients_cross_check_against_lifting(seed):
     )
     nc = nehari.coefficients(p)
     ds = nehari.to_lifting_data(p)
-    rc = redheffer.build_coefficients(lifting.derive(ds))
-    for name in ("x1", "x2", "x3", "x4", "x5"):
-        assert operator_norm(getattr(rc, name) - getattr(nc, name)) < 1e-8, name
+    dd = lifting.derive(ds)
+    rc = redheffer.build_coefficients(dd)
+    # the lifting realization is written in storage coordinates D_A x, and
+    # D_A is the root of the Gram of the Nehari data
+    assert operator_norm(dd.d_a - psd_sqrt(nc.lam)) < 1e-8
+    conjugated_back = {
+        "x1": dd.d_a_inv @ rc.x1 @ dd.d_a,
+        "x2": dd.d_a_inv @ rc.x2,
+        "x3": rc.x3 @ dd.d_a,
+        "x4": rc.x4 @ dd.d_a,
+        "x5": rc.x5,
+    }
+    for name, x in conjugated_back.items():
+        assert operator_norm(x - getattr(nc, name)) < 1e-8, name
     # T e_n = -C1, and the base block is the first window column of A
     assert operator_norm(nc.x1 @ nc.e + nc.c1) < 1e-14
     assert operator_norm(nc.base - ds.a @ nc.e) == 0.0

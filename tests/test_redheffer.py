@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import spectral_radius
+from oracles import colligation, spectral_radius
 from power_series import linear_fractional, transfer_taylor
 
 from rclift import generators, lifting, nehari, redheffer, schur
@@ -63,8 +63,12 @@ def test_zero_a_isometric_constraints_x1():
 
 
 def test_scalar_nehari_x1():
-    _, rc = scalar_nehari_rc()
-    np.testing.assert_allclose(rc.x1, np.array([[0, 1], [0, 0]]), atol=1e-12)
+    # the shift of the window, written in storage coordinates D_A = diag(sqrt(3)/2, 1)
+    dd, rc = scalar_nehari_rc()
+    shift = np.array([[0, 1], [0, 0]])
+    np.testing.assert_allclose(dd.d_a, np.diag([np.sqrt(3) / 2, 1.0]), atol=1e-12)
+    np.testing.assert_allclose(rc.x1 @ dd.d_a, dd.d_a @ shift, atol=1e-12)
+    np.testing.assert_allclose(rc.x1, np.array([[0, np.sqrt(3) / 2], [0, 0]]), atol=1e-12)
 
 
 def test_delta_omega_inverse_closed_form():
@@ -75,12 +79,12 @@ def test_delta_omega_inverse_closed_form():
 
 def test_x_tilde_contraction_and_unitary_dichotomy():
     dd, rc = scalar_nehari_rc()
-    xt = redheffer.x_tilde_matrix(rc)
+    xt = colligation(rc)
     assert xt.shape[0] == xt.shape[1]
     assert operator_norm(adj(xt) @ xt - eye(xt.shape[1])) < 1e-8
     assert operator_norm(xt @ adj(xt) - eye(xt.shape[0])) < 1e-8
     dd2, rc2 = generic_rc()
-    xt2 = redheffer.x_tilde_matrix(rc2)
+    xt2 = colligation(rc2)
     assert operator_norm(xt2) <= 1.0 + 1e-8
     # defect gap forces a proper contraction in some direction
     assert xt2.shape[0] != xt2.shape[1]
@@ -90,9 +94,9 @@ def test_phi_at_zero():
     _, rc = generic_rc()
     p11, p12, p21, p22 = redheffer.phi_eval(rc, 0.0)
     assert operator_norm(p11) < 1e-14
-    np.testing.assert_allclose(p12, rc.x3, atol=1e-14)
+    np.testing.assert_allclose(p12, rc.x3 @ rc.e, atol=1e-14)
     np.testing.assert_allclose(p21, rc.x5, atol=1e-14)
-    np.testing.assert_allclose(p22, rc.x4, atol=1e-14)
+    np.testing.assert_allclose(p22, rc.x4 @ rc.e, atol=1e-14)
 
 
 def test_scalar_nehari_restricted_phi():
@@ -112,12 +116,12 @@ def test_z_from_v_pinned_to_omega(seed):
     dd, rc = generic_rc(seed)
     v = schur.random_schur(rc.kq_dim, rc.w_dim, 2, seed + 50)
     for lam in (0.0, 0.5, -0.7j):
-        z = redheffer.z_from_v(dd, rc, v, lam)
+        z = redheffer.z_from_v(rc, v, lam)
         assert operator_norm(z @ dd.f_embedding - dd.omega) < 1e-8
         assert operator_norm(z) <= 1.0 + 1e-8
     # V = 0 pins the whole function, not just the restriction
-    z0a = redheffer.z_from_v(dd, rc, schur.zero(rc.kq_dim, rc.w_dim), 0.3)
-    z0b = redheffer.z_from_v(dd, rc, schur.zero(rc.kq_dim, rc.w_dim), -0.8j)
+    z0a = redheffer.z_from_v(rc, schur.zero(rc.kq_dim, rc.w_dim), 0.3)
+    z0b = redheffer.z_from_v(rc, schur.zero(rc.kq_dim, rc.w_dim), -0.8j)
     omega_ext = dd.omega @ adj(dd.f_embedding)
     assert operator_norm(z0a - omega_ext) < 1e-10
     assert operator_norm(z0a - z0b) < 1e-14
@@ -127,13 +131,12 @@ def test_z_v_consistency_roundtrip():
     # the parameter contribution can be read back off the pinned function
     dd, rc = generic_rc(1)
     v = schur.random_schur(rc.kq_dim, rc.w_dim, 3, 77)
-    gain = np.vstack([rc.x5, dd.d_a @ rc.x2])
-    x3d = rc.x3 @ dd.d_a_inv
+    gain = np.vstack([rc.x5, rc.x2])
     for lam in (0.4, 0.2 - 0.55j):
-        z = redheffer.z_from_v(dd, rc, v, lam)
-        z0 = redheffer.z_from_v(dd, rc, schur.zero(rc.kq_dim, rc.w_dim), lam)
+        z = redheffer.z_from_v(rc, v, lam)
+        z0 = redheffer.z_from_v(rc, schur.zero(rc.kq_dim, rc.w_dim), lam)
         lhs = np.linalg.lstsq(gain, z - z0, rcond=None)[0]
-        recovered = np.linalg.lstsq(adj(x3d), adj(lhs), rcond=None)[0]
+        recovered = np.linalg.lstsq(adj(rc.x3), adj(lhs), rcond=None)[0]
         assert operator_norm(adj(recovered) - schur.eval(v, lam)) < 1e-8
 
 
@@ -143,7 +146,7 @@ def test_central_solution_is_observability_series():
     sol = redheffer.solution_taylor(rc, schur.zero(rc.kq_dim, rc.w_dim), deg)
     cur = rc.x4.copy()
     for k in range(deg + 1):
-        np.testing.assert_allclose(sol.gamma_coeffs[k], cur, atol=1e-12)
+        np.testing.assert_allclose(sol.gamma_coeffs[k], cur @ rc.e, atol=1e-12)
         cur = cur @ rc.x1
 
 
@@ -180,12 +183,12 @@ def test_non_schur_parameter_breaks_contractivity():
     # stacked-contraction bound; the parameter type itself refuses it, so
     # compose the series by hand.  Only Schur-class parameters are promised
     # to give solutions: with a defect gap a non-Schur V may still land on
-    # a contraction, so the check runs where the gap vanishes and X~ is
-    # unitary
+    # a contraction, so the check runs where the gap vanishes and the
+    # colligation is unitary
     dd, rc = scalar_nehari_rc()
     ds = dd.ds
     assert operator_norm(adj(ds.q) @ ds.q - adj(ds.r) @ ds.r) < 1e-12
-    xt = redheffer.x_tilde_matrix(rc)
+    xt = colligation(rc)
     assert operator_norm(adj(xt) @ xt - eye(xt.shape[1])) < 1e-12
     deg = 24
     bad = 1.5 * np.eye(rc.w_dim, rc.kq_dim)
@@ -276,6 +279,22 @@ def test_assemble_m_isometry_gap_free():
             slack = m_gram_slack(rc, deg)
             assert slack is not None
             assert abs(operator_norm(adj(m) @ m - eye(m.shape[1])) - slack) <= 1e-10
+
+
+# gap-free nehari-like (2, 2, 3, 4) instances at 1 - ||A|| = 1e-5 and 1e-6; at
+# 1e-6 only the seeds whose ||A|| is computed below 1 - STRICT_DELTA
+BOUNDARY_GAP_FREE = [(1e-5, s) for s in range(8)] + [(1e-6, s) for s in (0, 1, 2, 3, 7)]
+
+
+@pytest.mark.parametrize("gap,seed", BOUNDARY_GAP_FREE)
+def test_isometry_certified_at_the_strictness_boundary(gap, seed):
+    # in storage coordinates the Gramian is near I, so its roundoff stays
+    # far below FP_GRAM_TOL as D_A grows ill-conditioned
+    ds = generators.generate_random("nehari-like", (2, 2, 3, 4), 1.0 - gap, seed)
+    rc = redheffer.build_coefficients(lifting.derive(ds))
+    assert redheffer.kyp_norm(rc) <= 1.0 + redheffer.FP_GRAM_TOL
+    cert = redheffer.isometry_certificate(rc)
+    assert cert.status == "certified"
 
 
 def _random_realization(seed, n, rho, rows3, rows4, w, k):
@@ -397,14 +416,14 @@ def test_kyp_norm_bounds_dense_truncation(kind, seed, norm, scale):
 
 def test_y_gram_and_projections():
     for seed in range(3):
-        dd, _ = generic_rc(seed)
-        rep = redheffer.y_gram_check(dd)
+        dd, rc = generic_rc(seed)
+        rep = redheffer.y_gram_check(rc)
         assert rep.residual < 1e-9
         assert rep.sigma_min_y_star > 1e-6
         rq, rr = redheffer.projection_identity_check(dd)
         assert rq < 1e-8 and rr < 1e-8
-    dd_s, _ = scalar_nehari_rc()
-    assert redheffer.y_gram_check(dd_s).residual < 1e-9
+    _, rc_s = scalar_nehari_rc()
+    assert redheffer.y_gram_check(rc_s).residual < 1e-9
 
 
 def test_y_gram_degenerate_isometric_case():
@@ -416,7 +435,7 @@ def test_y_gram_degenerate_isometric_case():
     ds = lifting.LiftingDataSet(a=zeros(3, 4), t_prime=zeros(3, 3), r=r, q=q)
     dd = lifting.derive(ds)
     assert lifting.omega_isometry_defect(dd) < 1e-10
-    rep = redheffer.y_gram_check(dd)
+    rep = redheffer.y_gram_check(redheffer.build_coefficients(dd))
     assert rep.residual < 1e-9
 
 
@@ -520,8 +539,8 @@ def test_classical_phi_eval_stack_is_pointwise(reading):
 def test_z_from_v_stack_is_pointwise(state_dim):
     dd, rc = generic_rc(1)
     v = schur.random_schur(rc.kq_dim, rc.w_dim, state_dim, 31)
-    stack = redheffer.z_from_v(dd, rc, v, DISC_POINTS)
-    assert_stack_is_pointwise(stack, [redheffer.z_from_v(dd, rc, v, lam) for lam in DISC_POINTS])
+    stack = redheffer.z_from_v(rc, v, DISC_POINTS)
+    assert_stack_is_pointwise(stack, [redheffer.z_from_v(rc, v, lam) for lam in DISC_POINTS])
 
 
 @pytest.mark.parametrize("bad", OFF_DISC)
@@ -533,7 +552,7 @@ def test_stacked_disc_gate_rejects_any_outside_point(bad):
     with pytest.raises(ValueError):
         redheffer.phi_eval(rc, lam)
     with pytest.raises(ValueError):
-        redheffer.z_from_v(dd, rc, v, lam)
+        redheffer.z_from_v(rc, v, lam)
     for reading in ("corrected", "as-printed"):
         with pytest.raises(ValueError):
             redheffer.classical_phi_eval(dd_cls, lam, reading)
