@@ -2,9 +2,10 @@
 
 Subcommands: validate, solve, nehari, verify, gen, suite.  Instances,
 parameters, and solutions are JSON (complex entries as [re, im] pairs);
-reports are canonical JSON (sorted keys, fixed float formatting), so a
-report is byte-stable for a fixed seed and version.  Timings go to
-stderr only.
+reports are canonical JSON (sorted keys, shortest round-trip floats; see
+`serialize`), so a report is byte-stable for a fixed seed and version.
+Timings go to stderr only.  A file that is not strict JSON in UTF-8
+exits 2 with an error naming it.
 
 Exit codes: 0 pass, 1 constraint or verification failure, 2 I/O,
 schema or usage error (such as `gen --dims` the family cannot take),
@@ -91,12 +92,10 @@ def _row(name: str, value: float, threshold: float, passed: bool | None = None) 
 
 
 def _emit(args, document: dict) -> None:
-    text = serialize.canonical_json(document)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        serialize.dump_json(args.out, document)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize.canonical_json(document))
 
 
 def _load_instance(path: str):

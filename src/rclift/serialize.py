@@ -28,20 +28,28 @@ of the defect space D_T' that `linalg.psd_sqrt_and_range` derives from
 the instance, so writer and reader agree on them; they are the identity
 when D_T' is invertible.
 
-Every written document is canonical JSON: keys sorted, no whitespace,
-floats in Python's shortest round-trip repr (0.1 is written `0.1`), and
-non-finite floats written as null, so a report is byte-stable for a fixed
-seed and version.
+Every written document is canonical JSON, written and read by orjson:
+keys sorted, no whitespace, UTF-8, and non-finite floats written as null,
+so a report is byte-stable for a fixed seed and version.  A float is
+written in its shortest round-trip digits (Ryu), which read back bit for
+bit: 0.1 is `0.1` and 1.0 is `1.0`.  Zero and any x with
+1e-5 <= |x| < 1e16 are written positionally (`0.00001`,
+`1000000000000000.0`), every other float in exponent form with no `+` and
+no zero pad (`1e-7`, `1e16`, `5e-324`).  Every character from U+007F up
+is written as itself, not as a \\u escape, and an integer outside
+[-2**63, 2**64) raises TypeError; read back, such an integer is a float,
+which every integer field refuses.  The reader refuses what is not strict
+JSON in UTF-8: NaN and Infinity literals, a number that overflows to
+infinity, a byte-order mark and bytes that are not UTF-8.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from itertools import chain
 from typing import Any
 
 import numpy as np
+import orjson
 
 from . import nehari, schur
 from .errors import ParseError
@@ -238,17 +246,6 @@ def lifting_solution_from_json(obj) -> SolutionTaylor | SolutionRealization:
 # --- canonical JSON ----------------------------------------------------------------
 
 
-def _canonize(obj: Any) -> Any:
-    """Copy of a JSON document with every non-finite float replaced by None."""
-    if isinstance(obj, dict):
-        return {k: _canonize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonize(v) for v in obj]
-    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
-        return None
-    return obj
-
-
 def _numpy_scalar(obj: Any) -> Any:
     if isinstance(obj, np.floating):
         return float(obj)
@@ -257,35 +254,29 @@ def _numpy_scalar(obj: Any) -> Any:
     raise TypeError(f"cannot canonize {type(obj).__name__}")
 
 
-def _dumps(obj: Any) -> str:
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_numpy_scalar
-    )
-
-
 def canonical_json(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, no whitespace, shortest float repr.
+    """Deterministic JSON text: sorted keys, no whitespace, shortest float digits.
 
     Documents hold dicts with `str` keys (every document rclift writes
     does), lists, tuples, str, int, bool, None, floats, and NumPy floating
-    or integer scalars.  Floats are written in Python's shortest round-trip repr and
-    non-finite floats as null; any other value raises TypeError.
+    or integer scalars.  Floats are spelled as the module docstring says and
+    non-finite floats written as null; any other value, and an integer
+    outside [-2**63, 2**64), raises TypeError.
     """
-    try:
-        text = _dumps(obj)
-    except ValueError:  # a non-finite float: only such documents are copied
-        text = _dumps(_canonize(obj))
-    return text + "\n"
+    return orjson.dumps(
+        obj, default=_numpy_scalar, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+    ).decode()
 
 
 def load_json(path: str) -> Any:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            return orjson.loads(fh.read())
+    except (OSError, orjson.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
 def dump_json(path: str, obj: Any) -> None:
+    text = canonical_json(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj))
+        fh.write(text)

@@ -354,6 +354,40 @@ def test_malformed_matrix_dims_exit_2(tmp_path, capsys, value):
     assert err.startswith("error: a: rows must be an integer")
 
 
+def _first_entry(text: bytes, entry: bytes) -> bytes:
+    """The file text with the first [re, im] pair of its first matrix replaced."""
+    head, sep, tail = text.partition(b'"data":[[')
+    assert sep
+    return head + b'"data":[' + entry + tail[tail.index(b"]") + 1:]
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda t: _first_entry(t, b"[NaN,0.0]"),
+    lambda t: _first_entry(t, b"[0.0,Infinity]"),
+    lambda t: _first_entry(t, b"[-Infinity,0.0]"),
+    lambda t: _first_entry(t, b"[1e400,0.0]"),
+    lambda t: b"\xef\xbb\xbf" + t,
+    lambda t: _first_entry(t, b'["\xff",0.0]'),
+], ids=["nan", "infinity", "minus_infinity", "overflow", "bom", "non_utf8"])
+@pytest.mark.parametrize("target", ["instance", "parameter", "solution"])
+def test_unreadable_json_exits_2_naming_the_file(tmp_path, capsys, spoil, target):
+    # a file that is not strict JSON in UTF-8 is refused at load, by every
+    # reading command, as an I/O error naming the file
+    inst, sol, _ = _solved_lifting(tmp_path, capsys)
+    param = tmp_path / "v.json"
+    serialize.dump_json(str(param), serialize.parameter_to_json(
+        schur.random_schur(*_parameter_dims(inst), 2, 8)))
+    argv, path = {
+        "instance": (["validate", str(inst)], inst),
+        "parameter": (["solve", str(inst), "--param", str(param)], param),
+        "solution": (["verify", str(inst), str(sol)], sol),
+    }[target]
+    path.write_bytes(spoil(path.read_bytes()))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {path}: ")
+
+
 def test_nehari_report_independent_of_degree(tmp_path, capsys):
     # the report certifies the full operator, so no row depends on the
     # degree (the state matrix here is not nilpotent, so a truncation would)

@@ -1,10 +1,11 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rclift import generators, nehari, schur, serialize
@@ -177,6 +178,16 @@ def test_random_parameter_fields_must_be_json_integers(key):
         serialize.parameter_from_json(doc)
 
 
+def test_integer_past_64_bits_reads_as_float(tmp_path):
+    # the codec holds 64-bit integers; a wider literal reads as a float,
+    # which an integer field refuses
+    path = tmp_path / "v.json"
+    path.write_text('{"variant":"random","in_dim":1,"out_dim":2,"state_dim":1,'
+                    '"seed":18446744073709551616}')
+    with pytest.raises(ParseError, match="seed must be an integer, not float"):
+        serialize.parameter_from_json(serialize.load_json(str(path)))
+
+
 def test_canonical_json_deterministic_and_sorted():
     doc = {"b": 1.0 / 3.0, "a": [1, 2.5e-17], "c": {"y": True, "x": None}}
     one = serialize.canonical_json(doc)
@@ -210,6 +221,58 @@ def _former_canonize(obj):
 
 def _former_canonical_json(obj):
     return json.dumps(_former_canonize(obj), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# In the former text: a JSON string, or a number in exponent form
+# (Python's repr writes one digit before the point there).
+_FORMER_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(-?)(\d)(?:\.(\d+))?e([+-]\d+)')
+_ESCAPE = re.compile(r"\\\\|(?:\\u[0-9a-f]{4})+")
+
+
+def _unescape_wide(match):
+    """A run of \\u escapes with every character from U+007F up written as itself."""
+    if match[0] == "\\\\":
+        return match[0]
+    chars = json.loads(f'"{match[0]}"')
+    return "".join(c if ord(c) >= 0x7F else json.dumps(c)[1:-1] for c in chars)
+
+
+def _respell(match):
+    if match[0].startswith('"'):
+        return _ESCAPE.sub(_unescape_wide, match[0])
+    sign, lead, frac, exp = match.groups()
+    if int(exp) == -5:
+        return f"{sign}0.0000{lead}{frac or ''}"
+    return f"{sign}{lead}{'.' + frac if frac else ''}e{int(exp)}"
+
+
+def _respelled(former: str) -> str:
+    """The former canonical text in the documented spelling of `serialize`:
+    exponents without `+` or zero pad, the floats of exponent -5 written
+    positionally, and characters from U+007F up unescaped."""
+    return _FORMER_TOKEN.sub(_respell, former)
+
+
+def _has_wide_int(obj) -> bool:
+    """Whether a leaf integer of obj lies outside [-2**63, 2**64)."""
+    if isinstance(obj, dict):
+        return any(map(_has_wide_int, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return any(map(_has_wide_int, obj))
+    return type(obj) is int and not -(2**63) <= obj < 2**64
+
+
+@pytest.mark.parametrize(
+    "doc, text",
+    [([1e-05, -1.5e-05, 9.87e-05, 1e-07, 1e16, -2.5e300, 5e-324, 1e-4, 1e15, 0.0, -0.0],
+      "[0.00001,-0.000015,0.0000987,1e-7,1e16,-2.5e300,5e-324,0.0001,1000000000000000.0,"
+      "0.0,-0.0]"),
+     ({"1e+16": "é\\u00e9\x1f\x7f\U0001f600"}, '{"1e+16":"é\\\\u00e9\\u001f\x7f\U0001f600"}')],
+    ids=["numbers", "strings"],
+)
+def test_canonical_spelling(doc, text):
+    assert serialize.canonical_json(doc) == text + "\n"
+    assert _respelled(_former_canonical_json(doc)) == text + "\n"
 
 
 def _double(bits):
@@ -250,8 +313,16 @@ _DOCUMENTS = st.recursive(
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(doc=_DOCUMENTS)
+@example(doc=[2**64 - 1, -(2**63)])
+@example(doc={"v": [2**64]})
+@example(doc=-(2**63) - 1)
 def test_canonical_json_matches_former_canonizer(doc):
-    assert serialize.canonical_json(doc) == _former_canonical_json(doc)
+    # the same digits as the former stdlib text, in the documented spelling
+    if _has_wide_int(doc):
+        with pytest.raises(TypeError):
+            serialize.canonical_json(doc)
+    else:
+        assert serialize.canonical_json(doc) == _respelled(_former_canonical_json(doc))
 
 
 @pytest.mark.parametrize("bad", [1j, np.zeros(2), np.bool_(True), {"v": [math.nan, object()]}])
@@ -262,15 +333,18 @@ def test_canonical_json_rejects_unsupported_values(bad):
         serialize.canonical_json(bad)
 
 
-@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 3)])
-def test_matrix_codec_round_trip_is_bit_exact(shape):
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 3), (64, 64)])
+def test_matrix_codec_round_trip_is_bit_exact(tmp_path, shape):
     rng = np.random.default_rng(11)
     parts = rng.integers(0, 2**64, size=shape + (2,), dtype=np.uint64).view(float)
     parts[~np.isfinite(parts)] = -0.0
     if parts.size:
-        parts.flat[:4] = [-0.0, 5e-324, -2.5e-310, 0.0][: parts.size]
+        edges = [-0.0, 5e-324, -2.5e-310, 0.0, 1.5e-05, 9.999999999999998e15]
+        parts.flat[:6] = edges[: parts.size]
     m = parts.view(complex)[..., 0]
-    text = serialize.canonical_json(serialize.matrix_to_json(m))
-    back = serialize.matrix_from_json(json.loads(text))
+    # through the file codec: orjson's reader must return the very doubles
+    # its writer spelled
+    serialize.dump_json(str(tmp_path / "m.json"), serialize.matrix_to_json(m))
+    back = serialize.matrix_from_json(serialize.load_json(str(tmp_path / "m.json")))
     assert back.shape == shape and back.dtype == complex
     assert back.tobytes() == np.ascontiguousarray(m).tobytes()

@@ -182,6 +182,47 @@ def test_cholesky_wrapper_is_detected():
     assert sorted(_cholesky_wrapper_calls(tree)) == ["cho_factor:5", "cho_solve:6", "cholesky:7"]
 
 
+# One JSON codec: `serialize` reads and writes every document through
+# orjson, so the stdlib module's different spelling cannot creep back in.
+STDLIB_JSON_CODEC = ("load", "loads", "dump", "dumps")
+
+
+def _stdlib_json_uses(tree: ast.Module) -> list[str]:
+    """`what:line` for each import of the stdlib `json` module and each
+    call of `json.load`, `json.loads`, `json.dump` or `json.dumps`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name}:{node.lineno}" for a in node.names
+                      if a.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] == "json":
+                found.append(f"from {node.module}:{node.lineno}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in STDLIB_JSON_CODEC
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+            found.append(f"json.{node.func.attr}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_stdlib_json_codec(path):
+    assert _stdlib_json_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_stdlib_json_codec_is_detected():
+    tree = ast.parse(
+        "import json\nimport json.decoder as jd\nfrom json import loads\nimport orjson\n"
+        "from .serialize import load_json\n"
+        "a = json.dumps({})\n"
+        "b = orjson.loads(b'[]')\n"
+        "c = load_json('x.json')\n"
+        "d = json.load(open('x.json'))\n"
+    )
+    assert sorted(_stdlib_json_uses(tree)) == [
+        "from json:3", "import json.decoder:2", "import json:1", "json.dumps:6", "json.load:9"]
+
+
 def _scopes(tree: ast.Module):
     """(node, own names) for each module-level statement; a module-level
     class is split into its methods, each owning the class name and its
