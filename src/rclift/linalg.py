@@ -402,7 +402,9 @@ class SteinGramian:
         its distance from b1* P b2; inf when either overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
             m = adj(b1) @ self.p @ b2
-        err = self.p_residual * math.sqrt(self.weight(b1) * self.weight(b2))
+        w1 = self.weight(b1)
+        w2 = w1 if b2 is b1 else self.weight(b2)
+        err = self.p_residual * math.sqrt(w1 * w2)
         return m, err if np.all(np.isfinite(m)) and math.isfinite(err) else math.inf
 
 

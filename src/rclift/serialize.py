@@ -84,16 +84,16 @@ def _pairs_to_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
         raise ParseError(f"{what}: negative dimensions")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"{what}: need {rows * cols} [re, im] pairs")
-    # np.array would turn "0.5" and true into floats, so every scalar of the
-    # pairs must already be a JSON number (one C-level pass over the types)
+    # each entry must be a pair, or fromiter's count would regroup the
+    # scalars, and each scalar a JSON number, or the float conversion would
+    # read "0.5" and true as floats (one C-level pass each)
     try:
-        if not set(map(type, chain.from_iterable(data))) <= {int, float}:
+        if (set(map(len, data)) - {2}
+                or not set(map(type, chain.from_iterable(data))) <= {int, float}):
             raise TypeError
-        flat = np.array(data, dtype=float)
+        flat = np.fromiter(chain.from_iterable(data), float, 2 * rows * cols)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what}: entries are not [re, im] pairs") from exc
-    if data and flat.shape != (rows * cols, 2):
-        raise ParseError(f"{what}: entries are not [re, im] pairs")
     if not np.all(np.isfinite(flat)):
         raise ParseError(f"{what}: non-finite entries")
     return flat.reshape(rows * cols, 2).view(complex).reshape(rows, cols)

@@ -8,6 +8,12 @@ and the pytest acceptance module.  Instance families are seeded from the
 fixed base `SEED0`, so the aggregate report is byte-stable (raw timings
 never enter the JSON, only the boolean runtime verdicts).
 
+Two pairs of criteria share one instance pool each, built on first use:
+ac01 and ac02 read the derived `SEED0` lifting instances, ac09 and ac10
+the Nehari problems with their parameters and coefficients.  A pool lives
+for one run (see `SuiteConfig`).  The other criteria draw disjoint seed
+ranges of their own.
+
 Criterion 8 is expected to fail, and honestly so: on every valid
 finite-dimensional instance of the classical shape the constraint map is
 square and isometric, hence unitary, so the kernel weight is 0 x 0, and
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,7 +57,12 @@ class CriterionResult:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Instance counts scale with `base`; base=50 reproduces the full matrix."""
+    """Instance counts scale with `base`; base=50 reproduces the full matrix.
+
+    The shared pools `lifting_pool` (ac01, ac02) and `nehari_pool` (ac09,
+    ac10) are cached on the config, not fields of it, so they live as long
+    as the config: one run, since `run_suite` runs on a fresh copy.
+    """
 
     base: int = 50
     degree: int = 64
@@ -71,6 +82,18 @@ class SuiteConfig:
     @property
     def n_classical(self) -> int:
         return max(1, self.base // 5)
+
+    @functools.cached_property
+    def lifting_pool(self) -> list:
+        """(ds, derive(ds)) of the `SEED0` lifting instances 0..n_small-1."""
+        return [(ds, lifting.derive(ds))
+                for ds in (_lifting_instance(i, SEED0) for i in range(self.n_small))]
+
+    @functools.cached_property
+    def nehari_pool(self) -> list:
+        """(p, v, coefficients(p)) of the Nehari pool entries 0..n_mid-1."""
+        return [(p, v, nehari.coefficients(p))
+                for p, v in (_nehari_pool_entry(i) for i in range(self.n_mid))]
 
 
 # families of the default pool; the strict pool drops the classical shape,
@@ -139,9 +162,7 @@ def _criterion(name: str, budget_s: float | None = None):
 def ac01_defect_gram_identity(cfg: SuiteConfig) -> tuple[bool, dict]:
     """Defect Gram identity on seeded valid data sets, within 1e-9 relative."""
     worst = 0.0
-    for i in range(cfg.n_small):
-        ds = _lifting_instance(i, SEED0)
-        dd = lifting.derive(ds)
+    for _, dd in cfg.lifting_pool:
         worst = max(worst, lifting.gram_identity_residual(dd))
     ok = worst < 1e-9
     return ok, {"instances": cfg.n_small, "max_residual": worst}
@@ -154,9 +175,7 @@ def ac02_omega_dichotomy(cfg: SuiteConfig) -> tuple[bool, dict]:
     worst_norm = 0.0
     dichotomy_ok = True
     n_iso = 0
-    for i in range(cfg.n_small):
-        ds = _lifting_instance(i, SEED0)
-        dd = lifting.derive(ds)
+    for ds, dd in cfg.lifting_pool:
         worst_norm = max(worst_norm, operator_norm(dd.omega))
         gap = operator_norm(adj(ds.q) @ ds.q - adj(ds.r) @ ds.r)
         defect = lifting.omega_isometry_defect(dd)
@@ -375,9 +394,7 @@ def ac09_nehari_forward_soundness(cfg: SuiteConfig) -> tuple[bool, dict]:
     n = cfg.n_mid
     all_ok = True
     worst_sigma = 0.0
-    for i in range(n):
-        p, v = _nehari_pool_entry(i)
-        nc = nehari.coefficients(p)
+    for p, v, nc in cfg.nehari_pool:
         h = nehari.solve_h(nc, v, cfg.degree)
         sigma = nehari.assemble_l(p, h)
         worst_sigma = max(worst_sigma, sigma)
@@ -397,9 +414,8 @@ def ac10_hat_m_isometry(cfg: SuiteConfig) -> tuple[bool, dict]:
     general_ok = True
     worst = 0.0
     radius_max = 0.0
-    for i in range(cfg.n_mid):
-        p, _ = _nehari_pool_entry(i)
-        cert = redheffer.isometry_certificate(nehari.coefficients(p))
+    for _, _, nc in cfg.nehari_pool:
+        cert = redheffer.isometry_certificate(nc)
         if cert.status != "certified":
             general_ok = False
         worst = max(worst, cert.residual)
@@ -502,7 +518,8 @@ KNOWN_DEGENERATE = ("classical_specialization",)
 
 def run_suite(cfg: SuiteConfig | None = None) -> tuple[dict, list[CriterionResult]]:
     """Run every criterion; returns (aggregate report, per-criterion results)."""
-    cfg = cfg or SuiteConfig()
+    # a fresh copy starts with empty pools, so none outlives this run
+    cfg = replace(cfg or SuiteConfig())
     results = [crit(cfg) for crit in CRITERIA]
     report = {
         "config": {"base": cfg.base, "degree": cfg.degree, "seed0": SEED0},

@@ -163,9 +163,13 @@ def test_matrix_dims_must_be_json_integers(field, value):
         serialize.matrix_from_json(obj, "m")
 
 
-@pytest.mark.parametrize("entry", [["0.5", True], ["0.5", 0.0], [0.5, True], [False, 0.0]])
+@pytest.mark.parametrize("entry", [
+    ["0.5", True], ["0.5", 0.0], [0.5, True], [False, 0.0],
+    [0.5], [0.5, 0.0, 1.0], 0.5, "ab", {"re": 0.5, "im": 0.0},
+])
 def test_matrix_entries_must_be_json_numbers(entry):
-    # a float conversion would read ["0.5", true] as 0.5+1j
+    # a float conversion would read ["0.5", true] as 0.5+1j, and a counted
+    # flat read would truncate [0.5, 0.0, 1.0] to its first pair
     with pytest.raises(ParseError, match="entries are not"):
         serialize.matrix_from_json({"rows": 1, "cols": 1, "data": [entry]}, "m")
 

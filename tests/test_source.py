@@ -223,6 +223,46 @@ def test_stdlib_json_codec_is_detected():
         "from json:3", "import json.decoder:2", "import json:1", "json.dumps:6", "json.load:9"]
 
 
+# No memo outlives one command: a module-level cache would carry results
+# from one call (one suite run of many in a process) into the next.  Memos
+# live on objects a command creates, such as the suite's pools.
+MODULE_CACHES = ("cache", "lru_cache")
+
+
+def _module_cache_uses(tree: ast.Module) -> list[str]:
+    """`what:line` for each `functools.cache` or `functools.lru_cache`,
+    as a decorator or a call, under any alias of functools, and each
+    import of them by name."""
+    aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "functools"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"from functools import {a.name}:{node.lineno}" for a in node.names
+                      if a.name in MODULE_CACHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in MODULE_CACHES
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            found.append(f"functools.{node.attr}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_cache(path):
+    assert _module_cache_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_module_level_cache_is_detected():
+    tree = ast.parse(
+        "import functools\nimport functools as ft\nfrom functools import lru_cache, wraps\n"
+        "@functools.cache\ndef f(x): return x\n"
+        "g = ft.lru_cache(maxsize=None)(f)\n"
+        "class C:\n    @functools.cached_property\n    def p(self): return 1\n"
+        "h = wraps(f)(f)\n"
+    )
+    assert sorted(_module_cache_uses(tree)) == [
+        "from functools import lru_cache:3", "functools.cache:4", "functools.lru_cache:6"]
+
+
 def _scopes(tree: ast.Module):
     """(node, own names) for each module-level statement; a module-level
     class is split into its methods, each owning the class name and its

@@ -1,6 +1,7 @@
 """The criterion runner of the acceptance suite, on stub checks, and the
 criteria that must be able to fail."""
 
+import collections
 import dataclasses
 from types import SimpleNamespace
 
@@ -61,6 +62,26 @@ def test_criteria_keep_their_function_names():
         "ac11_scalar_worked_example",
         "ac12_special_case_agreement",
     ]
+
+
+def test_shared_pools_are_drawn_once_per_run(monkeypatch):
+    # ac01/ac02 read one SEED0 lifting pool and ac09/ac10 one Nehari pool: a
+    # run draws each of their instances once, and the next run, even on the
+    # same config, draws them all again
+    shared = {"_lifting_instance": {(i, suite.SEED0) for i in range(CFG.n_small)},
+              "_nehari_pool_entry": {(i,) for i in range(CFG.n_mid)}}
+    draws = {name: collections.Counter() for name in shared}
+    for name, counts in draws.items():
+        def draw(*args, fn=getattr(suite, name), counts=counts):
+            counts[args[:2]] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(suite, name, draw)
+    for _ in range(2):
+        suite.run_suite(CFG)
+        for name, keys in shared.items():
+            assert {k: draws[name][k] for k in keys} == dict.fromkeys(keys, 1), name
+            draws[name].clear()
 
 
 def test_ac06_fails_on_forged_solutions(monkeypatch):
