@@ -171,7 +171,7 @@ def _solution_rows(obj, sol, deg: int, tol: float) -> tuple[list[dict], str]:
     """Residual rows of a solution against its instance, and the
     certificate status: "certified", "refuted" or "uncertified"."""
     if isinstance(obj, nehari.NehariProblem):
-        sigma = nehari.assemble_l(obj, hardy.TaylorSeries(sol.coeffs[: deg + 1]))
+        sigma = nehari.assemble_l(obj, sol[: deg + 1])
         status = "uncertified" if sigma <= 1.0 + tol else "refuted"
         return [_row("combined_operator_norm", sigma, 1.0 + tol)], status
     if isinstance(sol, hardy.SolutionRealization):

@@ -85,11 +85,11 @@ def disc_stack(lam) -> np.ndarray:
     return lam[..., None, None]
 
 
-def _require_hermitian(m: np.ndarray, tol: float, message: str) -> None:
-    """Raise NotHermitian when ||m - m*||_2 > tol * max(||m||_2, 1), and
-    ValueError when m has a NaN or Inf entry.
+def _require_hermitian(m: np.ndarray, message: str) -> None:
+    """Raise NotHermitian when ||m - m*||_2 > RANK_RTOL * max(||m||_2, 1),
+    and ValueError when m has a NaN or Inf entry.
 
-    The Frobenius test ||m - m*||_F <= tol/2 * max(||m||_F / sqrt(n), 1)
+    The Frobenius test ||m - m*||_F <= RANK_RTOL/2 * max(||m||_F / sqrt(n), 1)
     settles most inputs without an SVD: ||.||_2 <= ||.||_F and
     ||m||_2 >= ||m||_F / sqrt(n) make it sufficient, and the factor 1/2
     leaves room for the rounding of both norms.  Only the inputs it does
@@ -104,41 +104,41 @@ def _require_hermitian(m: np.ndarray, tol: float, message: str) -> None:
     if not math.isfinite(norm_m) and not np.isfinite(m).all():
         raise ValueError("expected finite entries, got NaN or Inf")
     anti = m - adj(m)
-    bound = 0.5 * tol * max(norm_m / np.sqrt(n), 1.0)
+    bound = 0.5 * RANK_RTOL * max(norm_m / np.sqrt(n), 1.0)
     if float(np.linalg.norm(anti)) <= bound:
         return
-    if operator_norm(anti) > tol * max(operator_norm(m), 1.0):
+    if operator_norm(anti) > RANK_RTOL * max(operator_norm(m), 1.0):
         raise NotHermitian(message)
 
 
-def _hermitian_part(m: np.ndarray, tol: float) -> np.ndarray:
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m*) / 2 of a square matrix that passes the Hermiticity gate."""
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
-    _require_hermitian(m, tol, f"anti-Hermitian part exceeds {tol:g} * ||m||")
+    _require_hermitian(m, f"anti-Hermitian part exceeds {RANK_RTOL:g} * ||m||")
     return 0.5 * (m + adj(m))
 
 
-def hermitian_eig(m: np.ndarray, tol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, with a Hermiticity check.
 
     Returns (w, v) with m = v @ diag(w) @ v*.  Raises NotHermitian when the
-    anti-Hermitian part exceeds tol * ||m||.
+    anti-Hermitian part exceeds RANK_RTOL * ||m||.
     """
-    return np.linalg.eigh(_hermitian_part(m, tol))
+    return np.linalg.eigh(_hermitian_part(m))
 
 
-def psd_sqrt(m, tol: float = RANK_RTOL) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Positive square root of a Hermitian PSD matrix.
 
-    Eigenvalues in [-tol*||m||, 0) are treated as rounding noise and
+    Eigenvalues in [-RANK_RTOL*||m||, 0) are treated as rounding noise and
     clamped to zero; anything below that raises NegativeEigenvalue.
     """
-    w, v = hermitian_eig(m, tol=tol)
+    w, v = hermitian_eig(m)
     if w.size == 0:
         return np.asarray(m, dtype=complex).copy()
     scale = float(np.max(np.abs(w)))
-    if np.any(w < -tol * max(scale, 1.0)):
+    if np.any(w < -RANK_RTOL * max(scale, 1.0)):
         raise NegativeEigenvalue(f"min eigenvalue {w.min():.3e} below clamp threshold")
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ adj(v)
@@ -165,7 +165,7 @@ def solve_hpd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
     if m.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"rhs rows {b.shape[0]} != matrix size {m.shape[0]}")
-    _require_hermitian(m, RANK_RTOL, "solve_hpd requires a Hermitian matrix")
+    _require_hermitian(m, "solve_hpd requires a Hermitian matrix")
     if m.shape[0] == 0:
         return b.copy()
     h = 0.5 * (m + adj(m))
@@ -183,8 +183,8 @@ def inv_hpd(m: np.ndarray) -> np.ndarray:
     return solve_hpd(m, eye(m.shape[0]))
 
 
-def rank_from_singular_values(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Rank from descending singular values with a relative cutoff.
+def rank_from_singular_values(s: np.ndarray) -> int:
+    """Rank from descending singular values with the relative cutoff RANK_RTOL.
 
     The one rank rule of the package: callers that already hold the
     singular values of a matrix take its rank here instead of running a
@@ -192,7 +192,7 @@ def rank_from_singular_values(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
     """
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 # The LAPACK routines of `scipy.linalg.qr(..., pivoting=True)`, called
@@ -226,7 +226,7 @@ def _canonical_basis(u: np.ndarray) -> np.ndarray:
     return basis * (top.conj() / np.abs(top))
 
 
-def psd_sqrt_and_range(m, rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def psd_sqrt_and_range(m) -> tuple[np.ndarray, np.ndarray]:
     """PSD square root with noise-rank control, plus a basis of its range.
 
     Rank decisions happen on the eigenvalues of m itself (relative to
@@ -236,24 +236,16 @@ def psd_sqrt_and_range(m, rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarr
     are zeroed in the root, so its range equals the embedded subspace,
     whose basis comes from the kept eigenvectors.
     """
-    w, v = hermitian_eig(m, tol=rtol)
+    w, v = hermitian_eig(m)
     if w.size == 0:
         return np.asarray(m, dtype=complex).copy(), zeros(0, 0)
     scale = max(float(np.max(np.abs(w))), 1.0)
-    if float(w[0]) < -rtol * scale:
+    if float(w[0]) < -RANK_RTOL * scale:
         raise NegativeEigenvalue(f"min eigenvalue {w[0]:.3e} below clamp threshold")
-    keep = w > rtol * scale
+    keep = w > RANK_RTOL * scale
     root = (v * np.where(keep, np.sqrt(np.clip(w, 0.0, None)), 0.0)) @ adj(v)
     root = 0.5 * (root + adj(root))
     return root, _canonical_basis(v[:, keep])
-
-
-def _left_singular_split(m: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the column space of m and of its complement
-    Ker(m*), from one full SVD."""
-    u, s, _ = np.linalg.svd(m)
-    r = rank_from_singular_values(s, rtol)
-    return u[:, :r], u[:, r:]
 
 
 def range_and_pinv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,9 +256,11 @@ def range_and_pinv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _canonical_basis(u[:, :r]), (adj(vh[:r]) / s[:r]) @ adj(u[:, :r])
 
 
-def kernel_embedding(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Canonical orthonormal basis of Ker(m*), the left null space of m."""
-    return _canonical_basis(_left_singular_split(m, rtol)[1])
+def kernel_embedding(m: np.ndarray) -> np.ndarray:
+    """Canonical orthonormal basis of Ker(m*), the left null space of m,
+    from one full SVD."""
+    u, s, _ = np.linalg.svd(m)
+    return _canonical_basis(u[:, rank_from_singular_values(s):])
 
 
 def min_singular_value(m) -> float:
@@ -283,7 +277,7 @@ def min_eig_hermitian(m) -> float:
 
     The same Hermiticity gate as `hermitian_eig`, but no eigenvectors.
     """
-    h = _hermitian_part(m, RANK_RTOL)
+    h = _hermitian_part(m)
     if h.shape[0] == 0:
         return float("inf")
     return float(np.linalg.eigvalsh(h)[0])

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import schur
 from .errors import CornerNotPD, DimensionMismatch, HankelNotStrict, NotPositiveDefinite
-from .hardy import TaylorSeries
 from .lifting import LiftingDataSet
 from .redheffer import IsometryCertificate, Realization, isometry_certificate, solution_taylor
 from .linalg import (
@@ -164,21 +163,19 @@ def solve_g(p: NehariProblem, lam: np.ndarray) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class NehariCoefficients(Realization):
-    """The closed-form realization with the operators it is built from.
+    """The closed-form realization with the Gram, its inverse and the
+    corner solution it is built from.
 
     X1 = T, X2 = -[G*(I+FG*)^(-1/2), C2], X3 = Lambda11^(-1/2) e_n*,
     X4 = F T, X5 = [(I+FG*)^(-1/2), 0], E = e_n and base Gamma_-: the
-    X-operators of the lifting data set `to_lifting_data`, with T e_n = -C1.
+    X-operators of the lifting data set `to_lifting_data`.  F is the tap
+    row [F_-1 .. F_-N], G the row `g_row` padded with a zero block, and C2
+    the last block column of Lambda^x times (Lambda^x_NN)^(-1/2).
     """
 
-    problem: NehariProblem
     lam: np.ndarray
     lam_cross: np.ndarray
     g_row: tuple[np.ndarray, ...]
-    c1: np.ndarray
-    c2: np.ndarray
-    f_row: np.ndarray
-    g_big: np.ndarray
 
 
 def coefficients(p: NehariProblem) -> NehariCoefficients:
@@ -198,9 +195,6 @@ def coefficients(p: NehariProblem) -> NehariCoefficients:
         t_state[(i - 1) * u : i * u, :u] = -_block(lam_x, i + 1, 1, u) @ lam11_inv
 
     e_n = np.vstack([eye(u)] + [zeros(u, u)] * (n_w - 1))
-    c1 = np.vstack(
-        [_block(lam_x, i, 1, u) for i in range(2, n_w + 1)] + [zeros(u, u)]
-    ) @ lam11_inv
     c2 = np.vstack([_block(lam_x, i, n_w, u) for i in range(1, n_w + 1)]) @ psd_sqrt(
         inv_hpd(lam_nn)
     )
@@ -216,29 +210,25 @@ def coefficients(p: NehariProblem) -> NehariCoefficients:
         x5=np.hstack([i_fg_neg_half, zeros(y, u)]),
         e=e_n,
         base=np.vstack([p.tap(n) for n in range(1, max(p.k_taps, 1) + 1)]),  # Gamma_-
-        problem=p,
         lam=lam,
         lam_cross=lam_x,
         g_row=tuple(g_row),
-        c1=c1,
-        c2=c2,
-        f_row=f_row,
-        g_big=g_big,
     )
 
 
-def solve_h(nc: NehariCoefficients, v: schur.SchurParameter, deg: int) -> TaylorSeries:
-    """Taylor coefficients of the solution attached to a Schur parameter.
+def solve_h(nc: NehariCoefficients, v: schur.SchurParameter, deg: int) -> np.ndarray:
+    """Taylor coefficients H_0..H_deg of the solution attached to a Schur
+    parameter, as a (deg + 1, y, u) array.
 
     The Hardy-space block of `redheffer.solution_taylor` on the Nehari
     realization; V = 0 gives the central solution.
     """
-    return TaylorSeries(solution_taylor(nc, v, deg).gamma_coeffs)
+    return solution_taylor(nc, v, deg).gamma_coeffs
 
 
-def assemble_l(p: NehariProblem, h: TaylorSeries) -> float:
+def assemble_l(p: NehariProblem, h: np.ndarray) -> float:
     """The largest singular value of the truncated combined tap/solution
-    operator.
+    operator, for the coefficients H_0..H_deg in a (deg + 1, y, u) array h.
 
     Rows -K..deg are materialized (every other tap row is exactly zero);
     the rows beyond the solution degree are dropped, so the value bounds
@@ -252,15 +242,14 @@ def assemble_l(p: NehariProblem, h: TaylorSeries) -> float:
     indexing pass; the norm is the root of the top eigenvalue of the
     N*u x N*u Gram of the block-Toeplitz matrix.
     """
-    if h.coeffs[0].shape != (p.y_dim, p.u_dim):
+    if h.shape[1:] != (p.y_dim, p.u_dim):
         raise DimensionMismatch("solution coefficients have wrong port dims")
     n_w, u, y, k = p.n_window, p.u_dim, p.y_dim, p.k_taps
-    deg = h.degree
-    rows = k + deg + 1
+    rows = k + len(h)
     seq = np.zeros((rows + n_w - 1, y, u), dtype=complex)
     if k:
         seq[:k] = p.taps[::-1]
-    seq[k:rows] = h.coeffs
+    seq[k:rows] = h
     # row r (index i = r - K) and column c (slot j = c + 1) take the term of
     # index i - j + 1, stored at r - c; the negative positions pick the
     # n_w - 1 zero blocks at the end

@@ -33,7 +33,6 @@ from .errors import DimensionMismatch, NotClassicalShape, ResolventSingular
 from .hardy import (
     SolutionRealization,
     SolutionTaylor,
-    TaylorSeries,
     markov,
     mult_matrix,
     observability_matrix,
@@ -192,8 +191,9 @@ def phi_eval(
 
 def phi_taylor(
     rc: Realization, deg: int
-) -> tuple[TaylorSeries, TaylorSeries, TaylorSeries, TaylorSeries]:
-    """Taylor coefficients of the four coefficient functions to degree deg.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Taylor coefficients of the four coefficient functions to degree deg,
+    each a (deg + 1, ., .) array.
 
     Past their constant terms 0 and X5, P11 and P21 have the coefficients
     X3 X1^k X2 and X4 X1^k X2; P12 and P22 have X3 X1^k E and X4 X1^k E.
@@ -202,14 +202,9 @@ def phi_taylor(
     """
     kq, w = rc.kq_dim, rc.w_dim
     mk = markov(rc.x1, np.hstack([rc.x2, rc.e]), np.vstack([rc.x3, rc.x4]), deg + 1)
-    p11 = (zeros(kq, w),) + tuple(mk[:deg, :kq, :w])
-    p21 = (rc.x5,) + tuple(mk[:deg, kq:, :w])
-    return (
-        TaylorSeries(p11),
-        TaylorSeries(tuple(mk[:, :kq, w:])),
-        TaylorSeries(p21),
-        TaylorSeries(tuple(mk[:, kq:, w:])),
-    )
+    p11 = np.concatenate([zeros(kq, w)[None], mk[:deg, :kq, :w]])
+    p21 = np.concatenate([rc.x5[None], mk[:deg, kq:, :w]])
+    return p11, mk[:, :kq, w:], p21, mk[:, kq:, w:]
 
 
 def z_from_v(
@@ -269,7 +264,7 @@ def solution_realization(rc: Realization, v: schur.SchurParameter) -> SolutionRe
     """
     a_cl, c_cl, e_cl = closed_loop_realization(rc, v)
     return SolutionRealization(
-        a_part=rc.base, gamma_coeffs=(c_cl @ e_cl,), a=a_cl, b=a_cl @ e_cl, c=c_cl
+        a_part=rc.base, gamma_coeffs=(c_cl @ e_cl)[None], a=a_cl, b=a_cl @ e_cl, c=c_cl
     )
 
 
@@ -287,20 +282,21 @@ def solution_taylor(
 # --- the stacked solution operator ----------------------------------------------
 
 FP_GRAM_TOL = 1e-10  # roundoff allowance of the n x n certificate identities
+M_EXTRA_ROWS = 16  # coefficient rows `assemble_m` keeps past the degree
 
 
-def assemble_m(rc: Realization, deg: int, extra: int = 16) -> np.ndarray:
+def assemble_m(rc: Realization, deg: int) -> np.ndarray:
     """Dense truncation of the stacked solution operator M.
 
-    Rows: the base space, then coefficient rows (0..deg+extra) of the two
-    Hardy-space outputs; columns: coefficient columns (0..deg) of the
+    Rows: the base space, then coefficient rows (0..deg+M_EXTRA_ROWS) of
+    the two Hardy-space outputs; columns: coefficient columns (0..deg) of the
     parameter-output space, then the input space of E.  No check uses it:
     `isometry_certificate` and `kyp_norm` decide the full operator exactly.
-    It, and with it `hardy.mult_matrix` and `hardy.observability_matrix`,
-    stays in the package only because the benchmark's degree sweep times
-    it; the tests use it as the dense oracle of both certificates.
+    It, and with it `hardy.mult_matrix`, stays in the package only because
+    the benchmark's degree sweep times it; the tests use it as the dense
+    oracle of both certificates.
     """
-    deg_out = deg + extra
+    deg_out = deg + M_EXTRA_ROWS
     p11, p12, p21, p22 = phi_taylor(rc, deg_out)
     m11 = mult_matrix(p11, deg, deg_out=deg_out)
     m21 = mult_matrix(p21, deg, deg_out=deg_out)
@@ -388,7 +384,7 @@ def kyp_norm(rc: Realization) -> float:
     colligation, so the same bound certifies P11 and P21 as Schur class on
     the whole disc.  It is 1 on a lifting realization (storage
     coordinates); in other coordinates it may exceed 1 on a contractive M.
-    A truncation of M keeping T output steps (T = deg+extra+1 in
+    A truncation of M keeping T output steps (T = deg+M_EXTRA_ROWS+1 in
     `assemble_m`) has norm at most max(1, kyp_norm)^(T+1), so a value
     within 1 + 1e-10 keeps every truncation below 10^4 steps within
     1 + 1e-6.

@@ -23,7 +23,9 @@ its Hardy-space block is then
 Gamma(lam) = sum_{k<m} Gamma_k lam^k + lam^m C (I - lam A)^-1 B.
 `rclift solve` writes m = 1, the quadruple {A, B, C, D = Gamma_0} of the
 closed loop.  A file without `tail` lists the leading Taylor coefficients
-of a truncated solution.  Gamma is written in the canonical coordinates
+of a truncated solution, at least Gamma_0, as a Nehari solution lists at
+least H_0.  The readers return a coefficient sequence as one (m, p, q)
+array.  Gamma is written in the canonical coordinates
 of the defect space D_T' that `linalg.psd_sqrt_and_range` derives from
 the instance, so writer and reader agree on them; they are the identity
 when D_T' is invertible.
@@ -53,7 +55,7 @@ import orjson
 
 from . import nehari, schur
 from .errors import ParseError
-from .hardy import SolutionRealization, SolutionTaylor, TaylorSeries
+from .hardy import SolutionRealization, SolutionTaylor
 from .lifting import LiftingDataSet
 from .linalg import cmatrix
 
@@ -193,16 +195,17 @@ def parameter_from_json(obj) -> schur.SchurParameter:
 # --- solutions -------------------------------------------------------------------
 
 
-def nehari_solution_to_json(h: TaylorSeries, sigma_max: float, report: dict) -> dict:
+def nehari_solution_to_json(h: np.ndarray, sigma_max: float, report: dict) -> dict:
     return {
         "kind": "nehari_solution",
-        "H": [_pairs_from_matrix(c) for c in h.coeffs],
+        "H": [_pairs_from_matrix(c) for c in h],
         "sigma_max": sigma_max,
         "report": report,
     }
 
 
-def nehari_solution_from_json(obj, u_dim: int, y_dim: int) -> TaylorSeries:
+def nehari_solution_from_json(obj, u_dim: int, y_dim: int) -> np.ndarray:
+    """The coefficients H_0..H_deg as a (deg + 1, y_dim, u_dim) array."""
     try:
         coeffs = [
             _pairs_to_matrix(c, y_dim, u_dim, f"H[{i}]")
@@ -210,7 +213,9 @@ def nehari_solution_from_json(obj, u_dim: int, y_dim: int) -> TaylorSeries:
         ]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed nehari solution: {exc}") from exc
-    return TaylorSeries(tuple(coeffs))
+    if not coeffs:
+        raise ParseError("a nehari solution needs at least the coefficient H_0")
+    return np.stack(coeffs)
 
 
 TAIL_KEYS = ("a", "b", "c")
@@ -229,18 +234,25 @@ def lifting_solution_to_json(sol: SolutionTaylor | SolutionRealization, report: 
 
 
 def lifting_solution_from_json(obj) -> SolutionTaylor | SolutionRealization:
+    """The solution, with Gamma_0..Gamma_{m-1} stacked in one (m, p, q)
+    array; a file without `tail` must list at least Gamma_0."""
     try:
         a_part = matrix_from_json(obj["a_part"], "a_part")
-        gammas = tuple(matrix_from_json(g, f"gamma[{i}]") for i, g in enumerate(obj["gamma"]))
+        gammas = [matrix_from_json(g, f"gamma[{i}]") for i, g in enumerate(obj["gamma"])]
         tail = obj.get("tail")
         if tail is not None:
             tail = [matrix_from_json(tail[k], f"tail.{k}") for k in TAIL_KEYS]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed lifting solution: {exc}") from exc
+    if len({g.shape for g in gammas}) > 1:
+        raise ParseError("the gamma coefficients differ in shape")
     if tail is None:
-        return SolutionTaylor(a_part=a_part, gamma_coeffs=gammas)
+        if not gammas:
+            raise ParseError("a lifting solution without tail needs at least gamma[0]")
+        return SolutionTaylor(a_part=a_part, gamma_coeffs=np.stack(gammas))
     a, b, c = tail
-    return SolutionRealization(a_part=a_part, gamma_coeffs=gammas, a=a, b=b, c=c)
+    stacked = np.stack(gammas) if gammas else np.zeros((0, c.shape[0], a_part.shape[1]), complex)
+    return SolutionRealization(a_part=a_part, gamma_coeffs=stacked, a=a, b=b, c=c)
 
 
 # --- canonical JSON ----------------------------------------------------------------

@@ -5,19 +5,21 @@ coefficient by coefficient, independently of
 
 import numpy as np
 
-from rclift.hardy import StateSpace, TaylorSeries, markov
+from rclift.hardy import StateSpace, markov
 from rclift.linalg import eye, zeros
 
 
-def transfer_taylor(sys: StateSpace, deg: int) -> TaylorSeries:
-    """Taylor coefficients [D, CB, CAB, CA^2 B, ...] of the transfer function."""
-    return TaylorSeries((sys.d,) + tuple(markov(sys.a, sys.b, sys.c, deg)))
+def transfer_taylor(sys: StateSpace, deg: int) -> np.ndarray:
+    """Taylor coefficients [D, CB, CAB, CA^2 B, ...] of the transfer
+    function, as a (deg + 1, p, q) array."""
+    return np.concatenate([sys.d[None], markov(sys.a, sys.b, sys.c, deg)])
 
 
-def taylor_eval(ts: TaylorSeries, lam: complex) -> np.ndarray:
-    """Value of the truncated polynomial at a point, by Horner's rule."""
-    acc = zeros(ts.out_dim, ts.in_dim)
-    for c in reversed(ts.coeffs):
+def taylor_eval(ts: np.ndarray, lam: complex) -> np.ndarray:
+    """Value at a point of the truncated polynomial with the coefficients
+    ts, a (k, p, q) array, by Horner's rule."""
+    acc = zeros(ts.shape[1], ts.shape[2])
+    for c in reversed(ts):
         acc = acc * lam + c
     return acc
 
@@ -50,7 +52,7 @@ def series_neumann(s: list[np.ndarray], deg: int) -> list[np.ndarray]:
 def linear_fractional(phi, v: list[np.ndarray], deg: int) -> list[np.ndarray]:
     """Coefficients of P22 + P21 V (I - P11 V)^-1 P12 for the coefficient
     series phi = (P11, P12, P21, P22), P11 with zero constant term."""
-    p11, p12, p21, p22 = (list(p.coeffs) for p in phi)
+    p11, p12, p21, p22 = (list(p) for p in phi)
     inv = series_neumann(series_mul(p11, v, deg), deg)
     chain = series_mul(v, series_mul(inv, p12, deg), deg)
     return [a + b for a, b in zip(p22, series_mul(p21, chain, deg))]

@@ -9,7 +9,7 @@ import pytest
 import rclift
 from rclift import lifting, nehari, redheffer, schur, serialize
 from rclift.cli import main
-from rclift.hardy import TaylorSeries, markov
+from rclift.hardy import markov
 
 SCALAR_PROBLEM = {
     "kind": "nehari",
@@ -104,14 +104,14 @@ def test_verify_rejects_forged_solution(scalar_problem, tmp_path, capsys):
 def test_verify_nehari_truncates_to_degree(scalar_problem, tmp_path, capsys, degree, expect_code):
     # H_1 = 2 refutes the solution, but only when the check reaches degree 1;
     # a --degree above the stored degree 1 checks every stored coefficient
-    coeffs = [np.array([[0.0]]), np.array([[2.0]])]
+    coeffs = np.array([[[0.0]], [[2.0]]], complex)
     sol = tmp_path / "sol.json"
-    doc = serialize.nehari_solution_to_json(TaylorSeries(tuple(coeffs)), 0.0, {})
+    doc = serialize.nehari_solution_to_json(coeffs, 0.0, {})
     serialize.dump_json(str(sol), doc)
     code, out, _ = run(capsys, "verify", scalar_problem, str(sol), "--degree", str(degree))
     assert code == expect_code
     problem = serialize.instance_from_json(SCALAR_PROBLEM)
-    kept = TaylorSeries(tuple(coeffs[: min(degree, 1) + 1]))
+    kept = coeffs[: min(degree, 1) + 1]
     (row,) = json.loads(out)["residuals"]
     assert row["name"] == "combined_operator_norm"
     assert abs(row["value"] - nehari.assemble_l(problem, kept)) < 1e-12

@@ -158,7 +158,7 @@ def test_solution_taylor_matches_series_composition():
     v = schur.random_schur(rc.kq_dim, rc.w_dim, 2, 5)
     sol = redheffer.solution_taylor(rc, v, deg)
     gamma = linear_fractional(
-        redheffer.phi_taylor(rc, deg), list(transfer_taylor(v, deg).coeffs), deg
+        redheffer.phi_taylor(rc, deg), list(transfer_taylor(v, deg)), deg
     )
     for k in range(deg + 1):
         assert operator_norm(sol.gamma_coeffs[k] - gamma[k]) < 1e-11
@@ -207,7 +207,7 @@ def test_central_nesting_constant_term():
     sol_0 = redheffer.solution_taylor(rc, schur.zero(rc.kq_dim, rc.w_dim), deg)
     p22 = redheffer.phi_taylor(rc, deg)[3]
     for k in range(deg + 1):
-        np.testing.assert_allclose(sol_0.gamma_coeffs[k], p22.coeffs[k], atol=1e-12)
+        np.testing.assert_allclose(sol_0.gamma_coeffs[k], p22[k], atol=1e-12)
     # and the parameter-dependent difference vanishes at the zero parameter
     assert any(
         operator_norm(a - b) > 1e-12
@@ -217,9 +217,9 @@ def test_central_nesting_constant_term():
 
 def test_assemble_m_contraction_and_degree_zero():
     dd, rc = generic_rc(7)
-    m0 = redheffer.assemble_m(rc, 0, extra=0)
+    m0 = redheffer.assemble_m(rc, 0)
     assert operator_norm(m0) <= 1.0 + 1e-6
-    m = redheffer.assemble_m(rc, 16, extra=8)
+    m = redheffer.assemble_m(rc, 16)
     assert operator_norm(m) <= 1.0 + 1e-6
     # nested truncations: degree-0 block sits inside the bigger matrix
     h_prime = dd.ds.dim_h_prime
@@ -230,7 +230,7 @@ def test_assemble_m_contraction_and_degree_zero():
     )
 
 
-def m_gram_slack(rc, deg, extra=16):
+def m_gram_slack(rc, deg, extra=redheffer.M_EXTRA_ROWS):
     """Exact norm ||D* D|| of the coefficient rows `assemble_m` drops.
 
     The oracle that ties the truncation to the exact certificates.  With
@@ -316,14 +316,20 @@ def _random_realization(seed, n, rho, rows3, rows4, w, k):
 
 
 def _dense_dropped_mass(rc, deg, extra, depth=2000):
-    """||D* D|| of the rows `assemble_m` drops, read off a deeper truncation."""
+    """||D* D|| of the rows that a truncation of M at degree deg with deg +
+    extra output rows drops, read off the next `depth` rows: output row t
+    is [P11_t, P11_(t-1), ..., P11_(t-deg), P12_t] in the P11 part, and
+    likewise with P21 and P22."""
     kept = deg + extra + 1
-    total = kept + depth
-    big = redheffer.assemble_m(rc, deg, extra + depth)
-    b, kq = rc.base.shape[0], rc.kq_dim
-    p11_rows = big[b : b + total * kq]
-    p21_rows = big[b + total * kq :]
-    d = np.vstack([p11_rows[kept * kq :], p21_rows[kept * rc.dt_dim :]])
+    p11, p12, p21, p22 = redheffer.phi_taylor(rc, kept + depth - 1)
+    lags = np.arange(kept, kept + depth)[:, None] - np.arange(deg + 1)[None, :]
+
+    def rows(f, g):
+        _, p, q = f.shape
+        toeplitz = f[lags].transpose(0, 2, 1, 3).reshape(depth * p, (deg + 1) * q)
+        return np.hstack([toeplitz, g[kept:].reshape(depth * p, g.shape[2])])
+
+    d = np.vstack([rows(p11, p12), rows(p21, p22)])
     return operator_norm(adj(d) @ d)
 
 
@@ -405,9 +411,9 @@ def test_kyp_norm_bounds_dense_truncation(kind, seed, norm, scale):
     rc = redheffer.build_coefficients(lifting.derive(ds))
     rc = dataclasses.replace(rc, x2=scale * rc.x2, x5=scale * rc.x5)
     kyp = redheffer.kyp_norm(rc)
-    deg, extra = 16, 16
-    dense = operator_norm(redheffer.assemble_m(rc, deg, extra))
-    assert dense <= max(1.0, kyp) ** (deg + extra + 2) + 1e-12
+    deg = 16
+    dense = operator_norm(redheffer.assemble_m(rc, deg))
+    assert dense <= max(1.0, kyp) ** (deg + redheffer.M_EXTRA_ROWS + 2) + 1e-12
     if kyp <= 1.0 + 1e-10:
         assert dense <= 1.0 + 1e-6
     if scale <= 1.0:

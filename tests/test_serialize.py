@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rclift import generators, nehari, schur, serialize
+from rclift import cli, generators, lifting, nehari, redheffer, schur, serialize
 from rclift.errors import ParseError
-from rclift.hardy import SolutionRealization, SolutionTaylor, TaylorSeries
+from rclift.hardy import SolutionRealization, SolutionTaylor
 from rclift.linalg import ginibre
 
 
@@ -98,12 +98,12 @@ def test_random_parameter_variant():
 
 
 def test_solution_roundtrips():
-    h = TaylorSeries((np.array([[0.1 + 0.2j]]), np.array([[0.0]])))
+    h = np.array([[[0.1 + 0.2j]], [[0.0]]])
     doc = serialize.nehari_solution_to_json(h, 0.5, {"passed": True})
     back = serialize.nehari_solution_from_json(doc, 1, 1)
-    np.testing.assert_allclose(back.coeffs[0], h.coeffs[0])
+    assert np.array_equal(back, h)
 
-    sol = SolutionTaylor(a_part=np.array([[0.2]]), gamma_coeffs=(np.array([[0.1]]),))
+    sol = SolutionTaylor(a_part=np.array([[0.2]]), gamma_coeffs=np.array([[[0.1]]]))
     doc2 = serialize.lifting_solution_to_json(sol, {"passed": True})
     assert "tail" not in doc2
     back2 = serialize.lifting_solution_from_json(doc2)
@@ -113,7 +113,7 @@ def test_solution_roundtrips():
 def test_realization_solution_roundtrips():
     rng = np.random.default_rng(2)
     real = SolutionRealization(
-        a_part=ginibre(rng, 2, 3), gamma_coeffs=(ginibre(rng, 4, 3),),
+        a_part=ginibre(rng, 2, 3), gamma_coeffs=ginibre(rng, 4, 3)[None],
         a=ginibre(rng, 5, 5), b=ginibre(rng, 5, 3), c=ginibre(rng, 4, 5),
     )
     doc = json.loads(serialize.canonical_json(serialize.lifting_solution_to_json(real, {})))
@@ -122,13 +122,63 @@ def test_realization_solution_roundtrips():
     assert isinstance(back, SolutionRealization)
     for name in ("a_part", "a", "b", "c"):
         assert np.array_equal(getattr(back, name), getattr(real, name))
-    assert np.array_equal(back.gamma_coeffs[0], real.gamma_coeffs[0])
+    assert np.array_equal(back.gamma_coeffs, real.gamma_coeffs)
+
+
+# exit code of `rclift verify` on each coefficient-list case of the readers
+READER_CASES = {
+    "gamma_empty": 2,  # no coefficient and no tail: nothing to check
+    "gamma_empty_with_tail": 0,  # m = 0, the tail is the whole function
+    "gamma_ragged": 2,
+    "gamma_ragged_with_tail": 2,
+    "h_empty": 2,
+}
+
+
+def _reader_documents(case):
+    """(instance document, solution document) of one reader case."""
+    if case == "h_empty":
+        p = nehari.NehariProblem(2, 1, 1, (np.array([[0.5]]),))
+        return serialize.instance_to_json(p), {"kind": "nehari_solution", "H": []}
+    ds = generators.generate_random("generic", (5, 4, 3), 0.8, 1)
+    rc = redheffer.build_coefficients(lifting.derive(ds))
+    a, c, e = redheffer.closed_loop_realization(rc, schur.zero(rc.kq_dim, rc.w_dim))
+    # the central solution C (I - lam A)^-1 E with no listed coefficient
+    empty = np.zeros((0, c.shape[0], e.shape[1]), complex)
+    doc = serialize.lifting_solution_to_json(SolutionRealization(ds.a, empty, a, e, c), {})
+    if case.startswith("gamma_ragged"):
+        doc["gamma"] = [serialize.matrix_to_json(m) for m in (c @ e, (c @ e)[:-1])]
+    if not case.endswith("with_tail"):
+        del doc["tail"]
+    return serialize.instance_to_json(ds), doc
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_coefficient_list_readers(tmp_path, capsys, case):
+    inst, doc = _reader_documents(case)
+    paths = [str(tmp_path / "inst.json"), str(tmp_path / "sol.json")]
+    serialize.dump_json(paths[0], inst)
+    serialize.dump_json(paths[1], doc)
+    code = cli.main(["verify", *paths])
+    out, err = capsys.readouterr()
+    assert code == READER_CASES[case], err
+    if code:
+        assert err.startswith("error: ")
+        with pytest.raises(ParseError):
+            if case == "h_empty":
+                serialize.nehari_solution_from_json(doc, 1, 1)
+            else:
+                serialize.lifting_solution_from_json(doc)
+    else:
+        assert json.loads(out)["certificate"] == "certified"
+        sol = serialize.lifting_solution_from_json(doc)
+        assert sol.gamma_coeffs.shape == (0, sol.c.shape[0], sol.a_part.shape[1])
 
 
 @pytest.mark.parametrize("tail", [[], "abc", {"a": {}, "b": {}}], ids=["list", "string", "short"])
 def test_malformed_tail_raises(tail):
     doc = serialize.lifting_solution_to_json(
-        SolutionTaylor(a_part=np.array([[0.2]]), gamma_coeffs=(np.array([[0.1]]),)), {}
+        SolutionTaylor(a_part=np.array([[0.2]]), gamma_coeffs=np.array([[[0.1]]])), {}
     )
     doc["tail"] = tail
     with pytest.raises(ParseError):

@@ -306,8 +306,9 @@ def _references(tree: ast.Module, attributes_only: bool = False) -> set[str]:
 
 
 def _definitions(tree: ast.Module) -> list[str]:
-    """Module-level functions and classes, and `Class.method` for each
-    method or property of a module-level class; dunders are exempt."""
+    """Module-level functions and classes, and `Class.member` for each
+    method, property or annotated field of a module-level class; dunders
+    are exempt."""
     found = []
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -319,12 +320,17 @@ def _definitions(tree: ast.Module) -> list[str]:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not (item.name.startswith("__") and item.name.endswith("__"))
             ]
+            found += [
+                f"{stmt.name}.{item.target.id}"
+                for item in stmt.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
     return found
 
 
 def _dead(trees: list[ast.Module], definitions: list[str]) -> list[str]:
-    """The definitions that no tree references: a method counts as
-    referenced only through an attribute of its name."""
+    """The definitions that no tree references: a method or a field counts
+    as referenced only through an attribute of its name."""
     names = set().union(*(_references(t) for t in trees))
     attributes = set().union(*(_references(t, attributes_only=True) for t in trees))
     return [d for d in definitions if d.rpartition(".")[2] not in (attributes if "." in d else names)]
@@ -361,6 +367,20 @@ def test_dead_method_is_detected():
         "_hidden = K().live\n"
     )
     assert _dead([tree], _definitions(tree)) == ["K.dead", "K._hidden"]
+
+
+def test_dead_field_is_detected():
+    # a field is read as an attribute; a keyword argument, a local name or
+    # a dict key that shares its name does not keep it alive
+    tree = ast.parse(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\nclass R:\n"
+        "    value: float\n    tol: float\n    checks: dict\n    limit = 1.0\n\n"
+        "checks = {'tol': 1.0}\n"
+        "r = R(value=1.0, tol=checks['tol'], checks=checks)\n"
+        "print(r.value)\n"
+    )
+    assert _dead([tree], _definitions(tree)) == ["R.tol", "R.checks"]
 
 
 def test_test_only_definition_is_detected(tmp_path):

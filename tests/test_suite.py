@@ -91,7 +91,7 @@ def test_ac06_fails_on_forged_solutions(monkeypatch):
 
     def forged(rc, v):
         sol = honest(rc, v)
-        return dataclasses.replace(sol, gamma_coeffs=(1.5 * sol.gamma_coeffs[0],))
+        return dataclasses.replace(sol, gamma_coeffs=1.5 * sol.gamma_coeffs[:1])
 
     monkeypatch.setattr(redheffer, "solution_realization", forged)
     result = suite.ac06_contractive_interpolants(CFG)
