@@ -30,8 +30,7 @@ it; a row whose two ends straddle its threshold reads `passed: false`
 under an "uncertified" certificate.  An uncertified realization, and one
 whose state matrix is not certified stable, is also expanded to `--degree`
 coefficients and checked as a coefficient file, whose rows are reported
-when it refutes or when there is no exact check; coefficients that
-overflow floating point end `verify` with an error, exit code 1.
+when it refutes or when there is no exact check.
 
 A coefficient file (a lifting solution without `tail`, or any Nehari
 solution) is checked truncated at the smaller of `--degree` and the
@@ -41,7 +40,9 @@ its threshold (`1 + tol` for the norm rows `stacked_norm` and
 `combined_operator_norm`) refutes the solution, and rows within it give
 "uncertified", never "certified".  No value read from the solution file
 enters a threshold, and a `tail_bound` key that older solution files
-carry is ignored.
+carry is ignored.  Coefficients that overflow floating point, in a
+lifting realization's expansion or in a coefficient file of either
+problem, end `verify` with an error, exit code 1, and no report.
 
 The `nehari` report truncates nothing, so it does not depend on
 `--degree`, which it accepts and ignores, and it takes no `--tol`;
@@ -193,9 +194,7 @@ def cmd_solve(args) -> int:
         rc = nehari.coefficients(obj)
         sol = nehari.solve_h(rc, _load_parameter(args, rc.kq_dim, rc.w_dim), deg)
     else:
-        dd = lifting.derive(obj)
-        dd.require_strict()
-        rc = redheffer.build_coefficients(dd)
+        rc = redheffer.build_coefficients(lifting.derive(obj))
         sol = redheffer.solution_realization(rc, _load_parameter(args, rc.kq_dim, rc.w_dim))
     rows, status = _solution_rows(obj, sol, deg, args.tol)
     ok = status != "refuted"

@@ -7,7 +7,7 @@ constant is the system with state dimension 0.  Its Taylor coefficients
 [D, CB, CAB, CA^2 B, ...] come from `markov`, the one expansion loop of
 the package; no power-series arithmetic is done on them, since products
 and inverses of transfer functions are formed as state-space feedback
-(`redheffer.closed_loop_realization`).  A sequence of k coefficients
+(`redheffer.solution_realization`).  A sequence of k coefficients
 mapping C^q to C^p is one complex (k, p, q) array, as `markov` returns
 it, wherever the package holds one.  Multiplication operators become
 block lower-triangular Toeplitz matrices on coefficient space.
@@ -21,7 +21,10 @@ A lifting solution comes either as leading Taylor coefficients
 (`SolutionTaylor`), which `verify_interpolant` checks truncated, or with
 a state-space tail (`SolutionRealization`), which `certify_interpolant`
 checks whole through one Stein Gramian and `coefficient_gap` compares
-with another exactly.
+with another exactly.  Both checks read the defect coordinates of the
+dilation of T' from the data set (`lifting.LiftingDataSet.t_prime_defect`)
+and form the rows of the dilation residual (U' b) R - b Q in one helper,
+`_dilation_residual`.
 """
 
 from __future__ import annotations
@@ -33,14 +36,7 @@ import numpy as np
 
 from . import lifting
 from .errors import DimensionMismatch, NotFinite
-from .linalg import (
-    adj,
-    eye,
-    observability_gramian,
-    operator_norm,
-    psd_sqrt_and_range,
-    zeros,
-)
+from .linalg import adj, observability_gramian, operator_norm, zeros
 
 
 def _all_finite(*ms: np.ndarray) -> bool:
@@ -214,10 +210,25 @@ class InterpolantReport:
         return self.status != "refuted"
 
 
-def _defect_coords(ds: lifting.LiftingDataSet) -> np.ndarray:
-    """E_T* D_T': H' into the defect coordinates of the dilation of T'."""
-    d_t, e_t = psd_sqrt_and_range(eye(ds.dim_h_prime) - adj(ds.t_prime) @ ds.t_prime)
-    return adj(e_t) @ d_t
+def _dilation_residual(
+    ds: lifting.LiftingDataSet, a_part: np.ndarray, gammas: np.ndarray
+) -> np.ndarray:
+    """The rows of (U' b) R - b Q for b = [a_part; gammas] with gammas the
+    (k, dt, h) array Gamma_0..Gamma_(k-1): T' a_part R - a_part Q on H',
+    (E_T* D_T' a_part) R - Gamma_0 Q in slot 0 and Gamma_(i-1) R - Gamma_i Q
+    in slots i = 1..k-1.  U' moves slot i of b to slot i+1, so the row of
+    Gamma_(k-1) R falls off the end: `verify_interpolant` drops it with the
+    truncation, and `_exact_report` sums it with the tail.
+    """
+    d_t, e_t = ds.t_prime_defect
+    if gammas.shape[1] != e_t.shape[1]:
+        raise DimensionMismatch("defect dimension of the solution disagrees with the data set")
+    r, q = ds.r, ds.q
+    shifted = np.concatenate([(adj(e_t) @ d_t @ a_part)[None], gammas[:-1]])
+    return np.vstack([
+        ds.t_prime @ a_part @ r - a_part @ q,
+        observability_matrix(shifted @ r - gammas @ q),
+    ])
 
 
 def verify_interpolant(
@@ -252,24 +263,14 @@ def verify_interpolant(
         )
     if sol.a_part.shape != ds.a.shape:
         raise DimensionMismatch("a_part shape disagrees with the data set")
-    b = np.vstack([sol.a_part, observability_matrix(sol.gamma_coeffs[: deg + 1])])
-    h = ds.dim_h_prime
-    defect = _defect_coords(ds)
-    dt = defect.shape[0]
-    n = h + dt * (deg + 1)
-    if n != b.shape[0]:
-        raise DimensionMismatch(
-            "defect dimension of the solution disagrees with the data set"
-        )
-    top = b[:h]
+    gammas = sol.gamma_coeffs[: deg + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        u_prime_b = np.vstack([ds.t_prime @ top, defect @ top, b[h:n - dt]])
-        residual = u_prime_b @ ds.r - b @ ds.q
+        residual = _dilation_residual(ds, sol.a_part, gammas)
     if not _all_finite(residual):
         raise NotFinite(f"the solution truncated at degree {deg} overflows floating point")
     res_a = operator_norm(sol.a_part - ds.a)
     res_int = operator_norm(residual)
-    sigma = operator_norm(b)
+    sigma = operator_norm(np.vstack([sol.a_part, observability_matrix(gammas)]))
     passed = res_a <= tol and res_int <= tol and sigma <= 1.0 + tol
     return InterpolantReport(
         projection_residual=res_a,
@@ -323,12 +324,7 @@ def certify_interpolant(
     """
     if sol.a_part.shape != ds.a.shape:
         raise DimensionMismatch("a_part shape disagrees with the data set")
-    defect = _defect_coords(ds)
-    if sol.c.shape[0] != defect.shape[0]:
-        raise DimensionMismatch(
-            "defect dimension of the solution disagrees with the data set"
-        )
-    exact = _exact_report(ds, sol, defect, tol)
+    exact = _exact_report(ds, sol, tol)
     if exact is not None and exact.status != "uncertified":
         return exact
     truncated = verify_interpolant(ds, sol.taylor(deg), deg, tol=tol)
@@ -338,22 +334,16 @@ def certify_interpolant(
 def _exact_report(
     ds: lifting.LiftingDataSet,
     sol: SolutionRealization,
-    defect: np.ndarray,
     tol: float,
 ) -> InterpolantReport | None:
     """The exact verdict of `certify_interpolant`, or None without one."""
     gram = observability_gramian(sol.a, sol.c)
     if gram is None:
         return None
-    r, q = ds.r, ds.q
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
         gammas = np.concatenate([sol.gamma_coeffs, (sol.c @ sol.b)[None]])
-        shifted = np.concatenate([(defect @ sol.a_part)[None], sol.gamma_coeffs])
-        rows = np.vstack([
-            ds.t_prime @ sol.a_part @ r - sol.a_part @ q,
-            observability_matrix(shifted @ r - gammas @ q),
-        ])
-        y = sol.b @ r - sol.a @ (sol.b @ q)
+        rows = _dilation_residual(ds, sol.a_part, gammas)
+        y = sol.b @ ds.r - sol.a @ (sol.b @ ds.q)
         head = np.vstack([sol.a_part, observability_matrix(sol.gamma_coeffs)])
         ypy, int_err = gram.form(y, y)
         bpb, sigma_err = gram.form(sol.b, sol.b)

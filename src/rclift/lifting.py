@@ -16,25 +16,30 @@ omega (D_A Q h) = [D_T' A R h; D_A R h].  Each subspace (D_T', D0, F,
 Ker Q*, Ker R*) is carried as its embedding E, the array of a canonical
 orthonormal basis (`linalg._canonical_basis`): E* gives coordinates and
 E E* the projector, so the block formulas for X1..X5 stay literal matrix
-identities.
+identities.  Every defect root is the rank-cut root of `linalg`'s one
+PSD spectral core.  The defect of T' and its coordinates (D_T', E_T) belong to the
+data set alone, so they are formed once per data set
+(`LiftingDataSet.t_prime_defect`), and `derive` and both interpolant
+checks read them there.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotStrict
+from .errors import DimensionMismatch, NegativeEigenvalue, NotStrict
 from .linalg import (
     adj,
     cmatrix,
     eye,
-    hermitian_eig,
     kernel_embedding,
     min_eig_hermitian,
     min_singular_value,
     operator_norm,
+    psd_sqrt_and_inverses,
     psd_sqrt_and_range,
     range_and_pinv,
     solve_hpd,
@@ -83,6 +88,14 @@ class LiftingDataSet:
     @property
     def dim_h0(self) -> int:
         return self.r.shape[1]
+
+    @functools.cached_property
+    def t_prime_defect(self) -> tuple[np.ndarray, np.ndarray]:
+        """(D_T', E_T): the defect root of T' and the embedding of its
+        range, the defect space of the minimal isometric dilation of T'.
+        Formed once per data set; `derive` and both interpolant checks
+        read it."""
+        return psd_sqrt_and_range(eye(self.dim_h_prime) - adj(self.t_prime) @ self.t_prime)
 
 
 @dataclass(frozen=True)
@@ -179,14 +192,13 @@ class DerivedData:
 
 def derive(ds: LiftingDataSet) -> DerivedData:
     """Compute defect operators, subspace coordinates, and omega."""
-    h = ds.dim_h
-    d_a_sq = eye(h) - adj(ds.a) @ ds.a
-    w, v = hermitian_eig(d_a_sq)
-    w = np.clip(w, 0.0, None)
-    d_a = (v * np.sqrt(w)) @ adj(v)
-    d_a = 0.5 * (d_a + adj(d_a))
-
-    d_t, e_t = psd_sqrt_and_range(eye(ds.dim_h_prime) - adj(ds.t_prime) @ ds.t_prime)
+    # the gate ||A|| <= 1 - STRICT_DELTA keeps every eigenvalue of I - A*A
+    # above 1.9e-6, far over the rank cut, so strict instances get inverses
+    try:
+        d_a, d_a_inv, d_a_sq_inv = psd_sqrt_and_inverses(eye(ds.dim_h) - adj(ds.a) @ ds.a)
+    except NegativeEigenvalue as exc:
+        raise NotStrict(f"A is not a contraction: I - A*A has {exc}") from exc
+    d_t, e_t = ds.t_prime_defect
     d_circ, e_circ = psd_sqrt_and_range(adj(ds.q) @ ds.q - adj(ds.r) @ ds.r)
 
     f_emb, pinv_daq = range_and_pinv(d_a @ ds.q)
@@ -201,15 +213,8 @@ def derive(ds: LiftingDataSet) -> DerivedData:
     omega = np.vstack([dtar, d_a @ ds.r]) @ (pinv_daq @ f_emb)
 
     strict = strictness(ds).strict_ok
-    if strict:
-        w_safe = np.where(w > 0, w, 1.0)
-        d_a_inv = (v / np.sqrt(w_safe)) @ adj(v)
-        d_a_inv = 0.5 * (d_a_inv + adj(d_a_inv))
-        d_a_sq_inv = (v / w_safe) @ adj(v)
-        d_a_sq_inv = 0.5 * (d_a_sq_inv + adj(d_a_sq_inv))
-    else:
-        d_a_inv = None
-        d_a_sq_inv = None
+    if not strict:
+        d_a_inv = d_a_sq_inv = None
 
     return DerivedData(
         ds=ds,

@@ -3,9 +3,11 @@
 Everything in the package runs through this module: products and adjoints
 are plain numpy, while the structured operations here (PSD square roots,
 canonical subspace bases, HPD solves, Stein Gramians) carry the tolerance
-policy.  All matrices are complex128 throughout; real data is treated as a
-special case of complex.  Zero-dimensional matrices (0 x n, n x 0) are
-legal and behave as empty linear maps.
+policy.  Every PSD root comes from one spectral core, `_psd_root`, and no
+other module takes an eigenvector decomposition.  All matrices are
+complex128 throughout; real data is treated as a special case of complex.
+Zero-dimensional matrices (0 x n, n x 0) are legal and behave as empty
+linear maps.
 
 A subspace of C^n is carried as a plain n x r array E with orthonormal
 columns, its embedding: E* x gives the coordinates of x, E c embeds them
@@ -111,12 +113,16 @@ def _require_hermitian(m: np.ndarray, message: str) -> None:
         raise NotHermitian(message)
 
 
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + adj(m))
+
+
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m*) / 2 of a square matrix that passes the Hermiticity gate."""
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
     _require_hermitian(m, f"anti-Hermitian part exceeds {RANK_RTOL:g} * ||m||")
-    return 0.5 * (m + adj(m))
+    return _hermitian(m)
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,21 +134,40 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_hermitian_part(m))
 
 
-def psd_sqrt(m) -> np.ndarray:
-    """Positive square root of a Hermitian PSD matrix.
+def _psd_root(m, rank_cut: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one PSD spectral core: (root, w, v) of a Hermitian PSD matrix,
+    with m = v diag(w) v* up to the noise policy and root = v diag(w)^(1/2) v*.
 
-    Eigenvalues in [-RANK_RTOL*||m||, 0) are treated as rounding noise and
-    clamped to zero; anything below that raises NegativeEigenvalue.
+    With s = max(||m||, 1), an eigenvalue below -RANK_RTOL * s raises
+    NegativeEigenvalue, and the other negative ones are rounding and become
+    0.  The root of a defect (`rank_cut`: `psd_sqrt_and_range`,
+    `psd_sqrt_and_inverses`) also zeroes every eigenvalue at or below
+    +RANK_RTOL * s, since a zero defect contaminated by 1e-15 rounding would
+    grow 1e-8 roots that pass any relative cutoff after the square root.
+    `psd_sqrt` has no cut: the root of an ill-conditioned weight such as
+    Delta_Omega^-1 keeps its genuine small eigenvalues.
     """
     w, v = hermitian_eig(m)
-    if w.size == 0:
-        return np.asarray(m, dtype=complex).copy()
-    scale = float(np.max(np.abs(w)))
-    if np.any(w < -RANK_RTOL * max(scale, 1.0)):
-        raise NegativeEigenvalue(f"min eigenvalue {w.min():.3e} below clamp threshold")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ adj(v)
-    return 0.5 * (root + adj(root))
+    if w.size:
+        scale = max(float(np.max(np.abs(w))), 1.0)
+        if float(w[0]) < -RANK_RTOL * scale:
+            raise NegativeEigenvalue(f"min eigenvalue {w[0]:.3e} below clamp threshold")
+        w = np.where(w > RANK_RTOL * scale, w, 0.0) if rank_cut else np.clip(w, 0.0, None)
+    return _hermitian((v * np.sqrt(w)) @ adj(v)), w, v
+
+
+def psd_sqrt(m) -> np.ndarray:
+    """Positive square root of a Hermitian PSD matrix (no rank cut)."""
+    return _psd_root(m, rank_cut=False)[0]
+
+
+def psd_sqrt_and_inverses(m) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """m^(1/2), m^(-1/2) and m^-1 of a PSD defect, rank-cut; the inverses
+    are None unless every eigenvalue clears the cut."""
+    root, w, v = _psd_root(m, rank_cut=True)
+    if not np.all(w > 0.0):
+        return root, None, None
+    return root, _hermitian((v / np.sqrt(w)) @ adj(v)), _hermitian((v / w) @ adj(v))
 
 
 # The LAPACK routines of `scipy.linalg.cho_factor`/`cho_solve`, called
@@ -168,7 +193,7 @@ def solve_hpd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     _require_hermitian(m, "solve_hpd requires a Hermitian matrix")
     if m.shape[0] == 0:
         return b.copy()
-    h = 0.5 * (m + adj(m))
+    h = _hermitian(m)
     if not (np.isfinite(h).all() and np.isfinite(b).all()):
         raise ValueError("solve_hpd needs finite entries, got NaN or Inf")
     potrf, potrs = _CHOLESKY_ROUTINES
@@ -227,25 +252,10 @@ def _canonical_basis(u: np.ndarray) -> np.ndarray:
 
 
 def psd_sqrt_and_range(m) -> tuple[np.ndarray, np.ndarray]:
-    """PSD square root with noise-rank control, plus a basis of its range.
-
-    Rank decisions happen on the eigenvalues of m itself (relative to
-    max(||m||, 1)), not on their square roots: a zero defect contaminated
-    by 1e-15 rounding would otherwise grow 1e-8 singular values that pass
-    any relative cutoff after the square root.  Sub-threshold eigenvalues
-    are zeroed in the root, so its range equals the embedded subspace,
-    whose basis comes from the kept eigenvectors.
-    """
-    w, v = hermitian_eig(m)
-    if w.size == 0:
-        return np.asarray(m, dtype=complex).copy(), zeros(0, 0)
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    if float(w[0]) < -RANK_RTOL * scale:
-        raise NegativeEigenvalue(f"min eigenvalue {w[0]:.3e} below clamp threshold")
-    keep = w > RANK_RTOL * scale
-    root = (v * np.where(keep, np.sqrt(np.clip(w, 0.0, None)), 0.0)) @ adj(v)
-    root = 0.5 * (root + adj(root))
-    return root, _canonical_basis(v[:, keep])
+    """Rank-cut PSD square root of a defect (`_psd_root`) plus a basis of
+    its range: the span of the eigenvectors whose eigenvalues clear the cut."""
+    root, w, v = _psd_root(m, rank_cut=True)
+    return root, _canonical_basis(v[:, w > 0.0])
 
 
 def range_and_pinv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

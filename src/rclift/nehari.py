@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schur
-from .errors import CornerNotPD, DimensionMismatch, HankelNotStrict, NotPositiveDefinite
+from .errors import CornerNotPD, DimensionMismatch, HankelNotStrict, NotFinite, NotPositiveDefinite
 from .lifting import LiftingDataSet
 from .redheffer import IsometryCertificate, Realization, isometry_certificate, solution_taylor
 from .linalg import (
@@ -240,7 +240,8 @@ def assemble_l(p: NehariProblem, h: np.ndarray) -> float:
     Block (i, j) is the term of index i - j + 1 of the sequence
     F_-K, ..., F_-1, H_0, ..., H_deg (zero before F_-K), gathered in one
     indexing pass; the norm is the root of the top eigenvalue of the
-    N*u x N*u Gram of the block-Toeplitz matrix.
+    N*u x N*u Gram of the block-Toeplitz matrix.  A Gram that overflows
+    floating point raises NotFinite.
     """
     if h.shape[1:] != (p.y_dim, p.u_dim):
         raise DimensionMismatch("solution coefficients have wrong port dims")
@@ -257,7 +258,11 @@ def assemble_l(p: NehariProblem, h: np.ndarray) -> float:
     out = seq[idx].transpose(0, 2, 1, 3).reshape(rows * y, n_w * u)
     if out.size == 0:
         return 0.0
-    top = np.linalg.eigvalsh(adj(out) @ out)[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        gram_out = adj(out) @ out
+    if not np.all(np.isfinite(gram_out)):
+        raise NotFinite("the combined operator of the coefficients overflows floating point")
+    top = np.linalg.eigvalsh(gram_out)[-1]
     return float(np.sqrt(max(top, 0.0)))
 
 

@@ -207,6 +207,14 @@ def phi_taylor(
     return p11, mk[:, :kq, w:], p21, mk[:, kq:, w:]
 
 
+def _check_parameter(rc: Realization, v: schur.SchurParameter) -> None:
+    if v.in_dim != rc.kq_dim or v.out_dim != rc.w_dim:
+        raise DimensionMismatch(
+            f"parameter dims {v.out_dim}x{v.in_dim}, "
+            f"expected {rc.w_dim}x{rc.kq_dim}"
+        )
+
+
 def z_from_v(
     rc: RedhefferCoefficients, v: schur.SchurParameter, lam
 ) -> np.ndarray:
@@ -219,30 +227,23 @@ def z_from_v(
     basis equals omega for every parameter and every disc point, because
     X3 vanishes on F and [X4; X1] is omega E_F*.
     """
-    if v.in_dim != rc.kq_dim or v.out_dim != rc.w_dim:
-        raise DimensionMismatch(
-            f"parameter dims {v.out_dim}x{v.in_dim}, "
-            f"expected {rc.w_dim}x{rc.kq_dim}"
-        )
+    _check_parameter(rc, v)
     gain = np.vstack([rc.x5, rc.x2])
     return np.vstack([rc.x4, rc.x1]) + gain @ schur.eval(v, lam) @ rc.x3
 
 
-def closed_loop_realization(
-    rc: Realization, v: schur.SchurParameter
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Realization (A_cl, C_cl, E_cl) of the solved feedback loop.
+def solution_realization(rc: Realization, v: schur.SchurParameter) -> SolutionRealization:
+    """The solution attached to a Schur parameter, in state-space form.
 
-    The solution function equals C_cl (I - lam A_cl)^-1 E_cl: the loop
-    state stacks the coefficient state on top of the parameter state, and
-    the input enters the coefficient state through E, so Taylor
-    coefficients come out as C_cl @ A_cl^k @ E_cl.
+    The base block is the realization's `base`; the Hardy-space block is
+    the transfer function C_cl (I - lam A_cl)^-1 E_cl of the solved
+    feedback loop, whose state stacks the coefficient state on top of the
+    parameter state, with the input entering the coefficient state through
+    E.  It is written Gamma_0 + lam C (I - lam A)^-1 B with
+    Gamma_0 = C_cl E_cl, A = A_cl, B = A_cl E_cl and C = C_cl: the
+    quadruple {A, B, C, D = Gamma_0} of a transfer function.
     """
-    if v.in_dim != rc.kq_dim or v.out_dim != rc.w_dim:
-        raise DimensionMismatch(
-            f"parameter dims {v.out_dim}x{v.in_dim}, "
-            f"expected {rc.w_dim}x{rc.kq_dim}"
-        )
+    _check_parameter(rc, v)
     a_cl = np.block(
         [
             [rc.x1 + rc.x2 @ v.d @ rc.x3, rc.x2 @ v.c],
@@ -251,18 +252,6 @@ def closed_loop_realization(
     )
     c_cl = np.hstack([rc.x4 + rc.x5 @ v.d @ rc.x3, rc.x5 @ v.c])
     e_cl = np.vstack([rc.e, zeros(v.state_dim, rc.e.shape[1])])
-    return a_cl, c_cl, e_cl
-
-
-def solution_realization(rc: Realization, v: schur.SchurParameter) -> SolutionRealization:
-    """The solution attached to a Schur parameter, in state-space form.
-
-    The base block is the realization's `base`; the Hardy-space block
-    C_cl (I - lam A_cl)^-1 E_cl is written Gamma_0 + lam C (I - lam A)^-1 B
-    with Gamma_0 = C_cl E_cl, A = A_cl, B = A_cl E_cl and C = C_cl: the
-    quadruple {A, B, C, D = Gamma_0} of a transfer function.
-    """
-    a_cl, c_cl, e_cl = closed_loop_realization(rc, v)
     return SolutionRealization(
         a_part=rc.base, gamma_coeffs=(c_cl @ e_cl)[None], a=a_cl, b=a_cl @ e_cl, c=c_cl
     )

@@ -1,7 +1,7 @@
 """Truncated power-series arithmetic, the tests' oracle for state-space
 feedback: transfer functions expanded to Taylor coefficients and composed
 coefficient by coefficient, independently of
-`redheffer.closed_loop_realization`."""
+`redheffer.solution_realization`."""
 
 import numpy as np
 

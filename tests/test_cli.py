@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,32 @@ def test_solve_non_strict_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(path), "--central")
     assert code == 3
     assert "hypothesis" in err
+
+
+def test_solve_expansive_lifting_exits_3(tmp_path, capsys):
+    # ||A|| = 1.2: I - A*A is no defect square, which is a violated hypothesis
+    one = serialize.matrix_to_json(np.eye(1))
+    inst = {"kind": "lifting", "a": serialize.matrix_to_json(np.array([[1.2]])),
+            "t_prime": one, "r": one, "q": one}
+    path = tmp_path / "expansive.json"
+    serialize.dump_json(str(path), inst)
+    code, out, err = run(capsys, "solve", str(path), "--central")
+    assert code == 3
+    assert out == ""
+    assert "hypothesis violation" in err
+
+
+def test_verify_overflowing_nehari_coefficients_is_an_error(scalar_problem, tmp_path, capsys):
+    # the Gram of the combined operator overflows: no value can be reported
+    sol = tmp_path / "huge.json"
+    serialize.dump_json(str(sol), {"H": [[[1e160, 0.0]]]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", scalar_problem, str(sol))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "overflow" in err
+    assert caught == []
 
 
 def test_gen_then_validate_all_kinds(tmp_path, capsys):

@@ -46,9 +46,17 @@ def test_psd_sqrt_rejects_negative():
 
 
 def test_psd_sqrt_clamps_rounding():
-    m = np.diag([1.0, -1e-12])
-    s = linalg.psd_sqrt(m)
-    assert linalg.operator_norm(s - np.diag([1.0, 0.0])) < 1e-5
+    # negative rounding is clamped to 0; a small positive eigenvalue may be
+    # genuine (the root of an ill-conditioned weight), so psd_sqrt keeps it,
+    # while the defect roots cut it to exactly 0
+    s = linalg.psd_sqrt(np.diag([1.0, -1e-12]))
+    assert linalg.operator_norm(s - np.diag([1.0, 0.0])) < 1e-15
+    s = linalg.psd_sqrt(np.diag([1.0, 1e-12]))
+    assert linalg.operator_norm(s - np.diag([1.0, 1e-6])) < 1e-15
+    for noise in (-1e-12, 1e-12):
+        root, basis = linalg.psd_sqrt_and_range(np.diag([1.0, noise]))
+        assert linalg.operator_norm(root - np.diag([1.0, 0.0])) < 1e-15
+        assert basis.shape == (2, 1)
 
 
 def test_operator_norm_cases():

@@ -42,6 +42,25 @@ def test_build_requires_strict():
         redheffer.build_coefficients(dd)
 
 
+def test_ill_conditioned_weight_keeps_its_small_roots():
+    # sigma_min(R) = 2e-6 clears the strictness gate, so Delta_Omega^-1 =
+    # diag(4e-12, 1) up to rounding: its small eigenvalue is genuine, and
+    # the root Delta_Omega^-1/2 must keep it, or X2 loses its first column
+    ds = lifting.LiftingDataSet(
+        a=np.zeros((1, 2)),
+        t_prime=np.zeros((1, 1)),
+        r=np.array([[2e-6], [0.0]]),
+        q=np.array([[0.0], [1.0]]),
+    )
+    rc = redheffer.build_coefficients(lifting.derive(ds))
+    expected = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    assert operator_norm(rc.x2 - expected) < 1e-10
+    assert abs(redheffer.kyp_norm(rc) - 1.0) < 1e-12
+    gram = redheffer.y_gram_check(rc)
+    assert gram.residual < 1e-12
+    assert gram.sigma_min_y_star > 0.5
+
+
 def test_classical_x1_is_weighted_left_inverse():
     ds = generators.generate_random("classical-like", (3, 4), 0.7, 1)
     dd = lifting.derive(ds)

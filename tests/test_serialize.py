@@ -142,7 +142,8 @@ def _reader_documents(case):
         return serialize.instance_to_json(p), {"kind": "nehari_solution", "H": []}
     ds = generators.generate_random("generic", (5, 4, 3), 0.8, 1)
     rc = redheffer.build_coefficients(lifting.derive(ds))
-    a, c, e = redheffer.closed_loop_realization(rc, schur.zero(rc.kq_dim, rc.w_dim))
+    central = redheffer.solution_realization(rc, schur.zero(rc.kq_dim, rc.w_dim))
+    a, c, e = central.a, central.c, rc.e  # the parameter has no state, so E_cl = E
     # the central solution C (I - lam A)^-1 E with no listed coefficient
     empty = np.zeros((0, c.shape[0], e.shape[1]), complex)
     doc = serialize.lifting_solution_to_json(SolutionRealization(ds.a, empty, a, e, c), {})

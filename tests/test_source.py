@@ -116,25 +116,25 @@ def test_unused_parameter_is_detected():
     assert sorted(_unused_parameters(tree)) == ["<lambda>:z", "f:args", "f:b", "f:d"]
 
 
-NONSYMMETRIC_EIGENSOLVERS = ("eig", "eigvals")
-
-
-def _nonsymmetric_eigen_calls(tree: ast.Module) -> list[str]:
-    """`name:line` for each call of a function named `eig` or `eigvals`
-    (NumPy's or SciPy's nonsymmetric eigensolvers): the package certifies
-    stability from a Stein Gramian, never from computed eigenvalues."""
+def _calls_named(tree: ast.Module, names: tuple[str, ...]) -> list[str]:
+    """`name:line` for each call of a function, or method, named in `names`."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            if name in NONSYMMETRIC_EIGENSOLVERS:
+            if name in names:
                 found.append(f"{name}:{node.lineno}")
     return found
 
 
+# NumPy's and SciPy's nonsymmetric eigensolvers: the package certifies
+# stability from a Stein Gramian, never from computed eigenvalues.
+NONSYMMETRIC_EIGENSOLVERS = ("eig", "eigvals")
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_nonsymmetric_eigensolver(path):
-    assert _nonsymmetric_eigen_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+    assert _calls_named(ast.parse(path.read_text(encoding="utf-8")), NONSYMMETRIC_EIGENSOLVERS) == []
 
 
 def test_nonsymmetric_eigensolver_is_detected():
@@ -145,7 +145,31 @@ def test_nonsymmetric_eigensolver_is_detected():
         "w = np.linalg.eigvalsh(a)[-1]\n"
         "v = eig(a)\n"
     )
-    assert sorted(_nonsymmetric_eigen_calls(tree)) == ["eig:6", "eigvals:4"]
+    assert sorted(_calls_named(tree, NONSYMMETRIC_EIGENSOLVERS)) == ["eig:6", "eigvals:4"]
+
+
+# Every eigenvector decomposition happens in `linalg`, which holds the one
+# PSD noise policy and the Hermiticity gate; eigenvalues alone
+# (`eigvalsh`) may be taken anywhere.
+EIGENVECTOR_SOLVERS = ("eigh", "hermitian_eig")
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_eigenvectors_only_in_linalg(path):
+    assert _calls_named(ast.parse(path.read_text(encoding="utf-8")), EIGENVECTOR_SOLVERS) == []
+
+
+def test_eigenvector_decomposition_is_detected():
+    tree = ast.parse(
+        "import numpy as np\nimport scipy.linalg\nfrom .linalg import hermitian_eig\n"
+        "m = np.eye(2)\n"
+        "w, v = np.linalg.eigh(m)\n"
+        "w, v = scipy.linalg.eigh(m)\n"
+        "w, v = hermitian_eig(m)\n"
+        "lam = np.linalg.eigvalsh(m)\n"
+    )
+    assert sorted(_calls_named(tree, EIGENVECTOR_SOLVERS)) == ["eigh:5", "eigh:6", "hermitian_eig:7"]
 
 
 # Every HPD solve goes through `linalg.solve_hpd`, which keeps the
@@ -153,21 +177,9 @@ def test_nonsymmetric_eigensolver_is_detected():
 SCIPY_CHOLESKY = ("cho_factor", "cho_solve", "cholesky")
 
 
-def _cholesky_wrapper_calls(tree: ast.Module) -> list[str]:
-    """`name:line` for each call of a function named `cho_factor`,
-    `cho_solve` or `cholesky` (SciPy's or NumPy's Cholesky wrappers)."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            if name in SCIPY_CHOLESKY:
-                found.append(f"{name}:{node.lineno}")
-    return found
-
-
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_cholesky_wrapper(path):
-    assert _cholesky_wrapper_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+    assert _calls_named(ast.parse(path.read_text(encoding="utf-8")), SCIPY_CHOLESKY) == []
 
 
 def test_cholesky_wrapper_is_detected():
@@ -179,7 +191,7 @@ def test_cholesky_wrapper_is_detected():
         "c = np.linalg.cholesky(m)\n"
         "potrf, = scipy.linalg.get_lapack_funcs(('potrf',), (m,))\n"
     )
-    assert sorted(_cholesky_wrapper_calls(tree)) == ["cho_factor:5", "cho_solve:6", "cholesky:7"]
+    assert sorted(_calls_named(tree, SCIPY_CHOLESKY)) == ["cho_factor:5", "cho_solve:6", "cholesky:7"]
 
 
 # One JSON codec: `serialize` reads and writes every document through
