@@ -32,10 +32,6 @@ class HankelNotStrict(NotStrict):
     contraction, so the defect Gram cannot be inverted."""
 
 
-class CornerNotPD(RcliftError):
-    """The leading corner of the defect Gram is not positive definite."""
-
-
 class NotClassicalShape(RcliftError):
     """Closed-form classical evaluation requires R = I and an isometric Q."""
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeEigenvalue, NotStrict
+from .errors import DimensionMismatch, NotStrict
 from .linalg import (
     adj,
     cmatrix,
@@ -150,12 +150,10 @@ def validate(ds: LiftingDataSet, tol: float = CONSTRAINT_TOL) -> ValidationRepor
 
 @dataclass(frozen=True)
 class DerivedData:
-    """Defect operators and subspace embeddings attached to a data set.
+    """Defect operators and subspace embeddings attached to a strict data set.
 
     Each `*_embedding` field and `ker_q_star`, `ker_r_star` is an n x r
-    array with orthonormal columns spanning its subspace.  The inverse
-    blocks are only populated for strict instances; elsewhere they stay
-    None and the strict pipeline refuses to run.
+    array with orthonormal columns spanning its subspace.
     """
 
     ds: LiftingDataSet
@@ -169,9 +167,8 @@ class DerivedData:
     ker_r_star: np.ndarray
     j: np.ndarray
     omega: np.ndarray
-    strict: bool
-    d_a_inv: np.ndarray | None
-    d_a_sq_inv: np.ndarray | None
+    d_a_inv: np.ndarray
+    d_a_sq_inv: np.ndarray
 
     @property
     def dim_d_circ(self) -> int:
@@ -181,23 +178,22 @@ class DerivedData:
     def dim_dt(self) -> int:
         return self.dt_embedding.shape[1]
 
-    def require_strict(self) -> None:
-        if not self.strict:
-            raise NotStrict(
-                "operation needs ||A|| < 1 and a left-invertible R "
-                f"(norm_a={operator_norm(self.ds.a):.6f}, "
-                f"sigma_min_r={min_singular_value(self.ds.r):.3e})"
-            )
-
 
 def derive(ds: LiftingDataSet) -> DerivedData:
-    """Compute defect operators, subspace coordinates, and omega."""
+    """Compute defect operators, subspace coordinates, and omega.
+
+    NotStrict unless the data keeps the STRICT_DELTA margin (`strictness`),
+    which every later step needs.
+    """
+    strict = strictness(ds)
+    if not strict.strict_ok:
+        raise NotStrict(
+            "operation needs ||A|| < 1 and a left-invertible R "
+            f"(norm_a={strict.norm_a:.6f}, sigma_min_r={strict.sigma_min_r:.3e})"
+        )
     # the gate ||A|| <= 1 - STRICT_DELTA keeps every eigenvalue of I - A*A
-    # above 1.9e-6, far over the rank cut, so strict instances get inverses
-    try:
-        d_a, d_a_inv, d_a_sq_inv = psd_sqrt_and_inverses(eye(ds.dim_h) - adj(ds.a) @ ds.a)
-    except NegativeEigenvalue as exc:
-        raise NotStrict(f"A is not a contraction: I - A*A has {exc}") from exc
+    # above 1.9e-6, far over the rank cut, so the inverses exist
+    d_a, d_a_inv, d_a_sq_inv = psd_sqrt_and_inverses(eye(ds.dim_h) - adj(ds.a) @ ds.a)
     d_t, e_t = ds.t_prime_defect
     d_circ, e_circ = psd_sqrt_and_range(adj(ds.q) @ ds.q - adj(ds.r) @ ds.r)
 
@@ -212,10 +208,6 @@ def derive(ds: LiftingDataSet) -> DerivedData:
     # pseudoinverse of D_A Q, restricted to the F basis.
     omega = np.vstack([dtar, d_a @ ds.r]) @ (pinv_daq @ f_emb)
 
-    strict = strictness(ds).strict_ok
-    if not strict:
-        d_a_inv = d_a_sq_inv = None
-
     return DerivedData(
         ds=ds,
         d_a=d_a,
@@ -228,7 +220,6 @@ def derive(ds: LiftingDataSet) -> DerivedData:
         ker_r_star=ker_r,
         j=j,
         omega=omega,
-        strict=strict,
         d_a_inv=d_a_inv,
         d_a_sq_inv=d_a_sq_inv,
     )
@@ -249,8 +240,7 @@ def omega_isometry_defect(dd: DerivedData) -> float:
 
 
 def left_inverse_dar(dd: DerivedData) -> np.ndarray:
-    """The left inverse (R* D_A^2 R)^-1 R* D_A of D_A R (strict only)."""
-    dd.require_strict()
+    """The left inverse (R* D_A^2 R)^-1 R* D_A of D_A R."""
     ds = dd.ds
     dar = dd.d_a @ ds.r
     return solve_hpd(adj(dar) @ dar, adj(dar))

@@ -161,46 +161,75 @@ def psd_sqrt(m) -> np.ndarray:
     return _psd_root(m, rank_cut=False)[0]
 
 
-def psd_sqrt_and_inverses(m) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """m^(1/2), m^(-1/2) and m^-1 of a PSD defect, rank-cut; the inverses
-    are None unless every eigenvalue clears the cut."""
+def psd_sqrt_and_inverses(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m^(1/2), m^(-1/2) and m^-1 of a positive definite defect, rank-cut;
+    NotPositiveDefinite when an eigenvalue falls to the cut."""
     root, w, v = _psd_root(m, rank_cut=True)
     if not np.all(w > 0.0):
-        return root, None, None
+        raise NotPositiveDefinite("the defect has eigenvalues at or below the rank cut")
     return root, _hermitian((v / np.sqrt(w)) @ adj(v)), _hermitian((v / w) @ adj(v))
 
 
 # The LAPACK routines of `scipy.linalg.cho_factor`/`cho_solve`, called
 # directly: those wrappers' argument checks cost several times the Cholesky
-# factorization and solve of the small matrices passed here.  The calls are
-# the ones the wrappers make (lower factor, no cleaning), so the results are
-# bit-identical; `solve_hpd` keeps the wrappers' finiteness check, which
-# `potrs` alone would not make.
-_CHOLESKY_ROUTINES = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=complex)
+# factorization and solve of the small matrices passed here.  `solve_hpd`
+# makes the wrappers' calls (lower factor; the cleaned upper triangle is
+# never read by `potrs`), so its results are bit-identical, and keeps their
+# finiteness check, which `potrf` alone would not make.  `trtrs` is the
+# triangular solve behind `solve_factor_adjoint`.
+_CHOLESKY_ROUTINES = scipy.linalg.get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=complex)
 
 
-def solve_hpd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve m @ x = b for Hermitian positive definite m via Cholesky.
+def _factor_hpd(m: np.ndarray, lower: bool) -> np.ndarray:
+    """Cholesky factor of a Hermitian positive definite m with the other
+    triangle zeroed: lower L with m = L L*, or upper W with m = W* W.
 
     NotHermitian past the Hermiticity gate, NotPositiveDefinite when the
     factorization meets a leading minor that is not positive definite, and
-    ValueError on a matrix or right-hand side with NaN or Inf entries.
+    ValueError on NaN or Inf entries.
     """
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
-    if m.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"rhs rows {b.shape[0]} != matrix size {m.shape[0]}")
-    _require_hermitian(m, "solve_hpd requires a Hermitian matrix")
-    if m.shape[0] == 0:
-        return b.copy()
+    _require_hermitian(m, "a Cholesky factor needs a Hermitian matrix")
     h = _hermitian(m)
-    if not (np.isfinite(h).all() and np.isfinite(b).all()):
-        raise ValueError("solve_hpd needs finite entries, got NaN or Inf")
-    potrf, potrs = _CHOLESKY_ROUTINES
-    factor, info = potrf(h, lower=True, overwrite_a=True, clean=False)
+    if not np.isfinite(h).all():
+        raise ValueError("a Cholesky factor needs finite entries, got NaN or Inf")
+    if h.shape[0] == 0:
+        return h
+    factor, info = _CHOLESKY_ROUTINES[0](h, lower=lower, overwrite_a=True, clean=True)
     if info > 0:
         raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
-    return potrs(factor, b, lower=True)[0]
+    return factor
+
+
+def solve_hpd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve m @ x = b for Hermitian positive definite m via Cholesky,
+    with the errors of `_factor_hpd` and ValueError on a right-hand side
+    with NaN or Inf entries."""
+    if m.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"rhs rows {b.shape[0]} != matrix size {m.shape[0]}")
+    factor = _factor_hpd(m, lower=True)
+    if not np.isfinite(b).all():
+        raise ValueError("solve_hpd needs finite entries, got NaN or Inf")
+    if m.shape[0] == 0:
+        return b.copy()
+    return _CHOLESKY_ROUTINES[1](factor, b, lower=True)[0]
+
+
+def hpd_factor(m: np.ndarray) -> np.ndarray:
+    """The upper triangular Cholesky factor W of a Hermitian positive
+    definite m, m = W* W, with the errors of `_factor_hpd`."""
+    return _factor_hpd(m, lower=False)
+
+
+def solve_factor_adjoint(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W^-* b for an upper triangular W from `hpd_factor`: one triangular
+    solve with W* over all columns of b."""
+    if w.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"rhs rows {b.shape[0]} != factor size {w.shape[0]}")
+    if w.shape[0] == 0:
+        return b.copy()
+    return _CHOLESKY_ROUTINES[2](w, b, lower=False, trans=2)[0]
 
 
 def inv_hpd(m: np.ndarray) -> np.ndarray:

@@ -13,14 +13,18 @@ with H_0 boxed at index 0 and tap rows at negative indices; matrices are
 serialized bottom-up, so coordinate n corresponds to index -n.
 
 The problem is the specialisation of relaxed commutant lifting to the data
-set `to_lifting_data` builds, so its closed-form coefficient functions are
-the lifting ones: `coefficients` returns a `redheffer.Realization` whose
-input embedding E is e_n (the first window slot) and whose base block is
-the first window column Gamma_- of the Hankel matrix.  Evaluation,
-solutions and the stacked-operator check all run through `redheffer`.
-The closed forms of the two special cases, window size one (`special_n1`)
-and zero taps (`special_f0`), are `redheffer.Realization`s as well, with
-constant X-operators, so their solutions come from the same feedback loop.
+set `to_lifting_data` builds, so its coefficient functions are the lifting
+ones, and `coefficients` builds them with the lifting core,
+`redheffer.storage_coefficients`, in that module's one coordinate
+convention: the state is W x for the upper Cholesky factor W of the defect
+Gram Lambda = W*W (= D_A^2 of the data set).  The returned
+`redheffer.Realization` has the input embedding E = W e_1 (the first
+window slot) and the base block Gamma_-, the first window column of the
+Hankel matrix.  Evaluation, solutions and the stacked-operator check all
+run through `redheffer`.  The closed forms of the two special cases,
+window size one (`special_n1`) and zero taps (`special_f0`), are
+`redheffer.Realization`s as well, with constant X-operators, so their
+solutions come from the same feedback loop.
 """
 
 from __future__ import annotations
@@ -30,18 +34,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schur
-from .errors import CornerNotPD, DimensionMismatch, HankelNotStrict, NotFinite, NotPositiveDefinite
+from .errors import DimensionMismatch, HankelNotStrict, NotFinite
 from .lifting import LiftingDataSet
-from .redheffer import IsometryCertificate, Realization, isometry_certificate, solution_taylor
 from .linalg import (
     adj,
     cmatrix,
     eye,
-    inv_hpd,
+    hpd_factor,
     min_eig_hermitian,
     psd_sqrt,
-    solve_hpd,
+    solve_factor_adjoint,
     zeros,
+)
+from .redheffer import (
+    IsometryCertificate,
+    Realization,
+    isometry_certificate,
+    solution_taylor,
+    storage_coefficients,
 )
 
 GRAM_MIN_EIG = 1e-8
@@ -124,96 +134,52 @@ def gram(p: NehariProblem) -> np.ndarray:
     return 0.5 * (out + adj(out))
 
 
-def lambda_cross(lam: np.ndarray) -> np.ndarray:
-    """Inverse of the defect Gram `lam`; requires a strictly contractive Hankel."""
+def _strict_gram(p: NehariProblem) -> np.ndarray:
+    """The defect Gram `gram(p)`; HankelNotStrict unless its least
+    eigenvalue is at least GRAM_MIN_EIG, so that the Hankel matrix is a
+    strict contraction."""
+    lam = gram(p)
     min_eig = min_eig_hermitian(lam)
     if min_eig < GRAM_MIN_EIG:
         raise HankelNotStrict(
             f"defect Gram min eigenvalue {min_eig:.3e} < {GRAM_MIN_EIG:g}"
         )
-    return inv_hpd(lam)
-
-
-def _block(m: np.ndarray, i: int, j: int, u: int) -> np.ndarray:
-    """1-based u x u block (i, j) of a square block matrix."""
-    return m[(i - 1) * u : i * u, (j - 1) * u : j * u]
-
-
-def solve_g(p: NehariProblem, lam: np.ndarray) -> list[np.ndarray]:
-    """Solve the corner system for [G_1 ... G_{N-1}].
-
-    The (N-1)-corner of the defect Gram `lam` applied to the stacked
-    adjoints must give the stacked tap adjoints; empty for N = 1.  The
-    Cholesky factorisation of the corner is its positive-definiteness
-    gate.  After `lambda_cross` has accepted the Gram it cannot fire:
-    by eigenvalue interlacing the corner's smallest eigenvalue is at
-    least the Gram's, which is at least GRAM_MIN_EIG.
-    """
-    n_w, u = p.n_window, p.u_dim
-    if n_w == 1:
-        return []
-    corner = lam[: (n_w - 1) * u, : (n_w - 1) * u]
-    rhs = np.vstack([adj(p.tap(i)) for i in range(1, n_w)])
-    try:
-        sol = solve_hpd(corner, rhs)
-    except NotPositiveDefinite as exc:
-        raise CornerNotPD("leading Gram corner is not positive definite") from exc
-    return [adj(sol[(i - 1) * u : i * u, :]) for i in range(1, n_w)]
+    return lam
 
 
 @dataclass(frozen=True)
 class NehariCoefficients(Realization):
-    """The closed-form realization with the Gram, its inverse and the
-    corner solution it is built from.
-
-    X1 = T, X2 = -[G*(I+FG*)^(-1/2), C2], X3 = Lambda11^(-1/2) e_n*,
-    X4 = F T, X5 = [(I+FG*)^(-1/2), 0], E = e_n and base Gamma_-: the
-    X-operators of the lifting data set `to_lifting_data`.  F is the tap
-    row [F_-1 .. F_-N], G the row `g_row` padded with a zero block, and C2
-    the last block column of Lambda^x times (Lambda^x_NN)^(-1/2).
-    """
+    """The Nehari realization (`coefficients`), with the defect Gram
+    `lam` it is written from."""
 
     lam: np.ndarray
-    lam_cross: np.ndarray
-    g_row: tuple[np.ndarray, ...]
 
 
 def coefficients(p: NehariProblem) -> NehariCoefficients:
-    """Derive every operator of the closed-form description."""
+    """The realization of the lifting data set `to_lifting_data(p)`:
+    `redheffer.storage_coefficients` with W the upper Cholesky factor of
+    the gated defect Gram Lambda = W*W, E = W e_1 and base Gamma_-.
+
+    The structure of the data set is known in closed form, so nothing but
+    Lambda is factored.  R and Q drop the last and the first window slot,
+    so W R and W Q are column blocks of W.  Ker Q* and Ker R* are the first
+    and the last slot, so W^-* E_Q and W^-* E_R come from one triangular
+    solve.  Q*Q = R*R = I leaves D0 = 0, and T' shifts the tap rows up, so
+    its defect keeps the first tap row and J is the first tap row of A R.
+    """
     n_w, u, y = p.n_window, p.u_dim, p.y_dim
-    lam = gram(p)
-    lam_x = lambda_cross(lam)
-    g_row = solve_g(p, lam)
-
-    lam11 = _block(lam_x, 1, 1, u)
-    lam11_inv = inv_hpd(lam11)
-    lam_nn = _block(lam_x, n_w, n_w, u)
-
-    t_state = zeros(n_w * u, n_w * u)
-    for i in range(1, n_w):
-        t_state[(i - 1) * u : i * u, i * u : (i + 1) * u] = eye(u)
-        t_state[(i - 1) * u : i * u, :u] = -_block(lam_x, i + 1, 1, u) @ lam11_inv
-
-    e_n = np.vstack([eye(u)] + [zeros(u, u)] * (n_w - 1))
-    c2 = np.vstack([_block(lam_x, i, n_w, u) for i in range(1, n_w + 1)]) @ psd_sqrt(
-        inv_hpd(lam_nn)
+    lam = _strict_gram(p)
+    a = hankel(p)
+    w = hpd_factor(lam)
+    slots = zeros(n_w * u, 2 * u)  # [E_Q, E_R]
+    slots[:u, :u] = eye(u)
+    slots[(n_w - 1) * u :, u:] = eye(u)
+    w_slots = solve_factor_adjoint(w, slots)
+    m = (n_w - 1) * u
+    xs, _, _ = storage_coefficients(
+        w[:, :m], w[:, u:], w_slots[:, :u], w_slots[:, u:], a[:y, :m], 0
     )
-    f_row = np.hstack([p.tap(n) for n in range(1, n_w + 1)])
-    g_big = np.hstack(g_row + [zeros(y, u)] * (n_w - len(g_row)))
-    i_fg_neg_half = psd_sqrt(inv_hpd(eye(y) + f_row @ adj(g_big)))
-
-    return NehariCoefficients(
-        x1=t_state,
-        x2=-np.hstack([adj(g_big) @ i_fg_neg_half, c2]),
-        x3=psd_sqrt(lam11_inv) @ adj(e_n),
-        x4=f_row @ t_state,
-        x5=np.hstack([i_fg_neg_half, zeros(y, u)]),
-        e=e_n,
-        base=np.vstack([p.tap(n) for n in range(1, max(p.k_taps, 1) + 1)]),  # Gamma_-
-        lam=lam,
-        lam_cross=lam_x,
-        g_row=tuple(g_row),
-    )
+    return NehariCoefficients(**xs, e=w[:, :u], base=a[:, :u], lam=lam)
 
 
 def solve_h(nc: NehariCoefficients, v: schur.SchurParameter, deg: int) -> np.ndarray:
@@ -290,16 +256,13 @@ def special_n1(p: NehariProblem) -> Realization:
     if p.n_window != 1:
         raise DimensionMismatch("this closed form needs window size 1")
     u, y = p.u_dim, p.y_dim
-    g = gram(p)
-    if min_eig_hermitian(g) < GRAM_MIN_EIG:
-        raise HankelNotStrict("the tap column must be a strict contraction")
     return Realization(
         x1=zeros(u, u),
         x2=np.hstack([zeros(u, y), eye(u)]),
         x3=eye(u),
         x4=zeros(y, u),
         x5=np.hstack([eye(y), zeros(y, u)]),
-        e=psd_sqrt(g),
+        e=psd_sqrt(_strict_gram(p)),
         base=hankel(p),  # Gamma_-, the one window column
     )
 

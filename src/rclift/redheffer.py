@@ -14,12 +14,16 @@ in that order.
 
 `Realization` holds X1..X5, E and the base block of the stacked solution
 operator; every function below takes any realization, the contraction
-certificate `kyp_norm` too.  The lifting realization is written in
-storage coordinates, the state D_A x, so that E = D_A, the base block is
-A and the colligation [[X1, X2], [X3, 0], [X4, X5]] is a contraction,
-which `kyp_norm` reads off the realization alone; the relaxed Nehari
-problem is the specialisation of the lifting theorem whose realization
-`nehari` builds in closed form, in the paper's coordinates.
+certificate `kyp_norm` too.  Both problems' realizations come from one
+core, `storage_coefficients`, in one coordinate convention: the state is
+written in storage coordinates W x, for a factor W with W*W = D_A^2, so
+that E = W, the base block is A and the colligation
+[[X1, X2], [X3, 0], [X4, X5]] is a contraction, which `kyp_norm` reads
+off the realization alone.  The lifting front end `build_coefficients`
+takes W = D_A.  The relaxed Nehari problem is the specialisation of the
+lifting theorem to the data set `nehari.to_lifting_data`, and
+`nehari.coefficients` takes W the upper Cholesky factor of its defect
+Gram, with E and the base block restricted to the first window slot.
 """
 
 from __future__ import annotations
@@ -89,67 +93,78 @@ class Realization:
 
 @dataclass(frozen=True)
 class RedhefferCoefficients(Realization):
-    """The lifting realization, in storage coordinates (`build_coefficients`),
-    with its derived data and weights."""
+    """The lifting realization (`build_coefficients`), with its derived
+    data and weights."""
 
     dd: DerivedData
     delta_q: np.ndarray
     delta_omega: np.ndarray
 
 
-def build_coefficients(dd: DerivedData) -> RedhefferCoefficients:
-    """Assemble X1..X5 and the weights from derived data (strict only).
+def storage_coefficients(
+    w_r: np.ndarray,
+    w_q: np.ndarray,
+    w_e_q: np.ndarray,
+    w_e_r: np.ndarray,
+    j: np.ndarray,
+    d0: int,
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """X1..X5, as keyword fields, and the weights Delta_Q and Delta_Omega
+    of a strict problem written in storage coordinates.
 
-    The state is written in storage coordinates D_A x, whose storage
-    function is the squared norm.  With (D_A Q)^+ = (Q* D_A^2 Q)^-1 (D_A Q)*:
+    For a factor W with W*W = D_A^2 the arguments are W R, W Q,
+    W^-* E_Q, W^-* E_R, J and dim D0 (the first rows of J).  Every weight
+    is a Gram of them: Q* D_A^2 Q = (W Q)*(W Q), R* D_A^2 R likewise, and
+    Delta_Q = E_Q* D_A^-2 E_Q = (W^-* E_Q)*(W^-* E_Q), Delta_R likewise.
+    With (W Q)^+ = (Q* D_A^2 Q)^-1 (W Q)* and
+    Delta_Omega = I + J (R* D_A^2 R)^-1 J*:
 
-        X1 = (D_A R) (D_A Q)^+,   X4 = (E_T* D_T' A R) (D_A Q)^+,
-        X2 = [-(D_A R) (R* D_A^2 R)^-1 J* Delta_Omega^-1/2, -D_A^-1 E_R Delta_R^-1/2],
-        X3 = Delta_Q^-1/2 E_Q* D_A^-1,   X5 = [the D_T' rows of Delta_Omega^-1/2, 0],
+        X1 = (W R) (W Q)^+,   X4 = (the D_T' rows of J) (W Q)^+,
+        X2 = [-(W R) (R* D_A^2 R)^-1 J* Delta_Omega^-1/2, -W^-* E_R Delta_R^-1/2],
+        X3 = Delta_Q^-1/2 (W^-* E_Q)*,   X5 = [the D_T' rows of Delta_Omega^-1/2, 0].
 
-    E = D_A and base A.  E_T* D_T' A R is the lower block of J, so [X4; X1]
-    is omega on the F coordinates extended by zero, omega E_F*.
+    The state is W x, whose storage function is the squared norm; the
+    caller's input embedding is W on the input space.  Two factors differ
+    by a unitary on the left, which the realization inherits as a unitary
+    change of state coordinates, so the coefficient functions do not
+    depend on the choice.
     """
-    dd.require_strict()
-    ds = dd.ds
-    d_a_sq = dd.d_a @ dd.d_a
-    qdq = adj(ds.q) @ d_a_sq @ ds.q
-    rdr = adj(ds.r) @ d_a_sq @ ds.r
-    dar = dd.d_a @ ds.r
-
-    e_q = dd.ker_q_star
-    e_r = dd.ker_r_star
-    d0 = dd.dim_d_circ
-    dt = dd.dim_dt
-    kr = e_r.shape[1]
-
-    rdr_j = solve_hpd(rdr, adj(dd.j))
-    delta_omega = eye(d0 + dt) + dd.j @ rdr_j
-    delta_q = adj(e_q) @ dd.d_a_sq_inv @ e_q
-    delta_r = adj(e_r) @ dd.d_a_sq_inv @ e_r
-
+    rdr_j = solve_hpd(adj(w_r) @ w_r, adj(j))
+    delta_omega = eye(j.shape[0]) + j @ rdr_j
+    delta_q = adj(w_e_q) @ w_e_q
     dom_nh = psd_sqrt(inv_hpd(delta_omega))
     dq_nh = psd_sqrt(inv_hpd(delta_q))
-    dr_nh = psd_sqrt(inv_hpd(delta_r))
+    dr_nh = psd_sqrt(inv_hpd(adj(w_e_r) @ w_e_r))
+    wq_pinv = solve_hpd(adj(w_q) @ w_q, adj(w_q))
+    dt = j.shape[0] - d0
+    xs = {
+        "x1": w_r @ wq_pinv,
+        "x2": np.hstack([-w_r @ rdr_j @ dom_nh, -w_e_r @ dr_nh]),
+        "x3": dq_nh @ adj(w_e_q),
+        "x4": j[d0:] @ wq_pinv,
+        "x5": np.hstack([dom_nh[d0:, :], zeros(dt, w_e_r.shape[1])]),
+    }
+    return xs, delta_q, delta_omega
 
-    daq_pinv = solve_hpd(qdq, adj(dd.d_a @ ds.q))
-    x1 = dar @ daq_pinv
-    x2 = np.hstack([-dar @ rdr_j @ dom_nh, -dd.d_a_inv @ e_r @ dr_nh])
-    x3 = dq_nh @ adj(e_q) @ dd.d_a_inv
-    x4 = dd.j[d0:] @ daq_pinv
-    x5 = np.hstack([dom_nh[d0:, :], zeros(dt, kr)])
 
+def build_coefficients(dd: DerivedData) -> RedhefferCoefficients:
+    """The lifting realization: `storage_coefficients` with W = D_A, so
+    E = D_A and base A.
+
+    E_T* D_T' A R is the lower block of J, so [X4; X1] is omega on the F
+    coordinates extended by zero, omega E_F*.
+    """
+    ds = dd.ds
+    xs, delta_q, delta_omega = storage_coefficients(
+        dd.d_a @ ds.r,
+        dd.d_a @ ds.q,
+        dd.d_a_inv @ dd.ker_q_star,
+        dd.d_a_inv @ dd.ker_r_star,
+        dd.j,
+        dd.dim_d_circ,
+    )
     return RedhefferCoefficients(
-        x1=x1,
-        x2=x2,
-        x3=x3,
-        x4=x4,
-        x5=x5,
-        e=dd.d_a,
-        base=ds.a,
-        dd=dd,
-        delta_q=delta_q,
-        delta_omega=delta_omega,
+        **xs, e=dd.d_a, base=ds.a, dd=dd, delta_q=delta_q, delta_omega=delta_omega
     )
 
 
@@ -371,8 +386,8 @@ def kyp_norm(rc: Realization) -> float:
     ||E u||^2 + ||w||^2, and ||[base; E]|| <= 1 closes the base row with
     the initial state E u.  [P11; P21] is the transfer function of the
     colligation, so the same bound certifies P11 and P21 as Schur class on
-    the whole disc.  It is 1 on a lifting realization (storage
-    coordinates); in other coordinates it may exceed 1 on a contractive M.
+    the whole disc.  It is 1 on every realization of `storage_coefficients`
+    (storage coordinates), lifting and Nehari alike.
     A truncation of M keeping T output steps (T = deg+M_EXTRA_ROWS+1 in
     `assemble_m`) has norm at most max(1, kyp_norm)^(T+1), so a value
     within 1 + 1e-10 keeps every truncation below 10^4 steps within
@@ -432,7 +447,6 @@ def projection_identity_check(dd: DerivedData) -> tuple[float, float]:
     D_A^-1 Pi* Delta_N^-1 Pi D_A^-1 with Pi the compression onto Ker N*;
     the oracle projector comes from an SVD kernel basis.
     """
-    dd.require_strict()
     ds = dd.ds
     out = []
     for n_mat, e in ((ds.q, dd.ker_q_star), (ds.r, dd.ker_r_star)):
@@ -468,7 +482,6 @@ def classical_phi_eval(
         raise NotClassicalShape("classical shape needs R = I")
     if operator_norm(adj(ds.q) @ ds.q - eye(ds.q.shape[1])) > 1e-10:
         raise NotClassicalShape("classical shape needs an isometric Q")
-    dd.require_strict()
     lam = disc_stack(lam)
 
     d_a_sq = dd.d_a @ dd.d_a

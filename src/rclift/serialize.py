@@ -32,7 +32,8 @@ when D_T' is invertible.
 
 Every written document is canonical JSON, written and read by orjson:
 keys sorted, no whitespace, UTF-8, and non-finite floats written as null,
-so a report is byte-stable for a fixed seed and version.  A float is
+so a report is byte-stable for a fixed seed, version and BLAS thread
+count (across thread counts, see `cli`).  A float is
 written in its shortest round-trip digits (Ryu), which read back bit for
 bit: 0.1 is `0.1` and 1.0 is `1.0`.  Zero and any x with
 1e-5 <= |x| < 1e16 are written positionally (`0.00001`,

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import generators, hardy, lifting, nehari, redheffer, schur
-from .linalg import adj, eye, operator_norm
+from .linalg import adj, eye, inv_hpd, operator_norm
 from .redheffer import FP_GRAM_TOL
 
 SEED0 = 20_000  # seed base of every instance family
@@ -439,9 +439,11 @@ def ac11_scalar_worked_example(_cfg: SuiteConfig) -> tuple[bool, dict]:
     s3 = np.sqrt(3.0)
     checks = {
         "gram": operator_norm(nc.lam - np.diag([0.75, 1.0])),
-        "gram_inverse": operator_norm(nc.lam_cross - np.diag([4.0 / 3.0, 1.0])),
-        "g_solve": abs(complex(nc.g_row[0][0, 0]) - 2.0 / 3.0),
-        "t_state": operator_norm(nc.x1 - np.array([[0, 1], [0, 0]])),
+        "gram_inverse": operator_norm(inv_hpd(nc.lam) - np.diag([4.0 / 3.0, 1.0])),
+        # X5 = [(I + F G*)^-1/2, 0] with G = 2/3, in every coordinates
+        "g_solve": operator_norm(nc.x5 - np.array([[s3 / 2, 0.0]])),
+        # X1 = W T W^-1 with W = diag(s3/2, 1) and T = [[0, 1], [0, 0]]
+        "t_state": operator_norm(nc.x1 - np.array([[0, s3 / 2], [0, 0]])),
     }
     rng = np.random.default_rng(SEED0)
     for k in range(6):

@@ -3,10 +3,17 @@ nonsymmetric eigenvalue solver, since a Stein Gramian certifies stability
 there (`rclift.linalg.observability_gramian`), the pivoted Gram-Schmidt
 loop that `rclift.linalg._canonical_basis` replaced, and the numerical
 null space of the intertwining equation that the closed forms of
-`rclift.generators` replaced, and the colligation of a realization that
-`rclift.redheffer.kyp_norm` bounds."""
+`rclift.generators` replaced, the colligation of a realization that
+`rclift.redheffer.kyp_norm` bounds, and the paper's closed-form Nehari
+realization, in the paper's coordinates, that `rclift.nehari.coefficients`
+replaced with the lifting core in storage coordinates."""
+
+from dataclasses import dataclass
 
 import numpy as np
+
+from rclift import nehari, redheffer
+from rclift.linalg import adj, eye, inv_hpd, psd_sqrt, solve_hpd, zeros
 
 
 def spectral_radius(m) -> float:
@@ -61,3 +68,91 @@ def colligation(rc) -> np.ndarray:
         [rc.x3, np.zeros((rc.x3.shape[0], rc.x2.shape[1]), dtype=complex)],
         [rc.x4, rc.x5],
     ])
+
+
+def lambda_cross(lam) -> np.ndarray:
+    """Lambda^x = Lambda^-1, the inverse of the defect Gram of a Nehari
+    problem."""
+    return inv_hpd(lam)
+
+
+def solve_g(p, lam) -> list:
+    """The corner solution [G_1 ... G_{N-1}]: the (N-1)-corner of the
+    defect Gram `lam` applied to the stacked adjoints gives the stacked tap
+    adjoints; empty for N = 1.  NotPositiveDefinite when the corner is not
+    positive definite."""
+    n_w, u = p.n_window, p.u_dim
+    if n_w == 1:
+        return []
+    corner = lam[: (n_w - 1) * u, : (n_w - 1) * u]
+    sol = solve_hpd(corner, np.vstack([adj(p.tap(i)) for i in range(1, n_w)]))
+    return [adj(sol[(i - 1) * u : i * u, :]) for i in range(1, n_w)]
+
+
+@dataclass(frozen=True)
+class NehariClosedForm(redheffer.Realization):
+    """The paper's realization of a Nehari problem, in its coordinates,
+    with the inverse Gram and the corner solution it is built from.
+
+    X1 = T, X2 = -[G*(I+FG*)^(-1/2), C2], X3 = (Lambda^x_11)^(-1/2) e_1*,
+    X4 = F T, X5 = [(I+FG*)^(-1/2), 0], E = e_1 and base Gamma_-.  T is the
+    block shift with first block column -Lambda^x_(i+1,1) (Lambda^x_11)^-1,
+    F the tap row [F_-1 .. F_-N], G the row `g_row` padded with a zero
+    block, and C2 the last block column of Lambda^x times
+    (Lambda^x_NN)^(-1/2).  `nehari.coefficients` is this realization with
+    the state written as W x, for the Cholesky factor Lambda = W*W.
+    """
+
+    lam_cross: np.ndarray
+    g_row: tuple
+
+
+def nehari_closed_form(p) -> NehariClosedForm:
+    """The paper's closed-form realization of the Nehari problem p."""
+    n_w, u, y = p.n_window, p.u_dim, p.y_dim
+    lam = nehari.gram(p)
+    lam_x = lambda_cross(lam)
+    g_row = solve_g(p, lam)
+
+    def block(i, j):  # 1-based u x u block of Lambda^x
+        return lam_x[(i - 1) * u : i * u, (j - 1) * u : j * u]
+
+    lam11_inv = inv_hpd(block(1, 1))
+    t_state = zeros(n_w * u, n_w * u)
+    for i in range(1, n_w):
+        t_state[(i - 1) * u : i * u, i * u : (i + 1) * u] = eye(u)
+        t_state[(i - 1) * u : i * u, :u] = -block(i + 1, 1) @ lam11_inv
+    e_1 = np.vstack([eye(u)] + [zeros(u, u)] * (n_w - 1))
+    c2 = lam_x[:, (n_w - 1) * u :] @ psd_sqrt(inv_hpd(block(n_w, n_w)))
+    f_row = np.hstack([p.tap(n) for n in range(1, n_w + 1)])
+    g_big = np.hstack(g_row + [zeros(y, u)] * (n_w - len(g_row)))
+    i_fg_neg_half = psd_sqrt(inv_hpd(eye(y) + f_row @ adj(g_big)))
+    return NehariClosedForm(
+        x1=t_state,
+        x2=-np.hstack([adj(g_big) @ i_fg_neg_half, c2]),
+        x3=psd_sqrt(lam11_inv) @ adj(e_1),
+        x4=f_row @ t_state,
+        x5=np.hstack([i_fg_neg_half, zeros(y, u)]),
+        e=e_1,
+        base=np.vstack([p.tap(n) for n in range(1, max(p.k_taps, 1) + 1)]),
+        lam_cross=lam_x,
+        g_row=tuple(g_row),
+    )
+
+
+def closed_form_operators(p, cf):
+    """The operators C1, C2, F and G of the paper's closed form `cf`.
+
+    C1 is the first block column of Lambda^x below its top block over a
+    zero block, times (Lambda^x_11)^-1; C2 the last block column times
+    (Lambda^x_NN)^(-1/2); F = [F_-1 .. F_-N]; G the corner solution padded
+    with a zero block.
+    """
+    n_w, u, y = p.n_window, p.u_dim, p.y_dim
+    lam_x = cf.lam_cross
+    col1 = np.vstack([lam_x[u:, :u], zeros(u, u)])
+    c1 = col1 @ inv_hpd(lam_x[:u, :u])
+    c2 = lam_x[:, (n_w - 1) * u :] @ psd_sqrt(inv_hpd(lam_x[(n_w - 1) * u :, (n_w - 1) * u :]))
+    f_row = np.hstack([p.tap(n) for n in range(1, n_w + 1)])
+    g_big = np.hstack(list(cf.g_row) + [zeros(y, u)] * (n_w - len(cf.g_row)))
+    return c1, c2, f_row, g_big

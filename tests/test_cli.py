@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rclift
-from rclift import lifting, nehari, redheffer, schur, serialize
+from rclift import generators, lifting, nehari, redheffer, schur, serialize
 from rclift.cli import main
 from rclift.hardy import markov
 
@@ -248,6 +248,17 @@ def test_nehari_subcommand(scalar_problem, capsys):
     names = {r["name"] for r in doc["residuals"]}
     assert {"hankel_norm", "gram_matches_hankel", "state_spectral_radius",
             "stacked_isometry_residual"} <= names
+
+
+def test_nehari_report_certifies_near_boundary(tmp_path, capsys):
+    # ||Gamma|| = 1 - 1e-6: the gate admits the problem, and the report's
+    # isometry certificate holds, with every row passed
+    p = generators.random_nehari_problem(np.random.default_rng(0), 2, 2, 3, 4, 1 - 1e-6)
+    path = tmp_path / "edge.json"
+    serialize.dump_json(str(path), serialize.instance_to_json(p))
+    code, out, _ = run(capsys, "nehari", str(path))
+    assert code == 0
+    assert all(r["passed"] for r in json.loads(out)["residuals"])
 
 
 def test_report_byte_stability(scalar_problem, tmp_path, capsys):

@@ -184,6 +184,37 @@ def test_solve_hpd_bit_identical_to_scipy_wrappers(n, cols, seed):
     assert np.array_equal(linalg.solve_hpd(m, b), expected)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+def test_hpd_factor_and_adjoint_solve(n):
+    rng = np.random.default_rng(n + 20)
+    g = linalg.ginibre(rng, n, n)
+    m = g.conj().T @ g + 1e-2 * np.eye(n)
+    w = linalg.hpd_factor(m)
+    assert np.array_equal(w, np.triu(w))
+    assert linalg.operator_norm(w.conj().T @ w - m) <= 1e-12 * max(linalg.operator_norm(m), 1.0)
+    b = linalg.ginibre(rng, n, 3)
+    x = linalg.solve_factor_adjoint(w, b)
+    assert x.shape == (n, 3)
+    np.testing.assert_allclose(x, np.linalg.solve(w.conj().T, b) if n else b, rtol=1e-10, atol=1e-12)
+
+
+def test_hpd_factor_gates():
+    with pytest.raises(NotPositiveDefinite):
+        linalg.hpd_factor(np.diag([1.0, -1.0]))
+    with pytest.raises(NotHermitian):
+        linalg.hpd_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(DimensionMismatch):
+        linalg.solve_factor_adjoint(np.eye(2), np.ones((3, 1)))
+
+
+def test_psd_sqrt_and_inverses_refuses_a_singular_defect():
+    root, inv_root, inv = linalg.psd_sqrt_and_inverses(np.diag([4.0, 0.25]))
+    np.testing.assert_allclose(inv_root @ root, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(inv, np.diag([0.25, 4.0]), atol=1e-14)
+    with pytest.raises(NotPositiveDefinite):
+        linalg.psd_sqrt_and_inverses(np.diag([1.0, 1e-13]))
+
+
 def test_operator_norm_of_a_stack():
     rng = np.random.default_rng(6)
     stack = np.stack([linalg.ginibre(rng, 3, 2) for _ in range(5)])

@@ -2,37 +2,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import spectral_radius
+from oracles import (
+    closed_form_operators,
+    lambda_cross,
+    nehari_closed_form,
+    solve_g,
+    spectral_radius,
+)
 from power_series import series_mul, series_neumann, taylor_eval, transfer_taylor
 
 from rclift import generators, hardy, lifting, nehari, redheffer, schur
-from rclift.errors import CornerNotPD, DimensionMismatch, HankelNotStrict
-from rclift.linalg import adj, eye, ginibre, inv_hpd, operator_norm, psd_sqrt, zeros
+from rclift.errors import DimensionMismatch, HankelNotStrict, NotPositiveDefinite
+from rclift.linalg import adj, eye, ginibre, hpd_factor, inv_hpd, operator_norm, psd_sqrt, zeros
+from rclift.redheffer import FP_GRAM_TOL
 
 SCALAR = nehari.NehariProblem(2, 1, 1, (np.array([[0.5]]),))
 
 
-def closed_form_operators(p, nc):
-    """The operators C1, C2, F and G of the paper's closed form, built from
-    the taps and from Lambda^x and the corner solution of `nc`.
-
-    C1 is the first block column of Lambda^x below its top block over a
-    zero block, times (Lambda^x_11)^-1; C2 the last block column times
-    (Lambda^x_NN)^(-1/2); F = [F_-1 .. F_-N]; G the corner solution padded
-    with a zero block.
-    """
-    n_w, u, y = p.n_window, p.u_dim, p.y_dim
-    lam_x = nc.lam_cross
-    col1 = np.vstack([lam_x[u:, :u], zeros(u, u)])
-    c1 = col1 @ inv_hpd(lam_x[:u, :u])
-    c2 = lam_x[:, (n_w - 1) * u :] @ psd_sqrt(inv_hpd(lam_x[(n_w - 1) * u :, (n_w - 1) * u :]))
-    f_row = np.hstack([p.tap(n) for n in range(1, n_w + 1)])
-    g_big = np.hstack(list(nc.g_row) + [zeros(y, u)] * (n_w - len(nc.g_row)))
-    return c1, c2, f_row, g_big
-
-
-def phi_hat_closed_forms(p, nc, lam):
-    """The coefficient functions as the paper prints them, from T, C1, C2, F, G.
+def phi_hat_closed_forms(p, cf, lam):
+    """The coefficient functions as the paper prints them, from T, C1, C2,
+    F, G of the closed form `cf`.
 
     With R = (I - lam T)^-1 and B = [G*(I+FG*)^(-1/2), C2]:
     P11 = -lam L e_n* R B,  P12 = L - lam L e_n* R C1,
@@ -40,12 +29,12 @@ def phi_hat_closed_forms(p, nc, lam):
     where L = (Lambda^x_11)^(-1/2).
     """
     u, y = p.u_dim, p.y_dim
-    c1, c2, f_row, g_big = closed_form_operators(p, nc)
-    n = nc.x1.shape[0]
-    res = np.linalg.inv(eye(n) - lam * nc.x1)
+    c1, c2, f_row, g_big = closed_form_operators(p, cf)
+    n = cf.x1.shape[0]
+    res = np.linalg.inv(eye(n) - lam * cf.x1)
     e_n = np.vstack([eye(u), zeros(n - u, u)])
     i_fg = eye(y) + f_row @ adj(g_big)
-    lam11_nh = psd_sqrt(inv_hpd(nc.lam_cross[:u, :u]))
+    lam11_nh = psd_sqrt(inv_hpd(cf.lam_cross[:u, :u]))
     b_hat = np.hstack([adj(g_big) @ psd_sqrt(inv_hpd(i_fg)), c2])
     en_res = adj(e_n) @ res
     p11 = -lam * lam11_nh @ en_res @ b_hat
@@ -150,11 +139,11 @@ def test_coefficients_builds_the_gram_once(monkeypatch):
 
 def test_lambda_cross_cases():
     p0 = nehari.NehariProblem(2, 1, 2, ())
-    np.testing.assert_allclose(nehari.lambda_cross(nehari.gram(p0)), eye(2))
+    np.testing.assert_allclose(lambda_cross(nehari.gram(p0)), eye(2))
     np.testing.assert_allclose(
-        nehari.lambda_cross(nehari.gram(SCALAR)), np.diag([4.0 / 3.0, 1.0]), atol=1e-14
+        lambda_cross(nehari.gram(SCALAR)), np.diag([4.0 / 3.0, 1.0]), atol=1e-14
     )
-    lam_x = nehari.lambda_cross(nehari.gram(SCALAR))
+    lam_x = lambda_cross(nehari.gram(SCALAR))
     u = SCALAR.u_dim
     for n in (1, 2):
         block = lam_x[(n - 1) * u : n * u, (n - 1) * u : n * u]
@@ -162,9 +151,16 @@ def test_lambda_cross_cases():
 
 
 def test_lambda_cross_rejects_unit_norm():
+    # one Hankel gate: the general realization and the window-one closed
+    # form refuse a unit tap with the same message
     p = nehari.NehariProblem(1, 1, 1, (np.array([[1.0]]),))
-    with pytest.raises(HankelNotStrict):
-        nehari.lambda_cross(nehari.gram(p))
+    messages = []
+    for build in (nehari.coefficients, nehari.special_n1):
+        with pytest.raises(HankelNotStrict) as exc:
+            build(p)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("defect Gram min eigenvalue")
 
 
 def test_schur_complement_corner_identity():
@@ -172,7 +168,7 @@ def test_schur_complement_corner_identity():
     p = generators.random_nehari_problem(rng, 2, 2, 3, 4, 0.8)
     n_w, u = p.n_window, p.u_dim
     lam = nehari.gram(p)
-    lam_x = nehari.lambda_cross(lam)
+    lam_x = lambda_cross(lam)
     corner_inv = np.linalg.inv(lam[: (n_w - 1) * u, : (n_w - 1) * u])
     upper = lam_x[: (n_w - 1) * u, : (n_w - 1) * u]
     col = lam_x[: (n_w - 1) * u, (n_w - 1) * u :]
@@ -183,12 +179,12 @@ def test_schur_complement_corner_identity():
 
 def test_solve_g_cases():
     p0 = nehari.NehariProblem(3, 1, 1, ())
-    assert all(operator_norm(g) == 0 for g in nehari.solve_g(p0, nehari.gram(p0)))
+    assert all(operator_norm(g) == 0 for g in solve_g(p0, nehari.gram(p0)))
     np.testing.assert_allclose(
-        nehari.solve_g(SCALAR, nehari.gram(SCALAR))[0], np.array([[2.0 / 3.0]])
+        solve_g(SCALAR, nehari.gram(SCALAR))[0], np.array([[2.0 / 3.0]])
     )
     p1 = nehari.NehariProblem(1, 1, 1, (np.array([[0.4]]),))
-    assert nehari.solve_g(p1, nehari.gram(p1)) == []
+    assert solve_g(p1, nehari.gram(p1)) == []
 
 
 @pytest.mark.parametrize(
@@ -197,8 +193,8 @@ def test_solve_g_cases():
 def test_solve_g_rejects_indefinite_corner(n_w, taps):
     # the leading corner entry 1 - sum |F_-n|^2 is negative on both problems
     p = nehari.NehariProblem(n_w, 1, 1, tuple(np.array([[t]]) for t in taps))
-    with pytest.raises(CornerNotPD):
-        nehari.solve_g(p, nehari.gram(p))
+    with pytest.raises(NotPositiveDefinite):
+        solve_g(p, nehari.gram(p))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -206,7 +202,7 @@ def test_solve_g_residual(seed):
     rng = np.random.default_rng(seed)
     p = generators.random_nehari_problem(rng, 2, 1, 4, 3, 0.8)
     lam = nehari.gram(p)
-    g_row = nehari.solve_g(p, lam)
+    g_row = solve_g(p, lam)
     n_w, u = p.n_window, p.u_dim
     corner = lam[: (n_w - 1) * u, : (n_w - 1) * u]
     lhs = corner @ np.vstack([adj(g) for g in g_row])
@@ -215,68 +211,111 @@ def test_solve_g_residual(seed):
 
 
 def test_coefficients_zero_taps():
+    # Lambda = I, so W = I and the realization is the closed form itself
     p = nehari.NehariProblem(3, 2, 1, ())
     nc = nehari.coefficients(p)
     shift = np.zeros((6, 6))
     shift[:2, 2:4] = np.eye(2)
     shift[2:4, 4:] = np.eye(2)
     np.testing.assert_allclose(nc.x1, shift)
-    c1, c2, _, _ = closed_form_operators(p, nc)
+    cf = nehari_closed_form(p)
+    np.testing.assert_allclose(cf.x1, shift)
+    c1, c2, _, _ = closed_form_operators(p, cf)
     assert operator_norm(c1) == 0.0
     np.testing.assert_allclose(c2, np.vstack([np.zeros((4, 2)), np.eye(2)]))
 
 
 def test_coefficients_scalar_example():
     nc = nehari.coefficients(SCALAR)
-    np.testing.assert_allclose(nc.x1, np.array([[0, 1], [0, 0]]), atol=1e-14)
-    c1, c2, f_row, g_big = closed_form_operators(SCALAR, nc)
+    cf = nehari_closed_form(SCALAR)
+    s3 = np.sqrt(3.0)
+    np.testing.assert_allclose(cf.x1, np.array([[0, 1], [0, 0]]), atol=1e-14)
+    # W = diag(s3/2, 1), so X1 = W T W^-1 and E = W e_1
+    np.testing.assert_allclose(nc.x1, np.array([[0, s3 / 2], [0, 0]]), atol=1e-14)
+    np.testing.assert_allclose(nc.e, np.array([[s3 / 2], [0.0]]), atol=1e-14)
+    c1, c2, f_row, g_big = closed_form_operators(SCALAR, cf)
     assert operator_norm(c1) < 1e-14
     np.testing.assert_allclose(c2, np.array([[0.0], [1.0]]), atol=1e-14)
     np.testing.assert_allclose(f_row, np.array([[0.5, 0.0]]))
     np.testing.assert_allclose(g_big, np.array([[2.0 / 3.0, 0.0]]), atol=1e-14)
-    # X5 = [(I+FG*)^(-1/2), 0] with I + FG* = 4/3
-    np.testing.assert_allclose(nc.x5, np.array([[np.sqrt(3.0) / 2, 0.0]]), atol=1e-12)
+    # X5 = [(I+FG*)^(-1/2), 0] with I + FG* = 4/3, in either coordinates
+    for x5 in (nc.x5, cf.x5):
+        np.testing.assert_allclose(x5, np.array([[s3 / 2, 0.0]]), atol=1e-12)
 
 
 def test_coefficients_window_one():
     p = nehari.NehariProblem(1, 2, 1, (np.array([[0.3, 0.1]]),))
     nc = nehari.coefficients(p)
     assert operator_norm(nc.x1) == 0.0
-    c1, c2, _, _ = closed_form_operators(p, nc)
+    cf = nehari_closed_form(p)
+    c1, c2, _, _ = closed_form_operators(p, cf)
     assert operator_norm(c1) == 0.0
-    lam11 = nc.lam_cross
     np.testing.assert_allclose(
-        c2 @ c2, lam11, atol=1e-12
+        c2 @ c2, cf.lam_cross, atol=1e-12
     )  # C2 = (top corner)^(1/2) when the window is one
+
+
+def _random_problem(rng, norm=0.8):
+    return generators.random_nehari_problem(
+        rng, int(rng.integers(1, 3)), int(rng.integers(1, 3)),
+        int(rng.integers(2, 4)), int(rng.integers(1, 4)), norm
+    )
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_coefficients_cross_check_against_lifting(seed):
-    rng = np.random.default_rng(seed)
-    p = generators.random_nehari_problem(
-        rng, int(rng.integers(1, 3)), int(rng.integers(1, 3)),
-        int(rng.integers(2, 4)), int(rng.integers(1, 4)), 0.8
-    )
+    # both realizations come from the lifting core, in the storage
+    # coordinates of two factors of Lambda = D_A^2: D_A and the Cholesky
+    # factor W, related by the unitary U = W D_A^-1
+    p = _random_problem(np.random.default_rng(seed))
+    u = p.u_dim
     nc = nehari.coefficients(p)
     ds = nehari.to_lifting_data(p)
     dd = lifting.derive(ds)
     rc = redheffer.build_coefficients(dd)
-    # the lifting realization is written in storage coordinates D_A x, and
-    # D_A is the root of the Gram of the Nehari data
-    assert operator_norm(dd.d_a - psd_sqrt(nc.lam)) < 1e-8
-    conjugated_back = {
-        "x1": dd.d_a_inv @ rc.x1 @ dd.d_a,
-        "x2": dd.d_a_inv @ rc.x2,
-        "x3": rc.x3 @ dd.d_a,
-        "x4": rc.x4 @ dd.d_a,
+    unitary = hpd_factor(nc.lam) @ dd.d_a_inv
+    assert operator_norm(adj(unitary) @ unitary - eye(unitary.shape[0])) < 1e-12
+    conjugated = {
+        "x1": unitary @ rc.x1 @ adj(unitary),
+        "x2": unitary @ rc.x2,
+        "x3": rc.x3 @ adj(unitary),
+        "x4": rc.x4 @ adj(unitary),
         "x5": rc.x5,
+        "e": unitary @ rc.e[:, :u],
+        "base": rc.base[:, :u],
     }
-    for name, x in conjugated_back.items():
-        assert operator_norm(x - getattr(nc, name)) < 1e-8, name
-    # T e_n = -C1, and the base block is the first window column of A
-    assert operator_norm(nc.x1 @ nc.e + closed_form_operators(p, nc)[0]) < 1e-14
-    assert operator_norm(nc.base - ds.a @ nc.e) == 0.0
+    for name, x in conjugated.items():
+        assert operator_norm(x - getattr(nc, name)) < 1e-12, name
     assert spectral_radius(nc.x1) < 1.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coefficients_match_closed_form_oracle(seed):
+    # the realization is the paper's closed form with the state written as
+    # W x: X1 = W T W^-1, and every solution agrees with the oracle's
+    rng = np.random.default_rng(seed + 60)
+    p = _random_problem(rng, 0.9 * rng.uniform(0.4, 1.0))
+    nc = nehari.coefficients(p)
+    cf = nehari_closed_form(p)
+    w = hpd_factor(nc.lam)
+    w_inv = np.linalg.inv(w)
+    similar = {
+        "x1": w @ cf.x1 @ w_inv,
+        "x2": w @ cf.x2,
+        "x3": cf.x3 @ w_inv,
+        "x4": cf.x4 @ w_inv,
+        "x5": cf.x5,
+        "e": w @ cf.e,
+        "base": cf.base,
+    }
+    for name, x in similar.items():
+        assert operator_norm(x - getattr(nc, name)) < 1e-12, name
+    for j in range(3):
+        v = schur.random_schur(p.u_dim, p.y_dim + p.u_dim, j, seed + 10 * j)
+        gap = hardy.coefficient_gap(
+            redheffer.solution_realization(nc, v), redheffer.solution_realization(cf, v)
+        )
+        assert gap <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -287,10 +326,11 @@ def test_phi_eval_matches_printed_closed_forms(seed):
         int(rng.integers(1, 5)), int(rng.integers(1, 6)), 0.9 * rng.uniform(0.4, 1.0)
     )
     nc = nehari.coefficients(p)
+    cf = nehari_closed_form(p)
     for _ in range(8):
         lam = 0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         core = redheffer.phi_eval(nc, lam)
-        printed = phi_hat_closed_forms(p, nc, lam)
+        printed = phi_hat_closed_forms(p, cf, lam)
         for a, b in zip(core, printed):
             assert operator_norm(a - b) < 1e-12
 
@@ -441,6 +481,28 @@ def test_hat_m_near_strictness_boundary(seed, u, y, n_w, k, norm):
     assert cert.status in ("certified", "uncertified")
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("gap", [1e-5, 1e-6])
+def test_coefficients_certified_near_boundary(gap, seed):
+    # in storage coordinates nothing amplifies the rounding along X2, so
+    # honest problems at ||Gamma|| = 1 - gap are certified isometries and
+    # the colligation stays contractive
+    p = generators.random_nehari_problem(np.random.default_rng(seed), 2, 2, 3, 4, 1 - gap)
+    nc = nehari.coefficients(p)
+    assert redheffer.isometry_certificate(nc).status == "certified"
+    assert redheffer.kyp_norm(nc) <= 1.0 + FP_GRAM_TOL
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kyp_norm_bounds_the_nehari_realization(seed):
+    rng = np.random.default_rng(seed + 80)
+    p = generators.random_nehari_problem(
+        rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+        int(rng.integers(1, 5)), int(rng.integers(1, 6)), 0.8
+    )
+    assert redheffer.kyp_norm(nehari.coefficients(p)) <= 1.0 + FP_GRAM_TOL
+
+
 def test_hat_m_zero_dimensional_state():
     # u = 0: no state at all, and the stacked operator is the identity of Y
     p = nehari.NehariProblem(3, 0, 2, (zeros(2, 0), zeros(2, 0)))
@@ -544,14 +606,14 @@ def test_special_f0_identity_parameter():
 def test_companion_conjugation():
     rng = np.random.default_rng(11)
     p = generators.random_nehari_problem(rng, 2, 2, 4, 3, 0.85)
-    nc = nehari.coefficients(p)
+    cf = nehari_closed_form(p)
     n_w, u = p.n_window, p.u_dim
     e = flip_operator(n_w, u)
     coeffs = [np.zeros((u, u), dtype=complex)]
     for j in range(1, n_w + 1):
-        coeffs.append(nc.lam_cross[(n_w - j) * u : (n_w - j + 1) * u, :u])
+        coeffs.append(cf.lam_cross[(n_w - j) * u : (n_w - j + 1) * u, :u])
     comp = second_companion(coeffs)
-    assert operator_norm(e @ nc.x1 @ e - comp) < 1e-12
+    assert operator_norm(e @ cf.x1 @ e - comp) < 1e-12
 
 
 def test_parrott_style_direct_oracle():

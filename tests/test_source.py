@@ -194,6 +194,30 @@ def test_cholesky_wrapper_is_detected():
     assert sorted(_calls_named(tree, SCIPY_CHOLESKY)) == ["cho_factor:5", "cho_solve:6", "cholesky:7"]
 
 
+# LAPACK routines are bound in `linalg` alone, beside the gates
+# (Hermiticity, finiteness, NotPositiveDefinite) that every call of them
+# needs.
+LAPACK_BINDERS = ("get_lapack_funcs",)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_lapack_routines_only_in_linalg(path):
+    assert _calls_named(ast.parse(path.read_text(encoding="utf-8")), LAPACK_BINDERS) == []
+
+
+def test_lapack_binding_is_detected():
+    tree = ast.parse(
+        "import numpy as np\nimport scipy.linalg\nfrom scipy.linalg import get_lapack_funcs\n"
+        "m = np.eye(2)\n"
+        "potrf, = scipy.linalg.get_lapack_funcs(('potrf',), (m,))\n"
+        "trtrs, = get_lapack_funcs(('trtrs',), dtype=complex)\n"
+        "x = scipy.linalg.solve_triangular(m, m)\n"
+    )
+    assert sorted(_calls_named(tree, LAPACK_BINDERS)) == [
+        "get_lapack_funcs:5", "get_lapack_funcs:6"]
+
+
 # One JSON codec: `serialize` reads and writes every document through
 # orjson, so the stdlib module's different spelling cannot creep back in.
 STDLIB_JSON_CODEC = ("load", "loads", "dump", "dumps")
