@@ -196,7 +196,8 @@ def cmd_solve(args) -> int:
     is_nehari = isinstance(obj, nehari.NehariProblem)
     if is_nehari:
         rc = nehari.coefficients(obj)
-        sol = nehari.solve_h(rc, _load_parameter(args, rc.kq_dim, rc.w_dim), deg)
+        v = _load_parameter(args, rc.kq_dim, rc.w_dim)
+        sol = redheffer.solution_taylor(rc, v, deg).gamma_coeffs
     else:
         rc = redheffer.build_coefficients(lifting.derive(obj))
         sol = redheffer.solution_realization(rc, _load_parameter(args, rc.kq_dim, rc.w_dim))
@@ -242,10 +243,9 @@ def cmd_nehari(args) -> int:
         raise ParseError("the nehari subcommand needs a problem of kind 'nehari'")
     nc = nehari.coefficients(obj)
     a = nehari.hankel(obj)
-    gram_vs_hankel = operator_norm(
-        nc.lam - (eye(a.shape[1]) - adj(a) @ a)
-    )
-    inv_res = operator_norm(nc.lam @ inv_hpd(nc.lam) - eye(nc.lam.shape[0]))
+    lam = nehari.gram(obj)
+    gram_vs_hankel = operator_norm(lam - (eye(a.shape[1]) - adj(a) @ a))
+    inv_res = operator_norm(lam @ inv_hpd(lam) - eye(lam.shape[0]))
     cert = nehari.hat_m_check(nc, args.degree)
     rows = [
         _row("hankel_norm", operator_norm(a), 1.0),

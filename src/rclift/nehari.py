@@ -8,9 +8,15 @@ truncated Hankel matrix, its defect Gram, and every derived operator are
 honest finite matrices, so all checks are exact up to truncation of the
 solution tail.
 
-Row indexing convention: the combined operator has integer row indices
-with H_0 boxed at index 0 and tap rows at negative indices; matrices are
-serialized bottom-up, so coordinate n corresponds to index -n.
+One layout serves every block operator.  Block row n of the Hankel matrix
+holds coordinate n, the row of index -n (matrices are serialized
+bottom-up), and block column j holds window slot j.  `_gather` lays out
+every operator from a (k, y, u) stack of blocks and an index table: the
+Hankel matrix takes the padded taps F_-1, ..., F_-(N+K) at n + j, and the
+combined tap/solution operator of `assemble_l` the sequence F_-K, ...,
+F_-1, H_0, H_1, ... at i - j.  `gram` sums over the same padded taps, and
+`to_lifting_data` selects slots of that layout: T' shifts the tap rows
+up by one block, R drops the last window slot and Q the first.
 
 The problem is the specialisation of relaxed commutant lifting to the data
 set `to_lifting_data` builds, so its coefficient functions are the lifting
@@ -33,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import schur
 from .errors import DimensionMismatch, HankelNotStrict, NotFinite
 from .lifting import LiftingDataSet
 from .linalg import (
@@ -50,7 +55,6 @@ from .redheffer import (
     IsometryCertificate,
     Realization,
     isometry_certificate,
-    solution_taylor,
     storage_coefficients,
 )
 
@@ -83,13 +87,21 @@ class NehariProblem:
     def k_taps(self) -> int:
         return len(self.taps)
 
-    def tap(self, n: int) -> np.ndarray:
-        """F_{-n}; zero for n beyond the stored support (n >= 1)."""
-        if n < 1:
-            raise IndexError("taps are indexed from 1 (meaning F_{-1})")
-        if n <= len(self.taps):
-            return self.taps[n - 1]
-        return zeros(self.y_dim, self.u_dim)
+
+def _padded_taps(p: NehariProblem) -> np.ndarray:
+    """F_-1, ..., F_-(N+K) as one (N + K, y, u) stack, zero past F_-K."""
+    f = np.zeros((p.n_window + p.k_taps, p.y_dim, p.u_dim), dtype=complex)
+    if p.k_taps:
+        f[: p.k_taps] = p.taps
+    return f
+
+
+def _gather(seq: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The block matrix whose block (r, c) is seq[idx[r, c]], for a
+    (k, y, u) stack seq and an integer table idx."""
+    rows, cols = idx.shape
+    _, y, u = seq.shape
+    return seq[idx].transpose(0, 2, 1, 3).reshape(rows * y, cols * u)
 
 
 def hankel(p: NehariProblem) -> np.ndarray:
@@ -100,14 +112,8 @@ def hankel(p: NehariProblem) -> np.ndarray:
     exact Hankel norm.
     """
     rows = max(p.k_taps, 1)
-    out = zeros(rows * p.y_dim, p.n_window * p.u_dim)
-    for n in range(1, rows + 1):
-        for j in range(p.n_window):
-            out[
-                (n - 1) * p.y_dim : n * p.y_dim,
-                j * p.u_dim : (j + 1) * p.u_dim,
-            ] = p.tap(n + j)
-    return out
+    idx = np.arange(rows)[:, None] + np.arange(p.n_window)[None, :]
+    return _gather(_padded_taps(p), idx)
 
 
 def gram(p: NehariProblem) -> np.ndarray:
@@ -120,10 +126,8 @@ def gram(p: NehariProblem) -> np.ndarray:
     from K down to 1, with j over 1..N+K so every later step finds its
     shifted row.
     """
-    n_w, u, y, k = p.n_window, p.u_dim, p.y_dim, p.k_taps
-    f = np.zeros((n_w + k, y, u), dtype=complex)  # F_-1, ..., F_-(N+K)
-    if k:
-        f[:k] = p.taps
+    n_w, u, k = p.n_window, p.u_dim, p.k_taps
+    f = _padded_taps(p)
     s = np.zeros((n_w + k + 1, u, u), dtype=complex)  # S(i, 1..N+K), then a zero
     rows = np.zeros((n_w, n_w, u, u), dtype=complex)
     for i in range(k, 0, -1):
@@ -147,15 +151,7 @@ def _strict_gram(p: NehariProblem) -> np.ndarray:
     return lam
 
 
-@dataclass(frozen=True)
-class NehariCoefficients(Realization):
-    """The Nehari realization (`coefficients`), with the defect Gram
-    `lam` it is written from."""
-
-    lam: np.ndarray
-
-
-def coefficients(p: NehariProblem) -> NehariCoefficients:
+def coefficients(p: NehariProblem) -> Realization:
     """The realization of the lifting data set `to_lifting_data(p)`:
     `redheffer.storage_coefficients` with W the upper Cholesky factor of
     the gated defect Gram Lambda = W*W, E = W e_1 and base Gamma_-.
@@ -168,28 +164,15 @@ def coefficients(p: NehariProblem) -> NehariCoefficients:
     its defect keeps the first tap row and J is the first tap row of A R.
     """
     n_w, u, y = p.n_window, p.u_dim, p.y_dim
-    lam = _strict_gram(p)
-    a = hankel(p)
-    w = hpd_factor(lam)
-    slots = zeros(n_w * u, 2 * u)  # [E_Q, E_R]
-    slots[:u, :u] = eye(u)
-    slots[(n_w - 1) * u :, u:] = eye(u)
-    w_slots = solve_factor_adjoint(w, slots)
     m = (n_w - 1) * u
+    a = hankel(p)
+    w = hpd_factor(_strict_gram(p))
+    slots = eye(n_w * u)
+    w_slots = solve_factor_adjoint(w, np.hstack([slots[:, :u], slots[:, m:]]))  # [E_Q, E_R]
     xs, _, _ = storage_coefficients(
         w[:, :m], w[:, u:], w_slots[:, :u], w_slots[:, u:], a[:y, :m], 0
     )
-    return NehariCoefficients(**xs, e=w[:, :u], base=a[:, :u], lam=lam)
-
-
-def solve_h(nc: NehariCoefficients, v: schur.SchurParameter, deg: int) -> np.ndarray:
-    """Taylor coefficients H_0..H_deg of the solution attached to a Schur
-    parameter, as a (deg + 1, y, u) array.
-
-    The Hardy-space block of `redheffer.solution_taylor` on the Nehari
-    realization; V = 0 gives the central solution.
-    """
-    return solution_taylor(nc, v, deg).gamma_coeffs
+    return Realization(**xs, e=w[:, :u], base=a[:, :u])
 
 
 def assemble_l(p: NehariProblem, h: np.ndarray) -> float:
@@ -204,8 +187,8 @@ def assemble_l(p: NehariProblem, h: np.ndarray) -> float:
     written as realizations, as lifting solutions are
     (`hardy.certify_interpolant`).
     Block (i, j) is the term of index i - j + 1 of the sequence
-    F_-K, ..., F_-1, H_0, ..., H_deg (zero before F_-K), gathered in one
-    indexing pass; the norm is the root of the top eigenvalue of the
+    F_-K, ..., F_-1, H_0, ..., H_deg (zero before F_-K), laid out by
+    `_gather`; the norm is the root of the top eigenvalue of the
     N*u x N*u Gram of the block-Toeplitz matrix.  A Gram that overflows
     floating point raises NotFinite.
     """
@@ -221,7 +204,7 @@ def assemble_l(p: NehariProblem, h: np.ndarray) -> float:
     # index i - j + 1, stored at r - c; the negative positions pick the
     # n_w - 1 zero blocks at the end
     idx = np.arange(rows)[:, None] - np.arange(n_w)[None, :]
-    out = seq[idx].transpose(0, 2, 1, 3).reshape(rows * y, n_w * u)
+    out = _gather(seq, idx)
     if out.size == 0:
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
@@ -232,7 +215,7 @@ def assemble_l(p: NehariProblem, h: np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def hat_m_check(nc: NehariCoefficients, _deg: int) -> IsometryCertificate:
+def hat_m_check(nc: Realization, _deg: int) -> IsometryCertificate:
     """Isometry certificate of the full stacked operator M-hat.
 
     `redheffer.isometry_certificate` on the Nehari realization: three n x n
@@ -302,11 +285,10 @@ def to_lifting_data(p: NehariProblem) -> LiftingDataSet:
     Exact because all deeper tap rows vanish.
     """
     rows = max(p.k_taps, 1)
-    a = hankel(p)
-    y, u, n_w = p.y_dim, p.u_dim, p.n_window
-    t_prime = zeros(rows * y, rows * y)
-    for n in range(rows - 1):
-        t_prime[n * y : (n + 1) * y, (n + 1) * y : (n + 2) * y] = eye(y)
-    r = np.vstack([eye((n_w - 1) * u), zeros(u, (n_w - 1) * u)])
-    q = np.vstack([zeros(u, (n_w - 1) * u), eye((n_w - 1) * u)])
-    return LiftingDataSet(a=a, t_prime=t_prime, r=r, q=q)
+    slots = eye(p.n_window * p.u_dim)
+    return LiftingDataSet(
+        a=hankel(p),
+        t_prime=np.eye(rows * p.y_dim, k=p.y_dim, dtype=complex),
+        r=slots[:, : (p.n_window - 1) * p.u_dim],
+        q=slots[:, p.u_dim :],
+    )

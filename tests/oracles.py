@@ -6,7 +6,9 @@ null space of the intertwining equation that the closed forms of
 `rclift.generators` replaced, the colligation of a realization that
 `rclift.redheffer.kyp_norm` bounds, and the paper's closed-form Nehari
 realization, in the paper's coordinates, that `rclift.nehari.coefficients`
-replaced with the lifting core in storage coordinates."""
+replaced with the lifting core in storage coordinates, and the block
+layouts that `rclift.nehari` gathers in one indexing pass, written here as
+loops over the definitions."""
 
 from dataclasses import dataclass
 
@@ -59,6 +61,63 @@ def intertwining_nullspace(t_prime, r, q, rtol: float = 1e-10) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def tap(p, n: int) -> np.ndarray:
+    """F_-n of a Nehari problem, zero past the stored taps (n >= 1)."""
+    if n <= p.k_taps:
+        return p.taps[n - 1]
+    return zeros(p.y_dim, p.u_dim)
+
+
+def hankel_blocks(p) -> np.ndarray:
+    """The truncated Hankel matrix, block by block: block row n = 1..max(K, 1)
+    (the row of index -n) and window slot j = 0..N-1 hold F_-(n+j)."""
+    y, u = p.y_dim, p.u_dim
+    rows = max(p.k_taps, 1)
+    out = zeros(rows * y, p.n_window * u)
+    for n in range(1, rows + 1):
+        for j in range(p.n_window):
+            out[(n - 1) * y : n * y, j * u : (j + 1) * u] = tap(p, n + j)
+    return out
+
+
+def combined_operator_blocks(p, h) -> np.ndarray:
+    """The truncated combined tap/solution operator of the coefficients
+    H_0..H_deg in a (deg + 1, y, u) array h, block by block: the row of
+    index i = -K..deg and window slot j = 1..N hold the term of index
+    i - j + 1 of F_-K, ..., F_-1, H_0, ..., H_deg, zero before F_-K."""
+    n_w, u, y, k = p.n_window, p.u_dim, p.y_dim, p.k_taps
+    deg = len(h) - 1
+    out = zeros((k + deg + 1) * y, n_w * u)
+    for row, i in enumerate(range(-k, deg + 1)):
+        for j in range(1, n_w + 1):
+            m = i - j + 1
+            if m >= 0:
+                block = h[m]
+            elif -m <= k:
+                block = tap(p, -m)
+            else:
+                block = zeros(y, u)
+            out[row * y : (row + 1) * y, (j - 1) * u : j * u] = block
+    return out
+
+
+def lifting_data_blocks(p) -> tuple:
+    """T', R and Q of the Nehari lifting data set, block by block: T' is the
+    backward shift on the max(K, 1) tap rows (block (n, n + 1) is I), R
+    maps slot j of U^(N-1) to window slot j and Q to window slot j + 1."""
+    y, u, n_w = p.y_dim, p.u_dim, p.n_window
+    rows = max(p.k_taps, 1)
+    t_prime = zeros(rows * y, rows * y)
+    for n in range(rows - 1):
+        t_prime[n * y : (n + 1) * y, (n + 1) * y : (n + 2) * y] = eye(y)
+    r = zeros(n_w * u, (n_w - 1) * u)
+    q = zeros(n_w * u, (n_w - 1) * u)
+    for j in range(n_w - 1):
+        r[j * u : (j + 1) * u, j * u : (j + 1) * u] = eye(u)
+        q[(j + 1) * u : (j + 2) * u, j * u : (j + 1) * u] = eye(u)
+    return t_prime, r, q
+
+
 def colligation(rc) -> np.ndarray:
     """The system matrix [[X1, X2], [X3, 0], [X4, X5]] of a realization,
     mapping (state, parameter output) to (next state, parameter input,
@@ -85,7 +144,7 @@ def solve_g(p, lam) -> list:
     if n_w == 1:
         return []
     corner = lam[: (n_w - 1) * u, : (n_w - 1) * u]
-    sol = solve_hpd(corner, np.vstack([adj(p.tap(i)) for i in range(1, n_w)]))
+    sol = solve_hpd(corner, np.vstack([adj(tap(p, i)) for i in range(1, n_w)]))
     return [adj(sol[(i - 1) * u : i * u, :]) for i in range(1, n_w)]
 
 
@@ -124,7 +183,7 @@ def nehari_closed_form(p) -> NehariClosedForm:
         t_state[(i - 1) * u : i * u, :u] = -block(i + 1, 1) @ lam11_inv
     e_1 = np.vstack([eye(u)] + [zeros(u, u)] * (n_w - 1))
     c2 = lam_x[:, (n_w - 1) * u :] @ psd_sqrt(inv_hpd(block(n_w, n_w)))
-    f_row = np.hstack([p.tap(n) for n in range(1, n_w + 1)])
+    f_row = np.hstack([tap(p, n) for n in range(1, n_w + 1)])
     g_big = np.hstack(g_row + [zeros(y, u)] * (n_w - len(g_row)))
     i_fg_neg_half = psd_sqrt(inv_hpd(eye(y) + f_row @ adj(g_big)))
     return NehariClosedForm(
@@ -134,7 +193,7 @@ def nehari_closed_form(p) -> NehariClosedForm:
         x4=f_row @ t_state,
         x5=np.hstack([i_fg_neg_half, zeros(y, u)]),
         e=e_1,
-        base=np.vstack([p.tap(n) for n in range(1, max(p.k_taps, 1) + 1)]),
+        base=np.vstack([tap(p, n) for n in range(1, max(p.k_taps, 1) + 1)]),
         lam_cross=lam_x,
         g_row=tuple(g_row),
     )
@@ -153,6 +212,6 @@ def closed_form_operators(p, cf):
     col1 = np.vstack([lam_x[u:, :u], zeros(u, u)])
     c1 = col1 @ inv_hpd(lam_x[:u, :u])
     c2 = lam_x[:, (n_w - 1) * u :] @ psd_sqrt(inv_hpd(lam_x[(n_w - 1) * u :, (n_w - 1) * u :]))
-    f_row = np.hstack([p.tap(n) for n in range(1, n_w + 1)])
+    f_row = np.hstack([tap(p, n) for n in range(1, n_w + 1)])
     g_big = np.hstack(list(cf.g_row) + [zeros(y, u)] * (n_w - len(cf.g_row)))
     return c1, c2, f_row, g_big

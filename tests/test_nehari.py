@@ -4,10 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     closed_form_operators,
+    combined_operator_blocks,
+    hankel_blocks,
     lambda_cross,
+    lifting_data_blocks,
     nehari_closed_form,
     solve_g,
     spectral_radius,
+    tap,
 )
 from power_series import series_mul, series_neumann, taylor_eval, transfer_taylor
 
@@ -123,6 +127,31 @@ def test_gram_matches_hankel_defect_edge_shapes(u, y, n_w, k):
     assert operator_norm(nehari.gram(p) - (eye(a.shape[1]) - adj(a) @ a)) <= 1e-13
 
 
+def _same_bits(got, want) -> bool:
+    return got.shape == want.shape and got.dtype == want.dtype and (
+        np.ascontiguousarray(got).tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("u,y,n_w,k", EDGE_SHAPES)
+def test_layouts_match_block_loops(u, y, n_w, k):
+    # every block of the gathered layouts is a copy of a tap, an H or an
+    # exact 0 or 1, so they equal the block loops of the definitions bit
+    # for bit
+    p = random_taps_problem(u + 10 * y + 100 * n_w + 1000 * k + 7, u, y, n_w, k)
+    assert _same_bits(nehari.hankel(p), hankel_blocks(p))
+    ds = nehari.to_lifting_data(p)
+    for got, want in zip((ds.t_prime, ds.r, ds.q), lifting_data_blocks(p)):
+        assert _same_bits(got, want)
+    rng = np.random.default_rng(k)
+    for deg in (0, 1, 5):
+        h = np.array([0.2 * ginibre(rng, y, u) for _ in range(deg + 1)])
+        # assemble_l's arithmetic on the loop-built operator: the same
+        # float exactly when the gathered operator has the same bits
+        out = combined_operator_blocks(p, h)
+        top = np.linalg.eigvalsh(adj(out) @ out)[-1] if out.size else 0.0
+        assert nehari.assemble_l(p, h) == float(np.sqrt(max(top, 0.0)))
+
+
 def test_coefficients_builds_the_gram_once(monkeypatch):
     calls = []
     real = nehari.gram
@@ -206,7 +235,7 @@ def test_solve_g_residual(seed):
     n_w, u = p.n_window, p.u_dim
     corner = lam[: (n_w - 1) * u, : (n_w - 1) * u]
     lhs = corner @ np.vstack([adj(g) for g in g_row])
-    rhs = np.vstack([adj(p.tap(i)) for i in range(1, n_w)])
+    rhs = np.vstack([adj(tap(p, i)) for i in range(1, n_w)])
     assert operator_norm(lhs - rhs) < 1e-9
 
 
@@ -273,7 +302,7 @@ def test_coefficients_cross_check_against_lifting(seed):
     ds = nehari.to_lifting_data(p)
     dd = lifting.derive(ds)
     rc = redheffer.build_coefficients(dd)
-    unitary = hpd_factor(nc.lam) @ dd.d_a_inv
+    unitary = hpd_factor(nehari.gram(p)) @ dd.d_a_inv
     assert operator_norm(adj(unitary) @ unitary - eye(unitary.shape[0])) < 1e-12
     conjugated = {
         "x1": unitary @ rc.x1 @ adj(unitary),
@@ -297,7 +326,7 @@ def test_coefficients_match_closed_form_oracle(seed):
     p = _random_problem(rng, 0.9 * rng.uniform(0.4, 1.0))
     nc = nehari.coefficients(p)
     cf = nehari_closed_form(p)
-    w = hpd_factor(nc.lam)
+    w = hpd_factor(nehari.gram(p))
     w_inv = np.linalg.inv(w)
     similar = {
         "x1": w @ cf.x1 @ w_inv,
@@ -370,9 +399,15 @@ def test_phi_hat_taylor_matches_eval():
         assert operator_norm(taylor_eval(ts, lam) - val) < 1e-9
 
 
+def _solution_h(rc: redheffer.Realization, v, deg):
+    """Hardy-space coefficients H_0..H_deg of the solution of a realization
+    for the parameter v."""
+    return redheffer.solution_taylor(rc, v, deg).gamma_coeffs
+
+
 def test_solve_h_central_scalar():
     nc = nehari.coefficients(SCALAR)
-    h = nehari.solve_h(nc, schur.zero(1, 2), 12)
+    h = _solution_h(nc, schur.zero(1, 2), 12)
     assert all(operator_norm(c) < 1e-14 for c in h)
     assert abs(nehari.assemble_l(SCALAR, h) - 0.5) < 1e-12
 
@@ -381,27 +416,13 @@ def test_solve_h_pure_input_direction_zero_taps():
     p = nehari.NehariProblem(2, 1, 1, ())
     nc = nehari.coefficients(p)
     v = schur.constant(np.array([[0.0], [1.0]]))  # no output component
-    h = nehari.solve_h(nc, v, 10)
+    h = _solution_h(nc, v, 10)
     assert all(operator_norm(c) < 1e-14 for c in h)
 
 
 def dense_l_norm(p, h):
     """Norm of the truncated combined operator, assembled block by block."""
-    n_w, u, y, k = p.n_window, p.u_dim, p.y_dim, p.k_taps
-    deg = len(h) - 1
-    rows = k + deg + 1
-    out = zeros(rows * y, n_w * u)
-    for idx, i in enumerate(range(-k, deg + 1)):
-        for j in range(1, n_w + 1):
-            m = i - j + 1
-            if m >= 0:
-                block = h[m]
-            elif -m <= k:
-                block = p.tap(-m)
-            else:
-                block = zeros(y, u)
-            out[idx * y : (idx + 1) * y, (j - 1) * u : j * u] = block
-    return operator_norm(out)
+    return operator_norm(combined_operator_blocks(p, h))
 
 
 @pytest.mark.parametrize("deg", [0, 1, 40])
@@ -432,7 +453,7 @@ def test_forward_soundness_sweep(seed):
     nc = nehari.coefficients(p)
     assert spectral_radius(nc.x1) < 1.0
     v = schur.random_schur(p.u_dim, p.y_dim + p.u_dim, int(rng.integers(0, 4)), seed)
-    h = nehari.solve_h(nc, v, 48)
+    h = _solution_h(nc, v, 48)
     assert nehari.assemble_l(p, h) <= 1.0 + 1e-6
 
 
@@ -513,25 +534,20 @@ def test_hat_m_zero_dimensional_state():
     assert cert.status == "certified"
 
 
-def _special_h(special: redheffer.Realization, v, deg):
-    """Hardy-space coefficients to degree deg of a special-case solution."""
-    return redheffer.solution_realization(special, v).taylor(deg).gamma_coeffs
-
-
 def _bridge(u, y):
     return np.block([[eye(y), np.zeros((y, u))], [np.zeros((u, y)), -eye(u)]])
 
 
 def test_special_n1_zero_parameter():
     p = nehari.NehariProblem(1, 2, 1, (np.array([[0.3, 0.1]]),))
-    h = _special_h(nehari.special_n1(p), schur.zero(2, 3), 8)
+    h = _solution_h(nehari.special_n1(p), schur.zero(2, 3), 8)
     assert all(operator_norm(c) == 0 for c in h)
 
 
 def test_special_n1_constant_parameter_feasible():
     p = nehari.NehariProblem(1, 1, 1, (np.array([[0.5]]),))
     v = schur.constant(np.array([[0.6], [0.0]]))
-    h = _special_h(nehari.special_n1(p), v, 24)
+    h = _solution_h(nehari.special_n1(p), v, 24)
     assert all(operator_norm(h[k]) < 1e-14 for k in range(1, 25))
     assert nehari.assemble_l(p, h) <= 1.0 + 1e-9
 
@@ -588,7 +604,7 @@ def test_special_cases_match_series_closed_forms(seed):
     f0 = series_mul(vy, series_neumann(lam_n_vu, deg), deg)
     for special, oracle in ((nehari.special_n1(p), n1),
                             (nehari.special_f0(n_w, u, y), f0)):
-        h = _special_h(special, v, deg)
+        h = _solution_h(special, v, deg)
         assert max(operator_norm(a - b) for a, b in zip(h, oracle)) < 1e-13
 
 
@@ -596,7 +612,7 @@ def test_special_f0_identity_parameter():
     # V = [1; 0]: the solution is constantly the identity, and the
     # lower-triangular coefficient operator is an isometry
     v = schur.constant(np.array([[1.0], [0.0]]))
-    f = _special_h(nehari.special_f0(3, 1, 1), v, 12)
+    f = _solution_h(nehari.special_f0(3, 1, 1), v, 12)
     np.testing.assert_allclose(complex(f[0, 0, 0]), 1.0)
     assert all(operator_norm(c) < 1e-14 for c in f[1:])
     p = nehari.NehariProblem(3, 1, 1, ())
@@ -625,9 +641,9 @@ def test_parrott_style_direct_oracle():
     deg = 6
     for seed in range(1000):
         v = schur.random_schur(1, 2, seed % 3, seed)
-        h = nehari.solve_h(nc, v, deg)
+        h = _solution_h(nc, v, deg)
         assert nehari.assemble_l(p, h) <= 1.0 + 1e-6, seed
-    central = nehari.solve_h(nc, schur.zero(1, 2), deg)
+    central = _solution_h(nc, schur.zero(1, 2), deg)
     base = nehari.assemble_l(p, central)
     assert base <= 1.0
     sigmas = []
