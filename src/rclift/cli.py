@@ -12,7 +12,8 @@ Timings go to stderr only.  A file that is not strict JSON in UTF-8
 exits 2 with an error naming it.
 
 Exit codes: 0 pass, 1 constraint or verification failure, 2 I/O,
-schema or usage error (such as `gen --dims` the family cannot take),
+schema or usage error (such as `gen --dims` the family cannot take, a
+negative `--degree`, or a `--tol` that is not finite and nonnegative),
 3 hypothesis violation (strictness), 4 generator failure.
 The default tolerance is 1e-6 (1e-8 for `validate`) and the default
 truncation degree 64.
@@ -384,6 +385,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "degree", 0) < 0:
             raise ParseError("--degree must be nonnegative")
+        if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
+            raise ParseError("--tol must be finite and nonnegative")
         return args.func(args)
     except (ParseError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -128,6 +128,22 @@ def test_negative_degree_exits_2(scalar_problem, tmp_path, capsys, command):
     assert "nonnegative" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("command", ["solve", "verify", "validate"])
+def test_tolerance_not_finite_and_nonnegative_exits_2(tmp_path, capsys, command, tol):
+    # a threshold of 1 + inf certified a forged solution (its Gamma scaled
+    # tenfold), and nan or a negative tolerance refuted every solution
+    inst, _, doc = _solved_lifting(tmp_path, capsys)
+    for gamma in doc["gamma"]:
+        _scale_matrix(gamma, 10.0)
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc))
+    extra = {"solve": ["--central"], "verify": [str(forged)], "validate": []}[command]
+    code, out, err = run(capsys, command, str(inst), *extra, "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tol must be finite and nonnegative")
+
+
 @pytest.mark.parametrize("argv", [["validate", "--degree", "3"], ["nehari", "--tol", "1e-3"]])
 def test_option_the_command_ignores_exits_2(scalar_problem, capsys, argv):
     # validate truncates nothing and the nehari report has no tolerance,

@@ -431,3 +431,39 @@ def test_test_only_definition_is_detected(tmp_path):
     trees = [ast.parse(p.read_text()) for p in _referrers(tmp_path)]
     package = ast.parse(files["src/pkg.py"])
     assert _dead(trees, _definitions(package)) == ["oracle"]
+
+
+# The package definitions that only the benchmark references.  They stay
+# in src/ while the benchmark calls them; the list may shrink, never grow.
+BENCH_ONLY = ["redheffer.py:assemble_m", "serialize.py:parameter_to_json"]
+
+
+def _bench_only(root: Path) -> list[str]:
+    """`file:definition` for each package definition that the benchmark's
+    references keep alive and the package's own do not."""
+    sources = sorted((root / "src").rglob("*.py"))
+    package = [ast.parse(p.read_text(encoding="utf-8")) for p in sources]
+    referrers = [ast.parse(p.read_text(encoding="utf-8")) for p in _referrers(root)]
+    found = []
+    for path, tree in zip(sources, package):
+        definitions = _definitions(tree)
+        alive = set(definitions) - set(_dead(referrers, definitions))
+        found += [f"{path.name}:{d}" for d in _dead(package, definitions) if d in alive]
+    return found
+
+
+def test_bench_only_definitions_do_not_grow():
+    assert _bench_only(ROOT) == BENCH_ONLY
+
+
+def test_bench_only_definition_is_detected(tmp_path):
+    files = {
+        "src/pkg.py": "def used():\n    return 1\n\ndef timed():\n    return 2\n\n"
+                      "def oracle():\n    return 3\n\nprint(used())\n",
+        "bench/run.py": "print(timed())\n",
+        "tests/test_pkg.py": "print(oracle())\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert _bench_only(tmp_path) == ["pkg.py:timed"]
