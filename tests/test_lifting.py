@@ -216,6 +216,20 @@ def test_generate_random_validates(kind, dims):
         assert abs(rep.strictness.norm_a - 0.8) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "kind,dims",
+    [("nehari-like", (2, 2, 3, 4)), ("classical-like", (3, 4)), ("generic", (5, 3, 2))],
+)
+def test_generate_random_norm_never_above_target(kind, dims):
+    # the rescaled norm used to be computed up to 7e-16 above the target,
+    # so a target of 1 - STRICT_DELTA failed the strictness gate
+    target = 1.0 - lifting.STRICT_DELTA
+    for seed in range(8):
+        ds = generators.generate_random(kind, dims, target, seed)
+        assert target - 1e-14 <= operator_norm(ds.a) <= target
+        lifting.derive(ds)
+
+
 def test_generate_random_zero_norm():
     ds = generators.generate_random("generic", (4, 3, 2), 0.0, 1)
     assert operator_norm(ds.a) == 0.0
