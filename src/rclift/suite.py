@@ -435,12 +435,12 @@ def ac11_scalar_worked_example(_cfg: SuiteConfig) -> tuple[bool, dict]:
     """The single-tap, window-two example against hand-evaluated values."""
     p = nehari.NehariProblem(2, 1, 1, (np.array([[0.5]]),))
     nc = nehari.coefficients(p)
-    lam = nehari.gram(p)
+    defect_gram = nehari.gram(p)
     tol = 1e-10
     s3 = np.sqrt(3.0)
     checks = {
-        "gram": operator_norm(lam - np.diag([0.75, 1.0])),
-        "gram_inverse": operator_norm(inv_hpd(lam) - np.diag([4.0 / 3.0, 1.0])),
+        "gram": operator_norm(defect_gram - np.diag([0.75, 1.0])),
+        "gram_inverse": operator_norm(inv_hpd(defect_gram) - np.diag([4.0 / 3.0, 1.0])),
         # X5 = [(I + F G*)^-1/2, 0] with G = 2/3, in every coordinates
         "g_solve": operator_norm(nc.x5 - np.array([[s3 / 2, 0.0]])),
         # X1 = W T W^-1 with W = diag(s3/2, 1) and T = [[0, 1], [0, 0]]
