@@ -132,7 +132,7 @@ def _same_bits(got, want) -> bool:
         np.ascontiguousarray(got).tobytes() == want.tobytes())
 
 
-@pytest.mark.parametrize("u,y,n_w,k", EDGE_SHAPES)
+@pytest.mark.parametrize("u,y,n_w,k", EDGE_SHAPES + [(2, 3, 4, 2), (3, 2, 3, 3)])
 def test_layouts_match_block_loops(u, y, n_w, k):
     # every block of the gathered layouts is a copy of a tap, an H or an
     # exact 0 or 1, so they equal the block loops of the definitions bit
