@@ -24,10 +24,6 @@ the intertwining equation (in the Frobenius inner product), rescaled to
 (shared = 0, h' = 0) raises EmptySolutionSpace.  A purely random
 pair (T', Q) generically forces A = 0, which is why the eigenvalue
 structure respectively the dimension gap is imposed.
-
-`generate_random` shrinks A of every family by one ulp at a time while its
-computed norm exceeds the target, so that a target of at most
-1 - STRICT_DELTA passes the strictness gate of `lifting.derive`.
 """
 
 from __future__ import annotations
@@ -80,22 +76,17 @@ def random_nehari_problem(
 
 
 def _at_most(a: np.ndarray, target_norm: float) -> np.ndarray:
-    """a shrunk one ulp at a time while its computed norm exceeds
-    target_norm.
-
-    A rescale to the target leaves the computed norm up to a few ulps above
-    it.  Each factor 1 - 2^-53 moves every normal entry one ulp toward
-    zero, and every family's constraints are linear in A.
-    """
+    """a multiplied by 1 - 2^-53, which moves every normal entry one ulp toward
+    zero and keeps each family's linear constraints, until its computed norm
+    is at most target_norm; a rescale to the target can leave it ulps above."""
     while operator_norm(a) > target_norm:
         a = a * np.nextafter(1.0, 0.0)
     return a
 
 
 def _rescaled(a: np.ndarray, target_norm: float) -> np.ndarray:
-    """a scaled to operator norm target_norm, computed at most that;
-    EmptySolutionSpace when a is numerically zero, which happens only on an
-    empty solution space."""
+    """a scaled to computed operator norm at most target_norm; EmptySolutionSpace
+    when a is numerically zero, which happens only on an empty solution space."""
     norm = operator_norm(a)
     if norm <= 1e-12:
         raise EmptySolutionSpace("the intertwining equation only has A = 0")
@@ -225,8 +216,7 @@ def generate_random(kind: str, dims, target_norm_a: float, seed) -> LiftingDataS
 
     dims is (u_dim, y_dim, n_window, k_taps) for nehari-like,
     (h, h_prime) for classical-like, and (h, h_prime, h0) for generic.
-    The result always passes validation, and its computed ||A|| is at
-    most target_norm_a and within a few ulps of it.
+    The result passes validation and has computed ||A|| <= target_norm_a.
     """
     if not 0.0 <= target_norm_a < 1.0:
         raise ValueError("target_norm_a must lie in [0, 1)")
