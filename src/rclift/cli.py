@@ -18,46 +18,57 @@ negative `--degree`, or a `--tol` that is not finite and nonnegative),
 The default tolerance is 1e-6 (1e-8 for `validate`) and the default
 truncation degree 64.
 
-Every residual row carries the threshold its gate used, and the solve
-and verify reports carry a `certificate`: "certified", "refuted" or
-"uncertified".  Exit code 1 means refuted; certified and uncertified
-both exit 0.  Uncertified gets no exit code of its own while Nehari
-solutions are coefficient files, which can never be certified.
+Every report lists one residual row per gate (`lifting.Verdict`): the
+quantity the gate decides lies in [`lower`, `value`], and `threshold` is
+the limit it is held to, from above, or from below for the rows
+`defect_ordering`, `strictness_sigma_min_r` and
+`strictness_gram_min_eig`.  An exact value has `lower` = `value`; a
+truncated check bounds its quantity from below only, so its `value` is
+null (no upper end).  The row's `status` is "certified" when every point
+of the range keeps the threshold, "refuted" when none does, and
+"uncertified" otherwise, and `passed` is `status` == "certified".  The
+solve and verify reports carry a `certificate`, the status of their rows
+together: "refuted" when a row is, "certified" when every row is,
+"uncertified" otherwise.  Exit code 1 means refuted; certified and
+uncertified both exit 0.  Uncertified gets no exit code of its own while
+Nehari solutions are coefficient files, which can never be certified.
+`validate` passes when its four constraint rows are certified; its
+strictness rows report the margins `solve` needs (exit code 3 there).
 
 A lifting solution written by `solve` is a state-space realization, and
-`hardy.certify_interpolant` checks it exactly: every row is an upper
-bound on the full, untruncated residual (`stacked_norm` on the norm of
-the whole solution), computed from one Stein Gramian and widened by its
-roundoff bound.  The certificate is "certified" when every row is within
-its threshold, and "refuted" when a row's lower end, widened the other
-way but never below the part of the row that needs no Gramian, is past
-it; a row whose two ends straddle its threshold reads `passed: false`
-under an "uncertified" certificate.  An uncertified realization, and one
-whose state matrix is not certified stable, is also expanded to `--degree`
-coefficients and checked as a coefficient file, whose rows are reported
-when it refutes or when there is no exact check.
+`hardy.certify_interpolant` checks it exactly: each row's `value` is an
+upper bound on the full, untruncated residual (`stacked_norm` on the
+norm of the whole solution), computed from one Stein Gramian and widened
+by its roundoff bound, and its `lower` the same widened the other way,
+but never below the part of the row that needs no Gramian.  A row whose
+two ends straddle its threshold is uncertified.  An uncertified
+realization, and one whose state matrix is not certified stable, is also
+expanded to `--degree` coefficients and checked as a coefficient file,
+whose rows are reported when they refute or when there is no exact check.
 
 A coefficient file (a lifting solution without `tail`, or any Nehari
 solution) is checked truncated at the smaller of `--degree` and the
-stored degree.
-Truncation bounds the full norm and residuals from below, so a row above
-its threshold (`1 + tol` for the norm rows `stacked_norm` and
-`combined_operator_norm`) refutes the solution, and rows within it give
-"uncertified", never "certified".  No value read from the solution file
-enters a threshold, and a `tail_bound` key that older solution files
-carry is ignored.  Coefficients that overflow floating point, in a
-lifting realization's expansion or in a coefficient file of either
-problem, end `verify` with an error, exit code 1, and no report.
+stored degree.  Truncation bounds the full norm and residuals from
+below, so the rows `dilation_intertwining`, `stacked_norm` and
+`combined_operator_norm` have only a `lower` end: one above its
+threshold (`1 + tol` for the norm rows) refutes the solution, and rows
+within it are uncertified, never certified.  `projection_onto_target`
+is exact in either check.  A Nehari solution file records its
+`combined_operator_norm` lower end as `sigma_max`.  No value read from
+the solution file enters a threshold, and a `tail_bound` key that older
+solution files carry is ignored.  Coefficients that overflow floating
+point, in a lifting realization's expansion or in a coefficient file of
+either problem, end `verify` with an error, exit code 1, and no report.
 
 The `nehari` report truncates nothing, so it does not depend on
 `--degree`, which it accepts and ignores, and it takes no `--tol`;
-`validate` takes no `--degree`.  Its `stacked_isometry_residual`
-row is the certified residual of the identities that make the full
-stacked operator an isometry (`nehari.hat_m_check`, from the exact Stein
-Gramian), gated at FP_GRAM_TOL; it passes only when the
-certificate is "certified".  Its `state_spectral_radius` row is no
-eigenvalue but the spectral-radius bound that the Stein solve of the
-isometry certificate certifies; null when that solve proves none.
+`validate` takes no `--degree`.  Its `stacked_isometry_residual` row
+brackets the residual of the identities that make the full stacked
+operator an isometry (`nehari.hat_m_check`, from the exact Stein
+Gramian), gated at FP_GRAM_TOL.  Its `state_spectral_radius` row is no
+eigenvalue: its `value` is the spectral-radius bound that the Stein
+solve of the isometry certificate certifies, and null when that solve
+proves none.  The report passes when every row is certified.
 """
 
 from __future__ import annotations
@@ -77,7 +88,6 @@ from .errors import (
     RcliftError,
 )
 from .linalg import adj, eye, inv_hpd, min_eig_hermitian, operator_norm
-from .redheffer import FP_GRAM_TOL
 from .suite import SuiteConfig, run_suite
 
 EXIT_PASS = 0
@@ -90,11 +100,14 @@ DEFAULT_DEGREE = 64
 DEFAULT_TOL = 1e-6
 
 
-def _row(name: str, value: float, threshold: float, passed: bool | None = None) -> dict:
-    if passed is None:
-        passed = bool(value <= threshold)
-    return {"name": name, "value": float(value), "threshold": float(threshold),
-            "passed": bool(passed)}
+def _rows(verdicts) -> list[dict]:
+    """One residual row per verdict (see the module docstring)."""
+    return [
+        {"name": v.name, "value": float(v.upper), "lower": float(v.lower),
+         "threshold": float(v.threshold), "passed": v.status == "certified",
+         "status": v.status}
+        for v in verdicts
+    ]
 
 
 def _emit(args, document: dict) -> None:
@@ -116,44 +129,22 @@ def _instance_digest(obj) -> dict:
             "dim_h0": obj.dim_h0}
 
 
-def _validation_rows(ds: lifting.LiftingDataSet, tol: float) -> tuple[list[dict], bool]:
-    report = lifting.validate(ds, tol=tol)
-    rows = [
-        _row(r.name, r.value, r.threshold, r.passed) for r in report.rows
-    ]
-    s = report.strictness
-    rows.append(_row("strictness_norm_a", s.norm_a, 1.0 - lifting.STRICT_DELTA))
-    sig_r = s.sigma_min_r if np.isfinite(s.sigma_min_r) else 1.0
-    rows.append(
-        _row("strictness_sigma_min_r", sig_r, lifting.STRICT_DELTA,
-             sig_r >= lifting.STRICT_DELTA)
-    )
-    return rows, report.passed
-
-
 def cmd_validate(args) -> int:
     obj = _load_instance(args.input)
-    rows = []
+    verdicts = []
     if isinstance(obj, nehari.NehariProblem):
-        a = nehari.hankel(obj)
-        rows.append(_row("hankel_contraction", operator_norm(a), 1.0 + args.tol))
-        gram_min = min_eig_hermitian(nehari.gram(obj))
-        rows.append(
-            _row("strictness_gram_min_eig", gram_min, nehari.GRAM_MIN_EIG,
-                 gram_min >= nehari.GRAM_MIN_EIG)
-        )
+        verdicts.append(lifting.Verdict.exact(
+            "strictness_gram_min_eig", min_eig_hermitian(nehari.gram(obj)),
+            nehari.GRAM_MIN_EIG, at_least=True))
         ds = nehari.to_lifting_data(obj)
     else:
         ds = obj
-    lifting_rows, passed = _validation_rows(ds, args.tol)
-    rows.extend(lifting_rows)
-    ok = passed and all(
-        r["passed"] for r in rows if not r["name"].startswith("strictness")
-    )
+    constraints, strict = lifting.validate(ds, args.tol)
+    ok = lifting.combined_status(constraints) == "certified"
     _emit(args, {
         "command": "validate",
         "instance": _instance_digest(obj),
-        "residuals": rows,
+        "residuals": _rows([*verdicts, *constraints, *strict]),
         "passed": ok,
     })
     return EXIT_PASS if ok else EXIT_FAIL
@@ -173,22 +164,14 @@ def _load_parameter(args, in_dim: int, out_dim: int) -> schur.SchurParameter:
     return v
 
 
-def _solution_rows(obj, sol, deg: int, tol: float) -> tuple[list[dict], str]:
-    """Residual rows of a solution against its instance, and the
-    certificate status: "certified", "refuted" or "uncertified"."""
+def _solution_verdicts(obj, sol, deg: int, tol: float) -> tuple:
+    """The verdicts on a solution against its instance."""
     if isinstance(obj, nehari.NehariProblem):
         sigma = nehari.assemble_l(obj, sol[: deg + 1])
-        status = "uncertified" if sigma <= 1.0 + tol else "refuted"
-        return [_row("combined_operator_norm", sigma, 1.0 + tol)], status
+        return (lifting.Verdict("combined_operator_norm", sigma, np.inf, 1.0 + tol),)
     if isinstance(sol, hardy.SolutionRealization):
-        rep = hardy.certify_interpolant(obj, sol, deg, tol=tol)
-    else:
-        rep = hardy.verify_interpolant(obj, sol, min(deg, sol.degree), tol=tol)
-    return [
-        _row("projection_onto_target", rep.projection_residual, tol),
-        _row("dilation_intertwining", rep.intertwining_residual, tol),
-        _row("stacked_norm", rep.sigma_max, 1.0 + tol),
-    ], rep.status
+        return hardy.certify_interpolant(obj, sol, deg, tol=tol)
+    return hardy.verify_interpolant(obj, sol, min(deg, sol.degree), tol=tol)
 
 
 def cmd_solve(args) -> int:
@@ -202,18 +185,19 @@ def cmd_solve(args) -> int:
     else:
         rc = redheffer.build_coefficients(lifting.derive(obj))
         sol = redheffer.solution_realization(rc, _load_parameter(args, rc.kq_dim, rc.w_dim))
-    rows, status = _solution_rows(obj, sol, deg, args.tol)
+    verdicts = _solution_verdicts(obj, sol, deg, args.tol)
+    status = lifting.combined_status(verdicts)
     ok = status != "refuted"
     report = {
         "command": "solve",
         "instance": _instance_digest(obj),
-        "residuals": rows,
+        "residuals": _rows(verdicts),
         "degree": deg,
         "certificate": status,
         "passed": ok,
     }
     if is_nehari:
-        _emit(args, serialize.nehari_solution_to_json(sol, rows[0]["value"], report))
+        _emit(args, serialize.nehari_solution_to_json(sol, verdicts[0].lower, report))
     else:
         _emit(args, serialize.lifting_solution_to_json(sol, report))
     return EXIT_PASS if ok else EXIT_FAIL
@@ -226,12 +210,13 @@ def cmd_verify(args) -> int:
         sol = serialize.nehari_solution_from_json(sol_doc, obj.u_dim, obj.y_dim)
     else:
         sol = serialize.lifting_solution_from_json(sol_doc)
-    rows, status = _solution_rows(obj, sol, args.degree, args.tol)
+    verdicts = _solution_verdicts(obj, sol, args.degree, args.tol)
+    status = lifting.combined_status(verdicts)
     ok = status != "refuted"
     _emit(args, {
         "command": "verify",
         "instance": _instance_digest(obj),
-        "residuals": rows,
+        "residuals": _rows(verdicts),
         "certificate": status,
         "passed": ok,
     })
@@ -247,20 +232,17 @@ def cmd_nehari(args) -> int:
     lam = nehari.gram(obj)
     gram_vs_hankel = operator_norm(lam - (eye(a.shape[1]) - adj(a) @ a))
     inv_res = operator_norm(lam @ inv_hpd(lam) - eye(lam.shape[0]))
-    cert = nehari.hat_m_check(nc, args.degree)
-    rows = [
-        _row("hankel_norm", operator_norm(a), 1.0),
-        _row("gram_matches_hankel", gram_vs_hankel, 1e-10),
-        _row("gram_inverse", inv_res, 1e-9),
-        _row("state_spectral_radius", cert.radius_bound, 1.0),
-        _row("stacked_isometry_residual", cert.residual, FP_GRAM_TOL,
-             cert.status == "certified"),
-    ]
-    ok = all(r["passed"] for r in rows)
+    verdicts = (
+        lifting.Verdict.exact("hankel_norm", operator_norm(a), 1.0),
+        lifting.Verdict.exact("gram_matches_hankel", gram_vs_hankel, 1e-10),
+        lifting.Verdict.exact("gram_inverse", inv_res, 1e-9),
+        *nehari.hat_m_check(nc, args.degree),
+    )
+    ok = lifting.combined_status(verdicts) == "certified"
     _emit(args, {
         "command": "nehari",
         "instance": _instance_digest(obj),
-        "residuals": rows,
+        "residuals": _rows(verdicts),
         "passed": ok,
     })
     return EXIT_PASS if ok else EXIT_FAIL

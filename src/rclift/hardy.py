@@ -24,7 +24,7 @@ checks whole through one Stein Gramian and `coefficient_gap` compares
 with another exactly.  Both checks read the defect coordinates of the
 dilation of T' from the data set (`lifting.LiftingDataSet.t_prime_defect`)
 and form the rows of the dilation residual (U' b) R - b Q in one helper,
-`_dilation_residual`.
+`_dilation_residual`.  Each returns one `lifting.Verdict` per condition.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 
 from . import lifting
 from .errors import DimensionMismatch, NotFinite
+from .lifting import Verdict, combined_status
 from .linalg import adj, observability_gramian, operator_norm, zeros
 
 
@@ -189,27 +190,6 @@ def observability_matrix(g: np.ndarray) -> np.ndarray:
 # --- interpolation verification ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InterpolantReport:
-    """Residuals of the contractive-interpolant conditions for one solution.
-
-    `status` is "refuted" when a residual proves that the solution is
-    none, "certified" when all three are proven within their thresholds,
-    and "uncertified" otherwise; a truncated check can refute but never
-    certify.
-    """
-
-    projection_residual: float
-    intertwining_residual: float
-    sigma_max: float
-    status: str
-
-    @property
-    def passed(self) -> bool:
-        """Whether the solution is not refuted."""
-        return self.status != "refuted"
-
-
 def _dilation_residual(
     ds: lifting.LiftingDataSet, a_part: np.ndarray, gammas: np.ndarray
 ) -> np.ndarray:
@@ -218,7 +198,7 @@ def _dilation_residual(
     (E_T* D_T' a_part) R - Gamma_0 Q in slot 0 and Gamma_(i-1) R - Gamma_i Q
     in slots i = 1..k-1.  U' moves slot i of b to slot i+1, so the row of
     Gamma_(k-1) R falls off the end: `verify_interpolant` drops it with the
-    truncation, and `_exact_report` sums it with the tail.
+    truncation, and `_exact_verdicts` sums it with the tail.
     """
     d_t, e_t = ds.t_prime_defect
     if gammas.shape[1] != e_t.shape[1]:
@@ -236,7 +216,7 @@ def verify_interpolant(
     sol: SolutionTaylor,
     deg: int,
     tol: float = 1e-6,
-) -> InterpolantReport:
+) -> tuple[Verdict, Verdict, Verdict]:
     """Check the two interpolation identities and contractivity of a
     solution truncated at `deg`.
 
@@ -244,16 +224,17 @@ def verify_interpolant(
     the target operator, (ii) the intertwining residual ||(U' b) R - b Q||
     against the truncated Sz.-Nagy-Schaffer dilation U' of T', and (iii)
     the largest singular value of the stacked solution b truncated at
-    `deg`.  U' acts on H' plus deg+1 Taylor slots of defect vectors, so it
-    is applied as the shift it is, never formed: U' b stacks T' b_H',
-    (E_T* D_T') b_H' and the slots 0..deg-1 of b moved up one slot, the top
-    slot overflowing out of the truncation.  The truncation keeps a subset
-    of the rows of the full solution and of the full residual, so (ii) and
-    (iii) bound their full values from below: the solution is "refuted"
-    when (i) or (ii) exceeds tol or (iii) exceeds 1 + tol, and
-    "uncertified" otherwise.  A truncation that overflows floating point
-    raises NotFinite.  `certify_interpolant` decides a solution in
-    state-space form exactly.
+    `deg`; the verdicts `projection_onto_target`, `dilation_intertwining`
+    and `stacked_norm` hold them against tol, tol and 1 + tol.  U' acts on
+    H' plus deg+1 Taylor slots of defect vectors, so it is applied as the
+    shift it is, never formed: U' b stacks T' b_H', (E_T* D_T') b_H' and
+    the slots 0..deg-1 of b moved up one slot, the top slot overflowing out
+    of the truncation.  The truncation keeps a subset of the rows of the
+    full solution and of the full residual, so (ii) and (iii) bound their
+    full values from below: their verdicts have no upper end and can refute
+    but never certify, while (i) is exact.  A truncation that overflows
+    floating point raises NotFinite.  `certify_interpolant` decides a
+    solution in state-space form exactly.
     """
     if deg < 0:
         raise ValueError("deg must be nonnegative")
@@ -268,15 +249,11 @@ def verify_interpolant(
         residual = _dilation_residual(ds, sol.a_part, gammas)
     if not _all_finite(residual):
         raise NotFinite(f"the solution truncated at degree {deg} overflows floating point")
-    res_a = operator_norm(sol.a_part - ds.a)
-    res_int = operator_norm(residual)
     sigma = operator_norm(np.vstack([sol.a_part, observability_matrix(gammas)]))
-    passed = res_a <= tol and res_int <= tol and sigma <= 1.0 + tol
-    return InterpolantReport(
-        projection_residual=res_a,
-        intertwining_residual=res_int,
-        sigma_max=sigma,
-        status="uncertified" if passed else "refuted",
+    return (
+        Verdict.exact("projection_onto_target", operator_norm(sol.a_part - ds.a), tol),
+        Verdict("dilation_intertwining", operator_norm(residual), math.inf, tol),
+        Verdict("stacked_norm", sigma, math.inf, 1.0 + tol),
     )
 
 
@@ -292,7 +269,7 @@ def certify_interpolant(
     sol: SolutionRealization,
     deg: int,
     tol: float = 1e-6,
-) -> InterpolantReport:
+) -> tuple[Verdict, Verdict, Verdict]:
     """Decide the three conditions of `verify_interpolant` on the full,
     untruncated solution.
 
@@ -309,34 +286,34 @@ def certify_interpolant(
       plus Y* P Y.
 
     Both squared values are widened both ways by the Stein roundoff bound
-    of P (`linalg.SteinGramian`); the reported values are the upper ends.
-    The lower ends are at least the norms of the explicit rows and of
-    [a_part; Gamma_0..Gamma_(m-1)], which need no Gramian, so a
+    of P (`linalg.SteinGramian`), which gives each verdict its upper and
+    lower end.  The lower ends are at least the norms of the explicit rows
+    and of [a_part; Gamma_0..Gamma_(m-1)], which need no Gramian, so a
     realization that widens the bound (large B on states C does not see)
-    cannot lower them.  The status is "certified" when every upper end is
-    within its threshold (tol, tol, 1 + tol), and "refuted" when a lower
-    end, or the exact projection residual, is past one.  Otherwise, and
-    when there is no exact verdict (the Stein solve does not prove A
-    stable, or a Gram overflows), the solution is also expanded
-    to `deg` and checked by `verify_interpolant`, so the verdict is never
-    weaker than that truncated check: its report is returned when it
-    refutes or when there is no exact one.
+    cannot lower them; the projection residual is exact.  The three
+    verdicts, named as those of `verify_interpolant`, are returned when
+    together they certify or refute (`lifting.combined_status`).
+    Otherwise, and when there is no exact check (the Stein solve does not
+    prove A stable, or a Gram overflows), the solution is also expanded to
+    `deg` and checked by `verify_interpolant`, so the result is never
+    weaker than that truncated check: its verdicts, which have no upper
+    ends, are returned when they refute or when there is no exact check.
     """
     if sol.a_part.shape != ds.a.shape:
         raise DimensionMismatch("a_part shape disagrees with the data set")
-    exact = _exact_report(ds, sol, tol)
-    if exact is not None and exact.status != "uncertified":
+    exact = _exact_verdicts(ds, sol, tol)
+    if exact is not None and combined_status(exact) in ("certified", "refuted"):
         return exact
     truncated = verify_interpolant(ds, sol.taylor(deg), deg, tol=tol)
-    return exact if exact is not None and truncated.passed else truncated
+    return exact if exact is not None and combined_status(truncated) != "refuted" else truncated
 
 
-def _exact_report(
+def _exact_verdicts(
     ds: lifting.LiftingDataSet,
     sol: SolutionRealization,
     tol: float,
-) -> InterpolantReport | None:
-    """The exact verdict of `certify_interpolant`, or None without one."""
+) -> tuple[Verdict, Verdict, Verdict] | None:
+    """The exact verdicts of `certify_interpolant`, or None without them."""
     gram = observability_gramian(sol.a, sol.c)
     if gram is None:
         return None
@@ -353,18 +330,8 @@ def _exact_report(
         return None
     res_int, floor_int = _root_of_max_eig(int_gram, int_err)
     sigma, floor_sigma = _root_of_max_eig(sigma_gram, sigma_err)
-    floor_int = max(floor_int, operator_norm(rows))
-    floor_sigma = max(floor_sigma, operator_norm(head))
-    res_a = operator_norm(sol.a_part - ds.a)
-    if res_a > tol or floor_int > tol or floor_sigma > 1.0 + tol:
-        status = "refuted"
-    elif res_int <= tol and sigma <= 1.0 + tol:
-        status = "certified"
-    else:
-        status = "uncertified"
-    return InterpolantReport(
-        projection_residual=res_a,
-        intertwining_residual=res_int,
-        sigma_max=sigma,
-        status=status,
+    return (
+        Verdict.exact("projection_onto_target", operator_norm(sol.a_part - ds.a), tol),
+        Verdict("dilation_intertwining", max(floor_int, operator_norm(rows)), res_int, tol),
+        Verdict("stacked_norm", max(floor_sigma, operator_norm(head)), sigma, 1.0 + tol),
     )

@@ -21,6 +21,11 @@ PSD spectral core.  The defect of T' and its coordinates (D_T', E_T) belong to t
 data set alone, so they are formed once per data set
 (`LiftingDataSet.t_prime_defect`), and `derive` and both interpolant
 checks read them there.
+
+Every gate of the package reports a `Verdict`: the bounds [lower, upper]
+it knows on one quantity and the threshold it holds it to.  One rule,
+`Verdict.status`, turns a verdict into "certified", "refuted" or
+"uncertified", and one, `combined_status`, decides several together.
 """
 
 from __future__ import annotations
@@ -98,54 +103,77 @@ class LiftingDataSet:
         return psd_sqrt_and_range(eye(self.dim_h_prime) - adj(self.t_prime) @ self.t_prime)
 
 
-@dataclass(frozen=True)
-class StrictnessReport:
-    norm_a: float
-    sigma_min_r: float
-    strict_ok: bool
+# The outcomes of a gate, weakest first.
+REFUTED, UNCERTIFIED, CERTIFIED = STATUSES = ("refuted", "uncertified", "certified")
 
 
 @dataclass(frozen=True)
-class ConstraintRow:
+class Verdict:
+    """One gate: a quantity known to lie in [lower, upper], held against
+    `threshold` as an upper limit, or as a lower one when `at_least`.
+
+    An exact value has lower = upper; a truncated check knows only a lower
+    bound and has upper = inf.
+    """
+
     name: str
-    value: float
+    lower: float
+    upper: float
     threshold: float
-    passed: bool
+    at_least: bool = False
+
+    @classmethod
+    def exact(cls, name: str, value: float, threshold: float, at_least: bool = False):
+        return cls(name, value, value, threshold, at_least)
+
+    @property
+    def status(self) -> str:
+        """"refuted" when no point of [lower, upper] keeps the threshold,
+        "certified" when every point does, "uncertified" otherwise; a NaN
+        end neither refutes nor certifies."""
+        lower, upper, threshold = self.lower, self.upper, self.threshold
+        if self.at_least:
+            lower, upper, threshold = -upper, -lower, -threshold
+        if lower > threshold:
+            return REFUTED
+        if upper <= threshold:
+            return CERTIFIED
+        return UNCERTIFIED
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    rows: tuple[ConstraintRow, ...]
-    strictness: StrictnessReport
-    passed: bool
+def combined_status(verdicts) -> str:
+    """The status of several gates together: refuted when any is, certified
+    when all are (so when there are none), uncertified otherwise."""
+    return min((v.status for v in verdicts), key=STATUSES.index, default=CERTIFIED)
 
 
-def strictness(ds: LiftingDataSet) -> StrictnessReport:
-    """||A||, sigma_min(R), and whether both keep the STRICT_DELTA margin."""
-    norm_a, sigma_r = operator_norm(ds.a), min_singular_value(ds.r)
-    return StrictnessReport(norm_a, sigma_r, norm_a <= 1.0 - STRICT_DELTA and sigma_r >= STRICT_DELTA)
-
-
-def validate(ds: LiftingDataSet, tol: float = CONSTRAINT_TOL) -> ValidationReport:
-    """Residuals of the defining constraints, plus a strictness report."""
-    strict = strictness(ds)
-    norm_a = strict.norm_a
-    norm_t = operator_norm(ds.t_prime)
-    intertwine = operator_norm(ds.t_prime @ ds.a @ ds.r - ds.a @ ds.q)
-    gap = adj(ds.q) @ ds.q - adj(ds.r) @ ds.r
-    gap_min = min_eig_hermitian(gap)
-    rows = (
-        ConstraintRow("contraction_a", norm_a, 1.0 + tol, norm_a <= 1.0 + tol),
-        ConstraintRow("contraction_t_prime", norm_t, 1.0 + tol, norm_t <= 1.0 + tol),
-        ConstraintRow(
-            "intertwining",
-            intertwine,
-            tol * (1.0 + norm_a),
-            intertwine <= tol * (1.0 + norm_a),
-        ),
-        ConstraintRow("defect_ordering", gap_min, -tol, gap_min >= -tol),
+def strictness(ds: LiftingDataSet) -> tuple[Verdict, Verdict]:
+    """||A|| <= 1 - STRICT_DELTA and sigma_min(R) >= STRICT_DELTA, the
+    margins every step after `validate` needs.  An R with no columns is
+    left-invertible, and its sigma_min (+inf) reads 1.0."""
+    sigma_r = min_singular_value(ds.r)
+    return (
+        Verdict.exact("strictness_norm_a", operator_norm(ds.a), 1.0 - STRICT_DELTA),
+        Verdict.exact("strictness_sigma_min_r", sigma_r if np.isfinite(sigma_r) else 1.0,
+                      STRICT_DELTA, at_least=True),
     )
-    return ValidationReport(rows=rows, strictness=strict, passed=all(r.passed for r in rows))
+
+
+def validate(ds: LiftingDataSet, tol: float = CONSTRAINT_TOL):
+    """(constraints, strictness): the verdicts on the four defining
+    constraints, which a valid data set certifies, and those of
+    `strictness`, which share its ||A||."""
+    strict = strictness(ds)
+    norm_a = strict[0].upper
+    gap = adj(ds.q) @ ds.q - adj(ds.r) @ ds.r
+    constraints = (
+        Verdict.exact("contraction_a", norm_a, 1.0 + tol),
+        Verdict.exact("contraction_t_prime", operator_norm(ds.t_prime), 1.0 + tol),
+        Verdict.exact("intertwining", operator_norm(ds.t_prime @ ds.a @ ds.r - ds.a @ ds.q),
+                      tol * (1.0 + norm_a)),
+        Verdict.exact("defect_ordering", min_eig_hermitian(gap), -tol, at_least=True),
+    )
+    return constraints, strict
 
 
 @dataclass(frozen=True)
@@ -185,11 +213,11 @@ def derive(ds: LiftingDataSet) -> DerivedData:
     NotStrict unless the data keeps the STRICT_DELTA margin (`strictness`),
     which every later step needs.
     """
-    strict = strictness(ds)
-    if not strict.strict_ok:
+    norm_a, sigma_r = strict = strictness(ds)
+    if combined_status(strict) != CERTIFIED:
         raise NotStrict(
             "operation needs ||A|| < 1 and a left-invertible R "
-            f"(norm_a={strict.norm_a:.6f}, sigma_min_r={strict.sigma_min_r:.3e})"
+            f"(norm_a={norm_a.upper:.6f}, sigma_min_r={sigma_r.upper:.3e})"
         )
     # the gate ||A|| <= 1 - STRICT_DELTA keeps every eigenvalue of I - A*A
     # above 1.9e-6, far over the rank cut, so the inverses exist

@@ -408,14 +408,13 @@ class SteinGramian:
     the Stein residual of `p`, so its error seen through b1* (.) b2 is at
     most ||Delta|| sqrt(weight(b1) weight(b2)) (`form`), where `weight(b)`
     bounds ||b* W b|| for the exact W = a* W a + I, solved alongside P
-    (`w`).  `stein_residual` is the computed ||Delta||, and `p_residual`
-    and `w_residual` are the certified bounds `_residual_bound` on the
-    Stein residuals of p and w.  That w also proves a stable:
-    `radius_bound` < 1 bounds its spectral radius (`_lyapunov`).
+    (`w`).  `p_residual` and `w_residual` are the certified bounds
+    `_residual_bound` on the Stein residuals of p and w.  That w also
+    proves a stable: `radius_bound` < 1 bounds its spectral radius
+    (`_lyapunov`).
     """
 
     p: np.ndarray
-    stein_residual: float
     p_residual: float
     w: np.ndarray
     w_residual: float
@@ -452,7 +451,7 @@ def observability_gramian(a: np.ndarray, c: np.ndarray) -> SteinGramian | None:
     p_residual = _residual_bound(a, p, q, float(stein_p))
     if not (radius < 1.0 and math.isfinite(p_residual)):
         return None
-    return SteinGramian(p, float(stein_p), p_residual, w, w_residual, radius)
+    return SteinGramian(p, p_residual, w, w_residual, radius)
 
 
 # --- seeded random material -------------------------------------------------

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, HankelNotStrict, NotFinite
-from .lifting import LiftingDataSet
+from .lifting import LiftingDataSet, Verdict
 from .linalg import (
     adj,
     cmatrix,
@@ -51,12 +51,7 @@ from .linalg import (
     solve_factor_adjoint,
     zeros,
 )
-from .redheffer import (
-    IsometryCertificate,
-    Realization,
-    isometry_certificate,
-    storage_coefficients,
-)
+from .redheffer import Realization, isometry_certificate, storage_coefficients
 
 GRAM_MIN_EIG = 1e-8
 
@@ -215,8 +210,8 @@ def assemble_l(p: NehariProblem, h: np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def hat_m_check(nc: Realization, _deg: int) -> IsometryCertificate:
-    """Isometry certificate of the full stacked operator M-hat.
+def hat_m_check(nc: Realization, _deg: int) -> tuple[Verdict, Verdict]:
+    """The isometry verdicts of the full stacked operator M-hat.
 
     `redheffer.isometry_certificate` on the Nehari realization: three n x n
     identities and the exact Gramian decide the whole operator, so the

@@ -41,7 +41,7 @@ from .hardy import (
     mult_matrix,
     observability_matrix,
 )
-from .lifting import DerivedData, left_inverse_dar
+from .lifting import DerivedData, Verdict, left_inverse_dar
 from .linalg import (
     adj,
     disc_stack,
@@ -316,34 +316,7 @@ def assemble_m(rc: Realization, deg: int) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class IsometryCertificate:
-    """Exact isometry test of the full stacked solution operator M.
-
-    `residual` bounds from above, and `residual_floor` from below, the
-    largest residual of the three identities that make M an isometry, taken
-    with the exact Gramian; `stein_residual` is the Stein residual of the
-    computed one, and `radius_bound` its bound on the spectral radius of X1.
-    `status` is "certified" when the upper bound is within FP_GRAM_TOL,
-    "refuted" when the lower bound exceeds it, and "uncertified" otherwise,
-    always so when X1 is not certified stable (no Gramian, floor 0, rest inf).
-    """
-
-    residual: float
-    residual_floor: float
-    stein_residual: float
-    radius_bound: float
-
-    @property
-    def status(self) -> str:
-        if self.residual <= FP_GRAM_TOL:
-            return "certified"
-        if self.residual_floor > FP_GRAM_TOL:
-            return "refuted"
-        return "uncertified"
-
-
-def isometry_certificate(rc: Realization) -> IsometryCertificate:
+def isometry_certificate(rc: Realization) -> tuple[Verdict, Verdict]:
     """Decide whether the full stacked solution operator is an isometry.
 
     M is the output map of x+ = X1 x + X2 w, y = C x + D w with C = [X3; X4],
@@ -356,23 +329,31 @@ def isometry_certificate(rc: Realization) -> IsometryCertificate:
     with the bound on its error that `linalg.SteinGramian.form` gives, for
     (X2, X2), (X1, X2) and (E, E); it widens the computed residual both
     ways and is never added to the threshold.
+
+    Two verdicts: `state_spectral_radius`, with the Stein solve's bound on
+    the spectral radius of X1 as its upper end and 0 as its lower, at 1.0;
+    and `stacked_isometry_residual`, the largest residual of the three
+    identities widened both ways, at FP_GRAM_TOL.  The radius is certified
+    whenever the Stein solve proves X1 stable; when it does not, there is
+    no Gramian, both upper ends are inf and the residual's floor is 0, so
+    neither verdict is certified.
     """
     c = np.vstack([rc.x3, rc.x4])
     d = np.vstack([zeros(rc.kq_dim, rc.w_dim), rc.x5])
     g = observability_gramian(rc.x1, c)
     if g is None:
-        return IsometryCertificate(np.inf, 0.0, np.inf, np.inf)
+        return (Verdict("state_spectral_radius", 0.0, np.inf, 1.0),
+                Verdict("stacked_isometry_residual", 0.0, np.inf, FP_GRAM_TOL))
     identities = (  # explicit part, (B1* P B2, its error bound), identity
         (adj(d) @ d, g.form(rc.x2, rc.x2), eye(rc.w_dim)),
         (adj(c) @ d, g.form(rc.x1, rc.x2), 0.0),
         (adj(rc.base) @ rc.base, g.form(rc.e, rc.e), eye(rc.e.shape[1])),
     )
     computed = [(operator_norm(m + bpb - i), err) for m, (bpb, err), i in identities]
-    return IsometryCertificate(
-        residual=float(max(r + err for r, err in computed)),
-        residual_floor=float(max(r - err for r, err in computed)),
-        stein_residual=g.stein_residual,
-        radius_bound=g.radius_bound,
+    return (
+        Verdict("state_spectral_radius", 0.0, g.radius_bound, 1.0),
+        Verdict("stacked_isometry_residual", float(max(r - err for r, err in computed)),
+                float(max(r + err for r, err in computed)), FP_GRAM_TOL),
     )
 
 

@@ -272,9 +272,9 @@ def ac06_contractive_interpolants(cfg: SuiteConfig) -> tuple[bool, dict]:
             for j in range(10)
         ]
         for v in params:
-            rep = hardy.certify_interpolant(ds, redheffer.solution_realization(rc, v), 16)
-            worst_sigma = max(worst_sigma, rep.sigma_max)
-            certified += rep.status == "certified"
+            verdicts = hardy.certify_interpolant(ds, redheffer.solution_realization(rc, v), 16)
+            worst_sigma = max(worst_sigma, verdicts[2].upper)  # stacked_norm
+            certified += lifting.combined_status(verdicts) == "certified"
     ok = certified == 11 * n_inst
     return ok, {"instances": n_inst, "parameters_per_instance": 11,
                 "certified": certified, "max_sigma": worst_sigma}
@@ -306,11 +306,11 @@ def ac07_stacked_operator_contraction(cfg: SuiteConfig) -> tuple[bool, dict]:
             all_ok = False
         gap = operator_norm(adj(ds.q) @ ds.q - adj(ds.r) @ ds.r)
         if gap < 1e-9:
-            cert = redheffer.isometry_certificate(rc)
-            if cert.radius_bound < 1.0 - 1e-9:
+            radius, iso = redheffer.isometry_certificate(rc)
+            if radius.upper < 1.0 - 1e-9:
                 iso_checked += 1
-                worst_iso = max(worst_iso, cert.residual)
-                if cert.status != "certified":
+                worst_iso = max(worst_iso, iso.upper)
+                if iso.status != "certified":
                     all_ok = False
     ok = all_ok and iso_checked > 0
     return ok, {"instances": cfg.n_mid, "max_kyp_norm": worst_kyp,
@@ -415,15 +415,16 @@ def ac10_hat_m_isometry(cfg: SuiteConfig) -> tuple[bool, dict]:
     worst = 0.0
     radius_max = 0.0
     for _, _, nc in cfg.nehari_pool:
-        cert = redheffer.isometry_certificate(nc)
-        if cert.status != "certified":
+        radius, iso = redheffer.isometry_certificate(nc)
+        if iso.status != "certified":
             general_ok = False
-        worst = max(worst, cert.residual)
-        radius_max = max(radius_max, cert.radius_bound)
+        worst = max(worst, iso.upper)
+        radius_max = max(radius_max, radius.upper)
     zero_ok = True
     for n_w, u, y in ((1, 1, 1), (2, 2, 1), (3, 1, 2), (4, 2, 2)):
         p0 = nehari.NehariProblem(n_w, u, y, ())
-        if redheffer.isometry_certificate(nehari.coefficients(p0)).status != "certified":
+        _, iso = redheffer.isometry_certificate(nehari.coefficients(p0))
+        if iso.status != "certified":
             zero_ok = False
     ok = general_ok and zero_ok
     return ok, {"instances": cfg.n_mid, "max_radius_bound": radius_max,

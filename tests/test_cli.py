@@ -39,7 +39,8 @@ def test_validate_scalar(scalar_problem, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True
-    assert any(r["name"] == "hankel_contraction" for r in doc["residuals"])
+    row = next(r for r in doc["residuals"] if r["name"] == "contraction_a")
+    assert row["value"] == row["lower"] == 0.5 and row["status"] == "certified"
 
 
 def test_validate_flags_expansive_instance(tmp_path, capsys):
@@ -49,8 +50,8 @@ def test_validate_flags_expansive_instance(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 1
     doc = json.loads(out)
-    row = next(r for r in doc["residuals"] if r["name"] == "hankel_contraction")
-    assert not row["passed"]
+    row = next(r for r in doc["residuals"] if r["name"] == "contraction_a")
+    assert not row["passed"] and row["status"] == "refuted"
 
 
 def test_validate_malformed_json(tmp_path, capsys):
@@ -115,7 +116,9 @@ def test_verify_nehari_truncates_to_degree(scalar_problem, tmp_path, capsys, deg
     kept = coeffs[: min(degree, 1) + 1]
     (row,) = json.loads(out)["residuals"]
     assert row["name"] == "combined_operator_norm"
-    assert abs(row["value"] - nehari.assemble_l(problem, kept)) < 1e-12
+    # a truncated norm is a lower bound, with no upper end
+    assert row["value"] is None and not row["passed"]
+    assert abs(row["lower"] - nehari.assemble_l(problem, kept)) < 1e-12
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "nehari"])
@@ -551,6 +554,8 @@ def test_verify_forged_realization(tmp_path, capsys, forge, expect):
         assert status != "certified"
     else:
         assert status == expect
+    for row in report["residuals"]:
+        assert row["value"] is None or row["lower"] <= row["value"]
     if forge is _forge_c:
         # pushed past a contraction, not only off the intertwining
         row = next(r for r in report["residuals"] if r["name"] == "stacked_norm")

@@ -14,6 +14,7 @@ from test_schur import grid_certify
 from rclift import cli, generators, hardy, lifting, linalg, nehari, redheffer, schur, serialize
 from rclift.errors import DimensionMismatch, NotFinite
 from rclift.hardy import StateSpace
+from rclift.lifting import combined_status
 
 
 def _rand_system(seed, state, ins, outs):
@@ -125,10 +126,11 @@ def test_verify_ignores_claimed_tail_bound(tmp_path, capsys):
     code = cli.main(["verify", str(inst), str(path), "--degree", str(deg)])
     rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["residuals"]}
     assert code == 1
-    assert rows["projection_onto_target"]["passed"]
-    assert rows["dilation_intertwining"]["passed"]
-    assert rows["stacked_norm"]["value"] > 2.0
-    assert not rows["stacked_norm"]["passed"]
+    assert rows["projection_onto_target"]["status"] == "certified"
+    assert rows["dilation_intertwining"]["status"] == "uncertified"
+    # a truncated norm is a lower bound, with no upper end
+    assert rows["stacked_norm"]["lower"] > 2.0 and rows["stacked_norm"]["value"] is None
+    assert rows["stacked_norm"]["status"] == "refuted"
 
 
 def _verify_case(case):
@@ -163,10 +165,10 @@ def test_verify_interpolant_matches_dense_dilation(case, perturb):
     b = np.vstack([sol.a_part, *sol.gamma_coeffs[: deg + 1]])
     u_prime = sznagy_schaffer_truncated(ds.t_prime, deg)
     dense = linalg.operator_norm(u_prime @ b @ ds.r - b @ ds.q)
-    rep = hardy.verify_interpolant(ds, sol, deg)
-    assert abs(rep.intertwining_residual - dense) <= 1e-14 * max(1.0, dense)
+    _, intertwining, _ = rep = hardy.verify_interpolant(ds, sol, deg)
+    assert abs(intertwining.lower - dense) <= 1e-14 * max(1.0, dense)
     if perturb == 0.0 and case != "unitary":
-        assert rep.passed
+        assert combined_status(rep) != "refuted"
     if perturb:
         assert dense > 0.1
 
@@ -202,7 +204,7 @@ def test_verify_interpolant_memory_is_linear():
         tracemalloc.stop()
     # the Gamma_k have h' rows, which verify_interpolant checks against the
     # defect dimension; their norm refutes the solution
-    assert rep.status == "refuted"
+    assert combined_status(rep) == "refuted"
     assert peak < dense_bytes / 10
 
 
@@ -229,16 +231,16 @@ def test_exact_values_bound_every_truncation(seed, factor):
     ds, sol = _realized(seed)
     sol = _forge_gamma0(sol, factor)
     exact = hardy.certify_interpolant(ds, sol, 0)
+    assert all(e.lower <= e.upper for e in exact)
     for deg in (0, 1, 2, 4, 8, 16, 32, 64, 128):
         trunc = hardy.verify_interpolant(ds, sol.taylor(deg), deg)
-        assert trunc.sigma_max <= exact.sigma_max + 1e-15
-        assert trunc.intertwining_residual <= exact.intertwining_residual + 1e-15
-        assert trunc.projection_residual == exact.projection_residual
-    assert abs(trunc.sigma_max - exact.sigma_max) <= 1e-12
-    assert abs(trunc.intertwining_residual - exact.intertwining_residual) <= 1e-12
-    assert exact.status == ("certified" if factor == 1.0 else "refuted")
+        assert [t.name for t in trunc] == [e.name for e in exact]
+        assert all(t.lower <= e.upper + 1e-15 for t, e in zip(trunc, exact))
+        assert trunc[0] == exact[0]
+    assert all(abs(t.lower - e.upper) <= 1e-12 for t, e in zip(trunc, exact))
+    assert combined_status(exact) == ("certified" if factor == 1.0 else "refuted")
     if factor != 1.0:
-        assert exact.intertwining_residual > 0.01
+        assert exact[1].upper > 0.01
 
 
 @pytest.mark.parametrize("factor", [1.0, 1.5])
@@ -250,17 +252,16 @@ def test_longer_head_gives_the_same_certificate(factor):
     head = sol.taylor(2).gamma_coeffs
     longer = dataclasses.replace(sol, gamma_coeffs=head, b=sol.a @ (sol.a @ sol.b))
     one, three = (hardy.certify_interpolant(ds, s, 0) for s in (sol, longer))
-    assert one.status == three.status
-    assert abs(one.sigma_max - three.sigma_max) <= 1e-14
-    assert abs(one.intertwining_residual - three.intertwining_residual) <= 1e-14
+    assert combined_status(one) == combined_status(three)
+    assert all(abs(a.upper - b.upper) <= 1e-14 for a, b in zip(one, three))
     n_in, n_out = sol.b.shape[1], sol.c.shape[0]
     poly = dataclasses.replace(sol, gamma_coeffs=head, a=np.zeros((0, 0), complex),
                                b=np.zeros((0, n_in), complex), c=np.zeros((n_out, 0), complex))
     exact = hardy.certify_interpolant(ds, poly, 0)
     trunc = hardy.verify_interpolant(ds, poly.taylor(3), 3)
-    assert exact.status == ("refuted" if trunc.status == "refuted" else "certified")
-    assert abs(exact.sigma_max - trunc.sigma_max) <= 1e-14
-    assert abs(exact.intertwining_residual - trunc.intertwining_residual) <= 1e-14
+    refuted = combined_status(trunc) == "refuted"
+    assert combined_status(exact) == ("refuted" if refuted else "certified")
+    assert all(abs(e.upper - t.lower) <= 1e-14 for e, t in zip(exact, trunc))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -289,12 +290,12 @@ def test_near_strictness_boundary_never_wrongly_certified(seed, norm, r_margin, 
         sol = _forge_gamma0(sol, forge)
     else:
         sol = dataclasses.replace(sol, c=forge * sol.c)
-    rep = hardy.certify_interpolant(ds, sol, 64)
-    if rep.status == "certified":
+    rep = combined_status(hardy.certify_interpolant(ds, sol, 64))
+    if rep == "certified":
         deg = 256
-        assert hardy.verify_interpolant(ds, sol.taylor(deg), deg).passed
+        assert combined_status(hardy.verify_interpolant(ds, sol.taylor(deg), deg)) != "refuted"
     if forge == 1.5 and r_margin is None:
-        assert rep.status == "refuted"
+        assert rep == "refuted"
 
 
 # generic (5, 3, 2) instances at 1 - ||A|| = 1e-5 and 1e-6
@@ -313,7 +314,7 @@ def test_honest_solutions_certified_at_the_strictness_boundary(gap, seed):
     ]
     for v in params:
         rep = hardy.certify_interpolant(ds, redheffer.solution_realization(rc, v), 16)
-        assert rep.status == "certified"
+        assert combined_status(rep) == "certified"
 
 
 def _parameter_at_radius(rc, r, seed, observable):
@@ -356,15 +357,16 @@ def test_closed_loop_radius_near_one(inst_seed, r, param_seed, observable, facto
     sol = _forge_gamma0(redheffer.solution_realization(rc, v), factor)
     assert abs(spectral_radius(sol.a) - r) <= 1e-12
     rep = hardy.certify_interpolant(ds, sol, 64)
+    status = combined_status(rep)
     if factor == 1.5:
-        assert rep.status == "refuted"
+        assert status == "refuted"
     else:
-        assert rep.passed
-    if rep.status == "certified":
-        assert hardy.verify_interpolant(ds, sol.taylor(256), 256).passed
+        assert status != "refuted"
+    if status == "certified":
+        assert combined_status(hardy.verify_interpolant(ds, sol.taylor(256), 256)) != "refuted"
     if r == 1.0:
         assert rep == hardy.verify_interpolant(ds, sol.taylor(64), 64)
-        assert rep.status == ("uncertified" if factor == 1.0 else "refuted")
+        assert status == ("uncertified" if factor == 1.0 else "refuted")
 
 
 @pytest.mark.parametrize("factor", [1.0, 1.5])
@@ -382,9 +384,9 @@ def test_unobservable_padding_never_weakens_the_verdict(factor):
         sol, a=a, b=np.vstack([sol.b, np.full((extra, sol.b.shape[1]), 1e20)]),
         c=np.hstack([sol.c, np.zeros((sol.c.shape[0], extra))]),
     )
-    plain, rep = (hardy.certify_interpolant(ds, s, 16) for s in (sol, padded))
-    assert plain.status == ("certified" if factor == 1.0 else "refuted")
-    assert rep.status == ("uncertified" if factor == 1.0 else "refuted")
+    plain, rep = (combined_status(hardy.certify_interpolant(ds, s, 16)) for s in (sol, padded))
+    assert plain == ("certified" if factor == 1.0 else "refuted")
+    assert rep == ("uncertified" if factor == 1.0 else "refuted")
 
 
 def test_overflowing_expansion_raises_not_finite():
@@ -402,8 +404,8 @@ def test_unstable_tail_falls_back_to_truncation():
     for scale in (1.0 / rho, 1.2 / rho):
         bad = dataclasses.replace(sol, a=scale * sol.a)
         rep = hardy.certify_interpolant(ds, bad, 16)
-        assert rep.status != "certified"
-        assert rep.sigma_max == hardy.verify_interpolant(ds, bad.taylor(16), 16).sigma_max
+        assert combined_status(rep) != "certified"
+        assert rep == hardy.verify_interpolant(ds, bad.taylor(16), 16)
 
 
 def test_certificate_rejects_wrong_defect_dimension():
@@ -488,5 +490,5 @@ def test_t_prime_defect_is_factored_once_per_data_set(monkeypatch):
         schur.random_schur(rc.kq_dim, rc.w_dim, j % 4, 100 + j) for j in range(10)]
     for v in params:
         rep = hardy.certify_interpolant(ds, redheffer.solution_realization(rc, v), 16)
-        assert rep.status == "certified"
+        assert combined_status(rep) == "certified"
     assert len(factored) == 1

@@ -50,10 +50,14 @@ def scalar_nehari_data():
     return nehari.to_lifting_data(p)
 
 
+def _statuses(ds):
+    """The combined status of the constraint verdicts of `lifting.validate`
+    and that of its strictness verdicts."""
+    return tuple(lifting.combined_status(v) for v in lifting.validate(ds))
+
+
 def test_validate_nehari_built_data():
-    rep = lifting.validate(scalar_nehari_data())
-    assert rep.passed
-    assert rep.strictness.strict_ok
+    assert _statuses(scalar_nehari_data()) == ("certified", "certified")
 
 
 def test_validate_zero_a_isometries():
@@ -62,8 +66,7 @@ def test_validate_zero_a_isometries():
     ds = lifting.LiftingDataSet(
         a=np.zeros((2, 3)), t_prime=0.5 * haar_unitary(rng, 2), r=eye(3), q=q
     )
-    rep = lifting.validate(ds)
-    assert rep.passed and rep.strictness.strict_ok
+    assert _statuses(ds) == ("certified", "certified")
 
 
 def test_validate_flags_zero_column_r():
@@ -71,19 +74,78 @@ def test_validate_flags_zero_column_r():
     r = np.hstack([eye(3)[:, :2], np.zeros((3, 1))])
     q = haar_unitary(rng, 3)
     ds = lifting.LiftingDataSet(a=np.zeros((2, 3)), t_prime=np.zeros((2, 2)), r=r, q=q)
-    rep = lifting.validate(ds)
-    assert rep.passed  # constraints hold (R*R <= Q*Q)
-    assert not rep.strictness.strict_ok
-    assert rep.strictness.sigma_min_r == 0.0
+    _, (_, sigma_r) = lifting.validate(ds)
+    # the constraints hold (R*R <= Q*Q), the strictness of R does not
+    assert _statuses(ds) == ("certified", "refuted")
+    assert (sigma_r.lower, sigma_r.upper) == (0.0, 0.0)
 
 
 def test_validate_flags_expansive_a():
     ds = lifting.LiftingDataSet(
         a=1.2 * np.ones((1, 1)), t_prime=np.ones((1, 1)), r=np.ones((1, 1)), q=np.ones((1, 1))
     )
-    rep = lifting.validate(ds)
-    rows = {r.name: r for r in rep.rows}
-    assert not rows["contraction_a"].passed
+    constraints, _ = lifting.validate(ds)
+    rows = {v.name: v for v in constraints}
+    assert rows["contraction_a"].status == "refuted"
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("lower, upper, threshold, at_least, status", [
+    # exact values, lower = upper, on either side of the threshold and on it
+    (0.5, 0.5, 1.0, False, "certified"),
+    (1.0, 1.0, 1.0, False, "certified"),
+    (1.5, 1.5, 1.0, False, "refuted"),
+    # ends that straddle the threshold decide nothing
+    (0.5, 1.5, 1.0, False, "uncertified"),
+    # a truncated check has no upper end: it can refute, never certify
+    (0.5, INF, 1.0, False, "uncertified"),
+    (1.5, INF, 1.0, False, "refuted"),
+    # a NaN end neither certifies nor refutes; the other end still may
+    (NAN, NAN, 1.0, False, "uncertified"),
+    (0.5, NAN, 1.0, False, "uncertified"),
+    (NAN, 1.5, 1.0, False, "uncertified"),
+    (NAN, 0.5, 1.0, False, "certified"),
+    (1.5, NAN, 1.0, False, "refuted"),
+    # at-least gates mirror the rule
+    (2e-6, 2e-6, 1e-6, True, "certified"),
+    (1e-6, 1e-6, 1e-6, True, "certified"),
+    (0.0, 0.0, 1e-6, True, "refuted"),
+    (0.0, 1.0, 1e-6, True, "uncertified"),
+    (2e-6, INF, 1e-6, True, "certified"),
+    (-INF, 0.0, 1e-6, True, "refuted"),
+    (NAN, NAN, 1e-6, True, "uncertified"),
+    (NAN, 0.0, 1e-6, True, "refuted"),
+    (2e-6, NAN, 1e-6, True, "certified"),
+])
+def test_verdict_status(lower, upper, threshold, at_least, status):
+    assert lifting.Verdict("gate", lower, upper, threshold, at_least).status == status
+
+
+def test_exact_verdict_has_equal_ends():
+    v = lifting.Verdict.exact("gate", 0.25, 1.0, at_least=True)
+    assert (v.lower, v.upper, v.threshold, v.at_least) == (0.25, 0.25, 1.0, True)
+
+
+CERTIFIED = lifting.Verdict("c", 0.5, 0.5, 1.0)
+UNCERTIFIED = lifting.Verdict("u", 0.5, INF, 1.0)
+REFUTED = lifting.Verdict("r", 0.0, 0.0, 1e-6, at_least=True)
+
+
+@pytest.mark.parametrize("verdicts, status", [
+    ((), "certified"),
+    ((CERTIFIED,), "certified"),
+    ((CERTIFIED, CERTIFIED), "certified"),
+    ((CERTIFIED, UNCERTIFIED), "uncertified"),
+    ((UNCERTIFIED, UNCERTIFIED), "uncertified"),
+    ((CERTIFIED, UNCERTIFIED, REFUTED), "refuted"),
+    ((REFUTED, CERTIFIED), "refuted"),
+], ids=["empty", "one_certified", "all_certified", "one_uncertified", "all_uncertified",
+        "one_of_each", "refuted_first"])
+def test_combined_status(verdicts, status):
+    assert lifting.combined_status(verdicts) == status
+    assert lifting.combined_status(iter(verdicts)) == status
 
 
 def test_derive_scalar_nehari():
@@ -211,9 +273,9 @@ def test_sznagy_gram_structure():
 def test_generate_random_validates(kind, dims):
     for seed in range(3):
         ds = generators.generate_random(kind, dims, 0.8, seed)
-        rep = lifting.validate(ds)
-        assert rep.passed
-        assert abs(rep.strictness.norm_a - 0.8) < 1e-9
+        constraints, (norm_a, _) = lifting.validate(ds)
+        assert lifting.combined_status(constraints) == "certified"
+        assert abs(norm_a.upper - 0.8) < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -233,7 +295,7 @@ def test_generate_random_norm_never_above_target(kind, dims):
 def test_generate_random_zero_norm():
     ds = generators.generate_random("generic", (4, 3, 2), 0.0, 1)
     assert operator_norm(ds.a) == 0.0
-    assert lifting.validate(ds).passed
+    assert _statuses(ds)[0] == "certified"
 
 
 def test_generate_random_classical_structure():
@@ -290,7 +352,7 @@ def test_generated_a_solves_the_intertwining_equation(kind, dims, dim_null, seed
     ds = generators.generate_random(kind, dims, 0.6, seed)
     assert operator_norm(ds.t_prime @ ds.a @ ds.r - ds.a @ ds.q) <= 1e-12
     assert abs(operator_norm(ds.a) - 0.6) <= 1e-12
-    assert lifting.validate(ds).passed
+    assert _statuses(ds)[0] == "certified"
     null = intertwining_nullspace(ds.t_prime, ds.r, ds.q)
     assert null.shape[1] == dim_null
     vec_a = ds.a.reshape(-1)
@@ -338,7 +400,7 @@ def test_large_generic_projection_is_orthogonal(monkeypatch, dims):
         instances.append(generators.generate_random("generic", dims, 0.6, 6))
     ds, other = instances
     assert np.array_equal(ds.q, other.q)
-    assert lifting.validate(ds).passed
+    assert _statuses(ds)[0] == "certified"
     assert operator_norm(ds.t_prime @ ds.a @ ds.r - ds.a @ ds.q) <= 1e-12
     # A = c P z with c > 0, and <P z, z> = ||P z||^2 is real, so P z is
     # A <A, z> / ||A||^2; z - P z must be orthogonal to the null space
@@ -377,7 +439,7 @@ def test_zero_dimensional_edges(tmp_path, capsys, kind, dims, solvable):
             "--norm", "0.5", "--seed", "1", "--out", str(path)]
     if solvable:
         ds = generators.generate_random(kind, dims, 0.5, 1)
-        assert lifting.validate(ds).passed
+        assert _statuses(ds)[0] == "certified"
         assert abs(operator_norm(ds.a) - 0.5) <= 1e-12
         assert cli.main(argv) == 0
         assert cli.main(["validate", str(path)]) == 0

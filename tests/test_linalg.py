@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import pivoted_gram_schmidt, spectral_radius
 
-from rclift import cli, generators, linalg, serialize
+from rclift import cli, generators, lifting, linalg, serialize
 from rclift.errors import (
     DimensionMismatch,
     NegativeEigenvalue,
@@ -390,7 +390,8 @@ def test_observability_gramian_matches_lyapunov_solver(seed):
     g = linalg.observability_gramian(a, c)
     oracle = scipy.linalg.solve_discrete_lyapunov(a.conj().T, c.conj().T @ c)
     assert linalg.operator_norm(g.p - oracle) <= 1e-10 * linalg.operator_norm(oracle)
-    assert g.stein_residual <= 1e-12 * linalg.operator_norm(oracle)
+    stein = linalg.operator_norm(a.conj().T @ g.p @ a + c.conj().T @ c - g.p)
+    assert stein <= 1e-12 * linalg.operator_norm(oracle)
     # W = sum a*^t a^t, so b* W b is at least b* b
     b = linalg.ginibre(rng, 6, 3)
     assert g.weight(b) >= linalg.operator_norm(b.conj().T @ b)
@@ -404,7 +405,7 @@ def test_p_residual_carries_the_rounding_allowance():
     a = np.eye(n, k=1, dtype=complex)
     c = np.arange(1.0, n + 1.0)[None, :].astype(complex)
     g = linalg.observability_gramian(a, c)
-    assert g.stein_residual == 0.0
+    assert linalg.operator_norm(a.conj().T @ g.p @ a + c.conj().T @ c - g.p) == 0.0
     p_1 = np.linalg.norm(g.p, 1)
     k = (n + 2) * np.finfo(float).eps
     assert g.p_residual == pytest.approx(k * (2 * p_1 + np.linalg.norm(c.conj().T @ c, 1)))
@@ -457,9 +458,10 @@ def test_stability_certificate_edges(name):
     g = linalg.observability_gramian(a, np.ones((1, n), dtype=complex))
     if g is None:
         assert certify is not True
-        row = cli._row("state_spectral_radius", np.inf, 1.0)
-        assert serialize.canonical_json(row) == (
-            '{"name":"state_spectral_radius","passed":false,"threshold":1.0,"value":null}\n'
+        rows = cli._rows([lifting.Verdict("state_spectral_radius", 0.0, np.inf, 1.0)])
+        assert serialize.canonical_json(rows) == (
+            '[{"lower":0.0,"name":"state_spectral_radius","passed":false,'
+            '"status":"uncertified","threshold":1.0,"value":null}]\n'
         )
     else:
         assert certify is not False

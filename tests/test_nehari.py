@@ -17,7 +17,17 @@ from power_series import series_mul, series_neumann, taylor_eval, transfer_taylo
 
 from rclift import generators, hardy, lifting, nehari, redheffer, schur
 from rclift.errors import DimensionMismatch, HankelNotStrict, NotPositiveDefinite
-from rclift.linalg import adj, eye, ginibre, hpd_factor, inv_hpd, operator_norm, psd_sqrt, zeros
+from rclift.linalg import (
+    adj,
+    eye,
+    ginibre,
+    hpd_factor,
+    inv_hpd,
+    observability_gramian,
+    operator_norm,
+    psd_sqrt,
+    zeros,
+)
 from rclift.redheffer import FP_GRAM_TOL
 
 SCALAR = nehari.NehariProblem(2, 1, 1, (np.array([[0.5]]),))
@@ -456,21 +466,29 @@ def test_forward_soundness_sweep(seed):
     assert nehari.assemble_l(p, h) <= 1.0 + 1e-6
 
 
+def _stein_residual(nc):
+    """The Stein residual ||X1* P X1 + C*C - P|| of the computed Gramian
+    of the realization's state matrix X1 and output map C = [X3; X4]."""
+    c = np.vstack([nc.x3, nc.x4])
+    p = observability_gramian(nc.x1, c).p
+    return operator_norm(adj(nc.x1) @ p @ nc.x1 + adj(c) @ c - p)
+
+
 def test_hat_m_zero_taps_exact():
     # zero taps make the state matrix the nilpotent shift, so the Gramian
     # sum is finite and comes out exact
     for n_w in (1, 2, 3):
-        p = nehari.NehariProblem(n_w, 1, 2, ())
-        rep = nehari.hat_m_check(nehari.coefficients(p), n_w)
-        assert rep.residual <= 1e-10
-        assert rep.stein_residual == 0.0
-        assert rep.status == "certified"
+        nc = nehari.coefficients(nehari.NehariProblem(n_w, 1, 2, ()))
+        _, iso = nehari.hat_m_check(nc, n_w)
+        assert iso.upper <= 1e-10
+        assert _stein_residual(nc) == 0.0
+        assert iso.status == "certified"
 
 
 def test_hat_m_scalar_example():
     nc = nehari.coefficients(SCALAR)
-    rep = nehari.hat_m_check(nc, 64)
-    assert rep.residual <= 1e-8
+    _, iso = nehari.hat_m_check(nc, 64)
+    assert iso.upper <= 1e-8
 
 
 def test_hat_m_check_independent_of_degree():
@@ -481,7 +499,7 @@ def test_hat_m_check_independent_of_degree():
     nc = nehari.coefficients(p)
     reps = [nehari.hat_m_check(nc, d) for d in (0, 8, 16, 32)]
     assert all(r == reps[0] for r in reps)
-    assert reps[0].status == "certified"
+    assert lifting.combined_status(reps[0]) == "certified"
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -497,8 +515,8 @@ def test_hat_m_near_strictness_boundary(seed, u, y, n_w, k, norm):
     # close to ||Gamma|| = 1 the weights blow up; the certificate may give
     # up, but it must never refute a true isometry
     p = generators.random_nehari_problem(np.random.default_rng(seed), u, y, n_w, k, norm)
-    cert = redheffer.isometry_certificate(nehari.coefficients(p))
-    assert cert.status in ("certified", "uncertified")
+    _, iso = redheffer.isometry_certificate(nehari.coefficients(p))
+    assert iso.status != "refuted"
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -509,7 +527,7 @@ def test_coefficients_certified_near_boundary(gap, seed):
     # the colligation stays contractive
     p = generators.random_nehari_problem(np.random.default_rng(seed), 2, 2, 3, 4, 1 - gap)
     nc = nehari.coefficients(p)
-    assert redheffer.isometry_certificate(nc).status == "certified"
+    assert lifting.combined_status(redheffer.isometry_certificate(nc)) == "certified"
     assert redheffer.kyp_norm(nc) <= 1.0 + FP_GRAM_TOL
 
 
@@ -528,9 +546,9 @@ def test_hat_m_zero_dimensional_state():
     p = nehari.NehariProblem(3, 0, 2, (zeros(2, 0), zeros(2, 0)))
     nc = nehari.coefficients(p)
     assert nc.x1.shape == (0, 0)
-    cert = nehari.hat_m_check(nc, 8)
-    assert (cert.residual, cert.stein_residual) == (0.0, 0.0)
-    assert cert.status == "certified"
+    _, iso = nehari.hat_m_check(nc, 8)
+    assert (iso.lower, iso.upper, _stein_residual(nc)) == (0.0, 0.0, 0.0)
+    assert iso.status == "certified"
 
 
 def _bridge(u, y):
@@ -658,5 +676,5 @@ def test_to_lifting_data_validates():
     rng = np.random.default_rng(12)
     for n_w in (1, 2, 4):
         p = generators.random_nehari_problem(rng, 2, 1, n_w, 3, 0.8)
-        rep = lifting.validate(nehari.to_lifting_data(p))
-        assert rep.passed and rep.strictness.strict_ok
+        verdicts = lifting.validate(nehari.to_lifting_data(p))
+        assert [lifting.combined_status(v) for v in verdicts] == ["certified", "certified"]

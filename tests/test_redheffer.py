@@ -290,8 +290,8 @@ def test_assemble_m_isometry_gap_free():
     # is the exact residual at every degree, not just a bound
     for rc in _isometric_realizations():
         assert spectral_radius(rc.x1) < 1.0
-        cert = redheffer.isometry_certificate(rc)
-        assert cert.status == "certified" and cert.residual <= 1e-12
+        _, iso = redheffer.isometry_certificate(rc)
+        assert iso.status == "certified" and iso.upper <= 1e-12
         for deg in (0, 8, 48):
             m = redheffer.assemble_m(rc, deg)
             slack = m_gram_slack(rc, deg)
@@ -310,8 +310,8 @@ def test_isometry_certified_at_the_strictness_boundary(gap, seed):
     ds = generators.generate_random("nehari-like", (2, 2, 3, 4), 1.0 - gap, seed)
     rc = redheffer.build_coefficients(lifting.derive(ds))
     assert redheffer.kyp_norm(rc) <= 1.0 + redheffer.FP_GRAM_TOL
-    cert = redheffer.isometry_certificate(rc)
-    assert cert.status == "certified"
+    _, iso = redheffer.isometry_certificate(rc)
+    assert iso.status == "certified"
 
 
 def _random_realization(seed, n, rho, rows3, rows4, w, k):
@@ -399,18 +399,20 @@ def test_forged_realization_never_certified(forge):
             bad = dataclasses.replace(rc, x5=rc.x5 * (1.0 + 1e-6))
         else:
             bad = dataclasses.replace(rc, x3=rc.x3 * 1.01, x4=rc.x4 * 1.01)
-        cert = redheffer.isometry_certificate(bad)
+        _, iso = redheffer.isometry_certificate(bad)
         # no Gramian exists for a unitary state matrix; the scaled ones are
         # contractions that miss the isometry identities
-        assert cert.status == ("uncertified" if forge == "unitary_x1" else "refuted")
+        assert iso.status == ("uncertified" if forge == "unitary_x1" else "refuted")
 
 
 def test_unstable_state_is_uncertified():
     _, rc = generic_rc(0)
     bad = dataclasses.replace(rc, x1=1.5 * rc.x1 / spectral_radius(rc.x1))
     assert spectral_radius(bad.x1) >= 1.0
-    cert = redheffer.isometry_certificate(bad)
-    assert cert.status == "uncertified" and cert.residual == np.inf
+    radius, iso = redheffer.isometry_certificate(bad)
+    assert (radius.lower, radius.upper) == (0.0, np.inf)
+    assert (iso.lower, iso.upper) == (0.0, np.inf)
+    assert radius.status == iso.status == "uncertified"
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -259,6 +259,38 @@ def test_stdlib_json_codec_is_detected():
         "from json:3", "import json.decoder:2", "import json:1", "json.dumps:6", "json.load:9"]
 
 
+def _string_constants(tree: ast.Module, value: str) -> list[int]:
+    """The line of each string constant equal to `value`, docstrings aside."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and n.value == value and id(n) not in docstrings)
+
+
+def test_one_status_rule():
+    # one rule decides "uncertified" (`lifting.Verdict.status`); every other
+    # gate reads it from a verdict or combines verdicts
+    found = [f"{path.name}:{line}" for path in SOURCES
+             for line in _string_constants(ast.parse(path.read_text(encoding="utf-8")),
+                                           "uncertified")]
+    assert len(found) == 1 and found[0].startswith("lifting.py:")
+
+
+def test_status_literal_is_detected():
+    tree = ast.parse(
+        '"""uncertified"""\n'
+        'x = "uncertified"\n'
+        'class C:\n    """uncertified"""\n\n'
+        'def f():\n    """uncertified"""\n    return "uncertified" if x else "certified"\n'
+    )
+    assert _string_constants(tree, "uncertified") == [2, 8]
+
+
 # No memo outlives one command: a module-level cache would carry results
 # from one call (one suite run of many in a process) into the next.  Memos
 # live on objects a command creates, such as the suite's pools.
