@@ -265,7 +265,7 @@ def cmd_gen(args) -> int:
     try:
         if args.kind == "nehari":
             rng = np.random.default_rng(args.seed)
-            obj = generators.random_nehari_problem(rng, *dims, args.norm)
+            obj = generators.nehari_problem_at_most(rng, *dims, args.norm)
         else:
             obj = generators.generate_random(args.kind, dims, args.norm, args.seed)
     except ValueError as exc:

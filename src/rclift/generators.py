@@ -84,6 +84,25 @@ def _at_most(a: np.ndarray, target_norm: float) -> np.ndarray:
     return a
 
 
+def nehari_problem_at_most(
+    rng: np.random.Generator,
+    u_dim: int,
+    y_dim: int,
+    n_window: int,
+    k_taps: int,
+    target_norm: float,
+) -> nehari.NehariProblem:
+    """`random_nehari_problem` with the guard of `_at_most` on its taps, so
+    that the computed Hankel norm is at most the target.  `nehari.hankel`
+    copies the taps bit for bit, so shrinking the taps shrinks A exactly
+    as `_at_most` would."""
+    p = random_nehari_problem(rng, u_dim, y_dim, n_window, k_taps, target_norm)
+    while operator_norm(nehari.hankel(p)) > target_norm:
+        p = nehari.NehariProblem(n_window, u_dim, y_dim,
+                                 tuple(t * np.nextafter(1.0, 0.0) for t in p.taps))
+    return p
+
+
 def _rescaled(a: np.ndarray, target_norm: float) -> np.ndarray:
     """a scaled to computed operator norm at most target_norm; EmptySolutionSpace
     when a is numerically zero, which happens only on an empty solution space."""
@@ -223,10 +242,8 @@ def generate_random(kind: str, dims, target_norm_a: float, seed) -> LiftingDataS
     rng = np.random.default_rng(seed)
     if kind == "nehari-like":
         u_dim, y_dim, n_window, k_taps = dims
-        p = random_nehari_problem(rng, u_dim, y_dim, n_window, k_taps, target_norm_a)
-        ds = nehari.to_lifting_data(p)
-        a = _at_most(ds.a, target_norm_a)
-        return ds if a is ds.a else LiftingDataSet(a=a, t_prime=ds.t_prime, r=ds.r, q=ds.q)
+        return nehari.to_lifting_data(
+            nehari_problem_at_most(rng, u_dim, y_dim, n_window, k_taps, target_norm_a))
     if kind == "classical-like":
         h, h_prime = dims
         return _generate_classical(rng, h, h_prime, target_norm_a)

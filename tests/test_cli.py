@@ -54,6 +54,23 @@ def test_validate_flags_expansive_instance(tmp_path, capsys):
     assert not row["passed"] and row["status"] == "refuted"
 
 
+def test_gen_nehari_keeps_the_norm_at_or_below_the_target(tmp_path, capsys):
+    # the taps are shrunk by ulps until the computed Hankel norm is at most
+    # the target, as `generate_random` does; seeds 4-6 used to land ulps
+    # above 1 - STRICT_DELTA and fail the strictness gate
+    target = 1.0 - lifting.STRICT_DELTA
+    path = tmp_path / "inst.json"
+    for seed in range(8):
+        code, _, _ = run(capsys, "gen", "--kind", "nehari", "--dims", "2,2,3,4",
+                         "--norm", repr(target), "--seed", str(seed), "--out", str(path))
+        assert code == 0
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out)["residuals"]}
+        assert target - 1e-14 <= rows["strictness_norm_a"]["value"] <= target
+        assert rows["strictness_norm_a"]["status"] == "certified"
+
+
 def test_validate_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
