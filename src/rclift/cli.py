@@ -33,7 +33,8 @@ together: "refuted" when a row is, "certified" when every row is,
 uncertified both exit 0.  Uncertified gets no exit code of its own while
 Nehari solutions are coefficient files, which can never be certified.
 `validate` passes when its four constraint rows are certified; its
-strictness rows report the margins `solve` needs (exit code 3 there).
+strictness rows report the margins that `solve` needs on a lifting
+instance (exit code 3 there).
 
 A lifting solution written by `solve` is a state-space realization, and
 `hardy.certify_interpolant` checks it exactly: each row's `value` is an

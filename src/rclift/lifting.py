@@ -123,7 +123,8 @@ class Verdict:
     at_least: bool = False
 
     @classmethod
-    def exact(cls, name: str, value: float, threshold: float, at_least: bool = False):
+    def exact(cls, name: str, value: float, threshold: float, at_least: bool = False) -> Verdict:
+        """The verdict on a value known exactly: lower = upper = value."""
         return cls(name, value, value, threshold, at_least)
 
     @property
