@@ -33,8 +33,10 @@ together: "refuted" when a row is, "certified" when every row is,
 uncertified both exit 0.  Uncertified gets no exit code of its own while
 Nehari solutions are coefficient files, which can never be certified.
 `validate` passes when its four constraint rows are certified; its
-strictness rows report the margins that `solve` needs on a lifting
-instance (exit code 3 there).
+strictness rows report the margins that `solve` needs (exit code 3
+there): `strictness_norm_a` and `strictness_sigma_min_r` on a lifting
+instance, `strictness_gram_min_eig`, the gate of `nehari.coefficients`,
+on a Nehari one.
 
 A lifting solution written by `solve` is a state-space realization, and
 `hardy.certify_interpolant` checks it exactly: each row's `value` is an
@@ -132,20 +134,18 @@ def _instance_digest(obj) -> dict:
 
 def cmd_validate(args) -> int:
     obj = _load_instance(args.input)
-    verdicts = []
     if isinstance(obj, nehari.NehariProblem):
-        verdicts.append(lifting.Verdict.exact(
+        constraints, _ = lifting.validate(nehari.to_lifting_data(obj), args.tol)
+        strict = (lifting.Verdict.exact(
             "strictness_gram_min_eig", min_eig_hermitian(nehari.gram(obj)),
-            nehari.GRAM_MIN_EIG, at_least=True))
-        ds = nehari.to_lifting_data(obj)
+            nehari.GRAM_MIN_EIG, at_least=True),)
     else:
-        ds = obj
-    constraints, strict = lifting.validate(ds, args.tol)
+        constraints, strict = lifting.validate(obj, args.tol)
     ok = lifting.combined_status(constraints) == "certified"
     _emit(args, {
         "command": "validate",
         "instance": _instance_digest(obj),
-        "residuals": _rows([*verdicts, *constraints, *strict]),
+        "residuals": _rows([*constraints, *strict]),
         "passed": ok,
     })
     return EXIT_PASS if ok else EXIT_FAIL

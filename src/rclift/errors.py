@@ -9,10 +9,6 @@ class DimensionMismatch(RcliftError):
     """Operands have incompatible shapes."""
 
 
-class NotHermitian(RcliftError):
-    """A matrix required to be Hermitian is not, beyond tolerance."""
-
-
 class NegativeEigenvalue(RcliftError):
     """A matrix required to be positive semidefinite has a genuinely
     negative eigenvalue (beyond the rounding clamp)."""

@@ -38,7 +38,6 @@ import numpy as np
 from .errors import DimensionMismatch, NotStrict
 from .linalg import (
     adj,
-    cmatrix,
     eye,
     kernel_embedding,
     min_eig_hermitian,
@@ -60,7 +59,13 @@ CONSTRAINT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LiftingDataSet:
-    """The data {A, T', R, Q} with dimension consistency enforced."""
+    """The data {A, T', R, Q}, with their shapes checked.
+
+    The four arrays are taken as they are, as `hardy.StateSpace` takes
+    its matrices: their entries are checked where they enter the package,
+    by the `serialize` readers, and the generators build finite complex
+    arrays.
+    """
 
     a: np.ndarray
     t_prime: np.ndarray
@@ -68,19 +73,14 @@ class LiftingDataSet:
     q: np.ndarray
 
     def __post_init__(self):
-        a = cmatrix(self.a)
-        t = cmatrix(self.t_prime)
-        r = cmatrix(self.r)
-        q = cmatrix(self.q)
-        h_prime, h = a.shape
-        if t.shape != (h_prime, h_prime):
-            raise DimensionMismatch(f"t_prime must be {h_prime}x{h_prime}, got {t.shape}")
-        if r.shape[0] != h or q.shape[0] != h:
+        h_prime, h = self.a.shape
+        if self.t_prime.shape != (h_prime, h_prime):
+            raise DimensionMismatch(
+                f"t_prime must be {h_prime}x{h_prime}, got {self.t_prime.shape}")
+        if self.r.shape[0] != h or self.q.shape[0] != h:
             raise DimensionMismatch("R and Q must map into the domain of A")
-        if r.shape[1] != q.shape[1]:
+        if self.r.shape[1] != self.q.shape[1]:
             raise DimensionMismatch("R and Q must share their domain")
-        for name, m in (("a", a), ("t_prime", t), ("r", r), ("q", q)):
-            object.__setattr__(self, name, m)
 
     @property
     def dim_h(self) -> int:
@@ -151,12 +151,11 @@ def combined_status(verdicts) -> str:
 def strictness(ds: LiftingDataSet) -> tuple[Verdict, Verdict]:
     """||A|| <= 1 - STRICT_DELTA and sigma_min(R) >= STRICT_DELTA, the
     margins every step after `validate` needs.  An R with no columns is
-    left-invertible, and its sigma_min (+inf) reads 1.0."""
-    sigma_r = min_singular_value(ds.r)
+    left-invertible: its sigma_min is +inf."""
     return (
         Verdict.exact("strictness_norm_a", operator_norm(ds.a), 1.0 - STRICT_DELTA),
-        Verdict.exact("strictness_sigma_min_r", sigma_r if np.isfinite(sigma_r) else 1.0,
-                      STRICT_DELTA, at_least=True),
+        Verdict.exact("strictness_sigma_min_r", min_singular_value(ds.r), STRICT_DELTA,
+                      at_least=True),
     )
 
 

@@ -7,7 +7,10 @@ policy.  Every PSD root comes from one spectral core, `_psd_root`, and no
 other module takes an eigenvector decomposition.  All matrices are
 complex128 throughout; real data is treated as a special case of complex.
 Zero-dimensional matrices (0 x n, n x 0) are legal and behave as empty
-linear maps.
+linear maps.  The functions that need a Hermitian matrix take the
+Hermitian part (m + m*) / 2 of what they are given and test nothing else
+about it: the package passes them only Grams it formed itself, and the
+values from files are checked where they are read (`serialize`).
 
 A subspace of C^n is carried as a plain n x r array E with orthonormal
 columns, its embedding: E* x gives the coordinates of x, E c embeds them
@@ -25,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DimensionMismatch,
-    NegativeEigenvalue,
-    NotHermitian,
-    NotPositiveDefinite,
-)
+from .errors import DimensionMismatch, NegativeEigenvalue, NotPositiveDefinite
 
 # Relative eigenvalue / singular value cutoff used for rank decisions and
 # for clamping PSD rounding noise.  Test instances keep their spectral gaps
@@ -87,50 +85,27 @@ def disc_stack(lam) -> np.ndarray:
     return lam[..., None, None]
 
 
-def _require_hermitian(m: np.ndarray, message: str) -> None:
-    """Raise NotHermitian when ||m - m*||_2 > RANK_RTOL * max(||m||_2, 1),
-    and ValueError when m has a NaN or Inf entry.
-
-    The Frobenius test ||m - m*||_F <= RANK_RTOL/2 * max(||m||_F / sqrt(n), 1)
-    settles most inputs without an SVD: ||.||_2 <= ||.||_F and
-    ||m||_2 >= ||m||_F / sqrt(n) make it sufficient, and the factor 1/2
-    leaves room for the rounding of both norms.  Only the inputs it does
-    not settle pay the two SVDs of the exact rule, so the verdict is the
-    exact rule's on every input.  The entries are checked only when
-    ||m||_F is not finite.
-    """
-    n = m.shape[0]
-    if n == 0:
-        return
-    norm_m = float(np.linalg.norm(m))
-    if not math.isfinite(norm_m) and not np.isfinite(m).all():
-        raise ValueError("expected finite entries, got NaN or Inf")
-    anti = m - adj(m)
-    bound = 0.5 * RANK_RTOL * max(norm_m / np.sqrt(n), 1.0)
-    if float(np.linalg.norm(anti)) <= bound:
-        return
-    if operator_norm(anti) > RANK_RTOL * max(operator_norm(m), 1.0):
-        raise NotHermitian(message)
-
-
 def _hermitian(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + adj(m))
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m*) / 2 of a square matrix that passes the Hermiticity gate."""
+    """(m + m*) / 2 of a square matrix; ValueError on a NaN or Inf entry.
+
+    Every matrix the package passes here is a Gram it formed itself, so
+    its anti-Hermitian part is rounding, dropped rather than tested.
+    """
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
-    _require_hermitian(m, f"anti-Hermitian part exceeds {RANK_RTOL:g} * ||m||")
-    return _hermitian(m)
+    h = _hermitian(m)
+    if not np.isfinite(h).all():
+        raise ValueError("expected finite entries, got NaN or Inf")
+    return h
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, with a Hermiticity check.
-
-    Returns (w, v) with m = v @ diag(w) @ v*.  Raises NotHermitian when the
-    anti-Hermitian part exceeds RANK_RTOL * ||m||.
-    """
+    """Eigendecomposition (w, v) of the Hermitian part h of m
+    (`_hermitian_part`), h = v @ diag(w) @ v*."""
     return np.linalg.eigh(_hermitian_part(m))
 
 
@@ -184,16 +159,11 @@ def _factor_hpd(m: np.ndarray, lower: bool) -> np.ndarray:
     """Cholesky factor of a Hermitian positive definite m with the other
     triangle zeroed: lower L with m = L L*, or upper W with m = W* W.
 
-    NotHermitian past the Hermiticity gate, NotPositiveDefinite when the
-    factorization meets a leading minor that is not positive definite, and
-    ValueError on NaN or Inf entries.
+    The factor is that of the Hermitian part (`_hermitian_part`, with its
+    ValueError on NaN or Inf entries); NotPositiveDefinite when the
+    factorization meets a leading minor that is not positive definite.
     """
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got {m.shape}")
-    _require_hermitian(m, "a Cholesky factor needs a Hermitian matrix")
-    h = _hermitian(m)
-    if not np.isfinite(h).all():
-        raise ValueError("a Cholesky factor needs finite entries, got NaN or Inf")
+    h = _hermitian_part(m)
     if h.shape[0] == 0:
         return h
     factor, info = _CHOLESKY_ROUTINES[0](h, lower=lower, overwrite_a=True, clean=True)
@@ -312,10 +282,8 @@ def min_singular_value(m) -> float:
 
 
 def min_eig_hermitian(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix; +inf when 0-dimensional.
-
-    The same Hermiticity gate as `hermitian_eig`, but no eigenvectors.
-    """
+    """Smallest eigenvalue of the Hermitian part of m, as `hermitian_eig`
+    takes it, but with no eigenvectors; +inf when 0-dimensional."""
     h = _hermitian_part(m)
     if h.shape[0] == 0:
         return float("inf")

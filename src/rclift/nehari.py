@@ -43,7 +43,6 @@ from .errors import DimensionMismatch, HankelNotStrict, NotFinite
 from .lifting import LiftingDataSet, Verdict
 from .linalg import (
     adj,
-    cmatrix,
     eye,
     hpd_factor,
     min_eig_hermitian,
@@ -58,7 +57,12 @@ GRAM_MIN_EIG = 1e-8
 
 @dataclass(frozen=True)
 class NehariProblem:
-    """Window size, port dimensions, and the finitely many nonzero taps."""
+    """Window size, port dimensions, and the finitely many nonzero taps.
+
+    The sizes are range-checked and each tap is checked to be y_dim x
+    u_dim; the taps are taken as they are, their entries checked where
+    they enter the package, by the `serialize` reader.
+    """
 
     n_window: int
     u_dim: int
@@ -70,13 +74,11 @@ class NehariProblem:
             raise ValueError("the window size must be at least 1")
         if self.u_dim < 0 or self.y_dim < 0:
             raise ValueError("port dimensions must be nonnegative")
-        taps = tuple(cmatrix(t) for t in self.taps)
-        for t in taps:
+        for t in self.taps:
             if t.shape != (self.y_dim, self.u_dim):
                 raise DimensionMismatch(
                     f"tap shape {t.shape}, expected ({self.y_dim}, {self.u_dim})"
                 )
-        object.__setattr__(self, "taps", taps)
 
     @property
     def k_taps(self) -> int:

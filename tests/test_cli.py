@@ -67,8 +67,24 @@ def test_gen_nehari_keeps_the_norm_at_or_below_the_target(tmp_path, capsys):
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 0
         rows = {r["name"]: r for r in json.loads(out)["residuals"]}
-        assert target - 1e-14 <= rows["strictness_norm_a"]["value"] <= target
-        assert rows["strictness_norm_a"]["status"] == "certified"
+        assert target - 1e-14 <= rows["contraction_a"]["value"] <= target
+        assert rows["strictness_gram_min_eig"]["status"] == "certified"
+
+
+def test_validate_reports_the_nehari_gate(tmp_path, capsys):
+    # ||A|| = 0.9999999 misses the lifting margin 1 - STRICT_DELTA, but the
+    # Nehari pipeline gates the defect Gram, whose least eigenvalue 2e-7
+    # clears GRAM_MIN_EIG: validate reports that gate alone, and solve runs
+    path = tmp_path / "inst.json"
+    serialize.dump_json(str(path), dict(SCALAR_PROBLEM, N=1, taps=[[[0.9999999, 0.0]]]))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0
+    rows = {r["name"]: r for r in json.loads(out)["residuals"]}
+    assert not any(name.startswith("strictness_") and name != "strictness_gram_min_eig"
+                   for name in rows)
+    assert rows["strictness_gram_min_eig"]["status"] == "certified"
+    code, _, _ = run(capsys, "solve", str(path), "--central", "--degree", "4")
+    assert code == 0
 
 
 def test_validate_malformed_json(tmp_path, capsys):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from oracles import intertwining_nullspace
 
-from rclift import cli, generators, lifting, nehari
-from rclift.errors import DimensionMismatch, EmptySolutionSpace, NotConverged
+from rclift import cli, generators, lifting, nehari, serialize
+from rclift.errors import DimensionMismatch, EmptySolutionSpace, NotConverged, NotStrict
 from rclift.linalg import (
     RANK_RTOL,
     adj,
@@ -58,6 +58,16 @@ def _statuses(ds):
 
 def test_validate_nehari_built_data():
     assert _statuses(scalar_nehari_data()) == ("certified", "certified")
+    # window 1: R has no columns, so it is left-invertible with sigma_min
+    # +inf, written as null like any other infinite row
+    ds = nehari.to_lifting_data(nehari.NehariProblem(1, 1, 1, (np.array([[0.5]]),)))
+    _, (_, sigma_r) = lifting.validate(ds)
+    assert ds.dim_h0 == 0 and sigma_r.upper == np.inf and sigma_r.status == "certified"
+    assert serialize.canonical_json(cli._rows([sigma_r])[0]["value"]) == "null\n"
+    assert _statuses(ds) == ("certified", "certified")
+    edge = nehari.to_lifting_data(nehari.NehariProblem(1, 1, 1, (np.array([[1.0]]),)))
+    with pytest.raises(NotStrict, match="sigma_min_r=inf"):
+        lifting.derive(edge)
 
 
 def test_validate_zero_a_isometries():

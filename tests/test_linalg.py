@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from oracles import pivoted_gram_schmidt, spectral_radius
 
 from rclift import cli, generators, lifting, linalg, serialize
-from rclift.errors import (
-    DimensionMismatch,
-    NegativeEigenvalue,
-    NotHermitian,
-    NotPositiveDefinite,
-)
+from rclift.errors import DimensionMismatch, NegativeEigenvalue, NotPositiveDefinite
+
+
+def _hermitian_part(m):
+    return 0.5 * (m + m.conj().T)
 
 
 def test_psd_sqrt_identity():
@@ -35,9 +34,10 @@ def test_psd_sqrt_recomposition(seed):
     assert linalg.operator_norm(linalg.psd_sqrt(s @ s) - s) < 1e-8 * linalg.operator_norm(s)
 
 
-def test_psd_sqrt_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        linalg.psd_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
+def test_psd_sqrt_takes_the_hermitian_part():
+    # the root of [[1, 1], [0, 1]] is that of its Hermitian part, bit for bit
+    m = np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(linalg.psd_sqrt(m), linalg.psd_sqrt(_hermitian_part(m)))
 
 
 def test_psd_sqrt_rejects_negative():
@@ -159,9 +159,8 @@ def test_solve_hpd_rejects_non_finite_rhs(bad):
 
 
 def test_solve_hpd_rejects_non_finite_matrix_past_the_gate():
-    # an Inf above the diagonal makes both Frobenius norms of the Hermiticity
-    # gate's shortcut Inf, and inf <= inf would let it through; the gate
-    # checks the entries then, for every function behind it
+    # an Inf or NaN above the diagonal carries into the Hermitian part, whose
+    # one scan refuses it in every function that takes a Hermitian matrix
     for bad in (np.inf, np.nan):
         m = np.eye(3, dtype=complex)
         m[0, 1] = bad
@@ -201,8 +200,8 @@ def test_hpd_factor_and_adjoint_solve(n):
 def test_hpd_factor_gates():
     with pytest.raises(NotPositiveDefinite):
         linalg.hpd_factor(np.diag([1.0, -1.0]))
-    with pytest.raises(NotHermitian):
-        linalg.hpd_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    m = np.array([[1.0, 0.5], [0.0, 1.0]])
+    assert np.array_equal(linalg.hpd_factor(m), linalg.hpd_factor(_hermitian_part(m)))
     with pytest.raises(DimensionMismatch):
         linalg.solve_factor_adjoint(np.eye(2), np.ones((3, 1)))
 
@@ -309,40 +308,37 @@ def test_invertible_defect_basis_ignores_roundoff():
         assert np.array_equal(e, np.eye(ds.dim_h_prime))
 
 
-def _two_svd_rule_rejects(m, tol):
-    """The Hermiticity rule by its definition: two spectral norms."""
-    return linalg.operator_norm(m - m.conj().T) > tol * max(linalg.operator_norm(m), 1.0)
+def _same(x, y):
+    """Bit-identical results: arrays, tuples of arrays, or floats."""
+    if isinstance(x, tuple):
+        return all(np.array_equal(a, b) for a, b in zip(x, y))
+    return np.array_equal(x, y)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(0, 8),
-    c=st.sampled_from([0.001, 0.5, 0.99, 1.01, 2.0]),
+    c=st.sampled_from([0.0, 0.001, 1.0, 1e3]),
     scale=st.sampled_from([1e-3, 1.0, 1e3]),
 )
-def test_hermitian_gate_keeps_the_two_svd_verdict(seed, n, c, scale):
-    # an HPD matrix h plus an anti-Hermitian part k with ||m - m*|| = ||2k||
-    # = c * tol * max(||h||, 1): around c = 1 only the SVDs can decide
-    tol = linalg.RANK_RTOL
+def test_hermitian_kernel_reads_only_the_hermitian_part(seed, n, c, scale):
+    # an HPD matrix h plus an anti-Hermitian part k with ||k|| = c * ||h||:
+    # the kernel drops k, so every result on m is its result on (m + m*)/2
     rng = np.random.default_rng(seed)
     b = linalg.ginibre(rng, n, n)
     h = scale * (b @ b.conj().T + np.eye(n))
     a = linalg.ginibre(rng, n, n)
     k = a - a.conj().T
     if n:
-        k *= c * tol * max(linalg.operator_norm(h), 1.0) / (2 * linalg.operator_norm(k))
+        k *= c * linalg.operator_norm(h) / linalg.operator_norm(k)
     m = h + k
-    rejects = _two_svd_rule_rejects(m, tol)
-    for call in (lambda: linalg.hermitian_eig(m), lambda: linalg.solve_hpd(m, np.eye(n))):
-        if rejects:
-            with pytest.raises(NotHermitian):
-                call()
-        else:
-            call()
+    for f in (linalg.hermitian_eig, linalg.psd_sqrt, linalg.min_eig_hermitian,
+              linalg.hpd_factor, lambda x: linalg.solve_hpd(x, np.eye(n))):
+        assert _same(f(m), f(_hermitian_part(m)))
 
 
-def test_hermitian_gate_runs_no_svd_on_hermitian_input(monkeypatch):
+def test_hermitian_kernel_runs_no_svd(monkeypatch):
     calls = []
     real = np.linalg.svd
 
@@ -357,11 +353,9 @@ def test_hermitian_gate_runs_no_svd_on_hermitian_input(monkeypatch):
     m = 0.5 * (m + m.conj().T)
     linalg.hermitian_eig(m)
     linalg.solve_hpd(m, np.eye(6))
+    # nor does a matrix that is far from Hermitian
+    linalg.hermitian_eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert calls == []
-    # a matrix the cheap test cannot settle still goes to the SVD rule
-    with pytest.raises(NotHermitian):
-        linalg.hermitian_eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    assert calls
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -377,8 +371,8 @@ def test_min_eig_hermitian_takes_no_eigenvectors(monkeypatch, seed):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     assert abs(linalg.min_eig_hermitian(m) - expected) <= 1e-12 * max(1.0, abs(expected))
     assert linalg.min_eig_hermitian(np.zeros((0, 0))) == float("inf")
-    with pytest.raises(NotHermitian):
-        linalg.min_eig_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert linalg.min_eig_hermitian(skew) == linalg.min_eig_hermitian(_hermitian_part(skew))
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,3 +1,5 @@
+import copy
+import itertools
 import json
 import math
 import re
@@ -186,6 +188,24 @@ def test_malformed_tail_raises(tail):
         serialize.lifting_solution_from_json(doc)
 
 
+NON_FINITE = (math.nan, math.inf)
+_HALF = _M(np.array([[0.5]]))
+LIFTING_DOC = {"kind": "lifting", "a": _HALF, "t_prime": _HALF, "r": _HALF, "q": _HALF}
+NEHARI_DOC = {"kind": "nehari", "N": 1, "u_dim": 1, "y_dim": 1, "taps": [[[0.5, 0.0]]]}
+
+
+def _poisoned(doc, path, bad):
+    """A copy of doc with the real part of the first entry of the matrix at
+    `path` (a matrix object or a bare pair list) set to `bad`; such a value
+    reaches a reader only through a Python dict, as JSON cannot spell it."""
+    doc = copy.deepcopy(doc)
+    m = doc
+    for key in path:
+        m = m[key]
+    (m["data"] if isinstance(m, dict) else m)[0] = [bad, 0.0]
+    return doc
+
+
 @pytest.mark.parametrize("bad", [
     {"no_kind": 1},
     {"kind": "unknown"},
@@ -197,10 +217,43 @@ def test_malformed_tail_raises(tail):
     {"kind": "nehari", "N": 1, "u_dim": 1, "y_dim": 1, "taps": [[[float("nan"), 0.0]]]},
     {"kind": "nehari", "N": 2.0, "u_dim": 1, "y_dim": 1, "taps": []},
     {"kind": "nehari", "N": 1, "u_dim": True, "y_dim": 1, "taps": [[[0.5, 0.0]]]},
+    # the reader is the one NaN/Inf gate of an instance's matrices
+    *(_poisoned(LIFTING_DOC, (field,), bad)
+      for field, bad in itertools.product(("a", "t_prime", "r", "q"), NON_FINITE)),
+    *(_poisoned(NEHARI_DOC, ("taps", 0), bad) for bad in NON_FINITE),
 ])
 def test_malformed_instances_raise(bad):
     with pytest.raises(ParseError):
         serialize.instance_from_json(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    _poisoned(WIRE_CASES[variant][0], (field,), bad)
+    for (variant, field), bad in itertools.product(
+        [("constant", "matrix"), *(("transfer", k) for k in "abcd")], NON_FINITE)
+])
+def test_malformed_parameters_raise(bad):
+    # the reader is the one NaN/Inf gate of a parameter's matrices
+    with pytest.raises(ParseError, match="non-finite"):
+        serialize.parameter_from_json(bad)
+
+
+_REALIZATION_DOC = serialize.lifting_solution_to_json(SolutionRealization(
+    a_part=np.array([[0.2]]), gamma_coeffs=np.array([[[0.1]]]),
+    a=np.array([[0.5]]), b=np.array([[0.5]]), c=np.array([[0.5]])), {})
+
+
+@pytest.mark.parametrize("path, bad", itertools.product(
+    [("a_part",), ("gamma", 0), ("tail", "a"), ("tail", "b"), ("tail", "c"), ("H", 0)],
+    NON_FINITE))
+def test_malformed_solutions_raise(path, bad):
+    # the readers are the one NaN/Inf gate of a solution's matrices
+    with pytest.raises(ParseError, match="non-finite"):
+        if path[0] == "H":
+            doc = {"kind": "nehari_solution", "H": [[[0.1, 0.0]]]}
+            serialize.nehari_solution_from_json(_poisoned(doc, path, bad), 1, 1)
+        else:
+            serialize.lifting_solution_from_json(_poisoned(_REALIZATION_DOC, path, bad))
 
 
 @pytest.mark.parametrize("field, value", [

@@ -149,8 +149,7 @@ def test_nonsymmetric_eigensolver_is_detected():
 
 
 # Every eigenvector decomposition happens in `linalg`, which holds the one
-# PSD noise policy and the Hermiticity gate; eigenvalues alone
-# (`eigvalsh`) may be taken anywhere.
+# PSD noise policy; eigenvalues alone (`eigvalsh`) may be taken anywhere.
 EIGENVECTOR_SOLVERS = ("eigh", "hermitian_eig")
 
 
@@ -172,8 +171,43 @@ def test_eigenvector_decomposition_is_detected():
     assert sorted(_calls_named(tree, EIGENVECTOR_SOLVERS)) == ["eigh:5", "eigh:6", "hermitian_eig:7"]
 
 
+# Values from outside are coerced and checked once, where they enter (the
+# `serialize` readers); the containers take their arrays as they are, so
+# no `__post_init__` coerces or scans entries.
+ENTRY_CHECKS = ("cmatrix", "asarray", "isfinite")
+
+
+def _post_init_entry_checks(tree: ast.Module) -> list[str]:
+    """`name:line` for each call named in ENTRY_CHECKS inside a `__post_init__`."""
+    return [
+        found
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+        for found in _calls_named(node, ENTRY_CHECKS)
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_containers_check_no_entries(path):
+    assert _post_init_entry_checks(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_entry_check_in_a_container_is_detected():
+    tree = ast.parse(
+        "import numpy as np\nfrom .linalg import cmatrix\n\n"
+        "class C:\n"
+        "    def __post_init__(self):\n"
+        "        a = cmatrix(self.a)\n"
+        "        b = np.asarray(self.b)\n"
+        "        if not np.isfinite(b).all():\n"
+        "            raise ValueError\n\n"
+        "def f(m):\n    return np.asarray(m)\n"
+    )
+    assert sorted(_post_init_entry_checks(tree)) == ["asarray:7", "cmatrix:6", "isfinite:8"]
+
+
 # Every HPD solve goes through `linalg.solve_hpd`, which keeps the
-# Hermiticity gate, the finiteness check and NotPositiveDefinite together.
+# finiteness check and NotPositiveDefinite together.
 SCIPY_CHOLESKY = ("cho_factor", "cho_solve", "cholesky")
 
 
@@ -195,8 +229,7 @@ def test_cholesky_wrapper_is_detected():
 
 
 # LAPACK routines are bound in `linalg` alone, beside the gates
-# (Hermiticity, finiteness, NotPositiveDefinite) that every call of them
-# needs.
+# (finiteness, NotPositiveDefinite) that every call of them needs.
 LAPACK_BINDERS = ("get_lapack_funcs",)
 
 
