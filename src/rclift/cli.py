@@ -41,13 +41,18 @@ on a Nehari one.
 A lifting solution written by `solve` is a state-space realization, and
 `hardy.certify_interpolant` checks it exactly: each row's `value` is an
 upper bound on the full, untruncated residual (`stacked_norm` on the
-norm of the whole solution), computed from one Stein Gramian and widened
-by its roundoff bound, and its `lower` the same widened the other way,
-but never below the part of the row that needs no Gramian.  A row whose
-two ends straddle its threshold is uncertified.  An uncertified
-realization, and one whose state matrix is not certified stable, is also
-expanded to `--degree` coefficients and checked as a coefficient file,
-whose rows are reported when they refute or when there is no exact check.
+norm of the whole solution).  It comes first from the storage inequality
+of the realization, with no Stein solve; a solution that `solve` writes
+is in storage coordinates, where that bound on `stacked_norm` is about
+1, a looser `value` than the norm itself, while `lower` is the norm of
+the part that needs no Gramian, [A; Gamma_0].  When those rows neither
+certify nor refute, they come from one Stein Gramian, widened both ways
+by its roundoff bound, with `lower` never below the part of the row that
+needs no Gramian.  A row whose two ends straddle its threshold is
+uncertified.  A realization that neither route decides, or whose state
+matrix is not certified stable, is also expanded to `--degree`
+coefficients and checked as a coefficient file, whose rows are reported
+when they refute or when there is no Stein check.
 
 A coefficient file (a lifting solution without `tail`, or any Nehari
 solution) is checked truncated at the smaller of `--degree` and the

@@ -20,11 +20,12 @@ coercion and the NaN/Inf rejection happen where data enters.
 A lifting solution comes either as leading Taylor coefficients
 (`SolutionTaylor`), which `verify_interpolant` checks truncated, or with
 a state-space tail (`SolutionRealization`), which `certify_interpolant`
-checks whole through one Stein Gramian and `coefficient_gap` compares
-with another exactly.  Both checks read the defect coordinates of the
-dilation of T' from the data set (`lifting.LiftingDataSet.t_prime_defect`)
-and form the rows of the dilation residual (U' b) R - b Q in one helper,
-`_dilation_residual`.  Each returns one `lifting.Verdict` per condition.
+checks whole, from the storage inequality of the tail or else from one
+Stein Gramian, and `coefficient_gap` compares with another exactly.
+Both checks read the defect coordinates of the dilation of T' from the
+data set (`lifting.LiftingDataSet.t_prime_defect`) and form the rows of
+the dilation residual (U' b) R - b Q in one helper, `_dilation_residual`.
+Each returns one `lifting.Verdict` per condition.
 """
 
 from __future__ import annotations
@@ -37,7 +38,15 @@ import numpy as np
 from . import lifting
 from .errors import DimensionMismatch, NotFinite
 from .lifting import Verdict, combined_status
-from .linalg import adj, observability_gramian, operator_norm, zeros
+from .linalg import (
+    EPS,
+    adj,
+    frobenius_upper,
+    observability_gramian,
+    operator_norm,
+    storage_gramian_bound,
+    zeros,
+)
 
 
 def _all_finite(*ms: np.ndarray) -> bool:
@@ -285,27 +294,119 @@ def certify_interpolant(
       Y* P Y.  Its squared norm is lambda_max of the explicit rows' Gram
       plus Y* P Y.
 
-    Both squared values are widened both ways by the Stein roundoff bound
-    of P (`linalg.SteinGramian`), which gives each verdict its upper and
-    lower end.  The lower ends are at least the norms of the explicit rows
-    and of [a_part; Gamma_0..Gamma_(m-1)], which need no Gramian, so a
-    realization that widens the bound (large B on states C does not see)
-    cannot lower them; the projection residual is exact.  The three
-    verdicts, named as those of `verify_interpolant`, are returned when
-    together they certify or refute (`lifting.combined_status`).
-    Otherwise, and when there is no exact check (the Stein solve does not
-    prove A stable, or a Gram overflows), the solution is also expanded to
-    `deg` and checked by `verify_interpolant`, so the result is never
-    weaker than that truncated check: its verdicts, which have no upper
-    ends, are returned when they refute or when there is no exact check.
+    Two routes bound P, and both are sound.  The storage route
+    (`_storage_verdicts`) reads P <= (1 + eta) I off the storage
+    inequality of (A, C) with no Stein solve; every realization that
+    `redheffer.solution_realization` writes is in storage coordinates,
+    where eta is at rounding level.  Its upper ends are therefore looser
+    than the Stein route's (the stacked norm of such a solution reads
+    about 1, the bound the storage inequality gives), and it decides most
+    solutions.  The Stein route (`_exact_verdicts`) solves for P and
+    widens both ends by its roundoff bound.  In both, the lower ends are
+    at least the norms of the explicit rows and of [a_part;
+    Gamma_0..Gamma_(m-1)], which need no Gramian, so a realization that
+    widens a bound (large B on states C does not see) cannot lower them;
+    the projection residual is exact.  The three verdicts, named as those
+    of `verify_interpolant`, of the first route that certifies or refutes
+    (`lifting.combined_status`) are returned.  Otherwise, and when neither
+    route has a check (A is not proved stable, or a Gram overflows), the
+    solution is also expanded to `deg` and checked by `verify_interpolant`,
+    so the result is never weaker than that truncated check: its verdicts,
+    which have no upper ends, are returned when they refute or when the
+    Stein route has no check, and the Stein route's otherwise.
     """
     if sol.a_part.shape != ds.a.shape:
         raise DimensionMismatch("a_part shape disagrees with the data set")
-    exact = _exact_verdicts(ds, sol, tol)
-    if exact is not None and combined_status(exact) in ("certified", "refuted"):
-        return exact
+    for route in (_storage_verdicts, _exact_verdicts):
+        verdicts = route(ds, sol, tol)
+        if verdicts is not None and combined_status(verdicts) in ("certified", "refuted"):
+            return verdicts
     truncated = verify_interpolant(ds, sol.taylor(deg), deg, tol=tol)
-    return exact if exact is not None and combined_status(truncated) != "refuted" else truncated
+    return verdicts if verdicts is not None and combined_status(truncated) != "refuted" else truncated
+
+
+def _explicit_parts(
+    ds: lifting.LiftingDataSet, sol: SolutionRealization
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of a solution that need no Gramian: the explicit rows of
+    its residual (to slot m, with Gamma_m = C B), Y = B R - A B Q, whose
+    C A^j are the rest, and the head [a_part; Gamma_0..Gamma_(m-1)];
+    they may hold Inf or NaN when a product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers test them finite
+        gammas = np.concatenate([sol.gamma_coeffs, (sol.c @ sol.b)[None]])
+        rows = _dilation_residual(ds, sol.a_part, gammas)
+        y = sol.b @ ds.r - sol.a @ (sol.b @ ds.q)
+    return rows, y, np.vstack([sol.a_part, observability_matrix(sol.gamma_coeffs)])
+
+
+def _formation_rounding(ds: lifting.LiftingDataSet, sol: SolutionRealization) -> tuple[float, float]:
+    """First-order bounds on how far the computed explicit rows and Y of
+    `_explicit_parts` lie from their exact values, in norm.
+
+    A computed product of L factors is within (L - 1) k times the product
+    of their Frobenius norms of the exact one, and a difference rounds by
+    eps of its terms, with k = (d + 2) eps for d at least every inner
+    dimension; the longest chain here, E_T* D_T' a_part R, has four
+    factors, so 4 k bounds every row's chain and its difference.
+    """
+    f = frobenius_upper
+    d_t, e_t = ds.t_prime_defect
+    k = (sum(ds.a.shape) + sum(sol.c.shape) + d_t.shape[0] + 2) * EPS
+    r, q, a_part = f(ds.r), f(ds.q), f(sol.a_part)
+    b = f(sol.b)
+    rows = a_part * (r * (f(ds.t_prime) + f(e_t) * f(d_t)) + q) + (r + q) * (
+        f(sol.gamma_coeffs) + f(sol.c) * b)
+    return 4.0 * k * rows, 4.0 * k * b * (r + f(sol.a) * q)
+
+
+def _storage_verdicts(
+    ds: lifting.LiftingDataSet,
+    sol: SolutionRealization,
+    tol: float,
+) -> tuple[Verdict, Verdict, Verdict] | None:
+    """The verdicts of `certify_interpolant` from the storage inequality,
+    or None without them.
+
+    `linalg.storage_gramian_bound` bounds P <= (1 + eta) I, so
+
+    * ||b||^2 <= lambda_max(head* head + (1 + eta) B* B), with the Gram
+      formed as X* X for X = [head; (1 + eta)^(1/2) B], which rounds by at
+      most (rows of X + columns + 6) eps ||X||_F^2 with its top eigenvalue;
+    * the residual's squared norm is at most ||rows||^2 + (1 + eta) ||Y||^2,
+      with ||rows|| from its SVD, widened by (size + 2) eps, ||Y|| by its
+      Frobenius norm (`linalg.frobenius_upper`), and each widened by the
+      rounding of forming it (`_formation_rounding`).
+
+    For an honest solution in storage coordinates head* head + B* B <=
+    A* A + E* E = I and Y vanishes up to rounding, since E R = X1 E Q and
+    X3 E Q = 0, so both upper ends sit at their exact bounds 1 and 0 plus
+    rounding.  The lower ends are the norms of the explicit rows and of the
+    head.
+    """
+    eta = storage_gramian_bound(sol.a, sol.c)
+    if eta is None:
+        return None
+    rows, y, head = _explicit_parts(ds, sol)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        x = np.vstack([head, math.sqrt(1.0 + eta) * sol.b])
+        sigma_gram = adj(x) @ x
+    if not _all_finite(rows, y, sigma_gram):
+        return None
+    sigma_err = (x.shape[0] + x.shape[1] + 6) * EPS * frobenius_upper(x) ** 2
+    sigma = _root_of_max_eig(sigma_gram, sigma_err)[0]
+    rows_norm = operator_norm(rows)
+    rows_err, y_err = _formation_rounding(ds, sol)
+    res_int = math.hypot(
+        rows_norm * (1.0 + (rows.size + 2) * EPS) + rows_err,
+        math.sqrt(1.0 + eta) * (frobenius_upper(y) + y_err),
+    ) * (1.0 + 4.0 * EPS)
+    if not math.isfinite(res_int + sigma):
+        return None
+    return (
+        Verdict.exact("projection_onto_target", operator_norm(sol.a_part - ds.a), tol),
+        Verdict("dilation_intertwining", rows_norm, res_int, tol),
+        Verdict("stacked_norm", operator_norm(head), sigma, 1.0 + tol),
+    )
 
 
 def _exact_verdicts(
@@ -313,15 +414,13 @@ def _exact_verdicts(
     sol: SolutionRealization,
     tol: float,
 ) -> tuple[Verdict, Verdict, Verdict] | None:
-    """The exact verdicts of `certify_interpolant`, or None without them."""
+    """The verdicts of `certify_interpolant` from the Stein Gramian
+    (`linalg.observability_gramian`), or None without them."""
     gram = observability_gramian(sol.a, sol.c)
     if gram is None:
         return None
+    rows, y, head = _explicit_parts(ds, sol)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        gammas = np.concatenate([sol.gamma_coeffs, (sol.c @ sol.b)[None]])
-        rows = _dilation_residual(ds, sol.a_part, gammas)
-        y = sol.b @ ds.r - sol.a @ (sol.b @ ds.q)
-        head = np.vstack([sol.a_part, observability_matrix(sol.gamma_coeffs)])
         ypy, int_err = gram.form(y, y)
         bpb, sigma_err = gram.form(sol.b, sol.b)
         int_gram = adj(rows) @ rows + ypy

@@ -35,6 +35,9 @@ from .errors import DimensionMismatch, NegativeEigenvalue, NotPositiveDefinite
 # far away from this threshold.
 RANK_RTOL = 1e-10
 
+# Machine epsilon, the unit of every rounding allowance.
+EPS = float(np.finfo(float).eps)
+
 
 def cmatrix(a) -> np.ndarray:
     """Coerce input to a 2-d complex128 array, rejecting NaN/Inf entries."""
@@ -310,14 +313,13 @@ def _stein(a: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     finished W could certify nothing either.
     """
     x, power = qs, a
-    eps = float(np.finfo(float).eps)
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is caught below
-        allowance = (a.shape[0] + 2) * eps * (
+        allowance = (a.shape[0] + 2) * EPS * (
             float(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf)) + 1.0)
         for _ in range(STEIN_MAX_DOUBLINGS):
             x = x + adj(power) @ x @ power
             power = power @ power
-            if (not np.linalg.norm(power) ** 2 > eps
+            if (not np.linalg.norm(power) ** 2 > EPS
                     or allowance * max(np.diagonal(x[-1]).real) >= 1.0):
                 break
     if not np.all(np.isfinite(x)):
@@ -335,7 +337,7 @@ def _residual_bound(a: np.ndarray, x: np.ndarray, q: np.ndarray, residual: float
     n = a.shape[0]
     if n == 0:
         return residual
-    k = (n + 2) * float(np.finfo(float).eps)
+    k = (n + 2) * EPS
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
         x_1 = float(np.linalg.norm(x, 1))
         a_sq = float(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
@@ -358,13 +360,12 @@ def _lyapunov(a: np.ndarray, w: np.ndarray, residual: float) -> tuple[float, flo
         return delta, 0.0
     if not delta < 1.0:
         return delta, math.inf
-    eps = float(np.finfo(float).eps)
-    k = (n + 2) * eps
+    k = (n + 2) * EPS
     lam = np.linalg.eigvalsh(w)
     e = k * max(-lam[0], lam[-1])
     if not lam[0] > e:
         return delta, math.inf
-    bound = math.sqrt(max(1.0 - (1.0 - delta) / (lam[-1] + e), 0.0) + 8.0 * eps)
+    bound = math.sqrt(max(1.0 - (1.0 - delta) / (lam[-1] + e), 0.0) + 8.0 * EPS)
     return delta, bound if bound < 1.0 else math.inf
 
 
@@ -406,6 +407,73 @@ class SteinGramian:
         w2 = w1 if b2 is b1 else self.weight(b2)
         err = self.p_residual * math.sqrt(w1 * w2)
         return m, err if np.all(np.isfinite(m)) and math.isfinite(err) else math.inf
+
+
+def frobenius_upper(m: np.ndarray) -> float:
+    """An upper bound on the Frobenius norm of m: the computed norm, a sum
+    of m.size squares, widened by (m.size + 2) eps for its rounding."""
+    return math.sqrt(float(np.vdot(m, m).real)) * (1.0 + (m.size + 2) * EPS)
+
+
+def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> float | None:
+    """An eta with P <= (1 + eta) I for the observability Gramian
+    P = a* P a + c* c, read off the storage inequality without a Stein
+    solve; None unless repeated squaring proves a stable.
+
+    Proof.  Let M = [a; c] with M* M <= (1 + e) I, e >= 0.  Along
+    x_(t+1) = a x_t, ||c x_t||^2 = x_t* M* M x_t - ||x_(t+1)||^2 <=
+    ||x_t||^2 - ||x_(t+1)||^2 + e ||x_t||^2, and summed over t = 0..T-1
+    the first two terms telescope, so
+    x_0* P x_0 = sum_t ||c x_t||^2 <= ||x_0||^2 + e sum_t ||a^t x_0||^2.
+    From a* a <= M* M, ||a^j||^2 <= (1 + e)^j; so if ||a^m|| <= theta < 1,
+    writing t = q m + j with j < m,
+    sum_t ||a^t||^2 <= sum_q theta^(2q) sum_(j<m) (1 + e)^j
+    <= S = m (1 + e)^m / (1 - theta^2),
+    which proves a stable and gives P <= (1 + e S) I: eta = e S.
+
+    Rounding, to first order as in `_residual_bound`, with k = (r + 2) eps
+    for an inner dimension r.  The computed Gram of M is within
+    (n + p + 2) eps ||M||_F^2 of M* M in norm and its computed top
+    eigenvalue within (n + 2) eps ||M||_F^2 of its own, so e = lambda_max
+    - 1 plus both allowances, and at least 0, bounds the exact one.  The
+    squarings run on computed powers: with X_j the computed a^(2^j) and
+    d_j a bound on ||X_j - a^(2^j)||_F, the exact square differs from the
+    computed one by at most d_j (2 ||X_j||_F + d_j) + (n + 2) eps
+    ||X_j||_F^2, which is d_(j+1) (d_0 = 0).  theta = ||X_j||_F + d_j,
+    each Frobenius norm from `frobenius_upper`, bounds ||a^m|| for
+    m = 2^j, and the squaring stops at the first theta <= 1/2, after at
+    most STEIN_MAX_DOUBLINGS squarings.  Nothing assumes a stable: a
+    theta that never reaches 1/2, or a power or S that overflows, gives
+    None.
+    """
+    n = a.shape[0]
+    if n == 0:
+        return 0.0
+    k = (n + 2) * EPS
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
+        m = np.vstack([a, c])
+        m_fro_sq = frobenius_upper(m) ** 2
+        lam = float(np.linalg.eigvalsh(_hermitian(adj(m) @ m))[-1])
+        e = max(lam - 1.0 + (2 * n + c.shape[0] + 4) * EPS * m_fro_sq, 0.0)
+        power, span, drift = a, 1, 0.0
+        for _ in range(STEIN_MAX_DOUBLINGS + 1):
+            norm = frobenius_upper(power)
+            theta = norm + drift
+            if not math.isfinite(theta):
+                return None
+            if theta <= 0.5:
+                break
+            drift = drift * (2.0 * norm + drift) + k * norm * norm
+            power = power @ power
+            span *= 2
+        else:
+            return None
+        try:
+            s = span * (1.0 + e) ** span / (1.0 - theta * theta)
+        except OverflowError:
+            return None
+    eta = e * s
+    return eta if math.isfinite(eta) else None
 
 
 def observability_gramian(a: np.ndarray, c: np.ndarray) -> SteinGramian | None:

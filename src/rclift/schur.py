@@ -6,6 +6,15 @@ D + lam C (I - lam A)^-1 B is then Schur class by the contractive-system
 calculus, so that one gate certifies every parameter.  A zero or constant
 parameter is the system with state dimension 0.  The tests sweep a disc
 grid only as an independent check of that calculus.
+
+The gate, `contraction_gate` (||[[A, B], [C, D]]|| <= 1 + 1e-10), runs
+where a parameter's values come from outside the package: on a transfer
+parameter read from a file (`serialize.parameter_from_json`), on a given
+constant (`constant`) and on a composition with a given factor
+(`left_multiply`, on its result).  `SchurParameter` itself checks shapes
+only, as the other containers do, and `zero` and `random_schur` build
+contractive systems by construction (the zero matrix; a Ginibre matrix
+divided by its own computed norm), so they pass no gate.
 """
 
 from __future__ import annotations
@@ -18,15 +27,21 @@ from .errors import DimensionMismatch, ResolventSingular
 from .hardy import StateSpace
 from .linalg import cmatrix, disc_stack, eye, ginibre, operator_norm, zeros
 
+CONTRACTION_TOL = 1e-10  # rounding allowance of the parameter gate
+
 
 @dataclass(frozen=True)
 class SchurParameter(StateSpace):
-    """A Schur-class function from C^in_dim to C^out_dim on the unit disc."""
+    """A Schur-class function from C^in_dim to C^out_dim on the unit disc,
+    contractive as its constructor or `contraction_gate` ensures; the
+    shapes are checked here (`hardy.StateSpace`)."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if operator_norm(self.system_matrix()) > 1.0 + 1e-10:
-            raise ValueError("the system matrix of a Schur parameter must be a contraction")
+
+def contraction_gate(v: SchurParameter) -> SchurParameter:
+    """v, after ValueError unless ||[[A, B], [C, D]]|| <= 1 + CONTRACTION_TOL."""
+    if operator_norm(v.system_matrix()) > 1.0 + CONTRACTION_TOL:
+        raise ValueError("the system matrix of a Schur parameter must be a contraction")
+    return v
 
 
 def _static(d: np.ndarray) -> SchurParameter:
@@ -39,7 +54,8 @@ def zero(in_dim: int, out_dim: int) -> SchurParameter:
 
 
 def constant(matrix) -> SchurParameter:
-    return _static(cmatrix(matrix))
+    """The constant function `matrix`, through the gate."""
+    return contraction_gate(_static(cmatrix(matrix)))
 
 
 def random_schur(in_dim: int, out_dim: int, state_dim: int, seed) -> SchurParameter:
@@ -66,10 +82,9 @@ def eval(v: StateSpace, lam) -> np.ndarray:  # noqa: A001 - domain term
 
 
 def left_multiply(s, v: SchurParameter) -> SchurParameter:
-    """Compose with a constant contraction on the output side: lam -> S V(lam)."""
+    """Compose with a constant factor on the output side: lam -> S V(lam),
+    through the gate."""
     s = cmatrix(s)
     if s.shape[1] != v.out_dim:
         raise DimensionMismatch("output composition has wrong shape")
-    if operator_norm(s) > 1.0 + 1e-10:
-        raise ValueError("output factor must be a contraction")
-    return SchurParameter(a=v.a, b=v.b, c=s @ v.c, d=s @ v.d)
+    return contraction_gate(SchurParameter(a=v.a, b=v.b, c=s @ v.c, d=s @ v.d))

@@ -11,8 +11,9 @@ A Schur parameter is written in one form, `{"variant": "transfer", "a",
 "b", "c", "d"}`: the matrices of its `hardy.StateSpace`, with a state
 dimension of 0 for a zero or constant parameter.  The reader also takes
 the variants `zero` {in_dim, out_dim}, `constant` {matrix} and `random`
-{in_dim, out_dim, state_dim, seed}; every variant passes the contraction
-gate of `schur.SchurParameter`.
+{in_dim, out_dim, state_dim, seed}.  The transfer and constant variants
+pass the contraction gate `schur.contraction_gate`; the zero and random
+ones are contractive by construction.
 
 Readers are where data enters the package: they coerce to complex and
 refuse NaN/Inf entries, and the containers they fill only check shapes.
@@ -181,7 +182,8 @@ def parameter_from_json(obj) -> schur.SchurParameter:
         if variant == "constant":
             return schur.constant(matrix_from_json(obj["matrix"], "matrix"))
         if variant == "transfer":
-            return schur.SchurParameter(*(matrix_from_json(obj[k], k) for k in PARAMETER_KEYS))
+            return schur.contraction_gate(
+                schur.SchurParameter(*(matrix_from_json(obj[k], k) for k in PARAMETER_KEYS)))
         if variant == "random":
             return schur.random_schur(
                 *(_json_int(obj, k, what) for k in ("in_dim", "out_dim", "state_dim", "seed"))

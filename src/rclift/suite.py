@@ -259,11 +259,15 @@ def ac06_contractive_interpolants(cfg: SuiteConfig) -> tuple[bool, dict]:
     interpolants, whole: `hardy.certify_interpolant` on the solution in
     state-space form (`redheffer.solution_realization`) must come out
     "certified", which bounds the full residuals and so every truncation.
-    The degree 16 sizes only the truncated fallback, which runs only when
-    the exact check cannot decide."""
+    These solutions are written in storage coordinates, so the storage
+    route decides them without a Stein solve; its bound on the stacked
+    norm is about 1, so `max_sigma`, the largest upper end, is that bound,
+    and `max_sigma_lower`, the largest floor (the norm of the head
+    [A; Gamma_0]), sits beside it.  The degree 16 sizes only the truncated
+    fallback, which runs only when neither exact route can decide."""
     n_inst = max(2, (2 * cfg.base) // 5)
     certified = 0
-    worst_sigma = 0.0
+    worst_sigma = worst_floor = 0.0
     for i in range(n_inst):
         ds = _lifting_instance(i, SEED0 + 7_606, _STRICT_KINDS, (0.3, 0.88))
         rc = redheffer.build_coefficients(lifting.derive(ds))
@@ -274,10 +278,12 @@ def ac06_contractive_interpolants(cfg: SuiteConfig) -> tuple[bool, dict]:
         for v in params:
             verdicts = hardy.certify_interpolant(ds, redheffer.solution_realization(rc, v), 16)
             worst_sigma = max(worst_sigma, verdicts[2].upper)  # stacked_norm
+            worst_floor = max(worst_floor, verdicts[2].lower)
             certified += lifting.combined_status(verdicts) == "certified"
     ok = certified == 11 * n_inst
     return ok, {"instances": n_inst, "parameters_per_instance": 11,
-                "certified": certified, "max_sigma": worst_sigma}
+                "certified": certified, "max_sigma": worst_sigma,
+                "max_sigma_lower": worst_floor}
 
 
 @_criterion("stacked_operator_contraction")
@@ -290,11 +296,13 @@ def ac07_stacked_operator_contraction(cfg: SuiteConfig) -> tuple[bool, dict]:
     KYP certificate `redheffer.kyp_norm` <= 1 + FP_GRAM_TOL, read off the
     realization's own colligation and [A; E] with E = D_A, the isometry by
     `redheffer.isometry_certificate` (three n x n identities from one Stein
-    solve, widened by its roundoff bound), which must come out certified.
+    solve, widened by its roundoff bound), which must come out certified:
+    `isometry_status` is the combined status of those verdicts, and
+    `max_isometry_residual` and `max_isometry_residual_lower` their largest
+    ends.
     """
     worst_kyp = 0.0
-    worst_iso = 0.0
-    iso_checked = 0
+    isometry = []
     all_ok = True
     for i in range(cfg.n_mid):
         ds = _lifting_instance(i, SEED0 + 808)
@@ -308,13 +316,14 @@ def ac07_stacked_operator_contraction(cfg: SuiteConfig) -> tuple[bool, dict]:
         if gap < 1e-9:
             radius, iso = redheffer.isometry_certificate(rc)
             if radius.upper < 1.0 - 1e-9:
-                iso_checked += 1
-                worst_iso = max(worst_iso, iso.upper)
-                if iso.status != "certified":
-                    all_ok = False
-    ok = all_ok and iso_checked > 0
+                isometry.append(iso)
+    status = lifting.combined_status(isometry)
+    ok = all_ok and status == "certified" and len(isometry) > 0
     return ok, {"instances": cfg.n_mid, "max_kyp_norm": worst_kyp,
-                "isometry_instances": iso_checked, "max_isometry_residual": worst_iso}
+                "isometry_instances": len(isometry),
+                "max_isometry_residual": max((v.upper for v in isometry), default=0.0),
+                "max_isometry_residual_lower": max((v.lower for v in isometry), default=0.0),
+                "isometry_status": status}
 
 
 @_criterion("classical_specialization")
@@ -410,25 +419,27 @@ def ac10_hat_m_isometry(cfg: SuiteConfig) -> tuple[bool, dict]:
     FP_GRAM_TOL, with no truncation; so is that of zero-tap problems,
     where it is exact.  A certificate needs the Stein solve to prove the
     state matrix stable, and `max_radius_bound` is the largest bound on its
-    spectral radius."""
-    general_ok = True
-    worst = 0.0
+    spectral radius.  `max_residual` and `max_residual_lower` are the
+    largest ends of the residual verdicts, and `isometry_status` their
+    combined status."""
+    isometry = []
     radius_max = 0.0
     for _, _, nc in cfg.nehari_pool:
         radius, iso = redheffer.isometry_certificate(nc)
-        if iso.status != "certified":
-            general_ok = False
-        worst = max(worst, iso.upper)
+        isometry.append(iso)
         radius_max = max(radius_max, radius.upper)
+    status = lifting.combined_status(isometry)
     zero_ok = True
     for n_w, u, y in ((1, 1, 1), (2, 2, 1), (3, 1, 2), (4, 2, 2)):
         p0 = nehari.NehariProblem(n_w, u, y, ())
         _, iso = redheffer.isometry_certificate(nehari.coefficients(p0))
         if iso.status != "certified":
             zero_ok = False
-    ok = general_ok and zero_ok
+    ok = status == "certified" and zero_ok
     return ok, {"instances": cfg.n_mid, "max_radius_bound": radius_max,
-                "max_residual": worst, "zero_tap_exact": zero_ok}
+                "max_residual": max(v.upper for v in isometry),
+                "max_residual_lower": max(v.lower for v in isometry),
+                "isometry_status": status, "zero_tap_exact": zero_ok}
 
 
 @_criterion("scalar_worked_example")

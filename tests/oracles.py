@@ -6,12 +6,15 @@ null space of the intertwining equation that the closed forms of
 `rclift.generators` replaced, the colligation of a realization that
 `rclift.redheffer.kyp_norm` bounds, and the paper's closed-form Nehari
 realization, in the paper's coordinates, that `rclift.nehari.coefficients`
-replaced with the lifting core in storage coordinates, and the block
+replaced with the lifting core in storage coordinates, the block
 layouts that `rclift.nehari` gathers in one indexing pass, written here as
-loops over the definitions."""
+loops over the definitions, and the exact values of the computed
+matrices at 60 digits (mpmath) that every certificate's [lower, upper]
+must bracket."""
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from rclift import nehari, redheffer
@@ -215,3 +218,158 @@ def closed_form_operators(p, cf):
     f_row = np.hstack([tap(p, n) for n in range(1, n_w + 1)])
     g_big = np.hstack(list(cf.g_row) + [zeros(y, u)] * (n_w - len(cf.g_row)))
     return c1, c2, f_row, g_big
+
+
+# --- exact values of computed matrices -------------------------------------------
+
+EXACT_DIGITS = 60
+EXACT_MAX_STATES = 6  # the Kronecker system of the Stein equation has n^2 unknowns
+
+
+def mp_matrix(m) -> mpmath.matrix:
+    """The float matrix m as an mpmath matrix, entry for entry exactly."""
+    m = np.asarray(m, dtype=complex)
+    out = mpmath.matrix(m.shape[0], m.shape[1])
+    for (i, j), z in np.ndenumerate(m):
+        out[i, j] = mpmath.mpc(z.real, z.imag)
+    return out
+
+
+def _adj(m: mpmath.matrix) -> mpmath.matrix:
+    return m.transpose_conj()
+
+
+def _stack(*blocks: mpmath.matrix) -> mpmath.matrix:
+    """The blocks stacked vertically; they share their column count."""
+    cols = blocks[0].cols
+    out = mpmath.matrix(sum(b.rows for b in blocks), cols)
+    r = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(cols):
+                out[r + i, j] = b[i, j]
+        r += b.rows
+    return out
+
+
+def _top_eig(h: mpmath.matrix):
+    """The largest eigenvalue of a Hermitian mpmath matrix; 0 when empty."""
+    if h.rows == 0:
+        return mpmath.mpf(0)
+    h = (h + _adj(h)) / 2
+    return max(mpmath.re(e) for e in mpmath.eigh(h, eigvals_only=True))
+
+
+def exact_norm(m: mpmath.matrix):
+    """The operator norm of an mpmath matrix, sqrt(lambda_max(m* m))."""
+    if m.rows == 0 or m.cols == 0:
+        return mpmath.mpf(0)
+    return mpmath.sqrt(max(_top_eig(_adj(m) @ m), 0))
+
+
+def _gauss_solve(rows: list, rhs: list) -> list:
+    """x with rows x = rhs, by Gaussian elimination with partial pivoting
+    on |re| + |im|, in the working precision; `rows` is a list of lists."""
+    n = len(rows)
+    for col in range(n):
+        piv = max(range(col, n), key=lambda i: abs(rows[i][col].real) + abs(rows[i][col].imag))
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        inv = 1 / rows[col][col]
+        for i in range(col + 1, n):
+            factor = rows[i][col] * inv
+            if factor:
+                row_i, row_c = rows[i], rows[col]
+                for j in range(col + 1, n):
+                    row_i[j] -= factor * row_c[j]
+                rhs[i] -= factor * rhs[col]
+    x = [mpmath.mpc(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (rhs[i] - mpmath.fsum(rows[i][j] * x[j] for j in range(i + 1, n))) / rows[i][i]
+    return x
+
+
+def exact_gramian(a, c) -> mpmath.matrix:
+    """The observability Gramian P = a* P a + c* c of the float matrices
+    a and c, at EXACT_DIGITS digits: the Kronecker system
+    (I - a^T kron a*) vec P = vec(c* c), with vec stacking columns, solved
+    by Gaussian elimination.  Meaningful only for a stable a;
+    n <= EXACT_MAX_STATES."""
+    n = a.shape[0]
+    assert n <= EXACT_MAX_STATES
+    with mpmath.workdps(EXACT_DIGITS):
+        am, cm = mp_matrix(a), mp_matrix(c)
+        if n == 0:
+            return mpmath.matrix(0, 0)
+        a_star = _adj(am)
+        q = _adj(cm) @ cm
+        k = mpmath.eye(n * n)
+        for j in range(n):  # block (j, l) of a^T kron a* is a_(l j) a*
+            for l in range(n):
+                coef = am[l, j]
+                if coef == 0:
+                    continue
+                for i in range(n):
+                    for p in range(n):
+                        k[j * n + i, l * n + p] -= coef * a_star[i, p]
+        vec = _gauss_solve([[k[i, j] for j in range(n * n)] for i in range(n * n)],
+                           [q[i, j] for j in range(n) for i in range(n)])
+        p_mat = mpmath.matrix(n, n)
+        for j in range(n):
+            for i in range(n):
+                p_mat[i, j] = vec[j * n + i]
+        return (p_mat + _adj(p_mat)) / 2
+
+
+def _form(p_mat: mpmath.matrix, m: mpmath.matrix) -> mpmath.matrix:
+    """m* P m, zero when there is no state."""
+    return _adj(m) @ p_mat @ m if p_mat.rows else mpmath.zeros(m.cols)
+
+
+def exact_certificate_values(ds, sol, p_mat: mpmath.matrix | None = None) -> tuple:
+    """The exact projection residual, intertwining residual and stacked
+    norm of a lifting solution in state-space form, the three quantities
+    of `rclift.hardy.certify_interpolant`, for its float matrices and the
+    data set's computed defect coordinates (D_T', E_T); `p_mat`, when
+    given, is `exact_gramian(sol.a, sol.c)`."""
+    with mpmath.workdps(EXACT_DIGITS):
+        if p_mat is None:
+            p_mat = exact_gramian(sol.a, sol.c)
+        a_mp, b, c = mp_matrix(sol.a), mp_matrix(sol.b), mp_matrix(sol.c)
+        a_part, r, q = mp_matrix(sol.a_part), mp_matrix(ds.r), mp_matrix(ds.q)
+        d_t, e_t = (mp_matrix(m) for m in ds.t_prime_defect)
+        gammas = [mp_matrix(g) for g in sol.gamma_coeffs] + [c @ b]
+        shifted = [_adj(e_t) @ d_t @ a_part] + gammas[:-1]
+        rows = _stack(mp_matrix(ds.t_prime) @ a_part @ r - a_part @ q,
+                      *(s @ r - g @ q for s, g in zip(shifted, gammas)))
+        y = b @ r - a_mp @ (b @ q)
+        head = _stack(a_part, *gammas[:-1])
+        residual = mpmath.sqrt(max(_top_eig(_adj(rows) @ rows + _form(p_mat, y)), 0))
+        sigma = mpmath.sqrt(max(_top_eig(_adj(head) @ head + _form(p_mat, b)), 0))
+        projection = exact_norm(a_part - mp_matrix(ds.a))
+        return projection, residual, sigma
+
+
+def exact_isometry_residual(rc):
+    """The exact largest residual of the three identities of
+    `rclift.redheffer.isometry_certificate` for a realization's float
+    matrices."""
+    with mpmath.workdps(EXACT_DIGITS):
+        c_f = np.vstack([rc.x3, rc.x4])
+        d_f = np.vstack([np.zeros((rc.kq_dim, rc.w_dim), complex), rc.x5])
+        p_mat = exact_gramian(rc.x1, c_f)
+        x1, x2, e, base = (mp_matrix(m) for m in (rc.x1, rc.x2, rc.e, rc.base))
+        c, d = mp_matrix(c_f), mp_matrix(d_f)
+        return max(
+            exact_norm(_adj(d) @ d + _adj(x2) @ p_mat @ x2 - mpmath.eye(rc.w_dim)),
+            exact_norm(_adj(c) @ d + _adj(x1) @ p_mat @ x2),
+            exact_norm(_adj(base) @ base + _adj(e) @ p_mat @ e - mpmath.eye(rc.e.shape[1])),
+        )
+
+
+def exact_kyp_norm(rc):
+    """The exact value of `rclift.redheffer.kyp_norm` for a realization's
+    float matrices."""
+    with mpmath.workdps(EXACT_DIGITS):
+        return max(exact_norm(mp_matrix(colligation(rc))),
+                   exact_norm(mp_matrix(np.vstack([rc.base, rc.e]))))

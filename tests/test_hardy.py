@@ -226,11 +226,11 @@ def _forge_gamma0(sol, factor):
 @pytest.mark.parametrize("factor", [1.0, 1.5])
 def test_exact_values_bound_every_truncation(seed, factor):
     # a truncation keeps a subset of the rows of the solution and of its
-    # residual, so the exact values bound every truncated one from above
-    # and meet them as the degree grows; factor 1.5 forges Gamma_0
+    # residual, so the Stein route's exact values bound every truncated one
+    # from above and meet them as the degree grows; factor 1.5 forges Gamma_0
     ds, sol = _realized(seed)
     sol = _forge_gamma0(sol, factor)
-    exact = hardy.certify_interpolant(ds, sol, 0)
+    exact = hardy._exact_verdicts(ds, sol, 1e-6)
     assert all(e.lower <= e.upper for e in exact)
     for deg in (0, 1, 2, 4, 8, 16, 32, 64, 128):
         trunc = hardy.verify_interpolant(ds, sol.taylor(deg), deg)
@@ -243,25 +243,71 @@ def test_exact_values_bound_every_truncation(seed, factor):
         assert exact[1].upper > 0.01
 
 
+@pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("factor", [1.0, 1.5])
-def test_longer_head_gives_the_same_certificate(factor):
-    # the same function with m = 3 listed coefficients (tail B' = A^2 B),
-    # and a polynomial solution written with a zero-dimensional state
-    ds, sol = _realized(5)
+def test_storage_route_bounds_every_truncation(seed, factor):
+    # the storage route's upper ends are looser, but they bound every
+    # truncation too, and its verdict is the Stein route's
+    ds, sol = _realized(seed)
     sol = _forge_gamma0(sol, factor)
+    storage = hardy._storage_verdicts(ds, sol, 1e-6)
+    assert all(s.lower <= s.upper for s in storage)
+    for deg in (0, 1, 2, 4, 8, 16, 32, 64, 128):
+        trunc = hardy.verify_interpolant(ds, sol.taylor(deg), deg)
+        assert [t.name for t in trunc] == [s.name for s in storage]
+        assert all(t.lower <= s.upper for t, s in zip(trunc, storage))
+        assert trunc[0] == storage[0]
+    assert combined_status(storage) == combined_status(hardy._exact_verdicts(ds, sol, 1e-6))
+    assert hardy.certify_interpolant(ds, sol, 0) == storage
+
+
+def _longer_head(sol):
+    """The same function with m = 3 listed coefficients (tail B' = A^2 B),
+    and a polynomial one: its head with a zero-dimensional state."""
     head = sol.taylor(2).gamma_coeffs
     longer = dataclasses.replace(sol, gamma_coeffs=head, b=sol.a @ (sol.a @ sol.b))
-    one, three = (hardy.certify_interpolant(ds, s, 0) for s in (sol, longer))
-    assert combined_status(one) == combined_status(three)
-    assert all(abs(a.upper - b.upper) <= 1e-14 for a, b in zip(one, three))
     n_in, n_out = sol.b.shape[1], sol.c.shape[0]
     poly = dataclasses.replace(sol, gamma_coeffs=head, a=np.zeros((0, 0), complex),
                                b=np.zeros((0, n_in), complex), c=np.zeros((n_out, 0), complex))
-    exact = hardy.certify_interpolant(ds, poly, 0)
+    return longer, poly
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.5])
+def test_longer_head_gives_the_same_certificate(factor):
+    # the Stein route reads the same upper ends off both realizations, and
+    # decides a polynomial solution at its exact values
+    ds, sol = _realized(5)
+    sol = _forge_gamma0(sol, factor)
+    longer, poly = _longer_head(sol)
+    one, three = (hardy._exact_verdicts(ds, s, 1e-6) for s in (sol, longer))
+    assert combined_status(one) == combined_status(three)
+    assert all(abs(a.upper - b.upper) <= 1e-14 for a, b in zip(one, three))
+    exact = hardy._exact_verdicts(ds, poly, 1e-6)
     trunc = hardy.verify_interpolant(ds, poly.taylor(3), 3)
     refuted = combined_status(trunc) == "refuted"
     assert combined_status(exact) == ("refuted" if refuted else "certified")
     assert all(abs(e.upper - t.lower) <= 1e-14 for e, t in zip(exact, trunc))
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.5])
+def test_longer_head_gives_the_same_storage_verdict(factor):
+    # the storage route bounds the tail, which differs between the two
+    # realizations, so only the status and the brackets agree; a
+    # polynomial solution has no tail, and its truncation at degree 3 is
+    # the whole solution
+    ds, sol = _realized(5)
+    sol = _forge_gamma0(sol, factor)
+    longer, poly = _longer_head(sol)
+    one, three = (hardy._storage_verdicts(ds, s, 1e-6) for s in (sol, longer))
+    assert combined_status(one) == combined_status(three)
+    trunc = hardy.verify_interpolant(ds, sol.taylor(64), 64)
+    for verdicts in (one, three):
+        assert all(t.lower <= v.upper for t, v in zip(trunc, verdicts))
+    storage = hardy._storage_verdicts(ds, poly, 1e-6)
+    trunc = hardy.verify_interpolant(ds, poly.taylor(3), 3)
+    assert combined_status(storage) == combined_status(hardy._exact_verdicts(ds, poly, 1e-6))
+    assert all(t.lower <= v.upper for t, v in zip(trunc, storage))
+    assert [v.lower for v in storage[1:]] == [t.lower for t in trunc[1:]]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -315,6 +361,31 @@ def test_honest_solutions_certified_at_the_strictness_boundary(gap, seed):
     for v in params:
         rep = hardy.certify_interpolant(ds, redheffer.solution_realization(rc, v), 16)
         assert combined_status(rep) == "certified"
+
+
+# the families on which the storage route must decide what the Stein route does
+ROUTE_FAMILIES = (
+    [("generic", (40, 30, 20), 0.8, s) for s in range(2)]
+    + [("generic", (5, 3, 2), 1.0 - 1e-6, s) for s in range(6)]
+    + [("nehari-like", (2, 2, 3, 4), 1.0 - 1e-6, s) for s in range(8)]
+)
+
+
+@pytest.mark.parametrize("kind,dims,norm,seed", ROUTE_FAMILIES)
+def test_storage_route_certifies_what_the_stein_route_certifies(kind, dims, norm, seed):
+    # honest solutions and their Gamma_0 * 1.5 forgeries: the storage route
+    # certifies every one the Stein route certifies and none it refutes
+    ds = generators.generate_random(kind, dims, norm, seed)
+    rc = redheffer.build_coefficients(lifting.derive(ds))
+    params = [schur.zero(rc.kq_dim, rc.w_dim)] + [
+        schur.random_schur(rc.kq_dim, rc.w_dim, j, 10 * seed + j) for j in (1, 2, 3)]
+    for v in params:
+        for factor in (1.0, 1.5):
+            sol = _forge_gamma0(redheffer.solution_realization(rc, v), factor)
+            stein = combined_status(hardy._exact_verdicts(ds, sol, 1e-6))
+            storage = combined_status(hardy._storage_verdicts(ds, sol, 1e-6))
+            assert stein == ("certified" if factor == 1.0 else "refuted")
+            assert storage == stein
 
 
 def _parameter_at_radius(rc, r, seed, observable):

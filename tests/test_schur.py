@@ -19,6 +19,28 @@ def test_constant_must_be_contractive():
         schur.constant(1.5 * np.eye(2))
 
 
+def test_parameter_container_checks_shapes_only():
+    # the gate runs where values enter; the container takes a system as it is
+    big = schur.SchurParameter(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
+                               1.5 * np.eye(2))
+    with pytest.raises(ValueError, match="contraction"):
+        schur.contraction_gate(big)
+    with pytest.raises(DimensionMismatch):
+        schur.SchurParameter(np.zeros((1, 1)), np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2))
+    v = schur.random_schur(2, 3, 4, 5)
+    assert schur.contraction_gate(v) is v
+
+
+def test_left_multiply_gates_its_result():
+    # the composition is gated, not the factor: 2 S V is refused, while
+    # 2 S applied to the zero parameter stays zero
+    v = schur.random_schur(1, 2, 2, 3)
+    with pytest.raises(ValueError, match="contraction"):
+        schur.left_multiply(2.0 * np.eye(2), v)
+    w = schur.left_multiply(2.0 * np.eye(2), schur.zero(1, 2))
+    assert linalg.operator_norm(w.system_matrix()) == 0.0
+
+
 def grid_certify(v, points=256, radius=0.999):
     """Max value norm over a disc grid: an independent audit of Schur class."""
     worst = 0.0

@@ -172,9 +172,10 @@ def test_eigenvector_decomposition_is_detected():
 
 
 # Values from outside are coerced and checked once, where they enter (the
-# `serialize` readers); the containers take their arrays as they are, so
-# no `__post_init__` coerces or scans entries.
-ENTRY_CHECKS = ("cmatrix", "asarray", "isfinite")
+# `serialize` readers, and `schur.contraction_gate` for parameters); the
+# containers take their arrays as they are, so no `__post_init__` coerces
+# or scans entries, or takes a norm to gate them.
+ENTRY_CHECKS = ("cmatrix", "asarray", "isfinite", "operator_norm")
 
 
 def _post_init_entry_checks(tree: ast.Module) -> list[str]:
@@ -200,10 +201,13 @@ def test_entry_check_in_a_container_is_detected():
         "        a = cmatrix(self.a)\n"
         "        b = np.asarray(self.b)\n"
         "        if not np.isfinite(b).all():\n"
+        "            raise ValueError\n"
+        "        if operator_norm(b) > 1.0:\n"
         "            raise ValueError\n\n"
         "def f(m):\n    return np.asarray(m)\n"
     )
-    assert sorted(_post_init_entry_checks(tree)) == ["asarray:7", "cmatrix:6", "isfinite:8"]
+    assert sorted(_post_init_entry_checks(tree)) == [
+        "asarray:7", "cmatrix:6", "isfinite:8", "operator_norm:10"]
 
 
 # Every HPD solve goes through `linalg.solve_hpd`, which keeps the
