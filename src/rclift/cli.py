@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: validate, solve, nehari, verify, gen, suite.  Instances,
-parameters, and solutions are JSON (complex entries as [re, im] pairs);
-reports are canonical JSON (sorted keys, shortest round-trip floats; see
+parameters, and solutions are JSON: their matrices are written packed, as
+base64 of complex128 bytes, except the coefficient lists (lifting
+Gamma_k, Nehari taps and H_k), which stay decimal [re, im] pairs, and
+the readers take either spelling (see `serialize`).  Reports are
+canonical JSON (sorted keys, shortest round-trip floats; see
 `serialize`), so a report is byte-stable for a fixed seed, version and
 BLAS thread count.  Across BLAS thread counts only the suite report and
 `gen --kind generic` are tested byte-identical; threaded BLAS may round
@@ -48,7 +51,10 @@ is in storage coordinates, where that bound on `stacked_norm` is about
 the part that needs no Gramian, [A; Gamma_0].  When those rows neither
 certify nor refute, they come from one Stein Gramian, widened both ways
 by its roundoff bound, with `lower` never below the part of the row that
-needs no Gramian.  A row whose two ends straddle its threshold is
+needs no Gramian.  In both, the rows that rest on computed differences
+(`dilation_intertwining`, `projection_onto_target`) are widened both ways
+by the rounding of forming them, so `lower` is a floor of the exact
+value.  A row whose two ends straddle its threshold is
 uncertified.  A realization that neither route decides, or whose state
 matrix is not certified stable, is also expanded to `--degree`
 coefficients and checked as a coefficient file, whose rows are reported
@@ -61,7 +67,8 @@ below, so the rows `dilation_intertwining`, `stacked_norm` and
 `combined_operator_norm` have only a `lower` end: one above its
 threshold (`1 + tol` for the norm rows) refutes the solution, and rows
 within it are uncertified, never certified.  `projection_onto_target`
-is exact in either check.  A Nehari solution file records its
+has both ends in either check: the computed norm of a_part - A, widened
+by the rounding of that difference and of its SVD.  A Nehari solution file records its
 `combined_operator_norm` lower end as `sigma_max`.  No value read from
 the solution file enters a threshold, and a `tail_bound` key that older
 solution files carry is ignored.  Coefficients that overflow floating

@@ -41,6 +41,7 @@ from .lifting import Verdict, combined_status
 from .linalg import (
     EPS,
     adj,
+    eye,
     frobenius_upper,
     observability_gramian,
     operator_norm,
@@ -241,7 +242,8 @@ def verify_interpolant(
     of the truncation.  The truncation keeps a subset of the rows of the
     full solution and of the full residual, so (ii) and (iii) bound their
     full values from below: their verdicts have no upper end and can refute
-    but never certify, while (i) is exact.  A truncation that overflows
+    but never certify, while (i) has both ends, the computed norm widened by
+    the rounding of a_part - A and of its SVD.  A truncation that overflows
     floating point raises NotFinite.  `certify_interpolant` decides a
     solution in state-space form exactly.
     """
@@ -260,10 +262,28 @@ def verify_interpolant(
         raise NotFinite(f"the solution truncated at degree {deg} overflows floating point")
     sigma = operator_norm(np.vstack([sol.a_part, observability_matrix(gammas)]))
     return (
-        Verdict.exact("projection_onto_target", operator_norm(sol.a_part - ds.a), tol),
+        _projection_verdict(ds, sol.a_part, tol),
         Verdict("dilation_intertwining", operator_norm(residual), math.inf, tol),
         Verdict("stacked_norm", sigma, math.inf, 1.0 + tol),
     )
+
+
+def _norm_bracket(m: np.ndarray, err: float) -> tuple[float, float]:
+    """Lower and upper ends of the norm of a matrix whose computed form m
+    is within err of it in norm: the computed norm of m widened by
+    (size + 2) eps of itself for its SVD and by err, the lower end floored
+    at 0."""
+    norm, k = operator_norm(m), (m.size + 2) * EPS
+    return max(norm * (1.0 - k) - err, 0.0), norm * (1.0 + k) + err
+
+
+def _projection_verdict(ds: lifting.LiftingDataSet, a_part: np.ndarray, tol: float) -> Verdict:
+    """The verdict on ||a_part - A||.  Each entry of the computed
+    difference is the exact one times (1 + delta) with |delta| <= eps, so
+    the difference rounds by at most eps of its own Frobenius norm, and an
+    a_part equal to A reads exactly 0."""
+    diff = a_part - ds.a
+    return Verdict("projection_onto_target", *_norm_bracket(diff, EPS * frobenius_upper(diff)), tol)
 
 
 def _root_of_max_eig(m: np.ndarray, err: float) -> tuple[float, float]:
@@ -305,8 +325,11 @@ def certify_interpolant(
     widens both ends by its roundoff bound.  In both, the lower ends are
     at least the norms of the explicit rows and of [a_part;
     Gamma_0..Gamma_(m-1)], which need no Gramian, so a realization that
-    widens a bound (large B on states C does not see) cannot lower them;
-    the projection residual is exact.  The three verdicts, named as those
+    widens a bound (large B on states C does not see) cannot lower them.
+    Every end that rests on a computed difference (the explicit rows, Y,
+    and a_part - A for the projection residual) is widened both ways by
+    the rounding of forming it and of its norm, so no lower end lies above
+    the exact value of the matrices given.  The three verdicts, named as those
     of `verify_interpolant`, of the first route that certifies or refutes
     (`lifting.combined_status`) are returned.  Otherwise, and when neither
     route has a check (A is not proved stable, or a Gram overflows), the
@@ -380,8 +403,8 @@ def _storage_verdicts(
     For an honest solution in storage coordinates head* head + B* B <=
     A* A + E* E = I and Y vanishes up to rounding, since E R = X1 E Q and
     X3 E Q = 0, so both upper ends sit at their exact bounds 1 and 0 plus
-    rounding.  The lower ends are the norms of the explicit rows and of the
-    head.
+    rounding.  The lower ends are the norm of the head and that of the
+    explicit rows, taken down by the same SVD and formation allowances.
     """
     eta = storage_gramian_bound(sol.a, sol.c)
     if eta is None:
@@ -394,17 +417,16 @@ def _storage_verdicts(
         return None
     sigma_err = (x.shape[0] + x.shape[1] + 6) * EPS * frobenius_upper(x) ** 2
     sigma = _root_of_max_eig(sigma_gram, sigma_err)[0]
-    rows_norm = operator_norm(rows)
     rows_err, y_err = _formation_rounding(ds, sol)
+    rows_lower, rows_upper = _norm_bracket(rows, rows_err)
     res_int = math.hypot(
-        rows_norm * (1.0 + (rows.size + 2) * EPS) + rows_err,
-        math.sqrt(1.0 + eta) * (frobenius_upper(y) + y_err),
+        rows_upper, math.sqrt(1.0 + eta) * (frobenius_upper(y) + y_err)
     ) * (1.0 + 4.0 * EPS)
     if not math.isfinite(res_int + sigma):
         return None
     return (
-        Verdict.exact("projection_onto_target", operator_norm(sol.a_part - ds.a), tol),
-        Verdict("dilation_intertwining", rows_norm, res_int, tol),
+        _projection_verdict(ds, sol.a_part, tol),
+        Verdict("dilation_intertwining", rows_lower, res_int, tol),
         Verdict("stacked_norm", operator_norm(head), sigma, 1.0 + tol),
     )
 
@@ -415,7 +437,13 @@ def _exact_verdicts(
     tol: float,
 ) -> tuple[Verdict, Verdict, Verdict] | None:
     """The verdicts of `certify_interpolant` from the Stein Gramian
-    (`linalg.observability_gramian`), or None without them."""
+    (`linalg.observability_gramian`), or None without them.
+
+    The residual is the norm of [rows; P^(1/2) Y], and the computed rows
+    and Y lie within rows_err and y_err of their exact values
+    (`_formation_rounding`), so both of its ends move by at most
+    hypot(rows_err, ||P||^(1/2) y_err), with ||P|| <= ||C||^2 ||W|| since
+    P <= ||C||^2 W for the W of the Gramian (`linalg.SteinGramian`)."""
     gram = observability_gramian(sol.a, sol.c)
     if gram is None:
         return None
@@ -427,10 +455,14 @@ def _exact_verdicts(
         sigma_gram = adj(head) @ head + bpb
     if not (_all_finite(int_gram, sigma_gram) and math.isfinite(int_err + sigma_err)):
         return None
+    rows_err, y_err = _formation_rounding(ds, sol)
+    p_root = frobenius_upper(sol.c) * math.sqrt(gram.weight(eye(sol.a.shape[0])))
+    formed = math.hypot(rows_err, p_root * y_err)
     res_int, floor_int = _root_of_max_eig(int_gram, int_err)
     sigma, floor_sigma = _root_of_max_eig(sigma_gram, sigma_err)
     return (
-        Verdict.exact("projection_onto_target", operator_norm(sol.a_part - ds.a), tol),
-        Verdict("dilation_intertwining", max(floor_int, operator_norm(rows)), res_int, tol),
+        _projection_verdict(ds, sol.a_part, tol),
+        Verdict("dilation_intertwining", max(floor_int - formed, _norm_bracket(rows, rows_err)[0]),
+                res_int + formed, tol),
         Verdict("stacked_norm", max(floor_sigma, operator_norm(head)), sigma, 1.0 + tol),
     )

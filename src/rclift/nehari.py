@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, HankelNotStrict, NotFinite
+from .errors import DimensionMismatch, HankelNotStrict, NotFinite, NotPositiveDefinite
 from .lifting import LiftingDataSet, Verdict
 from .linalg import (
     adj,
@@ -138,13 +138,21 @@ def gram(p: NehariProblem) -> np.ndarray:
 def _strict_gram(p: NehariProblem) -> np.ndarray:
     """The defect Gram `gram(p)`; HankelNotStrict unless its least
     eigenvalue is at least GRAM_MIN_EIG, so that the Hankel matrix is a
-    strict contraction."""
+    strict contraction.
+
+    The gate is whether Lambda - GRAM_MIN_EIG I has a Cholesky factor,
+    several times cheaper than its least eigenvalue, which is computed for
+    the message only.  Cholesky is backward stable, so the two decisions
+    can differ only for a least eigenvalue within about n eps ||Lambda||
+    of GRAM_MIN_EIG.
+    """
     lam = gram(p)
-    min_eig = min_eig_hermitian(lam)
-    if min_eig < GRAM_MIN_EIG:
+    try:
+        hpd_factor(lam - GRAM_MIN_EIG * eye(lam.shape[0]))
+    except NotPositiveDefinite:
         raise HankelNotStrict(
-            f"defect Gram min eigenvalue {min_eig:.3e} < {GRAM_MIN_EIG:g}"
-        )
+            f"defect Gram min eigenvalue {min_eig_hermitian(lam):.3e} < {GRAM_MIN_EIG:g}"
+        ) from None
     return lam
 
 

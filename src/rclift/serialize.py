@@ -1,11 +1,27 @@
 """JSON wire formats for instances, parameters, and solutions.
 
-Complex entries are [re, im] pairs.  General matrices are objects
-{"rows": r, "cols": c, "data": [[re, im], ...]} with row-major data;
-Nehari taps and solution coefficients are bare row-major pair lists whose
-shape is implied by the problem's port dimensions.  Solution readers
-ignore keys they do not use, such as the `tail_bound` that older solution
-files carry.
+A matrix object {"rows": r, "cols": c, ...} has two spellings of its
+row-major entries.  The packed one, {"b64": payload}, is the standard
+base64, with padding, of the entries as little-endian complex128 bytes,
+16 r c of them.  The decimal one, {"data": [[re, im], ...]}, lists each
+complex entry as an [re, im] pair of JSON numbers.  `matrix_from_json`
+is the one reader of both; an object holding both keys, a payload that
+is not a string of base64 characters or not 16 r c bytes long, negative
+dimensions, and NaN/Inf entries are refused.  Both spellings read back
+bit for bit what was written.
+
+The writer packs every matrix object but the coefficient lists: the
+lifting instance {a, t_prime, r, q}, the parameter {a, b, c, d}, and a
+lifting solution's `a_part` and `tail` {a, b, c}.  The coefficients stay
+decimal: each `gamma[i]` of a lifting solution is a `data` object, and
+Nehari taps and solution coefficients `H` are bare row-major pair lists
+whose shape is implied by the problem's port dimensions.  They are what a
+person reads, writes by hand and truncates, so they keep a spelling that
+can be read and edited; everything else, read only by programs, packs to
+about half the bytes and reads and writes several times faster.  The rule
+goes by role, not size: Gamma_0 can be as large as `a_part`.  Solution
+readers ignore keys they do not use, such as the `tail_bound` that older
+solution files carry.
 
 A Schur parameter is written in one form, `{"variant": "transfer", "a",
 "b", "c", "d"}`: the matrices of its `hardy.StateSpace`, with a state
@@ -34,9 +50,10 @@ when D_T' is invertible.
 Every written document is canonical JSON, written and read by orjson:
 keys sorted, no whitespace, UTF-8, and non-finite floats written as null,
 so a report is byte-stable for a fixed seed, version and BLAS thread
-count (across thread counts, see `cli`).  A float is
-written in its shortest round-trip digits (Ryu), which read back bit for
-bit: 0.1 is `0.1` and 1.0 is `1.0`.  Zero and any x with
+count (across thread counts, see `cli`).  A packed payload is a function
+of the entries' bits alone, so it is as stable as the decimal digits.  A
+float is written in its shortest round-trip digits (Ryu), which read back
+bit for bit: 0.1 is `0.1` and 1.0 is `1.0`.  Zero and any x with
 1e-5 <= |x| < 1e16 are written positionally (`0.00001`,
 `1000000000000000.0`), every other float in exponent form with no `+` and
 no zero pad (`1e-7`, `1e16`, `5e-324`).  Every character from U+007F up
@@ -49,6 +66,7 @@ infinity, a byte-order mark and bytes that are not UTF-8.
 
 from __future__ import annotations
 
+import base64
 from itertools import chain
 from typing import Any
 
@@ -63,6 +81,14 @@ from .linalg import cmatrix
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
+    """The packed matrix object of m (module docstring)."""
+    m = cmatrix(m)
+    payload = base64.b64encode(np.ascontiguousarray(m, "<c16")).decode("ascii")
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "b64": payload}
+
+
+def decimal_matrix_to_json(m: np.ndarray) -> dict:
+    """The decimal matrix object of m, for the coefficient lists."""
     m = cmatrix(m)
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": _pairs_from_matrix(m)}
 
@@ -76,16 +102,20 @@ def _json_int(obj, key: str, what: str) -> int:
 
 
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
+    """The matrix of a matrix object in either spelling (module docstring)."""
     try:
-        rows, cols, data = _json_int(obj, "rows", what), _json_int(obj, "cols", what), obj["data"]
+        rows, cols = _json_int(obj, "rows", what), _json_int(obj, "cols", what)
+        spelled = [key for key in ("data", "b64") if key in obj]
     except (TypeError, KeyError) as exc:
-        raise ParseError(f"{what}: expected rows/cols/data object") from exc
-    return _pairs_to_matrix(data, rows, cols, what)
+        raise ParseError(f"{what}: expected a rows/cols object with data or b64") from exc
+    if len(spelled) != 1:
+        raise ParseError(f"{what}: a matrix object holds exactly one of data and b64")
+    decode = _pairs_to_matrix if spelled == ["data"] else _packed_to_matrix
+    return decode(obj[spelled[0]], rows, cols, what)
 
 
 def _pairs_to_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
-    if rows < 0 or cols < 0:
-        raise ParseError(f"{what}: negative dimensions")
+    _check_dims(rows, cols, what)
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"{what}: need {rows * cols} [re, im] pairs")
     # each entry must be a pair, or fromiter's count would regroup the
@@ -98,9 +128,32 @@ def _pairs_to_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
         flat = np.fromiter(chain.from_iterable(data), float, 2 * rows * cols)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what}: entries are not [re, im] pairs") from exc
-    if not np.all(np.isfinite(flat)):
+    return _finite_matrix(flat.view(complex), rows, cols, what)
+
+
+def _packed_to_matrix(payload, rows: int, cols: int, what: str) -> np.ndarray:
+    _check_dims(rows, cols, what)
+    if not isinstance(payload, str):
+        raise ParseError(f"{what}: b64 must be a string, not {type(payload).__name__}")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character past ASCII
+        raise ParseError(f"{what}: b64 is not base64: {exc}") from exc
+    if len(raw) != 16 * rows * cols:
+        raise ParseError(f"{what}: need {16 * rows * cols} payload bytes, got {len(raw)}")
+    return _finite_matrix(np.frombuffer(raw, "<c16").astype(complex), rows, cols, what)
+
+
+def _check_dims(rows: int, cols: int, what: str) -> None:
+    if rows < 0 or cols < 0:
+        raise ParseError(f"{what}: negative dimensions")
+
+
+def _finite_matrix(entries: np.ndarray, rows: int, cols: int, what: str) -> np.ndarray:
+    """The flat complex entries as a rows x cols matrix; ParseError on NaN/Inf."""
+    if not np.all(np.isfinite(entries)):
         raise ParseError(f"{what}: non-finite entries")
-    return flat.reshape(rows * cols, 2).view(complex).reshape(rows, cols)
+    return entries.reshape(rows, cols)
 
 
 def _pairs_from_matrix(m: np.ndarray) -> list:
@@ -228,7 +281,7 @@ def lifting_solution_to_json(sol: SolutionTaylor | SolutionRealization, report: 
     doc = {
         "kind": "lifting_solution",
         "a_part": matrix_to_json(sol.a_part),
-        "gamma": [matrix_to_json(g) for g in sol.gamma_coeffs],
+        "gamma": [decimal_matrix_to_json(g) for g in sol.gamma_coeffs],
         "report": report,
     }
     if isinstance(sol, SolutionRealization):

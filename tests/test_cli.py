@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from wire import as_pairs
 
 import rclift
 from rclift import generators, lifting, nehari, redheffer, schur, serialize
@@ -367,7 +369,7 @@ def _tamper_lifting_instance(tmp_path, capsys, bad):
     run(capsys, "gen", "--kind", "generic", "--dims", "4,3,2", "--seed", "2",
         "--norm", "0.75", "--out", str(path))
     doc = json.loads(path.read_text())
-    doc["a"]["data"][0] = bad
+    as_pairs(doc["a"])["data"][0] = bad
     path.write_text(json.dumps(doc))
     return ["validate", str(path)], "a: "
 
@@ -389,7 +391,7 @@ def _tamper_lifting_solution(tmp_path, capsys, where, bad):
     matrix = doc
     for key in where:
         matrix = matrix[key]
-    matrix["data"][0] = bad
+    as_pairs(matrix)["data"][0] = bad
     sol.write_text(json.dumps(doc))
     return ["verify", str(inst), str(sol), "--degree", "3"]
 
@@ -430,6 +432,49 @@ def test_malformed_matrix_entry_exits_2(tmp_path, capsys, tamper, bad):
     assert err.startswith("error: ") and where in err
 
 
+def _packed_payload(m, entries) -> dict:
+    """The packed matrix object m with the payload of `entries`."""
+    return dict(m, b64=base64.b64encode(np.asarray(entries, "<c16").tobytes()).decode())
+
+
+def _size(m) -> int:
+    return m["rows"] * m["cols"]
+
+
+# packed twins of the pair refusals: (spoiled packed matrix object, the
+# reader's complaint)
+PACKED_SPOILS = {
+    "nan": (lambda m: _packed_payload(m, [complex(np.nan, 0.0)] * _size(m)), "non-finite"),
+    "inf": (lambda m: _packed_payload(m, [complex(0.0, np.inf)] * _size(m)), "non-finite"),
+    "short": (lambda m: _packed_payload(m, [0.0] * (_size(m) - 1)), "payload bytes"),
+    "long": (lambda m: _packed_payload(m, [0.0] * (_size(m) + 1)), "payload bytes"),
+    "bad_base64": (lambda m: dict(m, b64="*" + m["b64"][1:]), "not base64"),
+    "non_string": (lambda m: dict(m, b64=[[0.0, 0.0]] * _size(m)), "must be a string"),
+    "both_keys": (lambda m: dict(m, data=as_pairs(dict(m))["data"]), "exactly one of"),
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(PACKED_SPOILS))
+@pytest.mark.parametrize("target", ["instance", "parameter", "solution"])
+def test_malformed_packed_matrix_exits_2(tmp_path, capsys, spoil, target):
+    inst, sol, _ = _solved_lifting(tmp_path, capsys)
+    param = tmp_path / "v.json"
+    serialize.dump_json(str(param), serialize.parameter_to_json(
+        schur.random_schur(*_parameter_dims(inst), 3, 8)))
+    path, key, argv = {
+        "instance": (inst, "a", ["validate", str(inst)]),
+        "parameter": (param, "a", ["solve", str(inst), "--param", str(param)]),
+        "solution": (sol, "a_part", ["verify", str(inst), str(sol)]),
+    }[target]
+    doc = json.loads(path.read_text())
+    spoiled, complaint = PACKED_SPOILS[spoil]
+    doc[key] = spoiled(doc[key])
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {key}: ") and complaint in err
+
+
 @pytest.mark.parametrize("value", [3.0, "3", 3.5], ids=["float", "string", "fraction"])
 def test_malformed_matrix_dims_exit_2(tmp_path, capsys, value):
     path = tmp_path / "inst.json"
@@ -445,7 +490,9 @@ def test_malformed_matrix_dims_exit_2(tmp_path, capsys, value):
 
 
 def _first_entry(text: bytes, entry: bytes) -> bytes:
-    """The file text with the first [re, im] pair of its first matrix replaced."""
+    """The file text, its matrices re-spelled as pairs, with the first
+    [re, im] pair of its first matrix replaced."""
+    text = serialize.canonical_json(as_pairs(json.loads(text))).encode()
     head, sep, tail = text.partition(b'"data":[[')
     assert sep
     return head + b'"data":[' + entry + tail[tail.index(b"]") + 1:]
@@ -505,7 +552,7 @@ def _solved_lifting(tmp_path, capsys):
 
 
 def _scale_matrix(obj, factor):
-    obj["data"] = [[factor * re, factor * im] for re, im in obj["data"]]
+    obj["data"] = [[factor * re, factor * im] for re, im in as_pairs(obj)["data"]]
 
 
 def test_solve_writes_a_certified_realization(tmp_path, capsys):

@@ -274,19 +274,24 @@ def _longer_head(sol):
 
 @pytest.mark.parametrize("factor", [1.0, 1.5])
 def test_longer_head_gives_the_same_certificate(factor):
-    # the Stein route reads the same upper ends off both realizations, and
-    # decides a polynomial solution at its exact values
+    # the Stein route reads the same upper ends off both realizations, up
+    # to the allowance for forming their explicit rows, which differs
+    # between them, and decides a polynomial solution at its exact values:
+    # its brackets, at most 1e-12 wide, hold the truncated check's values
+    # to 1e-14
     ds, sol = _realized(5)
     sol = _forge_gamma0(sol, factor)
     longer, poly = _longer_head(sol)
     one, three = (hardy._exact_verdicts(ds, s, 1e-6) for s in (sol, longer))
     assert combined_status(one) == combined_status(three)
-    assert all(abs(a.upper - b.upper) <= 1e-14 for a, b in zip(one, three))
+    formed = max(hardy._formation_rounding(ds, s)[0] for s in (sol, longer))
+    assert all(abs(a.upper - b.upper) <= 1e-14 + formed for a, b in zip(one, three))
     exact = hardy._exact_verdicts(ds, poly, 1e-6)
     trunc = hardy.verify_interpolant(ds, poly.taylor(3), 3)
     refuted = combined_status(trunc) == "refuted"
     assert combined_status(exact) == ("refuted" if refuted else "certified")
-    assert all(abs(e.upper - t.lower) <= 1e-14 for e, t in zip(exact, trunc))
+    for e, t in zip(exact, trunc):
+        assert e.lower - 1e-14 <= t.lower <= e.upper + 1e-14 and e.upper - e.lower <= 1e-12
 
 
 @pytest.mark.parametrize("factor", [1.0, 1.5])
@@ -307,7 +312,10 @@ def test_longer_head_gives_the_same_storage_verdict(factor):
     trunc = hardy.verify_interpolant(ds, poly.taylor(3), 3)
     assert combined_status(storage) == combined_status(hardy._exact_verdicts(ds, poly, 1e-6))
     assert all(t.lower <= v.upper for t, v in zip(trunc, storage))
-    assert [v.lower for v in storage[1:]] == [t.lower for t in trunc[1:]]
+    # the same floors, the residual's taken down by its formation allowance
+    assert storage[2].lower == trunc[2].lower
+    rows_err = hardy._formation_rounding(ds, poly)[0]
+    assert trunc[1].lower - 2.0 * rows_err <= storage[1].lower <= trunc[1].lower
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

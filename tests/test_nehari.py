@@ -201,6 +201,26 @@ def test_lambda_cross_rejects_unit_norm():
     assert messages[0].startswith("defect Gram min eigenvalue")
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("offset", [-1e-3, 1e-3])
+def test_gram_gate_decides_as_the_least_eigenvalue(seed, offset):
+    # the Cholesky gate of `coefficients` against the least eigenvalue it
+    # replaced, with Lambda's least eigenvalue 1 - ||A||^2 set a relative
+    # 1e-3 off GRAM_MIN_EIG, far past the n eps ||Lambda|| where they may
+    # differ
+    p = generators.random_nehari_problem(np.random.default_rng(seed), 2, 3, 3, 4, 0.5)
+    target = np.sqrt(1.0 - nehari.GRAM_MIN_EIG * (1.0 + offset))
+    p = nehari.NehariProblem(p.n_window, p.u_dim, p.y_dim,
+                             tuple(t * (target / operator_norm(nehari.hankel(p))) for t in p.taps))
+    min_eig = np.linalg.eigvalsh(nehari.gram(p))[0]
+    assert bool(min_eig < nehari.GRAM_MIN_EIG) is (offset < 0)
+    if offset < 0:
+        with pytest.raises(HankelNotStrict, match=f"{min_eig:.3e} < 1e-08"):
+            nehari.coefficients(p)
+    else:
+        nehari.coefficients(p)
+
+
 def test_schur_complement_corner_identity():
     rng = np.random.default_rng(7)
     p = generators.random_nehari_problem(rng, 2, 2, 3, 4, 0.8)

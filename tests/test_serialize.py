@@ -1,3 +1,4 @@
+import base64
 import copy
 import itertools
 import json
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from wire import as_pairs
 
 from rclift import cli, generators, lifting, nehari, redheffer, schur, serialize
 from rclift.errors import ParseError
@@ -196,13 +198,14 @@ NEHARI_DOC = {"kind": "nehari", "N": 1, "u_dim": 1, "y_dim": 1, "taps": [[[0.5, 
 
 def _poisoned(doc, path, bad):
     """A copy of doc with the real part of the first entry of the matrix at
-    `path` (a matrix object or a bare pair list) set to `bad`; such a value
-    reaches a reader only through a Python dict, as JSON cannot spell it."""
+    `path` (a matrix object, re-spelled as pairs, or a bare pair list) set
+    to `bad`; such a value reaches a reader only through a Python dict, as
+    JSON cannot spell it."""
     doc = copy.deepcopy(doc)
     m = doc
     for key in path:
         m = m[key]
-    (m["data"] if isinstance(m, dict) else m)[0] = [bad, 0.0]
+    (as_pairs(m)["data"] if isinstance(m, dict) else m)[0] = [bad, 0.0]
     return doc
 
 
@@ -446,13 +449,114 @@ def test_matrix_codec_round_trip_is_bit_exact(tmp_path, shape):
     rng = np.random.default_rng(11)
     parts = rng.integers(0, 2**64, size=shape + (2,), dtype=np.uint64).view(float)
     parts[~np.isfinite(parts)] = -0.0
-    if parts.size:
-        edges = [-0.0, 5e-324, -2.5e-310, 0.0, 1.5e-05, 9.999999999999998e15]
-        parts.flat[:6] = edges[: parts.size]
+    edges = [-0.0, 5e-324, -2.5e-310, 0.0, 1.5e-05, 9.999999999999998e15, 1e308, -1e308]
+    parts.flat[: len(edges)] = edges[: parts.size]
     m = parts.view(complex)[..., 0]
-    # through the file codec: orjson's reader must return the very doubles
-    # its writer spelled
-    serialize.dump_json(str(tmp_path / "m.json"), serialize.matrix_to_json(m))
-    back = serialize.matrix_from_json(serialize.load_json(str(tmp_path / "m.json")))
-    assert back.shape == shape and back.dtype == complex
-    assert back.tobytes() == np.ascontiguousarray(m).tobytes()
+    # through the file codec, in both spellings: orjson's reader must
+    # return the very doubles its writer spelled, and the packed payload
+    # the very bytes
+    for writer in (serialize.matrix_to_json, serialize.decimal_matrix_to_json):
+        serialize.dump_json(str(tmp_path / "m.json"), writer(m))
+        back = serialize.matrix_from_json(serialize.load_json(str(tmp_path / "m.json")))
+        assert back.shape == shape and back.dtype == complex
+        assert back.tobytes() == np.ascontiguousarray(m).tobytes()
+
+
+def test_packed_payload_is_little_endian_complex128_in_base64():
+    m = np.array([[complex(1.0, -0.0), 5e-324j]])
+    doc = serialize.matrix_to_json(m)
+    assert set(doc) == {"rows", "cols", "b64"} and (doc["rows"], doc["cols"]) == (1, 2)
+    assert doc["b64"] == base64.b64encode(struct.pack("<4d", 1.0, -0.0, 0.0, 5e-324)).decode()
+
+
+def _documents(spell):
+    """Every kind of document the writer makes, with `spell` applied to it."""
+    ds = generators.generate_random("generic", (5, 4, 3), 0.8, 1)
+    rc = redheffer.build_coefficients(lifting.derive(ds))
+    v = schur.random_schur(rc.kq_dim, rc.w_dim, 2, 5)
+    p = generators.random_nehari_problem(np.random.default_rng(3), 2, 1, 3, 2, 0.8)
+    nc = nehari.coefficients(p)
+    h = redheffer.solution_taylor(nc, schur.zero(nc.kq_dim, nc.w_dim), 3).gamma_coeffs
+    docs = {
+        "lifting": serialize.instance_to_json(ds),
+        "nehari": serialize.instance_to_json(p),
+        "parameter": serialize.parameter_to_json(v),
+        "lifting_solution": serialize.lifting_solution_to_json(
+            redheffer.solution_realization(rc, v), {}),
+        "nehari_solution": serialize.nehari_solution_to_json(h, 0.5, {}),
+    }
+    return {k: json.loads(serialize.canonical_json(spell(d))) for k, d in docs.items()}
+
+
+def _read(kind, doc):
+    if kind in ("lifting", "nehari"):
+        obj = serialize.instance_from_json(doc)
+        fields = ("a", "t_prime", "r", "q") if kind == "lifting" else ("taps",)
+    elif kind == "parameter":
+        obj, fields = serialize.parameter_from_json(doc), serialize.PARAMETER_KEYS
+    elif kind == "lifting_solution":
+        obj = serialize.lifting_solution_from_json(doc)
+        fields = ("a_part", "gamma_coeffs", *serialize.TAIL_KEYS)
+    else:
+        return [serialize.nehari_solution_from_json(doc, 2, 1)]
+    return [np.asarray(getattr(obj, f)) for f in fields]
+
+
+def test_writer_packs_all_but_the_coefficient_lists():
+    docs = _documents(lambda d: d)
+    packed = {"rows", "cols", "b64"}
+    assert all(set(docs["lifting"][k]) == packed for k in ("a", "t_prime", "r", "q"))
+    assert all(set(docs["parameter"][k]) == packed for k in serialize.PARAMETER_KEYS)
+    sol = docs["lifting_solution"]
+    assert set(sol["a_part"]) == packed
+    assert all(set(sol["tail"][k]) == packed for k in serialize.TAIL_KEYS)
+    # the coefficients a person reads stay decimal
+    assert all(set(g) == {"rows", "cols", "data"} for g in sol["gamma"])
+    for pairs in (*docs["nehari"]["taps"], *docs["nehari_solution"]["H"]):
+        assert all(isinstance(x, float) for pair in pairs for x in pair)
+
+
+def test_decimal_documents_read_to_the_same_bits():
+    # files in the pair spelling, as every earlier writer and hand-written
+    # instances spell them, read to the matrices of the packed ones
+    packed, decimal = _documents(lambda d: d), _documents(as_pairs)
+    assert any(packed[k] != decimal[k] for k in packed)
+    for kind in packed:
+        for x, y in zip(_read(kind, packed[kind]), _read(kind, decimal[kind]), strict=True):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _packed(entries, rows=1, cols=1):
+    payload = np.asarray(entries, "<c16").tobytes()
+    return {"rows": rows, "cols": cols, "b64": base64.b64encode(payload).decode()}
+
+
+PACKED_REFUSALS = {
+    "nan": (_packed([complex(math.nan, 0.0)]), "non-finite"),
+    "inf": (_packed([complex(0.0, -math.inf)]), "non-finite"),
+    "short": (_packed([0.5, 0.5], rows=1, cols=3), "need 48 payload bytes, got 32"),
+    "long": (_packed([0.5, 0.5], rows=1, cols=1), "need 16 payload bytes, got 32"),
+    "bad_character": (dict(_packed([0.5]), b64="AAAA*AAAAAAAAAAAAAAAAAAAAAA="), "not base64"),
+    "bad_padding": (dict(_packed([0.5]), b64="AAAAAAAAAAAAAAAAAAAAAA"), "not base64"),
+    "non_ascii": (dict(_packed([0.5]), b64="AAAAAAAAAAAAAAAAAAAAAAé="), "not base64"),
+    "number": (dict(_packed([0.5]), b64=1), "b64 must be a string, not int"),
+    "list": (dict(_packed([0.5]), b64=[[0.5, 0.0]]), "b64 must be a string, not list"),
+    "null": (dict(_packed([0.5]), b64=None), "b64 must be a string, not NoneType"),
+    "both_keys": (dict(_packed([0.5]), data=[[0.5, 0.0]]), "exactly one of data and b64"),
+    "neither_key": ({"rows": 1, "cols": 1}, "exactly one of data and b64"),
+    "negative_dims": (dict(_packed([0.5]), rows=-1, cols=-1), "negative dimensions"),
+    "float_dims": (dict(_packed([0.5]), rows=1.0), "rows must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACKED_REFUSALS))
+def test_malformed_packed_matrices_raise(case):
+    bad, message = PACKED_REFUSALS[case]
+    with pytest.raises(ParseError, match=message):
+        serialize.matrix_from_json(bad, "m")
+    # every document reader takes the packed spelling through it
+    for read, doc in [(serialize.instance_from_json, dict(LIFTING_DOC, a=bad)),
+                      (serialize.parameter_from_json, dict(WIRE_CASES["transfer"][0], b=bad)),
+                      (serialize.lifting_solution_from_json, dict(_REALIZATION_DOC, a_part=bad))]:
+        with pytest.raises(ParseError, match=message):
+            read(doc)

@@ -296,6 +296,55 @@ def test_stdlib_json_codec_is_detected():
         "from json:3", "import json.decoder:2", "import json:1", "json.dumps:6", "json.load:9"]
 
 
+# Binary matrix payloads are encoded and decoded in `serialize` alone, and
+# decoded in one function there, beside the length and finiteness gates
+# that every payload read from a file needs.
+BINARY_MODULES = ("base64", "binascii")
+BINARY_CALLS = ("b64encode", "b64decode", "frombuffer")
+
+
+def _binary_codec_uses(tree: ast.AST) -> list[str]:
+    """`what:line` for each import of `base64` or `binascii` and each call
+    of `b64encode`, `b64decode` or `frombuffer`."""
+    found = _calls_named(tree, BINARY_CALLS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name}:{node.lineno}" for a in node.names
+                      if a.name.split(".")[0] in BINARY_MODULES]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and (node.module or "").split(".")[0] in BINARY_MODULES):
+            found.append(f"from {node.module}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "serialize.py"],
+                         ids=lambda p: p.name)
+def test_binary_payloads_only_in_serialize(path):
+    assert _binary_codec_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_one_gated_binary_decoder():
+    tree = ast.parse((ROOT / "src" / "rclift" / "serialize.py").read_text(encoding="utf-8"))
+    decoders = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                and _calls_named(f, ("b64decode", "frombuffer"))]
+    assert [f.name for f in decoders] == ["_packed_to_matrix"]
+    gates = {call.split(":")[0] for call in _calls_named(decoders[0], ("len", "_finite_matrix"))}
+    assert gates == {"len", "_finite_matrix"}
+
+
+def test_binary_codec_is_detected():
+    tree = ast.parse(
+        "import base64\nimport binascii as b\nfrom base64 import b64decode\nimport numpy as np\n"
+        "x = base64.b64encode(b'')\n"
+        "y = b64decode('')\n"
+        "z = np.frombuffer(y, '<c16')\n"
+        "w = np.fromiter(iter(()), float)\n"
+    )
+    assert sorted(_binary_codec_uses(tree)) == [
+        "b64decode:6", "b64encode:5", "from base64:3", "frombuffer:7", "import base64:1",
+        "import binascii:2"]
+
+
 def _string_constants(tree: ast.Module, value: str) -> list[int]:
     """The line of each string constant equal to `value`, docstrings aside."""
     docstrings = {
