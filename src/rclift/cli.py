@@ -54,7 +54,8 @@ by its roundoff bound, with `lower` never below the part of the row that
 needs no Gramian.  In both, the rows that rest on computed differences
 (`dilation_intertwining`, `projection_onto_target`) are widened both ways
 by the rounding of forming them, so `lower` is a floor of the exact
-value.  A row whose two ends straddle its threshold is
+value; `stacked_norm`'s `lower` is the norm as computed, which may lie a
+rounding above it.  A row whose two ends straddle its threshold is
 uncertified.  A realization that neither route decides, or whose state
 matrix is not certified stable, is also expanded to `--degree`
 coefficients and checked as a coefficient file, whose rows are reported

@@ -328,8 +328,10 @@ def certify_interpolant(
     widens a bound (large B on states C does not see) cannot lower them.
     Every end that rests on a computed difference (the explicit rows, Y,
     and a_part - A for the projection residual) is widened both ways by
-    the rounding of forming it and of its norm, so no lower end lies above
-    the exact value of the matrices given.  The three verdicts, named as those
+    the rounding of forming it and of its norm, so those lower ends never
+    lie above the exact value of the matrices given.  The stacked norm's
+    lower end is taken as computed, with no such allowance, and may lie a
+    rounding above it.  The three verdicts, named as those
     of `verify_interpolant`, of the first route that certifies or refutes
     (`lifting.combined_status`) are returned.  Otherwise, and when neither
     route has a check (A is not proved stable, or a Gram overflows), the
@@ -403,8 +405,9 @@ def _storage_verdicts(
     For an honest solution in storage coordinates head* head + B* B <=
     A* A + E* E = I and Y vanishes up to rounding, since E R = X1 E Q and
     X3 E Q = 0, so both upper ends sit at their exact bounds 1 and 0 plus
-    rounding.  The lower ends are the norm of the head and that of the
-    explicit rows, taken down by the same SVD and formation allowances.
+    rounding.  The lower ends are the norm of the head, as computed, and
+    that of the explicit rows, taken down by its SVD and formation
+    allowances.
     """
     eta = storage_gramian_bound(sol.a, sol.c)
     if eta is None:

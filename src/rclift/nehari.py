@@ -144,15 +144,17 @@ def _strict_gram(p: NehariProblem) -> np.ndarray:
     several times cheaper than its least eigenvalue, which is computed for
     the message only.  Cholesky is backward stable, so the two decisions
     can differ only for a least eigenvalue within about n eps ||Lambda||
-    of GRAM_MIN_EIG.
+    of GRAM_MIN_EIG; then the message says that the factorization failed.
     """
     lam = gram(p)
     try:
         hpd_factor(lam - GRAM_MIN_EIG * eye(lam.shape[0]))
     except NotPositiveDefinite:
-        raise HankelNotStrict(
-            f"defect Gram min eigenvalue {min_eig_hermitian(lam):.3e} < {GRAM_MIN_EIG:g}"
-        ) from None
+        min_eig = min_eig_hermitian(lam)
+        why = (f"< {GRAM_MIN_EIG:g}" if min_eig < GRAM_MIN_EIG else
+               f">= {GRAM_MIN_EIG:g}, but the Cholesky factorization of"
+               f" Lambda - {GRAM_MIN_EIG:g} I failed")
+        raise HankelNotStrict(f"defect Gram min eigenvalue {min_eig:.3e} {why}") from None
     return lam
 
 

@@ -274,24 +274,28 @@ def _longer_head(sol):
 
 @pytest.mark.parametrize("factor", [1.0, 1.5])
 def test_longer_head_gives_the_same_certificate(factor):
-    # the Stein route reads the same upper ends off both realizations, up
-    # to the allowance for forming their explicit rows, which differs
-    # between them, and decides a polynomial solution at its exact values:
-    # its brackets, at most 1e-12 wide, hold the truncated check's values
-    # to 1e-14
+    # the Stein route reads the same upper ends off both realizations, and
+    # decides a polynomial solution at its exact values; the intertwining
+    # residual's ends alone carry the allowance for forming its explicit
+    # rows, which differs between the realizations, so there its bracket,
+    # at most 1e-12 wide, holds the truncated value
     ds, sol = _realized(5)
     sol = _forge_gamma0(sol, factor)
     longer, poly = _longer_head(sol)
     one, three = (hardy._exact_verdicts(ds, s, 1e-6) for s in (sol, longer))
     assert combined_status(one) == combined_status(three)
     formed = max(hardy._formation_rounding(ds, s)[0] for s in (sol, longer))
-    assert all(abs(a.upper - b.upper) <= 1e-14 + formed for a, b in zip(one, three))
+    assert abs(one[0].upper - three[0].upper) <= 1e-14
+    assert abs(one[1].upper - three[1].upper) <= 1e-14 + formed
+    assert abs(one[2].upper - three[2].upper) <= 1e-14
     exact = hardy._exact_verdicts(ds, poly, 1e-6)
     trunc = hardy.verify_interpolant(ds, poly.taylor(3), 3)
     refuted = combined_status(trunc) == "refuted"
     assert combined_status(exact) == ("refuted" if refuted else "certified")
-    for e, t in zip(exact, trunc):
-        assert e.lower - 1e-14 <= t.lower <= e.upper + 1e-14 and e.upper - e.lower <= 1e-12
+    assert abs(exact[0].upper - trunc[0].lower) <= 1e-14
+    assert exact[1].lower - 1e-14 <= trunc[1].lower <= exact[1].upper + 1e-14
+    assert exact[1].upper - exact[1].lower <= 1e-12
+    assert abs(exact[2].upper - trunc[2].lower) <= 1e-14
 
 
 @pytest.mark.parametrize("factor", [1.0, 1.5])

@@ -221,6 +221,21 @@ def test_gram_gate_decides_as_the_least_eigenvalue(seed, offset):
         nehari.coefficients(p)
 
 
+def test_gram_gate_message_names_a_failed_factorization(monkeypatch):
+    # where the Cholesky gate refuses a Gram whose computed least
+    # eigenvalue is at least GRAM_MIN_EIG (possible within n eps ||Lambda||
+    # of it), the message says so instead of a false inequality
+    p = generators.random_nehari_problem(np.random.default_rng(0), 2, 3, 3, 4, 0.5)
+
+    def refuse(m):
+        raise NotPositiveDefinite("forced")
+
+    monkeypatch.setattr(nehari, "hpd_factor", refuse)
+    with pytest.raises(HankelNotStrict, match=r">= 1e-08, but the Cholesky factorization of "
+                                              r"Lambda - 1e-08 I failed$"):
+        nehari.coefficients(p)
+
+
 def test_schur_complement_corner_identity():
     rng = np.random.default_rng(7)
     p = generators.random_nehari_problem(rng, 2, 2, 3, 4, 0.8)
