@@ -44,22 +44,20 @@ on a Nehari one.
 A lifting solution written by `solve` is a state-space realization, and
 `hardy.certify_interpolant` checks it exactly: each row's `value` is an
 upper bound on the full, untruncated residual (`stacked_norm` on the
-norm of the whole solution).  It comes first from the storage inequality
-of the realization, with no Stein solve; a solution that `solve` writes
-is in storage coordinates, where that bound on `stacked_norm` is about
-1, a looser `value` than the norm itself, while `lower` is the norm of
-the part that needs no Gramian, [A; Gamma_0].  When those rows neither
-certify nor refute, they come from one Stein Gramian, widened both ways
-by its roundoff bound, with `lower` never below the part of the row that
-needs no Gramian.  In both, the rows that rest on computed differences
-(`dilation_intertwining`, `projection_onto_target`) are widened both ways
-by the rounding of forming them, so `lower` is a floor of the exact
-value; `stacked_norm`'s `lower` is the norm as computed, which may lie a
-rounding above it.  A row whose two ends straddle its threshold is
-uncertified.  A realization that neither route decides, or whose state
-matrix is not certified stable, is also expanded to `--degree`
-coefficients and checked as a coefficient file, whose rows are reported
-when they refute or when there is no Stein check.
+norm of the whole solution), and `lower` a floor of it, at least that of
+the part that needs no Gramian.  Both come from one assembly over
+a bound on the Gramian of the tail: first the storage inequality of the
+realization, with no Stein solve (a solution that `solve` writes is in
+storage coordinates, where that bound on `stacked_norm` is about 1, a
+looser `value` than the norm itself), then, when those rows neither
+certify nor refute, one Stein Gramian.  Every end is widened both ways
+by the rounding of forming its matrices, Grams and norms, so `lower`
+never lies above the exact value of the matrices given.  A row whose two
+ends straddle its threshold is uncertified.  A realization that neither
+bound decides, or whose state matrix is not certified stable, is also
+expanded to `--degree` coefficients and checked as a coefficient file,
+whose rows are reported when they refute or when there is no Stein
+check.
 
 A coefficient file (a lifting solution without `tail`, or any Nehari
 solution) is checked truncated at the smaller of `--degree` and the
@@ -67,9 +65,11 @@ stored degree.  Truncation bounds the full norm and residuals from
 below, so the rows `dilation_intertwining`, `stacked_norm` and
 `combined_operator_norm` have only a `lower` end: one above its
 threshold (`1 + tol` for the norm rows) refutes the solution, and rows
-within it are uncertified, never certified.  `projection_onto_target`
-has both ends in either check: the computed norm of a_part - A, widened
-by the rounding of that difference and of its SVD.  A Nehari solution file records its
+within it are uncertified, never certified; that `lower` is a floor too,
+the computed norm taken down by the rounding of its SVD or Gram and of
+forming its rows.  `projection_onto_target` has both ends in either
+check: the computed norm of a_part - A, widened by the rounding of that
+difference and of its SVD.  A Nehari solution file records its
 `combined_operator_norm` lower end as `sigma_max`.  No value read from
 the solution file enters a threshold, and a `tail_bound` key that older
 solution files carry is ignored.  Coefficients that overflow floating

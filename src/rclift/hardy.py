@@ -20,8 +20,8 @@ coercion and the NaN/Inf rejection happen where data enters.
 A lifting solution comes either as leading Taylor coefficients
 (`SolutionTaylor`), which `verify_interpolant` checks truncated, or with
 a state-space tail (`SolutionRealization`), which `certify_interpolant`
-checks whole, from the storage inequality of the tail or else from one
-Stein Gramian, and `coefficient_gap` compares with another exactly.
+checks whole, by one assembly over a bound on the Gramian of the tail
+(`_gramian_verdicts`), and `coefficient_gap` compares with another exactly.
 Both checks read the defect coordinates of the dilation of T' from the
 data set (`lifting.LiftingDataSet.t_prime_defect`) and form the rows of
 the dilation residual (U' b) R - b Q in one helper, `_dilation_residual`.
@@ -40,18 +40,18 @@ from .errors import DimensionMismatch, NotFinite
 from .lifting import Verdict, combined_status
 from .linalg import (
     EPS,
+    SteinGramian,
+    StorageGramian,
     adj,
     eye,
     frobenius_upper,
+    norm_bracket,
     observability_gramian,
     operator_norm,
+    root_of_max_eig,
     storage_gramian_bound,
     zeros,
 )
-
-
-def _all_finite(*ms: np.ndarray) -> bool:
-    return all(np.all(np.isfinite(m)) for m in ms)
 
 
 def markov(a: np.ndarray, b: np.ndarray, c: np.ndarray, count: int) -> np.ndarray:
@@ -208,7 +208,7 @@ def _dilation_residual(
     (E_T* D_T' a_part) R - Gamma_0 Q in slot 0 and Gamma_(i-1) R - Gamma_i Q
     in slots i = 1..k-1.  U' moves slot i of b to slot i+1, so the row of
     Gamma_(k-1) R falls off the end: `verify_interpolant` drops it with the
-    truncation, and `_exact_verdicts` sums it with the tail.
+    truncation, and `certify_interpolant` sums it with the tail.
     """
     d_t, e_t = ds.t_prime_defect
     if gammas.shape[1] != e_t.shape[1]:
@@ -242,10 +242,11 @@ def verify_interpolant(
     of the truncation.  The truncation keeps a subset of the rows of the
     full solution and of the full residual, so (ii) and (iii) bound their
     full values from below: their verdicts have no upper end and can refute
-    but never certify, while (i) has both ends, the computed norm widened by
-    the rounding of a_part - A and of its SVD.  A truncation that overflows
-    floating point raises NotFinite.  `certify_interpolant` decides a
-    solution in state-space form exactly.
+    but never certify, while (i) has both ends.  Every end is the computed
+    norm widened by the rounding of its SVD (`linalg.norm_bracket`) and of
+    forming a_part - A or the rows (`_rows_rounding`), so each lower end is
+    a floor.  A truncation that overflows floating point raises NotFinite.
+    `certify_interpolant` decides a solution in state-space form exactly.
     """
     if deg < 0:
         raise ValueError("deg must be nonnegative")
@@ -258,23 +259,15 @@ def verify_interpolant(
     gammas = sol.gamma_coeffs[: deg + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         residual = _dilation_residual(ds, sol.a_part, gammas)
-    if not _all_finite(residual):
+    if not np.all(np.isfinite(residual)):
         raise NotFinite(f"the solution truncated at degree {deg} overflows floating point")
-    sigma = operator_norm(np.vstack([sol.a_part, observability_matrix(gammas)]))
+    rows_err = _rows_rounding(ds, sol.a_part, frobenius_upper(gammas), gammas.shape[1])[0]
+    stacked = np.vstack([sol.a_part, observability_matrix(gammas)])
     return (
         _projection_verdict(ds, sol.a_part, tol),
-        Verdict("dilation_intertwining", operator_norm(residual), math.inf, tol),
-        Verdict("stacked_norm", sigma, math.inf, 1.0 + tol),
+        Verdict("dilation_intertwining", norm_bracket(residual, rows_err)[0], math.inf, tol),
+        Verdict("stacked_norm", norm_bracket(stacked, 0.0)[0], math.inf, 1.0 + tol),
     )
-
-
-def _norm_bracket(m: np.ndarray, err: float) -> tuple[float, float]:
-    """Lower and upper ends of the norm of a matrix whose computed form m
-    is within err of it in norm: the computed norm of m widened by
-    (size + 2) eps of itself for its SVD and by err, the lower end floored
-    at 0."""
-    norm, k = operator_norm(m), (m.size + 2) * EPS
-    return max(norm * (1.0 - k) - err, 0.0), norm * (1.0 + k) + err
 
 
 def _projection_verdict(ds: lifting.LiftingDataSet, a_part: np.ndarray, tol: float) -> Verdict:
@@ -283,14 +276,7 @@ def _projection_verdict(ds: lifting.LiftingDataSet, a_part: np.ndarray, tol: flo
     the difference rounds by at most eps of its own Frobenius norm, and an
     a_part equal to A reads exactly 0."""
     diff = a_part - ds.a
-    return Verdict("projection_onto_target", *_norm_bracket(diff, EPS * frobenius_upper(diff)), tol)
-
-
-def _root_of_max_eig(m: np.ndarray, err: float) -> tuple[float, float]:
-    """Upper and lower ends of sqrt(lambda_max) of a PSD matrix whose
-    computed form is within err of it in norm."""
-    lam = float(np.linalg.eigvalsh(0.5 * (m + adj(m)))[-1]) if m.size else 0.0
-    return math.sqrt(max(lam + err, 0.0)), math.sqrt(max(lam - err, 0.0))
+    return Verdict("projection_onto_target", *norm_bracket(diff, EPS * frobenius_upper(diff)), tol)
 
 
 def certify_interpolant(
@@ -305,45 +291,35 @@ def certify_interpolant(
     Past the m listed coefficients Gamma_k = C A^(k-m) B, so with the
     observability Gramian P = A* P A + C* C every infinite sum is finite:
 
-    * ||b||^2 = lambda_max(a_part* a_part + sum_{k<m} Gamma_k* Gamma_k
-      + B* P B);
+    * ||b||^2 = lambda_max(head* head + B* P B) for the head [a_part;
+      Gamma_0..Gamma_(m-1)];
     * the residual (U' b) R - b Q has the explicit rows T' a_part R -
       a_part Q on H', E_T* D_T' a_part R - Gamma_0 Q in slot 0 and
       Gamma_(k-1) R - Gamma_k Q in slots k = 1..m (Gamma_m = C B); slot
       m+1+j is C A^j Y with Y = B R - A B Q, whose rows sum to the Gram
-      Y* P Y.  Its squared norm is lambda_max of the explicit rows' Gram
-      plus Y* P Y.
+      Y* P Y.  Its squared norm is lambda_max(rows* rows + Y* P Y).
 
-    Two routes bound P, and both are sound.  The storage route
-    (`_storage_verdicts`) reads P <= (1 + eta) I off the storage
-    inequality of (A, C) with no Stein solve; every realization that
-    `redheffer.solution_realization` writes is in storage coordinates,
-    where eta is at rounding level.  Its upper ends are therefore looser
-    than the Stein route's (the stacked norm of such a solution reads
-    about 1, the bound the storage inequality gives), and it decides most
-    solutions.  The Stein route (`_exact_verdicts`) solves for P and
-    widens both ends by its roundoff bound.  In both, the lower ends are
-    at least the norms of the explicit rows and of [a_part;
-    Gamma_0..Gamma_(m-1)], which need no Gramian, so a realization that
-    widens a bound (large B on states C does not see) cannot lower them.
-    Every end that rests on a computed difference (the explicit rows, Y,
-    and a_part - A for the projection residual) is widened both ways by
-    the rounding of forming it and of its norm, so those lower ends never
-    lie above the exact value of the matrices given.  The stacked norm's
-    lower end is taken as computed, with no such allowance, and may lie a
-    rounding above it.  The three verdicts, named as those
-    of `verify_interpolant`, of the first route that certifies or refutes
-    (`lifting.combined_status`) are returned.  Otherwise, and when neither
-    route has a check (A is not proved stable, or a Gram overflows), the
-    solution is also expanded to `deg` and checked by `verify_interpolant`,
-    so the result is never weaker than that truncated check: its verdicts,
-    which have no upper ends, are returned when they refute or when the
-    Stein route has no check, and the Stein route's otherwise.
+    One assembly, `_gramian_verdicts`, reads both off a bound on P from
+    `linalg`: first the storage bound (`linalg.storage_gramian_bound`,
+    P <= (1 + eta) I with no Stein solve), which decides most solutions,
+    since every realization that `redheffer.solution_realization` writes
+    is in storage coordinates, where eta is at rounding level, head* head
+    + B* B <= A* A + E* E = I and Y vanishes up to rounding (E R = X1 E Q
+    and X3 E Q = 0), so the upper ends sit at 1 and 0 plus rounding; then
+    the Stein Gramian (`linalg.observability_gramian`).  The three verdicts,
+    named as those of `verify_interpolant`, of the first bound that
+    certifies or refutes (`lifting.combined_status`) are returned.
+    Otherwise, and when neither bound has a check (A is not proved
+    stable, or a Gram overflows), the solution is also expanded to `deg`
+    and checked by `verify_interpolant`, so the result is never weaker
+    than that truncated check: its verdicts, with no upper ends, are
+    returned when they refute or when the Stein Gramian has no check.
     """
     if sol.a_part.shape != ds.a.shape:
         raise DimensionMismatch("a_part shape disagrees with the data set")
-    for route in (_storage_verdicts, _exact_verdicts):
-        verdicts = route(ds, sol, tol)
+    for gramian_bound in (storage_gramian_bound, observability_gramian):
+        bound = gramian_bound(sol.a, sol.c)
+        verdicts = None if bound is None else _gramian_verdicts(ds, sol, tol, bound)
         if verdicts is not None and combined_status(verdicts) in ("certified", "refuted"):
             return verdicts
     truncated = verify_interpolant(ds, sol.taylor(deg), deg, tol=tol)
@@ -357,115 +333,74 @@ def _explicit_parts(
     its residual (to slot m, with Gamma_m = C B), Y = B R - A B Q, whose
     C A^j are the rest, and the head [a_part; Gamma_0..Gamma_(m-1)];
     they may hold Inf or NaN when a product overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the callers test them finite
+    with np.errstate(over="ignore", invalid="ignore"):  # the Gram rule tests them finite
         gammas = np.concatenate([sol.gamma_coeffs, (sol.c @ sol.b)[None]])
         rows = _dilation_residual(ds, sol.a_part, gammas)
         y = sol.b @ ds.r - sol.a @ (sol.b @ ds.q)
     return rows, y, np.vstack([sol.a_part, observability_matrix(sol.gamma_coeffs)])
 
 
-def _formation_rounding(ds: lifting.LiftingDataSet, sol: SolutionRealization) -> tuple[float, float]:
-    """First-order bounds on how far the computed explicit rows and Y of
-    `_explicit_parts` lie from their exact values, in norm.
-
+def _rows_rounding(
+    ds: lifting.LiftingDataSet, a_part: np.ndarray, gamma_norm: float, inner: int
+) -> tuple[float, float]:
+    """A first-order bound on how far the computed rows of
+    `_dilation_residual` lie from their exact values, in norm, for slot
+    coefficients of Frobenius norm at most gamma_norm, and its unit k.
     A computed product of L factors is within (L - 1) k times the product
     of their Frobenius norms of the exact one, and a difference rounds by
     eps of its terms, with k = (d + 2) eps for d at least every inner
-    dimension; the longest chain here, E_T* D_T' a_part R, has four
-    factors, so 4 k bounds every row's chain and its difference.
+    dimension (`inner` adds those of the slot coefficients); the longest
+    chain here, E_T* D_T' a_part R, has four factors, so 4 k bounds every
+    row's chain and its difference.
     """
     f = frobenius_upper
     d_t, e_t = ds.t_prime_defect
-    k = (sum(ds.a.shape) + sum(sol.c.shape) + d_t.shape[0] + 2) * EPS
-    r, q, a_part = f(ds.r), f(ds.q), f(sol.a_part)
-    b = f(sol.b)
-    rows = a_part * (r * (f(ds.t_prime) + f(e_t) * f(d_t)) + q) + (r + q) * (
-        f(sol.gamma_coeffs) + f(sol.c) * b)
-    return 4.0 * k * rows, 4.0 * k * b * (r + f(sol.a) * q)
+    k = (sum(ds.a.shape) + inner + d_t.shape[0] + 2) * EPS
+    r, q = f(ds.r), f(ds.q)
+    rows = f(a_part) * (r * (f(ds.t_prime) + f(e_t) * f(d_t)) + q) + (r + q) * gamma_norm
+    return 4.0 * k * rows, k
 
 
-def _storage_verdicts(
+def _gramian_verdicts(
     ds: lifting.LiftingDataSet,
     sol: SolutionRealization,
     tol: float,
+    bound: SteinGramian | StorageGramian,
 ) -> tuple[Verdict, Verdict, Verdict] | None:
-    """The verdicts of `certify_interpolant` from the storage inequality,
-    or None without them.
+    """The verdicts of `certify_interpolant` from a bound on the Gramian
+    P, or None when an upper end is not finite (a Gram overflows).
 
-    `linalg.storage_gramian_bound` bounds P <= (1 + eta) I, so
-
-    * ||b||^2 <= lambda_max(head* head + (1 + eta) B* B), with the Gram
-      formed as X* X for X = [head; (1 + eta)^(1/2) B], which rounds by at
-      most (rows of X + columns + 6) eps ||X||_F^2 with its top eigenvalue;
-    * the residual's squared norm is at most ||rows||^2 + (1 + eta) ||Y||^2,
-      with ||rows|| from its SVD, widened by (size + 2) eps, ||Y|| by its
-      Frobenius norm (`linalg.frobenius_upper`), and each widened by the
-      rounding of forming it (`_formation_rounding`).
-
-    For an honest solution in storage coordinates head* head + B* B <=
-    A* A + E* E = I and Y vanishes up to rounding, since E R = X1 E Q and
-    X3 E Q = 0, so both upper ends sit at their exact bounds 1 and 0 plus
-    rounding.  The lower ends are the norm of the head, as computed, and
-    that of the explicit rows, taken down by its SVD and formation
-    allowances.
+    `bound.forms(b)` gives a lower and an upper form of b* P b (None for
+    the zero form) and one error for both.  `dilation_intertwining` is the
+    norm of [rows; P^(1/2) Y], `stacked_norm` that of [head; P^(1/2) B],
+    and one rule, `linalg.root_of_max_eig` of the explicit part and a
+    form, gives the upper end from the upper form and a lower end from the
+    lower form.  The floor, the explicit part's norm, is the same rule
+    with the zero form, so a realization that widens a bound (large B on
+    states C does not see) cannot lower it.  The computed rows and Y lie
+    within rows_err and y_err of their exact values (`_rows_rounding`, the
+    last slot coefficient being the computed C B; Y's chains have at most
+    three factors), so the residual's ends move by hypot(rows_err,
+    ||P||^(1/2) y_err), with ||P|| at most the norm of the upper form of
+    I, and its floor by rows_err; the head and B are the matrices given.
     """
-    eta = storage_gramian_bound(sol.a, sol.c)
-    if eta is None:
-        return None
     rows, y, head = _explicit_parts(ds, sol)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        x = np.vstack([head, math.sqrt(1.0 + eta) * sol.b])
-        sigma_gram = adj(x) @ x
-    if not _all_finite(rows, y, sigma_gram):
-        return None
-    sigma_err = (x.shape[0] + x.shape[1] + 6) * EPS * frobenius_upper(x) ** 2
-    sigma = _root_of_max_eig(sigma_gram, sigma_err)[0]
-    rows_err, y_err = _formation_rounding(ds, sol)
-    rows_lower, rows_upper = _norm_bracket(rows, rows_err)
-    res_int = math.hypot(
-        rows_upper, math.sqrt(1.0 + eta) * (frobenius_upper(y) + y_err)
-    ) * (1.0 + 4.0 * EPS)
-    if not math.isfinite(res_int + sigma):
-        return None
-    return (
-        _projection_verdict(ds, sol.a_part, tol),
-        Verdict("dilation_intertwining", rows_lower, res_int, tol),
-        Verdict("stacked_norm", operator_norm(head), sigma, 1.0 + tol),
-    )
-
-
-def _exact_verdicts(
-    ds: lifting.LiftingDataSet,
-    sol: SolutionRealization,
-    tol: float,
-) -> tuple[Verdict, Verdict, Verdict] | None:
-    """The verdicts of `certify_interpolant` from the Stein Gramian
-    (`linalg.observability_gramian`), or None without them.
-
-    The residual is the norm of [rows; P^(1/2) Y], and the computed rows
-    and Y lie within rows_err and y_err of their exact values
-    (`_formation_rounding`), so both of its ends move by at most
-    hypot(rows_err, ||P||^(1/2) y_err), with ||P|| <= ||C||^2 ||W|| since
-    P <= ||C||^2 W for the W of the Gramian (`linalg.SteinGramian`)."""
-    gram = observability_gramian(sol.a, sol.c)
-    if gram is None:
-        return None
-    rows, y, head = _explicit_parts(ds, sol)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        ypy, int_err = gram.form(y, y)
-        bpb, sigma_err = gram.form(sol.b, sol.b)
-        int_gram = adj(rows) @ rows + ypy
-        sigma_gram = adj(head) @ head + bpb
-    if not (_all_finite(int_gram, sigma_gram) and math.isfinite(int_err + sigma_err)):
-        return None
-    rows_err, y_err = _formation_rounding(ds, sol)
-    p_root = frobenius_upper(sol.c) * math.sqrt(gram.weight(eye(sol.a.shape[0])))
-    formed = math.hypot(rows_err, p_root * y_err)
-    res_int, floor_int = _root_of_max_eig(int_gram, int_err)
-    sigma, floor_sigma = _root_of_max_eig(sigma_gram, sigma_err)
-    return (
-        _projection_verdict(ds, sol.a_part, tol),
-        Verdict("dilation_intertwining", max(floor_int - formed, _norm_bracket(rows, rows_err)[0]),
-                res_int + formed, tol),
-        Verdict("stacked_norm", max(floor_sigma, operator_norm(head)), sigma, 1.0 + tol),
-    )
+    f = frobenius_upper
+    rows_err, k = _rows_rounding(ds, sol.a_part, f(sol.gamma_coeffs) + f(sol.c) * f(sol.b),
+                                 sum(sol.c.shape))
+    y_err = 4.0 * k * f(sol.b) * (f(ds.r) + f(sol.a) * f(ds.q))
+    _, p_upper, p_err = bound.forms(eye(sol.a.shape[0]))
+    formed = math.hypot(rows_err, math.sqrt(f(p_upper) + p_err) * y_err)
+    verdicts = [_projection_verdict(ds, sol.a_part, tol)]
+    for name, part, b, part_err, moved, threshold in (
+            ("dilation_intertwining", rows, y, rows_err, formed, tol),
+            ("stacked_norm", head, sol.b, 0.0, 0.0, 1.0 + tol)):
+        lower_form, upper_form, err = bound.forms(b)
+        lower = max(root_of_max_eig(part)[0] - part_err, 0.0)
+        if lower_form is not None:
+            lower = max(lower, root_of_max_eig(part, lower_form, err)[0] - moved)
+        upper = root_of_max_eig(part, upper_form, err)[1] + moved
+        if not math.isfinite(upper):
+            return None
+        verdicts.append(Verdict(name, lower, upper, threshold))
+    return tuple(verdicts)

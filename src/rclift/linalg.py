@@ -293,6 +293,53 @@ def min_eig_hermitian(m) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
+# --- brackets of computed norms -----------------------------------------------
+
+
+def frobenius_upper(m: np.ndarray) -> float:
+    """An upper bound on the Frobenius norm of m: the computed norm, a sum
+    of m.size squares, widened by (m.size + 2) eps for its rounding."""
+    return math.sqrt(float(np.vdot(m, m).real)) * (1.0 + (m.size + 2) * EPS)
+
+
+def norm_bracket(m: np.ndarray, err: float) -> tuple[float, float]:
+    """Lower and upper ends of the norm of a matrix whose computed form m
+    is within err of it in norm: the computed norm of m widened by
+    (size + 2) eps of itself for its SVD and by err, the lower end floored
+    at 0."""
+    norm, k = operator_norm(m), (m.size + 2) * EPS
+    return max(norm * (1.0 - k) - err, 0.0), norm * (1.0 + k) + err
+
+
+def root_of_max_eig(
+    x: np.ndarray, form: np.ndarray | None = None, err: float = 0.0
+) -> tuple[float, float]:
+    """Lower and upper ends of sqrt(lambda_max(x* x + F)) for a Hermitian
+    PSD F whose computed form `form` (None for F = 0, which gives ||x||)
+    lies within err of it in norm; (0, inf) when the Gram overflows.
+
+    Both ends move by one first-order allowance for forming the c x c Gram
+    G = x* x (+ form) and its top eigenvalue, read off the lower triangle:
+    err, (r + 2) eps ||x||_F^2 for x* x with r rows (||x||_F^2 from its
+    trace, widened by (r + c + 2) eps), and (c + 4) eps ||G||_F; the roots
+    are padded by 2 eps, and the lower end is floored at 0.
+    """
+    rows, cols = x.shape
+    if cols == 0:
+        return 0.0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        g = adj(x) @ x
+        fro_sq = float(g.trace().real) * (1.0 + (rows + cols + 2) * EPS)
+        if form is not None:
+            g = g + form
+    allowance = err + (rows + 2) * EPS * fro_sq + (cols + 4) * EPS * frobenius_upper(g)
+    if not math.isfinite(allowance):  # so is every entry of g
+        return 0.0, math.inf
+    lam = float(np.linalg.eigvalsh(g)[-1])
+    return (math.sqrt(max(lam - allowance, 0.0)) * (1.0 - 2.0 * EPS),
+            math.sqrt(max(lam + allowance, 0.0)) * (1.0 + 2.0 * EPS))
+
+
 # --- Stein equations ----------------------------------------------------------
 
 STEIN_MAX_DOUBLINGS = 64  # a^(2^64) is past any stable transient
@@ -408,15 +455,32 @@ class SteinGramian:
         err = self.p_residual * math.sqrt(w1 * w2)
         return m, err if np.all(np.isfinite(m)) and math.isfinite(err) else math.inf
 
+    def forms(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """b* p b as both a lower and an upper form of b* P b, and the
+        `form` bound widened by 2 (n + 2) eps ||b||_F^2 ||p||_F for the
+        rounding of forming it."""
+        m, err = self.form(b, b)
+        b_fro = frobenius_upper(b)
+        return m, m, err + 2 * (self.p.shape[0] + 2) * EPS * b_fro * b_fro * frobenius_upper(self.p)
 
-def frobenius_upper(m: np.ndarray) -> float:
-    """An upper bound on the Frobenius norm of m: the computed norm, a sum
-    of m.size squares, widened by (m.size + 2) eps for its rounding."""
-    return math.sqrt(float(np.vdot(m, m).real)) * (1.0 + (m.size + 2) * EPS)
+
+@dataclass(frozen=True)
+class StorageGramian:
+    """The bound 0 <= P <= (1 + eta) I of `storage_gramian_bound`."""
+
+    eta: float
+
+    def forms(self, b: np.ndarray) -> tuple[None, np.ndarray, float]:
+        """The zero form (None) below b* P b, (1 + eta) b* b above it, and
+        (n + 3) eps (1 + eta) ||b||_F^2 for the rounding of forming that."""
+        with np.errstate(over="ignore", invalid="ignore"):  # the reader tests it finite
+            upper = (1.0 + self.eta) * (adj(b) @ b)
+        b_fro = frobenius_upper(b)
+        return None, upper, (b.shape[0] + 3) * EPS * (1.0 + self.eta) * b_fro * b_fro
 
 
-def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> float | None:
-    """An eta with P <= (1 + eta) I for the observability Gramian
+def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> StorageGramian | None:
+    """The bound P <= (1 + eta) I on the observability Gramian
     P = a* P a + c* c, read off the storage inequality without a Stein
     solve; None unless repeated squaring proves a stable.
 
@@ -448,7 +512,7 @@ def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> float | None:
     """
     n = a.shape[0]
     if n == 0:
-        return 0.0
+        return StorageGramian(0.0)
     k = (n + 2) * EPS
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
         m = np.vstack([a, c])
@@ -473,13 +537,15 @@ def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> float | None:
         except OverflowError:
             return None
     eta = e * s
-    return eta if math.isfinite(eta) else None
+    return StorageGramian(eta) if math.isfinite(eta) else None
 
 
 def observability_gramian(a: np.ndarray, c: np.ndarray) -> SteinGramian | None:
     """The Gramian of (a, c) by Smith doubling, or None unless its W proves
-    a stable and the bound on the Stein residual of P is finite: the one
-    place that decides whether a is stable.
+    a stable and the bound on the Stein residual of P is finite.  Each
+    Gramian bound proves stability its own way: this one by Lyapunov's
+    inequality on W (`_lyapunov`), `storage_gramian_bound` by repeated
+    squaring.
     """
     q = adj(c) @ c
     (p, w), (stein_p, stein_w) = _stein(a, np.stack([q, eye(a.shape[0])]))

@@ -35,6 +35,7 @@ solutions come from the same feedback loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ from .linalg import (
     hpd_factor,
     min_eig_hermitian,
     psd_sqrt,
+    root_of_max_eig,
     solve_factor_adjoint,
     zeros,
 )
@@ -195,9 +197,10 @@ def assemble_l(p: NehariProblem, h: np.ndarray) -> float:
     (`hardy.certify_interpolant`).
     Block (i, j) is the term of index i - j + 1 of the sequence
     F_-K, ..., F_-1, H_0, ..., H_deg (zero before F_-K), laid out by
-    `_gather`; the norm is the root of the top eigenvalue of the
-    N*u x N*u Gram of the block-Toeplitz matrix.  A Gram that overflows
-    floating point raises NotFinite.
+    `_gather`; the value is the lower end of the root of the top
+    eigenvalue of the N*u x N*u Gram of the block-Toeplitz matrix
+    (`linalg.root_of_max_eig`), a floor of the exact truncated norm.  A
+    Gram that overflows floating point raises NotFinite.
     """
     if h.shape[1:] != (p.y_dim, p.u_dim):
         raise DimensionMismatch("solution coefficients have wrong port dims")
@@ -211,15 +214,10 @@ def assemble_l(p: NehariProblem, h: np.ndarray) -> float:
     # index i - j + 1, stored at r - c; the negative positions pick the
     # n_w - 1 zero blocks at the end
     idx = np.arange(rows)[:, None] - np.arange(n_w)[None, :]
-    out = _gather(seq, idx)
-    if out.size == 0:
-        return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        gram_out = adj(out) @ out
-    if not np.all(np.isfinite(gram_out)):
+    lower, upper = root_of_max_eig(_gather(seq, idx))
+    if not math.isfinite(upper):
         raise NotFinite("the combined operator of the coefficients overflows floating point")
-    top = np.linalg.eigvalsh(gram_out)[-1]
-    return float(np.sqrt(max(top, 0.0)))
+    return lower
 
 
 def hat_m_check(nc: Realization, _deg: int) -> tuple[Verdict, Verdict]:

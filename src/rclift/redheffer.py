@@ -48,6 +48,7 @@ from .linalg import (
     eye,
     inv_hpd,
     kernel_embedding,
+    min_singular_value,
     observability_gramian,
     operator_norm,
     psd_sqrt,
@@ -416,9 +417,7 @@ def y_gram_check(rc: RedhefferCoefficients) -> YGramReport:
     omega = dd.omega
     d_om_star_sq = eye(dt + h) - omega @ adj(omega)
     residual = operator_norm(adj(y) @ y - d_om_star_sq)
-    svals = np.linalg.svd(y, compute_uv=False)
-    sigma_min = float(svals[-1]) if svals.size else float("inf")
-    return YGramReport(residual=residual, sigma_min_y_star=sigma_min)
+    return YGramReport(residual=residual, sigma_min_y_star=min_singular_value(adj(y)))
 
 
 def projection_identity_check(dd: DerivedData) -> tuple[float, float]:

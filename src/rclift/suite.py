@@ -260,11 +260,11 @@ def ac06_contractive_interpolants(cfg: SuiteConfig) -> tuple[bool, dict]:
     state-space form (`redheffer.solution_realization`) must come out
     "certified", which bounds the full residuals and so every truncation.
     These solutions are written in storage coordinates, so the storage
-    route decides them without a Stein solve; its bound on the stacked
+    bound decides them without a Stein solve; its bound on the stacked
     norm is about 1, so `max_sigma`, the largest upper end, is that bound,
-    and `max_sigma_lower`, the largest floor (the norm of the head
+    and `max_sigma_lower`, the largest floor (that of the norm of the head
     [A; Gamma_0]), sits beside it.  The degree 16 sizes only the truncated
-    fallback, which runs only when neither exact route can decide."""
+    fallback, which runs only when neither Gramian bound can decide."""
     n_inst = max(2, (2 * cfg.base) // 5)
     certified = 0
     worst_sigma = worst_floor = 0.0

@@ -157,7 +157,9 @@ def _verify_case(case):
 @pytest.mark.parametrize("perturb", [0.0, 0.3])
 def test_verify_interpolant_matches_dense_dilation(case, perturb):
     # the shift applied by verify_interpolant against the dense U' oracle;
-    # a perturbed solution makes the residual O(1) instead of rounding noise
+    # a perturbed solution makes the residual O(1) instead of rounding noise.
+    # The lower end is a floor: never above the dense value beyond its
+    # rounding, and below it by at most the SVD and formation allowances
     ds, sol, deg = _verify_case(case)
     rng = np.random.default_rng(3)
     gammas = np.array([g + perturb * linalg.ginibre(rng, *g.shape) for g in sol.gamma_coeffs])
@@ -166,7 +168,7 @@ def test_verify_interpolant_matches_dense_dilation(case, perturb):
     u_prime = sznagy_schaffer_truncated(ds.t_prime, deg)
     dense = linalg.operator_norm(u_prime @ b @ ds.r - b @ ds.q)
     _, intertwining, _ = rep = hardy.verify_interpolant(ds, sol, deg)
-    assert abs(intertwining.lower - dense) <= 1e-14 * max(1.0, dense)
+    assert dense - 1e-12 * max(1.0, dense) <= intertwining.lower <= dense + 1e-14 * max(1.0, dense)
     if perturb == 0.0 and case != "unitary":
         assert combined_status(rep) != "refuted"
     if perturb:
@@ -222,6 +224,12 @@ def _forge_gamma0(sol, factor):
     return dataclasses.replace(sol, gamma_coeffs=factor * sol.gamma_coeffs[:1])
 
 
+def _verdicts(ds, sol, gramian_bound):
+    """`certify_interpolant`'s one assembly over a Gramian bound of the tail:
+    `linalg.storage_gramian_bound` or the Stein `linalg.observability_gramian`."""
+    return hardy._gramian_verdicts(ds, sol, 1e-6, gramian_bound(sol.a, sol.c))
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("factor", [1.0, 1.5])
 def test_exact_values_bound_every_truncation(seed, factor):
@@ -230,7 +238,7 @@ def test_exact_values_bound_every_truncation(seed, factor):
     # from above and meet them as the degree grows; factor 1.5 forges Gamma_0
     ds, sol = _realized(seed)
     sol = _forge_gamma0(sol, factor)
-    exact = hardy._exact_verdicts(ds, sol, 1e-6)
+    exact = _verdicts(ds, sol, linalg.observability_gramian)
     assert all(e.lower <= e.upper for e in exact)
     for deg in (0, 1, 2, 4, 8, 16, 32, 64, 128):
         trunc = hardy.verify_interpolant(ds, sol.taylor(deg), deg)
@@ -250,14 +258,14 @@ def test_storage_route_bounds_every_truncation(seed, factor):
     # truncation too, and its verdict is the Stein route's
     ds, sol = _realized(seed)
     sol = _forge_gamma0(sol, factor)
-    storage = hardy._storage_verdicts(ds, sol, 1e-6)
+    storage = _verdicts(ds, sol, linalg.storage_gramian_bound)
     assert all(s.lower <= s.upper for s in storage)
     for deg in (0, 1, 2, 4, 8, 16, 32, 64, 128):
         trunc = hardy.verify_interpolant(ds, sol.taylor(deg), deg)
         assert [t.name for t in trunc] == [s.name for s in storage]
         assert all(t.lower <= s.upper for t, s in zip(trunc, storage))
         assert trunc[0] == storage[0]
-    assert combined_status(storage) == combined_status(hardy._exact_verdicts(ds, sol, 1e-6))
+    assert combined_status(storage) == combined_status(_verdicts(ds, sol, linalg.observability_gramian))
     assert hardy.certify_interpolant(ds, sol, 0) == storage
 
 
@@ -274,52 +282,60 @@ def _longer_head(sol):
 
 @pytest.mark.parametrize("factor", [1.0, 1.5])
 def test_longer_head_gives_the_same_certificate(factor):
-    # the Stein route reads the same upper ends off both realizations, and
-    # decides a polynomial solution at its exact values; the intertwining
-    # residual's ends alone carry the allowance for forming its explicit
-    # rows, which differs between the realizations, so there its bracket,
-    # at most 1e-12 wide, holds the truncated value
+    # the Stein Gramian gives the same upper ends for both realizations,
+    # and decides a polynomial solution at its exact values; the
+    # intertwining residual's ends alone carry the allowance for forming
+    # its explicit rows, which differs between the realizations, so there
+    # its bracket, at most 1e-12 wide, holds the truncated value, while the
+    # stacked norm's bracket is at most 4e-14 wide, about its Gram and
+    # eigenvalue allowance, and the truncated floor, taken down by its SVD
+    # allowance (about 1.5e-14 here), lies at most 4e-14 below it
     ds, sol = _realized(5)
     sol = _forge_gamma0(sol, factor)
     longer, poly = _longer_head(sol)
-    one, three = (hardy._exact_verdicts(ds, s, 1e-6) for s in (sol, longer))
+    one, three = (_verdicts(ds, s, linalg.observability_gramian) for s in (sol, longer))
     assert combined_status(one) == combined_status(three)
-    formed = max(hardy._formation_rounding(ds, s)[0] for s in (sol, longer))
+    # both intertwining brackets hold the same exact residual, so their
+    # upper ends differ by at most the wider bracket
+    width = max(v.upper - v.lower for v in (one[1], three[1]))
     assert abs(one[0].upper - three[0].upper) <= 1e-14
-    assert abs(one[1].upper - three[1].upper) <= 1e-14 + formed
+    assert abs(one[1].upper - three[1].upper) <= 1e-14 + width
     assert abs(one[2].upper - three[2].upper) <= 1e-14
-    exact = hardy._exact_verdicts(ds, poly, 1e-6)
+    exact = _verdicts(ds, poly, linalg.observability_gramian)
     trunc = hardy.verify_interpolant(ds, poly.taylor(3), 3)
     refuted = combined_status(trunc) == "refuted"
     assert combined_status(exact) == ("refuted" if refuted else "certified")
     assert abs(exact[0].upper - trunc[0].lower) <= 1e-14
     assert exact[1].lower - 1e-14 <= trunc[1].lower <= exact[1].upper + 1e-14
     assert exact[1].upper - exact[1].lower <= 1e-12
-    assert abs(exact[2].upper - trunc[2].lower) <= 1e-14
+    assert exact[2].upper - exact[2].lower <= 4e-14
+    assert exact[2].lower - 4e-14 <= trunc[2].lower <= exact[2].upper
 
 
 @pytest.mark.parametrize("factor", [1.0, 1.5])
 def test_longer_head_gives_the_same_storage_verdict(factor):
-    # the storage route bounds the tail, which differs between the two
+    # the storage bound bounds the tail, which differs between the two
     # realizations, so only the status and the brackets agree; a
-    # polynomial solution has no tail, and its truncation at degree 3 is
-    # the whole solution
+    # polynomial solution has no tail, so both bounds give the zero form
+    # and the same verdicts, and its truncation at degree 3 is the whole
+    # solution
     ds, sol = _realized(5)
     sol = _forge_gamma0(sol, factor)
     longer, poly = _longer_head(sol)
-    one, three = (hardy._storage_verdicts(ds, s, 1e-6) for s in (sol, longer))
+    one, three = (_verdicts(ds, s, linalg.storage_gramian_bound) for s in (sol, longer))
     assert combined_status(one) == combined_status(three)
     trunc = hardy.verify_interpolant(ds, sol.taylor(64), 64)
     for verdicts in (one, three):
         assert all(t.lower <= v.upper for t, v in zip(trunc, verdicts))
-    storage = hardy._storage_verdicts(ds, poly, 1e-6)
+    storage = _verdicts(ds, poly, linalg.storage_gramian_bound)
     trunc = hardy.verify_interpolant(ds, poly.taylor(3), 3)
-    assert combined_status(storage) == combined_status(hardy._exact_verdicts(ds, poly, 1e-6))
+    assert storage == _verdicts(ds, poly, linalg.observability_gramian)
     assert all(t.lower <= v.upper for t, v in zip(trunc, storage))
-    # the same floors, the residual's taken down by its formation allowance
-    assert storage[2].lower == trunc[2].lower
-    rows_err = hardy._formation_rounding(ds, poly)[0]
-    assert trunc[1].lower - 2.0 * rows_err <= storage[1].lower <= trunc[1].lower
+    # the same floors up to their allowances: both residual floors take the
+    # same formation allowance off the same rows, and they differ by the
+    # Gram and SVD allowances alone, as the stacked-norm floors do
+    assert abs(storage[1].lower - trunc[1].lower) <= 1e-14
+    assert abs(storage[2].lower - trunc[2].lower) <= 4e-14
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -394,8 +410,8 @@ def test_storage_route_certifies_what_the_stein_route_certifies(kind, dims, norm
     for v in params:
         for factor in (1.0, 1.5):
             sol = _forge_gamma0(redheffer.solution_realization(rc, v), factor)
-            stein = combined_status(hardy._exact_verdicts(ds, sol, 1e-6))
-            storage = combined_status(hardy._storage_verdicts(ds, sol, 1e-6))
+            stein = combined_status(_verdicts(ds, sol, linalg.observability_gramian))
+            storage = combined_status(_verdicts(ds, sol, linalg.storage_gramian_bound))
             assert stein == ("certified" if factor == 1.0 else "refuted")
             assert storage == stein
 

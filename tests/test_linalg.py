@@ -482,3 +482,34 @@ def test_stability_bound_never_below_the_eigenvalues(seed, n, rho, normal):
         a = g * (rho / spectral_radius(g))
     g = linalg.observability_gramian(a, np.ones((1, n), dtype=complex))
     assert (np.inf if g is None else g.radius_bound) >= spectral_radius(a)
+
+
+def test_root_of_max_eig_edges():
+    # no columns: the zero norm, with or without rows; an overflowing Gram
+    # or allowance knows nothing, (0, inf)
+    assert linalg.root_of_max_eig(np.zeros((3, 0), complex)) == (0.0, 0.0)
+    assert linalg.root_of_max_eig(np.zeros((0, 2), complex)) == (0.0, 0.0)
+    assert linalg.root_of_max_eig(np.full((2, 2), 1e160, complex)) == (0.0, np.inf)
+    x = np.eye(2, dtype=complex)
+    assert linalg.root_of_max_eig(x, np.eye(2), np.nan) == (0.0, np.inf)
+    lower, upper = linalg.root_of_max_eig(2.0 * x, 5.0 * np.eye(2))
+    assert lower < 3.0 < upper and upper - lower <= 64 * linalg.EPS
+
+
+def test_gramian_bounds_give_their_forms():
+    # the storage bound knows only 0 <= b* P b <= (1 + eta) b* b; the Stein
+    # Gramian gives b* p b as both forms, its error at least that of `form`
+    rng = np.random.default_rng(4)
+    a = 0.5 * linalg.haar_unitary(rng, 3)
+    c = np.sqrt(0.75) * np.eye(3, dtype=complex)  # a* a + c* c = I: P = I
+    b = linalg.ginibre(rng, 3, 2)
+    storage = linalg.storage_gramian_bound(a, c)
+    lower, upper, err = storage.forms(b)
+    assert lower is None and storage.eta <= 1e-12
+    assert np.array_equal(upper, (1.0 + storage.eta) * (b.conj().T @ b))
+    assert 0.0 < err <= 1e-13
+    stein = linalg.observability_gramian(a, c)
+    lower, upper, err = stein.forms(b)
+    assert lower is upper and err >= stein.form(b, b)[1]
+    assert linalg.operator_norm(upper - b.conj().T @ b) <= 1e-13
+    assert linalg.storage_gramian_bound(np.zeros((0, 0)), np.zeros((2, 0))).eta == 0.0

@@ -149,7 +149,7 @@ def test_nonsymmetric_eigensolver_is_detected():
 
 
 # Every eigenvector decomposition happens in `linalg`, which holds the one
-# PSD noise policy; eigenvalues alone (`eigvalsh`) may be taken anywhere.
+# PSD noise policy.
 EIGENVECTOR_SOLVERS = ("eigh", "hermitian_eig")
 
 
@@ -169,6 +169,32 @@ def test_eigenvector_decomposition_is_detected():
         "lam = np.linalg.eigvalsh(m)\n"
     )
     assert sorted(_calls_named(tree, EIGENVECTOR_SOLVERS)) == ["eigh:5", "eigh:6", "hermitian_eig:7"]
+
+
+# Eigenvalues (`eigvalsh`) and singular values (`svd`) are taken in
+# `linalg` alone, which holds the one rule that turns a computed norm into
+# a bracket (`norm_bracket`, `root_of_max_eig`) and the helpers that read
+# one value (`operator_norm`, `min_singular_value`, `min_eig_hermitian`).
+SPECTRAL_VALUE_SOLVERS = ("eigvalsh", "svd")
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_spectral_values_only_in_linalg(path):
+    assert _calls_named(ast.parse(path.read_text(encoding="utf-8")), SPECTRAL_VALUE_SOLVERS) == []
+
+
+def test_spectral_value_call_is_detected():
+    tree = ast.parse(
+        "import numpy as np\nimport scipy.linalg\nfrom .linalg import operator_norm\n"
+        "m = np.eye(2)\n"
+        "lam = np.linalg.eigvalsh(m)[-1]\n"
+        "s = np.linalg.svd(m, compute_uv=False)\n"
+        "u, s, vh = scipy.linalg.svd(m)\n"
+        "top = operator_norm(m)\n"
+    )
+    assert sorted(_calls_named(tree, SPECTRAL_VALUE_SOLVERS)) == [
+        "eigvalsh:5", "svd:6", "svd:7"]
 
 
 # Values from outside are coerced and checked once, where they enter (the
