@@ -80,11 +80,15 @@ The `nehari` report truncates nothing, so it does not depend on
 `--degree`, which it accepts and ignores, and it takes no `--tol`;
 `validate` takes no `--degree`.  Its `stacked_isometry_residual` row
 brackets the residual of the identities that make the full stacked
-operator an isometry (`nehari.hat_m_check`, from the exact Stein
-Gramian), gated at FP_GRAM_TOL.  Its `state_spectral_radius` row is no
-eigenvalue: its `value` is the spectral-radius bound that the Stein
-solve of the isometry certificate certifies, and null when that solve
-proves none.  The report passes when every row is certified.
+operator an isometry (`nehari.hat_m_check`), gated at FP_GRAM_TOL, from
+a bound on the Gramian of the realization: first the storage bound, with
+no Stein solve, which decides every realization that `nehari` builds
+away from the strictness boundary, then, when that decides nothing, the
+Stein Gramian.  Its `state_spectral_radius` row is no eigenvalue: its
+`value` is the spectral-radius bound of the Gramian bound that decided
+(of the Stein Gramian when neither did), and null when no bound proves
+the state matrix stable.  The report passes when every row is
+certified.
 """
 
 from __future__ import annotations

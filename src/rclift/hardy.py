@@ -40,16 +40,15 @@ from .errors import DimensionMismatch, NotFinite
 from .lifting import Verdict, combined_status
 from .linalg import (
     EPS,
+    GRAMIAN_BOUNDS,
+    Gram,
     SteinGramian,
     StorageGramian,
     adj,
     eye,
     frobenius_upper,
     norm_bracket,
-    observability_gramian,
     operator_norm,
-    root_of_max_eig,
-    storage_gramian_bound,
     zeros,
 )
 
@@ -299,16 +298,16 @@ def certify_interpolant(
       m+1+j is C A^j Y with Y = B R - A B Q, whose rows sum to the Gram
       Y* P Y.  Its squared norm is lambda_max(rows* rows + Y* P Y).
 
-    One assembly, `_gramian_verdicts`, reads both off a bound on P from
-    `linalg`: first the storage bound (`linalg.storage_gramian_bound`,
-    P <= (1 + eta) I with no Stein solve), which decides most solutions,
+    One assembly, `_gramian_verdicts`, reads both off a bound on P, tried
+    in the order of `linalg.GRAMIAN_BOUNDS`: first the storage bound
+    (P <= (1 + eta) I with no Stein solve), which decides most solutions,
     since every realization that `redheffer.solution_realization` writes
     is in storage coordinates, where eta is at rounding level, head* head
     + B* B <= A* A + E* E = I and Y vanishes up to rounding (E R = X1 E Q
     and X3 E Q = 0), so the upper ends sit at 1 and 0 plus rounding; then
-    the Stein Gramian (`linalg.observability_gramian`).  The three verdicts,
-    named as those of `verify_interpolant`, of the first bound that
-    certifies or refutes (`lifting.combined_status`) are returned.
+    the Stein Gramian.  The three verdicts, named as those of
+    `verify_interpolant`, of the first bound that certifies or refutes
+    (`lifting.combined_status`) are returned.
     Otherwise, and when neither bound has a check (A is not proved
     stable, or a Gram overflows), the solution is also expanded to `deg`
     and checked by `verify_interpolant`, so the result is never weaker
@@ -317,7 +316,7 @@ def certify_interpolant(
     """
     if sol.a_part.shape != ds.a.shape:
         raise DimensionMismatch("a_part shape disagrees with the data set")
-    for gramian_bound in (storage_gramian_bound, observability_gramian):
+    for gramian_bound in GRAMIAN_BOUNDS:
         bound = gramian_bound(sol.a, sol.c)
         verdicts = None if bound is None else _gramian_verdicts(ds, sol, tol, bound)
         if verdicts is not None and combined_status(verdicts) in ("certified", "refuted"):
@@ -373,16 +372,17 @@ def _gramian_verdicts(
     `bound.forms(b)` gives a lower and an upper form of b* P b (None for
     the zero form) and one error for both.  `dilation_intertwining` is the
     norm of [rows; P^(1/2) Y], `stacked_norm` that of [head; P^(1/2) B],
-    and one rule, `linalg.root_of_max_eig` of the explicit part and a
-    form, gives the upper end from the upper form and a lower end from the
-    lower form.  The floor, the explicit part's norm, is the same rule
-    with the zero form, so a realization that widens a bound (large B on
-    states C does not see) cannot lower it.  The computed rows and Y lie
-    within rows_err and y_err of their exact values (`_rows_rounding`, the
-    last slot coefficient being the computed C B; Y's chains have at most
-    three factors), so the residual's ends move by hypot(rows_err,
-    ||P||^(1/2) y_err), with ||P|| at most the norm of the upper form of
-    I, and its floor by rows_err; the head and B are the matrices given.
+    and one rule, `linalg.Gram.root_of_max_eig` of the explicit part's
+    Gram, formed once, and a form, gives the upper end from the upper form
+    and a lower end from the lower form.  The floor, the explicit part's
+    norm, is the same rule with the zero form, so a realization that
+    widens a bound (large B on states C does not see) cannot lower it.
+    The computed rows and Y lie within rows_err and y_err of their exact
+    values (`_rows_rounding`, the last slot coefficient being the computed
+    C B; Y's chains have at most three factors), so the residual's ends
+    move by hypot(rows_err, ||P||^(1/2) y_err), with ||P|| at most the
+    norm of the upper form of I, and its floor by rows_err; the head and B
+    are the matrices given.
     """
     rows, y, head = _explicit_parts(ds, sol)
     f = frobenius_upper
@@ -396,10 +396,11 @@ def _gramian_verdicts(
             ("dilation_intertwining", rows, y, rows_err, formed, tol),
             ("stacked_norm", head, sol.b, 0.0, 0.0, 1.0 + tol)):
         lower_form, upper_form, err = bound.forms(b)
-        lower = max(root_of_max_eig(part)[0] - part_err, 0.0)
+        gram = Gram.of(part)
+        lower = max(gram.root_of_max_eig()[0] - part_err, 0.0)
         if lower_form is not None:
-            lower = max(lower, root_of_max_eig(part, lower_form, err)[0] - moved)
-        upper = root_of_max_eig(part, upper_form, err)[1] + moved
+            lower = max(lower, gram.root_of_max_eig(lower_form, err)[0] - moved)
+        upper = gram.root_of_max_eig(upper_form, err)[1] + moved
         if not math.isfinite(upper):
             return None
         verdicts.append(Verdict(name, lower, upper, threshold))

@@ -35,8 +35,10 @@ from .errors import DimensionMismatch, NegativeEigenvalue, NotPositiveDefinite
 # far away from this threshold.
 RANK_RTOL = 1e-10
 
-# Machine epsilon, the unit of every rounding allowance.
+# Machine epsilon, the unit of every rounding allowance, and the least
+# subnormal, the unit of an allowance for underflow.
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).smallest_subnormal)
 
 
 def cmatrix(a) -> np.ndarray:
@@ -311,33 +313,63 @@ def norm_bracket(m: np.ndarray, err: float) -> tuple[float, float]:
     return max(norm * (1.0 - k) - err, 0.0), norm * (1.0 + k) + err
 
 
+@dataclass(frozen=True)
+class Gram:
+    """The Gram x* x of one r x c matrix x, formed once for every bracket
+    read off it (`root_of_max_eig`), with the part of their allowance that
+    it fixes: (r + 2) eps ||x||_F^2 for forming it (||x||_F^2 from its
+    trace, widened by (r + c + 2) eps), plus 2 r c tiny for underflow, tiny
+    the least subnormal.  Each of the r products summed into an entry
+    loses at most tiny / 2 to underflow in each of its four real products,
+    so an entry is off by at most sqrt(2) r tiny and the Gram by c times
+    that; LAPACK scales a Gram that small before its eigenvalues, so the
+    spectrum adds no underflow of its own.  The allowance is not finite
+    when the Gram overflows.
+    """
+
+    g: np.ndarray
+    allowance: float
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> Gram:
+        rows, cols = x.shape
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught by the reader
+            g = adj(x) @ x
+            fro_sq = float(g.trace().real) * (1.0 + (rows + cols + 2) * EPS)
+        return cls(g, (rows + 2) * EPS * fro_sq + 2 * rows * cols * TINY)
+
+    def root_of_max_eig(
+        self, form: np.ndarray | None = None, err: float = 0.0
+    ) -> tuple[float, float]:
+        """Lower and upper ends of sqrt(lambda_max(x* x + F)) for a
+        Hermitian PSD F whose computed form `form` (None for F = 0, which
+        gives ||x||) lies within err of it in norm; (0, inf) when the Gram
+        overflows.
+
+        Both ends move by one first-order allowance for forming the c x c
+        Gram G = x* x (+ form) and its top eigenvalue, read off the lower
+        triangle: err, the Gram's own (`Gram`), and (c + 4) eps ||G||_F;
+        the roots are padded by 2 eps, and the lower end is floored at 0.
+        """
+        g = self.g
+        if g.shape[0] == 0:
+            return 0.0, 0.0
+        if form is not None:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+                g = g + form
+        allowance = err + self.allowance + (g.shape[0] + 4) * EPS * frobenius_upper(g)
+        if not math.isfinite(allowance):  # so is every entry of g
+            return 0.0, math.inf
+        lam = float(np.linalg.eigvalsh(g)[-1])
+        return (math.sqrt(max(lam - allowance, 0.0)) * (1.0 - 2.0 * EPS),
+                math.sqrt(max(lam + allowance, 0.0)) * (1.0 + 2.0 * EPS))
+
+
 def root_of_max_eig(
     x: np.ndarray, form: np.ndarray | None = None, err: float = 0.0
 ) -> tuple[float, float]:
-    """Lower and upper ends of sqrt(lambda_max(x* x + F)) for a Hermitian
-    PSD F whose computed form `form` (None for F = 0, which gives ||x||)
-    lies within err of it in norm; (0, inf) when the Gram overflows.
-
-    Both ends move by one first-order allowance for forming the c x c Gram
-    G = x* x (+ form) and its top eigenvalue, read off the lower triangle:
-    err, (r + 2) eps ||x||_F^2 for x* x with r rows (||x||_F^2 from its
-    trace, widened by (r + c + 2) eps), and (c + 4) eps ||G||_F; the roots
-    are padded by 2 eps, and the lower end is floored at 0.
-    """
-    rows, cols = x.shape
-    if cols == 0:
-        return 0.0, 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        g = adj(x) @ x
-        fro_sq = float(g.trace().real) * (1.0 + (rows + cols + 2) * EPS)
-        if form is not None:
-            g = g + form
-    allowance = err + (rows + 2) * EPS * fro_sq + (cols + 4) * EPS * frobenius_upper(g)
-    if not math.isfinite(allowance):  # so is every entry of g
-        return 0.0, math.inf
-    lam = float(np.linalg.eigvalsh(g)[-1])
-    return (math.sqrt(max(lam - allowance, 0.0)) * (1.0 - 2.0 * EPS),
-            math.sqrt(max(lam + allowance, 0.0)) * (1.0 + 2.0 * EPS))
+    """`Gram.root_of_max_eig` for a Gram formed for this one bracket."""
+    return Gram.of(x).root_of_max_eig(form, err)
 
 
 # --- Stein equations ----------------------------------------------------------
@@ -421,13 +453,13 @@ class SteinGramian:
     """Observability Gramian P = a* P a + c* c, with its roundoff bound.
 
     The exact Gramian is the computed `p` plus sum_t a*^t Delta a^t, Delta
-    the Stein residual of `p`, so its error seen through b1* (.) b2 is at
-    most ||Delta|| sqrt(weight(b1) weight(b2)) (`form`), where `weight(b)`
-    bounds ||b* W b|| for the exact W = a* W a + I, solved alongside P
-    (`w`).  `p_residual` and `w_residual` are the certified bounds
-    `_residual_bound` on the Stein residuals of p and w.  That w also
-    proves a stable: `radius_bound` < 1 bounds its spectral radius
-    (`_lyapunov`).
+    the Stein residual a* p a + c* c - p of `p` against the exact c* c, so
+    its error seen through b1* (.) b2 is at most ||Delta|| sqrt(weight(b1)
+    weight(b2)) (`form`), where `weight(b)` bounds ||b* W b|| for the exact
+    W = a* W a + I, solved alongside P (`w`).  `p_residual` and
+    `w_residual` are the certified bounds on the Stein residuals of p and
+    w (`observability_gramian`).  That w also proves a stable:
+    `radius_bound` < 1 bounds its spectral radius (`_lyapunov`).
     """
 
     p: np.ndarray
@@ -446,29 +478,46 @@ class SteinGramian:
         return operator_norm(m) / (1.0 - self.w_residual)
 
     def form(self, b1: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, float]:
-        """b1* p b2, and the bound ||Delta|| sqrt(weight(b1) weight(b2)) on
-        its distance from b1* P b2; inf when either overflows."""
+        """b1* p b2, and a bound on its distance from b1* P b2: ||Delta||
+        sqrt(weight(b1) weight(b2)), plus 2 (n + 2) eps ||b1||_F ||b2||_F
+        ||p||_F for the rounding of forming it; inf when either overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
             m = adj(b1) @ self.p @ b2
         w1 = self.weight(b1)
         w2 = w1 if b2 is b1 else self.weight(b2)
-        err = self.p_residual * math.sqrt(w1 * w2)
+        f = frobenius_upper
+        err = (self.p_residual * math.sqrt(w1 * w2)
+               + 2 * (self.p.shape[0] + 2) * EPS * f(b1) * f(b2) * f(self.p))
         return m, err if np.all(np.isfinite(m)) and math.isfinite(err) else math.inf
 
     def forms(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """b* p b as both a lower and an upper form of b* P b, and the
-        `form` bound widened by 2 (n + 2) eps ||b||_F^2 ||p||_F for the
-        rounding of forming it."""
+        """b* p b as both a lower and an upper form of b* P b, with the
+        `form` bound."""
         m, err = self.form(b, b)
-        b_fro = frobenius_upper(b)
-        return m, m, err + 2 * (self.p.shape[0] + 2) * EPS * b_fro * b_fro * frobenius_upper(self.p)
+        return m, m, err
 
 
 @dataclass(frozen=True)
 class StorageGramian:
-    """The bound 0 <= P <= (1 + eta) I of `storage_gramian_bound`."""
+    """The bounds of `storage_gramian_bound`: 0 <= P <= (1 + eta) I, the
+    two-sided ||P - I|| <= epsilon, and rho(a) <= radius_bound < 1."""
 
     eta: float
+    epsilon: float
+    radius_bound: float
+
+    def form(self, b1: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, float]:
+        """b1* b2, and a bound on its distance from b1* P b2: epsilon ||b1||
+        ||b2||, each norm the upper end of `root_of_max_eig`, plus (n + 2)
+        eps ||b1||_F ||b2||_F for the rounding of forming it; inf when
+        either overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = adj(b1) @ b2
+        norm1 = root_of_max_eig(b1)[1]
+        norm2 = norm1 if b2 is b1 else root_of_max_eig(b2)[1]
+        err = (self.epsilon * norm1 * norm2
+               + (b1.shape[0] + 2) * EPS * frobenius_upper(b1) * frobenius_upper(b2))
+        return m, err if np.all(np.isfinite(m)) and math.isfinite(err) else math.inf
 
     def forms(self, b: np.ndarray) -> tuple[None, np.ndarray, float]:
         """The zero form (None) below b* P b, (1 + eta) b* b above it, and
@@ -480,9 +529,10 @@ class StorageGramian:
 
 
 def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> StorageGramian | None:
-    """The bound P <= (1 + eta) I on the observability Gramian
-    P = a* P a + c* c, read off the storage inequality without a Stein
-    solve; None unless repeated squaring proves a stable.
+    """Bounds on the observability Gramian P = a* P a + c* c read off the
+    storage inequality without a Stein solve: P <= (1 + eta) I, ||P - I||
+    <= epsilon and rho(a) <= radius_bound; None unless repeated squaring
+    proves a stable.
 
     Proof.  Let M = [a; c] with M* M <= (1 + e) I, e >= 0.  Along
     x_(t+1) = a x_t, ||c x_t||^2 = x_t* M* M x_t - ||x_(t+1)||^2 <=
@@ -493,32 +543,55 @@ def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> StorageGramian | None
     writing t = q m + j with j < m,
     sum_t ||a^t||^2 <= sum_q theta^(2q) sum_(j<m) (1 + e)^j
     <= S = m (1 + e)^m / (1 - theta^2),
-    which proves a stable and gives P <= (1 + e S) I: eta = e S.
+    which proves a stable and gives P <= (1 + e S) I: eta = e S.  Both
+    sides of the same telescope give, with Delta = M* M - I,
+    P - I = sum_t a*^t Delta a^t, so |x* b1* (P - I) b2 y| <=
+    ||Delta|| sum_t ||a^t||^2 ||b1 x|| ||b2 y|| and ||b1* (P - I) b2|| <=
+    delta S ||b1|| ||b2|| for any delta >= ||Delta||: epsilon = delta S.
+    And rho(a)^m <= ||a^m|| <= theta gives radius_bound = theta^(1/m),
+    padded by 4 eps for its power.
 
     Rounding, to first order as in `_residual_bound`, with k = (r + 2) eps
     for an inner dimension r.  The computed Gram of M is within
     (n + p + 2) eps ||M||_F^2 of M* M in norm and its computed top
     eigenvalue within (n + 2) eps ||M||_F^2 of its own, so e = lambda_max
-    - 1 plus both allowances, and at least 0, bounds the exact one.  The
-    squarings run on computed powers: with X_j the computed a^(2^j) and
-    d_j a bound on ||X_j - a^(2^j)||_F, the exact square differs from the
-    computed one by at most d_j (2 ||X_j||_F + d_j) + (n + 2) eps
-    ||X_j||_F^2, which is d_(j+1) (d_0 = 0).  theta = ||X_j||_F + d_j,
-    each Frobenius norm from `frobenius_upper`, bounds ||a^m|| for
-    m = 2^j, and the squaring stops at the first theta <= 1/2, after at
-    most STEIN_MAX_DOUBLINGS squarings.  Nothing assumes a stable: a
-    theta that never reaches 1/2, or a power or S that overflows, gives
-    None.
+    - 1 plus both allowances, and at least 0, bounds the exact one.  For
+    delta, entry by entry: the computed Gram, whose n + p rows include
+    those of c* c, is within (n + p + 2) eps |M|^T |M| of M* M, and its
+    Hermitian part, with one more rounding, within (n + p + 3) eps of
+    that; in norm this is at most (n + p + 3) eps || |M|^T |M| ||, and the
+    norm of that symmetric nonnegative matrix is at most its 1-norm, a
+    largest row sum.  D = that Gram - I rounds its diagonal by eps of
+    itself, and ||D|| <= sqrt(||D||_1 ||D||_inf), whose computed value, n
+    moduli summed per column or row, then a product and a root, is low by
+    at most (n + 4) eps of itself; so
+    delta = sqrt(||D||_1 ||D||_inf) (1 + (n + 6) eps) +
+    (n + p + 3) eps || |M|^T |M| ||_1, the last eps for forming delta
+    itself.  The squarings run on computed powers: with X_j the computed
+    a^(2^j) and d_j a bound on ||X_j - a^(2^j)||_F, the exact square
+    differs from the computed one by at most d_j (2 ||X_j||_F + d_j) +
+    (n + 2) eps ||X_j||_F^2, which is d_(j+1) (d_0 = 0).  theta =
+    ||X_j||_F + d_j, each Frobenius norm from `frobenius_upper`, bounds
+    ||a^m|| for m = 2^j, and the squaring stops at the first theta <= 1/2,
+    after at most STEIN_MAX_DOUBLINGS squarings.  Nothing assumes a
+    stable: a theta that never reaches 1/2, or a power or S that
+    overflows, gives None.
     """
     n = a.shape[0]
     if n == 0:
-        return StorageGramian(0.0)
+        return StorageGramian(0.0, 0.0, 0.0)
     k = (n + 2) * EPS
+    p = c.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
         m = np.vstack([a, c])
         m_fro_sq = frobenius_upper(m) ** 2
-        lam = float(np.linalg.eigvalsh(_hermitian(adj(m) @ m))[-1])
-        e = max(lam - 1.0 + (2 * n + c.shape[0] + 4) * EPS * m_fro_sq, 0.0)
+        gram = _hermitian(adj(m) @ m)
+        lam = float(np.linalg.eigvalsh(gram)[-1])
+        e = max(lam - 1.0 + (2 * n + p + 4) * EPS * m_fro_sq, 0.0)
+        d, m_abs = gram - eye(n), np.abs(m)
+        delta = (math.sqrt(float(np.linalg.norm(d, 1) * np.linalg.norm(d, np.inf)))
+                 * (1.0 + (n + 6) * EPS)
+                 + (n + p + 3) * EPS * float(np.linalg.norm(m_abs.T @ m_abs, 1)))
         power, span, drift = a, 1, 0.0
         for _ in range(STEIN_MAX_DOUBLINGS + 1):
             norm = frobenius_upper(power)
@@ -536,8 +609,10 @@ def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> StorageGramian | None
             s = span * (1.0 + e) ** span / (1.0 - theta * theta)
         except OverflowError:
             return None
-    eta = e * s
-    return StorageGramian(eta) if math.isfinite(eta) else None
+    eta, epsilon = e * s, delta * s
+    if not (math.isfinite(eta) and math.isfinite(epsilon)):
+        return None
+    return StorageGramian(eta, epsilon, theta ** (1.0 / span) * (1.0 + 4.0 * EPS))
 
 
 def observability_gramian(a: np.ndarray, c: np.ndarray) -> SteinGramian | None:
@@ -546,14 +621,26 @@ def observability_gramian(a: np.ndarray, c: np.ndarray) -> SteinGramian | None:
     Gramian bound proves stability its own way: this one by Lyapunov's
     inequality on W (`_lyapunov`), `storage_gramian_bound` by repeated
     squaring.
+
+    The Stein residual of P is taken against the exact c* c: the bound
+    `_residual_bound` on it against the computed q = c* c, plus (p + 2)
+    eps ||c||_F^2 for the rounding of q, p the rows of c.
     """
     q = adj(c) @ c
     (p, w), (stein_p, stein_w) = _stein(a, np.stack([q, eye(a.shape[0])]))
     w_residual, radius = _lyapunov(a, w, float(stein_w))
-    p_residual = _residual_bound(a, p, q, float(stein_p))
+    p_residual = (_residual_bound(a, p, q, float(stein_p))
+                  + (c.shape[0] + 2) * EPS * frobenius_upper(c) ** 2)
     if not (radius < 1.0 and math.isfinite(p_residual)):
         return None
     return SteinGramian(p, p_residual, w, w_residual, radius)
+
+
+# The Gramian bounds, in the order a certificate tries them: the storage
+# bound, which costs no Stein solve and decides every realization in
+# storage coordinates, then the Stein Gramian.  `hardy.certify_interpolant`
+# and `redheffer.isometry_certificate` read them here and nowhere else.
+GRAMIAN_BOUNDS = (storage_gramian_bound, observability_gramian)
 
 
 # --- seeded random material -------------------------------------------------

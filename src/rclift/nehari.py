@@ -224,8 +224,10 @@ def hat_m_check(nc: Realization, _deg: int) -> tuple[Verdict, Verdict]:
     """The isometry verdicts of the full stacked operator M-hat.
 
     `redheffer.isometry_certificate` on the Nehari realization: three n x n
-    identities and the exact Gramian decide the whole operator, so the
-    degree `_deg` changes nothing.  It stays in the signature for the
+    identities and a bound on the Gramian decide the whole operator (the
+    storage bound, which needs no Stein solve in the storage coordinates
+    of `coefficients`, else the Stein Gramian), so the degree `_deg`
+    changes nothing.  It stays in the signature for the
     callers that pass a degree: `rclift nehari --degree` and the
     benchmark's degree sweep.
     """

@@ -41,15 +41,15 @@ from .hardy import (
     mult_matrix,
     observability_matrix,
 )
-from .lifting import DerivedData, Verdict, left_inverse_dar
+from .lifting import DerivedData, Verdict, combined_status, left_inverse_dar
 from .linalg import (
+    GRAMIAN_BOUNDS,
     adj,
     disc_stack,
     eye,
     inv_hpd,
     kernel_embedding,
     min_singular_value,
-    observability_gramian,
     operator_norm,
     psd_sqrt,
     solve_hpd,
@@ -327,35 +327,57 @@ def isometry_certificate(rc: Realization) -> tuple[Verdict, Verdict]:
         D*D + X2* P X2 = I,   C*D + X1* P X2 = 0,   base*base + E* P E = I,
 
     three identities of size at most n x n.  Roundoff: each B1* P B2 comes
-    with the bound on its error that `linalg.SteinGramian.form` gives, for
-    (X2, X2), (X1, X2) and (E, E); it widens the computed residual both
-    ways and is never added to the threshold.
+    from a bound on P, with the bound on its error that the bound's `form`
+    gives, for (X2, X2), (X1, X2) and (E, E); it widens the computed
+    residual both ways and is never added to the threshold.
 
-    Two verdicts: `state_spectral_radius`, with the Stein solve's bound on
-    the spectral radius of X1 as its upper end and 0 as its lower, at 1.0;
-    and `stacked_isometry_residual`, the largest residual of the three
-    identities widened both ways, at FP_GRAM_TOL.  The radius is certified
-    whenever the Stein solve proves X1 stable; when it does not, there is
-    no Gramian, both upper ends are inf and the residual's floor is 0, so
-    neither verdict is certified.
+    The bounds are tried in the order of `linalg.GRAMIAN_BOUNDS`.  First
+    the storage bound, which needs no Stein solve: in storage coordinates
+    (`storage_coefficients`, both problems) [X1; C] has orthonormal
+    columns up to rounding, so P is I up to a rounding-level error and it
+    decides every realization that is not near the strictness boundary.
+    Then the Stein Gramian.  The verdicts of the first bound that certifies
+    or refutes (`lifting.combined_status`) are returned, and otherwise
+    those of the last bound that has a check.
+
+    Two verdicts: `state_spectral_radius`, with the deciding bound's
+    bound on the spectral radius of X1 as its upper end and 0 as its
+    lower, at 1.0; and `stacked_isometry_residual`, the largest residual
+    of the three identities widened both ways, the lower end floored at
+    0, at FP_GRAM_TOL.  The radius is certified whenever a bound proves X1
+    stable; when neither does, there is no Gramian, both upper ends are
+    inf and the residual's floor is 0, so neither verdict is certified.
     """
+    result = (Verdict("state_spectral_radius", 0.0, np.inf, 1.0),
+              Verdict("stacked_isometry_residual", 0.0, np.inf, FP_GRAM_TOL))
+    for gramian_bound in GRAMIAN_BOUNDS:
+        verdicts = _isometry_verdicts(rc, gramian_bound)
+        if verdicts is not None:
+            result = verdicts
+            if combined_status(verdicts) in ("certified", "refuted"):
+                break
+    return result
+
+
+def _isometry_verdicts(rc: Realization, gramian_bound) -> tuple[Verdict, Verdict] | None:
+    """The verdicts of `isometry_certificate` over one bound on the
+    Gramian (a function of `linalg.GRAMIAN_BOUNDS`), None when it has no
+    check."""
     c = np.vstack([rc.x3, rc.x4])
+    bound = gramian_bound(rc.x1, c)
+    if bound is None:
+        return None
     d = np.vstack([zeros(rc.kq_dim, rc.w_dim), rc.x5])
-    g = observability_gramian(rc.x1, c)
-    if g is None:
-        return (Verdict("state_spectral_radius", 0.0, np.inf, 1.0),
-                Verdict("stacked_isometry_residual", 0.0, np.inf, FP_GRAM_TOL))
     identities = (  # explicit part, (B1* P B2, its error bound), identity
-        (adj(d) @ d, g.form(rc.x2, rc.x2), eye(rc.w_dim)),
-        (adj(c) @ d, g.form(rc.x1, rc.x2), 0.0),
-        (adj(rc.base) @ rc.base, g.form(rc.e, rc.e), eye(rc.e.shape[1])),
+        (adj(d) @ d, bound.form(rc.x2, rc.x2), eye(rc.w_dim)),
+        (adj(c) @ d, bound.form(rc.x1, rc.x2), 0.0),
+        (adj(rc.base) @ rc.base, bound.form(rc.e, rc.e), eye(rc.e.shape[1])),
     )
     computed = [(operator_norm(m + bpb - i), err) for m, (bpb, err), i in identities]
-    return (
-        Verdict("state_spectral_radius", 0.0, g.radius_bound, 1.0),
-        Verdict("stacked_isometry_residual", float(max(r - err for r, err in computed)),
-                float(max(r + err for r, err in computed)), FP_GRAM_TOL),
-    )
+    lower = max(max(r - err for r, err in computed), 0.0)
+    upper = max(r + err for r, err in computed)
+    return (Verdict("state_spectral_radius", 0.0, bound.radius_bound, 1.0),
+            Verdict("stacked_isometry_residual", float(lower), float(upper), FP_GRAM_TOL))
 
 
 def kyp_norm(rc: Realization) -> float:

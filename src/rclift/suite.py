@@ -295,11 +295,13 @@ def ac07_stacked_operator_contraction(cfg: SuiteConfig) -> tuple[bool, dict]:
     Both are decided exactly, with no truncation: the contraction by the
     KYP certificate `redheffer.kyp_norm` <= 1 + FP_GRAM_TOL, read off the
     realization's own colligation and [A; E] with E = D_A, the isometry by
-    `redheffer.isometry_certificate` (three n x n identities from one Stein
-    solve, widened by its roundoff bound), which must come out certified:
-    `isometry_status` is the combined status of those verdicts, and
-    `max_isometry_residual` and `max_isometry_residual_lower` their largest
-    ends.
+    `redheffer.isometry_certificate` (three n x n identities over a bound
+    on the Gramian, widened by its roundoff bound: the storage bound, with
+    no Stein solve, which decides these storage-coordinate realizations,
+    else the Stein Gramian), which must come out certified: the radius
+    is that of the bound that decided, `isometry_status` is the combined
+    status of those verdicts, and `max_isometry_residual` and
+    `max_isometry_residual_lower` their largest ends.
     """
     worst_kyp = 0.0
     isometry = []
@@ -417,11 +419,13 @@ def ac10_hat_m_isometry(cfg: SuiteConfig) -> tuple[bool, dict]:
     """The full stacked operator M-hat of every Nehari instance is certified
     an isometry by `redheffer.isometry_certificate`, residual within
     FP_GRAM_TOL, with no truncation; so is that of zero-tap problems,
-    where it is exact.  A certificate needs the Stein solve to prove the
-    state matrix stable, and `max_radius_bound` is the largest bound on its
-    spectral radius.  `max_residual` and `max_residual_lower` are the
-    largest ends of the residual verdicts, and `isometry_status` their
-    combined status."""
+    where it is exact.  A certificate needs a bound on the Gramian that
+    proves the state matrix stable (the storage bound, by repeated
+    squaring, which decides these realizations with no Stein solve, else
+    the Stein Gramian), and `max_radius_bound` is the largest bound on its
+    spectral radius from the bound that decided.  `max_residual` and
+    `max_residual_lower` are the largest ends of the residual verdicts,
+    and `isometry_status` their combined status."""
     isometry = []
     radius_max = 0.0
     for _, _, nc in cfg.nehari_pool:

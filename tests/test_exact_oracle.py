@@ -1,9 +1,9 @@
 """Every certificate's [lower, upper] brackets the exact value of the
 matrices it is given, computed at 60 digits by the oracles of
 `oracles.py`: `hardy.certify_interpolant`'s one assembly over each
-Gramian bound, `redheffer.isometry_certificate` and `redheffer.kyp_norm`,
-on seeded honest solutions and on realizations built to fool a
-certificate.
+Gramian bound, `redheffer.isometry_certificate` over each Gramian bound
+and `redheffer.kyp_norm`, on seeded honest solutions and realizations
+and on realizations built to fool a certificate.
 
 Every bracket is compared as it is, with no slack.  Two verdicts rest on
 norms of parts formed in floating point, a_part - A and the explicit
@@ -30,7 +30,7 @@ from oracles import (
     spectral_radius,
 )
 
-from rclift import generators, hardy, lifting, linalg, redheffer, schur
+from rclift import generators, hardy, lifting, linalg, nehari, redheffer, schur
 from rclift.lifting import combined_status
 
 TOL = 1e-6
@@ -56,8 +56,7 @@ def _solution(kind, dims, norm, seed, states):
     return ds, rc, redheffer.solution_realization(rc, v)
 
 
-# the two Gramian bounds of `hardy.certify_interpolant`, in its order
-GRAMIAN_BOUNDS = (linalg.storage_gramian_bound, linalg.observability_gramian)
+GRAMIAN_BOUNDS = linalg.GRAMIAN_BOUNDS  # the storage bound, then the Stein Gramian
 
 
 def _verdicts(ds, sol, gramian_bound):
@@ -197,3 +196,124 @@ def test_norm_rules_bracket_the_exact_norm(seed, rows, cols):
     assert lower <= with_form <= upper
     lower, upper = linalg.root_of_max_eig(x, form + e, linalg.frobenius_upper(e))
     assert lower <= with_form <= upper
+
+
+# --- the isometry certificate, route by route --------------------------------
+
+
+def _nehari_realization(norm, seed=0):
+    """`nehari.coefficients` of a (u, y, N, K) = (2, 2, 3, 4) problem: six states."""
+    p = generators.random_nehari_problem(np.random.default_rng(seed), 2, 2, 3, 4, norm)
+    return nehari.coefficients(p)
+
+
+# the HONEST lifting realizations, then Nehari ones at 0.8 and at 1 - 1e-6
+ISOMETRY_CASES = ([("lifting",) + case for case in HONEST]
+                  + [("nehari", 0.8), ("nehari", 1.0 - 1e-6)])
+
+
+def _isometry_realization(case):
+    if case[0] == "nehari":
+        return _nehari_realization(case[1])
+    return _solution(*case[1:])[1]
+
+
+def _form_gap(bound, p_mat, b1, b2):
+    """The exact distance of a bound's computed `form(b1, b2)` from
+    b1* P b2, and the error the bound claims for it."""
+    m, err = bound.form(b1, b2)
+    with mpmath.workdps(EXACT_DIGITS):
+        gap = exact_norm(mp_matrix(b1).H @ p_mat @ mp_matrix(b2) - mp_matrix(m))
+    return float(gap), err
+
+
+@pytest.mark.parametrize("case", ISOMETRY_CASES, ids=lambda c: "-".join(map(str, c[:4])))
+def test_each_gramian_form_brackets_the_exact_gramian(case):
+    # the forms of the isometry identities, against the exact Gramian
+    rc = _isometry_realization(case)
+    c = np.vstack([rc.x3, rc.x4])
+    p_mat = exact_gramian(rc.x1, c)
+    for gramian_bound in GRAMIAN_BOUNDS:
+        bound = gramian_bound(rc.x1, c)
+        for b1, b2 in ((rc.x2, rc.x2), (rc.x1, rc.x2), (rc.e, rc.e)):
+            gap, err = _form_gap(bound, p_mat, b1, b2)
+            assert gap <= err, (gramian_bound.__name__, gap, err)
+
+
+def test_stein_bound_allows_for_the_rounding_of_c_star_c():
+    # two states seen through 200 output rows: the rounding of q = c* c,
+    # (p + 2) eps ||c||_F^2, is most of the bound on the Stein residual of
+    # P, and with it `form` brackets the exact Gramian of (a, c)
+    rng = np.random.default_rng(0)
+    a = 0.5 * np.eye(2, dtype=complex)
+    c = linalg.ginibre(rng, 200, 2)
+    g = linalg.observability_gramian(a, c)
+    q_rounding = (200 + 2) * EPS * linalg.frobenius_upper(c) ** 2
+    assert q_rounding > 0.9 * g.p_residual
+    p_mat = exact_gramian(a, c)
+    for b in (np.eye(2, dtype=complex), linalg.ginibre(rng, 2, 3)):
+        gap, err = _form_gap(g, p_mat, b, b)
+        assert gap <= err
+
+
+@pytest.mark.parametrize("case", ISOMETRY_CASES, ids=lambda c: "-".join(map(str, c[:4])))
+def test_each_isometry_route_brackets_the_exact_residual(case):
+    # each Gramian bound on its own, not just the one that decides
+    rc = _isometry_realization(case)
+    exact = float(exact_isometry_residual(rc))
+    radius = spectral_radius(rc.x1)
+    for gramian_bound in GRAMIAN_BOUNDS:
+        verdicts = redheffer._isometry_verdicts(rc, gramian_bound)
+        assert verdicts is not None, gramian_bound.__name__
+        bound_radius, iso = verdicts
+        assert iso.lower <= exact <= iso.upper, (gramian_bound.__name__, iso, exact)
+        assert radius <= bound_radius.upper < 1.0
+
+
+def test_benchmark_size_nehari_isometry_needs_no_stein_solve(monkeypatch):
+    # at (u, y, N, K) = (8, 8, 16, 16), 128 states, the storage bound
+    # decides alone: with the Stein solve behind `observability_gramian`
+    # refused, the certificate still comes out certified
+    p = generators.random_nehari_problem(np.random.default_rng([1, 0]), 8, 8, 16, 16, 0.8)
+    nc = nehari.coefficients(p)
+
+    def refuse(*_):
+        raise AssertionError("observability_gramian ran a Stein solve")
+
+    monkeypatch.setattr(linalg, "_stein", refuse)
+    with pytest.raises(AssertionError):
+        linalg.observability_gramian(nc.x1, np.vstack([nc.x3, nc.x4]))
+    assert combined_status(redheffer.isometry_certificate(nc)) == "certified"
+
+
+FORGED_ISOMETRY_NORMS = (0.8, 1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("norm", FORGED_ISOMETRY_NORMS)
+def test_storage_route_refutes_the_scaled_feedthrough(norm):
+    # X5 * (1 + 1e-6) leaves [X1; C] and so the Gramian alone, and moves
+    # D*D + X2* P X2 off I by about 2e-6: the storage bound refutes it
+    # by itself, and the certificate returns its verdicts
+    rc = _nehari_realization(norm)
+    bad = dataclasses.replace(rc, x5=rc.x5 * (1.0 + 1e-6))
+    storage = redheffer._isometry_verdicts(bad, linalg.storage_gramian_bound)
+    exact = float(exact_isometry_residual(bad))
+    assert storage[1].lower <= exact <= storage[1].upper
+    assert storage[1].status == "refuted"
+    assert redheffer.isometry_certificate(bad) == storage
+
+
+@pytest.mark.parametrize("norm", FORGED_ISOMETRY_NORMS)
+def test_scaled_output_map_is_refuted_only_by_the_stein_fallback(norm):
+    # C * 1.01 makes [X1; C] no isometry, so the storage bound's epsilon is
+    # far above the residual and decides nothing; the Stein Gramian of the
+    # same matrices refutes, and the certificate returns its verdicts
+    rc = _nehari_realization(norm)
+    bad = dataclasses.replace(rc, x3=rc.x3 * 1.01, x4=rc.x4 * 1.01)
+    exact = float(exact_isometry_residual(bad))
+    storage, stein = (redheffer._isometry_verdicts(bad, bound) for bound in GRAMIAN_BOUNDS)
+    for verdicts in (storage, stein):
+        assert verdicts[1].lower <= exact <= verdicts[1].upper
+    assert storage[1].status == "uncertified"
+    assert stein[1].status == "refuted"
+    assert redheffer.isometry_certificate(bad) == stein

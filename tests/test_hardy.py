@@ -251,6 +251,25 @@ def test_exact_values_bound_every_truncation(seed, factor):
         assert exact[1].upper > 0.01
 
 
+@pytest.mark.parametrize("gramian_bound", linalg.GRAMIAN_BOUNDS, ids=lambda f: f.__name__)
+def test_one_gram_per_part(gramian_bound, monkeypatch):
+    # the floor and the ends of each part read one Gram of it: one x* x
+    # for the residual rows and one for the head
+    ds, sol = _realized(0)
+    expected = _verdicts(ds, sol, gramian_bound)
+    grams = []
+    form_gram = linalg.Gram.of
+
+    def counted(x):
+        grams.append(x.shape)
+        return form_gram(x)
+
+    monkeypatch.setattr(linalg.Gram, "of", counted)
+    assert _verdicts(ds, sol, gramian_bound) == expected
+    rows, _, head = hardy._explicit_parts(ds, sol)
+    assert grams == [rows.shape, head.shape]
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("factor", [1.0, 1.5])
 def test_storage_route_bounds_every_truncation(seed, factor):

@@ -394,18 +394,24 @@ def test_observability_gramian_matches_lyapunov_solver(seed):
 def test_p_residual_carries_the_rounding_allowance():
     # the nilpotent shift sums exactly, so the computed residual of P is 0;
     # the bound that `form` uses still allows for rounding, with ||c*c||_1
-    # where W's has ||I||_1 = 1
+    # where W's has ||I||_1 = 1, and for the rounding of q = c* c itself,
+    # (p + 2) eps ||c||_F^2 for p rows; `form` adds that of forming b* p b
     n = 4
     a = np.eye(n, k=1, dtype=complex)
     c = np.arange(1.0, n + 1.0)[None, :].astype(complex)
     g = linalg.observability_gramian(a, c)
     assert linalg.operator_norm(a.conj().T @ g.p @ a + c.conj().T @ c - g.p) == 0.0
     p_1 = np.linalg.norm(g.p, 1)
-    k = (n + 2) * np.finfo(float).eps
-    assert g.p_residual == pytest.approx(k * (2 * p_1 + np.linalg.norm(c.conj().T @ c, 1)))
+    eps = np.finfo(float).eps
+    k = (n + 2) * eps
+    q_rounding = (1 + 2) * eps * linalg.frobenius_upper(c) ** 2
+    expected = k * (2 * p_1 + np.linalg.norm(c.conj().T @ c, 1)) + q_rounding
+    assert g.p_residual == pytest.approx(expected, rel=1e-12, abs=0.0)
     b = np.eye(n, dtype=complex)
     _, err = g.form(b, b)
-    assert err == pytest.approx(g.p_residual * g.weight(b))
+    f = linalg.frobenius_upper
+    expected = g.p_residual * g.weight(b) + 2 * k * f(b) * f(b) * f(g.p)
+    assert err == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_observability_gramian_of_an_expanding_matrix_is_none():
@@ -496,6 +502,16 @@ def test_root_of_max_eig_edges():
     assert lower < 3.0 < upper and upper - lower <= 64 * linalg.EPS
 
 
+def test_root_of_max_eig_allows_for_underflow():
+    # every product in the Gram of 1e-170 entries underflows, so the
+    # computed Gram is 0; the underflow allowance keeps the norm, 2e-170,
+    # inside the bracket
+    lower, upper = linalg.root_of_max_eig(np.full((2, 2), 1e-170))
+    assert lower == 0.0 and 2e-170 <= upper <= 1e-150
+    # a Gram of no products is exact, and so is its bracket
+    assert linalg.root_of_max_eig(np.zeros((0, 2))) == (0.0, 0.0)
+
+
 def test_gramian_bounds_give_their_forms():
     # the storage bound knows only 0 <= b* P b <= (1 + eta) b* b; the Stein
     # Gramian gives b* p b as both forms, its error at least that of `form`
@@ -512,4 +528,9 @@ def test_gramian_bounds_give_their_forms():
     lower, upper, err = stein.forms(b)
     assert lower is upper and err >= stein.form(b, b)[1]
     assert linalg.operator_norm(upper - b.conj().T @ b) <= 1e-13
-    assert linalg.storage_gramian_bound(np.zeros((0, 0)), np.zeros((2, 0))).eta == 0.0
+    # the two-sided bound: b1* b2 within epsilon ||b1|| ||b2|| plus rounding
+    m, err = storage.form(b, a)
+    assert np.array_equal(m, b.conj().T @ a) and 0.0 < err <= 1e-13
+    assert spectral_radius(a) <= storage.radius_bound < 1.0
+    assert linalg.storage_gramian_bound(np.zeros((0, 0)), np.zeros((2, 0))) == (
+        linalg.StorageGramian(0.0, 0.0, 0.0))

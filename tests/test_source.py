@@ -128,7 +128,8 @@ def _calls_named(tree: ast.Module, names: tuple[str, ...]) -> list[str]:
 
 
 # NumPy's and SciPy's nonsymmetric eigensolvers: the package certifies
-# stability from a Stein Gramian, never from computed eigenvalues.
+# stability from a bound on a Gramian (repeated squaring of the state matrix,
+# or a Stein Gramian), never from computed eigenvalues.
 NONSYMMETRIC_EIGENSOLVERS = ("eig", "eigvals")
 
 
@@ -195,6 +196,47 @@ def test_spectral_value_call_is_detected():
     )
     assert sorted(_calls_named(tree, SPECTRAL_VALUE_SOLVERS)) == [
         "eigvalsh:5", "svd:6", "svd:7"]
+
+
+# The Gramian bounds are tried in one order, `linalg.GRAMIAN_BOUNDS`, which
+# every certificate reads; no module but `linalg` names a bound itself, so
+# no certificate can skip the storage route or its Stein fallback.
+GRAMIAN_BOUND_FUNCTIONS = ("storage_gramian_bound", "observability_gramian")
+
+
+def _names_used(tree: ast.AST, names: tuple[str, ...]) -> list[str]:
+    """`name:line` for each read, attribute or import of a name in `names`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.split(".")[-1]
+        else:
+            continue
+        if name in names:
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_gramian_bounds_only_through_their_tuple(path):
+    assert _names_used(ast.parse(path.read_text(encoding="utf-8")), GRAMIAN_BOUND_FUNCTIONS) == []
+
+
+def test_gramian_bound_by_name_is_detected():
+    tree = ast.parse(
+        '"""storage_gramian_bound in a docstring is prose"""\n'
+        "from . import linalg\nfrom .linalg import GRAMIAN_BOUNDS, observability_gramian\n"
+        "g = linalg.storage_gramian_bound(a, c)\n"
+        "for bound in GRAMIAN_BOUNDS:\n    bound(a, c)\n"
+        "h = observability_gramian(a, c)\n"
+    )
+    assert sorted(_names_used(tree, GRAMIAN_BOUND_FUNCTIONS)) == [
+        "observability_gramian:3", "observability_gramian:7", "storage_gramian_bound:4"]
 
 
 # Values from outside are coerced and checked once, where they enter (the
