@@ -78,7 +78,12 @@ either problem, end `verify` with an error, exit code 1, and no report.
 
 The `nehari` report truncates nothing, so it does not depend on
 `--degree`, which it accepts and ignores, and it takes no `--tol`;
-`validate` takes no `--degree`.  Its `stacked_isometry_residual` row
+`validate` takes no `--degree`.  Its `hankel_norm` row is the exact
+computed norm.  The rows `gram_matches_hankel` and `gram_inverse` are
+brackets, not exact values: the norm of the computed residual X
+(Lambda - (I - A*A), and Lambda Lambda^-1 - I) lies in
+[||X||_F / sqrt(n), ||X||_F] for its n columns, each end widened for
+the rounding of the Frobenius norm.  Its `stacked_isometry_residual` row
 brackets the residual of the identities that make the full stacked
 operator an isometry (`nehari.hat_m_check`), gated at FP_GRAM_TOL, from
 a bound on the Gramian of the realization: first the storage bound, with
@@ -107,7 +112,7 @@ from .errors import (
     ParseError,
     RcliftError,
 )
-from .linalg import adj, eye, inv_hpd, min_eig_hermitian, operator_norm
+from .linalg import adj, eye, frobenius_bracket, inv_hpd, min_eig_hermitian, operator_norm
 from .suite import SuiteConfig, run_suite
 
 EXIT_PASS = 0
@@ -248,12 +253,12 @@ def cmd_nehari(args) -> int:
     nc = nehari.coefficients(obj)
     a = nehari.hankel(obj)
     lam = nehari.gram(obj)
-    gram_vs_hankel = operator_norm(lam - (eye(a.shape[1]) - adj(a) @ a))
-    inv_res = operator_norm(lam @ inv_hpd(lam) - eye(lam.shape[0]))
+    gram_vs_hankel = frobenius_bracket(lam - (eye(a.shape[1]) - adj(a) @ a))
+    inv_res = frobenius_bracket(lam @ inv_hpd(lam) - eye(lam.shape[0]))
     verdicts = (
         lifting.Verdict.exact("hankel_norm", operator_norm(a), 1.0),
-        lifting.Verdict.exact("gram_matches_hankel", gram_vs_hankel, 1e-10),
-        lifting.Verdict.exact("gram_inverse", inv_res, 1e-9),
+        lifting.Verdict("gram_matches_hankel", *gram_vs_hankel, 1e-10),
+        lifting.Verdict("gram_inverse", *inv_res, 1e-9),
         *nehari.hat_m_check(nc, args.degree),
     )
     ok = lifting.combined_status(verdicts) == "certified"

@@ -23,7 +23,7 @@ coordinates written by one run are read the same way by another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -313,6 +313,20 @@ def norm_bracket(m: np.ndarray, err: float) -> tuple[float, float]:
     return max(norm * (1.0 - k) - err, 0.0), norm * (1.0 + k) + err
 
 
+def frobenius_bracket(m: np.ndarray) -> tuple[float, float]:
+    """Lower and upper ends of the norm of m with no SVD:
+    ||m||_F / sqrt(n) <= ||m|| <= ||m||_F for n = min(rows, cols), the
+    upper end from `frobenius_upper` and the lower one taken down by
+    (size + 2) eps twice, once to undo that widening and once for the
+    rounding of the computed norm, and by 4 eps for the root and the
+    division."""
+    if m.size == 0:
+        return 0.0, 0.0
+    upper = frobenius_upper(m)
+    k = (m.size + 2) * EPS
+    return upper * (1.0 - 2.0 * k) / math.sqrt(min(m.shape)) * (1.0 - 4.0 * EPS), upper
+
+
 @dataclass(frozen=True)
 class Gram:
     """The Gram x* x of one r x c matrix x, formed once for every bracket
@@ -325,18 +339,29 @@ class Gram:
     that; LAPACK scales a Gram that small before its eigenvalues, so the
     spectrum adds no underflow of its own.  The allowance is not finite
     when the Gram overflows.
+
+    The bound holds for any order of summation, so it also covers a Gram
+    formed from the structure of x (`formed`) whose every entry is a sum
+    of the same r products as the entry of x* x, added in another order.
     """
 
     g: np.ndarray
     allowance: float
 
     @classmethod
-    def of(cls, x: np.ndarray) -> Gram:
-        rows, cols = x.shape
+    def formed(cls, g: np.ndarray, rows: int) -> Gram:
+        """The Gram g of a matrix with `rows` rows, formed by the caller as
+        sums of the products of x* x, each entry at most `rows` of them."""
+        cols = g.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught by the reader
-            g = adj(x) @ x
             fro_sq = float(g.trace().real) * (1.0 + (rows + cols + 2) * EPS)
         return cls(g, (rows + 2) * EPS * fro_sq + 2 * rows * cols * TINY)
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> Gram:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught by the reader
+            g = adj(x) @ x
+        return cls.formed(g, x.shape[0])
 
     def root_of_max_eig(
         self, form: np.ndarray | None = None, err: float = 0.0
@@ -500,21 +525,29 @@ class SteinGramian:
 @dataclass(frozen=True)
 class StorageGramian:
     """The bounds of `storage_gramian_bound`: 0 <= P <= (1 + eta) I, the
-    two-sided ||P - I|| <= epsilon, and rho(a) <= radius_bound < 1."""
+    two-sided ||P - I|| <= epsilon, rho(a) <= radius_bound < 1, and
+    ||a|| <= a_norm for the state matrix `a` they were read from."""
 
     eta: float
     epsilon: float
     radius_bound: float
+    a_norm: float
+    a: np.ndarray = field(compare=False, repr=False)
+
+    def _norm(self, b: np.ndarray) -> float:
+        """An upper bound on ||b||: `a_norm` for the state matrix itself,
+        else the upper end of `root_of_max_eig`."""
+        return self.a_norm if b is self.a else root_of_max_eig(b)[1]
 
     def form(self, b1: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, float]:
         """b1* b2, and a bound on its distance from b1* P b2: epsilon ||b1||
-        ||b2||, each norm the upper end of `root_of_max_eig`, plus (n + 2)
-        eps ||b1||_F ||b2||_F for the rounding of forming it; inf when
-        either overflows."""
+        ||b2||, each norm bounded by `_norm`, plus (n + 2) eps ||b1||_F
+        ||b2||_F for the rounding of forming it; inf when either
+        overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
             m = adj(b1) @ b2
-        norm1 = root_of_max_eig(b1)[1]
-        norm2 = norm1 if b2 is b1 else root_of_max_eig(b2)[1]
+        norm1 = self._norm(b1)
+        norm2 = norm1 if b2 is b1 else self._norm(b2)
         err = (self.epsilon * norm1 * norm2
                + (b1.shape[0] + 2) * EPS * frobenius_upper(b1) * frobenius_upper(b2))
         return m, err if np.all(np.isfinite(m)) and math.isfinite(err) else math.inf
@@ -531,8 +564,8 @@ class StorageGramian:
 def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> StorageGramian | None:
     """Bounds on the observability Gramian P = a* P a + c* c read off the
     storage inequality without a Stein solve: P <= (1 + eta) I, ||P - I||
-    <= epsilon and rho(a) <= radius_bound; None unless repeated squaring
-    proves a stable.
+    <= epsilon, rho(a) <= radius_bound and ||a|| <= a_norm; None unless
+    repeated squaring proves a stable.
 
     Proof.  Let M = [a; c] with M* M <= (1 + e) I, e >= 0.  Along
     x_(t+1) = a x_t, ||c x_t||^2 = x_t* M* M x_t - ||x_(t+1)||^2 <=
@@ -549,7 +582,8 @@ def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> StorageGramian | None
     ||Delta|| sum_t ||a^t||^2 ||b1 x|| ||b2 y|| and ||b1* (P - I) b2|| <=
     delta S ||b1|| ||b2|| for any delta >= ||Delta||: epsilon = delta S.
     And rho(a)^m <= ||a^m|| <= theta gives radius_bound = theta^(1/m),
-    padded by 4 eps for its power.
+    padded by 4 eps for its power, and a* a <= M* M <= (1 + e) I gives
+    a_norm = sqrt(1 + e), padded by 2 eps for its sum and root.
 
     Rounding, to first order as in `_residual_bound`, with k = (r + 2) eps
     for an inner dimension r.  The computed Gram of M is within
@@ -579,7 +613,7 @@ def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> StorageGramian | None
     """
     n = a.shape[0]
     if n == 0:
-        return StorageGramian(0.0, 0.0, 0.0)
+        return StorageGramian(0.0, 0.0, 0.0, 0.0, a)
     k = (n + 2) * EPS
     p = c.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
@@ -612,7 +646,8 @@ def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> StorageGramian | None
     eta, epsilon = e * s, delta * s
     if not (math.isfinite(eta) and math.isfinite(epsilon)):
         return None
-    return StorageGramian(eta, epsilon, theta ** (1.0 / span) * (1.0 + 4.0 * EPS))
+    return StorageGramian(eta, epsilon, theta ** (1.0 / span) * (1.0 + 4.0 * EPS),
+                          math.sqrt(1.0 + e) * (1.0 + 2.0 * EPS), a)
 
 
 def observability_gramian(a: np.ndarray, c: np.ndarray) -> SteinGramian | None:

@@ -11,12 +11,14 @@ solution tail.
 One layout serves every block operator.  Block row n of the Hankel matrix
 holds coordinate n, the row of index -n (matrices are serialized
 bottom-up), and block column j holds window slot j.  `_gather` lays out
-every operator from a (k, y, u) stack of blocks and an index table: the
-Hankel matrix takes the padded taps F_-1, ..., F_-(N+K) at n + j, and the
-combined tap/solution operator of `assemble_l` the sequence F_-K, ...,
-F_-1, H_0, H_1, ... at i - j.  `gram` sums over the same padded taps, and
-`to_lifting_data` selects slots of that layout: T' shifts the tap rows
-up by one block, R drops the last window slot and Q the first.
+the Hankel matrix from the padded taps F_-1, ..., F_-(N+K), a (k, y, u)
+stack of blocks, taking block n + j at (n, j).  `gram` sums over the same
+padded taps, and `to_lifting_data` selects slots of that layout: T'
+shifts the tap rows up by one block, R drops the last window slot and Q
+the first.  The combined tap/solution operator of `assemble_l`, whose
+row of index i and slot j hold the term of index i - j + 1 of F_-K, ...,
+F_-1, H_0, H_1, ..., is never laid out: `combined_gram` forms its N*u x
+N*u Gram from the block diagonals of the sequence.
 
 The problem is the specialisation of relaxed commutant lifting to the data
 set `to_lifting_data` builds, so its coefficient functions are the lifting
@@ -43,12 +45,12 @@ import numpy as np
 from .errors import DimensionMismatch, HankelNotStrict, NotFinite, NotPositiveDefinite
 from .lifting import LiftingDataSet, Verdict
 from .linalg import (
+    Gram,
     adj,
     eye,
     hpd_factor,
     min_eig_hermitian,
     psd_sqrt,
-    root_of_max_eig,
     solve_factor_adjoint,
     zeros,
 )
@@ -167,54 +169,96 @@ def coefficients(p: NehariProblem) -> Realization:
 
     The structure of the data set is known in closed form, so nothing but
     Lambda is factored.  R and Q drop the last and the first window slot,
-    so W R and W Q are column blocks of W.  Ker Q* and Ker R* are the first
-    and the last slot, so W^-* E_Q and W^-* E_R come from one triangular
-    solve.  Q*Q = R*R = I leaves D0 = 0, and T' shifts the tap rows up, so
-    its defect keeps the first tap row and J is the first tap row of A R.
+    so W R and W Q are column blocks of W, and R* Lambda R and
+    Q* Lambda Q the leading and the trailing corner of Lambda.  Ker Q* and
+    Ker R* are the first and the last slot, so W^-* E_Q and W^-* E_R come
+    from one triangular solve.  Q*Q = R*R = I leaves D0 = 0, and T' shifts
+    the tap rows up, so its defect keeps the first tap row and J is the
+    first tap row of A R.
     """
     n_w, u, y = p.n_window, p.u_dim, p.y_dim
     m = (n_w - 1) * u
     a = hankel(p)
-    w = hpd_factor(_strict_gram(p))
+    lam = _strict_gram(p)
+    w = hpd_factor(lam)
     slots = eye(n_w * u)
     w_slots = solve_factor_adjoint(w, np.hstack([slots[:, :u], slots[:, m:]]))  # [E_Q, E_R]
     xs, _, _ = storage_coefficients(
-        w[:, :m], w[:, u:], w_slots[:, :u], w_slots[:, u:], a[:y, :m], 0
+        w[:, :m], w[:, u:], lam[:m, :m], lam[u:, u:], w_slots[:, :u], w_slots[:, u:],
+        a[:y, :m], 0
     )
     return Realization(**xs, e=w[:, :u], base=a[:, :u])
+
+
+def combined_gram(p: NehariProblem, h: np.ndarray) -> Gram:
+    """The Gram L* L of the truncated combined tap/solution operator L of
+    the coefficients H_0..H_deg in a (deg + 1, y, u) array h, formed from
+    its block diagonals; L itself is never laid out.
+
+    L has the r = K + deg + 1 block rows of index -K..deg, and the row of
+    index i and window slot j hold the term of index i - j + 1 of
+    s = F_-K, ..., F_-1, H_0, ..., H_deg (zero before F_-K), so block row t
+    of L (from 0) holds s[t - c] in slot c (from 0).  Block (a, b) of the Gram
+    is the sum over the rows t >= max(a, b) of s[t - a]* s[t - b], so
+    G(a, b) = G(a + 1, b + 1) + s[r - 1 - a]* s[r - 1 - b], and lag d of
+    the lower triangle starts at its bottom-right block
+    G(N - 1, N - 1 - d) = sum_(t <= r - N) s[t]* s[t + d], the one product
+    over the rows that every slot holds, U_0* U_d for the strided windows
+    U_d = s[d : d + r - N + 1] (no copy).  The walk up-left adds the
+    products of the N - 1 later rows, all formed by one product of their
+    blocks, one row per step.  Every entry is thus a sum of the products
+    of the same entry of L* L, so `linalg.Gram.formed` with r y rows gives
+    its allowance.  With fewer rows than slots (r < N) the windows are
+    empty and s is read past its ends as zeros.
+    """
+    n_w, u, y, k = p.n_window, p.u_dim, p.y_dim, p.k_taps
+    rows = k + len(h)
+    # s[i] at pad[i + n_w - 1], zero for -(n_w - 1) <= i < 0 and past rows
+    pad = np.zeros((rows + 2 * n_w - 2, y, u), dtype=complex)
+    if k:
+        pad[n_w - 1 : n_w - 1 + k] = p.taps[::-1]
+    pad[n_w - 1 + k : n_w - 1 + rows] = h
+    span, item = rows - n_w + 1, pad.itemsize
+    walk = np.zeros((n_w, n_w, u, u), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught by the reader
+        if span > 0:
+            windows = np.ndarray((n_w, span * y, u), complex, pad, (n_w - 1) * y * u * item,
+                                 (y * u * item, u * item, item))
+            walk[0] = adj(windows[0]) @ windows
+        # the later rows s[rows - n_w + 1 + m] against s[rows - n_w + 1 + m + d]
+        later = pad[rows:].transpose(1, 0, 2).reshape(y, (2 * n_w - 2) * u)
+        products = (adj(later[:, : (n_w - 1) * u]) @ later).reshape(n_w - 1, u, 2 * n_w - 2, u)
+        block_row, row, block_col, entry = products.strides
+        walk[1:] = np.ndarray((n_w - 1, n_w, u, u), complex, products, 0,
+                              (block_row + block_col, block_col, row, entry))
+        for m in range(1, n_w):  # walk[m, d] becomes G(n_w - 1 - m, n_w - 1 - m - d)
+            walk[m] += walk[m - 1]
+        slot = np.arange(n_w)
+        lower = walk[n_w - 1 - slot[:, None], slot[:, None] - slot]
+        blocks = np.where((slot[:, None] >= slot)[:, :, None, None], lower,
+                          lower.transpose(1, 0, 3, 2).conj())
+    return Gram.formed(blocks.transpose(0, 2, 1, 3).reshape(n_w * u, n_w * u), rows * y)
 
 
 def assemble_l(p: NehariProblem, h: np.ndarray) -> float:
     """The largest singular value of the truncated combined tap/solution
     operator, for the coefficients H_0..H_deg in a (deg + 1, y, u) array h.
 
-    Rows -K..deg are materialized (every other tap row is exactly zero);
-    the rows beyond the solution degree are dropped, so the value bounds
-    the norm of any extension of these coefficients from below.  A value
-    above 1 + tol therefore refutes the coefficients, and one within it
+    Only rows -K..deg enter (every other tap row is exactly zero); the rows
+    beyond the solution degree are dropped, so the value bounds the norm
+    of any extension of these coefficients from below.  A value above
+    1 + tol therefore refutes the coefficients, and one within it
     certifies nothing: certifying the full norm waits on Nehari solutions
     written as realizations, as lifting solutions are
-    (`hardy.certify_interpolant`).
-    Block (i, j) is the term of index i - j + 1 of the sequence
-    F_-K, ..., F_-1, H_0, ..., H_deg (zero before F_-K), laid out by
-    `_gather`; the value is the lower end of the root of the top
-    eigenvalue of the N*u x N*u Gram of the block-Toeplitz matrix
-    (`linalg.root_of_max_eig`), a floor of the exact truncated norm.  A
-    Gram that overflows floating point raises NotFinite.
+    (`hardy.certify_interpolant`).  The value is the lower end of the
+    root of the top eigenvalue of the N*u x N*u Gram of the operator,
+    formed from its block diagonals (`combined_gram`), a floor of the
+    exact truncated norm.  A Gram that overflows floating point raises
+    NotFinite.
     """
     if h.shape[1:] != (p.y_dim, p.u_dim):
         raise DimensionMismatch("solution coefficients have wrong port dims")
-    n_w, u, y, k = p.n_window, p.u_dim, p.y_dim, p.k_taps
-    rows = k + len(h)
-    seq = np.zeros((rows + n_w - 1, y, u), dtype=complex)
-    if k:
-        seq[:k] = p.taps[::-1]
-    seq[k:rows] = h
-    # row r (index i = r - K) and column c (slot j = c + 1) take the term of
-    # index i - j + 1, stored at r - c; the negative positions pick the
-    # n_w - 1 zero blocks at the end
-    idx = np.arange(rows)[:, None] - np.arange(n_w)[None, :]
-    lower, upper = root_of_max_eig(_gather(seq, idx))
+    lower, upper = combined_gram(p, h).root_of_max_eig()
     if not math.isfinite(upper):
         raise NotFinite("the combined operator of the coefficients overflows floating point")
     return lower

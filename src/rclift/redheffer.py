@@ -28,6 +28,7 @@ Gram, with E and the base block restricted to the first window slot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,16 @@ from .hardy import (
 )
 from .lifting import DerivedData, Verdict, combined_status, left_inverse_dar
 from .linalg import (
+    EPS,
     GRAMIAN_BOUNDS,
     adj,
     disc_stack,
     eye,
+    frobenius_upper,
     inv_hpd,
     kernel_embedding,
     min_singular_value,
+    norm_bracket,
     operator_norm,
     psd_sqrt,
     solve_hpd,
@@ -105,6 +109,8 @@ class RedhefferCoefficients(Realization):
 def storage_coefficients(
     w_r: np.ndarray,
     w_q: np.ndarray,
+    rdr: np.ndarray,
+    qdq: np.ndarray,
     w_e_q: np.ndarray,
     w_e_r: np.ndarray,
     j: np.ndarray,
@@ -114,9 +120,12 @@ def storage_coefficients(
     of a strict problem written in storage coordinates.
 
     For a factor W with W*W = D_A^2 the arguments are W R, W Q,
-    W^-* E_Q, W^-* E_R, J and dim D0 (the first rows of J).  Every weight
-    is a Gram of them: Q* D_A^2 Q = (W Q)*(W Q), R* D_A^2 R likewise, and
-    Delta_Q = E_Q* D_A^-2 E_Q = (W^-* E_Q)*(W^-* E_Q), Delta_R likewise.
+    R* D_A^2 R, Q* D_A^2 Q, W^-* E_Q, W^-* E_R, J and dim D0 (the first
+    rows of J).  The caller passes R* D_A^2 R and Q* D_A^2 Q, which it may
+    hold already (corners of D_A^2 when R and Q select slots), or else
+    forms as the Grams (W R)*(W R) and (W Q)*(W Q).  The other weights
+    are Grams of the arguments: Delta_Q = E_Q* D_A^-2 E_Q =
+    (W^-* E_Q)*(W^-* E_Q), Delta_R likewise.
     With (W Q)^+ = (Q* D_A^2 Q)^-1 (W Q)* and
     Delta_Omega = I + J (R* D_A^2 R)^-1 J*:
 
@@ -130,13 +139,13 @@ def storage_coefficients(
     change of state coordinates, so the coefficient functions do not
     depend on the choice.
     """
-    rdr_j = solve_hpd(adj(w_r) @ w_r, adj(j))
+    rdr_j = solve_hpd(rdr, adj(j))
     delta_omega = eye(j.shape[0]) + j @ rdr_j
     delta_q = adj(w_e_q) @ w_e_q
     dom_nh = psd_sqrt(inv_hpd(delta_omega))
     dq_nh = psd_sqrt(inv_hpd(delta_q))
     dr_nh = psd_sqrt(inv_hpd(adj(w_e_r) @ w_e_r))
-    wq_pinv = solve_hpd(adj(w_q) @ w_q, adj(w_q))
+    wq_pinv = solve_hpd(qdq, adj(w_q))
     dt = j.shape[0] - d0
     xs = {
         "x1": w_r @ wq_pinv,
@@ -156,9 +165,12 @@ def build_coefficients(dd: DerivedData) -> RedhefferCoefficients:
     coordinates extended by zero, omega E_F*.
     """
     ds = dd.ds
+    w_r, w_q = dd.d_a @ ds.r, dd.d_a @ ds.q
     xs, delta_q, delta_omega = storage_coefficients(
-        dd.d_a @ ds.r,
-        dd.d_a @ ds.q,
+        w_r,
+        w_q,
+        adj(w_r) @ w_r,
+        adj(w_q) @ w_q,
         dd.d_a_inv @ dd.ker_q_star,
         dd.d_a_inv @ dd.ker_r_star,
         dd.j,
@@ -328,8 +340,13 @@ def isometry_certificate(rc: Realization) -> tuple[Verdict, Verdict]:
 
     three identities of size at most n x n.  Roundoff: each B1* P B2 comes
     from a bound on P, with the bound on its error that the bound's `form`
-    gives, for (X2, X2), (X1, X2) and (E, E); it widens the computed
-    residual both ways and is never added to the threshold.
+    gives, for (X2, X2), (X1, X2) and (E, E).  The explicit parts D*D, C*D
+    and base*base, an inner dimension r each, round by at most
+    (r + 2) eps times the product of their factors' Frobenius norms, and
+    the two sums by 2 eps times the sum of the Frobenius norms of their
+    terms (first order).  Those errors and the form's widen the computed
+    residual both ways, with that of its SVD (`linalg.norm_bracket`), and
+    none is ever added to the threshold.
 
     The bounds are tried in the order of `linalg.GRAMIAN_BOUNDS`.  First
     the storage bound, which needs no Stein solve: in storage coordinates
@@ -368,16 +385,22 @@ def _isometry_verdicts(rc: Realization, gramian_bound) -> tuple[Verdict, Verdict
     if bound is None:
         return None
     d = np.vstack([zeros(rc.kq_dim, rc.w_dim), rc.x5])
-    identities = (  # explicit part, (B1* P B2, its error bound), identity
-        (adj(d) @ d, bound.form(rc.x2, rc.x2), eye(rc.w_dim)),
-        (adj(c) @ d, bound.form(rc.x1, rc.x2), 0.0),
-        (adj(rc.base) @ rc.base, bound.form(rc.e, rc.e), eye(rc.e.shape[1])),
+    f = frobenius_upper
+    identities = (  # the explicit part's factors, B1* P B2 with its error, dim of I (0: zero)
+        (d, d, bound.form(rc.x2, rc.x2), rc.w_dim),
+        (c, d, bound.form(rc.x1, rc.x2), 0),
+        (rc.base, rc.base, bound.form(rc.e, rc.e), rc.e.shape[1]),
     )
-    computed = [(operator_norm(m + bpb - i), err) for m, (bpb, err), i in identities]
-    lower = max(max(r - err for r, err in computed), 0.0)
-    upper = max(r + err for r, err in computed)
+    brackets = []
+    for f1, f2, (bpb, err), dim in identities:
+        m = adj(f1) @ f2
+        residual = m + bpb - eye(dim) if dim else m + bpb
+        formed = ((f1.shape[0] + 2) * EPS * f(f1) * f(f2)
+                  + 2.0 * EPS * (f(m) + f(bpb) + math.sqrt(dim)))
+        brackets.append(norm_bracket(residual, err + formed))
     return (Verdict("state_spectral_radius", 0.0, bound.radius_bound, 1.0),
-            Verdict("stacked_isometry_residual", float(lower), float(upper), FP_GRAM_TOL))
+            Verdict("stacked_isometry_residual", max(lo for lo, _ in brackets),
+                    max(hi for _, hi in brackets), FP_GRAM_TOL))
 
 
 def kyp_norm(rc: Realization) -> float:

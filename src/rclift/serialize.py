@@ -161,6 +161,35 @@ def _pairs_from_matrix(m: np.ndarray) -> list:
     return np.ascontiguousarray(m, complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
+def _coefficients_from_json(coeffs, rows: int, cols: int, label: str):
+    """The rows x cols matrices of a coefficient list (Nehari taps or H),
+    each a bare list of row-major [re, im] pairs: one (k, rows, cols)
+    array, or a list when there are none.
+
+    All k are checked and converted in one pass: one check that each is a
+    list of rows cols pairs, one of the pairs' lengths and one of their
+    scalars' types, then one `fromiter` and one finiteness test.  Anything
+    those refuse is read again coefficient by coefficient, so the error
+    names the first malformed one, `label` formatted with its index, as
+    `_pairs_to_matrix` does.
+    """
+    size = rows * cols
+    try:
+        if (rows < 0 or cols < 0 or type(coeffs) is not list or not coeffs
+                or set(map(type, coeffs)) != {list} or set(map(len, coeffs)) != {size}):
+            raise TypeError
+        pairs = list(chain.from_iterable(coeffs))
+        if (set(map(len, pairs)) - {2}
+                or not set(map(type, chain.from_iterable(pairs))) <= {int, float}):
+            raise TypeError
+        flat = np.fromiter(chain.from_iterable(pairs), float, 2 * size * len(coeffs))
+        if np.isfinite(flat).all():
+            return flat.view(complex).reshape(len(coeffs), rows, cols)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return [_pairs_to_matrix(c, rows, cols, label.format(i)) for i, c in enumerate(coeffs)]
+
+
 # --- instances -----------------------------------------------------------------
 
 
@@ -201,10 +230,7 @@ def instance_from_json(obj):
     if kind == "nehari":
         try:
             n, u, y = (_json_int(obj, k, "nehari instance") for k in ("N", "u_dim", "y_dim"))
-            taps = [
-                _pairs_to_matrix(t, y, u, f"tap {i}")
-                for i, t in enumerate(obj.get("taps", []))
-            ]
+            taps = _coefficients_from_json(obj.get("taps", []), y, u, "tap {}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed nehari instance: {exc}") from exc
         try:
@@ -263,13 +289,10 @@ def nehari_solution_to_json(h: np.ndarray, sigma_max: float, report: dict) -> di
 def nehari_solution_from_json(obj, u_dim: int, y_dim: int) -> np.ndarray:
     """The coefficients H_0..H_deg as a (deg + 1, y_dim, u_dim) array."""
     try:
-        coeffs = [
-            _pairs_to_matrix(c, y_dim, u_dim, f"H[{i}]")
-            for i, c in enumerate(obj["H"])
-        ]
+        coeffs = _coefficients_from_json(obj["H"], y_dim, u_dim, "H[{}]")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed nehari solution: {exc}") from exc
-    if not coeffs:
+    if not len(coeffs):
         raise ParseError("a nehari solution needs at least the coefficient H_0")
     return np.stack(coeffs)
 

@@ -10,7 +10,7 @@ import pytest
 from wire import as_pairs
 
 import rclift
-from rclift import generators, lifting, nehari, redheffer, schur, serialize
+from rclift import generators, lifting, linalg, nehari, redheffer, schur, serialize
 from rclift.cli import main
 from rclift.hardy import markov
 
@@ -313,6 +313,30 @@ def test_nehari_report_certifies_near_boundary(tmp_path, capsys):
     code, out, _ = run(capsys, "nehari", str(path))
     assert code == 0
     assert all(r["passed"] for r in json.loads(out)["residuals"])
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 3, 4), (3, 1, 4, 2)])
+def test_nehari_report_rows_bracket_their_residual_norms(tmp_path, capsys, dims):
+    # `gram_matches_hankel` and `gram_inverse` bracket the norms of their
+    # computed residuals by Frobenius norms: the SVD norm lies inside
+    p = generators.random_nehari_problem(np.random.default_rng(5), *dims, 0.8)
+    path = tmp_path / "inst.json"
+    serialize.dump_json(str(path), serialize.instance_to_json(p))
+    code, out, _ = run(capsys, "nehari", str(path))
+    assert code == 0
+    rows = {r["name"]: r for r in json.loads(out)["residuals"]}
+    a, lam = nehari.hankel(p), nehari.gram(p)
+    ident = np.eye(lam.shape[0])
+    residuals = {
+        "gram_matches_hankel": lam - (ident - a.conj().T @ a),
+        "gram_inverse": lam @ linalg.inv_hpd(lam) - ident,
+    }
+    for name, residual in residuals.items():
+        row = rows[name]
+        norm = linalg.operator_norm(residual)
+        assert 0.0 < row["lower"] <= norm <= row["value"], name
+        assert row["value"] <= np.sqrt(lam.shape[0]) * norm * (1 + 1e-12)
+        assert row["status"] == "certified"
 
 
 def test_report_byte_stability(scalar_problem, tmp_path, capsys):

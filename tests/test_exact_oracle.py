@@ -270,6 +270,29 @@ def test_each_isometry_route_brackets_the_exact_residual(case):
         assert radius <= bound_radius.upper < 1.0
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_isometry_routes_bracket_the_rounding_of_the_explicit_parts(seed):
+    # with no state, both Gramian bounds are exact and their forms carry
+    # no error, so only the rounding of D*D, base*base, the sums and the
+    # SVD separates the computed residual from the exact one, which is
+    # itself rounding-level for X5 and base with orthonormal columns
+    rng = np.random.default_rng(seed)
+
+    def none(rows, cols):
+        return np.zeros((rows, cols), complex)
+
+    rc = redheffer.Realization(
+        x1=none(0, 0), x2=none(0, 2), x3=none(1, 0), x4=none(3, 0),
+        x5=linalg.haar_unitary(rng, 3)[:, :2], e=none(0, 2),
+        base=linalg.haar_unitary(rng, 4)[:, :2])
+    exact = float(exact_isometry_residual(rc))
+    assert exact > 0.0
+    for gramian_bound in GRAMIAN_BOUNDS:
+        _, iso = redheffer._isometry_verdicts(rc, gramian_bound)
+        assert iso.lower <= exact <= iso.upper, (gramian_bound.__name__, iso, exact)
+        assert iso.status == "certified"
+
+
 def test_benchmark_size_nehari_isometry_needs_no_stein_solve(monkeypatch):
     # at (u, y, N, K) = (8, 8, 16, 16), 128 states, the storage bound
     # decides alone: with the Stein solve behind `observability_gramian`

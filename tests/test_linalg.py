@@ -532,5 +532,12 @@ def test_gramian_bounds_give_their_forms():
     m, err = storage.form(b, a)
     assert np.array_equal(m, b.conj().T @ a) and 0.0 < err <= 1e-13
     assert spectral_radius(a) <= storage.radius_bound < 1.0
-    assert linalg.storage_gramian_bound(np.zeros((0, 0)), np.zeros((2, 0))) == (
-        linalg.StorageGramian(0.0, 0.0, 0.0))
+    # ||a|| from a* a <= M* M <= (1 + e) I: about 1 here, above ||a|| = 0.5
+    assert 0.5 < storage.a_norm <= 1.0 + 1e-13
+    m, err = storage.form(a, b)
+    f = linalg.frobenius_upper
+    assert err == (storage.epsilon * storage.a_norm * linalg.root_of_max_eig(b)[1]
+                   + (3 + 2) * linalg.EPS * f(a) * f(b))
+    none = np.zeros((0, 0))
+    assert linalg.storage_gramian_bound(none, np.zeros((2, 0))) == (
+        linalg.StorageGramian(0.0, 0.0, 0.0, 0.0, none))

@@ -1,13 +1,17 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    EXACT_DIGITS,
     closed_form_operators,
     combined_operator_blocks,
+    exact_norm,
     hankel_blocks,
     lambda_cross,
     lifting_data_blocks,
+    mp_matrix,
     nehari_closed_form,
     solve_g,
     spectral_radius,
@@ -15,8 +19,8 @@ from oracles import (
 )
 from power_series import series_mul, series_neumann, taylor_eval, transfer_taylor
 
-from rclift import generators, hardy, lifting, nehari, redheffer, schur
-from rclift.errors import DimensionMismatch, HankelNotStrict, NotPositiveDefinite
+from rclift import generators, hardy, lifting, linalg, nehari, redheffer, schur
+from rclift.errors import DimensionMismatch, HankelNotStrict, NotFinite, NotPositiveDefinite
 from rclift.linalg import (
     adj,
     eye,
@@ -30,6 +34,8 @@ from rclift.linalg import (
     zeros,
 )
 from rclift.redheffer import FP_GRAM_TOL
+
+EPS = linalg.EPS
 
 SCALAR = nehari.NehariProblem(2, 1, 1, (np.array([[0.5]]),))
 
@@ -144,21 +150,74 @@ def _same_bits(got, want) -> bool:
 
 @pytest.mark.parametrize("u,y,n_w,k", EDGE_SHAPES + [(2, 3, 4, 2), (3, 2, 3, 3)])
 def test_layouts_match_block_loops(u, y, n_w, k):
-    # every block of the gathered layouts is a copy of a tap, an H or an
-    # exact 0 or 1, so they equal the block loops of the definitions bit
-    # for bit
+    # every block of the gathered layouts is a copy of a tap or an exact 0
+    # or 1, so they equal the block loops of the definitions bit for bit
     p = random_taps_problem(u + 10 * y + 100 * n_w + 1000 * k + 7, u, y, n_w, k)
     assert _same_bits(nehari.hankel(p), hankel_blocks(p))
     ds = nehari.to_lifting_data(p)
     for got, want in zip((ds.t_prime, ds.r, ds.q), lifting_data_blocks(p)):
         assert _same_bits(got, want)
-    rng = np.random.default_rng(k)
-    for deg in (0, 1, 5):
-        h = np.array([0.2 * ginibre(rng, y, u) for _ in range(deg + 1)])
-        # assemble_l's arithmetic on the loop-built operator: the same
-        # float exactly when the gathered operator has the same bits
-        out = combined_operator_blocks(p, h)
-        assert nehari.assemble_l(p, h) == root_of_max_eig(out)[0]
+
+
+def _combined_case(u, y, n_w, k, deg):
+    """A problem of an edge shape and coefficients H_0..H_deg for it."""
+    p = random_taps_problem(u + 10 * y + 100 * n_w + 1000 * k + 7, u, y, n_w, k)
+    rng = np.random.default_rng(k + 10 * deg)
+    return p, np.array([0.2 * ginibre(rng, y, u) for _ in range(deg + 1)])
+
+
+@pytest.mark.parametrize("deg", [0, 1, 5])
+@pytest.mark.parametrize("u,y,n_w,k", EDGE_SHAPES)
+def test_combined_gram_within_its_allowance(u, y, n_w, k, deg):
+    # the Gram formed from the block diagonals sums the products of
+    # adj(B) @ B in another order, so it lies within the allowance of
+    # `linalg.Gram` for B's rows of the exact Gram, at 60 digits
+    p, h = _combined_case(u, y, n_w, k, deg)
+    b = combined_operator_blocks(p, h)
+    gram = nehari.combined_gram(p, h)
+    assert gram.g.shape == (n_w * u, n_w * u)
+    # the allowance of B's rows: the same formula, off by the trace's rounding
+    assert gram.allowance == pytest.approx(linalg.Gram.of(b).allowance, rel=1e-13, abs=0)
+    with mpmath.workdps(EXACT_DIGITS):
+        b_mp = mp_matrix(b)
+        gap = exact_norm(mp_matrix(gram.g) - b_mp.H @ b_mp)
+    assert gap <= gram.allowance
+
+
+@pytest.mark.parametrize("deg", [0, 1, 5])
+@pytest.mark.parametrize("u,y,n_w,k", EDGE_SHAPES)
+def test_assemble_l_floor_of_the_exact_norm(u, y, n_w, k, deg):
+    # a floor of the exact norm of the operator, below it by no more than
+    # the Gram's allowance moves the top eigenvalue (to first order)
+    p, h = _combined_case(u, y, n_w, k, deg)
+    b = combined_operator_blocks(p, h)
+    with mpmath.workdps(EXACT_DIGITS):
+        exact = float(exact_norm(mp_matrix(b)))
+    floor = nehari.assemble_l(p, h)
+    gram = nehari.combined_gram(p, h)
+    moved = gram.allowance + (n_w * u + 4) * EPS * linalg.frobenius_upper(gram.g)
+    assert floor <= exact
+    assert floor * floor >= exact * exact - 2.0 * moved - 8.0 * EPS * exact * exact
+
+
+def test_assemble_l_lays_out_no_dense_operator(monkeypatch):
+    # the combined operator is never gathered, so there is no dense fallback
+    def refuse(*_):
+        raise AssertionError("assemble_l laid out the combined operator")
+
+    monkeypatch.setattr(nehari, "_gather", refuse)
+    p, h = _combined_case(2, 3, 2, 5, 5)
+    with mpmath.workdps(EXACT_DIGITS):
+        exact = float(exact_norm(mp_matrix(combined_operator_blocks(p, h))))
+    assert 0.0 < nehari.assemble_l(p, h) <= exact
+
+
+@pytest.mark.parametrize("huge", [1e160, 1e200])
+def test_assemble_l_overflowing_gram_is_not_finite(huge):
+    p, h = _combined_case(2, 2, 3, 2, 3)
+    h[2, 0, 1] = huge
+    with pytest.raises(NotFinite):
+        nehari.assemble_l(p, h)
 
 
 def test_coefficients_builds_the_gram_once(monkeypatch):
@@ -583,7 +642,11 @@ def test_hat_m_zero_dimensional_state():
     nc = nehari.coefficients(p)
     assert nc.x1.shape == (0, 0)
     _, iso = nehari.hat_m_check(nc, 8)
-    assert (iso.lower, iso.upper, _stein_residual(nc)) == (0.0, 0.0, 0.0)
+    # the residual's ends are widened by the rounding of forming D*D and
+    # the sums even where the Gramian is exact, so the upper end is a few
+    # eps, not 0
+    assert _stein_residual(nc) == 0.0
+    assert iso.lower == 0.0 and iso.upper <= 32 * EPS
     assert iso.status == "certified"
 
 
