@@ -78,10 +78,11 @@ either problem, end `verify` with an error, exit code 1, and no report.
 
 The `nehari` report truncates nothing, so it does not depend on
 `--degree`, which it accepts and ignores, and it takes no `--tol`;
-`validate` takes no `--degree`.  Its `hankel_norm` row is the exact
-computed norm.  The rows `gram_matches_hankel` and `gram_inverse` are
-brackets, not exact values: the norm of the computed residual X
-(Lambda - (I - A*A), and Lambda Lambda^-1 - I) lies in
+`validate` takes no `--degree`.  Its `hankel_norm` row brackets ||A||
+with no SVD, from the Gram A*A that Lambda = I - A*A is formed from
+(`linalg.Gram.root_of_max_eig`).  The rows `gram_matches_hankel` and
+`gram_inverse` are brackets, not exact values: the norm of the computed
+residual X (Lambda - (I - A*A), and Lambda Lambda^-1 - I) lies in
 [||X||_F / sqrt(n), ||X||_F] for its n columns, each end widened for
 the rounding of the Frobenius norm.  Its `stacked_isometry_residual` row
 brackets the residual of the identities that make the full stacked
@@ -112,7 +113,7 @@ from .errors import (
     ParseError,
     RcliftError,
 )
-from .linalg import adj, eye, frobenius_bracket, inv_hpd, min_eig_hermitian, operator_norm
+from .linalg import adj, eye, frobenius_bracket, inv_hpd, min_eig_hermitian
 from .suite import SuiteConfig, run_suite
 
 EXIT_PASS = 0
@@ -251,12 +252,11 @@ def cmd_nehari(args) -> int:
     if not isinstance(obj, nehari.NehariProblem):
         raise ParseError("the nehari subcommand needs a problem of kind 'nehari'")
     nc = nehari.coefficients(obj)
-    a = nehari.hankel(obj)
-    lam = nehari.gram(obj)
+    a, lam = obj.a, nehari.gram(obj)
     gram_vs_hankel = frobenius_bracket(lam - (eye(a.shape[1]) - adj(a) @ a))
     inv_res = frobenius_bracket(lam @ inv_hpd(lam) - eye(lam.shape[0]))
     verdicts = (
-        lifting.Verdict.exact("hankel_norm", operator_norm(a), 1.0),
+        lifting.Verdict("hankel_norm", *obj.a_gram.root_of_max_eig(), 1.0),
         lifting.Verdict("gram_matches_hankel", *gram_vs_hankel, 1e-10),
         lifting.Verdict("gram_inverse", *inv_res, 1e-9),
         *nehari.hat_m_check(nc, args.degree),

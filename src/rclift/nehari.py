@@ -10,15 +10,17 @@ solution tail.
 
 One layout serves every block operator.  Block row n of the Hankel matrix
 holds coordinate n, the row of index -n (matrices are serialized
-bottom-up), and block column j holds window slot j.  `_gather` lays out
-the Hankel matrix from the padded taps F_-1, ..., F_-(N+K), a (k, y, u)
-stack of blocks, taking block n + j at (n, j).  `gram` sums over the same
-padded taps, and `to_lifting_data` selects slots of that layout: T'
-shifts the tap rows up by one block, R drops the last window slot and Q
-the first.  The combined tap/solution operator of `assemble_l`, whose
-row of index i and slot j hold the term of index i - j + 1 of F_-K, ...,
-F_-1, H_0, H_1, ..., is never laid out: `combined_gram` forms its N*u x
-N*u Gram from the block diagonals of the sequence.
+bottom-up), and block column j holds window slot j.  Every operator reads
+one zero-padded sequence s = F_-K, ..., F_-1, H_0, ..., H_deg
+(`_sequence`).  `_gather` lays out the Hankel matrix A from it, block
+s[K - n - j] at (n, j), and `to_lifting_data` selects slots of that
+layout: T' shifts the tap rows up by one block, R drops the last window
+slot and Q the first.  The combined tap/solution operator of
+`assemble_l`, whose row of index i and slot j hold s[i - j + 1], is never
+laid out: `combined_gram` forms its N*u x N*u Gram from the block
+diagonals of s.  With no H it is A with its block rows reversed, so the
+same kernel forms A*A, and `gram` is I - A*A.  A problem forms A and A*A
+once, read-only, for every reader (`NehariProblem.a`, `.a_gram`).
 
 The problem is the specialisation of relaxed commutant lifting to the data
 set `to_lifting_data` builds, so its coefficient functions are the lifting
@@ -37,6 +39,7 @@ solutions come from the same feedback loop.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,13 +91,35 @@ class NehariProblem:
     def k_taps(self) -> int:
         return len(self.taps)
 
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        """The N-truncated Hankel matrix, serialized bottom-up.
 
-def _padded_taps(p: NehariProblem) -> np.ndarray:
-    """F_-1, ..., F_-(N+K) as one (N + K, y, u) stack, zero past F_-K."""
-    f = np.zeros((p.n_window + p.k_taps, p.y_dim, p.u_dim), dtype=complex)
-    if p.k_taps:
-        f[: p.k_taps] = p.taps
-    return f
+        Block row n (coordinate n, index -n) is [F_-n, F_-n-1, ...,
+        F_-n-N+1], for n = 1..max(K, 1).  Every deeper row is zero, so the
+        norm is the exact Hankel norm.  Laid out once, read-only.
+        """
+        n = np.arange(1, max(self.k_taps, 1) + 1)[:, None]
+        a = _gather(_sequence(self), self.k_taps + self.n_window - n - np.arange(self.n_window))
+        a.flags.writeable = False
+        return a
+
+    @functools.cached_property
+    def a_gram(self) -> Gram:
+        """The Gram A*A of the Hankel matrix, `combined_gram` with no H;
+        formed once, its matrix read-only."""
+        gram = combined_gram(self, np.zeros((0, self.y_dim, self.u_dim)))
+        gram.g.flags.writeable = False
+        return gram
+
+
+def _sequence(p: NehariProblem, h: np.ndarray | tuple = ()) -> np.ndarray:
+    """s = F_-K, ..., F_-1, H_0, ..., H_deg for the coefficients in a
+    (deg + 1, y, u) array h, with s[i] at index i + N of one stack: zero
+    for -N <= i < 0 and for the N - 1 indices past its end."""
+    y, u, n_w = p.y_dim, p.u_dim, p.n_window
+    return np.concatenate([np.zeros((n_w, y, u)), np.reshape(p.taps[::-1], (p.k_taps, y, u)),
+                           np.reshape(h, (len(h), y, u)), np.zeros((n_w - 1, y, u))], dtype=complex)
 
 
 def _gather(seq: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -106,36 +131,15 @@ def _gather(seq: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def hankel(p: NehariProblem) -> np.ndarray:
-    """The N-truncated Hankel matrix, serialized bottom-up.
-
-    Block row n (coordinate n, index -n) is [F_-n, F_-n-1, ..., F_-n-N+1],
-    for n = 1..max(K, 1).  Every deeper row is zero, so the norm is the
-    exact Hankel norm.
-    """
-    rows = max(p.k_taps, 1)
-    idx = np.arange(rows)[:, None] + np.arange(p.n_window)[None, :]
-    return _gather(_padded_taps(p), idx)
+    """The N-truncated Hankel matrix of p (`NehariProblem.a`)."""
+    return p.a
 
 
 def gram(p: NehariProblem) -> np.ndarray:
-    """The defect Gram of the Hankel matrix, from the displayed sums.
-
-    Block (i, j) is I - S(i, j) with S(i, j) = sum_{n>=i} F_-n* F_{-n+i-j}
-    (all sums finite), which equals I - A*A of the Hankel matrix.  The
-    sums run down the block diagonals: S(i, j) = F_-i* F_-j + S(i+1, j+1)
-    with S(K+1, .) = 0, one batched product over the stacked taps per i
-    from K down to 1, with j over 1..N+K so every later step finds its
-    shifted row.
-    """
-    n_w, u, k = p.n_window, p.u_dim, p.k_taps
-    f = _padded_taps(p)
-    s = np.zeros((n_w + k + 1, u, u), dtype=complex)  # S(i, 1..N+K), then a zero
-    rows = np.zeros((n_w, n_w, u, u), dtype=complex)
-    for i in range(k, 0, -1):
-        s[:-1] = np.matmul(adj(f[i - 1]), f) + s[1:]
-        if i <= n_w:
-            rows[i - 1] = s[:n_w]
-    out = eye(n_w * u) - rows.transpose(0, 2, 1, 3).reshape(n_w * u, n_w * u)
+    """The defect Gram Lambda = I - A*A of the Hankel matrix, made
+    Hermitian, from the problem's Gram of A (`NehariProblem.a_gram`):
+    block (i, j) is I - sum_{n>=i} F_-n* F_{-n+i-j} (all sums finite)."""
+    out = eye(p.n_window * p.u_dim) - p.a_gram.g
     return 0.5 * (out + adj(out))
 
 
@@ -178,16 +182,15 @@ def coefficients(p: NehariProblem) -> Realization:
     """
     n_w, u, y = p.n_window, p.u_dim, p.y_dim
     m = (n_w - 1) * u
-    a = hankel(p)
     lam = _strict_gram(p)
     w = hpd_factor(lam)
     slots = eye(n_w * u)
     w_slots = solve_factor_adjoint(w, np.hstack([slots[:, :u], slots[:, m:]]))  # [E_Q, E_R]
     xs, _, _ = storage_coefficients(
         w[:, :m], w[:, u:], lam[:m, :m], lam[u:, u:], w_slots[:, :u], w_slots[:, u:],
-        a[:y, :m], 0
+        p.a[:y, :m], 0
     )
-    return Realization(**xs, e=w[:, :u], base=a[:, :u])
+    return Realization(**xs, e=w[:, :u], base=p.a[:, :u])
 
 
 def combined_gram(p: NehariProblem, h: np.ndarray) -> Gram:
@@ -196,10 +199,9 @@ def combined_gram(p: NehariProblem, h: np.ndarray) -> Gram:
     its block diagonals; L itself is never laid out.
 
     L has the r = K + deg + 1 block rows of index -K..deg, and the row of
-    index i and window slot j hold the term of index i - j + 1 of
-    s = F_-K, ..., F_-1, H_0, ..., H_deg (zero before F_-K), so block row t
-    of L (from 0) holds s[t - c] in slot c (from 0).  Block (a, b) of the Gram
-    is the sum over the rows t >= max(a, b) of s[t - a]* s[t - b], so
+    index i and window slot j hold s[i - j + 1] (`_sequence`), so block row
+    t of L (from 0) holds s[t - c] in slot c (from 0).  Block (a, b) of the
+    Gram is the sum over the rows t >= max(a, b) of s[t - a]* s[t - b], so
     G(a, b) = G(a + 1, b + 1) + s[r - 1 - a]* s[r - 1 - b], and lag d of
     the lower triangle starts at its bottom-right block
     G(N - 1, N - 1 - d) = sum_(t <= r - N) s[t]* s[t + d], the one product
@@ -211,22 +213,18 @@ def combined_gram(p: NehariProblem, h: np.ndarray) -> Gram:
     its allowance.  With fewer rows than slots (r < N) the windows are
     empty and s is read past its ends as zeros.
     """
-    n_w, u, y, k = p.n_window, p.u_dim, p.y_dim, p.k_taps
-    rows = k + len(h)
-    # s[i] at pad[i + n_w - 1], zero for -(n_w - 1) <= i < 0 and past rows
-    pad = np.zeros((rows + 2 * n_w - 2, y, u), dtype=complex)
-    if k:
-        pad[n_w - 1 : n_w - 1 + k] = p.taps[::-1]
-    pad[n_w - 1 + k : n_w - 1 + rows] = h
+    n_w, u, y = p.n_window, p.u_dim, p.y_dim
+    rows = p.k_taps + len(h)
+    pad = _sequence(p, h)
     span, item = rows - n_w + 1, pad.itemsize
     walk = np.zeros((n_w, n_w, u, u), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught by the reader
         if span > 0:
-            windows = np.ndarray((n_w, span * y, u), complex, pad, (n_w - 1) * y * u * item,
+            windows = np.ndarray((n_w, span * y, u), complex, pad, n_w * y * u * item,
                                  (y * u * item, u * item, item))
             walk[0] = adj(windows[0]) @ windows
         # the later rows s[rows - n_w + 1 + m] against s[rows - n_w + 1 + m + d]
-        later = pad[rows:].transpose(1, 0, 2).reshape(y, (2 * n_w - 2) * u)
+        later = pad[rows + 1 :].transpose(1, 0, 2).reshape(y, (2 * n_w - 2) * u)
         products = (adj(later[:, : (n_w - 1) * u]) @ later).reshape(n_w - 1, u, 2 * n_w - 2, u)
         block_row, row, block_col, entry = products.strides
         walk[1:] = np.ndarray((n_w - 1, n_w, u, u), complex, products, 0,
@@ -297,7 +295,7 @@ def special_n1(p: NehariProblem) -> Realization:
         x4=zeros(y, u),
         x5=np.hstack([eye(y), zeros(y, u)]),
         e=psd_sqrt(_strict_gram(p)),
-        base=hankel(p),  # Gamma_-, the one window column
+        base=p.a,  # Gamma_-, the one window column
     )
 
 
@@ -335,11 +333,10 @@ def to_lifting_data(p: NehariProblem) -> LiftingDataSet:
     its max(K, 1) tap rows, and R, Q drop the last / first window slot.
     Exact because all deeper tap rows vanish.
     """
-    rows = max(p.k_taps, 1)
     slots = eye(p.n_window * p.u_dim)
     return LiftingDataSet(
-        a=hankel(p),
-        t_prime=np.eye(rows * p.y_dim, k=p.y_dim, dtype=complex),
+        a=p.a,
+        t_prime=np.eye(p.a.shape[0], k=p.y_dim, dtype=complex),
         r=slots[:, : (p.n_window - 1) * p.u_dim],
         q=slots[:, p.u_dim :],
     )

@@ -8,7 +8,8 @@ null space of the intertwining equation that the closed forms of
 realization, in the paper's coordinates, that `rclift.nehari.coefficients`
 replaced with the lifting core in storage coordinates, the block
 layouts that `rclift.nehari` gathers in one indexing pass, written here as
-loops over the definitions, and the exact values of the computed
+loops over the definitions, on seeded problems of the Nehari edge shapes,
+and the exact values of the computed
 matrices at 60 digits (mpmath) that every certificate's [lower, upper]
 must bracket."""
 
@@ -18,7 +19,7 @@ import mpmath
 import numpy as np
 
 from rclift import nehari, redheffer
-from rclift.linalg import adj, eye, inv_hpd, psd_sqrt, solve_hpd, zeros
+from rclift.linalg import adj, eye, ginibre, inv_hpd, psd_sqrt, solve_hpd, zeros
 
 
 def spectral_radius(m) -> float:
@@ -62,6 +63,16 @@ def intertwining_nullspace(t_prime, r, q, rtol: float = 1e-10) -> np.ndarray:
     _, s, vh = np.linalg.svd(k)
     rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
     return vh[rank:].conj().T
+
+
+# (u, y, N, K): K > N, K = 0, N = 1, u = 0, y = 0
+EDGE_SHAPES = [(2, 3, 2, 5), (1, 1, 1, 4), (2, 2, 3, 0), (3, 2, 1, 3), (0, 2, 3, 3), (2, 0, 3, 3)]
+
+
+def random_taps_problem(seed, u, y, n_w, k):
+    """Problem with k Ginibre taps scaled by 0.3; any port may be zero."""
+    rng = np.random.default_rng(seed)
+    return nehari.NehariProblem(n_w, u, y, tuple(0.3 * ginibre(rng, y, u) for _ in range(k)))
 
 
 def tap(p, n: int) -> np.ndarray:

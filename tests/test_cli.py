@@ -315,16 +315,26 @@ def test_nehari_report_certifies_near_boundary(tmp_path, capsys):
     assert all(r["passed"] for r in json.loads(out)["residuals"])
 
 
+def _instance_file(tmp_path, p) -> str:
+    path = tmp_path / "inst.json"
+    serialize.dump_json(str(path), serialize.instance_to_json(p))
+    return str(path)
+
+
+def _nehari_report_rows(tmp_path, capsys, p) -> dict:
+    """The rows of the `rclift nehari` report on p, by name."""
+    code, out, _ = run(capsys, "nehari", _instance_file(tmp_path, p))
+    assert code == 0
+    return {r["name"]: r for r in json.loads(out)["residuals"]}
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 3, 4), (3, 1, 4, 2)])
 def test_nehari_report_rows_bracket_their_residual_norms(tmp_path, capsys, dims):
     # `gram_matches_hankel` and `gram_inverse` bracket the norms of their
-    # computed residuals by Frobenius norms: the SVD norm lies inside
+    # computed residuals by Frobenius norms, and `hankel_norm` the norm of
+    # A by its Gram: the SVD norm lies inside each
     p = generators.random_nehari_problem(np.random.default_rng(5), *dims, 0.8)
-    path = tmp_path / "inst.json"
-    serialize.dump_json(str(path), serialize.instance_to_json(p))
-    code, out, _ = run(capsys, "nehari", str(path))
-    assert code == 0
-    rows = {r["name"]: r for r in json.loads(out)["residuals"]}
+    rows = _nehari_report_rows(tmp_path, capsys, p)
     a, lam = nehari.hankel(p), nehari.gram(p)
     ident = np.eye(lam.shape[0])
     residuals = {
@@ -337,6 +347,39 @@ def test_nehari_report_rows_bracket_their_residual_norms(tmp_path, capsys, dims)
         assert 0.0 < row["lower"] <= norm <= row["value"], name
         assert row["value"] <= np.sqrt(lam.shape[0]) * norm * (1 + 1e-12)
         assert row["status"] == "certified"
+    row = rows["hankel_norm"]
+    assert row["lower"] <= linalg.operator_norm(a) <= row["value"]
+    assert row["status"] == "certified"
+
+
+def test_nehari_report_hankel_norm_without_taps_is_zero(tmp_path, capsys):
+    # with no taps the Gram of A is exactly zero, and so is its bracket
+    rows = _nehari_report_rows(tmp_path, capsys, nehari.NehariProblem(3, 2, 3, ()))
+    assert (rows["hankel_norm"]["lower"], rows["hankel_norm"]["value"]) == (0.0, 0.0)
+    assert rows["hankel_norm"]["status"] == "certified"
+
+
+@pytest.mark.parametrize("command", ["nehari", "validate"])
+def test_nehari_commands_form_a_and_its_gram_once(tmp_path, capsys, monkeypatch, command):
+    # one report lays out the Hankel matrix once (`_gather`) and forms its
+    # Gram once (`combined_gram`); every reader shares the problem's copies
+    path = _instance_file(
+        tmp_path, generators.random_nehari_problem(np.random.default_rng(5), 2, 2, 3, 4, 0.8))
+    calls = []
+
+    def counted(name):
+        real = getattr(nehari, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("_gather", "combined_gram"):
+        monkeypatch.setattr(nehari, name, counted(name))
+    code, _, _ = run(capsys, command, path)
+    assert code == 0
+    assert sorted(calls) == ["_gather", "combined_gram"]
 
 
 def test_report_byte_stability(scalar_problem, tmp_path, capsys):

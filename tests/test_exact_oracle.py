@@ -11,7 +11,9 @@ rows of the intertwining residual, whose exact value for an honest
 solution is itself rounding; their ends are widened by the rounding of
 forming those parts (`hardy._rows_rounding`), and every end by that
 of its Gram or SVD and top eigenvalue (`linalg.root_of_max_eig`,
-`linalg.norm_bracket`).
+`linalg.norm_bracket`).  The Nehari defect Gram, which no bracket
+reads, lies within the allowance of the Gram it is formed from, plus its
+own rounding, of its exact value.
 """
 
 import dataclasses
@@ -20,13 +22,16 @@ import mpmath
 import numpy as np
 import pytest
 from oracles import (
+    EDGE_SHAPES,
     EXACT_DIGITS,
     exact_certificate_values,
     exact_gramian,
     exact_isometry_residual,
     exact_kyp_norm,
     exact_norm,
+    hankel_blocks,
     mp_matrix,
+    random_taps_problem,
     spectral_radius,
 )
 
@@ -196,6 +201,24 @@ def test_norm_rules_bracket_the_exact_norm(seed, rows, cols):
     assert lower <= with_form <= upper
     lower, upper = linalg.root_of_max_eig(x, form + e, linalg.frobenius_upper(e))
     assert lower <= with_form <= upper
+
+
+@pytest.mark.parametrize("u,y,n_w,k", EDGE_SHAPES)
+def test_defect_gram_within_the_allowance_of_its_gram(u, y, n_w, k):
+    # Lambda = (M + M*) / 2 for M = I - G, G the Gram of A formed from its
+    # block diagonals.  G is off A*A by its allowance, and so is its
+    # Hermitian part.  Forming M rounds its diagonal's real parts, by at
+    # most eps/2 |Lambda_ii| / (1 - eps/2), and M + M* each entry, by at
+    # most eps/2 |Lambda_ij| / (1 - eps/2) after the exact halving: at
+    # most eps ||Lambda||_F (1 + eps) in all
+    p = random_taps_problem(u + 10 * y + 100 * n_w + 1000 * k, u, y, n_w, k)
+    lam = nehari.gram(p)
+    rounding = EPS * linalg.frobenius_upper(lam) * (1.0 + EPS)
+    with mpmath.workdps(EXACT_DIGITS):
+        a_mp = mp_matrix(hankel_blocks(p))
+        exact = mpmath.eye(n_w * u) - a_mp.H @ a_mp
+        gap = float(exact_norm(mp_matrix(lam) - exact))
+    assert gap <= p.a_gram.allowance + rounding
 
 
 # --- the isometry certificate, route by route --------------------------------

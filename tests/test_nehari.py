@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    EDGE_SHAPES,
     EXACT_DIGITS,
     closed_form_operators,
     combined_operator_blocks,
@@ -13,6 +14,7 @@ from oracles import (
     lifting_data_blocks,
     mp_matrix,
     nehari_closed_form,
+    random_taps_problem,
     solve_g,
     spectral_radius,
     tap,
@@ -127,16 +129,6 @@ def test_gram_matches_hankel_defect(seed):
     )
 
 
-def random_taps_problem(seed, u, y, n_w, k):
-    """Problem with k Ginibre taps scaled by 0.3; any port may be zero."""
-    rng = np.random.default_rng(seed)
-    return nehari.NehariProblem(n_w, u, y, tuple(0.3 * ginibre(rng, y, u) for _ in range(k)))
-
-
-# (u, y, N, K): K > N, K = 0, N = 1, u = 0, y = 0
-EDGE_SHAPES = [(2, 3, 2, 5), (1, 1, 1, 4), (2, 2, 3, 0), (3, 2, 1, 3), (0, 2, 3, 3), (2, 0, 3, 3)]
-
-
 @pytest.mark.parametrize("u,y,n_w,k", EDGE_SHAPES)
 def test_gram_matches_hankel_defect_edge_shapes(u, y, n_w, k):
     p = random_taps_problem(u + 10 * y + 100 * n_w + 1000 * k, u, y, n_w, k)
@@ -220,18 +212,14 @@ def test_assemble_l_overflowing_gram_is_not_finite(huge):
         nehari.assemble_l(p, h)
 
 
-def test_coefficients_builds_the_gram_once(monkeypatch):
-    calls = []
-    real = nehari.gram
-
-    def counted(p):
-        calls.append(p)
-        return real(p)
-
-    monkeypatch.setattr(nehari, "gram", counted)
-    rng = np.random.default_rng(5)
-    nehari.coefficients(generators.random_nehari_problem(rng, 2, 2, 3, 4, 0.8))
-    assert len(calls) == 1
+@pytest.mark.parametrize("u,y,n_w,k", [(2, 3, 2, 5), (2, 2, 3, 0)])
+def test_problem_caches_are_read_only(u, y, n_w, k):
+    # every reader of a problem shares its A and A*A, so none may write them
+    p = random_taps_problem(3, u, y, n_w, k)
+    assert nehari.hankel(p) is p.a
+    for cached in (p.a, p.a_gram.g):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1.0
 
 
 def test_lambda_cross_cases():
