@@ -36,9 +36,11 @@ from .errors import DimensionMismatch, NegativeEigenvalue, NotPositiveDefinite
 RANK_RTOL = 1e-10
 
 # Machine epsilon, the unit of every rounding allowance, and the least
-# subnormal, the unit of an allowance for underflow.
+# subnormal, the unit of an allowance for underflow; the largest float is
+# the floor of a norm past it.
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).smallest_subnormal)
+HUGE = float(np.finfo(float).max)
 
 
 def cmatrix(a) -> np.ndarray:
@@ -298,10 +300,47 @@ def min_eig_hermitian(m) -> float:
 # --- brackets of computed norms -----------------------------------------------
 
 
+def _frobenius_upper_scaled(m: np.ndarray) -> tuple[float, int]:
+    """(u, e), u 2^e an upper bound on the Frobenius norm of m: the
+    computed norm, a sum of m.size squares, widened by (m.size + 2) eps for
+    its rounding.  e is 0 unless that sum lies below m.size tiny / eps,
+    where the squares lost to underflow (tiny / 2 each at most) could
+    exceed eps of it, or overflows while the entries are finite.  Then it
+    is summed again over the entries scaled by 2^-e, their largest real or
+    imaginary part in [1/2, 1): a scaling exact but for parts that
+    underflow, which like the squares that do lose tiny / 2 each, far below
+    eps of a sum of at least 1/4."""
+    widen = 1.0 + (m.size + 2) * EPS
+    sq = float(np.vdot(m, m).real)
+    if m.size * TINY / EPS <= sq < math.inf:
+        return math.sqrt(sq) * widen, 0
+    parts = (m.real, m.imag)
+    largest = max(float(np.max(np.abs(p), initial=0.0)) for p in parts)
+    if not 0.0 < largest < math.inf:  # zero, or an entry not finite
+        return math.sqrt(sq) * widen, 0
+    e = math.frexp(largest)[1]
+    re, im = (np.ldexp(p, -e) for p in parts)
+    return math.sqrt(float(np.vdot(re, re) + np.vdot(im, im))) * widen, e
+
+
+def _scaled_outward(x: float, e: int, upper: bool) -> float:
+    """x 2^e, moved out by tiny for its rounding below the normal range
+    when e is not 0: up for an upper end, which overflows to inf, and down
+    for a lower one, which stays at most the largest float and at least 0."""
+    if not e:
+        return x
+    try:
+        y = math.ldexp(x, e)
+    except OverflowError:
+        return math.inf if upper else HUGE
+    return y + TINY if upper else max(y - TINY, 0.0)
+
+
 def frobenius_upper(m: np.ndarray) -> float:
-    """An upper bound on the Frobenius norm of m: the computed norm, a sum
-    of m.size squares, widened by (m.size + 2) eps for its rounding."""
-    return math.sqrt(float(np.vdot(m, m).real)) * (1.0 + (m.size + 2) * EPS)
+    """An upper bound on the Frobenius norm of m: the computed norm
+    widened by (m.size + 2) eps for its rounding (`_frobenius_upper_scaled`)."""
+    upper, e = _frobenius_upper_scaled(m)
+    return _scaled_outward(upper, e, True) if e else upper
 
 
 def norm_bracket(m: np.ndarray, err: float) -> tuple[float, float]:
@@ -322,9 +361,10 @@ def frobenius_bracket(m: np.ndarray) -> tuple[float, float]:
     division."""
     if m.size == 0:
         return 0.0, 0.0
-    upper = frobenius_upper(m)
+    upper, e = _frobenius_upper_scaled(m)
     k = (m.size + 2) * EPS
-    return upper * (1.0 - 2.0 * k) / math.sqrt(min(m.shape)) * (1.0 - 4.0 * EPS), upper
+    lower = upper * (1.0 - 2.0 * k) / math.sqrt(min(m.shape)) * (1.0 - 4.0 * EPS)
+    return _scaled_outward(lower, e, False), _scaled_outward(upper, e, True)
 
 
 @dataclass(frozen=True)

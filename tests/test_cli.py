@@ -1,3 +1,4 @@
+import argparse
 import base64
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from wire import as_pairs
 
 import rclift
-from rclift import generators, lifting, linalg, nehari, redheffer, schur, serialize
+from rclift import cli, generators, lifting, linalg, nehari, redheffer, schur, serialize
 from rclift.cli import main
 from rclift.hardy import markov
 
@@ -185,11 +186,60 @@ def test_tolerance_not_finite_and_nonnegative_exits_2(tmp_path, capsys, command,
 @pytest.mark.parametrize("argv", [["validate", "--degree", "3"], ["nehari", "--tol", "1e-3"]])
 def test_option_the_command_ignores_exits_2(scalar_problem, capsys, argv):
     # validate truncates nothing and the nehari report has no tolerance,
-    # so neither accepts the option
+    # so neither accepts the option; the usage printed lists every command,
+    # though only the invoked one's parser is built
     with pytest.raises(SystemExit) as exc:
         main([argv[0], scalar_problem, *argv[1:]])
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        cli.build_parser().format_usage()
+        + f"rclift: error: unrecognized arguments: {' '.join(argv[1:])}\n")
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_command_names_are_the_full_parsers_choices():
+    assert cli.COMMANDS == tuple(_subcommands(cli.build_parser()).choices)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_one_command_parser_formats_like_the_full_one(command):
+    full, alone = cli.build_parser(), cli.build_parser(command)
+    assert tuple(_subcommands(alone).choices) == (command,)
+    full_sub = _subcommands(full).choices[command]
+    alone_sub = _subcommands(alone).choices[command]
+    assert alone_sub.format_help() == full_sub.format_help()
+    assert alone_sub.format_usage() == full_sub.format_usage()
+    # the top-level usage is what an "unrecognized arguments" error prints
+    assert alone.format_usage() == full.format_usage()
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_a_command_builds_two_parsers(capsys, monkeypatch, command):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert built == ["rclift", f"rclift {command}"]
+    assert capsys.readouterr().out.startswith(f"usage: rclift {command} ")
+
+
+@pytest.mark.parametrize("argv, expect_code", [(["--help"], 0), ([], 2), (["bogus"], 2)])
+def test_no_command_lists_every_command(capsys, argv, expect_code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == expect_code
+    out = capsys.readouterr()
+    assert "{validate,solve,verify,nehari,gen,suite}" in out.out + out.err
 
 
 def test_solve_non_strict_exits_3(tmp_path, capsys):

@@ -502,6 +502,31 @@ def test_root_of_max_eig_edges():
     assert lower < 3.0 < upper and upper - lower <= 64 * linalg.EPS
 
 
+@pytest.mark.parametrize("entry", [1e-170, 1e-320, 1e200, 1e308])
+def test_frobenius_bracket_survives_underflow_and_overflow(entry):
+    # the squares of 1e-170 and 1e-320 underflow, those of 1e200 and 1e308
+    # overflow; the full 2 x 2 matrix of them has rank one, so its norm and
+    # Frobenius norm are both exactly 2 entry, which the bracket keeps
+    # (2e308 is past the largest float: the upper end is inf, the floor not)
+    m = np.full((2, 2), entry, complex)
+    lower, upper = linalg.frobenius_bracket(m)
+    assert upper == linalg.frobenius_upper(m)
+    exact = 2 * entry
+    assert lower <= exact <= upper <= exact * (1 + 8 * linalg.EPS) + linalg.TINY
+    # the floor is the Frobenius norm over sqrt(2), less its rounding
+    assert lower >= np.sqrt(2) * entry * (1 - 32 * linalg.EPS) - 2 * linalg.TINY
+
+
+def test_frobenius_upper_is_the_plain_sum_in_the_normal_range():
+    rng = np.random.default_rng(2)
+    for scale in (1e-150, 1e-8, 1.0, 1e150):
+        m = scale * linalg.ginibre(rng, 5, 3)
+        plain = np.sqrt(np.vdot(m, m).real) * (1 + (m.size + 2) * linalg.EPS)
+        assert linalg.frobenius_upper(m) == plain
+    zero = np.zeros((2, 3))
+    assert linalg.frobenius_upper(zero) == 0.0 and linalg.frobenius_bracket(zero) == (0.0, 0.0)
+
+
 def test_root_of_max_eig_allows_for_underflow():
     # every product in the Gram of 1e-170 entries underflows, so the
     # computed Gram is 0; the underflow allowance keeps the norm, 2e-170,
