@@ -57,18 +57,16 @@ A lifting solution written by `solve` is a state-space realization, and
 upper bound on the full, untruncated residual (`stacked_norm` on the
 norm of the whole solution), and `lower` a floor of it, at least that of
 the part that needs no Gramian.  Both come from one assembly over
-a bound on the Gramian of the tail: first the storage inequality of the
+a bound on the Gramian of the tail: the storage inequality of the
 realization, with no Stein solve (a solution that `solve` writes is in
 storage coordinates, where that bound on `stacked_norm` is about 1, a
-looser `value` than the norm itself), then, when those rows neither
-certify nor refute, one Stein Gramian.  Every end is widened both ways
-by the rounding of forming its matrices, Grams and norms, so `lower`
-never lies above the exact value of the matrices given.  A row whose two
-ends straddle its threshold is uncertified.  A realization that neither
-bound decides, or whose state matrix is not certified stable, is also
-expanded to `--degree` coefficients and checked as a coefficient file,
-whose rows are reported when they refute or when there is no Stein
-check.
+looser `value` than the norm itself), or a Stein Gramian.  Every end is
+widened both ways by the rounding of forming its matrices, Grams and
+norms, so `lower` never lies above the exact value of the matrices
+given.  A row whose two ends straddle its threshold is uncertified.  The
+realization expanded to `--degree` coefficients and checked as a
+coefficient file is the last candidate; `lifting.decide` says whose rows
+are reported.
 
 A coefficient file (a lifting solution without `tail`, or any Nehari
 solution) is checked truncated at the smaller of `--degree` and the
@@ -98,14 +96,13 @@ residual X (Lambda - (I - A*A), and Lambda Lambda^-1 - I) lies in
 the rounding of the Frobenius norm.  Its `stacked_isometry_residual` row
 brackets the residual of the identities that make the full stacked
 operator an isometry (`nehari.hat_m_check`), gated at FP_GRAM_TOL, from
-a bound on the Gramian of the realization: first the storage bound, with
-no Stein solve, which decides every realization that `nehari` builds
-away from the strictness boundary, then, when that decides nothing, the
-Stein Gramian.  Its `state_spectral_radius` row is no eigenvalue: its
-`value` is the spectral-radius bound of the Gramian bound that decided
-(of the Stein Gramian when neither did), and null when no bound proves
-the state matrix stable.  The report passes when every row is
-certified.
+a bound on the Gramian of the realization: the storage bound, with no
+Stein solve, which decides every realization that `nehari` builds away
+from the strictness boundary, or the Stein Gramian, as `lifting.decide`
+picks.  Its `state_spectral_radius` row is no eigenvalue: its `value` is
+the spectral-radius bound of the Gramian bound whose rows stand, and
+null when no bound proves the state matrix stable.  The report passes
+when every row is certified.
 """
 
 from __future__ import annotations
@@ -185,7 +182,7 @@ def cmd_validate(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _load_parameter(args, in_dim: int, out_dim: int) -> schur.SchurParameter:
+def _load_parameter(args, in_dim: int, out_dim: int) -> hardy.StateSpace:
     if args.central:
         return schur.zero(in_dim, out_dim)
     if not args.param:

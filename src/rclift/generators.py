@@ -69,7 +69,7 @@ def random_nehari_problem(
         return nehari.NehariProblem(n_window, u_dim, y_dim, taps)
     taps = [ginibre(rng, y_dim, u_dim) for _ in range(k_taps)]
     p = nehari.NehariProblem(n_window, u_dim, y_dim, tuple(taps))
-    scale = target_norm / operator_norm(nehari.hankel(p))
+    scale = target_norm / operator_norm(p.a)
     return nehari.NehariProblem(
         n_window, u_dim, y_dim, tuple(t * scale for t in taps)
     )
@@ -93,11 +93,11 @@ def nehari_problem_at_most(
     target_norm: float,
 ) -> nehari.NehariProblem:
     """`random_nehari_problem` with the guard of `_at_most` on its taps, so
-    that the computed Hankel norm is at most the target.  `nehari.hankel`
+    that the computed Hankel norm is at most the target.  `NehariProblem.a`
     copies the taps bit for bit, so shrinking the taps shrinks A exactly
     as `_at_most` would."""
     p = random_nehari_problem(rng, u_dim, y_dim, n_window, k_taps, target_norm)
-    while operator_norm(nehari.hankel(p)) > target_norm:
+    while operator_norm(p.a) > target_norm:
         p = nehari.NehariProblem(n_window, u_dim, y_dim,
                                  tuple(t * np.nextafter(1.0, 0.0) for t in p.taps))
     return p

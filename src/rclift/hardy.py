@@ -20,8 +20,9 @@ coercion and the NaN/Inf rejection happen where data enters.
 A lifting solution comes either as leading Taylor coefficients
 (`SolutionTaylor`), which `verify_interpolant` checks truncated, or with
 a state-space tail (`SolutionRealization`), which `certify_interpolant`
-checks whole, by one assembly over a bound on the Gramian of the tail
-(`_gramian_verdicts`), and `coefficient_gap` compares with another exactly.
+checks whole, by one assembly over each bound on the Gramian of the
+tail (`_gramian_verdicts`), whose verdicts `lifting.decide` chooses
+among, and `coefficient_gap` compares with another exactly.
 Both checks read the defect coordinates of the dilation of T' from the
 data set (`lifting.LiftingDataSet.t_prime_defect`) and form the rows of
 the dilation residual (U' b) R - b Q in one helper, `_dilation_residual`.
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import lifting
 from .errors import DimensionMismatch, NotFinite
-from .lifting import Verdict, combined_status
+from .lifting import Verdict, decide
 from .linalg import (
     EPS,
     GRAMIAN_BOUNDS,
@@ -298,31 +299,33 @@ def certify_interpolant(
       m+1+j is C A^j Y with Y = B R - A B Q, whose rows sum to the Gram
       Y* P Y.  Its squared norm is lambda_max(rows* rows + Y* P Y).
 
-    One assembly, `_gramian_verdicts`, reads both off a bound on P, tried
-    in the order of `linalg.GRAMIAN_BOUNDS`: first the storage bound
-    (P <= (1 + eta) I with no Stein solve), which decides most solutions,
-    since every realization that `redheffer.solution_realization` writes
-    is in storage coordinates, where eta is at rounding level, head* head
-    + B* B <= A* A + E* E = I and Y vanishes up to rounding (E R = X1 E Q
+    One assembly, `_gramian_verdicts`, reads both off a bound on P, and
+    each bound of `linalg.GRAMIAN_BOUNDS` that has a check offers its
+    verdicts, in that order: first the storage bound (P <= (1 + eta) I
+    with no Stein solve), which decides most solutions, since every
+    realization that `redheffer.solution_realization` writes is in
+    storage coordinates, where eta is at rounding level, head* head +
+    B* B <= A* A + E* E = I and Y vanishes up to rounding (E R = X1 E Q
     and X3 E Q = 0), so the upper ends sit at 1 and 0 plus rounding; then
-    the Stein Gramian.  The three verdicts, named as those of
-    `verify_interpolant`, of the first bound that certifies or refutes
-    (`lifting.combined_status`) are returned.
-    Otherwise, and when neither bound has a check (A is not proved
-    stable, or a Gram overflows), the solution is also expanded to `deg`
-    and checked by `verify_interpolant`, so the result is never weaker
-    than that truncated check: its verdicts, with no upper ends, are
-    returned when they refute or when the Stein Gramian has no check.
+    the Stein Gramian.  Last, the solution expanded to `deg` offers the
+    verdicts of `verify_interpolant`, so the result is never weaker than
+    that truncated check.  `lifting.decide` picks the verdicts that stand,
+    named as those of `verify_interpolant`: the truncated ones, with no
+    upper ends, stand when they refute or when no bound gives verdicts
+    (A is not proved stable, or a Gram overflows).
     """
     if sol.a_part.shape != ds.a.shape:
         raise DimensionMismatch("a_part shape disagrees with the data set")
-    for gramian_bound in GRAMIAN_BOUNDS:
-        bound = gramian_bound(sol.a, sol.c)
-        verdicts = None if bound is None else _gramian_verdicts(ds, sol, tol, bound)
-        if verdicts is not None and combined_status(verdicts) in ("certified", "refuted"):
-            return verdicts
-    truncated = verify_interpolant(ds, sol.taylor(deg), deg, tol=tol)
-    return verdicts if verdicts is not None and combined_status(truncated) != "refuted" else truncated
+
+    def candidates():
+        for gramian_bound in GRAMIAN_BOUNDS:
+            bound = gramian_bound(sol.a, sol.c)
+            verdicts = None if bound is None else _gramian_verdicts(ds, sol, tol, bound)
+            if verdicts is not None:
+                yield verdicts
+        yield verify_interpolant(ds, sol.taylor(deg), deg, tol=tol)
+
+    return decide(candidates())
 
 
 def _explicit_parts(

@@ -26,11 +26,14 @@ Every gate of the package reports a `Verdict`: the bounds [lower, upper]
 it knows on one quantity and the threshold it holds it to.  One rule,
 `Verdict.status`, turns a verdict into "certified", "refuted" or
 "uncertified", and one, `combined_status`, decides several together.
+Where several candidate verdicts bear on the same conditions, one rule,
+`decide`, picks those that stand.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +149,26 @@ def combined_status(verdicts) -> str:
     """The status of several gates together: refuted when any is, certified
     when all are (so when there are none), uncertified otherwise."""
     return min((v.status for v in verdicts), key=STATUSES.index, default=CERTIFIED)
+
+
+def decide(candidates):
+    """The verdicts that stand among candidate verdict tuples on the same
+    conditions, read in order and only as far as needed: the first whose
+    `combined_status` is certified or refuted; else the last whose upper
+    ends are all finite, a bracket of every condition; else the last
+    candidate; None when there are none.  Both exact certificates,
+    `hardy.certify_interpolant` and `redheffer.isometry_certificate`,
+    choose here, and offer their costlier candidates (a Stein Gramian, a
+    truncation) lazily: none past the first that decides is formed.
+    """
+    bracketed = last = None
+    for verdicts in candidates:
+        if combined_status(verdicts) != UNCERTIFIED:
+            return verdicts
+        if all(math.isfinite(v.upper) for v in verdicts):
+            bracketed = verdicts
+        last = verdicts
+    return last if bracketed is None else bracketed
 
 
 def strictness(ds: LiftingDataSet) -> tuple[Verdict, Verdict]:

@@ -346,10 +346,15 @@ def frobenius_upper(m: np.ndarray) -> float:
 def norm_bracket(m: np.ndarray, err: float) -> tuple[float, float]:
     """Lower and upper ends of the norm of a matrix whose computed form m
     is within err of it in norm: the computed norm of m widened by
-    (size + 2) eps of itself for its SVD and by err, the lower end floored
-    at 0."""
+    (size + 2) eps of itself for its SVD, by err, and, unless it is 0, by
+    tiny for underflow, the lower end floored at 0.  LAPACK scales a
+    matrix below the normal range up for its SVD and the singular values
+    back down by one product, which rounds on the subnormal grid, by at
+    most tiny / 2, and norm (1 +- k) rounds there too, by tiny / 2 more.
+    An end from 2^-1019 up keeps its bits: x +- tiny rounds to x there."""
     norm, k = operator_norm(m), (m.size + 2) * EPS
-    return max(norm * (1.0 - k) - err, 0.0), norm * (1.0 + k) + err
+    tiny = TINY if norm else 0.0
+    return max(norm * (1.0 - k) - err - tiny, 0.0), norm * (1.0 + k) + err + tiny
 
 
 def frobenius_bracket(m: np.ndarray) -> tuple[float, float]:
@@ -428,13 +433,6 @@ class Gram:
         lam = float(np.linalg.eigvalsh(g)[-1])
         return (math.sqrt(max(lam - allowance, 0.0)) * (1.0 - 2.0 * EPS),
                 math.sqrt(max(lam + allowance, 0.0)) * (1.0 + 2.0 * EPS))
-
-
-def root_of_max_eig(
-    x: np.ndarray, form: np.ndarray | None = None, err: float = 0.0
-) -> tuple[float, float]:
-    """`Gram.root_of_max_eig` for a Gram formed for this one bracket."""
-    return Gram.of(x).root_of_max_eig(form, err)
 
 
 # --- Stein equations ----------------------------------------------------------
@@ -576,8 +574,8 @@ class StorageGramian:
 
     def _norm(self, b: np.ndarray) -> float:
         """An upper bound on ||b||: `a_norm` for the state matrix itself,
-        else the upper end of `root_of_max_eig`."""
-        return self.a_norm if b is self.a else root_of_max_eig(b)[1]
+        else the upper end of `Gram.root_of_max_eig`."""
+        return self.a_norm if b is self.a else Gram.of(b).root_of_max_eig()[1]
 
     def form(self, b1: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, float]:
         """b1* b2, and a bound on its distance from b1* P b2: epsilon ||b1||
@@ -711,10 +709,11 @@ def observability_gramian(a: np.ndarray, c: np.ndarray) -> SteinGramian | None:
     return SteinGramian(p, p_residual, w, w_residual, radius)
 
 
-# The Gramian bounds, in the order a certificate tries them: the storage
-# bound, which costs no Stein solve and decides every realization in
-# storage coordinates, then the Stein Gramian.  `hardy.certify_interpolant`
-# and `redheffer.isometry_certificate` read them here and nowhere else.
+# The Gramian bounds, in the order a certificate offers their verdicts to
+# `lifting.decide`: the storage bound, which costs no Stein solve and
+# decides every realization in storage coordinates, then the Stein
+# Gramian.  `hardy.certify_interpolant` and `redheffer.isometry_certificate`
+# read them here and nowhere else.
 GRAMIAN_BOUNDS = (storage_gramian_bound, observability_gramian)
 
 

@@ -130,11 +130,6 @@ def _gather(seq: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return seq[idx].transpose(0, 2, 1, 3).reshape(rows * y, cols * u)
 
 
-def hankel(p: NehariProblem) -> np.ndarray:
-    """The N-truncated Hankel matrix of p (`NehariProblem.a`)."""
-    return p.a
-
-
 def gram(p: NehariProblem) -> np.ndarray:
     """The defect Gram Lambda = I - A*A of the Hankel matrix, made
     Hermitian, from the problem's Gram of A (`NehariProblem.a_gram`):

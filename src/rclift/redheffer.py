@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -38,11 +39,12 @@ from .errors import DimensionMismatch, NotClassicalShape, ResolventSingular
 from .hardy import (
     SolutionRealization,
     SolutionTaylor,
+    StateSpace,
     markov,
     mult_matrix,
     observability_matrix,
 )
-from .lifting import DerivedData, Verdict, combined_status, left_inverse_dar
+from .lifting import DerivedData, Verdict, decide, left_inverse_dar
 from .linalg import (
     EPS,
     GRAMIAN_BOUNDS,
@@ -235,7 +237,7 @@ def phi_taylor(
     return p11, mk[:, :kq, w:], p21, mk[:, kq:, w:]
 
 
-def _check_parameter(rc: Realization, v: schur.SchurParameter) -> None:
+def _check_parameter(rc: Realization, v: StateSpace) -> None:
     if v.in_dim != rc.kq_dim or v.out_dim != rc.w_dim:
         raise DimensionMismatch(
             f"parameter dims {v.out_dim}x{v.in_dim}, "
@@ -243,9 +245,7 @@ def _check_parameter(rc: Realization, v: schur.SchurParameter) -> None:
         )
 
 
-def z_from_v(
-    rc: RedhefferCoefficients, v: schur.SchurParameter, lam
-) -> np.ndarray:
+def z_from_v(rc: RedhefferCoefficients, v: StateSpace, lam) -> np.ndarray:
     """The underlying disc function pinned to omega on F, at one point, or
     as a (k, ., .) stack at a 1-d array of k points:
     [X4; X1] + [X5; X2] V(lam) X3.
@@ -260,7 +260,7 @@ def z_from_v(
     return np.vstack([rc.x4, rc.x1]) + gain @ schur.eval(v, lam) @ rc.x3
 
 
-def solution_realization(rc: Realization, v: schur.SchurParameter) -> SolutionRealization:
+def solution_realization(rc: Realization, v: StateSpace) -> SolutionRealization:
     """The solution attached to a Schur parameter, in state-space form.
 
     The base block is the realization's `base`; the Hardy-space block is
@@ -285,9 +285,7 @@ def solution_realization(rc: Realization, v: schur.SchurParameter) -> SolutionRe
     )
 
 
-def solution_taylor(
-    rc: Realization, v: schur.SchurParameter, deg: int
-) -> SolutionTaylor:
+def solution_taylor(rc: Realization, v: StateSpace, deg: int) -> SolutionTaylor:
     """Taylor coefficients of the solution attached to a Schur parameter.
 
     The base block is the realization's `base`; the Hardy-space block
@@ -348,14 +346,14 @@ def isometry_certificate(rc: Realization) -> tuple[Verdict, Verdict]:
     residual both ways, with that of its SVD (`linalg.norm_bracket`), and
     none is ever added to the threshold.
 
-    The bounds are tried in the order of `linalg.GRAMIAN_BOUNDS`.  First
-    the storage bound, which needs no Stein solve: in storage coordinates
-    (`storage_coefficients`, both problems) [X1; C] has orthonormal
-    columns up to rounding, so P is I up to a rounding-level error and it
-    decides every realization that is not near the strictness boundary.
-    Then the Stein Gramian.  The verdicts of the first bound that certifies
-    or refutes (`lifting.combined_status`) are returned, and otherwise
-    those of the last bound that has a check.
+    Each bound of `linalg.GRAMIAN_BOUNDS` that has a check offers its
+    verdicts, in that order.  First the storage bound, which needs no
+    Stein solve: in storage coordinates (`storage_coefficients`, both
+    problems) [X1; C] has orthonormal columns up to rounding, so P is I up
+    to a rounding-level error and it decides every realization that is
+    not near the strictness boundary.  Then the Stein Gramian, and last
+    the verdicts that know nothing, (0, inf) each; `lifting.decide` picks
+    the verdicts that stand.
 
     Two verdicts: `state_spectral_radius`, with the deciding bound's
     bound on the spectral radius of X1 as its upper end and 0 as its
@@ -365,15 +363,10 @@ def isometry_certificate(rc: Realization) -> tuple[Verdict, Verdict]:
     stable; when neither does, there is no Gramian, both upper ends are
     inf and the residual's floor is 0, so neither verdict is certified.
     """
-    result = (Verdict("state_spectral_radius", 0.0, np.inf, 1.0),
-              Verdict("stacked_isometry_residual", 0.0, np.inf, FP_GRAM_TOL))
-    for gramian_bound in GRAMIAN_BOUNDS:
-        verdicts = _isometry_verdicts(rc, gramian_bound)
-        if verdicts is not None:
-            result = verdicts
-            if combined_status(verdicts) in ("certified", "refuted"):
-                break
-    return result
+    exact = (_isometry_verdicts(rc, gramian_bound) for gramian_bound in GRAMIAN_BOUNDS)
+    unknown = (Verdict("state_spectral_radius", 0.0, np.inf, 1.0),
+               Verdict("stacked_isometry_residual", 0.0, np.inf, FP_GRAM_TOL))
+    return decide(chain((v for v in exact if v is not None), [unknown]))
 
 
 def _isometry_verdicts(rc: Realization, gramian_bound) -> tuple[Verdict, Verdict] | None:

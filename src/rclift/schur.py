@@ -11,15 +11,14 @@ The gate, `contraction_gate` (||[[A, B], [C, D]]|| <= 1 + 1e-10), runs
 where a parameter's values come from outside the package: on a transfer
 parameter read from a file (`serialize.parameter_from_json`), on a given
 constant (`constant`) and on a composition with a given factor
-(`left_multiply`, on its result).  `SchurParameter` itself checks shapes
-only, as the other containers do, and `zero` and `random_schur` build
+(`left_multiply`, on its result).  A parameter has no type of its own:
+`hardy.StateSpace` checks shapes only, as the other containers do, so the
+gate and the builders give the guarantee.  `zero` and `random_schur` build
 contractive systems by construction (the zero matrix; a Ginibre matrix
 divided by its own computed norm), so they pass no gate.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,35 +29,28 @@ from .linalg import cmatrix, disc_stack, eye, ginibre, operator_norm, zeros
 CONTRACTION_TOL = 1e-10  # rounding allowance of the parameter gate
 
 
-@dataclass(frozen=True)
-class SchurParameter(StateSpace):
-    """A Schur-class function from C^in_dim to C^out_dim on the unit disc,
-    contractive as its constructor or `contraction_gate` ensures; the
-    shapes are checked here (`hardy.StateSpace`)."""
-
-
-def contraction_gate(v: SchurParameter) -> SchurParameter:
+def contraction_gate(v: StateSpace) -> StateSpace:
     """v, after ValueError unless ||[[A, B], [C, D]]|| <= 1 + CONTRACTION_TOL."""
     if operator_norm(v.system_matrix()) > 1.0 + CONTRACTION_TOL:
         raise ValueError("the system matrix of a Schur parameter must be a contraction")
     return v
 
 
-def _static(d: np.ndarray) -> SchurParameter:
+def _static(d: np.ndarray) -> StateSpace:
     """The constant function d: the system with state dimension 0."""
-    return SchurParameter(zeros(0, 0), zeros(0, d.shape[1]), zeros(d.shape[0], 0), d)
+    return StateSpace(zeros(0, 0), zeros(0, d.shape[1]), zeros(d.shape[0], 0), d)
 
 
-def zero(in_dim: int, out_dim: int) -> SchurParameter:
+def zero(in_dim: int, out_dim: int) -> StateSpace:
     return _static(zeros(out_dim, in_dim))
 
 
-def constant(matrix) -> SchurParameter:
+def constant(matrix) -> StateSpace:
     """The constant function `matrix`, through the gate."""
     return contraction_gate(_static(cmatrix(matrix)))
 
 
-def random_schur(in_dim: int, out_dim: int, state_dim: int, seed) -> SchurParameter:
+def random_schur(in_dim: int, out_dim: int, state_dim: int, seed) -> StateSpace:
     """Random certified parameter: a Ginibre system matrix rescaled to be
     contractive.  Deterministic in the seed."""
     rng = np.random.default_rng(seed)
@@ -67,7 +59,7 @@ def random_schur(in_dim: int, out_dim: int, state_dim: int, seed) -> SchurParame
     if scale > 1.0:
         k = k / scale
     n = state_dim
-    return SchurParameter(a=k[:n, :n], b=k[:n, n:], c=k[n:, :n], d=k[n:, n:])
+    return StateSpace(a=k[:n, :n], b=k[:n, n:], c=k[n:, :n], d=k[n:, n:])
 
 
 def eval(v: StateSpace, lam) -> np.ndarray:  # noqa: A001 - domain term
@@ -81,10 +73,10 @@ def eval(v: StateSpace, lam) -> np.ndarray:  # noqa: A001 - domain term
     return v.d + lam * (v.c @ resolvent)
 
 
-def left_multiply(s, v: SchurParameter) -> SchurParameter:
+def left_multiply(s, v: StateSpace) -> StateSpace:
     """Compose with a constant factor on the output side: lam -> S V(lam),
     through the gate."""
     s = cmatrix(s)
     if s.shape[1] != v.out_dim:
         raise DimensionMismatch("output composition has wrong shape")
-    return contraction_gate(SchurParameter(a=v.a, b=v.b, c=s @ v.c, d=s @ v.d))
+    return contraction_gate(StateSpace(a=v.a, b=v.b, c=s @ v.c, d=s @ v.d))

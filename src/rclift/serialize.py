@@ -75,7 +75,7 @@ import orjson
 
 from . import nehari, schur
 from .errors import ParseError
-from .hardy import SolutionRealization, SolutionTaylor
+from .hardy import SolutionRealization, SolutionTaylor, StateSpace
 from .lifting import LiftingDataSet
 from .linalg import cmatrix
 
@@ -166,26 +166,20 @@ def _coefficients_from_json(coeffs, rows: int, cols: int, label: str):
     each a bare list of row-major [re, im] pairs: one (k, rows, cols)
     array, or a list when there are none.
 
-    All k are checked and converted in one pass: one check that each is a
-    list of rows cols pairs, one of the pairs' lengths and one of their
-    scalars' types, then one `fromiter` and one finiteness test.  Anything
-    those refuse is read again coefficient by coefficient, so the error
-    names the first malformed one, `label` formatted with its index, as
-    `_pairs_to_matrix` does.
+    All k are read by one `_pairs_to_matrix` call, on their pairs joined
+    into one k rows x cols matrix, once each is checked to be a list of
+    rows cols of them.  Anything that refuses is read again coefficient by
+    coefficient, so the error names the first malformed one, `label`
+    formatted with its index.
     """
-    size = rows * cols
     try:
-        if (rows < 0 or cols < 0 or type(coeffs) is not list or not coeffs
-                or set(map(type, coeffs)) != {list} or set(map(len, coeffs)) != {size}):
+        if (type(coeffs) is not list or not coeffs or set(map(type, coeffs)) != {list}
+                or set(map(len, coeffs)) != {rows * cols}):
             raise TypeError
-        pairs = list(chain.from_iterable(coeffs))
-        if (set(map(len, pairs)) - {2}
-                or not set(map(type, chain.from_iterable(pairs))) <= {int, float}):
-            raise TypeError
-        flat = np.fromiter(chain.from_iterable(pairs), float, 2 * size * len(coeffs))
-        if np.isfinite(flat).all():
-            return flat.view(complex).reshape(len(coeffs), rows, cols)
-    except (TypeError, ValueError, OverflowError):
+        joined = _pairs_to_matrix(list(chain.from_iterable(coeffs)), len(coeffs) * rows, cols,
+                                  label)
+        return joined.reshape(len(coeffs), rows, cols)
+    except (TypeError, ParseError):
         pass
     return [_pairs_to_matrix(c, rows, cols, label.format(i)) for i, c in enumerate(coeffs)]
 
@@ -246,11 +240,11 @@ def instance_from_json(obj):
 PARAMETER_KEYS = ("a", "b", "c", "d")
 
 
-def parameter_to_json(v: schur.SchurParameter) -> dict:
+def parameter_to_json(v: StateSpace) -> dict:
     return {"variant": "transfer", **{k: matrix_to_json(getattr(v, k)) for k in PARAMETER_KEYS}}
 
 
-def parameter_from_json(obj) -> schur.SchurParameter:
+def parameter_from_json(obj) -> StateSpace:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise ParseError("parameter file needs a 'variant' tag")
     variant = obj["variant"]
@@ -262,7 +256,7 @@ def parameter_from_json(obj) -> schur.SchurParameter:
             return schur.constant(matrix_from_json(obj["matrix"], "matrix"))
         if variant == "transfer":
             return schur.contraction_gate(
-                schur.SchurParameter(*(matrix_from_json(obj[k], k) for k in PARAMETER_KEYS)))
+                StateSpace(*(matrix_from_json(obj[k], k) for k in PARAMETER_KEYS)))
         if variant == "random":
             return schur.random_schur(
                 *(_json_int(obj, k, what) for k in ("in_dim", "out_dim", "state_dim", "seed"))

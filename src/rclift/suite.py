@@ -264,7 +264,7 @@ def ac06_contractive_interpolants(cfg: SuiteConfig) -> tuple[bool, dict]:
     norm is about 1, so `max_sigma`, the largest upper end, is that bound,
     and `max_sigma_lower`, the largest floor (that of the norm of the head
     [A; Gamma_0]), sits beside it.  The degree 16 sizes only the truncated
-    fallback, which runs only when neither Gramian bound can decide."""
+    check, the last candidate of `lifting.decide`."""
     n_inst = max(2, (2 * cfg.base) // 5)
     certified = 0
     worst_sigma = worst_floor = 0.0
@@ -296,11 +296,11 @@ def ac07_stacked_operator_contraction(cfg: SuiteConfig) -> tuple[bool, dict]:
     KYP certificate `redheffer.kyp_norm` <= 1 + FP_GRAM_TOL, read off the
     realization's own colligation and [A; E] with E = D_A, the isometry by
     `redheffer.isometry_certificate` (three n x n identities over a bound
-    on the Gramian, widened by its roundoff bound: the storage bound, with
-    no Stein solve, which decides these storage-coordinate realizations,
-    else the Stein Gramian), which must come out certified: the radius
-    is that of the bound that decided, `isometry_status` is the combined
-    status of those verdicts, and `max_isometry_residual` and
+    on the Gramian, widened by its roundoff bound; the storage bound
+    decides these storage-coordinate realizations with no Stein solve),
+    which must come out certified: the radius is that of the bound whose
+    verdicts stand, `isometry_status` is the combined status of those
+    verdicts, and `max_isometry_residual` and
     `max_isometry_residual_lower` their largest ends.
     """
     worst_kyp = 0.0
@@ -421,9 +421,9 @@ def ac10_hat_m_isometry(cfg: SuiteConfig) -> tuple[bool, dict]:
     FP_GRAM_TOL, with no truncation; so is that of zero-tap problems,
     where it is exact.  A certificate needs a bound on the Gramian that
     proves the state matrix stable (the storage bound, by repeated
-    squaring, which decides these realizations with no Stein solve, else
-    the Stein Gramian), and `max_radius_bound` is the largest bound on its
-    spectral radius from the bound that decided.  `max_residual` and
+    squaring, decides these realizations with no Stein solve), and
+    `max_radius_bound` is the largest bound on its spectral radius from
+    the bound whose verdicts stand.  `max_residual` and
     `max_residual_lower` are the largest ends of the residual verdicts,
     and `isometry_status` their combined status."""
     isometry = []

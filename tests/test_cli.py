@@ -385,7 +385,7 @@ def test_nehari_report_rows_bracket_their_residual_norms(tmp_path, capsys, dims)
     # A by its Gram: the SVD norm lies inside each
     p = generators.random_nehari_problem(np.random.default_rng(5), *dims, 0.8)
     rows = _nehari_report_rows(tmp_path, capsys, p)
-    a, lam = nehari.hankel(p), nehari.gram(p)
+    a, lam = p.a, nehari.gram(p)
     ident = np.eye(lam.shape[0])
     residuals = {
         "gram_matches_hankel": lam - (ident - a.conj().T @ a),

@@ -10,7 +10,7 @@ norms of parts formed in floating point, a_part - A and the explicit
 rows of the intertwining residual, whose exact value for an honest
 solution is itself rounding; their ends are widened by the rounding of
 forming those parts (`hardy._rows_rounding`), and every end by that
-of its Gram or SVD and top eigenvalue (`linalg.root_of_max_eig`,
+of its Gram or SVD and top eigenvalue (`linalg.Gram.root_of_max_eig`,
 `linalg.norm_bracket`).  The Nehari defect Gram, which no bracket
 reads, lies within the allowance of the Gram it is formed from, plus its
 own rounding, of its exact value.
@@ -178,7 +178,7 @@ def test_polynomial_solution_is_bracketed(factor):
 def test_norm_rules_bracket_the_exact_norm(seed, rows, cols):
     # the linalg rules that turn a computed norm into a bracket, against
     # 60 digits: the SVD's (`norm_bracket`) and the Gram's
-    # (`root_of_max_eig`), alone, with a Hermitian PSD form given exactly,
+    # (`Gram.root_of_max_eig`), alone, with a Hermitian PSD form given exactly,
     # and with that form perturbed by a Hermitian e within the err passed
     rng = np.random.default_rng(seed)
     x = linalg.ginibre(rng, rows, cols)
@@ -195,12 +195,28 @@ def test_norm_rules_bracket_the_exact_norm(seed, rows, cols):
                                           mpmath.eigh(gram, eigvals_only=True))))
     lower, upper = linalg.norm_bracket(x, 0.0)
     assert lower <= norm <= upper
-    lower, upper = linalg.root_of_max_eig(x)
+    lower, upper = linalg.Gram.of(x).root_of_max_eig()
     assert lower <= norm <= upper
-    lower, upper = linalg.root_of_max_eig(x, form)
+    lower, upper = linalg.Gram.of(x).root_of_max_eig(form)
     assert lower <= with_form <= upper
-    lower, upper = linalg.root_of_max_eig(x, form + e, linalg.frobenius_upper(e))
+    lower, upper = linalg.Gram.of(x).root_of_max_eig(form + e, linalg.frobenius_upper(e))
     assert lower <= with_form <= upper
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_norm_bracket_holds_below_the_normal_range(seed):
+    # entries from 1e-323 to 1e-305, where the SVD's scaling and the
+    # widening round on the subnormal grid and the relative widening is
+    # lost: the underflow term keeps the 60-digit norm inside, compared
+    # exactly; a zero matrix stays (0, 0)
+    rng = np.random.default_rng(seed)
+    with mpmath.workdps(EXACT_DIGITS):
+        for _ in range(50):
+            rows, cols = rng.integers(1, 5, 2)
+            m = 10.0 ** rng.uniform(-323, -305) * linalg.ginibre(rng, rows, cols)
+            lower, upper = linalg.norm_bracket(m, 0.0)
+            assert lower <= exact_norm(mp_matrix(m)) <= upper, (m, lower, upper)
+    assert linalg.norm_bracket(np.zeros((2, 2), complex), 0.0) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("u,y,n_w,k", EDGE_SHAPES)

@@ -288,6 +288,28 @@ def test_storage_route_bounds_every_truncation(seed, factor):
     assert hardy.certify_interpolant(ds, sol, 0) == storage
 
 
+def test_undecided_storage_bracket_stands_without_another_check(monkeypatch):
+    # the central solution of a generic (5, 3, 2) instance, its state
+    # rescaled by diag(linspace(1, 3, n)): the storage bound still proves A
+    # stable, but its upper end on the stacked norm, about 1.64, decides
+    # nothing.  With a second bound that never has a check, the storage
+    # bracket stands, which certifies the intertwining, and not the
+    # truncated check, which bounds it from below only; no status moves
+    ds = generators.generate_random("generic", (5, 3, 2), 0.8, 0)
+    rc = redheffer.build_coefficients(lifting.derive(ds))
+    sol = redheffer.solution_realization(rc, schur.zero(rc.kq_dim, rc.w_dim))
+    s = np.linspace(1.0, 3.0, sol.a.shape[0])
+    sol = dataclasses.replace(sol, a=s[:, None] * sol.a / s, b=s[:, None] * sol.b, c=sol.c / s)
+    storage = _verdicts(ds, sol, linalg.storage_gramian_bound)
+    assert [v.status for v in storage] == ["certified", "certified", "uncertified"]
+    assert 1.5 < storage[2].upper < 2.0
+    monkeypatch.setattr(hardy, "GRAMIAN_BOUNDS", (linalg.storage_gramian_bound, lambda a, c: None))
+    assert hardy.certify_interpolant(ds, sol, 16) == storage
+    truncated = hardy.verify_interpolant(ds, sol.taylor(16), 16)
+    assert truncated[1].upper == np.inf
+    assert combined_status(truncated) == combined_status(storage) == "uncertified"
+
+
 def _longer_head(sol):
     """The same function with m = 3 listed coefficients (tail B' = A^2 B),
     and a polynomial one: its head with a zero-dimensional state."""
@@ -452,7 +474,7 @@ def _parameter_at_radius(rc, r, seed, observable):
         w = linalg.ginibre(rng, n, rc.kq_dim)
         b = s * w / linalg.operator_norm(w)
     a = r * linalg.haar_unitary(rng, n)
-    return schur.SchurParameter(a, b, c, np.zeros((rc.w_dim, rc.kq_dim), complex))
+    return StateSpace(a, b, c, np.zeros((rc.w_dim, rc.kq_dim), complex))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

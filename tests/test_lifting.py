@@ -158,6 +158,42 @@ def test_combined_status(verdicts, status):
     assert lifting.combined_status(iter(verdicts)) == status
 
 
+BRACKETED = lifting.Verdict("b", 0.5, 2.0, 1.0)  # uncertified, with both ends finite
+
+
+def test_decide_takes_the_first_candidate_that_decides():
+    # a later candidate that decides otherwise does not move it
+    certifying, refuting = (CERTIFIED, CERTIFIED), (REFUTED,)
+    assert lifting.decide([(BRACKETED,), certifying, refuting]) is certifying
+    assert lifting.decide([(UNCERTIFIED,), refuting, certifying]) is refuting
+
+
+def test_decide_reads_no_candidate_past_the_one_that_decides():
+    deciding = (CERTIFIED,)
+
+    def offered():
+        yield (BRACKETED,)
+        yield deciding
+        raise AssertionError("a candidate past the deciding one was read")
+
+    assert lifting.decide(offered()) is deciding
+
+
+def test_decide_keeps_the_last_bracket_when_none_decides():
+    first, last = (CERTIFIED, BRACKETED), (BRACKETED, BRACKETED)
+    assert lifting.decide([first, last, (CERTIFIED, UNCERTIFIED)]) is last
+
+
+def test_decide_keeps_the_last_candidate_when_none_is_bracketed():
+    last = (BRACKETED, UNCERTIFIED)
+    assert lifting.decide([(UNCERTIFIED,), last]) is last
+
+
+def test_decide_without_candidates_is_none():
+    assert lifting.decide([]) is None
+    assert lifting.decide(iter(())) is None
+
+
 def test_derive_scalar_nehari():
     dd = lifting.derive(scalar_nehari_data())
     assert dd.dim_d_circ == 0  # isometric constraints

@@ -493,12 +493,12 @@ def test_stability_bound_never_below_the_eigenvalues(seed, n, rho, normal):
 def test_root_of_max_eig_edges():
     # no columns: the zero norm, with or without rows; an overflowing Gram
     # or allowance knows nothing, (0, inf)
-    assert linalg.root_of_max_eig(np.zeros((3, 0), complex)) == (0.0, 0.0)
-    assert linalg.root_of_max_eig(np.zeros((0, 2), complex)) == (0.0, 0.0)
-    assert linalg.root_of_max_eig(np.full((2, 2), 1e160, complex)) == (0.0, np.inf)
+    assert linalg.Gram.of(np.zeros((3, 0), complex)).root_of_max_eig() == (0.0, 0.0)
+    assert linalg.Gram.of(np.zeros((0, 2), complex)).root_of_max_eig() == (0.0, 0.0)
+    assert linalg.Gram.of(np.full((2, 2), 1e160, complex)).root_of_max_eig() == (0.0, np.inf)
     x = np.eye(2, dtype=complex)
-    assert linalg.root_of_max_eig(x, np.eye(2), np.nan) == (0.0, np.inf)
-    lower, upper = linalg.root_of_max_eig(2.0 * x, 5.0 * np.eye(2))
+    assert linalg.Gram.of(x).root_of_max_eig(np.eye(2), np.nan) == (0.0, np.inf)
+    lower, upper = linalg.Gram.of(2.0 * x).root_of_max_eig(5.0 * np.eye(2))
     assert lower < 3.0 < upper and upper - lower <= 64 * linalg.EPS
 
 
@@ -527,14 +527,25 @@ def test_frobenius_upper_is_the_plain_sum_in_the_normal_range():
     assert linalg.frobenius_upper(zero) == 0.0 and linalg.frobenius_bracket(zero) == (0.0, 0.0)
 
 
+def test_norm_bracket_is_the_plain_widening_in_the_normal_range():
+    # the underflow term moves no end from 2^-1019 up
+    rng = np.random.default_rng(3)
+    for scale in (1e-300, 1e-8, 1.0, 1e150):
+        m = scale * linalg.ginibre(rng, 4, 3)
+        norm, k = linalg.operator_norm(m), (m.size + 2) * linalg.EPS
+        for err in (0.0, 1e-3 * norm, 2.0 * norm):
+            plain = (max(norm * (1.0 - k) - err, 0.0), norm * (1.0 + k) + err)
+            assert linalg.norm_bracket(m, err) == plain
+
+
 def test_root_of_max_eig_allows_for_underflow():
     # every product in the Gram of 1e-170 entries underflows, so the
     # computed Gram is 0; the underflow allowance keeps the norm, 2e-170,
     # inside the bracket
-    lower, upper = linalg.root_of_max_eig(np.full((2, 2), 1e-170))
+    lower, upper = linalg.Gram.of(np.full((2, 2), 1e-170)).root_of_max_eig()
     assert lower == 0.0 and 2e-170 <= upper <= 1e-150
     # a Gram of no products is exact, and so is its bracket
-    assert linalg.root_of_max_eig(np.zeros((0, 2))) == (0.0, 0.0)
+    assert linalg.Gram.of(np.zeros((0, 2))).root_of_max_eig() == (0.0, 0.0)
 
 
 def test_gramian_bounds_give_their_forms():
@@ -561,7 +572,7 @@ def test_gramian_bounds_give_their_forms():
     assert 0.5 < storage.a_norm <= 1.0 + 1e-13
     m, err = storage.form(a, b)
     f = linalg.frobenius_upper
-    assert err == (storage.epsilon * storage.a_norm * linalg.root_of_max_eig(b)[1]
+    assert err == (storage.epsilon * storage.a_norm * linalg.Gram.of(b).root_of_max_eig()[1]
                    + (3 + 2) * linalg.EPS * f(a) * f(b))
     none = np.zeros((0, 0))
     assert linalg.storage_gramian_bound(none, np.zeros((2, 0))) == (

@@ -32,7 +32,6 @@ from rclift.linalg import (
     observability_gramian,
     operator_norm,
     psd_sqrt,
-    root_of_max_eig,
     zeros,
 )
 from rclift.redheffer import FP_GRAM_TOL
@@ -95,11 +94,11 @@ def second_companion(coeffs):
 
 def test_hankel_zero_taps():
     p = nehari.NehariProblem(3, 2, 1, ())
-    assert operator_norm(nehari.hankel(p)) == 0.0
+    assert operator_norm(p.a) == 0.0
 
 
 def test_hankel_scalar_rank_one():
-    a = nehari.hankel(SCALAR)
+    a = SCALAR.a
     np.testing.assert_allclose(a, np.array([[0.5, 0.0]]))
     assert abs(operator_norm(a) - 0.5) < 1e-14
 
@@ -107,7 +106,7 @@ def test_hankel_scalar_rank_one():
 def test_hankel_window_one_is_column():
     taps = (np.array([[0.3]]), np.array([[0.2]]), np.array([[0.1]]))
     p = nehari.NehariProblem(1, 1, 1, taps)
-    np.testing.assert_allclose(nehari.hankel(p), np.array([[0.3], [0.2], [0.1]]))
+    np.testing.assert_allclose(p.a, np.array([[0.3], [0.2], [0.1]]))
 
 
 def test_gram_cases():
@@ -123,7 +122,7 @@ def test_gram_matches_hankel_defect(seed):
         rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
         int(rng.integers(1, 5)), int(rng.integers(1, 6)), 0.85
     )
-    a = nehari.hankel(p)
+    a = p.a
     np.testing.assert_allclose(
         nehari.gram(p), eye(a.shape[1]) - adj(a) @ a, atol=1e-10
     )
@@ -132,7 +131,7 @@ def test_gram_matches_hankel_defect(seed):
 @pytest.mark.parametrize("u,y,n_w,k", EDGE_SHAPES)
 def test_gram_matches_hankel_defect_edge_shapes(u, y, n_w, k):
     p = random_taps_problem(u + 10 * y + 100 * n_w + 1000 * k, u, y, n_w, k)
-    a = nehari.hankel(p)
+    a = p.a
     assert operator_norm(nehari.gram(p) - (eye(a.shape[1]) - adj(a) @ a)) <= 1e-13
 
 
@@ -145,7 +144,7 @@ def test_layouts_match_block_loops(u, y, n_w, k):
     # every block of the gathered layouts is a copy of a tap or an exact 0
     # or 1, so they equal the block loops of the definitions bit for bit
     p = random_taps_problem(u + 10 * y + 100 * n_w + 1000 * k + 7, u, y, n_w, k)
-    assert _same_bits(nehari.hankel(p), hankel_blocks(p))
+    assert _same_bits(p.a, hankel_blocks(p))
     ds = nehari.to_lifting_data(p)
     for got, want in zip((ds.t_prime, ds.r, ds.q), lifting_data_blocks(p)):
         assert _same_bits(got, want)
@@ -216,7 +215,6 @@ def test_assemble_l_overflowing_gram_is_not_finite(huge):
 def test_problem_caches_are_read_only(u, y, n_w, k):
     # every reader of a problem shares its A and A*A, so none may write them
     p = random_taps_problem(3, u, y, n_w, k)
-    assert nehari.hankel(p) is p.a
     for cached in (p.a, p.a_gram.g):
         with pytest.raises(ValueError, match="read-only"):
             cached[0, 0] = 1.0
@@ -258,7 +256,7 @@ def test_gram_gate_decides_as_the_least_eigenvalue(seed, offset):
     p = generators.random_nehari_problem(np.random.default_rng(seed), 2, 3, 3, 4, 0.5)
     target = np.sqrt(1.0 - nehari.GRAM_MIN_EIG * (1.0 + offset))
     p = nehari.NehariProblem(p.n_window, p.u_dim, p.y_dim,
-                             tuple(t * (target / operator_norm(nehari.hankel(p))) for t in p.taps))
+                             tuple(t * (target / operator_norm(p.a)) for t in p.taps))
     min_eig = np.linalg.eigvalsh(nehari.gram(p))[0]
     assert bool(min_eig < nehari.GRAM_MIN_EIG) is (offset < 0)
     if offset < 0:

@@ -4,6 +4,7 @@ from power_series import taylor_eval, transfer_taylor
 
 from rclift import linalg, schur
 from rclift.errors import DimensionMismatch
+from rclift.hardy import StateSpace
 
 
 def test_zero_and_constant_eval():
@@ -21,12 +22,11 @@ def test_constant_must_be_contractive():
 
 def test_parameter_container_checks_shapes_only():
     # the gate runs where values enter; the container takes a system as it is
-    big = schur.SchurParameter(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
-                               1.5 * np.eye(2))
+    big = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), 1.5 * np.eye(2))
     with pytest.raises(ValueError, match="contraction"):
         schur.contraction_gate(big)
     with pytest.raises(DimensionMismatch):
-        schur.SchurParameter(np.zeros((1, 1)), np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2))
+        StateSpace(np.zeros((1, 1)), np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2))
     v = schur.random_schur(2, 3, 4, 5)
     assert schur.contraction_gate(v) is v
 

@@ -435,6 +435,16 @@ def test_one_status_rule():
     assert len(found) == 1 and found[0].startswith("lifting.py:")
 
 
+def test_status_strings_only_where_statuses_are_read():
+    # "certified" and "refuted" are spelled in `lifting`, which decides
+    # them, and in `cli` and `suite`, which report them; a certificate
+    # that tested a status itself would be choosing among verdicts again,
+    # which `lifting.decide` alone does
+    found = {path.name for path in SOURCES for status in ("certified", "refuted")
+             if _string_constants(ast.parse(path.read_text(encoding="utf-8")), status)}
+    assert found <= {"lifting.py", "cli.py", "suite.py"}
+
+
 def test_status_literal_is_detected():
     tree = ast.parse(
         '"""uncertified"""\n'
