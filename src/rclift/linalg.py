@@ -12,6 +12,17 @@ Hermitian part (m + m*) / 2 of what they are given and test nothing else
 about it: the package passes them only Grams it formed itself, and the
 values from files are checked where they are read (`serialize`).
 
+Every SVD, eigenproblem, Cholesky factorization and QR of the package
+runs here, on LAPACK routines called directly (`_SPECTRAL_ROUTINES`,
+`_CHOLESKY_ROUTINES`, `_QR_ROUTINES`): `gesdd`, `heevd`, `potrf`/`potrs`/
+`trtrs`, `geqp3` and `geqrf`/`ungqr`.  The suite decomposes thousands of
+matrices of a few rows, on which numpy's and scipy's wrappers (type
+dispatch, argument checks, an error-state context per call) cost as much
+as the decomposition.  Each direct call makes the wrapper's LAPACK calls
+and keeps its error and empty-matrix rules, so the results are the
+wrapper's.  The one call left to numpy is the stacked SVD of
+`operator_norm`, which is faster there than a loop of direct calls.
+
 A subspace of C^n is carried as a plain n x r array E with orthonormal
 columns, its embedding: E* x gives the coordinates of x, E c embeds them
 back, and E E* is the orthogonal projector.  Every such basis comes from
@@ -66,12 +77,64 @@ def zeros(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=complex)
 
 
+# The LAPACK routines behind numpy's `svd`, `eigh` and `eigvalsh`, called
+# directly: on the matrices of a few rows that the suite decomposes by the
+# thousand, numpy's type dispatch and error-state context cost as much as
+# the decomposition.  `_svd` and `_eigh` make numpy's calls: the same
+# drivers (`heevd` reads the lower triangle, as numpy's UPLO='L'), each at
+# the optimal workspace its `_lwork` query reports, as numpy's own query
+# finds it, so LAPACK takes the same code path and the results are
+# numpy's.  A nonzero info raises numpy's LinAlgError (`gesdd` returns -4
+# on a NaN entry without raising), and a matrix with no entries never
+# reaches LAPACK, where its zero workspace makes OpenBLAS print an
+# "illegal value" message.
+_SPECTRAL_ROUTINES = scipy.linalg.get_lapack_funcs(
+    ("gesdd", "gesdd_lwork", "heevd", "heevd_lwork"), dtype=complex)
+
+
+def _svd(m: np.ndarray, vectors: bool = True,
+         full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, s, vh) of numpy's `svd(m, full_matrices=full)` of one matrix,
+    from `gesdd`; u and vh are placeholders unless `vectors`.  A matrix
+    with no entries has no singular values and, as in numpy, identity
+    factors on the side that `full` keeps."""
+    rows, cols = m.shape
+    if m.size == 0:
+        return eye(rows)[:, :rows if full else 0], np.zeros(0), eye(cols)[:cols if full else 0]
+    gesdd, gesdd_lwork = _SPECTRAL_ROUTINES[:2]
+    work, _ = gesdd_lwork(rows, cols, compute_uv=vectors, full_matrices=full)
+    u, s, vh, info = gesdd(m, compute_uv=vectors, full_matrices=full, lwork=int(work.real))
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return u, s, vh
+
+
+def _eigh(h: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of numpy's `eigh(h)` from `heevd`, read off the lower
+    triangle of h; v is a placeholder unless `vectors`."""
+    n = h.shape[0]
+    if n == 0:
+        return np.zeros(0), zeros(0, 0)
+    heevd, heevd_lwork = _SPECTRAL_ROUTINES[2:]
+    work, iwork, rwork, _ = heevd_lwork(n, compute_v=vectors, lower=1)
+    w, v, info = heevd(h, compute_v=vectors, lower=1,
+                       lwork=int(work.real), liwork=iwork, lrwork=int(rwork))
+    if info:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w, v
+
+
 def operator_norm(m) -> float:
     """Largest singular value of a matrix, or the largest over a (k, r, c)
-    stack of matrices; 0 when there are no entries."""
-    if m.size == 0:
+    stack of matrices; 0, with no SVD, when every entry is zero or there
+    are none.  A stack stays on numpy's stacked `svd`: its one call over k
+    slices takes about half the time of k calls of `_svd` at the sizes
+    passed here (k up to 17 of at most 3 x 6)."""
+    if not np.count_nonzero(m):
         return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[..., 0].max())
+    if m.ndim == 3:
+        return float(np.linalg.svd(m, compute_uv=False)[:, 0].max())
+    return float(_svd(m, vectors=False)[1][0])
 
 
 def disc_stack(lam) -> np.ndarray:
@@ -113,7 +176,7 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, v) of the Hermitian part h of m
     (`_hermitian_part`), h = v @ diag(w) @ v*."""
-    return np.linalg.eigh(_hermitian_part(m))
+    return _eigh(_hermitian_part(m))
 
 
 def _psd_root(m, rank_cut: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,13 +289,15 @@ def rank_from_singular_values(s: np.ndarray) -> int:
     return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-# The LAPACK routines of `scipy.linalg.qr(..., pivoting=True)`, called
-# directly: that wrapper's argument checks and two workspace queries cost
-# more than the factorization of the small matrices passed here.  With the
-# wrappers' default workspace both routines run their unblocked code, which
-# LAPACK also runs at scipy's optimal workspace for bases of fewer than 128
-# vectors, so those come out bit-identical.
-_QR_ROUTINES = scipy.linalg.get_lapack_funcs(("geqp3", "ungqr"), dtype=complex)
+# The LAPACK routines of `scipy.linalg.qr(..., pivoting=True)` and of
+# numpy's `qr`, called directly: those wrappers' argument checks and
+# dispatch cost more than the factorization of the small matrices passed
+# here.  With the wrappers' default workspace `geqp3` and `ungqr` run their
+# unblocked code, which LAPACK also runs at scipy's optimal workspace for
+# bases of fewer than 128 vectors, so `_canonical_basis` comes out
+# bit-identical; `haar_unitary` makes numpy's calls, `geqrf` then `ungqr`,
+# each at the optimal workspace of a query, as numpy does.
+_QR_ROUTINES = scipy.linalg.get_lapack_funcs(("geqp3", "geqrf", "ungqr"), dtype=complex)
 
 
 def _canonical_basis(u: np.ndarray) -> np.ndarray:
@@ -249,7 +314,7 @@ def _canonical_basis(u: np.ndarray) -> np.ndarray:
     n, r = u.shape
     if r in (0, n):
         return eye(n)[:, :r]
-    geqp3, ungqr = _QR_ROUTINES
+    geqp3, _, ungqr = _QR_ROUTINES
     qr, _, tau, _, _ = geqp3(adj(u))
     q = ungqr(qr[:, :r], tau)[0]
     basis = u @ q
@@ -267,7 +332,7 @@ def psd_sqrt_and_range(m) -> tuple[np.ndarray, np.ndarray]:
 def range_and_pinv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical orthonormal basis of the column space of m and the
     pseudoinverse of m, both from one thin SVD and one rank decision."""
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    u, s, vh = _svd(m)
     r = rank_from_singular_values(s)
     return _canonical_basis(u[:, :r]), (adj(vh[:r]) / s[:r]) @ adj(u[:, :r])
 
@@ -275,7 +340,7 @@ def range_and_pinv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def kernel_embedding(m: np.ndarray) -> np.ndarray:
     """Canonical orthonormal basis of Ker(m*), the left null space of m,
     from one full SVD."""
-    u, s, _ = np.linalg.svd(m)
+    u, s, _ = _svd(m, full=True)
     return _canonical_basis(u[:, rank_from_singular_values(s):])
 
 
@@ -285,7 +350,7 @@ def min_singular_value(m) -> float:
         return float("inf")
     if m.shape[0] == 0:
         return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
+    return float(_svd(m, vectors=False)[1][-1])
 
 
 def min_eig_hermitian(m) -> float:
@@ -294,7 +359,7 @@ def min_eig_hermitian(m) -> float:
     h = _hermitian_part(m)
     if h.shape[0] == 0:
         return float("inf")
-    return float(np.linalg.eigvalsh(h)[0])
+    return float(_eigh(h, vectors=False)[0][0])
 
 
 # --- brackets of computed norms -----------------------------------------------
@@ -430,7 +495,7 @@ class Gram:
         allowance = err + self.allowance + (g.shape[0] + 4) * EPS * frobenius_upper(g)
         if not math.isfinite(allowance):  # so is every entry of g
             return 0.0, math.inf
-        lam = float(np.linalg.eigvalsh(g)[-1])
+        lam = float(_eigh(g, vectors=False)[0][-1])
         return (math.sqrt(max(lam - allowance, 0.0)) * (1.0 - 2.0 * EPS),
                 math.sqrt(max(lam + allowance, 0.0)) * (1.0 + 2.0 * EPS))
 
@@ -503,7 +568,7 @@ def _lyapunov(a: np.ndarray, w: np.ndarray, residual: float) -> tuple[float, flo
     if not delta < 1.0:
         return delta, math.inf
     k = (n + 2) * EPS
-    lam = np.linalg.eigvalsh(w)
+    lam = _eigh(w, vectors=False)[0]
     e = k * max(-lam[0], lam[-1])
     if not lam[0] > e:
         return delta, math.inf
@@ -658,7 +723,7 @@ def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> StorageGramian | None
         m = np.vstack([a, c])
         m_fro_sq = frobenius_upper(m) ** 2
         gram = _hermitian(adj(m) @ m)
-        lam = float(np.linalg.eigvalsh(gram)[-1])
+        lam = float(_eigh(gram, vectors=False)[0][-1])
         e = max(lam - 1.0 + (2 * n + p + 4) * EPS * m_fro_sq, 0.0)
         d, m_abs = gram - eye(n), np.abs(m)
         delta = (math.sqrt(float(np.linalg.norm(d, 1) * np.linalg.norm(d, np.inf)))
@@ -725,10 +790,18 @@ def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
+    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix,
+    bit for bit numpy's `qr` (`_QR_ROUTINES`)."""
     if n == 0:
         return zeros(0, 0)
-    q, r = np.linalg.qr(ginibre(rng, n, n))
-    d = np.diagonal(r)
+    _, geqrf, ungqr = _QR_ROUTINES
+    g = ginibre(rng, n, n)
+    work = geqrf(g, lwork=-1)[2]
+    qr, tau, _, info = geqrf(g, lwork=int(work[0].real))
+    work = ungqr(qr, tau, lwork=-1)[1]
+    q, _, info_q = ungqr(qr, tau, lwork=int(work[0].real))
+    if info or info_q:
+        raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+    d = np.diagonal(qr)
     return q * (d / np.abs(d))
 

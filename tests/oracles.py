@@ -278,6 +278,18 @@ def exact_norm(m: mpmath.matrix):
     return mpmath.sqrt(max(_top_eig(_adj(m) @ m), 0))
 
 
+def exact_spectral_radius(a):
+    """max |eigenvalue| of the float matrix a at EXACT_DIGITS digits, from
+    mpmath's QR algorithm run at that precision; 0 for a 0 x 0 matrix."""
+    if a.shape[0] == 0:
+        return mpmath.mpf(0)
+    with mpmath.workdps(EXACT_DIGITS):
+        m = mp_matrix(a)
+        if m.rows == 1:  # mpmath's eig returns vectors for a 1 x 1 matrix all the same
+            return abs(m[0, 0])
+        return max(abs(e) for e in mpmath.eig(m, left=False, right=False))
+
+
 def _gauss_solve(rows: list, rhs: list) -> list:
     """x with rows x = rhs, by Gaussian elimination with partial pivoting
     on |re| + |im|, in the working precision; `rows` is a list of lists."""

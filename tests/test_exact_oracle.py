@@ -29,6 +29,7 @@ from oracles import (
     exact_isometry_residual,
     exact_kyp_norm,
     exact_norm,
+    exact_spectral_radius,
     hankel_blocks,
     mp_matrix,
     random_taps_problem,
@@ -217,6 +218,43 @@ def test_norm_bracket_holds_below_the_normal_range(seed):
             lower, upper = linalg.norm_bracket(m, 0.0)
             assert lower <= exact_norm(mp_matrix(m)) <= upper, (m, lower, upper)
     assert linalg.norm_bracket(np.zeros((2, 2), complex), 0.0) == (0.0, 0.0)
+
+
+def _radius_case(name):
+    """A stable state matrix: r U for a Haar unitary U of size n, where
+    Lyapunov's bound is tight, a Ginibre matrix scaled to spectral radius
+    r, a 2 x 2 Jordan block at 0.5 with off-diagonal 1e3, or a nilpotent
+    shift."""
+    kind, n, r = name.split("-")
+    n, r = int(n), float(r)
+    if kind == "unitary":
+        return r * linalg.haar_unitary(np.random.default_rng(n), n)
+    if kind == "ginibre":
+        g = linalg.ginibre(np.random.default_rng(3), n, n)
+        return g * (r / spectral_radius(g))
+    if kind == "jordan":
+        return r * np.eye(n, dtype=complex) + 1e3 * np.eye(n, k=1, dtype=complex)
+    return np.eye(n, k=1, dtype=complex)
+
+
+RADIUS_CASES = ([f"unitary-{n}-{r}" for n in (1, 4, 6) for r in (0.5, 0.9, 0.999, 1.0 - 1e-6)]
+                + ["ginibre-6-0.9", "ginibre-6-0.999", "jordan-2-0.5", "shift-3-0"])
+
+
+@pytest.mark.parametrize("name", RADIUS_CASES)
+def test_radius_bounds_hold_against_the_exact_spectral_radius(name):
+    # the bound on rho(a) that each Gramian bound proves, the Stein
+    # Gramian's from `linalg._lyapunov`, against the spectral radius at 60
+    # digits, compared with no slack; on r U the Lyapunov bound is within
+    # 3e-14 of r, so its padding for rounding is what keeps it above
+    a = _radius_case(name)
+    c = np.ones((1, a.shape[0]), dtype=complex)
+    rho = exact_spectral_radius(a)
+    stein = linalg.observability_gramian(a, c)
+    assert stein is not None and stein.radius_bound < 1.0
+    for bound in (gramian_bound(a, c) for gramian_bound in GRAMIAN_BOUNDS):
+        if bound is not None:
+            assert rho <= bound.radius_bound, (float(rho), bound.radius_bound)
 
 
 @pytest.mark.parametrize("u,y,n_w,k", EDGE_SHAPES)

@@ -611,24 +611,19 @@ def test_coefficient_gap_rejects_different_spaces():
         hardy.coefficient_gap(sol, short)
 
 
-def test_t_prime_defect_is_factored_once_per_data_set(monkeypatch):
+def test_t_prime_defect_is_factored_once_per_data_set(lapack_calls):
     # derive and the certificates of the eleven solutions of one data set
-    # read one factorization of I - T'*T' (the defect of the dilation)
+    # read one factorization of I - T'*T' (the defect of the dilation): one
+    # eigendecomposition, a heevd call with vectors, of that matrix
     ds = generators.generate_random("generic", (5, 3, 2), 0.8, 3)
     defect_sq = np.eye(3) - ds.t_prime.conj().T @ ds.t_prime
-    factored = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(m, *args, **kwargs):
-        if m.shape == defect_sq.shape and np.allclose(m, defect_sq, rtol=0.0, atol=1e-14):
-            factored.append(m)
-        return eigh(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     rc = redheffer.build_coefficients(lifting.derive(ds))
     params = [schur.zero(rc.kq_dim, rc.w_dim)] + [
         schur.random_schur(rc.kq_dim, rc.w_dim, j % 4, 100 + j) for j in range(10)]
     for v in params:
         rep = hardy.certify_interpolant(ds, redheffer.solution_realization(rc, v), 16)
         assert combined_status(rep) == "certified"
+    factored = [args[0] for name, args, kwargs in lapack_calls
+                if name == "heevd" and kwargs["compute_v"] and args[0].shape == defect_sq.shape
+                and np.allclose(args[0], defect_sq, rtol=0.0, atol=1e-14)]
     assert len(factored) == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import pivoted_gram_schmidt, spectral_radius
@@ -236,6 +237,23 @@ def test_disc_stack_shapes_and_gate():
         linalg.disc_stack(np.zeros((2, 2)))
 
 
+def test_zero_matrix_norm_takes_no_svd(monkeypatch, lapack_calls):
+    # an exactly zero matrix or stack has norm 0.0, the value its SVD would
+    # give, with no LAPACK call; a nonzero one still takes its SVD
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for shape in ((3, 3), (2, 5), (1, 1), (4, 2, 3), (0, 3)):
+        z = np.zeros(shape, complex)
+        assert linalg.operator_norm(z) == 0.0
+        assert linalg.operator_norm(-z) == 0.0
+    assert linalg.norm_bracket(np.zeros((2, 3), complex), 0.0) == (0.0, 0.0)
+    assert lapack_calls == []
+    assert linalg.operator_norm(np.diag([0.0, 2.0])) == 2.0
+    assert [name for name, _, _ in lapack_calls] == ["gesdd_lwork", "gesdd"]
+
+
 def test_zero_dimensional_matrices_flow():
     z = np.zeros((0, 0))
     assert linalg.operator_norm(z) == 0.0
@@ -338,7 +356,9 @@ def test_hermitian_kernel_reads_only_the_hermitian_part(seed, n, c, scale):
         assert _same(f(m), f(_hermitian_part(m)))
 
 
-def test_hermitian_kernel_runs_no_svd(monkeypatch):
+def test_hermitian_kernel_runs_no_svd(monkeypatch, lapack_calls):
+    # neither numpy's SVD nor LAPACK's gesdd, while the kernel's own
+    # routines (heevd, potrf) are seen to run
     calls = []
     real = np.linalg.svd
 
@@ -356,14 +376,18 @@ def test_hermitian_kernel_runs_no_svd(monkeypatch):
     # nor does a matrix that is far from Hermitian
     linalg.hermitian_eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert calls == []
+    routines = [name for name, _, _ in lapack_calls]
+    assert "gesdd" not in routines and {"heevd", "potrf"} <= set(routines)
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_min_eig_hermitian_takes_no_eigenvectors(monkeypatch, seed):
+def test_min_eig_hermitian_takes_no_eigenvectors(monkeypatch, lapack_calls, seed):
+    # no numpy eigh, and every heevd call it makes asks for no vectors
     rng = np.random.default_rng(seed)
     b = linalg.ginibre(rng, 7, 7)
     m = b @ b.conj().T - 2.0 * np.eye(7)
     expected = float(linalg.hermitian_eig(m)[0][0])
+    lapack_calls.clear()
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("eigh called")
@@ -373,6 +397,145 @@ def test_min_eig_hermitian_takes_no_eigenvectors(monkeypatch, seed):
     assert linalg.min_eig_hermitian(np.zeros((0, 0))) == float("inf")
     skew = np.array([[1.0, 1.0], [0.0, 1.0]])
     assert linalg.min_eig_hermitian(skew) == linalg.min_eig_hermitian(_hermitian_part(skew))
+    eigen = [kwargs["compute_v"] for name, _, kwargs in lapack_calls if name == "heevd"]
+    assert len(eigen) == 3 and not any(eigen)
+
+
+# --- the direct LAPACK calls against numpy's wrappers ---------------------------
+
+
+def _close(x, y, scale):
+    """x and y agree to rounding: within 64 n eps of `scale`, n their size."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and bool(np.all(np.abs(x - y) <= 64 * max(x.size, 1) * linalg.EPS * scale))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 40, 128])
+def test_spectral_helpers_agree_with_numpy(n, kind):
+    # every helper whose SVD or eigenproblem now runs in LAPACK directly,
+    # against numpy's wrappers, on a square matrix and a wide and a tall
+    # one, and the Hermitian helpers on a matrix far from Hermitian and on
+    # its Hermitian part
+    rng = np.random.default_rng(n)
+    draw = ((lambda r, c: rng.standard_normal((r, c))) if kind == "real"
+            else (lambda r, c: linalg.ginibre(rng, r, c)))
+    for m in (draw(n, n), draw(n, n // 2), draw(n // 2, n)):
+        s = np.linalg.svd(m, compute_uv=False)
+        top = float(s[0]) if s.size else 0.0
+        assert _close(linalg.operator_norm(m), top, max(top, 1.0))
+        if m.shape[1] == 0:
+            assert linalg.min_singular_value(m) == np.inf
+        else:
+            assert _close(linalg.min_singular_value(m), s[-1] if s.size else 0.0, max(top, 1.0))
+        for full in (False, True):
+            u, sv, vh = linalg._svd(m, full=full)
+            u_np, _, vh_np = np.linalg.svd(m, full_matrices=full)
+            assert u.shape == u_np.shape and vh.shape == vh_np.shape and _close(sv, s, top)
+            k = sv.size
+            assert _close((u[:, :k] * sv) @ vh[:k], m, max(top, 1.0))
+            assert _close(u.conj().T @ u, np.eye(u.shape[1]), 1.0)
+            assert _close(vh @ vh.conj().T, np.eye(vh.shape[0]), 1.0)
+        basis, pinv = linalg.range_and_pinv(m)
+        assert _close(pinv, np.linalg.pinv(m), max(linalg.operator_norm(pinv), 1.0) ** 2)
+        assert basis.shape == (m.shape[0], min(m.shape))
+        kernel = linalg.kernel_embedding(m)
+        assert kernel.shape == (m.shape[0], m.shape[0] - min(m.shape))
+        assert _close(kernel.conj().T @ m, np.zeros((kernel.shape[1], m.shape[1])), max(top, 1.0))
+    x = draw(n, n)
+    h = _hermitian_part(x)
+    scale = max(float(np.max(np.abs(np.linalg.eigvalsh(h)), initial=0.0)), 1.0)
+    for operand in (x, h):
+        w, v = linalg.hermitian_eig(operand)
+        w_np = np.linalg.eigvalsh(h)
+        assert _close(w, w_np, scale) and _close((v * w) @ v.conj().T, h, scale)
+        if n:
+            assert _close(linalg.min_eig_hermitian(operand), w_np[0], scale)
+        assert _close(linalg._eigh(h, vectors=False)[0], w_np, scale)
+    lower, upper = linalg.Gram.of(x).root_of_max_eig()
+    norm = float(np.linalg.svd(x, compute_uv=False)[0]) if n else 0.0
+    assert lower <= norm <= upper
+
+
+def test_direct_calls_run_at_the_optimal_workspace(lapack_calls):
+    # each gesdd and heevd call passes the workspace LAPACK reports as
+    # optimal, numpy's choice, and heevd reads the lower triangle; at n = 40
+    # an eigenvalue-only heevd at the minimal workspace would run another
+    # reduction, unblocked, and round differently
+    rng = np.random.default_rng(0)
+    m = linalg.ginibre(rng, 40, 30)
+    h = _hermitian_part(linalg.ginibre(rng, 40, 40))
+    linalg.operator_norm(m)
+    linalg.range_and_pinv(m)
+    linalg.kernel_embedding(m)
+    linalg.hermitian_eig(h)
+    linalg.min_eig_hermitian(h)
+    linalg.Gram.of(m).root_of_max_eig()
+    checked = []
+    for name, args, kwargs in lapack_calls:
+        if name == "gesdd":
+            rows, cols = args[0].shape
+            work, _ = scipy.linalg.lapack.zgesdd_lwork(
+                rows, cols, compute_uv=kwargs["compute_uv"], full_matrices=kwargs["full_matrices"])
+            assert kwargs["lwork"] == int(work.real)
+        elif name == "heevd":
+            work, iwork, rwork, _ = scipy.linalg.lapack.zheevd_lwork(
+                args[0].shape[0], compute_v=kwargs["compute_v"], lower=1)
+            assert kwargs["lower"] == 1
+            assert (kwargs["lwork"], kwargs["liwork"], kwargs["lrwork"]) == (
+                int(work.real), iwork, int(rwork))
+        else:
+            continue
+        checked.append(name)
+    assert checked == ["gesdd"] * 3 + ["heevd"] * 3
+
+
+def _outcome(f, m):
+    """What f(m) gives: ("raises", message) for a LinAlgError, else the
+    NaN pattern of its values."""
+    try:
+        values = f(m)
+    except np.linalg.LinAlgError as err:
+        return "raises", str(err)
+    return "nan", np.isnan(np.asarray(values)).tolist()
+
+
+# (direct helper, numpy's counterpart), both read as the values they give
+NON_FINITE_PAIRS = {
+    "operator_norm": (linalg.operator_norm, lambda m: np.linalg.svd(m, compute_uv=False)[0]),
+    "min_singular_value": (linalg.min_singular_value,
+                           lambda m: np.linalg.svd(m, compute_uv=False)[-1]),
+    "svd": (lambda m: linalg._svd(m)[1], lambda m: np.linalg.svd(m, full_matrices=False)[1]),
+    "svd_full": (lambda m: linalg._svd(m, full=True)[1], lambda m: np.linalg.svd(m)[1]),
+    "eigh": (lambda m: linalg._eigh(m)[0], lambda m: np.linalg.eigh(m)[0]),
+    "eigvalsh": (lambda m: linalg._eigh(m, vectors=False)[0], np.linalg.eigvalsh),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", NON_FINITE_PAIRS)
+def test_non_finite_input_meets_numpys_outcome(name, bad, capfd):
+    # a NaN raises numpy's LinAlgError with its message where numpy raises
+    # (the direct gesdd returns info -4 and would not), an Inf gives NaN
+    # where numpy gives it, and LAPACK writes nothing to stderr
+    ours, theirs = NON_FINITE_PAIRS[name]
+    m = np.eye(3, dtype=complex)
+    m[0, 1], m[1, 1] = 0.5, bad
+    outcome = _outcome(ours, m)
+    assert outcome == _outcome(theirs, m)
+    if name.startswith("svd") or name in ("operator_norm", "min_singular_value"):
+        assert outcome[0] == ("raises" if np.isnan(bad) else "nan")
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n", list(range(1, 10)) + [40, 131])
+def test_haar_unitary_is_numpys_qr_bit_for_bit(n):
+    # 20 seeds at each n up to 9 (180 cases), one at 40 and at 131, where
+    # LAPACK's QR runs blocked: generated instances do not move
+    for seed in range(20 if n < 10 else 1):
+        q, r = np.linalg.qr(linalg.ginibre(np.random.default_rng(seed), n, n))
+        d = np.diagonal(r)
+        assert np.array_equal(linalg.haar_unitary(np.random.default_rng(seed), n), q * (d / np.abs(d)))
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -323,6 +323,43 @@ def test_lapack_binding_is_detected():
         "get_lapack_funcs:5", "get_lapack_funcs:6"]
 
 
+# LAPACK is named in `linalg` alone: no other module binds a routine or
+# reaches `scipy.linalg.lapack`, so every decomposition passes the gates of
+# `linalg`'s direct calls (numpy's LinAlgError on a nonzero info, no empty
+# matrix sent to LAPACK).
+LAPACK_NAMES = ("get_lapack_funcs", "lapack")
+
+
+def _lapack_names(tree: ast.AST) -> list[str]:
+    """`name:line` for each read, attribute or import of `get_lapack_funcs`
+    or `lapack` (`_names_used`), and `from module:line` for each import
+    from a module path through `lapack`."""
+    found = _names_used(tree, LAPACK_NAMES)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and "lapack" in (node.module or "").split("."):
+            found.append(f"from {node.module}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_lapack_named_only_in_linalg(path):
+    assert _lapack_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_lapack_name_is_detected():
+    tree = ast.parse(
+        "import numpy as np\nimport scipy.linalg\nimport scipy.linalg.lapack as lp\n"
+        "from scipy.linalg import lapack\nfrom scipy.linalg.lapack import zgesdd\n"
+        "m = np.eye(2)\n"
+        "gesdd, = scipy.linalg.get_lapack_funcs(('gesdd',), (m,))\n"
+        "w = scipy.linalg.lapack.zheevd(m)[0]\n"
+        "s = np.linalg.svd(m, compute_uv=False)\n"
+    )
+    assert sorted(_lapack_names(tree)) == [
+        "from scipy.linalg.lapack:5", "get_lapack_funcs:7", "lapack:3", "lapack:4", "lapack:8"]
+
+
 # One JSON codec: `serialize` reads and writes every document through
 # orjson, so the stdlib module's different spelling cannot creep back in.
 STDLIB_JSON_CODEC = ("load", "loads", "dump", "dumps")
