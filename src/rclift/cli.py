@@ -168,7 +168,7 @@ def cmd_validate(args) -> int:
     if isinstance(obj, nehari.NehariProblem):
         constraints, _ = lifting.validate(nehari.to_lifting_data(obj), args.tol)
         strict = (lifting.Verdict.exact(
-            "strictness_gram_min_eig", min_eig_hermitian(nehari.gram(obj)),
+            "strictness_gram_min_eig", min_eig_hermitian(obj.defect_gram),
             nehari.GRAM_MIN_EIG, at_least=True),)
     else:
         constraints, strict = lifting.validate(obj, args.tol)
@@ -260,7 +260,7 @@ def cmd_nehari(args) -> int:
     if not isinstance(obj, nehari.NehariProblem):
         raise ParseError("the nehari subcommand needs a problem of kind 'nehari'")
     nc = nehari.coefficients(obj)
-    a, lam = obj.a, nehari.gram(obj)
+    a, lam = obj.a, obj.defect_gram
     gram_vs_hankel = frobenius_bracket(lam - (eye(a.shape[1]) - adj(a) @ a))
     inv_res = frobenius_bracket(lam @ inv_hpd(lam) - eye(lam.shape[0]))
     verdicts = (

@@ -204,15 +204,15 @@ class DerivedData:
     """Defect operators and subspace embeddings attached to a strict data set.
 
     Each `*_embedding` field and `ker_q_star`, `ker_r_star` is an n x r
-    array with orthonormal columns spanning its subspace.
+    array with orthonormal columns spanning its subspace.  The defect of
+    T' and its coordinates (D_T', E_T) are not copied here: they belong to
+    the data set, and are read from `ds.t_prime_defect`.
     """
 
     ds: LiftingDataSet
     d_a: np.ndarray
-    d_t_prime: np.ndarray
     d_circ: np.ndarray
     d_circ_embedding: np.ndarray
-    dt_embedding: np.ndarray
     f_embedding: np.ndarray
     ker_q_star: np.ndarray
     ker_r_star: np.ndarray
@@ -227,7 +227,7 @@ class DerivedData:
 
     @property
     def dim_dt(self) -> int:
-        return self.dt_embedding.shape[1]
+        return self.ds.t_prime_defect[1].shape[1]
 
 
 def derive(ds: LiftingDataSet) -> DerivedData:
@@ -262,10 +262,8 @@ def derive(ds: LiftingDataSet) -> DerivedData:
     return DerivedData(
         ds=ds,
         d_a=d_a,
-        d_t_prime=d_t,
         d_circ=d_circ,
         d_circ_embedding=e_circ,
-        dt_embedding=e_t,
         f_embedding=f_emb,
         ker_q_star=ker_q,
         ker_r_star=ker_r,
@@ -280,7 +278,7 @@ def gram_identity_residual(dd: DerivedData) -> float:
     """Relative residual of Q* D_A^2 Q = D0^2 + R*A* D_T'^2 A R + R* D_A^2 R."""
     ds = dd.ds
     lhs = adj(ds.q) @ dd.d_a @ dd.d_a @ ds.q
-    dtar = dd.d_t_prime @ ds.a @ ds.r
+    dtar = ds.t_prime_defect[0] @ ds.a @ ds.r
     rhs = dd.d_circ @ dd.d_circ + adj(dtar) @ dtar + adj(dd.d_a @ ds.r) @ (dd.d_a @ ds.r)
     return operator_norm(lhs - rhs) / max(1.0, operator_norm(lhs))
 

@@ -513,11 +513,12 @@ def _stein(a: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     squared norm of a is below machine epsilon or after
     STEIN_MAX_DOUBLINGS; what it leaves out shows in the Stein residual
     ||a* X a + q - X||, returned with X, which every bound built on X
-    carries.  The last q is I, the W of `_lyapunov`, and the sum also stops
-    once k (||a||_1 ||a||_inf + 1) max_i W_ii, with k = (n + 2) eps,
-    reaches 1: that is at most the rounding allowance `_residual_bound`
-    adds to the residual of W, and the partial sums only grow, so the
-    finished W could certify nothing either.
+    carries; it is inf when X or the residual is not finite.  The last q
+    is I, the W of `_lyapunov`, and the sum also stops once
+    k (||a||_1 ||a||_inf + 1) max_i W_ii, with k = (n + 2) eps, reaches 1:
+    that is at most the rounding allowance `_residual_bound` adds to the
+    residual of W, and the partial sums only grow, so the finished W could
+    certify nothing either.
     """
     x, power = qs, a
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is caught below
@@ -532,7 +533,9 @@ def _stein(a: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(x)):
         return x, np.full(len(qs), np.inf)
     x = 0.5 * (x + np.swapaxes(x, -1, -2).conj())
-    return x, np.array([operator_norm(adj(a) @ xk @ a + q - xk) for xk, q in zip(x, qs)])
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite x of a huge a overflows here
+        residuals = [adj(a) @ xk @ a + q - xk for xk, q in zip(x, qs)]
+    return x, np.array([operator_norm(r) if np.isfinite(r).all() else np.inf for r in residuals])
 
 
 def _residual_bound(a: np.ndarray, x: np.ndarray, q: np.ndarray, residual: float) -> float:
@@ -711,8 +714,9 @@ def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> StorageGramian | None
     ||X_j||_F + d_j, each Frobenius norm from `frobenius_upper`, bounds
     ||a^m|| for m = 2^j, and the squaring stops at the first theta <= 1/2,
     after at most STEIN_MAX_DOUBLINGS squarings.  Nothing assumes a
-    stable: a theta that never reaches 1/2, or a power or S that
-    overflows, gives None.
+    stable: a theta that never reaches 1/2, or a power, S, ||M||_F^2 or
+    the Gram of M that overflows, gives None, the last two before any
+    eigenvalue is taken.
     """
     n = a.shape[0]
     if n == 0:
@@ -721,8 +725,13 @@ def storage_gramian_bound(a: np.ndarray, c: np.ndarray) -> StorageGramian | None
     p = c.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
         m = np.vstack([a, c])
-        m_fro_sq = frobenius_upper(m) ** 2
+        try:
+            m_fro_sq = frobenius_upper(m) ** 2
+        except OverflowError:
+            return None
         gram = _hermitian(adj(m) @ m)
+        if not (math.isfinite(m_fro_sq) and np.isfinite(gram).all()):
+            return None
         lam = float(_eigh(gram, vectors=False)[0][-1])
         e = max(lam - 1.0 + (2 * n + p + 4) * EPS * m_fro_sq, 0.0)
         d, m_abs = gram - eye(n), np.abs(m)

@@ -19,8 +19,9 @@ slot and Q the first.  The combined tap/solution operator of
 `assemble_l`, whose row of index i and slot j hold s[i - j + 1], is never
 laid out: `combined_gram` forms its N*u x N*u Gram from the block
 diagonals of s.  With no H it is A with its block rows reversed, so the
-same kernel forms A*A, and `gram` is I - A*A.  A problem forms A and A*A
-once, read-only, for every reader (`NehariProblem.a`, `.a_gram`).
+same kernel forms A*A, and the defect Gram Lambda is I - A*A.  A problem
+forms each of A, A*A and Lambda once, read-only, for every reader
+(`NehariProblem.a`, `.a_gram`, `.defect_gram`).
 
 The problem is the specialisation of relaxed commutant lifting to the data
 set `to_lifting_data` builds, so its coefficient functions are the lifting
@@ -112,6 +113,16 @@ class NehariProblem:
         gram.g.flags.writeable = False
         return gram
 
+    @functools.cached_property
+    def defect_gram(self) -> np.ndarray:
+        """The defect Gram Lambda = I - A*A, made Hermitian, from `a_gram`:
+        block (i, j) is I - sum_{n>=i} F_-n* F_{-n+i-j} (all sums finite).
+        Formed once, read-only."""
+        out = eye(self.n_window * self.u_dim) - self.a_gram.g
+        lam = 0.5 * (out + adj(out))
+        lam.flags.writeable = False
+        return lam
+
 
 def _sequence(p: NehariProblem, h: np.ndarray | tuple = ()) -> np.ndarray:
     """s = F_-K, ..., F_-1, H_0, ..., H_deg for the coefficients in a
@@ -130,18 +141,10 @@ def _gather(seq: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return seq[idx].transpose(0, 2, 1, 3).reshape(rows * y, cols * u)
 
 
-def gram(p: NehariProblem) -> np.ndarray:
-    """The defect Gram Lambda = I - A*A of the Hankel matrix, made
-    Hermitian, from the problem's Gram of A (`NehariProblem.a_gram`):
-    block (i, j) is I - sum_{n>=i} F_-n* F_{-n+i-j} (all sums finite)."""
-    out = eye(p.n_window * p.u_dim) - p.a_gram.g
-    return 0.5 * (out + adj(out))
-
-
 def _strict_gram(p: NehariProblem) -> np.ndarray:
-    """The defect Gram `gram(p)`; HankelNotStrict unless its least
-    eigenvalue is at least GRAM_MIN_EIG, so that the Hankel matrix is a
-    strict contraction.
+    """The problem's defect Gram (`defect_gram`); HankelNotStrict unless
+    its least eigenvalue is at least GRAM_MIN_EIG, so that the Hankel
+    matrix is a strict contraction.
 
     The gate is whether Lambda - GRAM_MIN_EIG I has a Cholesky factor,
     several times cheaper than its least eigenvalue, which is computed for
@@ -149,7 +152,7 @@ def _strict_gram(p: NehariProblem) -> np.ndarray:
     can differ only for a least eigenvalue within about n eps ||Lambda||
     of GRAM_MIN_EIG; then the message says that the factorization failed.
     """
-    lam = gram(p)
+    lam = p.defect_gram
     try:
         hpd_factor(lam - GRAM_MIN_EIG * eye(lam.shape[0]))
     except NotPositiveDefinite:
@@ -181,11 +184,10 @@ def coefficients(p: NehariProblem) -> Realization:
     w = hpd_factor(lam)
     slots = eye(n_w * u)
     w_slots = solve_factor_adjoint(w, np.hstack([slots[:, :u], slots[:, m:]]))  # [E_Q, E_R]
-    xs, _, _ = storage_coefficients(
+    return storage_coefficients(
         w[:, :m], w[:, u:], lam[:m, :m], lam[u:, u:], w_slots[:, :u], w_slots[:, u:],
-        p.a[:y, :m], 0
+        p.a[:y, :m], 0, w[:, :u], p.a[:, :u]
     )
-    return Realization(**xs, e=w[:, :u], base=p.a[:, :u])
 
 
 def combined_gram(p: NehariProblem, h: np.ndarray) -> Gram:

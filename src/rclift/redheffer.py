@@ -12,18 +12,20 @@ the central solution.  The input space of X2/X5 is the orthogonal sum of
 the gap-defect coordinates, the dilation-defect coordinates, and Ker R*,
 in that order.
 
-`Realization` holds X1..X5, E and the base block of the stacked solution
-operator; every function below takes any realization, the contraction
-certificate `kyp_norm` too.  Both problems' realizations come from one
-core, `storage_coefficients`, in one coordinate convention: the state is
-written in storage coordinates W x, for a factor W with W*W = D_A^2, so
-that E = W, the base block is A and the colligation
-[[X1, X2], [X3, 0], [X4, X5]] is a contraction, which `kyp_norm` reads
-off the realization alone.  The lifting front end `build_coefficients`
-takes W = D_A.  The relaxed Nehari problem is the specialisation of the
-lifting theorem to the data set `nehari.to_lifting_data`, and
-`nehari.coefficients` takes W the upper Cholesky factor of its defect
-Gram, with E and the base block restricted to the first window slot.
+`Realization`, the one realization type, holds X1..X5, E and the base
+block of the stacked solution operator; every function below takes any
+realization, the contraction certificate `kyp_norm` too.  One core,
+`storage_coefficients`, returns both problems' realizations, in one
+coordinate convention: the state is written in storage coordinates W x,
+for a factor W with W*W = D_A^2, so that E = W, the base block is A and
+the colligation [[X1, X2], [X3, 0], [X4, X5]] is a contraction, which
+`kyp_norm` reads off the realization alone.  The lifting front end
+`build_coefficients` takes W = D_A.  The relaxed Nehari problem is the
+specialisation of the lifting theorem to the data set
+`nehari.to_lifting_data`, and `nehari.coefficients` takes W the upper
+Cholesky factor of its defect Gram, with E and the base block restricted
+to the first window slot.  The proof-layer checks at the end read the
+lifting `DerivedData`.
 """
 
 from __future__ import annotations
@@ -98,14 +100,11 @@ class Realization:
         return self.x4.shape[0]
 
 
-@dataclass(frozen=True)
-class RedhefferCoefficients(Realization):
-    """The lifting realization (`build_coefficients`), with its derived
-    data and weights."""
-
-    dd: DerivedData
-    delta_q: np.ndarray
-    delta_omega: np.ndarray
+def omega_weight(j: np.ndarray, rdr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R* D_A^2 R)^-1 J* and the omega weight
+    Delta_Omega = I + J (R* D_A^2 R)^-1 J*, for J and R* D_A^2 R."""
+    rdr_j = solve_hpd(rdr, adj(j))
+    return rdr_j, eye(j.shape[0]) + j @ rdr_j
 
 
 def storage_coefficients(
@@ -117,49 +116,48 @@ def storage_coefficients(
     w_e_r: np.ndarray,
     j: np.ndarray,
     d0: int,
-) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """X1..X5, as keyword fields, and the weights Delta_Q and Delta_Omega
-    of a strict problem written in storage coordinates.
+    e: np.ndarray,
+    base: np.ndarray,
+) -> Realization:
+    """The realization of a strict problem written in storage coordinates,
+    with input embedding e and base block base.
 
     For a factor W with W*W = D_A^2 the arguments are W R, W Q,
     R* D_A^2 R, Q* D_A^2 Q, W^-* E_Q, W^-* E_R, J and dim D0 (the first
     rows of J).  The caller passes R* D_A^2 R and Q* D_A^2 Q, which it may
     hold already (corners of D_A^2 when R and Q select slots), or else
-    forms as the Grams (W R)*(W R) and (W Q)*(W Q).  The other weights
-    are Grams of the arguments: Delta_Q = E_Q* D_A^-2 E_Q =
-    (W^-* E_Q)*(W^-* E_Q), Delta_R likewise.
-    With (W Q)^+ = (Q* D_A^2 Q)^-1 (W Q)* and
-    Delta_Omega = I + J (R* D_A^2 R)^-1 J*:
+    forms as the Grams (W R)*(W R) and (W Q)*(W Q).  The weights are
+    Delta_Omega (`omega_weight`) and Grams of the arguments:
+    Delta_Q = E_Q* D_A^-2 E_Q = (W^-* E_Q)*(W^-* E_Q), Delta_R likewise.
+    With (W Q)^+ = (Q* D_A^2 Q)^-1 (W Q)*:
 
         X1 = (W R) (W Q)^+,   X4 = (the D_T' rows of J) (W Q)^+,
         X2 = [-(W R) (R* D_A^2 R)^-1 J* Delta_Omega^-1/2, -W^-* E_R Delta_R^-1/2],
         X3 = Delta_Q^-1/2 (W^-* E_Q)*,   X5 = [the D_T' rows of Delta_Omega^-1/2, 0].
 
     The state is W x, whose storage function is the squared norm; the
-    caller's input embedding is W on the input space.  Two factors differ
+    caller's input embedding e is W on the input space.  Two factors differ
     by a unitary on the left, which the realization inherits as a unitary
     change of state coordinates, so the coefficient functions do not
     depend on the choice.
     """
-    rdr_j = solve_hpd(rdr, adj(j))
-    delta_omega = eye(j.shape[0]) + j @ rdr_j
-    delta_q = adj(w_e_q) @ w_e_q
+    rdr_j, delta_omega = omega_weight(j, rdr)
     dom_nh = psd_sqrt(inv_hpd(delta_omega))
-    dq_nh = psd_sqrt(inv_hpd(delta_q))
+    dq_nh = psd_sqrt(inv_hpd(adj(w_e_q) @ w_e_q))
     dr_nh = psd_sqrt(inv_hpd(adj(w_e_r) @ w_e_r))
     wq_pinv = solve_hpd(qdq, adj(w_q))
     dt = j.shape[0] - d0
-    xs = {
-        "x1": w_r @ wq_pinv,
-        "x2": np.hstack([-w_r @ rdr_j @ dom_nh, -w_e_r @ dr_nh]),
-        "x3": dq_nh @ adj(w_e_q),
-        "x4": j[d0:] @ wq_pinv,
-        "x5": np.hstack([dom_nh[d0:, :], zeros(dt, w_e_r.shape[1])]),
-    }
-    return xs, delta_q, delta_omega
+    return Realization(
+        x1=w_r @ wq_pinv,
+        x2=np.hstack([-w_r @ rdr_j @ dom_nh, -w_e_r @ dr_nh]),
+        x3=dq_nh @ adj(w_e_q),
+        x4=j[d0:] @ wq_pinv,
+        x5=np.hstack([dom_nh[d0:, :], zeros(dt, w_e_r.shape[1])]),
+        e=e, base=base,
+    )
 
 
-def build_coefficients(dd: DerivedData) -> RedhefferCoefficients:
+def build_coefficients(dd: DerivedData) -> Realization:
     """The lifting realization: `storage_coefficients` with W = D_A, so
     E = D_A and base A.
 
@@ -168,32 +166,24 @@ def build_coefficients(dd: DerivedData) -> RedhefferCoefficients:
     """
     ds = dd.ds
     w_r, w_q = dd.d_a @ ds.r, dd.d_a @ ds.q
-    xs, delta_q, delta_omega = storage_coefficients(
-        w_r,
-        w_q,
-        adj(w_r) @ w_r,
-        adj(w_q) @ w_q,
-        dd.d_a_inv @ dd.ker_q_star,
-        dd.d_a_inv @ dd.ker_r_star,
-        dd.j,
-        dd.dim_d_circ,
-    )
-    return RedhefferCoefficients(
-        **xs, e=dd.d_a, base=ds.a, dd=dd, delta_q=delta_q, delta_omega=delta_omega
+    return storage_coefficients(
+        w_r, w_q, adj(w_r) @ w_r, adj(w_q) @ w_q, dd.d_a_inv @ dd.ker_q_star,
+        dd.d_a_inv @ dd.ker_r_star, dd.j, dd.dim_d_circ, dd.d_a, ds.a
     )
 
 
-def delta_omega_inverse_residual(rc: RedhefferCoefficients) -> float:
+def delta_omega_inverse_residual(dd: DerivedData) -> float:
     """Residual of the closed-form inverse of the omega weight.
 
     The inverse must equal I - J (Q* D_A^2 Q)^-1 J*, computed here from
     scratch against a direct HPD inversion.
     """
-    dd = rc.dd
     ds = dd.ds
+    dar = dd.d_a @ ds.r
+    _, delta_omega = omega_weight(dd.j, adj(dar) @ dar)
     qdq = adj(ds.q) @ (dd.d_a @ dd.d_a) @ ds.q
     closed = eye(dd.j.shape[0]) - dd.j @ solve_hpd(qdq, adj(dd.j))
-    return operator_norm(inv_hpd(rc.delta_omega) - closed)
+    return operator_norm(inv_hpd(delta_omega) - closed)
 
 
 def _resolvent(rc: Realization, lam: np.ndarray) -> np.ndarray:
@@ -245,7 +235,7 @@ def _check_parameter(rc: Realization, v: StateSpace) -> None:
         )
 
 
-def z_from_v(rc: RedhefferCoefficients, v: StateSpace, lam) -> np.ndarray:
+def z_from_v(rc: Realization, v: StateSpace, lam) -> np.ndarray:
     """The underlying disc function pinned to omega on F, at one point, or
     as a (k, ., .) stack at a 1-d array of k points:
     [X4; X1] + [X5; X2] V(lam) X3.
@@ -428,21 +418,22 @@ class YGramReport:
     sigma_min_y_star: float
 
 
-def y_gram_check(rc: RedhefferCoefficients) -> YGramReport:
+def y_gram_check(dd: DerivedData) -> YGramReport:
     """Gram identity for the column operator behind the parameterization.
 
-    Builds Y from the omega weight of `rc`, J, the left inverse of D_A R,
-    and the kernel coordinates of R* D_A, and compares Y*Y with the defect
-    square of omega-adjoint.  Also reports the smallest singular value of
-    Y*, which must be positive (trivial kernel).
+    Builds Y from the omega weight, J, the left inverse of D_A R, and the
+    kernel coordinates of R* D_A, and compares Y*Y with the defect square
+    of omega-adjoint.  Also reports the smallest singular value of Y*,
+    which must be positive (trivial kernel).
     """
-    dd = rc.dd
     ds = dd.ds
     d0 = dd.dim_d_circ
     dt = dd.dim_dt
-    dom_nh = psd_sqrt(inv_hpd(rc.delta_omega))
+    dar = dd.d_a @ ds.r
+    _, delta_omega = omega_weight(dd.j, adj(dar) @ dar)
+    dom_nh = psd_sqrt(inv_hpd(delta_omega))
     l_dar = left_inverse_dar(dd)
-    ker_rda = kernel_embedding(dd.d_a @ ds.r)
+    ker_rda = kernel_embedding(dar)
     kr = ker_rda.shape[1]
     h = ds.dim_h
     embed_t = np.vstack([zeros(d0, dt), eye(dt)])
@@ -508,7 +499,8 @@ def classical_phi_eval(
     t_a = solve_hpd(daq_sq, adj(ds.q) @ d_a_sq)
 
     e_q = dd.ker_q_star
-    j_cls = adj(dd.dt_embedding) @ (dd.d_t_prime @ ds.a)
+    d_t, e_t = ds.t_prime_defect
+    j_cls = adj(e_t) @ (d_t @ ds.a)
     delta_om = eye(dd.dim_dt) + j_cls @ dd.d_a_sq_inv @ adj(j_cls)
     if exponent_reading == "as-printed":
         delta_q = adj(e_q) @ dd.d_a_inv @ e_q

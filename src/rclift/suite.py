@@ -198,11 +198,10 @@ def ac03_weight_and_projection_identities(cfg: SuiteConfig) -> tuple[bool, dict]
     for i in range(cfg.n_mid):
         ds = _lifting_instance(i, SEED0 + 101)
         dd = lifting.derive(ds)
-        rc = redheffer.build_coefficients(dd)
         worst["delta_omega_inv"] = max(
-            worst["delta_omega_inv"], redheffer.delta_omega_inverse_residual(rc)
+            worst["delta_omega_inv"], redheffer.delta_omega_inverse_residual(dd)
         )
-        yg = redheffer.y_gram_check(rc)
+        yg = redheffer.y_gram_check(dd)
         worst["y_gram"] = max(worst["y_gram"], yg.residual)
         min_sigma_y = min(min_sigma_y, yg.sigma_min_y_star)
         rq, rr = redheffer.projection_identity_check(dd)
@@ -358,7 +357,8 @@ def ac08_classical_specialization(cfg: SuiteConfig) -> tuple[bool, dict]:
         aq = ds.a @ ds.q
         t_a = np.linalg.solve(eye(ds.dim_h) - adj(aq) @ aq, adj(ds.q) @ d_a_sq)
         t_a_worst = max(t_a_worst, operator_norm(rc.x1 @ dd.d_a - dd.d_a @ t_a))
-        if operator_norm(adj(dd.dt_embedding) @ (dd.d_t_prime @ ds.a)) > 1e-12:
+        d_t, e_t = ds.t_prime_defect
+        if operator_norm(adj(e_t) @ (d_t @ ds.a)) > 1e-12:
             degenerate = False
         gen = redheffer.phi_eval(rc, grid)
         for reading in diffs:
@@ -374,10 +374,11 @@ def ac08_classical_specialization(cfg: SuiteConfig) -> tuple[bool, dict]:
     det_rng = np.random.default_rng(SEED0 + 999)
     p = generators.random_nehari_problem(det_rng, 2, 2, 3, 3, 0.8)
     dd_n = lifting.derive(nehari.to_lifting_data(p))
-    rc_n = redheffer.build_coefficients(dd_n)
     e_q = dd_n.ker_q_star
-    printed = operator_norm(rc_n.delta_q - adj(e_q) @ dd_n.d_a_inv @ e_q)
-    squared = operator_norm(rc_n.delta_q - adj(e_q) @ dd_n.d_a_sq_inv @ e_q)
+    w_e_q = dd_n.d_a_inv @ e_q  # Delta_Q is its Gram, as the core forms it
+    delta_q = adj(w_e_q) @ w_e_q
+    printed = operator_norm(delta_q - adj(e_q) @ dd_n.d_a_inv @ e_q)
+    squared = operator_norm(delta_q - adj(e_q) @ dd_n.d_a_sq_inv @ e_q)
     determination = "corrected" if squared < 1e-10 < printed else "undetermined"
     passed = exactly_one and t_a_worst < 1e-10
     return passed, {
@@ -451,7 +452,7 @@ def ac11_scalar_worked_example(_cfg: SuiteConfig) -> tuple[bool, dict]:
     """The single-tap, window-two example against hand-evaluated values."""
     p = nehari.NehariProblem(2, 1, 1, (np.array([[0.5]]),))
     nc = nehari.coefficients(p)
-    defect_gram = nehari.gram(p)
+    defect_gram = p.defect_gram
     tol = 1e-10
     s3 = np.sqrt(3.0)
     checks = {

@@ -183,7 +183,7 @@ class NehariClosedForm(redheffer.Realization):
 def nehari_closed_form(p) -> NehariClosedForm:
     """The paper's closed-form realization of the Nehari problem p."""
     n_w, u, y = p.n_window, p.u_dim, p.y_dim
-    lam = nehari.gram(p)
+    lam = p.defect_gram
     lam_x = lambda_cross(lam)
     g_row = solve_g(p, lam)
 

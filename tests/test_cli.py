@@ -385,7 +385,7 @@ def test_nehari_report_rows_bracket_their_residual_norms(tmp_path, capsys, dims)
     # A by its Gram: the SVD norm lies inside each
     p = generators.random_nehari_problem(np.random.default_rng(5), *dims, 0.8)
     rows = _nehari_report_rows(tmp_path, capsys, p)
-    a, lam = p.a, nehari.gram(p)
+    a, lam = p.a, p.defect_gram
     ident = np.eye(lam.shape[0])
     residuals = {
         "gram_matches_hankel": lam - (ident - a.conj().T @ a),
@@ -411,25 +411,26 @@ def test_nehari_report_hankel_norm_without_taps_is_zero(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["nehari", "validate"])
 def test_nehari_commands_form_a_and_its_gram_once(tmp_path, capsys, monkeypatch, command):
-    # one report lays out the Hankel matrix once (`_gather`) and forms its
-    # Gram once (`combined_gram`); every reader shares the problem's copies
+    # one report lays out the Hankel matrix once (`_gather`), forms its
+    # Gram once (`combined_gram`) and the defect Gram Lambda once
+    # (`NehariProblem.defect_gram`); every reader shares the problem's copies
     path = _instance_file(
         tmp_path, generators.random_nehari_problem(np.random.default_rng(5), 2, 2, 3, 4, 0.8))
     calls = []
 
-    def counted(name):
-        real = getattr(nehari, name)
-
+    def counted(name, real):
         def call(*args):
             calls.append(name)
             return real(*args)
         return call
 
     for name in ("_gather", "combined_gram"):
-        monkeypatch.setattr(nehari, name, counted(name))
+        monkeypatch.setattr(nehari, name, counted(name, getattr(nehari, name)))
+    defect_gram = vars(nehari.NehariProblem)["defect_gram"]
+    monkeypatch.setattr(defect_gram, "func", counted("defect_gram", defect_gram.func))
     code, _, _ = run(capsys, command, path)
     assert code == 0
-    assert sorted(calls) == ["_gather", "combined_gram"]
+    assert sorted(calls) == ["_gather", "combined_gram", "defect_gram"]
 
 
 def test_report_byte_stability(scalar_problem, tmp_path, capsys):
@@ -768,6 +769,30 @@ def test_verify_overflowing_tail_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(inst), str(sol), "--degree", "200")
     assert code == 1 and out == ""
     assert "overflow" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [1e150, 1e200])
+def test_verify_tail_past_the_floating_point_range_exits_1(tmp_path, capsys, entry):
+    # a tail state matrix of huge entries: the storage bound's squaring
+    # (1e150) or the squared Frobenius norm of [A; C] (1e200) overflows,
+    # and so does the Stein residual, so no Gramian bound exists and the
+    # truncated candidate runs, whose Markov parameters overflow; a clean
+    # error, not a traceback or a warning
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    run(capsys, "gen", "--kind", "generic", "--dims", "5,3,2", "--seed", "1", "--out", str(inst))
+    code, _, _ = run(capsys, "solve", str(inst), "--central", "--out", str(sol))
+    assert code == 0
+    doc = json.loads(sol.read_text())
+    a = serialize.matrix_from_json(doc["tail"]["a"])
+    assert a.size > 0
+    doc["tail"]["a"] = serialize.matrix_to_json(np.full(a.shape, entry, dtype=complex))
+    sol.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(inst), str(sol))
+    assert code == 1 and out == ""
+    assert err.startswith("error: the Markov parameters")
+    assert err.rstrip().endswith("overflow floating point")
+    assert "Traceback" not in err
 
 
 def _parameter_dims(inst):

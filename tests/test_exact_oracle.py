@@ -266,7 +266,7 @@ def test_defect_gram_within_the_allowance_of_its_gram(u, y, n_w, k):
     # most eps/2 |Lambda_ij| / (1 - eps/2) after the exact halving: at
     # most eps ||Lambda||_F (1 + eps) in all
     p = random_taps_problem(u + 10 * y + 100 * n_w + 1000 * k, u, y, n_w, k)
-    lam = nehari.gram(p)
+    lam = p.defect_gram
     rounding = EPS * linalg.frobenius_upper(lam) * (1.0 + EPS)
     with mpmath.workdps(EXACT_DIGITS):
         a_mp = mp_matrix(hankel_blocks(p))

@@ -243,7 +243,7 @@ def test_derived_bases_are_orthonormal_with_the_rank_rule_dimension(kind, norm_a
         bases = {
             "d_circ": (dd.d_circ_embedding, ds.dim_h0,
                        _psd_rank(adj(ds.q) @ ds.q - adj(ds.r) @ ds.r)),
-            "dt": (dd.dt_embedding, h_prime,
+            "dt": (ds.t_prime_defect[1], h_prime,
                    _psd_rank(eye(h_prime) - adj(ds.t_prime) @ ds.t_prime)),
             "f": (dd.f_embedding, h, _rank(dd.d_a @ ds.q)),
             "ker_q": (dd.ker_q_star, h, h - _rank(ds.q)),

@@ -577,8 +577,33 @@ def test_p_residual_carries_the_rounding_allowance():
     assert err == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("block", ["a", "c"])
+@pytest.mark.parametrize("entry", [1e160, 1e200, 1e300, np.inf, np.nan])
+def test_storage_bound_of_an_overflowing_matrix_is_none(lapack_calls, block, entry):
+    # ||[a; c]||_F^2 overflows once the norm passes about 1e154: no bound,
+    # and no eigenvalue is taken of a Gram that is not finite
+    a, c = 0.5 * np.eye(3, dtype=complex), np.ones((2, 3), dtype=complex)
+    huge = np.full((3, 3) if block == "a" else (2, 3), entry, dtype=complex)
+    a, c = (huge, c) if block == "a" else (a, huge)
+    assert linalg.storage_gramian_bound(a, c) is None
+    assert lapack_calls == []
+
+
 def test_observability_gramian_of_an_expanding_matrix_is_none():
     assert linalg.observability_gramian(2.0 * np.eye(3), np.ones((1, 3))) is None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [1e100, 1e150])
+def test_observability_gramian_of_an_overflowing_residual_is_none(entry):
+    # the Smith sum stops at once and stays finite, but its Stein residual
+    # a* x a + q - x overflows: an infinite residual and no Gramian, with
+    # no SVD of a matrix that is not finite and no warning
+    a = np.full((3, 3), entry, dtype=complex)
+    (p, w), residuals = linalg._stein(a, np.stack([np.ones((3, 3), complex), np.eye(3)]))
+    assert np.isfinite(p).all() and np.isfinite(w).all()
+    assert residuals.tolist() == [np.inf, np.inf]
+    assert linalg.observability_gramian(a, np.ones((1, 3), dtype=complex)) is None
 
 
 def _scaled_unitary(r: float) -> np.ndarray:

@@ -111,8 +111,8 @@ def test_hankel_window_one_is_column():
 
 def test_gram_cases():
     p0 = nehari.NehariProblem(3, 2, 2, ())
-    np.testing.assert_allclose(nehari.gram(p0), eye(6))
-    np.testing.assert_allclose(nehari.gram(SCALAR), np.diag([0.75, 1.0]), atol=1e-15)
+    np.testing.assert_allclose(p0.defect_gram, eye(6))
+    np.testing.assert_allclose(SCALAR.defect_gram, np.diag([0.75, 1.0]), atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -124,7 +124,7 @@ def test_gram_matches_hankel_defect(seed):
     )
     a = p.a
     np.testing.assert_allclose(
-        nehari.gram(p), eye(a.shape[1]) - adj(a) @ a, atol=1e-10
+        p.defect_gram, eye(a.shape[1]) - adj(a) @ a, atol=1e-10
     )
 
 
@@ -132,7 +132,7 @@ def test_gram_matches_hankel_defect(seed):
 def test_gram_matches_hankel_defect_edge_shapes(u, y, n_w, k):
     p = random_taps_problem(u + 10 * y + 100 * n_w + 1000 * k, u, y, n_w, k)
     a = p.a
-    assert operator_norm(nehari.gram(p) - (eye(a.shape[1]) - adj(a) @ a)) <= 1e-13
+    assert operator_norm(p.defect_gram - (eye(a.shape[1]) - adj(a) @ a)) <= 1e-13
 
 
 def _same_bits(got, want) -> bool:
@@ -213,20 +213,21 @@ def test_assemble_l_overflowing_gram_is_not_finite(huge):
 
 @pytest.mark.parametrize("u,y,n_w,k", [(2, 3, 2, 5), (2, 2, 3, 0)])
 def test_problem_caches_are_read_only(u, y, n_w, k):
-    # every reader of a problem shares its A and A*A, so none may write them
+    # every reader of a problem shares its A, A*A and Lambda, so none may
+    # write them
     p = random_taps_problem(3, u, y, n_w, k)
-    for cached in (p.a, p.a_gram.g):
+    for cached in (p.a, p.a_gram.g, p.defect_gram):
         with pytest.raises(ValueError, match="read-only"):
             cached[0, 0] = 1.0
 
 
 def test_lambda_cross_cases():
     p0 = nehari.NehariProblem(2, 1, 2, ())
-    np.testing.assert_allclose(lambda_cross(nehari.gram(p0)), eye(2))
+    np.testing.assert_allclose(lambda_cross(p0.defect_gram), eye(2))
     np.testing.assert_allclose(
-        lambda_cross(nehari.gram(SCALAR)), np.diag([4.0 / 3.0, 1.0]), atol=1e-14
+        lambda_cross(SCALAR.defect_gram), np.diag([4.0 / 3.0, 1.0]), atol=1e-14
     )
-    lam_x = lambda_cross(nehari.gram(SCALAR))
+    lam_x = lambda_cross(SCALAR.defect_gram)
     u = SCALAR.u_dim
     for n in (1, 2):
         block = lam_x[(n - 1) * u : n * u, (n - 1) * u : n * u]
@@ -257,7 +258,7 @@ def test_gram_gate_decides_as_the_least_eigenvalue(seed, offset):
     target = np.sqrt(1.0 - nehari.GRAM_MIN_EIG * (1.0 + offset))
     p = nehari.NehariProblem(p.n_window, p.u_dim, p.y_dim,
                              tuple(t * (target / operator_norm(p.a)) for t in p.taps))
-    min_eig = np.linalg.eigvalsh(nehari.gram(p))[0]
+    min_eig = np.linalg.eigvalsh(p.defect_gram)[0]
     assert bool(min_eig < nehari.GRAM_MIN_EIG) is (offset < 0)
     if offset < 0:
         with pytest.raises(HankelNotStrict, match=f"{min_eig:.3e} < 1e-08"):
@@ -285,7 +286,7 @@ def test_schur_complement_corner_identity():
     rng = np.random.default_rng(7)
     p = generators.random_nehari_problem(rng, 2, 2, 3, 4, 0.8)
     n_w, u = p.n_window, p.u_dim
-    lam = nehari.gram(p)
+    lam = p.defect_gram
     lam_x = lambda_cross(lam)
     corner_inv = np.linalg.inv(lam[: (n_w - 1) * u, : (n_w - 1) * u])
     upper = lam_x[: (n_w - 1) * u, : (n_w - 1) * u]
@@ -297,12 +298,12 @@ def test_schur_complement_corner_identity():
 
 def test_solve_g_cases():
     p0 = nehari.NehariProblem(3, 1, 1, ())
-    assert all(operator_norm(g) == 0 for g in solve_g(p0, nehari.gram(p0)))
+    assert all(operator_norm(g) == 0 for g in solve_g(p0, p0.defect_gram))
     np.testing.assert_allclose(
-        solve_g(SCALAR, nehari.gram(SCALAR))[0], np.array([[2.0 / 3.0]])
+        solve_g(SCALAR, SCALAR.defect_gram)[0], np.array([[2.0 / 3.0]])
     )
     p1 = nehari.NehariProblem(1, 1, 1, (np.array([[0.4]]),))
-    assert solve_g(p1, nehari.gram(p1)) == []
+    assert solve_g(p1, p1.defect_gram) == []
 
 
 @pytest.mark.parametrize(
@@ -312,14 +313,14 @@ def test_solve_g_rejects_indefinite_corner(n_w, taps):
     # the leading corner entry 1 - sum |F_-n|^2 is negative on both problems
     p = nehari.NehariProblem(n_w, 1, 1, tuple(np.array([[t]]) for t in taps))
     with pytest.raises(NotPositiveDefinite):
-        solve_g(p, nehari.gram(p))
+        solve_g(p, p.defect_gram)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_solve_g_residual(seed):
     rng = np.random.default_rng(seed)
     p = generators.random_nehari_problem(rng, 2, 1, 4, 3, 0.8)
-    lam = nehari.gram(p)
+    lam = p.defect_gram
     g_row = solve_g(p, lam)
     n_w, u = p.n_window, p.u_dim
     corner = lam[: (n_w - 1) * u, : (n_w - 1) * u]
@@ -391,7 +392,7 @@ def test_coefficients_cross_check_against_lifting(seed):
     ds = nehari.to_lifting_data(p)
     dd = lifting.derive(ds)
     rc = redheffer.build_coefficients(dd)
-    unitary = hpd_factor(nehari.gram(p)) @ dd.d_a_inv
+    unitary = hpd_factor(p.defect_gram) @ dd.d_a_inv
     assert operator_norm(adj(unitary) @ unitary - eye(unitary.shape[0])) < 1e-12
     conjugated = {
         "x1": unitary @ rc.x1 @ adj(unitary),
@@ -415,7 +416,7 @@ def test_coefficients_match_closed_form_oracle(seed):
     p = _random_problem(rng, 0.9 * rng.uniform(0.4, 1.0))
     nc = nehari.coefficients(p)
     cf = nehari_closed_form(p)
-    w = hpd_factor(nehari.gram(p))
+    w = hpd_factor(p.defect_gram)
     w_inv = np.linalg.inv(w)
     similar = {
         "x1": w @ cf.x1 @ w_inv,
@@ -700,7 +701,7 @@ def test_special_cases_match_series_closed_forms(seed):
     vy, vu = [c[:y] for c in vt], [c[y:] for c in vt]
     p = generators.random_nehari_problem(rng, u, y, 1, 2, 0.7)
     lam_vu = [zeros(u, u)] + vu[:deg]
-    d_a = psd_sqrt(nehari.gram(p))
+    d_a = psd_sqrt(p.defect_gram)
     n1 = [c @ d_a for c in series_mul(vy, series_neumann(lam_vu, deg), deg)]
     lam_n_vu = [zeros(u, u)] * n_w + [-c for c in vu]
     f0 = series_mul(vy, series_neumann(lam_n_vu, deg), deg)

@@ -52,11 +52,12 @@ def test_ill_conditioned_weight_keeps_its_small_roots():
         r=np.array([[2e-6], [0.0]]),
         q=np.array([[0.0], [1.0]]),
     )
-    rc = redheffer.build_coefficients(lifting.derive(ds))
+    dd = lifting.derive(ds)
+    rc = redheffer.build_coefficients(dd)
     expected = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     assert operator_norm(rc.x2 - expected) < 1e-10
     assert abs(redheffer.kyp_norm(rc) - 1.0) < 1e-12
-    gram = redheffer.y_gram_check(rc)
+    gram = redheffer.y_gram_check(dd)
     assert gram.residual < 1e-12
     assert gram.sigma_min_y_star > 0.5
 
@@ -92,8 +93,8 @@ def test_scalar_nehari_x1():
 
 def test_delta_omega_inverse_closed_form():
     for seed in range(3):
-        _, rc = generic_rc(seed)
-        assert redheffer.delta_omega_inverse_residual(rc) < 1e-9
+        dd, _ = generic_rc(seed)
+        assert redheffer.delta_omega_inverse_residual(dd) < 1e-9
 
 
 def test_x_tilde_contraction_and_unitary_dichotomy():
@@ -439,16 +440,29 @@ def test_kyp_norm_bounds_dense_truncation(kind, seed, norm, scale):
         assert kyp <= 1.0 + 1e-10
 
 
+@pytest.mark.parametrize("entry", [1e160, 1e200, 1e300])
+def test_isometry_certificate_of_an_overflowing_state_knows_nothing(entry):
+    # X1 of 1e200 entries has no Gramian bound (the storage bound's
+    # Frobenius square overflows, the Stein Gramian proves nothing), so
+    # the certificate returns its verdicts that know nothing
+    _, rc = generic_rc()
+    bad = dataclasses.replace(rc, x1=np.full(rc.x1.shape, entry, dtype=complex))
+    radius, iso = redheffer.isometry_certificate(bad)
+    assert (radius.name, radius.lower, radius.upper) == ("state_spectral_radius", 0.0, np.inf)
+    assert (iso.name, iso.lower, iso.upper) == ("stacked_isometry_residual", 0.0, np.inf)
+    assert radius.status == iso.status == "uncertified"
+
+
 def test_y_gram_and_projections():
     for seed in range(3):
-        dd, rc = generic_rc(seed)
-        rep = redheffer.y_gram_check(rc)
+        dd, _ = generic_rc(seed)
+        rep = redheffer.y_gram_check(dd)
         assert rep.residual < 1e-9
         assert rep.sigma_min_y_star > 1e-6
         rq, rr = redheffer.projection_identity_check(dd)
         assert rq < 1e-8 and rr < 1e-8
-    _, rc_s = scalar_nehari_rc()
-    assert redheffer.y_gram_check(rc_s).residual < 1e-9
+    dd_s, _ = scalar_nehari_rc()
+    assert redheffer.y_gram_check(dd_s).residual < 1e-9
 
 
 def test_y_gram_degenerate_isometric_case():
@@ -460,7 +474,7 @@ def test_y_gram_degenerate_isometric_case():
     ds = lifting.LiftingDataSet(a=zeros(3, 4), t_prime=zeros(3, 3), r=r, q=q)
     dd = lifting.derive(ds)
     assert lifting.omega_isometry_defect(dd) < 1e-10
-    rep = redheffer.y_gram_check(redheffer.build_coefficients(dd))
+    rep = redheffer.y_gram_check(dd)
     assert rep.residual < 1e-9
 
 
@@ -471,7 +485,8 @@ def test_classical_reading_dichotomy_is_degenerate():
     dd = lifting.derive(ds)
     rc = redheffer.build_coefficients(dd)
     assert rc.kq_dim == 0
-    assert operator_norm(adj(dd.dt_embedding) @ (dd.d_t_prime @ ds.a)) < 1e-12
+    d_t, e_t = ds.t_prime_defect
+    assert operator_norm(adj(e_t) @ (d_t @ ds.a)) < 1e-12
     for lam in (0.3, -0.5j):
         gen = redheffer.phi_eval(rc, lam)
         for reading in ("corrected", "as-printed"):
@@ -493,8 +508,12 @@ def test_exponent_readings_differ_on_isometric_shape():
     dd = lifting.derive(nehari.to_lifting_data(p))
     rc = redheffer.build_coefficients(dd)
     e_q = dd.ker_q_star
-    squared = operator_norm(rc.delta_q - adj(e_q) @ dd.d_a_sq_inv @ e_q)
-    printed = operator_norm(rc.delta_q - adj(e_q) @ dd.d_a_inv @ e_q)
+    # X3 = Delta_Q^-1/2 (D_A^-1 E_Q)*, so X3 D_A^-1 E_Q is the root of the
+    # pipeline's Delta_Q
+    root = rc.x3 @ dd.d_a_inv @ e_q
+    delta_q = root @ root
+    squared = operator_norm(delta_q - adj(e_q) @ dd.d_a_sq_inv @ e_q)
+    printed = operator_norm(delta_q - adj(e_q) @ dd.d_a_inv @ e_q)
     assert squared < 1e-12
     assert printed > 1e-4
 

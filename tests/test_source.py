@@ -239,6 +239,39 @@ def test_gramian_bound_by_name_is_detected():
         "observability_gramian:3", "observability_gramian:7", "storage_gramian_bound:4"]
 
 
+# One realization type: the lifting and Nehari cores and the closed forms
+# all return `redheffer.Realization` itself, and what only the proof-layer
+# checks read lives on `lifting.DerivedData`, so no class extends it.
+def _realization_subclasses(tree: ast.Module) -> list[str]:
+    """`class:line` for each class with a base named `Realization`, by
+    name, under an import alias, or as an attribute (`redheffer.Realization`)."""
+    names = {"Realization"} | {a.asname for node in ast.walk(tree)
+                               if isinstance(node, ast.ImportFrom)
+                               for a in node.names if a.name == "Realization" and a.asname}
+    return [f"{node.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(getattr(b, "attr", getattr(b, "id", None)) in names for b in node.bases)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_realization_subclass(path):
+    assert _realization_subclasses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_realization_subclass_is_detected():
+    tree = ast.parse(
+        '"""class R(Realization) in a docstring is prose"""\n'
+        "from . import redheffer\nfrom .redheffer import Realization\n"
+        "from .redheffer import Realization as Base\nfrom .hardy import SolutionRealization\n"
+        "class A(Realization):\n    pass\n"
+        "class B(redheffer.Realization):\n    pass\n"
+        "class C(SolutionRealization):\n    pass\n"
+        "class D(Base):\n    pass\n"
+        "class E:\n    class F(object, Realization):\n        pass\n"
+    )
+    assert sorted(_realization_subclasses(tree)) == ["A:6", "B:8", "D:12", "F:15"]
+
+
 # Values from outside are coerced and checked once, where they enter (the
 # `serialize` readers, and `schur.contraction_gate` for parameters); the
 # containers take their arrays as they are, so no `__post_init__` coerces
